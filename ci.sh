@@ -21,10 +21,9 @@
 #   cache      — the batched-inference oracle suite again, at both
 #                thread counts, with the *environment* knobs forced to
 #                their non-default paths (KGAG_RF_CACHE=0,
-#                KGAG_EVAL_BATCH=7) and one leg pinning
-#                KGAG_SCORE_DTYPE=f64 explicitly: batched scores must
-#                stay bit-identical to the per-case path however the
-#                engine is configured (DESIGN.md §11)
+#                KGAG_EVAL_BATCH=7): batched scores must stay
+#                bit-identical to the per-case path however the engine
+#                is configured (DESIGN.md §11)
 #   serve      — the serve_check gate, at both thread counts: a fixed
 #                request slice fanned out through 4 concurrent clients
 #                of the in-process server and over loopback TCP must
@@ -36,9 +35,8 @@
 #   shard      — sharded-serving gate (DESIGN.md §15): the shard_check
 #                binary at both thread counts. It spawns 2 real shard
 #                processes, proves router-fused scatter-gather scores
-#                bit-identical to the single-node BatchScorer on the
-#                exact tier (and to the single-node f32 tier on the
-#                fused tier), round-trips the TCP front door, then
+#                bit-identical to the single-node BatchScorer with the
+#                draw memo on and off, round-trips the TCP front door, then
 #                SIGKILLs a shard mid-stream: affected requests must
 #                fail with typed errors while untouched ones stay
 #                bit-identical — no panic, no hang
@@ -55,14 +53,11 @@
 #                3 Quota rejections per tenant with obs counters
 #                matching
 #   backend    — propagation-backend parity gate (DESIGN.md §17): the
-#                backend_oracle suite at KGAG_THREADS=1 and 4, one leg
-#                with KGAG_SCORE_DTYPE pinned to each tier. All four
+#                backend_oracle suite at KGAG_THREADS=1 and 4. All four
 #                backends must be self-identical across the cache ×
 #                chunk × thread matrix, KGNN-LS at ls_weight=0 must
-#                reproduce GCN training bit-for-bit, checkpoints must
-#                refuse cross-backend restores typed, and fused-tier
-#                claims must match the kernels (interaction falls back
-#                to the exact tier)
+#                reproduce GCN training bit-for-bit, and checkpoints
+#                must refuse cross-backend restores typed
 #   lifecycle  — dynamic-group gate (DESIGN.md §13): the
 #                mutate-equals-rebuild oracle suite re-run with the
 #                receptive-field cache disabled (the cached paths run
@@ -80,14 +75,6 @@
 #                against results/golden_smoke.json; any numeric drift
 #                fails. After an intentional numerics change:
 #                  ./ci.sh --golden-baseline
-#   accuracy   — f32-tier accuracy contract (DESIGN.md §14): the
-#                accuracy_check gate with KGAG_SCORE_DTYPE=f32, at
-#                KGAG_THREADS=1 and 4 (both tiers are thread-invariant,
-#                so the two legs must print identical numbers). Ranking
-#                agreement with the exact engine must satisfy the
-#                committed results/accuracy_contract.json. After an
-#                intentional kernel change:
-#                  ./ci.sh --accuracy-baseline
 #   bench      — only with --bench (or --stage bench): regenerate the
 #                micro-benchmark JSON artifacts into a scratch dir,
 #                move them into crates/bench/results atomically (an
@@ -107,17 +94,16 @@
 #   ./ci.sh --bench              # …default stages plus the bench gate
 #   ./ci.sh --bench-baseline     # …instead rewrite results/bench_baseline.json
 #   ./ci.sh --golden-baseline    # …instead rewrite results/golden_smoke.json
-#   ./ci.sh --accuracy-baseline  # …instead rewrite results/accuracy_contract.json
 set -eu
 
 cd "$(dirname "$0")"
 
 # ----------------------------------------------------------------- manifest
 
-STAGES="fmt build test cache serve shard registry backend lifecycle telemetry golden accuracy bench"
+STAGES="fmt build test cache serve shard registry backend lifecycle telemetry golden bench"
 # bench is opt-in: excluded from a default run, included by --bench /
 # --bench-baseline or an explicit --stage selection
-DEFAULT_STAGES="fmt build test cache serve shard registry backend lifecycle telemetry golden accuracy"
+DEFAULT_STAGES="fmt build test cache serve shard registry backend lifecycle telemetry golden"
 
 stage_desc() {
     case "$1" in
@@ -128,11 +114,10 @@ stage_desc() {
     serve) echo "serving gate: concurrent bit-identity + drain" ;;
     shard) echo "sharded gate: scatter-gather bit-identity + shard kill" ;;
     registry) echo "registry gate: shadow-proven swap + quota determinism" ;;
-    backend) echo "backend gate: 4-backend parity oracle at both tiers" ;;
+    backend) echo "backend gate: 4-backend parity oracle" ;;
     lifecycle) echo "lifecycle gate: mutate-equals-rebuild + TCP mutations" ;;
     telemetry) echo "telemetry gate: passivity + JSONL schema" ;;
     golden) echo "golden-file gate: bit-identical smoke metrics" ;;
-    accuracy) echo "f32-tier accuracy contract at KGAG_THREADS=1 and 4" ;;
     bench) echo "bench regression gate (opt-in: --bench)" ;;
     esac
 }
@@ -151,44 +136,34 @@ run_test() {
 }
 
 run_cache() {
-    # one leg pins the default tier explicitly: KGAG_SCORE_DTYPE=f64
-    # must be a spelled-out no-op, not an accidental third code path
-    KGAG_THREADS=1 KGAG_RF_CACHE=0 KGAG_EVAL_BATCH=7 KGAG_SCORE_DTYPE=f64 \
+    KGAG_THREADS=1 KGAG_RF_CACHE=0 KGAG_EVAL_BATCH=7 \
         cargo test -q --offline -p kgag --test batched_oracle
     KGAG_THREADS=4 KGAG_RF_CACHE=0 KGAG_EVAL_BATCH=7 \
         cargo test -q --offline -p kgag --test batched_oracle
 }
 
 run_serve() {
-    KGAG_THREADS=1 KGAG_SCORE_DTYPE=f64 \
-        cargo run -q --release --offline -p kgag-bench --bin serve_check
+    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin serve_check
     KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin serve_check
 }
 
 run_shard() {
-    KGAG_THREADS=1 KGAG_SCORE_DTYPE=f64 \
-        cargo run -q --release --offline -p kgag-bench --bin shard_check
+    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin shard_check
     KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin shard_check
 }
 
 run_registry() {
-    KGAG_THREADS=1 KGAG_SCORE_DTYPE=f64 \
-        cargo run -q --release --offline -p kgag-bench --bin registry_check
+    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin registry_check
     KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin registry_check
 }
 
 run_backend() {
-    # the suite pins ScoreTier::Exact on every oracle scorer, so the
-    # KGAG_SCORE_DTYPE pin per leg proves the env knob cannot leak into
-    # backend parity — and the f32 leg exercises resolve_for fallback
-    KGAG_THREADS=1 KGAG_SCORE_DTYPE=f64 \
-        cargo test -q --release --offline -p kgag --test backend_oracle
-    KGAG_THREADS=4 KGAG_SCORE_DTYPE=f32 \
-        cargo test -q --release --offline -p kgag --test backend_oracle
+    KGAG_THREADS=1 cargo test -q --release --offline -p kgag --test backend_oracle
+    KGAG_THREADS=4 cargo test -q --release --offline -p kgag --test backend_oracle
 }
 
 run_lifecycle() {
-    KGAG_THREADS=1 KGAG_RF_CACHE=0 KGAG_SCORE_DTYPE=f64 \
+    KGAG_THREADS=1 KGAG_RF_CACHE=0 \
         cargo test -q --release --offline -p kgag --test lifecycle_oracle
     KGAG_THREADS=4 KGAG_RF_CACHE=0 \
         cargo test -q --release --offline -p kgag --test lifecycle_oracle
@@ -206,19 +181,6 @@ run_golden() {
             --write-baseline
     else
         KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin golden_check
-    fi
-}
-
-run_accuracy() {
-    if [ "$ACCURACY_MODE" = "write" ]; then
-        KGAG_THREADS=4 KGAG_SCORE_DTYPE=f32 \
-            cargo run -q --release --offline -p kgag-bench --bin accuracy_check -- \
-            --write-baseline
-    else
-        KGAG_THREADS=1 KGAG_SCORE_DTYPE=f32 \
-            cargo run -q --release --offline -p kgag-bench --bin accuracy_check
-        KGAG_THREADS=4 KGAG_SCORE_DTYPE=f32 \
-            cargo run -q --release --offline -p kgag-bench --bin accuracy_check
     fi
 }
 
@@ -253,13 +215,12 @@ run_bench() {
 # ------------------------------------------------------------------- runner
 
 GOLDEN_MODE=check
-ACCURACY_MODE=check
 BENCH_MODE=check
 SELECTED="$DEFAULT_STAGES"
 
 usage() {
     echo "usage: ./ci.sh [--list] [--stage name[,name...]] [--bench |" >&2
-    echo "               --bench-baseline | --golden-baseline | --accuracy-baseline]" >&2
+    echo "               --bench-baseline | --golden-baseline]" >&2
 }
 
 list_stages() {
@@ -310,7 +271,6 @@ while [ $# -gt 0 ]; do
         SELECTED="$SELECTED bench"
         ;;
     --golden-baseline) GOLDEN_MODE=write ;;
-    --accuracy-baseline) ACCURACY_MODE=write ;;
     *)
         echo "unknown argument: $1" >&2
         usage

@@ -30,7 +30,7 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, ScoreTier};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -63,8 +63,8 @@ fn entry_from(ds: &GroupDataset, bytes: &[u8]) -> RegistryModel {
     let split = split_dataset(ds, 11);
     let mut model = Kgag::new(ds, &split, KgagConfig { epochs: 3, ..Default::default() });
     model.load_checkpoint(bytes).expect("smoke checkpoint must restore");
-    RegistryModel::try_new(model, checkpoint_hash(bytes), true, ScoreTier::Exact)
-        .expect("exact tier never fails conversion")
+    RegistryModel::try_new(model, checkpoint_hash(bytes), true)
+        .expect("a trained fixture checkpoint is finite")
 }
 
 fn assert_bits_equal(label: &str, idx: usize, got: &[f32], want: &[f32]) {

@@ -1,7 +1,6 @@
 //! CI sharded-serving gate (DESIGN.md §15): scatter-gather scoring over
 //! real shard **processes** must be bit-identical to the single-node
-//! batch path on the exact tier (and to the single-node f32 tier on the
-//! fused tier), and killing a shard process mid-stream must surface
+//! batch path, and killing a shard process mid-stream must surface
 //! typed per-request errors — never a panic, never a hang, never a
 //! wrong score.
 //!
@@ -17,10 +16,9 @@
 //!
 //! 1. **Router bit-identity** — `ShardedScorer::try_score_batch` over 2
 //!    shard processes equals offline `BatchScorer::score_cases` bit for
-//!    bit (exact tier, draw memo on).
-//! 2. **f32 tier** — the fused tier over the same deployment equals the
-//!    single-node f32 tier bit for bit (`BlockedTable` conversion is
-//!    row-local, so sharding cannot perturb it).
+//!    bit (draw memo on).
+//! 2. **Memo off** — the same deployment with the router's draw memo
+//!    off: every draw goes over the wire, the bits stay the same.
 //! 3. **TCP front door** — the same requests through `serve_tcp_try` +
 //!    `ServeClient`: bits survive the client wire too.
 //! 4. **Shard kill** — SIGKILL one worker while a request stream is in
@@ -31,7 +29,7 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{Kgag, KgagConfig, RouterCore, ScoreTier};
+use kgag::{Kgag, KgagConfig, RouterCore};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -153,39 +151,24 @@ fn main() {
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
     println!("shard_check: {SHARDS} shard processes up at {addrs:?}");
 
-    // 1. router bit-identity on the exact tier
-    {
+    // 1 + 2. router bit-identity, draw memo on and off
+    for memo in [true, false] {
+        let label = if memo { "memo on" } else { "memo off" };
         let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
-        let sharded =
-            ShardedScorer::new(RouterCore::from_model(&model, ScoreTier::Exact, true), pool);
+        let sharded = ShardedScorer::new(RouterCore::from_model(&model, memo), pool);
         let got = sharded.try_score_batch(&requests);
         for (i, (g, want)) in got.iter().zip(&reference).enumerate() {
-            let g = g.as_ref().unwrap_or_else(|e| panic!("exact: request {i} failed: {e}"));
-            assert_bits_equal("exact", i, g, want);
+            let g = g.as_ref().unwrap_or_else(|e| panic!("{label}: request {i} failed: {e}"));
+            assert_bits_equal(label, i, g, want);
         }
-        println!("shard_check: exact tier bit-identical to single-node over {SHARDS} processes");
-    }
-
-    // 2. fused f32 tier equals the single-node f32 tier
-    {
-        let f32_scorer = model.batch_scorer_with(true).with_tier(ScoreTier::FusedF32);
-        let f32_reference = with_threads(1, || f32_scorer.score_cases(&requests));
-        let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
-        let sharded =
-            ShardedScorer::new(RouterCore::from_model(&model, ScoreTier::FusedF32, false), pool);
-        let got = sharded.try_score_batch(&requests);
-        for (i, (g, want)) in got.iter().zip(&f32_reference).enumerate() {
-            let g = g.as_ref().unwrap_or_else(|e| panic!("f32: request {i} failed: {e}"));
-            assert_bits_equal("f32", i, g, want);
-        }
-        println!("shard_check: f32 tier bit-identical to single-node f32 over {SHARDS} processes");
+        println!("shard_check: {label}: bit-identical to single-node over {SHARDS} processes");
     }
 
     // 3 + 4. the TCP front door, then a SIGKILL mid-stream. One router
     // serves throughout: the kill happens while the client stream is in
     // flight, so the death is discovered *inside* request scoring.
     let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
-    let sharded = ShardedScorer::new(RouterCore::from_model(&model, ScoreTier::Exact, true), pool);
+    let sharded = ShardedScorer::new(RouterCore::from_model(&model, true), pool);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     std::thread::scope(|s| {

@@ -2,7 +2,7 @@
 //!
 //! The propagation block of §III-C used to hard-wire a two-armed
 //! `match` over the paper's aggregators. Every axis that grew around it
-//! — the fused f32 tier, the sharded gather, the ablation binaries —
+//! — the inference engine, the sharded gather, the ablation binaries —
 //! had to reproduce that match. [`PropagationBackend`] is the one seam
 //! they now implement against:
 //!
@@ -18,11 +18,11 @@
 //! * **label smoothness** ([`PropagationBackend::label_smoothness`]):
 //!   whether the trainer adds the KGNN-LS regularizer
 //!   ([`label_smoothness_loss`]) to the combined objective.
-//! * **fused-tier claim** ([`PropagationBackend::fused_aggregation`]):
-//!   which fused f32 kernel plan (if any) mirrors the combine rule.
-//!   Backends without a plan fall back to the exact tier — typed at
-//!   explicit requests, silent-but-counted at env-driven construction
-//!   (see [`crate::ScoreTier::resolve_for`]).
+//! * **engine plan** ([`PropagationBackend::fused_aggregation`]): which
+//!   fused kernel sequence of the inference engine ([`crate::infer`])
+//!   reproduces the combine rule bit for bit. Every backend has one;
+//!   the interaction-pattern pass is applied by the engine whenever the
+//!   model registered its mixing parameters.
 //!
 //! ## The two non-paper backends
 //!
@@ -55,8 +55,8 @@ use crate::model::{ModelParams, PropagationParams};
 use kgag_kg::ReceptiveField;
 use kgag_tensor::{NodeId, Tape, Tensor};
 
-/// The fused f32 kernel plan mirroring a backend's combine rule — what
-/// `InferenceTables` dispatches on instead of matching backend names.
+/// The fused kernel plan mirroring a backend's combine rule — what the
+/// inference engine dispatches on instead of matching backend names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FusedAggregation {
     /// Elementwise `e + e_N`, then one `[d, d]` matmul (GCN-shaped).
@@ -102,9 +102,9 @@ pub trait PropagationBackend: Send + Sync {
         false
     }
 
-    /// The fused f32 kernel plan, or `None` when this backend has no
-    /// fused kernels and must score on the exact tier.
-    fn fused_aggregation(&self) -> Option<FusedAggregation>;
+    /// The fused kernel plan the inference engine runs for
+    /// [`PropagationBackend::combine`].
+    fn fused_aggregation(&self) -> FusedAggregation;
 }
 
 struct GcnBackend;
@@ -132,8 +132,8 @@ impl PropagationBackend for GcnBackend {
         combine_sum(tape, w, e, e_n)
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
-        Some(FusedAggregation::SumSelf)
+    fn fused_aggregation(&self) -> FusedAggregation {
+        FusedAggregation::SumSelf
     }
 }
 
@@ -151,8 +151,8 @@ impl PropagationBackend for GraphSageBackend {
         tape.matmul(cat, w)
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
-        Some(FusedAggregation::SplitConcat)
+    fn fused_aggregation(&self) -> FusedAggregation {
+        FusedAggregation::SplitConcat
     }
 }
 
@@ -173,10 +173,10 @@ impl PropagationBackend for KgnnLsBackend {
         true
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
+    fn fused_aggregation(&self) -> FusedAggregation {
         // the regularizer is train-only; inference is GCN-shaped and
         // rides the same fused kernels
-        Some(FusedAggregation::SumSelf)
+        FusedAggregation::SumSelf
     }
 }
 
@@ -225,11 +225,10 @@ impl PropagationBackend for InteractionPatternBackend {
         tape.add(member_rep, mix)
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
-        // no fused member-interaction kernel: this backend keeps the
-        // exact tier (ScoreTier::resolve_for falls back, explicit
-        // derive requests get a typed ConvertError::Unsupported)
-        None
+    fn fused_aggregation(&self) -> FusedAggregation {
+        // GCN-shaped combine; the engine's member-interaction pass
+        // mirrors `member_interaction` above op for op
+        FusedAggregation::SumSelf
     }
 }
 
@@ -248,11 +247,6 @@ impl Backend {
             Backend::KgnnLs => &KGNN_LS,
             Backend::InteractionPattern => &INTERACTION,
         }
-    }
-
-    /// Whether this backend has fused f32 kernels (the fast tier).
-    pub fn claims_fused_tier(self) -> bool {
-        self.dispatch().fused_aggregation().is_some()
     }
 }
 
@@ -333,15 +327,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_claims_match_kernel_plans() {
-        assert_eq!(Backend::Gcn.dispatch().fused_aggregation(), Some(FusedAggregation::SumSelf));
-        assert_eq!(
-            Backend::GraphSage.dispatch().fused_aggregation(),
-            Some(FusedAggregation::SplitConcat)
-        );
-        assert_eq!(Backend::KgnnLs.dispatch().fused_aggregation(), Some(FusedAggregation::SumSelf));
-        assert_eq!(Backend::InteractionPattern.dispatch().fused_aggregation(), None);
-        assert!(!Backend::InteractionPattern.claims_fused_tier());
+    fn engine_plans_match_combine_rules() {
+        for b in Backend::all() {
+            let want = if b == Backend::GraphSage {
+                FusedAggregation::SplitConcat
+            } else {
+                FusedAggregation::SumSelf
+            };
+            assert_eq!(b.dispatch().fused_aggregation(), want, "{b:?}");
+        }
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! [`RfCache`] pair per checkpoint (member-side and item-side tables,
 //! keyed on the model's fixed inference salt) and fuses the `(group,
 //! candidate)` instances of *all* cases into uniform chunks that the
-//! thread pool scores concurrently through the fused gather + matmul
-//! tape path.
+//! thread pool scores concurrently through the inference engine
+//! ([`crate::infer`]).
 //!
 //! The contract is bit-identity: every score equals what the per-case
 //! path produces, at any `KGAG_THREADS`, any chunk size and with the
 //! cache on or off. This holds because (a) the cache reproduces live
-//! sampling exactly ([`RfCache`] docs), and (b) every tape op computes
-//! each output row purely from its own instance's rows, so chunking is
-//! value-neutral. The oracle suite in
+//! sampling exactly ([`RfCache`] docs), and (b) the engine is
+//! bit-identical to the tape forward and computes each output row
+//! purely from its own instance's rows, so chunking is value-neutral. The oracle suite in
 //! `crates/core/tests/batched_oracle.rs` and a dedicated CI stage
 //! enforce it.
 //!
@@ -24,14 +24,10 @@
 //! chunk (default 256 — chunks shrink automatically when the batch is
 //! too small to keep every pool worker busy).
 
-use crate::infer::{score_cases_f32, InferenceTables, ScoreTier};
+use crate::infer::score_cases_with;
 use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
 use kgag_eval::{BatchGroupScorer, EvalConfig, GroupEvalCase, MetricSummary};
 use kgag_kg::RfCache;
-use kgag_tensor::infer::ConvertError;
-use kgag_tensor::pool;
-use kgag_tensor::tensor::sigmoid;
-use kgag_tensor::Tape;
 
 /// Scores whole batches of evaluation cases against one trained model,
 /// amortising receptive-field sampling across every case (see the
@@ -43,22 +39,16 @@ pub struct BatchScorer<'m> {
     /// fields exist to cache).
     caches: Option<(RfCache, RfCache)>,
     batch_instances: usize,
-    /// `Some` switches scoring onto the fused f32 tier (DESIGN.md §14);
-    /// `None` is the exact tape engine.
-    tables: Option<InferenceTables>,
 }
 
 impl Kgag {
     /// A [`BatchScorer`] configured from the environment:
-    /// `KGAG_RF_CACHE=0` disables the receptive-field cache,
+    /// `KGAG_RF_CACHE=0` disables the receptive-field cache and
     /// `KGAG_EVAL_BATCH` overrides the instances-per-chunk default of
-    /// 256 and `KGAG_SCORE_DTYPE=f32` selects the fused inference tier
-    /// (backends without fused kernels resolve back to the exact tier,
-    /// see [`ScoreTier::resolve_for`]).
+    /// 256.
     pub fn batch_scorer(&self) -> BatchScorer<'_> {
         let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let tier = ScoreTier::from_env().resolve_for(self.config().backend);
-        let scorer = self.batch_scorer_with(cache).with_tier(tier);
+        let scorer = self.batch_scorer_with(cache);
         match std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
             Some(n) if n > 0 => scorer.with_batch_instances(n),
             _ => scorer,
@@ -68,12 +58,7 @@ impl Kgag {
     /// A [`BatchScorer`] with the cache explicitly on or off (the knob
     /// the equivalence tests and benches sweep).
     pub fn batch_scorer_with(&self, cache: bool) -> BatchScorer<'_> {
-        BatchScorer {
-            model: self,
-            caches: self.eval_rf_caches(cache),
-            batch_instances: 256,
-            tables: None,
-        }
+        BatchScorer { model: self, caches: self.eval_rf_caches(cache), batch_instances: 256 }
     }
 
     /// The `(member-side, item-side)` receptive-field cache pair every
@@ -120,7 +105,7 @@ impl Kgag {
 impl<'m> BatchScorer<'m> {
     /// Override the instances-per-chunk cap (any positive value scores
     /// bit-identically; the size only trades scheduling overhead against
-    /// tape size). Chunks shrink below the cap automatically when the
+    /// per-chunk buffer size). Chunks shrink below the cap automatically when the
     /// batch is too small to give every pool worker several chunks.
     ///
     /// # Panics
@@ -129,43 +114,6 @@ impl<'m> BatchScorer<'m> {
         assert!(n > 0, "batch size must be positive");
         self.batch_instances = n;
         self
-    }
-
-    /// Select the scoring tier, deriving the [`InferenceTables`]
-    /// artifact for [`ScoreTier::FusedF32`] (a construction-time cost,
-    /// like the receptive-field cache build).
-    ///
-    /// # Panics
-    /// Panics when the checkpoint cannot be converted (non-finite
-    /// parameters) — use [`BatchScorer::try_with_tier`] to handle that
-    /// as a value.
-    pub fn with_tier(self, tier: ScoreTier) -> Self {
-        self.try_with_tier(tier).expect("checkpoint not convertible to the f32 tier")
-    }
-
-    /// [`BatchScorer::with_tier`] with the conversion failure surfaced
-    /// as a typed [`ConvertError`].
-    pub fn try_with_tier(mut self, tier: ScoreTier) -> Result<Self, ConvertError> {
-        self.tables = match tier {
-            ScoreTier::Exact => None,
-            ScoreTier::FusedF32 => Some(InferenceTables::derive(self.model)?),
-        };
-        Ok(self)
-    }
-
-    /// The scoring tier in force.
-    pub fn tier(&self) -> ScoreTier {
-        if self.tables.is_some() {
-            ScoreTier::FusedF32
-        } else {
-            ScoreTier::Exact
-        }
-    }
-
-    /// Resident size of the derived f32 tables in bytes (`None` on the
-    /// exact tier).
-    pub fn tables_bytes(&self) -> Option<usize> {
-        self.tables.as_ref().map(InferenceTables::bytes)
     }
 
     /// Whether the receptive-field cache is active.
@@ -193,103 +141,14 @@ impl<'m> BatchScorer<'m> {
         // one member-entity lookup per case, shared by its instances
         let member_ents: Vec<Vec<u32>> =
             cases.iter().map(|&(g, _)| self.model.member_entities(g)).collect();
-        match &self.tables {
-            Some(tables) => score_cases_f32(
-                self.model,
-                tables,
-                self.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-            None => score_cases_with(
-                self.model,
-                self.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-        }
+        score_cases_with(
+            self.model,
+            self.caches.as_ref(),
+            self.batch_instances,
+            &member_ents,
+            cases,
+        )
     }
-}
-
-/// The shared fused-scoring kernel behind [`BatchScorer`] and
-/// [`crate::DynamicScorer`]: resolve every case to `(case, item entity)`
-/// instances, bucket by member count `L` (groups of different sizes
-/// cannot share a flattened forward), chunk each bucket for the pool,
-/// score, and reassemble per case.
-///
-/// `member_ents[ci]` is case `ci`'s member entity list — the caller
-/// resolves it (from the model's bound groups or a live
-/// [`kgag_data::GroupStore`]). With uniform member counts the bucketing
-/// degenerates to one bucket holding every instance in case order, so
-/// chunk boundaries — and therefore bits — match the pre-lifecycle
-/// engine exactly.
-pub(crate) fn score_cases_with(
-    model: &Kgag,
-    caches: Option<&(RfCache, RfCache)>,
-    batch_instances: usize,
-    member_ents: &[Vec<u32>],
-    cases: &[(u32, Vec<u32>)],
-) -> Vec<Vec<f32>> {
-    debug_assert_eq!(member_ents.len(), cases.len());
-    // flatten to (case index, item entity) instances in case order,
-    // bucketed by member count (ascending L for determinism)
-    let mut buckets: std::collections::BTreeMap<usize, Vec<(u32, u32)>> =
-        std::collections::BTreeMap::new();
-    let mut total = 0usize;
-    for (ci, (_, items)) in cases.iter().enumerate() {
-        let bucket = buckets.entry(member_ents[ci].len()).or_default();
-        for ent in model.item_entities(items) {
-            bucket.push((ci as u32, ent));
-        }
-        total += items.len();
-    }
-    if kgag_obs::enabled() {
-        kgag_obs::counter("infer.batched_items_scored").add(total as u64);
-    }
-    let salt = model.eval_salt();
-    let mut out: Vec<Vec<f32>> =
-        cases.iter().map(|(_, items)| Vec::with_capacity(items.len())).collect();
-    for (l, instances) in &buckets {
-        let l = *l;
-        // each chunk forwards independently: the receptive field of an
-        // entity never depends on batch position, and every tape op is
-        // per-instance, so any chunking is bit-identical — which frees
-        // us to pick the size for load balance alone: small enough that
-        // every pool worker gets several chunks, capped at
-        // `batch_instances` to bound tape size
-        let per_worker = instances.len().div_ceil(pool::num_threads() * 4).max(1);
-        let chunk_size = per_worker.min(batch_instances);
-        let chunks: Vec<&[(u32, u32)]> = instances.chunks(chunk_size).collect();
-        let scored = pool::par_map(&chunks, |_, chunk| {
-            let mut flat_members = Vec::with_capacity(chunk.len() * l);
-            let mut item_ents = Vec::with_capacity(chunk.len());
-            for &(ci, ent) in *chunk {
-                flat_members.extend_from_slice(&member_ents[ci as usize]);
-                item_ents.push(ent);
-            }
-            let mut tape = Tape::new(model.store());
-            let fwd = match caches {
-                Some((members, items)) => model.forward_group_cached(
-                    &mut tape,
-                    &flat_members,
-                    &item_ents,
-                    l,
-                    members,
-                    items,
-                ),
-                None => model.forward_group(&mut tape, &flat_members, &item_ents, l, salt, false),
-            };
-            tape.value(fwd.score).data().iter().map(|&s| sigmoid(s)).collect::<Vec<f32>>()
-        });
-        // reassemble per case, in instance order (one case lives in
-        // exactly one bucket, so its items arrive in request order)
-        for (&(ci, _), s) in instances.iter().zip(scored.into_iter().flatten()) {
-            out[ci as usize].push(s);
-        }
-    }
-    out
 }
 
 impl BatchGroupScorer for BatchScorer<'_> {

@@ -37,13 +37,11 @@
 //! groups — mutated or not — score through the full attention,
 //! bit-identical to the static engine.
 
-use crate::batch::score_cases_with;
-use crate::infer::{score_cases_f32, InferenceTables, ScoreTier};
+use crate::infer::score_cases_with;
 use crate::trainer::Kgag;
 use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
 use kgag_eval::BatchGroupScorer;
 use kgag_kg::RfCache;
-use kgag_tensor::infer::ConvertError;
 use std::sync::RwLock;
 
 /// Typed rejection of an ad-hoc scoring request ([`Kgag::score_members`]
@@ -88,7 +86,7 @@ struct DynState {
 }
 
 /// A batch scorer over a *live* group table: scores like
-/// [`crate::BatchScorer`] (same fused kernel, same caches, same bits)
+/// [`crate::BatchScorer`] (same engine, same caches, same bits)
 /// and additionally applies [`LifecycleOp`]s between batches.
 ///
 /// Scoring takes the state read-lock, mutations the write-lock, so any
@@ -98,22 +96,16 @@ struct DynState {
 pub struct DynamicScorer<'m> {
     model: &'m Kgag,
     batch_instances: usize,
-    /// Fused f32 tier tables (DESIGN.md §14) — outside the state lock
-    /// because they derive from checkpoint parameters only: lifecycle
-    /// mutations touch membership and caches, never the model.
-    tables: Option<InferenceTables>,
     state: RwLock<DynState>,
 }
 
 impl Kgag {
     /// A [`DynamicScorer`] seeded with the model's bound groups and
     /// configured from the environment (`KGAG_RF_CACHE`,
-    /// `KGAG_EVAL_BATCH`, `KGAG_SCORE_DTYPE` — same knobs as
-    /// [`Kgag::batch_scorer`]).
+    /// `KGAG_EVAL_BATCH` — same knobs as [`Kgag::batch_scorer`]).
     pub fn dynamic_scorer(&self) -> DynamicScorer<'_> {
         let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let tier = ScoreTier::from_env().resolve_for(self.config().backend);
-        let scorer = self.dynamic_scorer_with(cache).with_tier(tier);
+        let scorer = self.dynamic_scorer_with(cache);
         match std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
             Some(n) if n > 0 => scorer.with_batch_instances(n),
             _ => scorer,
@@ -132,7 +124,6 @@ impl Kgag {
         DynamicScorer {
             model: self,
             batch_instances: 256,
-            tables: None,
             state: RwLock::new(DynState { groups, caches: self.eval_rf_caches(cache) }),
         }
     }
@@ -148,42 +139,6 @@ impl<'m> DynamicScorer<'m> {
         assert!(n > 0, "batch size must be positive");
         self.batch_instances = n;
         self
-    }
-
-    /// Select the scoring tier (see [`crate::BatchScorer::with_tier`]).
-    /// The lifecycle surface is tier-independent: mutations never touch
-    /// the derived tables, so mutate-≡-rebuild holds on both tiers.
-    ///
-    /// # Panics
-    /// Panics when the checkpoint cannot be converted (non-finite
-    /// parameters) — use [`DynamicScorer::try_with_tier`] instead.
-    pub fn with_tier(self, tier: ScoreTier) -> Self {
-        self.try_with_tier(tier).expect("checkpoint not convertible to the f32 tier")
-    }
-
-    /// [`DynamicScorer::with_tier`] with the conversion failure
-    /// surfaced as a typed [`ConvertError`].
-    pub fn try_with_tier(mut self, tier: ScoreTier) -> Result<Self, ConvertError> {
-        self.tables = match tier {
-            ScoreTier::Exact => None,
-            ScoreTier::FusedF32 => Some(InferenceTables::derive(self.model)?),
-        };
-        Ok(self)
-    }
-
-    /// The scoring tier in force.
-    pub fn tier(&self) -> ScoreTier {
-        if self.tables.is_some() {
-            ScoreTier::FusedF32
-        } else {
-            ScoreTier::Exact
-        }
-    }
-
-    /// Resident size of the derived f32 tables in bytes (`None` on the
-    /// exact tier).
-    pub fn tables_bytes(&self) -> Option<usize> {
-        self.tables.as_ref().map(InferenceTables::bytes)
     }
 
     /// Whether the receptive-field cache is active.
@@ -221,7 +176,7 @@ impl<'m> DynamicScorer<'m> {
     }
 
     /// Scores for a batch of cases against the live membership — the
-    /// fused-kernel path ([`crate::BatchScorer::score_cases`]) with the
+    /// engine path of [`crate::BatchScorer::score_cases`] with the
     /// group table resolved under the read-lock, so the whole batch sees
     /// one consistent membership snapshot.
     pub fn try_score_cases(
@@ -242,23 +197,13 @@ impl<'m> DynamicScorer<'m> {
                 return Err(ColdStartError::UnknownItem(v));
             }
         }
-        Ok(match &self.tables {
-            Some(tables) => score_cases_f32(
-                self.model,
-                tables,
-                state.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-            None => score_cases_with(
-                self.model,
-                state.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-        })
+        Ok(score_cases_with(
+            self.model,
+            state.caches.as_ref(),
+            self.batch_instances,
+            &member_ents,
+            cases,
+        ))
     }
 
     /// Apply one lifecycle op atomically: mutate the group table, then

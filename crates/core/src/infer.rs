@@ -1,383 +1,217 @@
-//! The fused f32 scoring tier (DESIGN.md §14).
+//! The inference engine (DESIGN.md §14).
 //!
-//! Serving has two precision tiers behind one seam:
+//! At inference the model is a fixed sequence of per-level gather →
+//! softmax → weighted-sum → matmul steps, so every serving path —
+//! [`crate::BatchScorer`], [`crate::DynamicScorer`],
+//! [`crate::RegistryModel`] and the scatter-gather
+//! [`crate::RouterCore`] — scores through the one [`Engine`] here: the
+//! fused kernels of [`kgag_tensor::infer`], no tape, no backward
+//! bookkeeping, no materialised `repeat_rows`/`peer_concat`/`concat_cols`
+//! copies, embedding rows read in place from the parameter tensors.
 //!
-//! * **`f64` (default)** — the exact tape engine. Every batched score
-//!   is bit-identical to the per-case path; the golden gate and every
-//!   oracle suite pin this tier.
-//! * **`f32`** — this module. At scorer construction an
-//!   [`InferenceTables`] artifact is derived from the checkpoint:
-//!   entity/relation embeddings re-laid into cache-blocked
-//!   [`BlockedTable`]s (relation rows pre-scaled by the f64-computed
-//!   `1/√d` attention temperature), propagation and attention weights
-//!   sanitised into dense buffers. Scoring then runs the fused kernels
-//!   of [`kgag_tensor::infer`]: no tape, no backward bookkeeping, no
-//!   materialised `repeat_rows`/`peer_concat`/`concat_cols` copies.
+//! The engine is **bit-identical to the tape forward**
+//! (`forward_group_prepared`), which stays as the training path and the
+//! reference the oracle suites compare against. That holds because the
+//! engine issues the tape's roundings in the tape's order; in
+//! particular:
 //!
-//! The f32 tier is *deterministic* — bit-identical to itself at any
-//! `KGAG_THREADS`, chunk size and cache setting, because every fused
-//! kernel computes each output row from its own instance rows only and
-//! the receptive-field draws are position-independent (same argument as
-//! the exact tier, DESIGN.md §11). Against the exact tier it agrees to
-//! a *ranking* contract, not bit equality: fusion reorders float sums.
-//! The `accuracy_check` CI gate enforces committed tolerances on top-K
-//! overlap, Recall/NDCG deltas and pairwise inversions
-//! (`results/accuracy_contract.json`).
+//! 1. a group mean scales each row by `1/L` before adding it;
+//! 2. the relation table stays unscaled — the f32 dot is multiplied by
+//!    the f32 `1/√d` after the gather-dot;
+//! 3. peer influence sums `W₁·u` and `W₂·peers` in separate
+//!    accumulators and then adds them;
+//! 4. values are read raw — no subnormal flush, no copy, no rescale.
 //!
-//! Tier selection: `KGAG_SCORE_DTYPE=f64|f32` read by
-//! [`Kgag::batch_scorer`] / [`Kgag::dynamic_scorer`] (construction
-//! time, never on the scoring path), or [`crate::BatchScorer::with_tier`]
-//! explicitly.
+//! Every kernel computes each output row from its own instance rows
+//! only, and receptive-field draws are position-independent, so the
+//! chunking, thread count and cache setting are value-neutral
+//! (DESIGN.md §11).
 
 use crate::backend::FusedAggregation;
-use crate::config::Backend;
-use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
+use crate::config::KgagConfig;
+use crate::model::ModelParams;
+use crate::trainer::Kgag;
 use kgag_kg::{ReceptiveField, RfCache};
-use kgag_tensor::infer::{self as kernels, Activation, BlockedTable, ConvertError};
-use kgag_tensor::pool;
-use kgag_tensor::tensor::sigmoid;
+use kgag_tensor::infer::{self as kernels, Activation};
+use kgag_tensor::tensor::{dot, sigmoid};
+use kgag_tensor::{pool, ParamStore};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 
-/// Which scoring engine a batch scorer runs (`KGAG_SCORE_DTYPE`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScoreTier {
-    /// The exact tape engine — the bit-identity oracle and the default.
-    #[default]
-    Exact,
-    /// The fused cache-blocked f32 kernels over [`InferenceTables`].
-    FusedF32,
-}
-
-impl ScoreTier {
-    /// Read `KGAG_SCORE_DTYPE`: unset or `f64` selects the exact tier,
-    /// `f32` the fused tier.
-    ///
-    /// # Panics
-    /// Panics on any other value — tier selection happens at scorer
-    /// construction (process startup for a server), where failing fast
-    /// beats silently serving the wrong precision.
-    pub fn from_env() -> Self {
-        match std::env::var("KGAG_SCORE_DTYPE") {
-            Err(_) => ScoreTier::Exact,
-            Ok(v) => match v.as_str() {
-                "" | "f64" => ScoreTier::Exact,
-                "f32" => ScoreTier::FusedF32,
-                other => panic!("KGAG_SCORE_DTYPE must be 'f64' or 'f32', got '{other}'"),
-            },
-        }
-    }
-
-    /// The `KGAG_SCORE_DTYPE` spelling of this tier.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ScoreTier::Exact => "f64",
-            ScoreTier::FusedF32 => "f32",
-        }
-    }
-
-    /// The tier a scorer for `backend` actually runs: a fused-tier
-    /// request falls back to [`ScoreTier::Exact`] when the backend has
-    /// no fused kernels (env-driven construction must not panic on a
-    /// tier the backend cannot honour; explicit
-    /// [`crate::BatchScorer::try_with_tier`] requests stay typed).
-    pub fn resolve_for(self, backend: Backend) -> Self {
-        match self {
-            ScoreTier::FusedF32 if !backend.claims_fused_tier() => ScoreTier::Exact,
-            tier => tier,
-        }
-    }
-}
-
-/// One propagation layer's weights in fused form: GraphSage's
-/// `[2d, d]` concat matmul is split into the self and neighbor halves
-/// so the concatenation is never materialised.
-#[derive(Clone)]
-struct LayerWeights {
-    /// Rows of `W_h` multiplying the node's own representation (`[d, d]`).
-    w_self: Vec<f32>,
-    /// Rows multiplying the aggregated neighborhood (`None` for GCN,
-    /// where both share `w_self` after an elementwise add).
-    w_neigh: Option<Vec<f32>>,
-    /// Layer bias (`[d]`).
-    bias: Vec<f32>,
-}
-
-/// Attention-tower weights (peer influence, Eq. 10).
-#[derive(Clone)]
-struct AttWeights {
-    /// `W_{c1}` (`[d, d]`).
-    w1: Vec<f32>,
-    /// `W_{c2}` (`[(L−1)·d, d]`), indexed per peer slot as `d×d` blocks.
-    w2: Vec<f32>,
-    /// Bias (`[d]`).
-    bias: Vec<f32>,
-    /// Projection `v_c` (`[d]`).
-    v: Vec<f32>,
-}
-
-/// The checkpoint-derived artifact of the f32 tier: every parameter the
-/// ranking forward reads, converted once (f64-accumulated, sanitised)
-/// into gather-friendly blocked tables and dense weight buffers. Owns
-/// its data — derived at construction, shared read-only across the
-/// pool's chunk workers.
-pub struct InferenceTables {
-    dim: usize,
-    layers: usize,
-    /// The backend's fused kernel plan (backends without one cannot
-    /// derive tables at all — see [`ConvertError::Unsupported`]).
-    fused: FusedAggregation,
-    use_kg: bool,
-    use_sp: bool,
-    use_pi: bool,
-    /// `γ` of the residual combine; 0 disables it (matching the exact
-    /// tier's `residual`/`propagation_weight` pair).
-    residual_weight: f32,
+/// A borrowed view of everything the ranking forward reads: the model
+/// config, the weights in a [`ParamStore`] and the two embedding tables
+/// as flat row-major slices. Building one copies nothing.
+pub(crate) struct Engine<'a> {
+    config: &'a KgagConfig,
+    store: &'a ParamStore,
+    params: &'a ModelParams,
+    plan: FusedAggregation,
     /// The trained nominal group size the PI tower is shaped for.
     nominal_l: usize,
-    /// The f32 attention temperature (`1/√d`), applied to SP/PI scores.
+    /// `γ` of the residual combine; 0 disables it.
+    residual_weight: f32,
+    /// The f32 attention temperature `1/√d`.
     inv_sqrt_d: f32,
-    /// Entity embeddings, blocked (`[|E'|, d]`).
-    entity: BlockedTable,
-    /// Relation embeddings, blocked, pre-scaled by the f64 `1/√d` — the
-    /// propagation softmax temperature folded into the table.
-    relation_scaled: BlockedTable,
-    layer_w: Vec<LayerWeights>,
-    att: AttWeights,
+    /// Entity embeddings `[rows, d]`.
+    entity: &'a [f32],
+    /// Relation embeddings `[rows, d]`, unscaled.
+    relation: &'a [f32],
 }
 
-impl InferenceTables {
-    /// Derive the f32 serving artifact from a model's current
-    /// parameters. Fails (typed) on non-finite parameters — a
-    /// checkpoint that cannot be served at reduced precision keeps the
-    /// exact tier.
-    pub fn derive(model: &Kgag) -> Result<Self, ConvertError> {
-        let cfg = model.config();
-        let store = model.store();
-        let p = model.params();
-        let d = cfg.dim;
-        let ent = store.value(p.prop.entity_emb);
-        let entity = BlockedTable::from_rows(ent.rows(), d, ent.data())?;
-        let rel = store.value(p.prop.relation_emb);
-        let relation_scaled =
-            BlockedTable::from_rows_scaled(rel.rows(), d, rel.data(), 1.0 / (d as f64).sqrt())?;
-        Ok(Self::derive_small(model)?.with_tables(entity, relation_scaled))
-    }
-
-    /// The weight-only part of [`InferenceTables::derive`]: everything
-    /// except the two big embedding tables, which are left as empty
-    /// placeholders.
-    fn derive_small(model: &Kgag) -> Result<Self, ConvertError> {
-        let cfg = model.config();
-        let store = model.store();
-        let p = model.params();
-        let d = cfg.dim;
-        let fused = cfg
-            .backend
-            .dispatch()
-            .fused_aggregation()
-            .ok_or(ConvertError::Unsupported(cfg.backend.tag()))?;
-        let mut layer_w = Vec::with_capacity(cfg.layers);
-        for h in 0..cfg.layers {
-            let w = store.value(p.prop.layer_w[h]);
-            let b = store.value(p.prop.layer_b[h]);
-            let dense = kernels::sanitize_dense(w.rows(), d, w.data())?;
-            let (w_self, w_neigh) = match fused {
-                FusedAggregation::SumSelf => (dense, None),
-                FusedAggregation::SplitConcat => {
-                    let (top, bottom) = dense.split_at(d * d);
-                    (top.to_vec(), Some(bottom.to_vec()))
-                }
-            };
-            layer_w.push(LayerWeights {
-                w_self,
-                w_neigh,
-                bias: kernels::sanitize_dense(1, d, b.data())?,
-            });
-        }
-        let w1 = store.value(p.att_w1);
-        let w2 = store.value(p.att_w2);
-        let att = AttWeights {
-            w1: kernels::sanitize_dense(w1.rows(), d, w1.data())?,
-            w2: kernels::sanitize_dense(w2.rows(), d, w2.data())?,
-            bias: kernels::sanitize_dense(1, d, store.value(p.att_b).data())?,
-            v: kernels::sanitize_dense(1, d, store.value(p.att_v).data())?,
-        };
-        Ok(InferenceTables {
-            dim: d,
-            layers: cfg.layers,
-            fused,
-            use_kg: cfg.use_kg,
-            use_sp: cfg.use_sp,
-            use_pi: cfg.use_pi,
-            residual_weight: if cfg.residual { cfg.propagation_weight } else { 0.0 },
-            nominal_l: model.group_size(),
-            inv_sqrt_d: 1.0 / (d as f32).sqrt(),
-            entity: BlockedTable::from_rows(0, d, &[])?,
-            relation_scaled: BlockedTable::from_rows(0, d, &[])?,
-            layer_w,
-            att,
-        })
-    }
-
-    /// A copy of this artifact's weights over *different* blocked
-    /// tables — the scatter-gather router's seam: per chunk it builds
-    /// compact tables from shard-gathered rows ([`BlockedTable`]
-    /// conversion is row-local, so a compact table's rows are
-    /// bit-identical to the matching slices of the full one) and scores
-    /// through the same fused kernels.
-    pub(crate) fn with_tables(
-        &self,
-        entity: BlockedTable,
-        relation_scaled: BlockedTable,
-    ) -> InferenceTables {
-        InferenceTables {
-            dim: self.dim,
-            layers: self.layers,
-            fused: self.fused,
-            use_kg: self.use_kg,
-            use_sp: self.use_sp,
-            use_pi: self.use_pi,
-            residual_weight: self.residual_weight,
-            nominal_l: self.nominal_l,
-            inv_sqrt_d: self.inv_sqrt_d,
+impl<'a> Engine<'a> {
+    /// An engine over a full parameter store: embedding rows are the
+    /// store's own tensors.
+    pub(crate) fn new(
+        config: &'a KgagConfig,
+        nominal_l: usize,
+        store: &'a ParamStore,
+        params: &'a ModelParams,
+    ) -> Self {
+        let entity = store.value(params.prop.entity_emb).data();
+        let relation = store.value(params.prop.relation_emb).data();
+        Engine {
+            config,
+            store,
+            params,
+            plan: config.backend.dispatch().fused_aggregation(),
+            nominal_l,
+            residual_weight: if config.residual { config.propagation_weight } else { 0.0 },
+            inv_sqrt_d: 1.0 / (config.dim as f32).sqrt(),
             entity,
-            relation_scaled,
-            layer_w: self.layer_w.clone(),
-            att: self.att.clone(),
+            relation,
         }
     }
 
-    /// [`InferenceTables::derive`] with the big embedding tables left
-    /// as empty placeholders — what a router that never holds the full
-    /// tables keeps resident (weights only). Table rows arrive per
-    /// chunk via [`InferenceTables::with_tables`]; their sanitisation
-    /// (non-finite checks) consequently happens per chunk, not here.
-    pub(crate) fn derive_weights_only(model: &Kgag) -> Result<Self, ConvertError> {
-        Self::derive_small(model)
+    /// The engine of a trained model.
+    pub(crate) fn for_model(model: &'a Kgag) -> Self {
+        Engine::new(model.config(), model.group_size(), model.store(), model.params())
     }
 
-    /// Resident size of the derived artifact in bytes — the table
-    /// traffic denominator of the roofline bench.
-    pub fn bytes(&self) -> usize {
-        let dense: usize = self
-            .layer_w
-            .iter()
-            .map(|l| l.w_self.len() + l.w_neigh.as_ref().map_or(0, Vec::len) + l.bias.len())
-            .sum::<usize>()
-            + self.att.w1.len()
-            + self.att.w2.len()
-            + self.att.bias.len()
-            + self.att.v.len();
-        self.entity.bytes() + self.relation_scaled.bytes() + dense * std::mem::size_of::<f32>()
+    /// The same weights over other embedding rows — the scatter-gather
+    /// router's compact per-chunk tables, whose ids the caller has
+    /// remapped to match.
+    pub(crate) fn with_rows(self, entity: &'a [f32], relation: &'a [f32]) -> Self {
+        Engine { entity, relation, ..self }
     }
 
-    /// Embedding row width.
-    pub fn dim(&self) -> usize {
-        self.dim
+    fn weight(&self, id: kgag_tensor::ParamId) -> &'a [f32] {
+        self.store.value(id).data()
     }
 
-    /// Knowledge-aware representation of `targets` under per-target
-    /// `query` rows — the fused mirror of the exact tier's
-    /// `represent`/`propagate_with`.
-    fn represent(
+    /// Raw scores → sigmoid for one uniform-`l` chunk of `(group,
+    /// item)` instances over prepared receptive fields (`None` under
+    /// the KGAG-KG ablation) — the engine twin of
+    /// `forward_group_prepared` plus the sigmoid read-out.
+    pub(crate) fn score_chunk(
         &self,
-        model: &Kgag,
-        cache: Option<&RfCache>,
-        member_side: bool,
-        targets: &[u32],
-        query: &[f32],
-        rf_scratch: &mut ReceptiveField,
+        rf_members: Option<&ReceptiveField>,
+        rf_items: Option<&ReceptiveField>,
+        flat_members: &[u32],
+        item_ents: &[u32],
+        l: usize,
     ) -> Vec<f32> {
-        if !self.use_kg {
-            let mut out = Vec::new();
-            self.entity.gather_into(targets, &mut out);
-            return out;
-        }
-        match cache {
-            Some(cache) => {
-                cache.receptive_field_into(targets, rf_scratch);
-                self.propagate(rf_scratch, query)
+        debug_assert_eq!(flat_members.len(), item_ents.len() * l);
+        let d = self.config.dim;
+        let b = item_ents.len();
+        let mut m0 = Vec::new();
+        kernels::gather_rows(self.entity, d, flat_members, &mut m0);
+        let mut i0 = Vec::new();
+        kernels::gather_rows(self.entity, d, item_ents, &mut i0);
+        // §III-C queries: the item propagates under the members' mean
+        // zero-order embedding, each member under the item's
+        let item_rep = match rf_items {
+            Some(rf) => {
+                let mut q_item = Vec::new();
+                kernels::group_mean(&m0, d, l, &mut q_item);
+                self.propagate(rf, &q_item)
             }
-            None => {
-                let side = if member_side { SALT_MEMBER } else { SALT_ITEM };
-                let rf = model.eval_sampler().receptive_field(
-                    model.collaborative_kg().graph(),
-                    targets,
-                    self.layers,
-                    model.eval_salt() ^ side,
-                );
-                self.propagate(&rf, query)
+            None => i0.clone(),
+        };
+        let member_rep = match rf_members {
+            Some(rf) => {
+                let mut q_members = Vec::with_capacity(b * l * d);
+                for row in i0.chunks_exact(d) {
+                    for _ in 0..l {
+                        q_members.extend_from_slice(row);
+                    }
+                }
+                self.propagate(rf, &q_members)
             }
-        }
+            None => m0,
+        };
+        let member_rep = self.member_interaction(member_rep, l);
+        self.aggregate_and_score(&member_rep, &item_rep, l, b)
     }
 
-    /// Fused propagation (§III-C): relation-attention weights per
-    /// level, then the triangular H-iteration update with the
-    /// matmul+bias+activation epilogue fused per layer.
+    /// Propagation (§III-C): relation-attention weights per level, then
+    /// the triangular H-iteration update with the bias and activation
+    /// fused into each layer's matmul.
     fn propagate(&self, rf: &ReceptiveField, query: &[f32]) -> Vec<f32> {
-        let d = self.dim;
+        let d = self.config.dim;
+        let layers = self.params.prop.layer_w.len();
         let k = rf.k;
         let n = rf.entities[0].len();
-        debug_assert_eq!(rf.depth, self.layers);
+        assert_eq!(rf.depth, layers, "receptive field depth {} != layers {layers}", rf.depth);
         debug_assert_eq!(query.len(), n * d);
         let mut reps: Vec<Vec<f32>> = rf
             .entities
             .iter()
             .map(|level| {
                 let mut out = Vec::new();
-                self.entity.gather_into(level, &mut out);
+                kernels::gather_rows(self.entity, d, level, &mut out);
                 out
             })
             .collect();
-        // query- and level- but not iteration-dependent: precompute.
-        // `1/√d` is already folded into the relation table.
-        let mut level_weights: Vec<Vec<f32>> = Vec::with_capacity(self.layers);
-        for rels in &rf.relations {
-            let times = rels.len() / n;
-            let mut w = Vec::new();
-            kernels::gather_row_dot_rep(&self.relation_scaled, rels, query, d, times, &mut w);
-            kernels::softmax_groups_inplace(&mut w, k);
-            level_weights.push(w);
-        }
+        // query- and level- but not iteration-dependent: precompute
+        let level_weights: Vec<Vec<f32>> = rf
+            .relations
+            .iter()
+            .map(|rels| {
+                let mut w = Vec::new();
+                let times = rels.len() / n;
+                kernels::gather_row_dot_rep(
+                    self.relation,
+                    d,
+                    rels,
+                    query,
+                    times,
+                    self.inv_sqrt_d,
+                    &mut w,
+                );
+                kernels::softmax_groups_inplace(&mut w, k);
+                w
+            })
+            .collect();
         let e0 = (self.residual_weight > 0.0).then(|| reps[0].clone());
         let mut e_n = Vec::new();
         let mut sum = Vec::new();
         let mut updated = Vec::new();
-        for h in 0..self.layers {
-            let act = if h + 1 == self.layers { Activation::Tanh } else { Activation::Relu };
-            let lw = &self.layer_w[h];
-            for lvl in 0..(self.layers - h) {
+        for h in 0..layers {
+            let act = if h + 1 == layers { Activation::Tanh } else { Activation::Relu };
+            let w = self.weight(self.params.prop.layer_w[h]);
+            let bias = self.weight(self.params.prop.layer_b[h]);
+            for lvl in 0..(layers - h) {
                 kernels::group_weighted_sum(&level_weights[lvl], &reps[lvl + 1], d, k, &mut e_n);
                 let rows = reps[lvl].len() / d;
-                match (self.fused, &lw.w_neigh) {
-                    (FusedAggregation::SumSelf, _) => {
+                match self.plan {
+                    FusedAggregation::SumSelf => {
                         kernels::add_into(&reps[lvl], &e_n, &mut sum);
-                        kernels::matmul_bias_act(
-                            &sum,
-                            rows,
-                            d,
-                            &lw.w_self,
-                            d,
-                            &lw.bias,
-                            act,
-                            &mut updated,
-                        );
+                        kernels::matmul_bias_act(&sum, rows, d, w, d, bias, act, &mut updated);
                     }
-                    (FusedAggregation::SplitConcat, Some(w_neigh)) => {
+                    FusedAggregation::SplitConcat => {
+                        let (w_self, w_neigh) = w.split_at(d * d);
                         kernels::matmul2_bias_act(
                             &reps[lvl],
                             &e_n,
                             rows,
                             d,
-                            &lw.w_self,
+                            w_self,
                             w_neigh,
                             d,
-                            &lw.bias,
+                            bias,
                             act,
                             &mut updated,
                         );
-                    }
-                    (FusedAggregation::SplitConcat, None) => {
-                        unreachable!("split-concat backends store split weights")
                     }
                 }
                 std::mem::swap(&mut reps[lvl], &mut updated);
@@ -390,94 +224,48 @@ impl InferenceTables {
         out
     }
 
-    /// Score one uniform-`l` chunk of `(group, item)` instances —
-    /// the fused mirror of the exact tier's `forward_group_any` +
-    /// sigmoid read-out. Per-row pure, so chunk boundaries are
-    /// value-neutral.
-    fn score_chunk(
-        &self,
-        model: &Kgag,
-        caches: Option<&(RfCache, RfCache)>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-        rf_scratch: &mut ReceptiveField,
-    ) -> Vec<f32> {
-        debug_assert_eq!(flat_members.len(), item_ents.len() * l);
-        let d = self.dim;
-        let b = item_ents.len();
-        let mut m0 = Vec::new();
-        self.entity.gather_into(flat_members, &mut m0);
-        let mut i0 = Vec::new();
-        self.entity.gather_into(item_ents, &mut i0);
-        // §III-C queries: the item propagates under the members' mean
-        // zero-order embedding, each member under the item's
-        let mut q_item = Vec::new();
-        kernels::group_mean(&m0, d, l, &mut q_item);
-        let item_rep =
-            self.represent(model, caches.map(|c| &c.1), false, item_ents, &q_item, rf_scratch);
-        let mut q_members = Vec::with_capacity(b * l * d);
-        for i in 0..b * l {
-            q_members.extend_from_slice(&i0[(i / l) * d..(i / l + 1) * d]);
+    /// The member–member mixing pass, applied when the model registered
+    /// interaction parameters: `m' = m + tanh([m ‖ peer_mean] W_ip +
+    /// b_ip)` with `peer_mean = mean·l/(l−1) + m·(−1/(l−1))`, op for op
+    /// as `InteractionPatternBackend::member_interaction` emits it.
+    fn member_interaction(&self, member_rep: Vec<f32>, l: usize) -> Vec<f32> {
+        let Some(ip) = &self.params.interaction else {
+            return member_rep;
+        };
+        if l < 2 {
+            return member_rep;
         }
-        let member_rep =
-            self.represent(model, caches.map(|c| &c.0), true, flat_members, &q_members, rf_scratch);
-        self.aggregate_and_score(&member_rep, &item_rep, l, b)
+        let d = self.config.dim;
+        let mut mean = Vec::new();
+        kernels::group_mean(&member_rep, d, l, &mut mean);
+        let up = l as f32 / (l as f32 - 1.0);
+        let down = -1.0 / (l as f32 - 1.0);
+        let mut peer_mean = Vec::with_capacity(member_rep.len());
+        for (i, m) in member_rep.chunks_exact(d).enumerate() {
+            let mu = &mean[(i / l) * d..(i / l + 1) * d];
+            peer_mean.extend(mu.iter().zip(m).map(|(&mu, &x)| mu * up + x * down));
+        }
+        let (w_m, w_peer) = self.weight(ip.w).split_at(d * d);
+        let mut mixed = Vec::new();
+        kernels::matmul2_bias_act(
+            &member_rep,
+            &peer_mean,
+            member_rep.len() / d,
+            d,
+            w_m,
+            w_peer,
+            d,
+            self.weight(ip.b),
+            Activation::Tanh,
+            &mut mixed,
+        );
+        for (o, &m) in mixed.iter_mut().zip(&member_rep) {
+            *o = m + *o;
+        }
+        mixed
     }
 
-    /// [`InferenceTables::score_chunk`] over receptive fields the
-    /// caller already assembled (and, for a sharded router, remapped to
-    /// this artifact's compact id space) — same kernels, same bits.
-    /// `rf_*` are `None` under the KGAG-KG ablation.
-    pub(crate) fn score_chunk_prepared(
-        &self,
-        rf_members: Option<&ReceptiveField>,
-        rf_items: Option<&ReceptiveField>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-    ) -> Vec<f32> {
-        debug_assert_eq!(flat_members.len(), item_ents.len() * l);
-        debug_assert_eq!(rf_members.is_some(), self.use_kg);
-        let d = self.dim;
-        let b = item_ents.len();
-        let mut m0 = Vec::new();
-        self.entity.gather_into(flat_members, &mut m0);
-        let mut i0 = Vec::new();
-        self.entity.gather_into(item_ents, &mut i0);
-        let mut q_item = Vec::new();
-        kernels::group_mean(&m0, d, l, &mut q_item);
-        let item_rep = self.represent_prepared(rf_items, item_ents, &q_item);
-        let mut q_members = Vec::with_capacity(b * l * d);
-        for i in 0..b * l {
-            q_members.extend_from_slice(&i0[(i / l) * d..(i / l + 1) * d]);
-        }
-        let member_rep = self.represent_prepared(rf_members, flat_members, &q_members);
-        self.aggregate_and_score(&member_rep, &item_rep, l, b)
-    }
-
-    /// The prepared-field mirror of [`InferenceTables::represent`]:
-    /// propagate over the given field, or gather zero-order rows when
-    /// there is none (the KGAG-KG ablation).
-    fn represent_prepared(
-        &self,
-        rf: Option<&ReceptiveField>,
-        targets: &[u32],
-        query: &[f32],
-    ) -> Vec<f32> {
-        match rf {
-            Some(rf) => self.propagate(rf, query),
-            None => {
-                let mut out = Vec::new();
-                self.entity.gather_into(targets, &mut out);
-                out
-            }
-        }
-    }
-
-    /// Preference aggregation (§III-D) and sigmoid read-out — the tail
-    /// shared by [`InferenceTables::score_chunk`] and the prepared-field
-    /// router path.
+    /// Preference aggregation (§III-D) and the sigmoid read-out.
     fn aggregate_and_score(
         &self,
         member_rep: &[f32],
@@ -485,39 +273,46 @@ impl InferenceTables {
         l: usize,
         b: usize,
     ) -> Vec<f32> {
-        let d = self.dim;
-        let sp = self.use_sp.then(|| {
+        let d = self.config.dim;
+        let sp = self.config.use_sp.then(|| {
             let mut sp = Vec::new();
-            kernels::row_dot_rep_scaled(&member_rep, &item_rep, d, l, self.inv_sqrt_d, &mut sp);
+            kernels::row_dot_rep_scaled(member_rep, item_rep, d, l, self.inv_sqrt_d, &mut sp);
             sp
         });
         // the PI tower is shape-tied to the trained size; off-nominal
-        // rosters score SP-only, exactly like the exact tier
-        let pi = (self.use_pi && l == self.nominal_l && l >= 2).then(|| {
+        // rosters score SP-only, exactly like the tape forward
+        let pi = (self.config.use_pi && l == self.nominal_l && l >= 2).then(|| {
+            let w1 = self.weight(self.params.att_w1);
+            let w2 = self.weight(self.params.att_w2);
+            let bias = self.weight(self.params.att_b);
+            let v = self.weight(self.params.att_v);
             let mut pi = Vec::with_capacity(b * l);
-            let mut hidden = vec![0.0f32; d];
+            let mut h1 = vec![0.0f32; d];
+            let mut h2 = vec![0.0f32; d];
+            let mut act = vec![0.0f32; d];
             for g in 0..b {
+                let member = |m: usize| &member_rep[(g * l + m) * d..(g * l + m + 1) * d];
                 for j in 0..l {
-                    hidden.clear();
-                    hidden.resize(d, 0.0);
-                    let member = |m: usize| &member_rep[(g * l + m) * d..(g * l + m + 1) * d];
-                    kernels::accumulate_row(member(j), &self.att.w1, d, &mut hidden);
+                    h1.fill(0.0);
+                    h2.fill(0.0);
+                    kernels::accumulate_row(member(j), w1, d, &mut h1);
                     // peer slot q holds the q-th other member in
                     // ascending order — W₂'s d×d block q multiplies it
                     for q in 0..l - 1 {
                         let p = if q < j { q } else { q + 1 };
                         kernels::accumulate_row(
                             member(p),
-                            &self.att.w2[q * d * d..(q + 1) * d * d],
+                            &w2[q * d * d..(q + 1) * d * d],
                             d,
-                            &mut hidden,
+                            &mut h2,
                         );
                     }
-                    let mut raw = 0.0f32;
-                    for (c, (&h, &bias)) in hidden.iter().zip(&self.att.bias).enumerate() {
-                        raw += (h + bias).max(0.0) * self.att.v[c];
+                    for (c, a) in act.iter_mut().enumerate() {
+                        *a = (h1[c] + h2[c] + bias[c]).max(0.0);
                     }
-                    pi.push(raw * self.inv_sqrt_d);
+                    let mut raw = [0.0f32];
+                    kernels::accumulate_row(&act, v, 1, &mut raw);
+                    pi.push(raw[0] * self.inv_sqrt_d);
                 }
             }
             pi
@@ -535,51 +330,50 @@ impl InferenceTables {
         };
         kernels::softmax_groups_inplace(&mut alpha, l);
         let mut group_rep = Vec::new();
-        kernels::group_weighted_sum(&alpha, &member_rep, d, l, &mut group_rep);
-        (0..b)
-            .map(|g| {
-                sigmoid(kernels::dot_f32(
-                    &group_rep[g * d..(g + 1) * d],
-                    &item_rep[g * d..(g + 1) * d],
-                ))
-            })
+        kernels::group_weighted_sum(&alpha, member_rep, d, l, &mut group_rep);
+        group_rep
+            .chunks_exact(d)
+            .zip(item_rep.chunks_exact(d))
+            .map(|(g, i)| sigmoid(dot(g, i)))
             .collect()
     }
 }
 
-/// The f32 twin of `score_cases_with`: identical case flattening,
-/// L-bucketing and chunking (so mixed-size batches stay
-/// chunking-invariant), with each chunk forwarded through the fused
-/// kernels instead of the tape.
-pub(crate) fn score_cases_f32(
-    model: &Kgag,
-    tables: &InferenceTables,
-    caches: Option<&(RfCache, RfCache)>,
+/// The one bucket → chunk → reassemble driver behind every serving
+/// path: flatten cases to `(case, item entity)` instances, bucket them
+/// by member count `L` (groups of different sizes cannot share a
+/// flattened forward; ascending `L` for determinism), chunk each bucket
+/// for the pool, score each chunk with `score_chunk(flat_members,
+/// item_ents, l)` and reassemble per case in request order.
+///
+/// A failed chunk fails every case it contained (the router retries
+/// those in isolation). With uniform member counts the bucketing
+/// degenerates to one bucket holding every instance in case order.
+pub(crate) fn score_buckets<M, E, F>(
     batch_instances: usize,
-    member_ents: &[Vec<u32>],
+    member_ents: &[M],
     cases: &[(u32, Vec<u32>)],
-) -> Vec<Vec<f32>> {
+    item_entity: impl Fn(u32) -> u32,
+    score_chunk: F,
+) -> Vec<Result<Vec<f32>, E>>
+where
+    M: AsRef<[u32]> + Sync,
+    E: Clone + Send,
+    F: Fn(&[u32], &[u32], usize) -> Result<Vec<f32>, E> + Sync,
+{
     debug_assert_eq!(member_ents.len(), cases.len());
-    let mut buckets: std::collections::BTreeMap<usize, Vec<(u32, u32)>> =
-        std::collections::BTreeMap::new();
-    let mut total = 0usize;
+    let mut buckets: BTreeMap<usize, Vec<(u32, u32)>> = BTreeMap::new();
     for (ci, (_, items)) in cases.iter().enumerate() {
-        let bucket = buckets.entry(member_ents[ci].len()).or_default();
-        for ent in model.item_entities(items) {
-            bucket.push((ci as u32, ent));
-        }
-        total += items.len();
+        let bucket = buckets.entry(member_ents[ci].as_ref().len()).or_default();
+        bucket.extend(items.iter().map(|&v| (ci as u32, item_entity(v))));
     }
-    if kgag_obs::enabled() {
-        kgag_obs::counter("infer.f32_items_scored").add(total as u64);
-        kgag_obs::counter("infer.f32_batches").add(1);
-    }
-    let mut out: Vec<Vec<f32>> =
-        cases.iter().map(|(_, items)| Vec::with_capacity(items.len())).collect();
-    for (l, instances) in &buckets {
-        let l = *l;
-        // same load-balance chunking as the exact tier; bit-neutral here
-        // too because every fused kernel is per-row pure
+    let mut out: Vec<Result<Vec<f32>, E>> =
+        cases.iter().map(|(_, items)| Ok(Vec::with_capacity(items.len()))).collect();
+    for (&l, instances) in &buckets {
+        // any chunking is bit-identical (per-row pure kernels,
+        // position-independent draws), so the size is picked for load
+        // balance alone: several chunks per pool worker, capped at
+        // `batch_instances`
         let per_worker = instances.len().div_ceil(pool::num_threads() * 4).max(1);
         let chunk_size = per_worker.min(batch_instances);
         let chunks: Vec<&[(u32, u32)]> = instances.chunks(chunk_size).collect();
@@ -587,39 +381,63 @@ pub(crate) fn score_cases_f32(
             let mut flat_members = Vec::with_capacity(chunk.len() * l);
             let mut item_ents = Vec::with_capacity(chunk.len());
             for &(ci, ent) in *chunk {
-                flat_members.extend_from_slice(&member_ents[ci as usize]);
+                flat_members.extend_from_slice(member_ents[ci as usize].as_ref());
                 item_ents.push(ent);
             }
-            let mut rf_scratch =
-                ReceptiveField { entities: Vec::new(), relations: Vec::new(), k: 0, depth: 0 };
-            tables.score_chunk(model, caches, &flat_members, &item_ents, l, &mut rf_scratch)
+            score_chunk(&flat_members, &item_ents, l)
         });
-        for (&(ci, _), s) in instances.iter().zip(scored.into_iter().flatten()) {
-            out[ci as usize].push(s);
+        for (chunk, result) in chunks.iter().zip(scored) {
+            match result {
+                Ok(scores) => {
+                    for (&(ci, _), s) in chunk.iter().zip(scores) {
+                        if let Ok(row) = &mut out[ci as usize] {
+                            row.push(s);
+                        }
+                    }
+                }
+                Err(e) => {
+                    for &(ci, _) in *chunk {
+                        out[ci as usize] = Err(e.clone());
+                    }
+                }
+            }
         }
     }
     out
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_env_spellings() {
-        assert_eq!(ScoreTier::Exact.as_str(), "f64");
-        assert_eq!(ScoreTier::FusedF32.as_str(), "f32");
-        assert_eq!(ScoreTier::default(), ScoreTier::Exact);
+/// Score cases against a local model through the engine, reading
+/// receptive fields from `caches` or sampling them live — the scoring
+/// body of [`crate::BatchScorer`], [`crate::DynamicScorer`] and
+/// [`crate::RegistryModel`]. `member_ents[ci]` is case `ci`'s member
+/// entity list (from the bound groups or a live group store).
+pub(crate) fn score_cases_with(
+    model: &Kgag,
+    caches: Option<&(RfCache, RfCache)>,
+    batch_instances: usize,
+    member_ents: &[Vec<u32>],
+    cases: &[(u32, Vec<u32>)],
+) -> Vec<Vec<f32>> {
+    if kgag_obs::enabled() {
+        let total: usize = cases.iter().map(|(_, items)| items.len()).sum();
+        kgag_obs::counter("infer.batched_items_scored").add(total as u64);
     }
-
-    #[test]
-    fn fused_requests_fall_back_for_unfused_backends() {
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::Gcn), ScoreTier::FusedF32);
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::GraphSage), ScoreTier::FusedF32);
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::KgnnLs), ScoreTier::FusedF32);
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::InteractionPattern), ScoreTier::Exact);
-        for b in Backend::all() {
-            assert_eq!(ScoreTier::Exact.resolve_for(b), ScoreTier::Exact, "{b:?}");
-        }
-    }
+    let engine = Engine::for_model(model);
+    let scored = score_buckets(
+        batch_instances,
+        member_ents,
+        cases,
+        |v| model.item_entity(v),
+        |flat_members, item_ents, l| {
+            let (rf_members, rf_items) = model.eval_fields(caches, flat_members, item_ents);
+            Ok::<_, Infallible>(engine.score_chunk(
+                rf_members.as_ref(),
+                rf_items.as_ref(),
+                flat_members,
+                item_ents,
+                l,
+            ))
+        },
+    );
+    scored.into_iter().map(|r| r.unwrap_or_else(|never| match never {})).collect()
 }

@@ -58,7 +58,6 @@ pub use batch::BatchScorer;
 pub use config::{Aggregator, Backend, GroupLoss, KgagConfig};
 pub use dynamic::{ColdStartError, DynamicScorer};
 pub use explain::GroupExplanation;
-pub use infer::{InferenceTables, ScoreTier};
 pub use registry::{
     checkpoint_hash, Admission, ModelRegistry, RegistryError, RegistryModel, ShadowStatus,
 };

@@ -32,12 +32,11 @@
 //! the wire protocol live in `kgag-serve`, which composes them around
 //! this state machine.
 
-use crate::batch::score_cases_with;
 use crate::dynamic::ColdStartError;
-use crate::infer::{score_cases_f32, InferenceTables, ScoreTier};
+use crate::infer::score_cases_with;
 use crate::trainer::Kgag;
 use kgag_kg::RfCache;
-use kgag_tensor::infer::ConvertError;
+use kgag_tensor::infer::{scan_finite, ConvertError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -102,15 +101,14 @@ impl std::error::Error for RegistryError {}
 /// One registry entry: an owned checkpoint with its scoring state.
 ///
 /// Unlike [`crate::BatchScorer`] (which borrows a [`Kgag`]), a
-/// `RegistryModel` *owns* its model, receptive-field caches and
-/// optional f32 tables, so entries can be loaded and retired at runtime
-/// without a borrow tying them to the process lifetime. Scoring goes
-/// through the same `score_cases_with` / `score_cases_f32` kernels as
-/// every other engine — same chunking, same bits.
+/// `RegistryModel` *owns* its model and receptive-field caches, so
+/// entries can be loaded and retired at runtime without a borrow tying
+/// them to the process lifetime. Scoring goes through the same
+/// inference engine as every other front-end — same chunking, same
+/// bits.
 pub struct RegistryModel {
     model: Kgag,
     caches: Option<(RfCache, RfCache)>,
-    tables: Option<InferenceTables>,
     hash: u64,
     batch_instances: usize,
 }
@@ -119,50 +117,24 @@ impl std::fmt::Debug for RegistryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryModel")
             .field("hash", &format_args!("{:016x}", self.hash))
-            .field("tier", &self.tier())
             .field("cached", &self.caches.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl RegistryModel {
-    /// Build an entry with explicit cache and tier choices. `hash` is
-    /// the checkpoint's [`checkpoint_hash`] (callers that trained the
-    /// model in-process hash `model.save_checkpoint()`).
-    pub fn try_new(
-        model: Kgag,
-        hash: u64,
-        cache: bool,
-        tier: ScoreTier,
-    ) -> Result<Self, ConvertError> {
-        let caches = model.eval_rf_caches(cache);
-        let tables = match tier {
-            ScoreTier::Exact => None,
-            ScoreTier::FusedF32 => Some(InferenceTables::derive(&model)?),
-        };
-        Ok(RegistryModel { model, caches, tables, hash, batch_instances: 256 })
-    }
-
-    /// An entry configured from the environment — same knobs as
-    /// [`Kgag::batch_scorer`] (`KGAG_RF_CACHE`, `KGAG_SCORE_DTYPE`,
-    /// `KGAG_EVAL_BATCH`), so a registry entry scores bit-identically
-    /// to the single-model serve path under any CI sweep.
+    /// Build an entry with the receptive-field cache on or off. `hash`
+    /// is the checkpoint's [`checkpoint_hash`] (callers that trained
+    /// the model in-process hash `model.save_checkpoint()`).
     ///
-    /// # Panics
-    /// Panics when `KGAG_SCORE_DTYPE=f32` and the checkpoint is not
-    /// convertible — use [`RegistryModel::try_new`] to handle that as a
-    /// value.
-    pub fn from_env(model: Kgag, hash: u64) -> Self {
-        let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let tier = ScoreTier::from_env().resolve_for(model.config().backend);
-        let mut entry = Self::try_new(model, hash, cache, tier)
-            .expect("checkpoint not convertible to the f32 tier");
-        if let Some(n) = std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
-            if n > 0 {
-                entry.batch_instances = n;
-            }
-        }
-        entry
+    /// Checkpoints reach the registry from outside the process (wire
+    /// LOAD), so the parameters are scanned first: a NaN or ±∞ anywhere
+    /// is a typed [`ConvertError::NonFinite`] refusal, not a served
+    /// model.
+    pub fn try_new(model: Kgag, hash: u64, cache: bool) -> Result<Self, ConvertError> {
+        scan_finite(model.store())?;
+        let caches = model.eval_rf_caches(cache);
+        Ok(RegistryModel { model, caches, hash, batch_instances: 256 })
     }
 
     /// Override the instances-per-chunk cap (bit-neutral; see
@@ -179,15 +151,6 @@ impl RegistryModel {
     /// The checkpoint content hash this entry is keyed by.
     pub fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// The scoring tier in force.
-    pub fn tier(&self) -> ScoreTier {
-        if self.tables.is_some() {
-            ScoreTier::FusedF32
-        } else {
-            ScoreTier::Exact
-        }
     }
 
     /// Catalog size of the owned checkpoint.
@@ -221,23 +184,13 @@ impl RegistryModel {
         }
         let member_ents: Vec<Vec<u32>> =
             cases.iter().map(|&(g, _)| self.model.member_entities(g)).collect();
-        Ok(match &self.tables {
-            Some(tables) => score_cases_f32(
-                &self.model,
-                tables,
-                self.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-            None => score_cases_with(
-                &self.model,
-                self.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-        })
+        Ok(score_cases_with(
+            &self.model,
+            self.caches.as_ref(),
+            self.batch_instances,
+            &member_ents,
+            cases,
+        ))
     }
 }
 
@@ -538,7 +491,7 @@ mod tests {
         let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
         let split = split_dataset(&ds, 11);
         let model = Kgag::new(&ds, &split, KgagConfig::default());
-        RegistryModel::try_new(model, hash, true, ScoreTier::Exact).unwrap()
+        RegistryModel::try_new(model, hash, true).unwrap()
     }
 
     fn prove(reg: &ModelRegistry, tenant: u32, hash: u64, n: u64) {
@@ -566,12 +519,29 @@ mod tests {
             scorer.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])])
         };
         let bytes = model.save_checkpoint();
-        let entry =
-            RegistryModel::try_new(model, checkpoint_hash(&bytes), true, ScoreTier::Exact).unwrap();
+        let entry = RegistryModel::try_new(model, checkpoint_hash(&bytes), true).unwrap();
         let got = entry.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])]).unwrap();
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
             assert_eq!(g.to_bits(), w.to_bits(), "registry entry diverged from BatchScorer");
+        }
+    }
+
+    #[test]
+    fn entry_refuses_non_finite_checkpoints() {
+        let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
+        let split = split_dataset(&ds, 11);
+        let mut model = Kgag::new(&ds, &split, KgagConfig::default());
+        let mut store = model.store().clone();
+        let att_b = store.id("att_b").unwrap();
+        store.value_mut(att_b).row_mut(0)[3] = f32::INFINITY;
+        let bytes = kgag_tensor::checkpoint::save_tagged(&store, model.config().backend.tag());
+        model.load_checkpoint(&bytes).unwrap();
+        match RegistryModel::try_new(model, checkpoint_hash(&bytes), true) {
+            Err(ConvertError::NonFinite { param, row, col }) => {
+                assert_eq!((param.as_str(), row, col), ("att_b", 0, 3));
+            }
+            Ok(_) => panic!("a non-finite checkpoint must be refused"),
         }
     }
 

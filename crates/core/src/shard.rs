@@ -16,17 +16,15 @@
 //!    entity's own adjacency row, so a shard reproduces the single-node
 //!    draw exactly (proven in `kgag_kg::partition` tests).
 //! 2. *Gathers are exact.* Shards return raw f32 table rows; the router
-//!    assembles a compact table whose rows are bit-copies of the full
-//!    table's rows. On the f32 tier the `BlockedTable` conversion is
-//!    row-local (one f64-scaled rounding per element), so converting
-//!    gathered rows equals slicing the converted full table.
-//! 3. *The reduction order is the tape's.* The router remaps global ids
-//!    to a dense per-chunk id space and calls the shared forward
-//!    (`forward_group_prepared` on the exact tier,
-//!    `InferenceTables::score_chunk_prepared` on the fused tier). Every
-//!    tape op / fused kernel computes each output row purely from its
-//!    own instance's rows, so the compact renaming and any chunking are
-//!    value-neutral.
+//!    assembles compact tables whose rows are bit-copies of the full
+//!    tables' rows and hands them to the engine as they arrived — no
+//!    conversion, so a non-finite row scores exactly as it would on a
+//!    single node instead of failing the chunk.
+//! 3. *The reduction order is the engine's.* The router remaps global
+//!    ids to a dense per-chunk id space and scores through the shared
+//!    inference engine ([`crate::infer`]). Every kernel computes each
+//!    output row purely from its own instance's rows, so the compact
+//!    renaming and any chunking are value-neutral.
 //!
 //! ## Failure semantics
 //!
@@ -39,14 +37,12 @@
 //! peer failure.
 
 use crate::config::KgagConfig;
-use crate::infer::{InferenceTables, ScoreTier};
-use crate::model::{ModelParams, PropagationParams};
-use crate::trainer::{forward_group_prepared, Kgag, SALT_ITEM, SALT_MEMBER};
+use crate::infer::{score_buckets, Engine};
+use crate::model::ModelParams;
+use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
 use kgag_kg::{Partition, ReceptiveField, ShardState};
-use kgag_tensor::infer::BlockedTable;
-use kgag_tensor::tensor::sigmoid;
-use kgag_tensor::{pool, ParamStore, Tape, Tensor};
-use std::collections::{BTreeMap, HashMap};
+use kgag_tensor::{ParamStore, Tensor};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -220,27 +216,19 @@ pub struct RouterCore {
     sampler_k: usize,
     num_entities: usize,
     num_relation_slots: usize,
-    layer_w: Vec<Tensor>,
-    layer_b: Vec<Tensor>,
-    att_w1: Tensor,
-    att_w2: Tensor,
-    att_b: Tensor,
-    att_v: Tensor,
-    /// `(ip_w, ip_b)` of the interaction-pattern mixing pass — `Some`
-    /// only when the detached model's backend registers them.
-    interaction: Option<(Tensor, Tensor)>,
-    /// `Some` scores on the fused f32 tier: a weights-only
-    /// [`InferenceTables`] template whose embedding tables are swapped
-    /// per chunk for compact gathered ones.
-    tables: Option<InferenceTables>,
+    /// Clones of the model's small weights (propagation layers,
+    /// attention, interaction mixing) under the model's own parameter
+    /// handles; the two embedding tables are zero-row placeholders —
+    /// their rows arrive per chunk from the shards.
+    store: ParamStore,
+    params: ModelParams,
     batch_instances: usize,
     memo: Option<DrawMemo>,
 }
 
 impl Kgag {
     /// Extract shard `index` of `count` for this model — the tables and
-    /// CSR rows a shard process holds (tier-agnostic: rows are the raw
-    /// f32 parameters; the router applies any tier conversion).
+    /// CSR rows a shard process holds (rows are the raw f32 parameters).
     pub fn shard_state(&self, index: usize, count: usize) -> ShardState {
         let p = self.params();
         ShardState::extract(
@@ -255,13 +243,11 @@ impl Kgag {
     }
 
     /// A [`RouterCore`] configured from the environment, mirroring
-    /// [`Kgag::batch_scorer`]: `KGAG_RF_CACHE=0` disables the draw memo,
-    /// `KGAG_EVAL_BATCH` overrides the chunk cap and
-    /// `KGAG_SCORE_DTYPE=f32` selects the fused tier.
+    /// [`Kgag::batch_scorer`]: `KGAG_RF_CACHE=0` disables the draw memo
+    /// and `KGAG_EVAL_BATCH` overrides the chunk cap.
     pub fn router_core(&self) -> RouterCore {
         let memo = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let tier = ScoreTier::from_env().resolve_for(self.config().backend);
-        let core = RouterCore::from_model(self, tier, memo);
+        let core = RouterCore::from_model(self, memo);
         match std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
             Some(n) if n > 0 => core.with_batch_instances(n),
             _ => core,
@@ -270,23 +256,24 @@ impl Kgag {
 }
 
 impl RouterCore {
-    /// Detach a router from a trained model at an explicit tier, with
-    /// the draw memo on or off (the knobs the equivalence suite sweeps).
-    ///
-    /// # Panics
-    /// Panics when `tier` is [`ScoreTier::FusedF32`] and the small
-    /// weights cannot be converted (non-finite parameters).
-    pub fn from_model(model: &Kgag, tier: ScoreTier, memo: bool) -> Self {
-        let store = model.store();
+    /// Detach a router from a trained model, with the draw memo on or
+    /// off (the knob the equivalence suite sweeps).
+    pub fn from_model(model: &Kgag, memo: bool) -> Self {
         let p = model.params();
         let ckg = model.collaborative_kg();
-        let tables = match tier {
-            ScoreTier::Exact => None,
-            ScoreTier::FusedF32 => Some(
-                InferenceTables::derive_weights_only(model)
-                    .expect("checkpoint not convertible to the f32 tier"),
-            ),
-        };
+        let d = model.config().dim;
+        // re-register every parameter in the model's order so the
+        // model's handles index this store too; the big tables stay
+        // behind on the shards
+        let mut store = ParamStore::new();
+        for (id, name, t) in model.store().iter() {
+            let value = if id == p.prop.entity_emb || id == p.prop.relation_emb {
+                Tensor::zeros(0, d)
+            } else {
+                t.clone()
+            };
+            store.register(name, value);
+        }
         let member_ents_by_group =
             (0..model.groups().len() as u32).map(|g| model.member_entities(g)).collect();
         RouterCore {
@@ -299,17 +286,8 @@ impl RouterCore {
             sampler_k: model.eval_sampler().k(),
             num_entities: ckg.num_entities(),
             num_relation_slots: ckg.num_relation_slots(),
-            layer_w: p.prop.layer_w.iter().map(|&id| store.value(id).clone()).collect(),
-            layer_b: p.prop.layer_b.iter().map(|&id| store.value(id).clone()).collect(),
-            att_w1: store.value(p.att_w1).clone(),
-            att_w2: store.value(p.att_w2).clone(),
-            att_b: store.value(p.att_b).clone(),
-            att_v: store.value(p.att_v).clone(),
-            interaction: p
-                .interaction
-                .as_ref()
-                .map(|ip| (store.value(ip.w).clone(), store.value(ip.b).clone())),
-            tables,
+            store,
+            params: p.clone(),
             batch_instances: 256,
             memo: (memo && model.config().use_kg).then(|| Mutex::new(HashMap::new())),
         }
@@ -324,15 +302,6 @@ impl RouterCore {
         assert!(n > 0, "batch size must be positive");
         self.batch_instances = n;
         self
-    }
-
-    /// The scoring tier in force.
-    pub fn tier(&self) -> ScoreTier {
-        if self.tables.is_some() {
-            ScoreTier::FusedF32
-        } else {
-            ScoreTier::Exact
-        }
     }
 
     /// Whether the draw memo is active.
@@ -387,9 +356,7 @@ impl RouterCore {
     }
 
     /// Score a batch of `(group, candidate items)` cases through
-    /// `fetch`, bit-identical on the exact tier to
-    /// [`crate::BatchScorer::score_cases`] (and self-identical across
-    /// shard counts on the fused tier).
+    /// `fetch`, bit-identical to [`crate::BatchScorer::score_cases`].
     ///
     /// Each case's result is `Ok(scores aligned with its items)` or the
     /// typed [`ShardError`] that prevented scoring it. Chunks are scored
@@ -413,103 +380,57 @@ impl RouterCore {
                 self.member_ents_by_group[g as usize].as_slice()
             })
             .collect();
-        // flatten to (case, item entity) instances bucketed by member
-        // count, exactly like the single-node kernel
-        let mut buckets: BTreeMap<usize, Vec<(u32, u32)>> = BTreeMap::new();
-        for (ci, (_, items)) in cases.iter().enumerate() {
-            let bucket = buckets.entry(member_ents[ci].len()).or_default();
-            for &v in items {
-                assert!(v < self.num_items, "item {v} out of {}", self.num_items);
-                bucket.push((ci as u32, self.item_entity[v as usize]));
-            }
-        }
-        let mut out: Vec<Result<Vec<f32>, ShardError>> =
-            cases.iter().map(|(_, items)| Ok(Vec::with_capacity(items.len()))).collect();
-        let mut retry: Vec<usize> = Vec::new();
-        for (l, instances) in &buckets {
-            let l = *l;
-            // same chunking formula as the single-node kernel — the
-            // boundaries don't affect bits, only load balance
-            let per_worker = instances.len().div_ceil(pool::num_threads() * 4).max(1);
-            let chunk_size = per_worker.min(self.batch_instances);
-            let chunks: Vec<&[(u32, u32)]> = instances.chunks(chunk_size).collect();
-            let scored =
-                pool::par_map(&chunks, |_, chunk| self.score_chunk(fetch, &member_ents, chunk, l));
-            for (chunk, result) in chunks.iter().zip(scored) {
-                match result {
-                    Ok(scores) => {
-                        for (&(ci, _), s) in chunk.iter().zip(scores) {
-                            if let Ok(row) = &mut out[ci as usize] {
-                                row.push(s);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        for &(ci, _) in *chunk {
-                            let ci = ci as usize;
-                            if !retry.contains(&ci) {
-                                retry.push(ci);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut out = self.score_joint(fetch, &member_ents, cases);
         // a failed chunk poisons every case it contained — re-score
         // those cases one at a time so only the ones that actually need
         // the failed shard end up with errors
-        for ci in retry {
-            out[ci] = self.score_case_isolated(fetch, member_ents[ci], &cases[ci].1);
+        for (ci, result) in out.iter_mut().enumerate() {
+            if result.is_err() {
+                let alone = self.score_joint(fetch, &member_ents[ci..=ci], &cases[ci..=ci]);
+                *result = alone.into_iter().next().expect("one case in, one result out");
+            }
         }
         out
     }
 
-    /// Score one case alone (the retry path). Chunked at the usual cap;
-    /// bit-identical to the case's scores in a joint pass.
-    fn score_case_isolated<F: ShardFetch>(
+    /// One pass of the shared bucket → chunk → reassemble driver, every
+    /// chunk fetched and scored by [`RouterCore::score_chunk`].
+    fn score_joint<F: ShardFetch>(
         &self,
         fetch: &F,
-        member_ents: &[u32],
-        items: &[u32],
-    ) -> Result<Vec<f32>, ShardError> {
-        let l = member_ents.len();
-        let table = [member_ents];
-        let mut scores = Vec::with_capacity(items.len());
-        for chunk_items in items.chunks(self.batch_instances) {
-            let chunk: Vec<(u32, u32)> =
-                chunk_items.iter().map(|&v| (0, self.item_entity[v as usize])).collect();
-            scores.extend(self.score_chunk(fetch, &table, &chunk, l)?);
-        }
-        Ok(scores)
+        member_ents: &[&[u32]],
+        cases: &[(u32, Vec<u32>)],
+    ) -> Vec<Result<Vec<f32>, ShardError>> {
+        let item_entity = |v: u32| {
+            assert!(v < self.num_items, "item {v} out of {}", self.num_items);
+            self.item_entity[v as usize]
+        };
+        score_buckets(self.batch_instances, member_ents, cases, item_entity, |members, items, l| {
+            self.score_chunk(fetch, members, items, l)
+        })
     }
 
     /// Fetch, remap and score one uniform-`L` chunk.
     fn score_chunk<F: ShardFetch>(
         &self,
         fetch: &F,
-        member_ents: &[&[u32]],
-        chunk: &[(u32, u32)],
+        flat_members: &[u32],
+        item_ents: &[u32],
         l: usize,
     ) -> Result<Vec<f32>, ShardError> {
-        let mut flat_members = Vec::with_capacity(chunk.len() * l);
-        let mut item_ents = Vec::with_capacity(chunk.len());
-        for &(ci, ent) in chunk {
-            flat_members.extend_from_slice(member_ents[ci as usize]);
-            item_ents.push(ent);
-        }
         // scatter: receptive fields level by level, then the union of
         // rows every instance in the chunk touches
         let (rf_members, rf_items) = if self.config.use_kg {
             (
-                Some(self.assemble_rf(fetch, self.eval_salt ^ SALT_MEMBER, &flat_members)?),
-                Some(self.assemble_rf(fetch, self.eval_salt ^ SALT_ITEM, &item_ents)?),
+                Some(self.assemble_rf(fetch, self.eval_salt ^ SALT_MEMBER, flat_members)?),
+                Some(self.assemble_rf(fetch, self.eval_salt ^ SALT_ITEM, item_ents)?),
             )
         } else {
             (None, None)
         };
         let mut ents: Vec<u32> = Vec::new();
-        ents.extend_from_slice(&flat_members);
-        ents.extend_from_slice(&item_ents);
+        ents.extend_from_slice(flat_members);
+        ents.extend_from_slice(item_ents);
         let mut rels: Vec<u32> = Vec::new();
         for rf in [&rf_members, &rf_items].into_iter().flatten() {
             for level in &rf.entities {
@@ -526,87 +447,23 @@ impl RouterCore {
         let ent_rows = fetch.fetch_entity_rows(&ents)?;
         let rel_rows =
             if rels.is_empty() { Vec::new() } else { fetch.fetch_relation_rows(&rels)? };
-        // gather: remap everything into the compact row space and run
-        // the shared single-node kernels over it
+        // gather: remap everything into the compact row space and score
+        // the gathered rows in place through the shared engine
         let emap: HashMap<u32, u32> =
             ents.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
         let rmap: HashMap<u32, u32> =
             rels.iter().enumerate().map(|(i, &r)| (r, i as u32)).collect();
-        let flat_members_c = remap_ids(&flat_members, &emap);
-        let item_ents_c = remap_ids(&item_ents, &emap);
         let rf_members_c = rf_members.as_ref().map(|rf| remap_rf(rf, &emap, &rmap));
         let rf_items_c = rf_items.as_ref().map(|rf| remap_rf(rf, &emap, &rmap));
-        let d = self.config.dim;
-        match &self.tables {
-            Some(template) => {
-                // fused f32 tier: row-local conversion means the compact
-                // tables equal row slices of the full converted tables —
-                // sanitisation (non-finite rows) surfaces here, per
-                // chunk, instead of at construction
-                let entity = BlockedTable::from_rows(ents.len(), d, &ent_rows)
-                    .expect("entity rows not convertible to the f32 tier");
-                let relation_scaled = BlockedTable::from_rows_scaled(
-                    rels.len(),
-                    d,
-                    &rel_rows,
-                    1.0 / (d as f64).sqrt(),
-                )
-                .expect("relation rows not convertible to the f32 tier");
-                let tables = template.with_tables(entity, relation_scaled);
-                Ok(tables.score_chunk_prepared(
-                    rf_members_c.as_ref(),
-                    rf_items_c.as_ref(),
-                    &flat_members_c,
-                    &item_ents_c,
-                    l,
-                ))
-            }
-            None => {
-                // exact tier: a scratch store holding the gathered rows
-                // plus clones of the small weights, scored through the
-                // very tape path the single-node engine runs
-                let mut store = ParamStore::new();
-                let entity_emb =
-                    store.register("entity_emb", Tensor::from_vec(ents.len(), d, ent_rows));
-                let relation_emb = if rels.is_empty() {
-                    store.register("relation_emb", Tensor::zeros(1, d))
-                } else {
-                    store.register("relation_emb", Tensor::from_vec(rels.len(), d, rel_rows))
-                };
-                let mut layer_w = Vec::with_capacity(self.layer_w.len());
-                let mut layer_b = Vec::with_capacity(self.layer_b.len());
-                for (h, (w, b)) in self.layer_w.iter().zip(&self.layer_b).enumerate() {
-                    layer_w.push(store.register(&format!("layer_{h}_w"), w.clone()));
-                    layer_b.push(store.register(&format!("layer_{h}_b"), b.clone()));
-                }
-                let params = ModelParams {
-                    prop: PropagationParams { entity_emb, relation_emb, layer_w, layer_b },
-                    att_w1: store.register("att_w1", self.att_w1.clone()),
-                    att_w2: store.register("att_w2", self.att_w2.clone()),
-                    att_b: store.register("att_b", self.att_b.clone()),
-                    att_v: store.register("att_v", self.att_v.clone()),
-                    interaction: self.interaction.as_ref().map(|(w, b)| {
-                        crate::model::InteractionParams {
-                            w: store.register("ip_w", w.clone()),
-                            b: store.register("ip_b", b.clone()),
-                        }
-                    }),
-                };
-                let mut tape = Tape::new(&store);
-                let fwd = forward_group_prepared(
-                    &mut tape,
-                    &params,
-                    &self.config,
-                    self.group_size,
-                    &flat_members_c,
-                    &item_ents_c,
-                    l,
-                    rf_members_c.as_ref(),
-                    rf_items_c.as_ref(),
-                );
-                Ok(tape.value(fwd.score).data().iter().map(|&s| sigmoid(s)).collect())
-            }
-        }
+        let engine = Engine::new(&self.config, self.group_size, &self.store, &self.params)
+            .with_rows(&ent_rows, &rel_rows);
+        Ok(engine.score_chunk(
+            rf_members_c.as_ref(),
+            rf_items_c.as_ref(),
+            &remap_ids(flat_members, &emap),
+            &remap_ids(item_ents, &emap),
+            l,
+        ))
     }
 
     /// Rebuild the receptive field of `targets` level-synchronously from

@@ -20,7 +20,7 @@ use crate::model::ModelParams;
 use kgag_data::split::{DatasetSplit, NegativeSampler};
 use kgag_data::GroupDataset;
 use kgag_eval::{EvalConfig, GroupEvalCase, GroupScorer, MetricSummary};
-use kgag_kg::{CollaborativeKg, NeighborSampler, RfCache};
+use kgag_kg::{CollaborativeKg, NeighborSampler, ReceptiveField, RfCache};
 use kgag_tensor::optim::{Adam, Optimizer};
 use kgag_tensor::pool;
 use kgag_tensor::rng::{derive_seed, SplitMix64};
@@ -139,15 +139,6 @@ pub(crate) struct GroupForward {
     pub(crate) score: NodeId,
 }
 
-/// Where a forward pass gets its receptive fields: sampled live (the
-/// training / per-case path) or looked up in prebuilt [`RfCache`]
-/// tables (the batched inference path). Both resolve to the same draws
-/// for the same salt, so the two paths score bit-identically.
-pub(crate) enum Fields<'c> {
-    Live { salt: u64, train: bool },
-    Cached { members: &'c RfCache, items: &'c RfCache },
-}
-
 impl Kgag {
     /// Build an untrained model over `ds`, propagating over the
     /// collaborative KG induced by the split's training interactions.
@@ -227,12 +218,7 @@ impl Kgag {
         self.propagate_rf(tape, &rf, query)
     }
 
-    fn propagate_rf(
-        &self,
-        tape: &mut Tape<'_>,
-        rf: &kgag_kg::ReceptiveField,
-        query: NodeId,
-    ) -> NodeId {
+    fn propagate_rf(&self, tape: &mut Tape<'_>, rf: &ReceptiveField, query: NodeId) -> NodeId {
         crate::propagation::propagate_with(
             tape,
             &self.params.prop,
@@ -260,59 +246,12 @@ impl Kgag {
         salt: u64,
         train: bool,
     ) -> GroupForward {
-        self.forward_group_any(tape, flat_members, item_ents, l, &Fields::Live { salt, train })
-    }
-
-    /// [`Kgag::forward_group`] reading receptive fields from prebuilt
-    /// caches — the batched inference forward.
-    pub(crate) fn forward_group_cached(
-        &self,
-        tape: &mut Tape<'_>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-        members: &RfCache,
-        items: &RfCache,
-    ) -> GroupForward {
-        self.forward_group_any(tape, flat_members, item_ents, l, &Fields::Cached { members, items })
-    }
-
-    fn forward_group_any(
-        &self,
-        tape: &mut Tape<'_>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-        fields: &Fields<'_>,
-    ) -> GroupForward {
         // receptive fields are resolved *before* any tape op: a draw
         // depends only on (seed, salt, entity, level), never on tape
         // state, so hoisting the sampling leaves the op sequence — and
         // therefore the bits — untouched
-        let (rf_members, rf_items) = if !self.config.use_kg {
-            (None, None)
-        } else {
-            match *fields {
-                Fields::Live { salt, train } => {
-                    let sampler = if train { &self.sampler } else { &self.eval_sampler };
-                    let graph = self.ckg.graph();
-                    let depth = self.config.layers;
-                    (
-                        Some(sampler.receptive_field(
-                            graph,
-                            flat_members,
-                            depth,
-                            salt ^ SALT_MEMBER,
-                        )),
-                        Some(sampler.receptive_field(graph, item_ents, depth, salt ^ SALT_ITEM)),
-                    )
-                }
-                Fields::Cached { members, items } => (
-                    Some(members.receptive_field(flat_members)),
-                    Some(items.receptive_field(item_ents)),
-                ),
-            }
-        };
+        let sampler = if train { &self.sampler } else { &self.eval_sampler };
+        let (rf_members, rf_items) = self.sampled_fields(sampler, salt, flat_members, item_ents);
         forward_group_prepared(
             tape,
             &self.params,
@@ -324,6 +263,47 @@ impl Kgag {
             rf_members.as_ref(),
             rf_items.as_ref(),
         )
+    }
+
+    /// Member- and item-side receptive fields of a group forward drawn
+    /// live under `salt` — `(None, None)` under the KGAG-KG ablation.
+    fn sampled_fields(
+        &self,
+        sampler: &NeighborSampler,
+        salt: u64,
+        flat_members: &[u32],
+        item_ents: &[u32],
+    ) -> (Option<ReceptiveField>, Option<ReceptiveField>) {
+        if !self.config.use_kg {
+            return (None, None);
+        }
+        let graph = self.ckg.graph();
+        let depth = self.config.layers;
+        (
+            Some(sampler.receptive_field(graph, flat_members, depth, salt ^ SALT_MEMBER)),
+            Some(sampler.receptive_field(graph, item_ents, depth, salt ^ SALT_ITEM)),
+        )
+    }
+
+    /// The inference-time receptive fields of a group forward: looked
+    /// up in prebuilt [`RfCache`] tables when `caches` is given, drawn
+    /// live under the eval salt otherwise. Both resolve to the same
+    /// draws, so the two score bit-identically.
+    pub(crate) fn eval_fields(
+        &self,
+        caches: Option<&(RfCache, RfCache)>,
+        flat_members: &[u32],
+        item_ents: &[u32],
+    ) -> (Option<ReceptiveField>, Option<ReceptiveField>) {
+        match caches {
+            Some((members, items)) => (
+                Some(members.receptive_field(flat_members)),
+                Some(items.receptive_field(item_ents)),
+            ),
+            None => {
+                self.sampled_fields(&self.eval_sampler, self.eval_salt(), flat_members, item_ents)
+            }
+        }
     }
 
     /// Forward a batch of user–item instances, returning `[B, 1]` logits
@@ -373,7 +353,11 @@ impl Kgag {
     }
 
     pub(crate) fn item_entities(&self, items: &[u32]) -> Vec<u32> {
-        items.iter().map(|&v| self.ckg.item_entity(v).0).collect()
+        items.iter().map(|&v| self.item_entity(v)).collect()
+    }
+
+    pub(crate) fn item_entity(&self, item: u32) -> u32 {
+        self.ckg.item_entity(item).0
     }
 
     /// The fixed inference salt of this model. Group scoring draws
@@ -395,8 +379,8 @@ impl Kgag {
         &self.groups
     }
 
-    /// Parameter handles — read by the fused inference tier when it
-    /// derives its [`crate::InferenceTables`] from the store.
+    /// Parameter handles — read by the inference engine, which scores
+    /// straight from the store's tensors.
     pub(crate) fn params(&self) -> &ModelParams {
         &self.params
     }
@@ -764,15 +748,8 @@ impl Kgag {
 }
 
 /// The group forward as pure tape ops over *pre-resolved* receptive
-/// fields — the body shared by every exact-tier scoring path.
-///
-/// `params` may index any [`kgag_tensor::ParamStore`] whose registered
-/// tensors hold the model's rows: the full trained store, or a compact
-/// per-chunk store assembled by the scatter-gather router
-/// ([`crate::shard::RouterCore`]) from gathered shard rows with entity /
-/// relation ids remapped to match. Every op here computes each output
-/// row from its own instance rows, so the two stores produce identical
-/// bits — the invariant the sharded-equals-single-node gate rests on.
+/// fields — the training forward, and the reference the inference
+/// engine ([`crate::infer`]) reproduces bit for bit.
 ///
 /// `rf_*` are `None` under the KGAG-KG ablation (zero-order embeddings,
 /// no propagation). The op sequence is the serving contract: gather
@@ -788,8 +765,8 @@ pub(crate) fn forward_group_prepared(
     flat_members: &[u32],
     item_ents: &[u32],
     l: usize,
-    rf_members: Option<&kgag_kg::ReceptiveField>,
-    rf_items: Option<&kgag_kg::ReceptiveField>,
+    rf_members: Option<&ReceptiveField>,
+    rf_items: Option<&ReceptiveField>,
 ) -> GroupForward {
     debug_assert_eq!(flat_members.len(), item_ents.len() * l);
     let residual = if config.residual { config.propagation_weight } else { 0.0 };
@@ -852,7 +829,7 @@ pub(crate) fn forward_group_prepared(
 /// leak the answer).
 fn ls_level_labels(
     pos: &HashSet<(u32, u32)>,
-    rf: &kgag_kg::ReceptiveField,
+    rf: &ReceptiveField,
     user_ents: &[u32],
     target_ents: &[u32],
 ) -> Vec<Vec<f32>> {

@@ -13,21 +13,17 @@
 //!   `ls_weight > 0` it genuinely moves the parameters.
 //! * Checkpoints carry the backend tag: same-backend restores are
 //!   bit-neutral, cross-backend restores fail typed.
-//! * Fused-tier claims match reality: KGNN-LS rides the GCN kernels,
-//!   interaction-pattern degrades to the exact tier with a typed
-//!   refusal from `try_with_tier`.
 //!
-//! The `backend` CI stage runs this file at `KGAG_THREADS` 1 and 4 with
-//! `KGAG_SCORE_DTYPE` pinned per leg; every scorer here selects its
-//! tier explicitly so the env pin cannot skew the exact-tier oracles.
+//! That the inference engine reproduces each backend's tape forward bit
+//! for bit is pinned separately, in `engine_oracle.rs`. The `backend`
+//! CI stage runs this file at `KGAG_THREADS` 1 and 4.
 
-use kgag::{Backend, Kgag, KgagConfig, ScoreTier};
+use kgag::{Backend, Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_tensor::checkpoint::CheckpointError;
-use kgag_tensor::infer::ConvertError;
 use kgag_tensor::pool::with_threads;
 
 fn smoke_config(backend: Backend) -> KgagConfig {
@@ -58,10 +54,8 @@ fn bits(scores: &[Vec<f32>]) -> Vec<Vec<u32>> {
     scores.iter().map(|r| r.iter().map(|s| s.to_bits()).collect()).collect()
 }
 
-/// Exact-tier scores for `cases` under one knob setting. The tier is
-/// pinned explicitly so the oracle holds even when the CI leg exports
-/// `KGAG_SCORE_DTYPE=f32`.
-fn exact_scores(
+/// Batched scores for `cases` under one knob setting.
+fn scores(
     model: &Kgag,
     cases: &[(u32, Vec<u32>)],
     cache: bool,
@@ -69,15 +63,11 @@ fn exact_scores(
     threads: usize,
 ) -> Vec<Vec<f32>> {
     with_threads(threads, || {
-        model
-            .batch_scorer_with(cache)
-            .with_tier(ScoreTier::Exact)
-            .with_batch_instances(chunk)
-            .score_cases(cases)
+        model.batch_scorer_with(cache).with_batch_instances(chunk).score_cases(cases)
     })
 }
 
-/// Every backend's exact-tier scoring is bit-identical to itself across
+/// Every backend's scoring is bit-identical to itself across
 /// the cache × chunk × threads matrix, and batched scoring equals
 /// scoring each case alone — the same batched-oracle guarantee the
 /// seed backends carry, extended to the new ones.
@@ -86,10 +76,10 @@ fn every_backend_is_self_identical_across_cache_chunk_threads() {
     for backend in Backend::all() {
         let (ds, model) = trained(smoke_config(backend));
         let cases = smoke_cases(&ds, 4);
-        let reference = bits(&exact_scores(&model, &cases, true, 256, 2));
+        let reference = bits(&scores(&model, &cases, true, 256, 2));
         // per-case == batched, bit for bit
         for (ci, case) in cases.iter().enumerate() {
-            let solo = bits(&exact_scores(&model, std::slice::from_ref(case), true, 256, 2));
+            let solo = bits(&scores(&model, std::slice::from_ref(case), true, 256, 2));
             assert_eq!(
                 solo[0],
                 reference[ci],
@@ -100,7 +90,7 @@ fn every_backend_is_self_identical_across_cache_chunk_threads() {
         for cache in [false, true] {
             for chunk in [1usize, 7, 256] {
                 for threads in [1usize, 4] {
-                    let got = bits(&exact_scores(&model, &cases, cache, chunk, threads));
+                    let got = bits(&scores(&model, &cases, cache, chunk, threads));
                     assert_eq!(
                         got,
                         reference,
@@ -121,8 +111,8 @@ fn untrained_kgnn_ls_scores_like_untrained_gcn() {
     let (_, ls) = untrained(smoke_config(Backend::KgnnLs));
     let cases = smoke_cases(&ds, 4);
     assert_eq!(
-        bits(&exact_scores(&gcn, &cases, true, 256, 1)),
-        bits(&exact_scores(&ls, &cases, true, 256, 1)),
+        bits(&scores(&gcn, &cases, true, 256, 1)),
+        bits(&scores(&ls, &cases, true, 256, 1)),
         "untrained KGNN-LS must be bit-identical to untrained GCN"
     );
 }
@@ -137,14 +127,14 @@ fn kgnn_ls_weight_zero_trains_identically_to_gcn_and_nonzero_diverges() {
     let (_, ls_off) = trained(KgagConfig { ls_weight: 0.0, ..smoke_config(Backend::KgnnLs) });
     let (_, ls_on) = trained(KgagConfig { ls_weight: 0.5, ..smoke_config(Backend::KgnnLs) });
     let cases = smoke_cases(&ds, 4);
-    let want = bits(&exact_scores(&gcn, &cases, true, 256, 1));
+    let want = bits(&scores(&gcn, &cases, true, 256, 1));
     assert_eq!(
-        bits(&exact_scores(&ls_off, &cases, true, 256, 1)),
+        bits(&scores(&ls_off, &cases, true, 256, 1)),
         want,
         "ls_weight=0 must reproduce GCN training exactly"
     );
     assert_ne!(
-        bits(&exact_scores(&ls_on, &cases, true, 256, 1)),
+        bits(&scores(&ls_on, &cases, true, 256, 1)),
         want,
         "ls_weight=0.5 trained to the same bits as GCN — the regulariser is dead"
     );
@@ -157,14 +147,14 @@ fn checkpoints_round_trip_and_refuse_cross_backend_restores() {
     for backend in Backend::all() {
         let (ds, model) = trained(smoke_config(backend));
         let cases = smoke_cases(&ds, 3);
-        let want = bits(&exact_scores(&model, &cases, true, 256, 1));
+        let want = bits(&scores(&model, &cases, true, 256, 1));
         let ckpt = model.save_checkpoint();
 
         let split = split_dataset(&ds, 11);
         let mut twin = Kgag::new(&ds, &split, smoke_config(backend));
         twin.load_checkpoint(&ckpt).expect("same-backend restore must succeed");
         assert_eq!(
-            bits(&exact_scores(&twin, &cases, true, 256, 1)),
+            bits(&scores(&twin, &cases, true, 256, 1)),
             want,
             "{}: restored model diverged from the saver",
             backend.tag()
@@ -184,49 +174,4 @@ fn checkpoints_round_trip_and_refuse_cross_backend_restores() {
             ),
         }
     }
-}
-
-/// KGNN-LS claims the GCN fused plan and must honour it: the f32 tier
-/// converts, stays self-consistent, and tracks the exact engine.
-#[test]
-fn kgnn_ls_rides_the_fused_tier() {
-    let (ds, model) = trained(smoke_config(Backend::KgnnLs));
-    let cases = smoke_cases(&ds, 4);
-    let exact = exact_scores(&model, &cases, true, 256, 1);
-    let fused = model
-        .batch_scorer_with(true)
-        .try_with_tier(ScoreTier::FusedF32)
-        .expect("KGNN-LS claims the SumSelf fused plan")
-        .score_cases(&cases);
-    let diff = exact
-        .iter()
-        .zip(&fused)
-        .flat_map(|(a, b)| a.iter().zip(b).map(|(&p, &q)| (p - q).abs()))
-        .fold(0.0f32, f32::max);
-    assert!(diff < 1e-3, "KGNN-LS fused tier drifted {diff} from the exact engine");
-}
-
-/// The interaction-pattern backend has no fused kernels: an explicit
-/// f32 request is a typed refusal, and the env-driven serve paths
-/// resolve to the exact tier instead of panicking.
-#[test]
-fn interaction_pattern_degrades_to_exact_tier() {
-    let (ds, model) = trained(smoke_config(Backend::InteractionPattern));
-    match model.batch_scorer_with(true).try_with_tier(ScoreTier::FusedF32) {
-        Err(ConvertError::Unsupported(what)) => assert_eq!(what, "interaction"),
-        Ok(_) => panic!("interaction-pattern must not convert to the fused tier"),
-        Err(other) => panic!("expected Unsupported, got {other:?}"),
-    }
-    assert_eq!(
-        ScoreTier::FusedF32.resolve_for(Backend::InteractionPattern),
-        ScoreTier::Exact,
-        "env-requested f32 must fall back to Exact for unfused backends"
-    );
-    // and the degraded scorer still upholds the exact-tier oracle
-    let cases = smoke_cases(&ds, 3);
-    assert_eq!(
-        bits(&exact_scores(&model, &cases, true, 7, 4)),
-        bits(&exact_scores(&model, &cases, false, 256, 1)),
-        "exact-tier fallback broke self-identity"
-    );
 }

@@ -1,12 +1,11 @@
 //! The scatter-gather sharding oracle (DESIGN.md §15).
 //!
 //! [`kgag::RouterCore`] promises that scoring over *any* row
-//! partitioning of the model — 1 to N shards — is **bit-identical** on
-//! the exact tier to the single-node [`kgag::BatchScorer`] path, at any
-//! thread count and with the draw memo on or off; and that the fused
-//! f32 tier is self-identical across shard counts (in fact equal to the
-//! single-node f32 tier, because the `BlockedTable` conversion is
-//! row-local). The property suite here drives random case batches over
+//! partitioning of the model — 1 to N shards — is **bit-identical** to
+//! the single-node [`kgag::BatchScorer`] path, at any thread count and
+//! with the draw memo on or off — also when a gathered row is
+//! non-finite, which the router hands to the engine as it arrived
+//! instead of panicking. The property suite here drives random case batches over
 //! random 1–4-shard partitions through [`kgag::LocalFetch`] — the
 //! partitioning semantics without the network — against exactly that
 //! oracle. CI additionally proves the *networked* layer end-to-end
@@ -18,9 +17,7 @@
 //! touches the dead shard) or fails with a typed [`kgag::ShardError`]
 //! naming that shard — never a panic, never a corrupted score.
 
-use kgag::{
-    Kgag, KgagConfig, LocalFetch, RouterCore, ScoreTier, ShardError, ShardErrorKind, ShardFetch,
-};
+use kgag::{Kgag, KgagConfig, LocalFetch, RouterCore, ShardError, ShardErrorKind, ShardFetch};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -83,7 +80,7 @@ fn sharded_scores_are_bit_identical_to_single_node() {
         |words| {
             let (count, threads, memo, cases) = decode(words, num_groups, num_items);
             let want = with_threads(1, || scorer.score_cases(&cases));
-            let router = RouterCore::from_model(&model, ScoreTier::Exact, memo);
+            let router = RouterCore::from_model(&model, memo);
             let got = with_threads(threads, || router.score_cases(&fetches[count - 1], &cases));
             for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                 match g {
@@ -108,26 +105,40 @@ fn sharded_scores_are_bit_identical_to_single_node() {
     );
 }
 
-/// The fused f32 tier is self-identical across shard counts — and, the
-/// conversion being row-local, equal to the single-node f32 tier too.
+/// A checkpoint with one non-finite entity row (an item's row of NaN
+/// and ±∞) scores through the router exactly as on a single node: the
+/// gathered rows reach the engine unconverted, so the non-finite values
+/// propagate to the same bits instead of panicking the router.
 #[test]
-fn sharded_f32_tier_is_self_identical_across_shard_counts() {
-    let (ds, model) = smoke_model();
+fn non_finite_entity_row_scores_like_single_node() {
+    let (ds, mut model) = smoke_model();
+    let mut store = model.store().clone();
+    let entity_emb = store.id("entity_emb").expect("entity table registered");
+    let poisoned = model.collaborative_kg().item_entity(0).0 as usize;
+    for (c, x) in store.value_mut(entity_emb).row_mut(poisoned).iter_mut().enumerate() {
+        *x = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][c % 3];
+    }
+    let ckpt = kgag_tensor::checkpoint::save_tagged(&store, model.config().backend.tag());
+    model.load_checkpoint(&ckpt).expect("same-model checkpoint restores");
     let fetches = local_fetches(&model, 4);
     let items: Vec<u32> = (0..ds.num_items).collect();
     let cases: Vec<(u32, Vec<u32>)> =
         (0..ds.num_groups().min(4)).map(|g| (g, items.clone())).collect();
-    let single = model.batch_scorer_with(true).with_tier(ScoreTier::FusedF32).score_cases(&cases);
+    let single = model.batch_scorer_with(true).score_cases(&cases);
+    assert!(
+        single.iter().flatten().any(|s| !s.is_finite()),
+        "the poisoned row must reach at least one score"
+    );
     for (count, fetch) in fetches.iter().enumerate() {
         for memo in [false, true] {
-            let router = RouterCore::from_model(&model, ScoreTier::FusedF32, memo);
+            let router = RouterCore::from_model(&model, memo);
             let got = router.score_cases(fetch, &cases);
             for (ci, (w, g)) in single.iter().zip(&got).enumerate() {
                 let g = g.as_ref().expect("local fetch never fails");
                 assert_eq!(
                     bits(g),
                     bits(w),
-                    "f32 tier diverged: {} shard(s) memo={memo} case {ci}",
+                    "{} shard(s) memo={memo} case {ci} diverged",
                     count + 1
                 );
             }
@@ -201,7 +212,7 @@ fn dead_shard_yields_typed_errors_on_affected_cases_only() {
                 count,
             };
             for memo in [false, true] {
-                let router = RouterCore::from_model(&model, ScoreTier::Exact, memo);
+                let router = RouterCore::from_model(&model, memo);
                 let got = router.score_cases(&fetch, &cases);
                 for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                     match g {
@@ -230,7 +241,7 @@ fn single_shard_router_matches_per_case_path() {
     let (ds, model) = smoke_model();
     let fetch = LocalFetch::new(vec![model.shard_state(0, 1)]);
     let items: Vec<u32> = (0..ds.num_items).collect();
-    let router = RouterCore::from_model(&model, ScoreTier::Exact, true);
+    let router = RouterCore::from_model(&model, true);
     let got = router.score_cases(&fetch, &[(0, items.clone())]);
     let want = model.score_group_items(0, &items);
     assert_eq!(bits(got[0].as_ref().expect("local fetch never fails")), bits(&want));

@@ -169,39 +169,6 @@ impl RfCache {
         ReceptiveField { entities, relations, k, depth: self.depth }
     }
 
-    /// [`Self::receptive_field`] into a caller-owned scratch field,
-    /// reusing its level buffers across calls — the allocation-free
-    /// assembly the fused f32 scoring tier loops on (one scratch per
-    /// chunk, refilled per chunk instance batch). Same bits as the
-    /// allocating form.
-    pub fn receptive_field_into(&self, targets: &[u32], rf: &mut ReceptiveField) {
-        let k = self.k;
-        rf.k = k;
-        rf.depth = self.depth;
-        rf.entities.resize_with(self.depth + 1, Vec::new);
-        rf.relations.resize_with(self.depth, Vec::new);
-        rf.entities[0].clear();
-        rf.entities[0].extend_from_slice(targets);
-        for (lvl, level) in self.levels.iter().enumerate() {
-            // split_at_mut: level `lvl` is read as the parent list while
-            // `lvl + 1` is refilled
-            let (head, tail) = rf.entities.split_at_mut(lvl + 1);
-            let parents = &head[lvl];
-            let next_e = &mut tail[0];
-            let next_r = &mut rf.relations[lvl];
-            next_e.clear();
-            next_r.clear();
-            next_e.reserve(parents.len() * k);
-            next_r.reserve(parents.len() * k);
-            for &p in parents {
-                let p = p as usize;
-                debug_assert!(self.valid[p], "assembled through evicted entity {p}: repair first");
-                next_e.extend_from_slice(&level.children[p * k..(p + 1) * k]);
-                next_r.extend_from_slice(&level.relations[p * k..(p + 1) * k]);
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Incremental invalidation
     // ------------------------------------------------------------------

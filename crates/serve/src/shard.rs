@@ -5,13 +5,13 @@
 //! ranges, [`kgag_kg::Partition`]); a router process holds only the
 //! small dense parameters ([`kgag::RouterCore`]) and assembles each
 //! request's receptive field by querying shards for keyed neighbour
-//! draws and raw embedding rows, then runs the *same* fused kernels a
+//! draws and raw embedding rows, then runs the *same* inference engine a
 //! single-node server would. Because draws are keyed on
 //! `(seed, salt, entity, level)` and entity-local, and because score
-//! fusion happens entirely on the router in the canonical tape
-//! reduction order, sharded scores are **bit-identical** to single-node
-//! scores on the f64 tier and self-identical across shard counts on the
-//! f32 tier — enforced by `crates/bench/src/bin/shard_check.rs` in CI.
+//! fusion happens entirely on the router in the engine's (= the
+//! tape's) reduction order, sharded scores are **bit-identical** to
+//! single-node scores — enforced by `crates/bench/src/bin/shard_check.rs`
+//! in CI.
 //!
 //! Wire protocol: the same little-endian `u32` length-prefixed framing
 //! as [`crate::wire`], with shard-only opcodes on dedicated

@@ -281,7 +281,7 @@ fn frame_cutting_proxy(upstream: std::net::SocketAddr, cut_after: usize) -> std:
 /// panic, and the pool marks the peer dead.
 #[test]
 fn shard_pool_survives_a_connection_severed_after_handshake() {
-    use kgag::{Kgag, KgagConfig, RouterCore, ScoreTier};
+    use kgag::{Kgag, KgagConfig, RouterCore};
     use kgag_data::movielens::Scale;
     use kgag_data::split::split_dataset;
     use kgag_data::yelp::{yelp, YelpConfig};
@@ -314,7 +314,7 @@ fn shard_pool_survives_a_connection_severed_after_handshake() {
 
     let config = ShardConfig { timeout: Duration::from_millis(500), queue: 16 };
     let pool = ShardPool::connect(&addrs, &config).expect("handshake passes through the proxy");
-    let scorer = ShardedScorer::new(RouterCore::from_model(&model, ScoreTier::Exact, false), pool);
+    let scorer = ShardedScorer::new(RouterCore::from_model(&model, false), pool);
 
     let cases: Vec<(u32, Vec<u32>)> = (0..4u32).map(|g| (g, vec![g, g + 1, g + 2])).collect();
     let started = Instant::now();

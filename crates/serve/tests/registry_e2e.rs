@@ -6,7 +6,7 @@
 //! and a promote/rollback stress proving no response is ever torn
 //! between versions.
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel, ScoreTier};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -55,7 +55,7 @@ fn entry_from(bytes: &[u8]) -> RegistryModel {
     let split = split_dataset(&fx.ds, 11);
     let mut model = Kgag::new(&fx.ds, &split, KgagConfig { epochs: 3, ..Default::default() });
     model.load_checkpoint(bytes).expect("fixture checkpoint must restore");
-    RegistryModel::try_new(model, checkpoint_hash(bytes), true, ScoreTier::Exact).unwrap()
+    RegistryModel::try_new(model, checkpoint_hash(bytes), true).unwrap()
 }
 
 fn factory() -> ModelFactory {

@@ -11,7 +11,7 @@
 //! handshakes, framing, the peer pool's failure semantics, and the
 //! batcher-facing `TryBatchGroupScorer` seam.
 
-use kgag::{Kgag, KgagConfig, RouterCore, ScoreTier};
+use kgag::{Kgag, KgagConfig, RouterCore};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -108,8 +108,7 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
         .collect();
     for count in [2usize, 3] {
         let (_shards, pool) = spawn_deployment(model, count);
-        let scorer =
-            ShardedScorer::new(RouterCore::from_model(model, ScoreTier::Exact, true), pool);
+        let scorer = ShardedScorer::new(RouterCore::from_model(model, true), pool);
         let got = scorer.try_score_batch(&cases);
         assert_eq!(got.len(), cases.len());
         for (ci, result) in got.iter().enumerate() {
@@ -122,27 +121,10 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
 }
 
 #[test]
-fn tcp_sharded_f32_tier_is_self_identical_across_shard_counts() {
-    let (ds, model) = fixture();
-    let cases = cases(ds);
-    let score = |count: usize| {
-        let (_shards, pool) = spawn_deployment(model, count);
-        let scorer =
-            ShardedScorer::new(RouterCore::from_model(model, ScoreTier::FusedF32, false), pool);
-        scorer
-            .try_score_batch(&cases)
-            .into_iter()
-            .map(|r| bits(&r.expect("healthy deployment")))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(score(1), score(3), "f32 tier must not depend on the shard count");
-}
-
-#[test]
 fn out_of_range_requests_get_typed_invalid_not_a_panic() {
     let (ds, model) = fixture();
     let (_shards, pool) = spawn_deployment(model, 2);
-    let scorer = ShardedScorer::new(RouterCore::from_model(model, ScoreTier::Exact, true), pool);
+    let scorer = ShardedScorer::new(RouterCore::from_model(model, true), pool);
     let good = (0, vec![0u32, 1]);
     let bad_group = (ds.num_groups() + 7, vec![0u32]);
     let bad_item = (0, vec![ds.num_items + 1]);
@@ -161,7 +143,7 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
         .map(|r| bits(r))
         .collect();
     let (mut shards, pool) = spawn_deployment(model, 2);
-    let scorer = ShardedScorer::new(RouterCore::from_model(model, ScoreTier::Exact, false), pool);
+    let scorer = ShardedScorer::new(RouterCore::from_model(model, false), pool);
 
     // healthy warm-up: every case answers
     for r in scorer.try_score_batch(&cases) {

@@ -1,75 +1,49 @@
-//! Fused f32 inference kernels over cache-blocked tables.
+//! Fused f32 inference kernels, bit-identical to the tape ops they
+//! replace.
 //!
-//! The tape engine ([`crate::Tape`]) is the *exact* scoring tier: every
-//! op materialises its output tensor and records backward bookkeeping,
-//! which is what training and the bit-identity oracles need. Serving
-//! needs none of it — a ranking forward is a pure gather → propagate →
-//! dot pipeline — so this module provides the second tier: embedding
-//! tables rehomed into a cache-blocked layout ([`BlockedTable`]) plus
-//! fused kernels that run the same math with no tape, no intermediate
-//! tensor allocation and no materialised `repeat_rows`/`peer_concat`
-//! copies.
+//! The tape engine ([`crate::Tape`]) materialises every op's output
+//! tensor and records backward bookkeeping, which training needs and a
+//! ranking forward does not. These kernels run the same forward with no
+//! tape, no per-op tensor allocation and no materialised
+//! `repeat_rows`/`peer_concat`/`concat_cols` copies, reading embedding
+//! rows in place from the parameter tensors.
 //!
-//! Three properties the kernels guarantee (and the property suite in
-//! `tests/infer_props.rs` enforces):
+//! Two properties every kernel guarantees (the property suite in
+//! `tests/infer_props.rs` enforces both):
 //!
-//! * **Per-row purity.** Every kernel computes output row `i` from its
-//!   own input rows only, so chunking a batch across the pool is
-//!   value-neutral — the same invariant the exact tier's batched path
-//!   relies on (DESIGN.md §11), now extended to the f32 tier.
-//! * **Reference closeness.** Each fused kernel matches a naive f64
-//!   evaluation of the same expression within a relative error bound
-//!   scaled by the reduction length. Bits may differ from the tape
-//!   (fusion reorders sums); ranking-level agreement is enforced one
-//!   layer up by the accuracy contract (DESIGN.md §14).
-//! * **Sanitised tables.** Table construction accumulates in f64 and
-//!   rounds once: non-finite inputs and overflowing products are typed
-//!   [`ConvertError`]s, subnormal results flush to zero (so the kernels
-//!   never hit the slow denormal path), and padding lanes are zero.
+//! * **Tape-exactness.** Each kernel issues the same f32 roundings in
+//!   the same order as the tape op sequence it fuses, so its output is
+//!   bit-identical to the tape's on any input — non-finite values
+//!   included. Fusion only removes copies; it never reorders a sum,
+//!   folds a constant or rescales a table.
+//! * **Per-row purity.** Output row `i` reads only its own input rows,
+//!   so chunking a batch across the pool is value-neutral (DESIGN.md
+//!   §11).
 
-use crate::tensor::softmax_inplace;
+use crate::tensor::{dot, softmax_inplace};
+use crate::ParamStore;
 
-/// Floats per cache block: rows are padded to a multiple of this, so a
-/// 64-byte line never straddles two rows and gathers stay aligned.
-pub const BLOCK_FLOATS: usize = 16;
-
-/// Typed failure of a table conversion — the input parameter tensor is
-/// unusable for serving and the caller must keep the exact tier.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Typed refusal of a parameter store that cannot be served: some
+/// element is NaN or ±∞. Raised by [`scan_finite`] where a checkpoint
+/// arrives from outside the process.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConvertError {
-    /// The source value was already NaN or ±∞.
+    /// The first non-finite element found, by parameter and position.
     NonFinite {
+        /// Name of the offending parameter tensor.
+        param: String,
         /// Row of the offending element.
         row: usize,
         /// Column of the offending element.
         col: usize,
     },
-    /// The scaled value left f32 range (finite in, ±∞ out).
-    Overflow {
-        /// Row of the offending element.
-        row: usize,
-        /// Column of the offending element.
-        col: usize,
-        /// The scaled f64 value that failed to round into f32 range.
-        value: f64,
-    },
-    /// The scoring configuration has no fused-kernel plan at all (e.g.
-    /// a propagation backend without f32 kernels); the payload names
-    /// the unsupported configuration.
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for ConvertError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConvertError::NonFinite { row, col } => {
-                write!(f, "non-finite table element at [{row}, {col}]")
-            }
-            ConvertError::Overflow { row, col, value } => {
-                write!(f, "table element at [{row}, {col}] overflows f32: {value:e}")
-            }
-            ConvertError::Unsupported(what) => {
-                write!(f, "no fused f32 kernels for '{what}'")
+            ConvertError::NonFinite { param, row, col } => {
+                write!(f, "non-finite element in '{param}' at [{row}, {col}]")
             }
         }
     }
@@ -77,139 +51,45 @@ impl std::fmt::Display for ConvertError {
 
 impl std::error::Error for ConvertError {}
 
-/// A dense `[rows, dim]` matrix with every row padded to a
-/// [`BLOCK_FLOATS`] boundary — the gather-friendly layout the fused
-/// kernels read. Padding lanes are zero, so a full-stride dot over a
-/// row is identical to a `dim`-length one.
-#[derive(Clone, Debug)]
-pub struct BlockedTable {
-    rows: usize,
-    dim: usize,
-    stride: usize,
-    data: Vec<f32>,
-}
-
-impl BlockedTable {
-    /// Build from a row-major `[rows, dim]` f32 slice, scaling every
-    /// element by `scale` in f64 before rounding back to f32 once —
-    /// the one place the pipeline converts precision, so it is also
-    /// where sanitisation lives: non-finite inputs and overflowing
-    /// results are errors, subnormal results flush to zero.
-    pub fn from_rows_scaled(
-        rows: usize,
-        dim: usize,
-        src: &[f32],
-        scale: f64,
-    ) -> Result<Self, ConvertError> {
-        assert_eq!(src.len(), rows * dim, "source length must be rows x dim");
-        let stride = blocked_stride(dim);
-        let mut data = vec![0.0f32; rows * stride];
-        for r in 0..rows {
-            for c in 0..dim {
-                let x = src[r * dim + c];
-                if !x.is_finite() {
-                    return Err(ConvertError::NonFinite { row: r, col: c });
-                }
-                let scaled = x as f64 * scale;
-                let v = scaled as f32;
-                if !v.is_finite() {
-                    return Err(ConvertError::Overflow { row: r, col: c, value: scaled });
-                }
-                data[r * stride + c] = flush_subnormal(v);
-            }
-        }
-        Ok(BlockedTable { rows, dim, stride, data })
-    }
-
-    /// Unscaled conversion (`scale = 1`): sanitisation only.
-    pub fn from_rows(rows: usize, dim: usize, src: &[f32]) -> Result<Self, ConvertError> {
-        Self::from_rows_scaled(rows, dim, src, 1.0)
-    }
-
-    /// Number of logical rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Logical row width (padding excluded).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Physical floats per row (a [`BLOCK_FLOATS`] multiple).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Resident size in bytes, padding included — what the roofline
-    /// bench reports as table traffic.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-
-    /// One logical row (padding excluded).
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
-        debug_assert!(r < self.rows, "row {r} out of {}", self.rows);
-        &self.data[r * self.stride..r * self.stride + self.dim]
-    }
-
-    /// Gather `ids` into a dense unpadded `[ids.len(), dim]` buffer
-    /// (cleared and refilled — callers reuse the allocation across
-    /// chunks).
-    pub fn gather_into(&self, ids: &[u32], out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(ids.len() * self.dim);
-        for &id in ids {
-            out.extend_from_slice(self.row(id as usize));
+/// Scan every parameter of `store` in registration order and refuse the
+/// first non-finite element. Reads in place — no copy of any table.
+pub fn scan_finite(store: &ParamStore) -> Result<(), ConvertError> {
+    for (_, name, t) in store.iter() {
+        if let Some(i) = t.data().iter().position(|x| !x.is_finite()) {
+            let cols = t.cols().max(1);
+            return Err(ConvertError::NonFinite {
+                param: name.to_owned(),
+                row: i / cols,
+                col: i % cols,
+            });
         }
     }
+    Ok(())
 }
 
-/// Sanitise a dense row-major `[rows, dim]` buffer without re-laying it
-/// out — the conversion path for the small weight matrices that are
-/// streamed whole (no gather) and so gain nothing from padding. Same
-/// checks and subnormal flush as [`BlockedTable::from_rows`].
-pub fn sanitize_dense(rows: usize, dim: usize, src: &[f32]) -> Result<Vec<f32>, ConvertError> {
-    assert_eq!(src.len(), rows * dim, "source length must be rows x dim");
-    let mut out = Vec::with_capacity(src.len());
-    for (i, &x) in src.iter().enumerate() {
-        if !x.is_finite() {
-            return Err(ConvertError::NonFinite { row: i / dim, col: i % dim });
-        }
-        out.push(flush_subnormal(x));
-    }
-    Ok(out)
-}
-
-/// Row stride for a logical width: `dim` rounded up to a
-/// [`BLOCK_FLOATS`] multiple.
-pub fn blocked_stride(dim: usize) -> usize {
-    dim.div_ceil(BLOCK_FLOATS) * BLOCK_FLOATS
-}
-
-/// Flush subnormals to zero so the kernels stay off the denormal slow
-/// path; normals (and ±0) pass through unchanged.
-#[inline]
-pub fn flush_subnormal(x: f32) -> f32 {
-    if x != 0.0 && x.abs() < f32::MIN_POSITIVE {
-        0.0
-    } else {
-        x
+/// Row gather from a dense row-major `[rows, dim]` table into a dense
+/// `[ids.len(), dim]` buffer (cleared and refilled, so callers can reuse
+/// the allocation) — the tape's `gather`.
+pub fn gather_rows(table: &[f32], dim: usize, ids: &[u32], out: &mut Vec<f32>) {
+    out.clear();
+    out.reserve(ids.len() * dim);
+    for &id in ids {
+        let r = id as usize;
+        out.extend_from_slice(&table[r * dim..(r + 1) * dim]);
     }
 }
 
-/// Fused gather + row-dot with an implicit row repeat:
-/// `out[i] = table.row(ids[i]) · query.row(i / rep)` where `query` is a
-/// dense `[ids.len() / rep, dim]` buffer. This is the tape's
-/// `repeat_rows` → `gather_row_dot` pair without materialising the
-/// repeated query (the tape path copies `ids.len()` full rows first).
+/// Fused gather + row-dot with an implicit row repeat, then a scale:
+/// `out[i] = (query.row(i / rep) · table.row(ids[i])) · scale`. This is
+/// the tape's `repeat_rows` → `gather_row_dot` → `scale` sequence
+/// without materialising the repeated query.
 pub fn gather_row_dot_rep(
-    table: &BlockedTable,
+    table: &[f32],
+    dim: usize,
     ids: &[u32],
     query: &[f32],
-    dim: usize,
     rep: usize,
+    scale: f32,
     out: &mut Vec<f32>,
 ) {
     assert!(rep > 0, "repeat factor must be positive");
@@ -219,12 +99,13 @@ pub fn gather_row_dot_rep(
     out.reserve(ids.len());
     for (i, &id) in ids.iter().enumerate() {
         let q = &query[(i / rep) * dim..(i / rep + 1) * dim];
-        out.push(dot_f32(table.row(id as usize), q));
+        let r = id as usize;
+        out.push(dot(q, &table[r * dim..(r + 1) * dim]) * scale);
     }
 }
 
-/// In-place softmax over consecutive `group`-sized blocks — the same
-/// per-block routine the tape uses, applied without the output clone.
+/// In-place softmax over consecutive `group`-sized blocks — the tape's
+/// `softmax_groups` without the output clone.
 pub fn softmax_groups_inplace(xs: &mut [f32], group: usize) {
     assert!(group > 0, "group must be positive");
     assert_eq!(xs.len() % group, 0, "length must be a multiple of group");
@@ -235,8 +116,8 @@ pub fn softmax_groups_inplace(xs: &mut [f32], group: usize) {
 
 /// Per-block weighted sum: `out.row(g) = Σ_k w[g·group + k] ·
 /// values.row(g·group + k)` for dense `[n·group, dim]` values. Zero
-/// weights skip their row (the tape does the same — a pruned row must
-/// not inject NaN·0).
+/// weights skip their row, as in the tape (a pruned row must not inject
+/// NaN·0).
 pub fn group_weighted_sum(
     weights: &[f32],
     values: &[f32],
@@ -265,9 +146,9 @@ pub fn group_weighted_sum(
     }
 }
 
-/// Per-block mean of dense `[n·group, dim]` values —
-/// `out.row(g) = (1/group) · Σ_k values.row(g·group + k)`, accumulated
-/// then scaled like the tape's `group_mean`.
+/// Per-block mean of dense `[n·group, dim]` values, in the tape's
+/// `group_mean` order: every row is scaled by `1/group` *before* it is
+/// added (`o += v · (1/group)`), never summed first and scaled after.
 pub fn group_mean(values: &[f32], dim: usize, group: usize, out: &mut Vec<f32>) {
     assert!(group > 0, "group must be positive");
     assert_eq!(values.len() % (group * dim), 0, "values must be whole blocks");
@@ -280,11 +161,8 @@ pub fn group_mean(values: &[f32], dim: usize, group: usize, out: &mut Vec<f32>) 
         for k in 0..group {
             let row = &values[(g * group + k) * dim..(g * group + k + 1) * dim];
             for (o, &v) in acc.iter_mut().zip(row) {
-                *o += v;
+                *o += v * inv;
             }
-        }
-        for o in acc.iter_mut() {
-            *o *= inv;
         }
     }
 }
@@ -312,8 +190,9 @@ fn activate(x: f32, act: Activation) -> f32 {
 /// Fused `out = act(a · w + bias)` for dense row-major `a
 /// [rows, d_in]`, `w [d_in, d_out]`, `bias [d_out]`. Same i-k-j loop
 /// order (and zero-skip) as the tape matmul, with the bias-add and
-/// activation folded into the row epilogue instead of three extra
-/// tensor passes. Each output row reads only its own `a` row.
+/// activation folded into the row epilogue instead of two extra tensor
+/// passes. Each output row reads only its own `a` row.
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_bias_act(
     a: &[f32],
     rows: usize,
@@ -338,11 +217,11 @@ pub fn matmul_bias_act(
     }
 }
 
-/// Fused split form of the GraphSage concat matmul:
+/// Fused split form of a concat matmul:
 /// `out = act(a · w_a + b · w_b + bias)` ≡
 /// `act(CONCAT(a, b) · [w_a; w_b] + bias)` without materialising the
-/// `[rows, 2·d_in]` concatenation. Summation runs `w_a` products first,
-/// then `w_b` — the same element order as the concatenated dot.
+/// `[rows, 2·d_in]` concatenation. Summation runs the `w_a` products
+/// first, then `w_b` — the same element order as the concatenated dot.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul2_bias_act(
     a: &[f32],
@@ -373,7 +252,8 @@ pub fn matmul2_bias_act(
     }
 }
 
-/// `out_row += a_row · w` — the shared i-k-j inner kernel.
+/// `out_row += a_row · w` — the tape matmul's i-k-j inner kernel,
+/// zero-skip included (dropping it could turn a +0.0 sum into -0.0).
 #[inline]
 pub fn accumulate_row(a_row: &[f32], w: &[f32], d_out: usize, out_row: &mut [f32]) {
     debug_assert_eq!(w.len(), a_row.len() * d_out);
@@ -396,16 +276,17 @@ pub fn add_into(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     out.extend(a.iter().zip(b).map(|(&x, &y)| x + y));
 }
 
-/// Residual combine in place: `acc[i] = e0[i] + gamma · acc[i]`.
+/// Residual combine in place: `acc[i] = e0[i] + acc[i] · gamma` — the
+/// tape's `scale` then `add`.
 pub fn residual_inplace(e0: &[f32], gamma: f32, acc: &mut [f32]) {
     assert_eq!(e0.len(), acc.len(), "operand lengths must match");
     for (a, &e) in acc.iter_mut().zip(e0) {
-        *a = e + gamma * *a;
+        *a = e + *a * gamma;
     }
 }
 
-/// Row-wise dot of two dense `[n, dim]` buffers, scaled:
-/// `out[i] = scale · (a.row(i) · b.row(i / rep))` — `rep > 1` folds the
+/// Row-wise dot of two dense buffers, then a scale:
+/// `out[i] = (a.row(i) · b.row(i / rep)) · scale` — `rep > 1` folds the
 /// tape's `repeat_rows(b)` into the index instead of a copy.
 pub fn row_dot_rep_scaled(
     a: &[f32],
@@ -425,64 +306,21 @@ pub fn row_dot_rep_scaled(
     for i in 0..n {
         let ar = &a[i * dim..(i + 1) * dim];
         let br = &b[(i / rep) * dim..(i / rep + 1) * dim];
-        out.push(scale * dot_f32(ar, br));
+        out.push(dot(ar, br) * scale);
     }
-}
-
-/// Sequential f32 dot — identical element order to the tape's
-/// `row_dot`, so the two tiers differ only where fusion reorders sums.
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocked_stride_rounds_up() {
-        assert_eq!(blocked_stride(1), 16);
-        assert_eq!(blocked_stride(16), 16);
-        assert_eq!(blocked_stride(17), 32);
-    }
-
-    #[test]
-    fn table_rows_are_padded_and_exact() {
-        let src: Vec<f32> = (0..6).map(|i| i as f32 + 0.5).collect();
-        let t = BlockedTable::from_rows(2, 3, &src).unwrap();
-        assert_eq!(t.stride(), 16);
-        assert_eq!(t.row(1), &[3.5, 4.5, 5.5]);
-        assert_eq!(t.bytes(), 2 * 16 * 4);
-    }
-
-    #[test]
-    fn conversion_rejects_non_finite() {
-        let err = BlockedTable::from_rows(1, 2, &[1.0, f32::NAN]).unwrap_err();
-        assert_eq!(err, ConvertError::NonFinite { row: 0, col: 1 });
-    }
-
-    #[test]
-    fn conversion_rejects_overflow() {
-        let err = BlockedTable::from_rows_scaled(1, 1, &[f32::MAX], 1e10).unwrap_err();
-        assert!(matches!(err, ConvertError::Overflow { row: 0, col: 0, .. }));
-    }
-
-    #[test]
-    fn conversion_flushes_subnormals() {
-        let sub = f32::MIN_POSITIVE / 2.0;
-        let t = BlockedTable::from_rows(1, 2, &[sub, f32::MIN_POSITIVE]).unwrap();
-        assert_eq!(t.row(0)[0], 0.0);
-        assert_eq!(t.row(0)[1], f32::MIN_POSITIVE);
-    }
+    use crate::Tensor;
 
     #[test]
     fn gather_row_dot_repeats_query_rows() {
-        let table = BlockedTable::from_rows(3, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
+        let table = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
         let query = [2.0, 3.0, 4.0, 5.0]; // two query rows, rep = 2
         let mut out = Vec::new();
-        gather_row_dot_rep(&table, &[0, 1, 2, 0], &query, 2, 2, &mut out);
+        gather_row_dot_rep(&table, 2, &[0, 1, 2, 0], &query, 2, 1.0, &mut out);
         assert_eq!(out, vec![2.0, 3.0, 9.0, 4.0]);
     }
 
@@ -507,5 +345,18 @@ mod tests {
         let mut reference = Vec::new();
         matmul_bias_act(&cat, rows, 2 * d, &w, d, &bias, Activation::None, &mut reference);
         assert_eq!(fused, reference);
+    }
+
+    #[test]
+    fn scan_finite_names_the_first_offender() {
+        let mut store = ParamStore::new();
+        store.register("ok", Tensor::full(2, 2, 1.0));
+        let bad = store.register("bad", Tensor::zeros(3, 2));
+        assert_eq!(scan_finite(&store), Ok(()));
+        store.value_mut(bad).row_mut(2)[1] = f32::NAN;
+        assert_eq!(
+            scan_finite(&store),
+            Err(ConvertError::NonFinite { param: "bad".into(), row: 2, col: 1 })
+        );
     }
 }

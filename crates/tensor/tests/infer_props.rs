@@ -1,361 +1,310 @@
-//! Property suites for the fused f32 inference kernels
+//! Property suites for the fused inference kernels
 //! (`kgag_tensor::infer`, DESIGN.md §14).
 //!
-//! Each fused kernel is compared against a naive f64 evaluation of the
-//! same expression on random inputs. The bound is *relative*: for a
-//! reduction of length `n` over values bounded by `m`, the accumulated
-//! f32 rounding error is at most a small multiple of `n · m² · ε`, so
-//! every assertion scales its tolerance by the reduction length and the
-//! operand magnitude instead of hard-coding an absolute epsilon that
-//! would go stale when test ranges change.
-//!
-//! The conversion suite covers the edge cases the sanitiser exists
-//! for: subnormal flushing, overflow/NaN detection, exactness on
-//! normals, and zeroed padding lanes.
+//! Every kernel must equal the tape op sequence it fuses **bit for
+//! bit** on random inputs — no tolerance. Inputs are mostly uniform
+//! draws with a sprinkling of the values where a reordered sum, a
+//! folded constant or a flush would show: ±0, subnormals, NaN and ±∞.
+//! The one exception is a NaN's sign and payload, which IEEE 754 leaves
+//! to the hardware operand order of each compiled add: every NaN
+//! compares equal to every other NaN, and to nothing else.
 
 use kgag_tensor::infer::{
-    add_into, blocked_stride, dot_f32, flush_subnormal, gather_row_dot_rep, group_mean,
-    group_weighted_sum, matmul2_bias_act, matmul_bias_act, residual_inplace, row_dot_rep_scaled,
-    sanitize_dense, softmax_groups_inplace, Activation, BlockedTable, ConvertError, BLOCK_FLOATS,
+    accumulate_row, add_into, gather_row_dot_rep, gather_rows, group_mean, group_weighted_sum,
+    matmul2_bias_act, matmul_bias_act, residual_inplace, row_dot_rep_scaled,
+    softmax_groups_inplace, Activation,
 };
 use kgag_tensor::rng::SplitMix64;
+use kgag_tensor::{ParamStore, Tape, Tensor};
 use kgag_testkit::check::Runner;
-use kgag_testkit::gen::{f32_in, u64_in, usize_in};
-use kgag_testkit::{prop_assert, prop_assert_eq};
+use kgag_testkit::gen::{u64_in, usize_in};
+use kgag_testkit::prop_assert_eq;
 
-/// Per-element relative-error bound for a length-`n` f32 reduction over
-/// operands of magnitude ≤ `scale`.
-fn tol(n: usize, scale: f64) -> f64 {
-    // n·ε for the summation + a couple of ulps for the products; the
-    // constant is generous but still catches any wrong-index or
-    // wrong-order bug (those produce O(scale) errors, not O(n·ε))
-    (n as f64 + 8.0) * (f32::EPSILON as f64) * scale.max(1.0) * 4.0
+/// Uniform draws in `[lo, hi)`, one in 16 replaced by a special value.
+fn rand_vec(rng: &mut SplitMix64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+    const SPECIAL: [f32; 7] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 8.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    (0..n)
+        .map(|_| {
+            if rng.next_u64() % 16 == 0 {
+                SPECIAL[(rng.next_u64() % SPECIAL.len() as u64) as usize]
+            } else {
+                lo + (hi - lo) * rng.next_f32()
+            }
+        })
+        .collect()
 }
 
-fn rand_vec(rng: &mut SplitMix64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
-    (0..n).map(|_| lo + (hi - lo) * rng.next_f32()).collect()
+/// Bit patterns, with every NaN mapped to one canonical NaN.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+fn rand_ids(rng: &mut SplitMix64, n: usize, rows: usize) -> Vec<u32> {
+    (0..n).map(|_| (rng.next_u64() % rows as u64) as u32).collect()
 }
 
 #[test]
-fn gather_row_dot_matches_f64_reference() {
+fn gather_rows_equals_tape_gather() {
+    let gen = (usize_in(1..40), usize_in(1..24), usize_in(0..30), u64_in(0..u64::MAX));
+    Runner::new("infer-gather-rows-vs-tape").cases(64).run(&gen, |&(rows, dim, n, seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let src = rand_vec(&mut rng, rows * dim, -2.0, 2.0);
+        let ids = rand_ids(&mut rng, n, rows);
+        let mut store = ParamStore::new();
+        let table = store.register("t", Tensor::from_vec(rows, dim, src.clone()));
+        let mut tape = Tape::new(&store);
+        let want = tape.gather(table, &ids);
+        let mut got = Vec::new();
+        gather_rows(&src, dim, &ids, &mut got);
+        prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+        Ok(())
+    });
+}
+
+#[test]
+fn gather_row_dot_rep_equals_tape_repeat_gather_dot_scale() {
     let gen =
         (usize_in(1..40), usize_in(1..24), usize_in(1..6), usize_in(1..5), u64_in(0..u64::MAX));
-    Runner::new("infer-gather-row-dot-vs-f64").cases(96).run(
+    Runner::new("infer-gather-row-dot-vs-tape").cases(96).run(
         &gen,
         |&(rows, dim, n_query, rep, seed)| {
             let mut rng = SplitMix64::new(seed);
             let src = rand_vec(&mut rng, rows * dim, -2.0, 2.0);
-            let table = BlockedTable::from_rows(rows, dim, &src).unwrap();
             let query = rand_vec(&mut rng, n_query * dim, -2.0, 2.0);
-            let ids: Vec<u32> =
-                (0..n_query * rep).map(|_| (rng.next_u64() % rows as u64) as u32).collect();
-            let mut out = Vec::new();
-            gather_row_dot_rep(&table, &ids, &query, dim, rep, &mut out);
-            prop_assert_eq!(out.len(), ids.len(), "one dot per id");
-            for (i, &got) in out.iter().enumerate() {
-                let row = &src[(ids[i] as usize) * dim..(ids[i] as usize + 1) * dim];
-                let q = &query[(i / rep) * dim..(i / rep + 1) * dim];
-                let want: f64 = row.iter().zip(q).map(|(&a, &b)| a as f64 * b as f64).sum();
-                prop_assert!(
-                    (got as f64 - want).abs() <= tol(dim, 4.0),
-                    "dot {i}: got {got}, f64 reference {want}"
-                );
-            }
+            let ids = rand_ids(&mut rng, n_query * rep, rows);
+            let scale = 1.0 / (dim as f32).sqrt();
+            let mut store = ParamStore::new();
+            let table = store.register("t", Tensor::from_vec(rows, dim, src.clone()));
+            let mut tape = Tape::new(&store);
+            let q = tape.constant(Tensor::from_vec(n_query, dim, query.clone()));
+            let q_rep = tape.repeat_rows(q, rep);
+            let raw = tape.gather_row_dot(table, &ids, q_rep);
+            let want = tape.scale(raw, scale);
+            let mut got = Vec::new();
+            gather_row_dot_rep(&src, dim, &ids, &query, rep, scale, &mut got);
+            prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
             Ok(())
         },
     );
 }
 
 #[test]
-fn group_weighted_sum_matches_f64_reference() {
-    let gen = (usize_in(1..20), usize_in(1..8), usize_in(1..24), u64_in(0..u64::MAX));
-    Runner::new("infer-group-weighted-sum-vs-f64").cases(96).run(&gen, |&(n, group, dim, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let weights = rand_vec(&mut rng, n * group, -1.5, 1.5);
-        let values = rand_vec(&mut rng, n * group * dim, -2.0, 2.0);
-        let mut out = Vec::new();
-        group_weighted_sum(&weights, &values, dim, group, &mut out);
-        for g in 0..n {
-            for c in 0..dim {
-                let want: f64 = (0..group)
-                    .map(|k| {
-                        weights[g * group + k] as f64 * values[(g * group + k) * dim + c] as f64
-                    })
-                    .sum();
-                let got = out[g * dim + c] as f64;
-                prop_assert!(
-                    (got - want).abs() <= tol(group, 3.0),
-                    "block {g} col {c}: got {got}, want {want}"
-                );
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn group_mean_matches_f64_reference() {
-    let gen = (usize_in(1..20), usize_in(1..8), usize_in(1..24), u64_in(0..u64::MAX));
-    Runner::new("infer-group-mean-vs-f64").cases(96).run(&gen, |&(n, group, dim, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let values = rand_vec(&mut rng, n * group * dim, -3.0, 3.0);
-        let mut out = Vec::new();
-        group_mean(&values, dim, group, &mut out);
-        for g in 0..n {
-            for c in 0..dim {
-                let want: f64 =
-                    (0..group).map(|k| values[(g * group + k) * dim + c] as f64).sum::<f64>()
-                        / group as f64;
-                let got = out[g * dim + c] as f64;
-                prop_assert!(
-                    (got - want).abs() <= tol(group, 3.0),
-                    "block {g} col {c}: got {got}, want {want}"
-                );
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn softmax_groups_matches_f64_reference() {
+fn softmax_groups_equals_tape() {
     let gen = (usize_in(1..30), usize_in(1..9), u64_in(0..u64::MAX));
-    Runner::new("infer-softmax-groups-vs-f64").cases(96).run(&gen, |&(n, group, seed)| {
+    Runner::new("infer-softmax-groups-vs-tape").cases(96).run(&gen, |&(n, group, seed)| {
         let mut rng = SplitMix64::new(seed);
         let src = rand_vec(&mut rng, n * group, -20.0, 20.0);
-        let mut xs = src.clone();
-        softmax_groups_inplace(&mut xs, group);
-        for g in 0..n {
-            let block = &src[g * group..(g + 1) * group];
-            let max = block.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
-            let exps: Vec<f64> = block.iter().map(|&x| (x as f64 - max).exp()).collect();
-            let sum: f64 = exps.iter().sum();
-            let mut total = 0.0f64;
-            for (k, &e) in exps.iter().enumerate() {
-                let got = xs[g * group + k] as f64;
-                let want = e / sum;
-                prop_assert!(
-                    (got - want).abs() <= tol(group, 1.0),
-                    "block {g} slot {k}: got {got}, want {want}"
-                );
-                total += got;
-            }
-            prop_assert!((total - 1.0).abs() < 1e-5, "block {g} sums to {total}");
-        }
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let x = tape.constant(Tensor::from_vec(n * group, 1, src.clone()));
+        let want = tape.softmax_groups(x, group);
+        let mut got = src;
+        softmax_groups_inplace(&mut got, group);
+        prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
         Ok(())
     });
 }
 
 #[test]
-fn matmul_bias_act_matches_f64_reference() {
+fn group_weighted_sum_equals_tape() {
+    let gen = (usize_in(1..20), usize_in(1..8), usize_in(1..24), u64_in(0..u64::MAX));
+    Runner::new("infer-group-weighted-sum-vs-tape").cases(96).run(
+        &gen,
+        |&(n, group, dim, seed)| {
+            let mut rng = SplitMix64::new(seed);
+            let weights = rand_vec(&mut rng, n * group, -1.5, 1.5);
+            let values = rand_vec(&mut rng, n * group * dim, -2.0, 2.0);
+            let store = ParamStore::new();
+            let mut tape = Tape::new(&store);
+            let w = tape.constant(Tensor::from_vec(n * group, 1, weights.clone()));
+            let v = tape.constant(Tensor::from_vec(n * group, dim, values.clone()));
+            let want = tape.group_weighted_sum(w, v, group);
+            let mut got = Vec::new();
+            group_weighted_sum(&weights, &values, dim, group, &mut got);
+            prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn group_mean_equals_tape() {
+    let gen = (usize_in(1..20), usize_in(1..8), usize_in(1..24), u64_in(0..u64::MAX));
+    Runner::new("infer-group-mean-vs-tape").cases(96).run(&gen, |&(n, group, dim, seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let values = rand_vec(&mut rng, n * group * dim, -3.0, 3.0);
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let v = tape.constant(Tensor::from_vec(n * group, dim, values.clone()));
+        let want = tape.group_mean(v, group);
+        let mut got = Vec::new();
+        group_mean(&values, dim, group, &mut got);
+        prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+        Ok(())
+    });
+}
+
+/// The tape's `act(add_row(matmul(a, w), bias))` for one activation.
+fn tape_matmul_bias_act(
+    tape: &mut Tape<'_>,
+    a: Tensor,
+    w: Tensor,
+    bias: Tensor,
+    act: Activation,
+) -> Vec<f32> {
+    let a = tape.constant(a);
+    let w = tape.constant(w);
+    let b = tape.constant(bias);
+    let pre = tape.matmul(a, w);
+    let biased = tape.add_row(pre, b);
+    let out = match act {
+        Activation::None => biased,
+        Activation::Relu => tape.relu(biased),
+        Activation::Tanh => tape.tanh(biased),
+    };
+    tape.value(out).data().to_vec()
+}
+
+#[test]
+fn matmul_bias_act_equals_tape() {
     let gen =
-        (usize_in(1..16), usize_in(1..24), usize_in(1..24), usize_in(0..3), u64_in(0..u64::MAX));
-    Runner::new("infer-matmul-bias-act-vs-f64").cases(96).run(
+        (usize_in(1..12), usize_in(1..20), usize_in(1..20), usize_in(0..3), u64_in(0..u64::MAX));
+    Runner::new("infer-matmul-bias-act-vs-tape").cases(96).run(
         &gen,
-        |&(rows, d_in, d_out, act_idx, seed)| {
-            let act = [Activation::None, Activation::Relu, Activation::Tanh][act_idx];
+        |&(rows, d_in, d_out, act_ix, seed)| {
             let mut rng = SplitMix64::new(seed);
-            let a = rand_vec(&mut rng, rows * d_in, -1.5, 1.5);
-            let w = rand_vec(&mut rng, d_in * d_out, -1.5, 1.5);
-            let bias = rand_vec(&mut rng, d_out, -1.0, 1.0);
-            let mut out = Vec::new();
-            matmul_bias_act(&a, rows, d_in, &w, d_out, &bias, act, &mut out);
-            for i in 0..rows {
-                for j in 0..d_out {
-                    let pre: f64 = (0..d_in)
-                        .map(|k| a[i * d_in + k] as f64 * w[k * d_out + j] as f64)
-                        .sum::<f64>()
-                        + bias[j] as f64;
-                    let want = match act {
-                        Activation::None => pre,
-                        Activation::Relu => pre.max(0.0),
-                        Activation::Tanh => pre.tanh(),
-                    };
-                    let got = out[i * d_out + j] as f64;
-                    prop_assert!(
-                        (got - want).abs() <= tol(d_in, 3.0),
-                        "[{i},{j}] act {act:?}: got {got}, want {want}"
-                    );
-                }
-            }
+            let a = rand_vec(&mut rng, rows * d_in, -2.0, 2.0);
+            let w = rand_vec(&mut rng, d_in * d_out, -1.0, 1.0);
+            let bias = rand_vec(&mut rng, d_out, -0.5, 0.5);
+            let act = [Activation::None, Activation::Relu, Activation::Tanh][act_ix];
+            let store = ParamStore::new();
+            let mut tape = Tape::new(&store);
+            let want = tape_matmul_bias_act(
+                &mut tape,
+                Tensor::from_vec(rows, d_in, a.clone()),
+                Tensor::from_vec(d_in, d_out, w.clone()),
+                Tensor::from_vec(1, d_out, bias.clone()),
+                act,
+            );
+            let mut got = Vec::new();
+            matmul_bias_act(&a, rows, d_in, &w, d_out, &bias, act, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
             Ok(())
         },
     );
 }
 
 #[test]
-fn matmul2_matches_f64_concat_reference() {
-    let gen = (usize_in(1..12), usize_in(1..20), usize_in(1..20), u64_in(0..u64::MAX));
-    Runner::new("infer-split-matmul-vs-f64").cases(96).run(&gen, |&(rows, d_in, d_out, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let a = rand_vec(&mut rng, rows * d_in, -1.5, 1.5);
-        let b = rand_vec(&mut rng, rows * d_in, -1.5, 1.5);
-        let w_a = rand_vec(&mut rng, d_in * d_out, -1.5, 1.5);
-        let w_b = rand_vec(&mut rng, d_in * d_out, -1.5, 1.5);
-        let bias = rand_vec(&mut rng, d_out, -1.0, 1.0);
-        let mut out = Vec::new();
-        matmul2_bias_act(&a, &b, rows, d_in, &w_a, &w_b, d_out, &bias, Activation::Relu, &mut out);
-        for i in 0..rows {
-            for j in 0..d_out {
-                let pre: f64 = (0..d_in)
-                    .map(|k| a[i * d_in + k] as f64 * w_a[k * d_out + j] as f64)
-                    .chain((0..d_in).map(|k| b[i * d_in + k] as f64 * w_b[k * d_out + j] as f64))
-                    .sum::<f64>()
-                    + bias[j] as f64;
-                let want = pre.max(0.0);
-                let got = out[i * d_out + j] as f64;
-                prop_assert!(
-                    (got - want).abs() <= tol(2 * d_in, 3.0),
-                    "[{i},{j}]: got {got}, want {want}"
-                );
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn row_dot_and_residual_match_f64_reference() {
-    let gen = (usize_in(1..20), usize_in(1..24), usize_in(1..5), u64_in(0..u64::MAX));
-    Runner::new("infer-row-dot-residual-vs-f64").cases(96).run(&gen, |&(n_b, dim, rep, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let n = n_b * rep;
-        let a = rand_vec(&mut rng, n * dim, -2.0, 2.0);
-        let b = rand_vec(&mut rng, n_b * dim, -2.0, 2.0);
-        let scale = 0.25f32;
-        let mut out = Vec::new();
-        row_dot_rep_scaled(&a, &b, dim, rep, scale, &mut out);
-        for i in 0..n {
-            let want: f64 = (0..dim)
-                .map(|c| a[i * dim + c] as f64 * b[(i / rep) * dim + c] as f64)
-                .sum::<f64>()
-                * scale as f64;
-            prop_assert!(
-                (out[i] as f64 - want).abs() <= tol(dim, 4.0),
-                "row {i}: got {}, want {want}",
-                out[i]
-            );
-        }
-        // residual combine: acc = e0 + gamma * acc, elementwise
-        let e0 = rand_vec(&mut rng, n_b * dim, -2.0, 2.0);
-        let mut acc = b.clone();
-        residual_inplace(&e0, 0.5, &mut acc);
-        for i in 0..n_b * dim {
-            let want = e0[i] as f64 + 0.5 * b[i] as f64;
-            prop_assert!(
-                (acc[i] as f64 - want).abs() <= tol(1, 2.0),
-                "residual {i}: got {}, want {want}",
-                acc[i]
-            );
-        }
-        // add_into is exact per element (single f32 add)
-        let mut sum = Vec::new();
-        add_into(&e0, &b, &mut sum);
-        for i in 0..n_b * dim {
-            prop_assert_eq!(sum[i], e0[i] + b[i], "add_into {i}");
-        }
-        Ok(())
-    });
-}
-
-// ---------------------------------------------------------------------
-// f64→f32 table conversion edge cases
-// ---------------------------------------------------------------------
-
-#[test]
-fn conversion_preserves_normals_exactly() {
-    let gen = (usize_in(1..20), usize_in(1..40), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-normals-exact").cases(96).run(&gen, |&(rows, dim, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let src = rand_vec(&mut rng, rows * dim, -5.0, 5.0);
-        let table = BlockedTable::from_rows(rows, dim, &src).unwrap();
-        prop_assert_eq!(table.stride() % BLOCK_FLOATS, 0, "stride must be blocked");
-        prop_assert_eq!(table.stride(), blocked_stride(dim), "stride formula");
-        for r in 0..rows {
-            // unscaled conversion of normal floats is the identity
-            prop_assert_eq!(table.row(r), &src[r * dim..(r + 1) * dim], "row {r} changed");
-        }
-        let dense = sanitize_dense(rows, dim, &src).unwrap();
-        prop_assert_eq!(&dense, &src, "dense sanitise of normals is identity");
-        Ok(())
-    });
-}
-
-#[test]
-fn conversion_flushes_scaled_subnormals_to_zero() {
-    // values whose scaled result lands in the subnormal range must come
-    // out exactly zero, not as a denormal the kernels would chew on
-    let gen = (f32_in(1.0..100.0), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-flushes-subnormals").cases(64).run(&gen, |&(mag, _seed)| {
-        let tiny = mag * 1e-35f32; // normal f32
-        let table = BlockedTable::from_rows_scaled(1, 1, &[tiny], 1e-10).unwrap();
-        let got = table.row(0)[0];
-        prop_assert!(
-            got == 0.0 || got.abs() >= f32::MIN_POSITIVE,
-            "scaled conversion leaked a subnormal: {got:e}"
-        );
-        prop_assert_eq!(flush_subnormal(f32::MIN_POSITIVE / 4.0), 0.0, "direct flush");
-        prop_assert_eq!(flush_subnormal(-f32::MIN_POSITIVE / 4.0), 0.0, "negative flush");
-        prop_assert_eq!(flush_subnormal(1.5), 1.5, "normals untouched");
-        Ok(())
-    });
-}
-
-#[test]
-fn conversion_rejects_non_finite_and_overflow_with_position() {
-    let gen = (usize_in(1..8), usize_in(1..8), usize_in(0..64), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-typed-errors").cases(64).run(
+fn matmul2_equals_tape_concat_matmul() {
+    let gen = (usize_in(1..12), usize_in(1..16), usize_in(1..16), u64_in(0..u64::MAX));
+    Runner::new("infer-matmul2-vs-tape-concat").cases(96).run(
         &gen,
-        |&(rows, dim, poison_idx, seed)| {
+        |&(rows, d_in, d_out, seed)| {
             let mut rng = SplitMix64::new(seed);
-            let poison = poison_idx % (rows * dim);
-            let (pr, pc) = (poison / dim, poison % dim);
-            // NaN / infinity are NonFinite at the right coordinates
-            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                let mut src = rand_vec(&mut rng, rows * dim, -1.0, 1.0);
-                src[poison] = bad;
-                let err = BlockedTable::from_rows(rows, dim, &src).unwrap_err();
-                prop_assert_eq!(
-                    err,
-                    ConvertError::NonFinite { row: pr, col: pc },
-                    "bad value {bad}"
-                );
-                let derr = sanitize_dense(rows, dim, &src).unwrap_err();
-                prop_assert_eq!(derr, ConvertError::NonFinite { row: pr, col: pc }, "dense");
-            }
-            // a finite value whose scaled product leaves f32 range is
-            // Overflow, again with coordinates
-            let mut src = rand_vec(&mut rng, rows * dim, -1.0, 1.0);
-            src[poison] = f32::MAX;
-            let err = BlockedTable::from_rows_scaled(rows, dim, &src, 1e12).unwrap_err();
-            match err {
-                ConvertError::Overflow { row, col, value } => {
-                    prop_assert_eq!((row, col), (pr, pc), "overflow position");
-                    prop_assert!(value.is_finite(), "the f64 value itself is finite");
-                }
-                other => prop_assert!(false, "expected Overflow, got {other:?}"),
-            }
+            let a = rand_vec(&mut rng, rows * d_in, -2.0, 2.0);
+            let b = rand_vec(&mut rng, rows * d_in, -2.0, 2.0);
+            let w = rand_vec(&mut rng, 2 * d_in * d_out, -1.0, 1.0);
+            let bias = rand_vec(&mut rng, d_out, -0.5, 0.5);
+            let store = ParamStore::new();
+            let mut tape = Tape::new(&store);
+            let ta = tape.constant(Tensor::from_vec(rows, d_in, a.clone()));
+            let tb = tape.constant(Tensor::from_vec(rows, d_in, b.clone()));
+            let cat = tape.concat_cols(ta, tb);
+            let cat = tape.value(cat).clone();
+            let want = tape_matmul_bias_act(
+                &mut tape,
+                cat,
+                Tensor::from_vec(2 * d_in, d_out, w.clone()),
+                Tensor::from_vec(1, d_out, bias.clone()),
+                Activation::Tanh,
+            );
+            let (w_a, w_b) = w.split_at(d_in * d_out);
+            let mut got = Vec::new();
+            matmul2_bias_act(
+                &a,
+                &b,
+                rows,
+                d_in,
+                w_a,
+                w_b,
+                d_out,
+                &bias,
+                Activation::Tanh,
+                &mut got,
+            );
+            prop_assert_eq!(bits(&got), bits(&want));
             Ok(())
         },
     );
 }
 
+/// `accumulate_row` alone is one row of the tape matmul — including the
+/// `[d, 1]` projection of the peer-influence tower.
 #[test]
-fn padding_lanes_are_zero_so_full_stride_dots_are_safe() {
-    let gen = (usize_in(1..10), usize_in(1..40), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-padding-zero").cases(64).run(&gen, |&(rows, dim, seed)| {
+fn accumulate_row_equals_tape_matmul_row() {
+    let gen = (usize_in(1..20), usize_in(1..20), u64_in(0..u64::MAX));
+    Runner::new("infer-accumulate-row-vs-tape").cases(96).run(&gen, |&(d_in, d_out, seed)| {
         let mut rng = SplitMix64::new(seed);
-        let src = rand_vec(&mut rng, rows * dim, -5.0, 5.0);
-        let table = BlockedTable::from_rows(rows, dim, &src).unwrap();
-        // a dot over the logical row equals a dot over the padded row
-        // against a probe that extends past dim — only if padding is 0
-        let probe = vec![1.0f32; table.stride()];
-        for r in 0..rows {
-            let logical = dot_f32(table.row(r), &probe[..dim]);
-            let full: f32 = src[r * dim..(r + 1) * dim].iter().sum();
-            prop_assert!((logical - full).abs() < 1e-4, "row {r} logical dot");
-        }
-        prop_assert_eq!(table.bytes(), rows * table.stride() * 4, "bytes accounts for padding");
+        let a = rand_vec(&mut rng, d_in, -2.0, 2.0);
+        let w = rand_vec(&mut rng, d_in * d_out, -1.0, 1.0);
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let ta = tape.constant(Tensor::from_vec(1, d_in, a.clone()));
+        let tw = tape.constant(Tensor::from_vec(d_in, d_out, w.clone()));
+        let want = tape.matmul(ta, tw);
+        let mut got = vec![0.0f32; d_out];
+        accumulate_row(&a, &w, d_out, &mut got);
+        prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
         Ok(())
     });
+}
+
+#[test]
+fn add_residual_and_row_dot_equal_tape() {
+    let gen = (usize_in(1..16), usize_in(1..5), usize_in(1..24), u64_in(0..u64::MAX));
+    Runner::new("infer-add-residual-row-dot-vs-tape").cases(96).run(
+        &gen,
+        |&(n, rep, dim, seed)| {
+            let mut rng = SplitMix64::new(seed);
+            let a = rand_vec(&mut rng, n * rep * dim, -2.0, 2.0);
+            let b = rand_vec(&mut rng, n * rep * dim, -2.0, 2.0);
+            let q = rand_vec(&mut rng, n * dim, -2.0, 2.0);
+            let gamma = 0.25 + rng.next_f32();
+            let scale = 1.0 / (dim as f32).sqrt();
+            let store = ParamStore::new();
+            let mut tape = Tape::new(&store);
+            let ta = tape.constant(Tensor::from_vec(n * rep, dim, a.clone()));
+            let tb = tape.constant(Tensor::from_vec(n * rep, dim, b.clone()));
+            let tq = tape.constant(Tensor::from_vec(n, dim, q.clone()));
+
+            let sum = tape.add(ta, tb);
+            let mut got = Vec::new();
+            add_into(&a, &b, &mut got);
+            prop_assert_eq!(bits(&got), bits(tape.value(sum).data()));
+
+            // residual: e0 + scale(acc, γ)
+            let scaled = tape.scale(tb, gamma);
+            let res = tape.add(ta, scaled);
+            let mut acc = b.clone();
+            residual_inplace(&a, gamma, &mut acc);
+            prop_assert_eq!(bits(&acc), bits(tape.value(res).data()));
+
+            // self persistence: scale(row_dot(a, repeat_rows(q)), 1/√d)
+            let q_rep = tape.repeat_rows(tq, rep);
+            let raw = tape.row_dot(ta, q_rep);
+            let sp = tape.scale(raw, scale);
+            let mut got = Vec::new();
+            row_dot_rep_scaled(&a, &q, dim, rep, scale, &mut got);
+            prop_assert_eq!(bits(&got), bits(tape.value(sp).data()));
+            Ok(())
+        },
+    );
 }

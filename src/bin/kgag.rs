@@ -92,9 +92,9 @@ USAGE:
 
 --backend picks the propagation backend: gcn (default), graphsage,
 kgnn-ls (label-smoothness regularised training; strength --ls-weight,
-default 0.1), or interaction (member-interaction mixing; exact scoring
-tier only — KGAG_SCORE_DTYPE=f32 falls back). Checkpoints carry the
-backend tag, so --checkpoint restores refuse a mismatched --backend.
+default 0.1), or interaction (member-interaction mixing). Checkpoints
+carry the backend tag, so --checkpoint restores refuse a mismatched
+--backend.
 --batched evaluates through the receptive-field-cached batch scorer
 (bit-identical metrics, faster; see KGAG_RF_CACHE / KGAG_EVAL_BATCH).
 serve loads --checkpoint if the file exists (training and writing it
@@ -111,7 +111,7 @@ receptive-field cache (scores are bit-identical either way).
 peers (started with `kgag shard --index I --count N` on the same
 dataset/config/checkpoint) hold the embedding-table slices and answer
 draw/row queries; the router fuses scores bit-identically to
-single-node serving on the f64 tier (DESIGN.md §15). Knobs:
+single-node serving (DESIGN.md §15). Knobs:
 KGAG_SHARD_TIMEOUT_MS (per-reply deadline, default 2000) and
 KGAG_SHARD_QUEUE (per-peer queue depth, default 64). A dead shard
 fails only the requests that needed it, with typed errors; lifecycle
@@ -345,14 +345,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         Some(b) => eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0),
         None => eprintln!("receptive-field cache disabled"),
     }
-    // scoring tier comes from KGAG_SCORE_DTYPE (DESIGN.md §14); the f32
-    // tier reports its derived-table footprint next to the rf cache's
-    match scorer.tables_bytes() {
-        Some(b) => {
-            eprintln!("scoring tier: f32 fused ({:.1} KiB inference tables)", b as f64 / 1024.0)
-        }
-        None => eprintln!("scoring tier: f64 exact"),
-    }
     eprintln!("lifecycle enabled: {} groups live", scorer.num_groups());
     let serve_cfg = ServeConfig::from_env();
     let addr = opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:0".into());
@@ -379,13 +371,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         kgag_obs::counter("serve.requests_rejected").get(),
         kgag_obs::counter("serve.deadline_missed").get(),
     );
-    if scorer.tier() == kgag::ScoreTier::FusedF32 {
-        eprintln!(
-            "f32 tier: {} items scored in {} fused batches",
-            kgag_obs::counter("infer.f32_items_scored").get(),
-            kgag_obs::counter("infer.f32_batches").get(),
-        );
-    }
     eprintln!(
         "lifecycle: {} created, {} joins, {} leaves, {} cache entries evicted ({} groups final)",
         kgag_obs::counter("lifecycle.groups_created").get(),
@@ -401,9 +386,8 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
 /// §15). Holds only the dense parameters; entity/relation rows and
 /// adjacency live on the shard peers, which must be running the same
 /// dataset/config/checkpoint (`kgag shard`). Scores are bit-identical
-/// to single-node serving on the exact tier; shard failures surface as
-/// typed per-request errors. Lifecycle mutations are not available in
-/// sharded mode.
+/// to single-node serving; shard failures surface as typed per-request
+/// errors. Lifecycle mutations are not available in sharded mode.
 fn cmd_serve_sharded(opts: &Flags) -> Result<(), String> {
     use kgag_serve::{
         serve_tcp_try, ServeConfig, ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
@@ -431,10 +415,6 @@ fn cmd_serve_sharded(opts: &Flags) -> Result<(), String> {
         shard_cfg.timeout,
         shard_cfg.queue,
     );
-    match core.tier() {
-        kgag::ScoreTier::FusedF32 => eprintln!("scoring tier: f32 fused"),
-        _ => eprintln!("scoring tier: f64 exact"),
-    }
     let scorer = ShardedScorer::new(core, pool);
     let serve_cfg = ServeConfig::from_env();
     let addr = opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:0".into());
@@ -474,14 +454,13 @@ fn cmd_serve_registry(opts: &Flags) -> Result<(), String> {
     drop(model); // the factory rebuilds it below — one construction path
     let cfg = config(opts)?;
     let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-    let tier = kgag::ScoreTier::from_env();
     let factory: ModelFactory = {
         let ds = ds.clone();
         Box::new(move |ckpt_bytes, ckpt_hash| {
             let split = split_dataset(&ds, 0x5eed);
             let mut m = Kgag::new(&ds, &split, cfg.clone());
             m.load_checkpoint(ckpt_bytes).map_err(|e| e.to_string())?;
-            kgag::RegistryModel::try_new(m, ckpt_hash, cache, tier).map_err(|e| format!("{e:?}"))
+            kgag::RegistryModel::try_new(m, ckpt_hash, cache).map_err(|e| e.to_string())
         })
     };
     let entry = factory(&bytes, hash)?;
