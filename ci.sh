@@ -18,12 +18,6 @@
 #   test       — full suite at KGAG_THREADS=1 and KGAG_THREADS=4; the
 #                determinism suite additionally compares both thread
 #                counts bit-for-bit inside one process (DESIGN.md §9)
-#   cache      — the batched-inference oracle suite again, at both
-#                thread counts, with the *environment* knobs forced to
-#                their non-default paths (KGAG_RF_CACHE=0,
-#                KGAG_EVAL_BATCH=7): batched scores must stay
-#                bit-identical to the per-case path however the engine
-#                is configured (DESIGN.md §11)
 #   serve      — the serve_check gate, at both thread counts: a fixed
 #                request slice fanned out through 4 concurrent clients
 #                of the in-process server and over loopback TCP must
@@ -59,10 +53,7 @@
 #                reproduce GCN training bit-for-bit, and checkpoints
 #                must refuse cross-backend restores typed
 #   lifecycle  — dynamic-group gate (DESIGN.md §13): the
-#                mutate-equals-rebuild oracle suite re-run with the
-#                receptive-field cache disabled (the cached paths run
-#                in the test stage; both must agree bit-for-bit), then
-#                the lifecycle_check binary at both thread counts — 4
+#                lifecycle_check binary at both thread counts — 4
 #                concurrent TCP clients creating/joining/leaving
 #                disjoint groups while scoring, every response
 #                bit-identical to the roster-level reference and every
@@ -71,6 +62,9 @@
 #                model outputs must be bit-identical with telemetry on
 #                vs off, and every emitted line must pass the testkit
 #                JSON parser plus the per-kind schema checks (§10)
+#   kgbench    — the repository benchmark (its own package under
+#                kgbench/): builds it against the workspace's public
+#                API and runs its unit tests plus its --smoke run
 #   golden     — fixed-seed smoke training compared *bit-identically*
 #                against results/golden_smoke.json; any numeric drift
 #                fails. After an intentional numerics change:
@@ -100,23 +94,23 @@ cd "$(dirname "$0")"
 
 # ----------------------------------------------------------------- manifest
 
-STAGES="fmt build test cache serve shard registry backend lifecycle telemetry golden bench"
+STAGES="fmt build test serve shard registry backend lifecycle telemetry kgbench golden bench"
 # bench is opt-in: excluded from a default run, included by --bench /
 # --bench-baseline or an explicit --stage selection
-DEFAULT_STAGES="fmt build test cache serve shard registry backend lifecycle telemetry golden"
+DEFAULT_STAGES="fmt build test serve shard registry backend lifecycle telemetry kgbench golden"
 
 stage_desc() {
     case "$1" in
     fmt) echo "cargo fmt --check" ;;
     build) echo "release build, deny warnings" ;;
     test) echo "full test suite at KGAG_THREADS=1 and 4" ;;
-    cache) echo "batched-inference cache equivalence (env knobs forced)" ;;
     serve) echo "serving gate: concurrent bit-identity + drain" ;;
     shard) echo "sharded gate: scatter-gather bit-identity + shard kill" ;;
     registry) echo "registry gate: shadow-proven swap + quota determinism" ;;
     backend) echo "backend gate: 4-backend parity oracle" ;;
     lifecycle) echo "lifecycle gate: mutate-equals-rebuild + TCP mutations" ;;
     telemetry) echo "telemetry gate: passivity + JSONL schema" ;;
+    kgbench) echo "benchmark package: builds against the API, tests + smoke" ;;
     golden) echo "golden-file gate: bit-identical smoke metrics" ;;
     bench) echo "bench regression gate (opt-in: --bench)" ;;
     esac
@@ -133,13 +127,6 @@ run_build() {
 run_test() {
     KGAG_THREADS=1 cargo test -q --offline --workspace
     KGAG_THREADS=4 cargo test -q --offline --workspace
-}
-
-run_cache() {
-    KGAG_THREADS=1 KGAG_RF_CACHE=0 KGAG_EVAL_BATCH=7 \
-        cargo test -q --offline -p kgag --test batched_oracle
-    KGAG_THREADS=4 KGAG_RF_CACHE=0 KGAG_EVAL_BATCH=7 \
-        cargo test -q --offline -p kgag --test batched_oracle
 }
 
 run_serve() {
@@ -163,16 +150,16 @@ run_backend() {
 }
 
 run_lifecycle() {
-    KGAG_THREADS=1 KGAG_RF_CACHE=0 \
-        cargo test -q --release --offline -p kgag --test lifecycle_oracle
-    KGAG_THREADS=4 KGAG_RF_CACHE=0 \
-        cargo test -q --release --offline -p kgag --test lifecycle_oracle
     KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin lifecycle_check
     KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin lifecycle_check
 }
 
 run_telemetry() {
     KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin telemetry_check
+}
+
+run_kgbench() {
+    cargo test -q --release --offline --manifest-path kgbench/Cargo.toml
 }
 
 run_golden() {

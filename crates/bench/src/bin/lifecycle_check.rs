@@ -9,7 +9,8 @@
 //! The check trains the fixed smoke model (yelp tiny, split seed 11,
 //! fit single-threaded so parameters are thread-count invariant),
 //! wraps it in a [`DynamicScorer`](kgag::DynamicScorer), serves it via
-//! `serve_tcp_dynamic`, and drives four layers:
+//! `serve_tcp` with the scorer as its lifecycle backend, and drives
+//! four layers:
 //!
 //! 1. **Concurrent mutate/score** — 4 clients, each creating its own
 //!    group from a disjoint user slice, then join → score → leave →
@@ -27,15 +28,14 @@
 //!    op history implies, and scoring every group in-process must
 //!    reproduce `score_members` on the audited rosters.
 //!
-//! ci.sh runs this at `KGAG_THREADS=1` and `4`, and with
-//! `KGAG_RF_CACHE=0`. Any divergence panics (non-zero exit fails the
-//! gate).
+//! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
+//! (non-zero exit fails the gate).
 
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_serve::{serve_tcp_dynamic, ServeClient, ServeConfig, ServeError, ShutdownToken};
+use kgag_serve::{serve_tcp, ServeClient, ServeConfig, ServeError, ShutdownToken};
 use kgag_tensor::pool::{self, with_threads};
 use std::time::Duration;
 
@@ -92,7 +92,7 @@ fn main() {
         let server = {
             let (token, scorer, config) = (token.clone(), &scorer, &config);
             s.spawn(move || {
-                serve_tcp_dynamic(scorer, scorer, config, "127.0.0.1:0", &token, |a| {
+                serve_tcp(scorer, Some(scorer), config, "127.0.0.1:0", &token, |a| {
                     addr_tx.send(a).unwrap()
                 })
             })
@@ -186,7 +186,7 @@ fn main() {
         println!("lifecycle_check: typed rejections answered, connection intact");
 
         token.trigger();
-        server.join().unwrap().expect("serve_tcp_dynamic clean exit");
+        server.join().unwrap().expect("serve_tcp clean exit");
         created
     });
 
@@ -201,7 +201,11 @@ fn main() {
     }
     let final_cases: Vec<(u32, Vec<u32>)> =
         (0..scorer.num_groups()).map(|g| (g, items_for(g % CLIENTS))).collect();
-    let served = scorer.try_score_cases(&final_cases).expect("all audited groups score");
+    let served: Vec<Vec<f32>> = scorer
+        .try_score_cases(&final_cases)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("all audited groups score");
     for (g, scores) in served.iter().enumerate() {
         let roster = scorer.members_of(g as u32).expect("audited group");
         let want = model.score_members(&roster, &final_cases[g].1).expect("roster reference");

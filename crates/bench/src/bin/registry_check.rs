@@ -30,7 +30,7 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -126,8 +126,16 @@ fn main() {
         let items: Vec<u32> = (0..len).map(|j| (start + j) % ds.num_items).collect();
         requests.push((i % ds.num_groups(), items));
     }
-    let reference_a = entry_from(&ds, &ckpt_a).score_cases(&requests).expect("oracle a");
-    let reference_b = entry_from(&ds, &ckpt_b).score_cases(&requests).expect("oracle b");
+    let reference_a: Vec<Vec<f32>> = entry_from(&ds, &ckpt_a)
+        .try_score_cases(&requests)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("oracle a");
+    let reference_b: Vec<Vec<f32>> = entry_from(&ds, &ckpt_b)
+        .try_score_cases(&requests)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("oracle b");
     println!("registry_check: {} requests over {} groups", requests.len(), ds.num_groups());
 
     let dir = std::env::temp_dir().join(format!("kgag_registry_check_{}", std::process::id()));

@@ -208,7 +208,7 @@ fn main() {
             let token = token.clone();
             let scorer = &scorer;
             s.spawn(move || {
-                serve_tcp(scorer, &fusing_config(), "127.0.0.1:0", &token, |a| {
+                serve_tcp(scorer, None, &fusing_config(), "127.0.0.1:0", &token, |a| {
                     addr_tx.send(a).unwrap()
                 })
             })

@@ -14,12 +14,12 @@
 //!
 //! Layers driven by the orchestrator:
 //!
-//! 1. **Router bit-identity** — `ShardedScorer::try_score_batch` over 2
+//! 1. **Router bit-identity** — `ShardedScorer::try_score_cases` over 2
 //!    shard processes equals offline `BatchScorer::score_cases` bit for
 //!    bit (draw memo on).
 //! 2. **Memo off** — the same deployment with the router's draw memo
 //!    off: every draw goes over the wire, the bits stay the same.
-//! 3. **TCP front door** — the same requests through `serve_tcp_try` +
+//! 3. **TCP front door** — the same requests through `serve_tcp` +
 //!    `ServeClient`: bits survive the client wire too.
 //! 4. **Shard kill** — SIGKILL one worker while a request stream is in
 //!    flight: every response is either bit-identical (receptive field
@@ -29,14 +29,14 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{Kgag, KgagConfig, RouterCore};
+use kgag::{Kgag, KgagConfig, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_serve::{
-    serve_shard, serve_tcp_try, ServeClient, ServeConfig, ServeError, ShardConfig, ShardPool,
-    ShardedScorer, ShutdownToken, TryBatchGroupScorer,
+    serve_shard, serve_tcp, ServeClient, ServeConfig, ServeError, ShardConfig, ShardPool,
+    ShutdownToken,
 };
 use kgag_tensor::pool::{self, with_threads};
 use std::io::{BufRead, BufReader};
@@ -155,8 +155,8 @@ fn main() {
     for memo in [true, false] {
         let label = if memo { "memo on" } else { "memo off" };
         let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
-        let sharded = ShardedScorer::new(RouterCore::from_model(&model, memo), pool);
-        let got = sharded.try_score_batch(&requests);
+        let sharded = pool.into_scorer(&model, memo).expect("model card matches");
+        let got = sharded.try_score_cases(&requests);
         for (i, (g, want)) in got.iter().zip(&reference).enumerate() {
             let g = g.as_ref().unwrap_or_else(|e| panic!("{label}: request {i} failed: {e}"));
             assert_bits_equal(label, i, g, want);
@@ -168,7 +168,7 @@ fn main() {
     // serves throughout: the kill happens while the client stream is in
     // flight, so the death is discovered *inside* request scoring.
     let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
-    let sharded = ShardedScorer::new(RouterCore::from_model(&model, true), pool);
+    let sharded = pool.into_scorer(&model, true).expect("model card matches");
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
@@ -176,7 +176,7 @@ fn main() {
             let token = token.clone();
             let sharded = &sharded;
             s.spawn(move || {
-                serve_tcp_try(sharded, &ServeConfig::default(), "127.0.0.1:0", &token, |a| {
+                serve_tcp(sharded, None, &ServeConfig::default(), "127.0.0.1:0", &token, |a| {
                     addr_tx.send(a).unwrap()
                 })
             })
@@ -225,7 +225,7 @@ fn main() {
         );
 
         token.trigger();
-        server.join().unwrap().expect("serve_tcp_try clean exit");
+        server.join().unwrap().expect("serve_tcp clean exit");
     });
 
     println!("shard_check: PASS");

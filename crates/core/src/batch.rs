@@ -1,4 +1,4 @@
-//! Batched inference over cached receptive fields.
+//! Single-node scoring: the one [`Scorer`] over an in-process source.
 //!
 //! The per-case path ([`Kgag::score_group_items`]) resamples the
 //! receptive field of every member and candidate on each call and walks
@@ -10,64 +10,79 @@
 //! thread pool scores concurrently through the inference engine
 //! ([`crate::infer`]).
 //!
+//! A single node is a one-shard deployment whose shard lives in the
+//! process: [`InProcess`] is the scorer's [`ChunkSource`], lending the
+//! model's own embedding tables in place under global ids — no row
+//! copy, no id remap — with receptive fields from the cache pair or the
+//! live sampler.
+//!
 //! The contract is bit-identity: every score equals what the per-case
 //! path produces, at any `KGAG_THREADS`, any chunk size and with the
 //! cache on or off. This holds because (a) the cache reproduces live
 //! sampling exactly ([`RfCache`] docs), and (b) the engine is
 //! bit-identical to the tape forward and computes each output row
-//! purely from its own instance's rows, so chunking is value-neutral. The oracle suite in
-//! `crates/core/tests/batched_oracle.rs` and a dedicated CI stage
-//! enforce it.
-//!
-//! Knobs: `KGAG_RF_CACHE=0` disables the cache (fields sampled live,
-//! batching retained); `KGAG_EVAL_BATCH=<n>` caps the instances per
-//! chunk (default 256 — chunks shrink automatically when the batch is
-//! too small to keep every pool worker busy).
+//! purely from its own instance's rows, so chunking is value-neutral.
+//! The oracle suite in `crates/core/tests/batched_oracle.rs` enforces
+//! it.
 
-use crate::infer::score_cases_with;
+use crate::scorer::{ChunkRows, ChunkSource, FieldPlan, ScoreCases, Scorer};
+use crate::shard::ShardError;
 use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
 use kgag_eval::{BatchGroupScorer, EvalConfig, GroupEvalCase, MetricSummary};
 use kgag_kg::RfCache;
+use std::borrow::{Borrow, Cow};
 
-/// Scores whole batches of evaluation cases against one trained model,
-/// amortising receptive-field sampling across every case (see the
-/// module docs).
-pub struct BatchScorer<'m> {
-    model: &'m Kgag,
-    /// `(member-side, item-side)` tables; `None` scores with live
-    /// sampling (`KGAG_RF_CACHE=0`, or the KGAG-KG ablation where no
-    /// fields exist to cache).
-    caches: Option<(RfCache, RfCache)>,
-    batch_instances: usize,
+/// The in-process [`ChunkSource`]: a model (borrowed or shared) and its
+/// receptive-field cache pair.
+pub struct InProcess<M> {
+    pub(crate) model: M,
+    /// `(member-side, item-side)` tables; `None` samples fields live
+    /// (cache off, or the KGAG-KG ablation where no fields exist to
+    /// cache).
+    pub(crate) caches: Option<(RfCache, RfCache)>,
 }
 
+impl<M: Borrow<Kgag> + Sync> ChunkSource for InProcess<M> {
+    fn chunk<'a>(
+        &'a self,
+        _plan: &FieldPlan,
+        members: &'a [u32],
+        items: &'a [u32],
+    ) -> Result<ChunkRows<'a>, ShardError> {
+        let model = self.model.borrow();
+        let (rf_members, rf_items) = model.eval_fields(self.caches.as_ref(), members, items);
+        let p = &model.params().prop;
+        Ok(ChunkRows {
+            fields: rf_members.zip(rf_items),
+            members: Cow::Borrowed(members),
+            items: Cow::Borrowed(items),
+            entity: Cow::Borrowed(model.store().value(p.entity_emb).data()),
+            relation: Cow::Borrowed(model.store().value(p.relation_emb).data()),
+        })
+    }
+}
+
+/// Scores whole batches of evaluation cases against one borrowed
+/// trained model (see the module docs) — the infallible edge the
+/// evaluation protocol uses.
+pub type BatchScorer<'m> = Scorer<InProcess<&'m Kgag>>;
+
 impl Kgag {
-    /// A [`BatchScorer`] configured from the environment:
-    /// `KGAG_RF_CACHE=0` disables the receptive-field cache and
-    /// `KGAG_EVAL_BATCH` overrides the instances-per-chunk default of
-    /// 256.
+    /// A [`BatchScorer`] with the receptive-field cache on.
     pub fn batch_scorer(&self) -> BatchScorer<'_> {
-        let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let scorer = self.batch_scorer_with(cache);
-        match std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
-            Some(n) if n > 0 => scorer.with_batch_instances(n),
-            _ => scorer,
-        }
+        self.batch_scorer_with(true)
     }
 
-    /// A [`BatchScorer`] with the cache explicitly on or off (the knob
-    /// the equivalence tests and benches sweep).
+    /// A [`BatchScorer`] with the cache explicitly on or off (scores are
+    /// bit-identical either way; the equivalence tests sweep both).
     pub fn batch_scorer_with(&self, cache: bool) -> BatchScorer<'_> {
-        BatchScorer { model: self, caches: self.eval_rf_caches(cache), batch_instances: 256 }
+        Scorer::new(self, InProcess { model: self, caches: self.eval_rf_caches(cache) })
     }
 
     /// The `(member-side, item-side)` receptive-field cache pair every
-    /// scoring engine shares — [`BatchScorer`], [`crate::DynamicScorer`]
-    /// and the registry's owned entries ([`crate::RegistryModel`]) all
-    /// build their caches through this one seam, so a cache built here
-    /// reproduces live sampling bit-identically wherever it is mounted.
-    /// `None` when caching is off or the KGAG-KG ablation leaves nothing
-    /// to cache.
+    /// in-process scorer mounts. A cache built here reproduces live
+    /// sampling bit-identically wherever it is mounted. `None` when
+    /// caching is off or the KGAG-KG ablation leaves nothing to cache.
     pub(crate) fn eval_rf_caches(&self, cache: bool) -> Option<(RfCache, RfCache)> {
         (cache && self.config().use_kg).then(|| {
             let salt = self.eval_salt();
@@ -102,34 +117,30 @@ impl Kgag {
     }
 }
 
-impl<'m> BatchScorer<'m> {
-    /// Override the instances-per-chunk cap (any positive value scores
-    /// bit-identically; the size only trades scheduling overhead against
-    /// per-chunk buffer size). Chunks shrink below the cap automatically when the
-    /// batch is too small to give every pool worker several chunks.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn with_batch_instances(mut self, n: usize) -> Self {
-        assert!(n > 0, "batch size must be positive");
-        self.batch_instances = n;
-        self
+impl<M: Borrow<Kgag> + Sync> Scorer<InProcess<M>> {
+    /// The scored model.
+    pub fn model(&self) -> &Kgag {
+        self.source.model.borrow()
     }
 
     /// Whether the receptive-field cache is active.
     pub fn cached(&self) -> bool {
-        self.caches.is_some()
+        self.source.caches.is_some()
     }
 
     /// Approximate resident size of the receptive-field tables in bytes
     /// (`None` when uncached) — what a serving process reports at
     /// startup as the per-checkpoint memory cost of batched inference.
     pub fn cache_bytes(&self) -> Option<usize> {
-        self.caches.as_ref().map(|(m, i)| m.approx_bytes() + i.approx_bytes())
+        self.source.caches.as_ref().map(|(m, i)| m.approx_bytes() + i.approx_bytes())
     }
 
     /// Scores for one case — aligned with `items`, bit-identical to
     /// [`Kgag::score_group_items`].
+    ///
+    /// # Panics
+    /// Panics on an unknown group or item (use
+    /// [`ScoreCases::try_score_cases`] for typed errors).
     pub fn score_case(&self, group: u32, items: &[u32]) -> Vec<f32> {
         self.score_cases(&[(group, items.to_vec())]).pop().unwrap_or_default()
     }
@@ -137,21 +148,19 @@ impl<'m> BatchScorer<'m> {
     /// Scores for a batch of `(group, candidate list)` cases. Instances
     /// from different cases are fused into uniform chunks and scored in
     /// parallel; the result is reassembled per case.
+    ///
+    /// # Panics
+    /// Panics on an unknown group or item (use
+    /// [`ScoreCases::try_score_cases`] for typed errors).
     pub fn score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
-        // one member-entity lookup per case, shared by its instances
-        let member_ents: Vec<Vec<u32>> =
-            cases.iter().map(|&(g, _)| self.model.member_entities(g)).collect();
-        score_cases_with(
-            self.model,
-            self.caches.as_ref(),
-            self.batch_instances,
-            &member_ents,
-            cases,
-        )
+        self.try_score_cases(cases)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("unscorable case: {e}")))
+            .collect()
     }
 }
 
-impl BatchGroupScorer for BatchScorer<'_> {
+impl<M: Borrow<Kgag> + Sync> BatchGroupScorer for Scorer<InProcess<M>> {
     fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
         self.score_cases(cases)
     }

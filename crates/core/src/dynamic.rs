@@ -1,11 +1,12 @@
 //! Live group lifecycle over a trained checkpoint.
 //!
-//! A [`BatchScorer`](crate::BatchScorer) is frozen at construction: it
-//! scores the groups the model was trained on, nothing else. A
-//! [`DynamicScorer`] wraps the same scoring kernel around a mutable
-//! [`GroupStore`], so a serving process can **create**, **join** and
-//! **leave** groups between requests and score the result immediately —
-//! including groups that never existed at training time (cold start).
+//! A [`BatchScorer`](crate::BatchScorer) scores the groups the model
+//! was trained on. A [`DynamicScorer`] is the same scorer behind a lock
+//! plus lifecycle `apply`, so a serving process can **create**, **join**
+//! and **leave** groups in the scorer's
+//! [`GroupStore`](kgag_data::GroupStore) between requests
+//! and score the result immediately — including groups that never
+//! existed at training time (cold start).
 //!
 //! Three invariants make this safe to run live (DESIGN.md §13):
 //!
@@ -27,7 +28,7 @@
 //!    changes.
 //! 3. **Typed failure.** Every malformed input — unknown group or user,
 //!    duplicate membership, a leave that would strand one member, an
-//!    empty ad-hoc roster — is a typed error ([`ColdStartError`],
+//!    empty ad-hoc roster — is a typed error ([`crate::ScoreError`],
 //!    [`LifecycleError`]), never a panic, so one bad request cannot
 //!    take a serving thread down.
 //!
@@ -37,193 +38,94 @@
 //! groups — mutated or not — score through the full attention,
 //! bit-identical to the static engine.
 
-use crate::infer::score_cases_with;
+use crate::batch::BatchScorer;
+use crate::scorer::{ScoreCases, ScoreError};
 use crate::trainer::Kgag;
-use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
-use kgag_eval::BatchGroupScorer;
-use kgag_kg::RfCache;
-use std::sync::RwLock;
+use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
+use std::sync::{RwLock, RwLockReadGuard};
 
-/// Typed rejection of an ad-hoc scoring request ([`Kgag::score_members`]
-/// and the [`DynamicScorer`] paths). These are *request* errors — the
-/// model and caches are untouched when one is returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ColdStartError {
-    /// No members at all: there is nothing to aggregate.
-    EmptyGroup,
-    /// A single member is an individual, not a group; score it through
-    /// [`Kgag::score_user_items`] instead.
-    SingleMember,
-    /// Member user id outside the trained user universe.
-    UnknownUser(u32),
-    /// Candidate item id outside the trained catalog.
-    UnknownItem(u32),
-    /// Group id not present in the live store.
-    UnknownGroup(u32),
+/// A [`BatchScorer`] over a *live* group table: scores exactly like it
+/// (same engine, same caches, same bits) and additionally applies
+/// [`LifecycleOp`]s between batches.
+///
+/// One lock covers the scorer's group store and caches. Scoring takes
+/// the read side, mutations the write side, so any number of batch
+/// threads score concurrently and a score request sees either the whole
+/// mutation or none of it.
+pub struct DynamicScorer<'m> {
+    scorer: RwLock<BatchScorer<'m>>,
 }
 
-impl std::fmt::Display for ColdStartError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ColdStartError::EmptyGroup => write!(f, "group has no members"),
-            ColdStartError::SingleMember => {
-                write!(f, "single-member group: use individual scoring")
-            }
-            ColdStartError::UnknownUser(u) => write!(f, "unknown user {u}"),
-            ColdStartError::UnknownItem(v) => write!(f, "unknown item {v}"),
-            ColdStartError::UnknownGroup(g) => write!(f, "unknown group {g}"),
-        }
+impl<'m> From<BatchScorer<'m>> for DynamicScorer<'m> {
+    fn from(scorer: BatchScorer<'m>) -> Self {
+        DynamicScorer { scorer: RwLock::new(scorer) }
     }
 }
 
-impl std::error::Error for ColdStartError {}
-
-/// Mutable serving state behind one lock: the group table and the
-/// receptive-field caches that must stay coherent with it.
-struct DynState {
-    groups: GroupStore,
-    caches: Option<(RfCache, RfCache)>,
-}
-
-/// A batch scorer over a *live* group table: scores like
-/// [`crate::BatchScorer`] (same engine, same caches, same bits)
-/// and additionally applies [`LifecycleOp`]s between batches.
-///
-/// Scoring takes the state read-lock, mutations the write-lock, so any
-/// number of batch threads score concurrently and every mutation is
-/// atomic with respect to them: a score request sees either the whole
-/// mutation or none of it.
-pub struct DynamicScorer<'m> {
-    model: &'m Kgag,
-    batch_instances: usize,
-    state: RwLock<DynState>,
-}
-
 impl Kgag {
-    /// A [`DynamicScorer`] seeded with the model's bound groups and
-    /// configured from the environment (`KGAG_RF_CACHE`,
-    /// `KGAG_EVAL_BATCH` — same knobs as [`Kgag::batch_scorer`]).
+    /// A [`DynamicScorer`] seeded with the model's bound groups, with
+    /// the receptive-field cache on.
     pub fn dynamic_scorer(&self) -> DynamicScorer<'_> {
-        let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let scorer = self.dynamic_scorer_with(cache);
-        match std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
-            Some(n) if n > 0 => scorer.with_batch_instances(n),
-            _ => scorer,
-        }
+        self.dynamic_scorer_with(true)
     }
 
     /// A [`DynamicScorer`] over the bound groups with the
     /// receptive-field cache explicitly on or off.
     pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<'_> {
-        self.dynamic_scorer_over(self.group_store(), cache)
-    }
-
-    /// A [`DynamicScorer`] over an explicit [`GroupStore`] — how the
-    /// oracle tests stand up the "rebuilt from final membership" side.
-    pub fn dynamic_scorer_over(&self, groups: GroupStore, cache: bool) -> DynamicScorer<'_> {
-        DynamicScorer {
-            model: self,
-            batch_instances: 256,
-            state: RwLock::new(DynState { groups, caches: self.eval_rf_caches(cache) }),
-        }
+        self.batch_scorer_with(cache).into()
     }
 }
 
 impl<'m> DynamicScorer<'m> {
-    /// Override the instances-per-chunk cap (bit-neutral; see
-    /// [`crate::BatchScorer::with_batch_instances`]).
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn with_batch_instances(mut self, n: usize) -> Self {
-        assert!(n > 0, "batch size must be positive");
-        self.batch_instances = n;
-        self
-    }
-
-    /// Whether the receptive-field cache is active.
-    pub fn cached(&self) -> bool {
-        self.state.read().unwrap().caches.is_some()
+    fn read(&self) -> RwLockReadGuard<'_, BatchScorer<'m>> {
+        self.scorer.read().expect("scorer lock poisoned by a panicked mutation")
     }
 
     /// Approximate resident size of the receptive-field tables in bytes
     /// (`None` when uncached).
     pub fn cache_bytes(&self) -> Option<usize> {
-        let state = self.state.read().unwrap();
-        state.caches.as_ref().map(|(m, i)| m.approx_bytes() + i.approx_bytes())
+        self.read().cache_bytes()
     }
 
     /// Live group count (static + created).
     pub fn num_groups(&self) -> u32 {
-        self.state.read().unwrap().groups.num_groups()
+        self.read().groups.num_groups()
     }
 
     /// Monotone mutation counter of the live store.
     pub fn version(&self) -> u64 {
-        self.state.read().unwrap().groups.version()
+        self.read().groups.version()
     }
 
     /// Current members of a live group, sorted canonical order for
     /// mutated groups (copied out — the lock is not held by the caller).
     pub fn members_of(&self, group: u32) -> Result<Vec<u32>, LifecycleError> {
-        Ok(self.state.read().unwrap().groups.members(group)?.to_vec())
+        Ok(self.read().groups.members(group)?.to_vec())
     }
 
     /// Scores for one `(group, candidate list)` case against the live
     /// membership.
-    pub fn score_case(&self, group: u32, items: &[u32]) -> Result<Vec<f32>, ColdStartError> {
-        self.try_score_cases(&[(group, items.to_vec())]).map(|mut v| v.pop().unwrap_or_default())
-    }
-
-    /// Scores for a batch of cases against the live membership — the
-    /// engine path of [`crate::BatchScorer::score_cases`] with the
-    /// group table resolved under the read-lock, so the whole batch sees
-    /// one consistent membership snapshot.
-    pub fn try_score_cases(
-        &self,
-        cases: &[(u32, Vec<u32>)],
-    ) -> Result<Vec<Vec<f32>>, ColdStartError> {
-        let state = self.state.read().unwrap();
-        let member_ents: Vec<Vec<u32>> = cases
-            .iter()
-            .map(|&(g, _)| {
-                let members =
-                    state.groups.members(g).map_err(|_| ColdStartError::UnknownGroup(g))?;
-                self.model.member_entities_for(members)
-            })
-            .collect::<Result<_, _>>()?;
-        for (_, items) in cases {
-            if let Some(&v) = items.iter().find(|&&v| v >= self.model.num_items()) {
-                return Err(ColdStartError::UnknownItem(v));
-            }
-        }
-        Ok(score_cases_with(
-            self.model,
-            state.caches.as_ref(),
-            self.batch_instances,
-            &member_ents,
-            cases,
-        ))
+    pub fn score_case(&self, group: u32, items: &[u32]) -> Result<Vec<f32>, ScoreError> {
+        self.try_score_cases(&[(group, items.to_vec())]).pop().unwrap_or(Ok(Vec::new()))
     }
 
     /// Apply one lifecycle op atomically: mutate the group table, then
     /// evict and repair every receptive-field cache entry reachable from
     /// the touched users. Failed ops leave both untouched.
     pub fn apply(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
-        let mut state = self.state.write().unwrap();
-        let applied = state.groups.apply(op)?;
-        let touched_ents: Vec<u32> = applied
-            .touched
-            .iter()
-            .map(|&u| self.model.collaborative_kg().user_entity(u).0)
-            .collect();
+        let mut scorer = self.scorer.write().expect("scorer lock poisoned by a panicked mutation");
+        let scorer = &mut *scorer;
+        let applied = scorer.groups.apply(op)?;
+        let model = scorer.source.model;
+        let touched_ents: Vec<u32> =
+            applied.touched.iter().map(|&u| model.collaborative_kg().user_entity(u).0).collect();
         let mut evicted = 0usize;
-        if let Some((members, items)) = state.caches.as_mut() {
-            let graph = self.model.collaborative_kg().graph();
+        if let Some((members, items)) = scorer.source.caches.as_mut() {
+            let graph = model.collaborative_kg().graph();
             evicted += members.invalidate_reachable(graph, &touched_ents).evicted;
             evicted += items.invalidate_reachable(graph, &touched_ents).evicted;
-            members.repair(self.model.eval_sampler(), graph);
-            items.repair(self.model.eval_sampler(), graph);
+            members.repair(model.eval_sampler(), graph);
+            items.repair(model.eval_sampler(), graph);
         }
         if kgag_obs::enabled() {
             match op {
@@ -237,12 +139,11 @@ impl<'m> DynamicScorer<'m> {
     }
 }
 
-impl BatchGroupScorer for DynamicScorer<'_> {
-    /// Infallible trait surface for the batcher. The serving front-end
-    /// pre-validates group and item ids at submit (`Status::Invalid` on
-    /// the wire), so a failure here is a caller bug.
-    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
-        self.try_score_cases(cases).expect("unvalidated case reached the dynamic batch path")
+impl ScoreCases for DynamicScorer<'_> {
+    /// Scores against the live membership, the whole batch under one
+    /// read-lock — one consistent membership snapshot.
+    fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
+        self.read().try_score_cases(cases)
     }
 }
 
@@ -253,9 +154,5 @@ impl GroupLifecycle for DynamicScorer<'_> {
 
     fn group_count(&self) -> u32 {
         self.num_groups()
-    }
-
-    fn item_count(&self) -> u32 {
-        self.model.num_items()
     }
 }

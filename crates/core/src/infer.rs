@@ -1,10 +1,9 @@
 //! The inference engine (DESIGN.md §14).
 //!
 //! At inference the model is a fixed sequence of per-level gather →
-//! softmax → weighted-sum → matmul steps, so every serving path —
-//! [`crate::BatchScorer`], [`crate::DynamicScorer`],
-//! [`crate::RegistryModel`] and the scatter-gather
-//! [`crate::RouterCore`] — scores through the one [`Engine`] here: the
+//! softmax → weighted-sum → matmul steps, so the one [`crate::Scorer`]
+//! — and with it every front end over any source — scores through the
+//! one [`Engine`] here: the
 //! fused kernels of [`kgag_tensor::infer`], no tape, no backward
 //! bookkeeping, no materialised `repeat_rows`/`peer_concat`/`concat_cols`
 //! copies, embedding rows read in place from the parameter tensors.
@@ -30,13 +29,11 @@
 use crate::backend::FusedAggregation;
 use crate::config::KgagConfig;
 use crate::model::ModelParams;
-use crate::trainer::Kgag;
-use kgag_kg::{ReceptiveField, RfCache};
+use kgag_kg::ReceptiveField;
 use kgag_tensor::infer::{self as kernels, Activation};
 use kgag_tensor::tensor::{dot, sigmoid};
 use kgag_tensor::{pool, ParamStore};
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 
 /// A borrowed view of everything the ranking forward reads: the model
 /// config, the weights in a [`ParamStore`] and the two embedding tables
@@ -59,16 +56,18 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// An engine over a full parameter store: embedding rows are the
-    /// store's own tensors.
+    /// The weights in `store` over a chunk's embedding rows as its source
+    /// provides them: the model's own tables lent in place, or a remote
+    /// source's compact tables, whose ids the source has remapped to
+    /// match.
     pub(crate) fn new(
         config: &'a KgagConfig,
         nominal_l: usize,
         store: &'a ParamStore,
         params: &'a ModelParams,
+        entity: &'a [f32],
+        relation: &'a [f32],
     ) -> Self {
-        let entity = store.value(params.prop.entity_emb).data();
-        let relation = store.value(params.prop.relation_emb).data();
         Engine {
             config,
             store,
@@ -80,18 +79,6 @@ impl<'a> Engine<'a> {
             entity,
             relation,
         }
-    }
-
-    /// The engine of a trained model.
-    pub(crate) fn for_model(model: &'a Kgag) -> Self {
-        Engine::new(model.config(), model.group_size(), model.store(), model.params())
-    }
-
-    /// The same weights over other embedding rows — the scatter-gather
-    /// router's compact per-chunk tables, whose ids the caller has
-    /// remapped to match.
-    pub(crate) fn with_rows(self, entity: &'a [f32], relation: &'a [f32]) -> Self {
-        Engine { entity, relation, ..self }
     }
 
     fn weight(&self, id: kgag_tensor::ParamId) -> &'a [f32] {
@@ -339,32 +326,30 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The one bucket → chunk → reassemble driver behind every serving
-/// path: flatten cases to `(case, item entity)` instances, bucket them
-/// by member count `L` (groups of different sizes cannot share a
-/// flattened forward; ascending `L` for determinism), chunk each bucket
-/// for the pool, score each chunk with `score_chunk(flat_members,
-/// item_ents, l)` and reassemble per case in request order.
+/// The one bucket → chunk → reassemble loop behind every scorer:
+/// flatten `(member entities, items)` cases to `(case, item entity)`
+/// instances, bucket them by member count `L` (groups of different sizes
+/// cannot share a flattened forward; ascending `L` for determinism),
+/// chunk each bucket for the pool, score each chunk with
+/// `score_chunk(flat_members, item_ents, l)` and reassemble per case in
+/// request order.
 ///
-/// A failed chunk fails every case it contained (the router retries
+/// A failed chunk fails every case it contained (the scorer retries
 /// those in isolation). With uniform member counts the bucketing
 /// degenerates to one bucket holding every instance in case order.
-pub(crate) fn score_buckets<M, E, F>(
+pub(crate) fn score_buckets<E, F>(
     batch_instances: usize,
-    member_ents: &[M],
-    cases: &[(u32, Vec<u32>)],
+    cases: &[(&[u32], &[u32])],
     item_entity: impl Fn(u32) -> u32,
     score_chunk: F,
 ) -> Vec<Result<Vec<f32>, E>>
 where
-    M: AsRef<[u32]> + Sync,
     E: Clone + Send,
     F: Fn(&[u32], &[u32], usize) -> Result<Vec<f32>, E> + Sync,
 {
-    debug_assert_eq!(member_ents.len(), cases.len());
     let mut buckets: BTreeMap<usize, Vec<(u32, u32)>> = BTreeMap::new();
-    for (ci, (_, items)) in cases.iter().enumerate() {
-        let bucket = buckets.entry(member_ents[ci].as_ref().len()).or_default();
+    for (ci, (members, items)) in cases.iter().enumerate() {
+        let bucket = buckets.entry(members.len()).or_default();
         bucket.extend(items.iter().map(|&v| (ci as u32, item_entity(v))));
     }
     let mut out: Vec<Result<Vec<f32>, E>> =
@@ -381,7 +366,7 @@ where
             let mut flat_members = Vec::with_capacity(chunk.len() * l);
             let mut item_ents = Vec::with_capacity(chunk.len());
             for &(ci, ent) in *chunk {
-                flat_members.extend_from_slice(member_ents[ci as usize].as_ref());
+                flat_members.extend_from_slice(cases[ci as usize].0);
                 item_ents.push(ent);
             }
             score_chunk(&flat_members, &item_ents, l)
@@ -404,40 +389,4 @@ where
         }
     }
     out
-}
-
-/// Score cases against a local model through the engine, reading
-/// receptive fields from `caches` or sampling them live — the scoring
-/// body of [`crate::BatchScorer`], [`crate::DynamicScorer`] and
-/// [`crate::RegistryModel`]. `member_ents[ci]` is case `ci`'s member
-/// entity list (from the bound groups or a live group store).
-pub(crate) fn score_cases_with(
-    model: &Kgag,
-    caches: Option<&(RfCache, RfCache)>,
-    batch_instances: usize,
-    member_ents: &[Vec<u32>],
-    cases: &[(u32, Vec<u32>)],
-) -> Vec<Vec<f32>> {
-    if kgag_obs::enabled() {
-        let total: usize = cases.iter().map(|(_, items)| items.len()).sum();
-        kgag_obs::counter("infer.batched_items_scored").add(total as u64);
-    }
-    let engine = Engine::for_model(model);
-    let scored = score_buckets(
-        batch_instances,
-        member_ents,
-        cases,
-        |v| model.item_entity(v),
-        |flat_members, item_ents, l| {
-            let (rf_members, rf_items) = model.eval_fields(caches, flat_members, item_ents);
-            Ok::<_, Infallible>(engine.score_chunk(
-                rf_members.as_ref(),
-                rf_items.as_ref(),
-                flat_members,
-                item_ents,
-                l,
-            ))
-        },
-    );
-    scored.into_iter().map(|r| r.unwrap_or_else(|never| match never {})).collect()
 }

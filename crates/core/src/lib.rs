@@ -50,16 +50,18 @@ pub mod loss;
 pub mod model;
 pub mod propagation;
 pub mod registry;
+pub mod scorer;
 pub mod shard;
 pub mod trainer;
 
 pub use backend::{FusedAggregation, PropagationBackend};
-pub use batch::BatchScorer;
+pub use batch::{BatchScorer, InProcess};
 pub use config::{Aggregator, Backend, GroupLoss, KgagConfig};
-pub use dynamic::{ColdStartError, DynamicScorer};
+pub use dynamic::DynamicScorer;
 pub use explain::GroupExplanation;
 pub use registry::{
     checkpoint_hash, Admission, ModelRegistry, RegistryError, RegistryModel, ShadowStatus,
 };
-pub use shard::{LocalFetch, RouterCore, ShardError, ShardErrorKind, ShardFetch};
+pub use scorer::{ChunkRows, ChunkSource, FieldPlan, ScoreCases, ScoreError, Scorer};
+pub use shard::{DrawMemo, LocalFetch, ShardError, ShardErrorKind, ShardFetch};
 pub use trainer::{EpochLoss, Kgag, TrainReport};

@@ -32,10 +32,9 @@
 //! the wire protocol live in `kgag-serve`, which composes them around
 //! this state machine.
 
-use crate::dynamic::ColdStartError;
-use crate::infer::score_cases_with;
+use crate::batch::InProcess;
+use crate::scorer::{ScoreCases, ScoreError, Scorer};
 use crate::trainer::Kgag;
-use kgag_kg::RfCache;
 use kgag_tensor::infer::{scan_finite, ConvertError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -98,26 +97,24 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// One registry entry: an owned checkpoint with its scoring state.
+/// One registry entry: an owned checkpoint with its scorer.
 ///
 /// Unlike [`crate::BatchScorer`] (which borrows a [`Kgag`]), a
-/// `RegistryModel` *owns* its model and receptive-field caches, so
-/// entries can be loaded and retired at runtime without a borrow tying
-/// them to the process lifetime. Scoring goes through the same
-/// inference engine as every other front-end — same chunking, same
-/// bits.
+/// `RegistryModel` *owns* its model (shared with its in-process source)
+/// and receptive-field caches, so entries can be loaded and retired at
+/// runtime without a borrow tying them to the process lifetime. Scoring
+/// goes through the same scorer as every other front end — same
+/// validation, same chunking, same bits.
 pub struct RegistryModel {
-    model: Kgag,
-    caches: Option<(RfCache, RfCache)>,
+    scorer: Scorer<InProcess<Arc<Kgag>>>,
     hash: u64,
-    batch_instances: usize,
 }
 
 impl std::fmt::Debug for RegistryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryModel")
             .field("hash", &format_args!("{:016x}", self.hash))
-            .field("cached", &self.caches.is_some())
+            .field("cached", &self.scorer.cached())
             .finish_non_exhaustive()
     }
 }
@@ -134,18 +131,9 @@ impl RegistryModel {
     pub fn try_new(model: Kgag, hash: u64, cache: bool) -> Result<Self, ConvertError> {
         scan_finite(model.store())?;
         let caches = model.eval_rf_caches(cache);
-        Ok(RegistryModel { model, caches, hash, batch_instances: 256 })
-    }
-
-    /// Override the instances-per-chunk cap (bit-neutral; see
-    /// [`crate::BatchScorer::with_batch_instances`]).
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn with_batch_instances(mut self, n: usize) -> Self {
-        assert!(n > 0, "batch size must be positive");
-        self.batch_instances = n;
-        self
+        let model = Arc::new(model);
+        let scorer = Scorer::new(&model, InProcess { model: Arc::clone(&model), caches });
+        Ok(RegistryModel { scorer, hash })
     }
 
     /// The checkpoint content hash this entry is keyed by.
@@ -153,44 +141,19 @@ impl RegistryModel {
         self.hash
     }
 
-    /// Catalog size of the owned checkpoint.
-    pub fn num_items(&self) -> u32 {
-        self.model.num_items()
-    }
-
-    /// Bound (trained) group count of the owned checkpoint.
-    pub fn num_groups(&self) -> u32 {
-        self.model.groups().len() as u32
-    }
-
     /// The owned model, for read-only interrogation (explanations,
     /// evaluation harnesses).
     pub fn model(&self) -> &Kgag {
-        &self.model
+        self.scorer.model()
     }
+}
 
-    /// Scores for a batch of `(group, candidate list)` cases against
-    /// the entry's bound groups — the shadow oracle *and* the serving
-    /// path, so asserting one against the other is exactly the
-    /// `serve_check` chunking-invariance discipline.
-    pub fn score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Result<Vec<Vec<f32>>, ColdStartError> {
-        for &(g, ref items) in cases {
-            if g >= self.num_groups() {
-                return Err(ColdStartError::UnknownGroup(g));
-            }
-            if let Some(&v) = items.iter().find(|&&v| v >= self.model.num_items()) {
-                return Err(ColdStartError::UnknownItem(v));
-            }
-        }
-        let member_ents: Vec<Vec<u32>> =
-            cases.iter().map(|&(g, _)| self.model.member_entities(g)).collect();
-        Ok(score_cases_with(
-            &self.model,
-            self.caches.as_ref(),
-            self.batch_instances,
-            &member_ents,
-            cases,
-        ))
+impl ScoreCases for RegistryModel {
+    /// Scores against the entry's bound groups — the shadow oracle
+    /// *and* the serving path, so asserting one against the other is
+    /// exactly the `serve_check` chunking-invariance discipline.
+    fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
+        self.scorer.try_score_cases(cases)
     }
 }
 
@@ -520,8 +483,9 @@ mod tests {
         };
         let bytes = model.save_checkpoint();
         let entry = RegistryModel::try_new(model, checkpoint_hash(&bytes), true).unwrap();
-        let got = entry.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])]).unwrap();
+        let got = entry.try_score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])]);
         assert_eq!(got.len(), want.len());
+        let got: Vec<Vec<f32>> = got.into_iter().map(Result::unwrap).collect();
         for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
             assert_eq!(g.to_bits(), w.to_bits(), "registry entry diverged from BatchScorer");
         }
@@ -548,15 +512,11 @@ mod tests {
     #[test]
     fn entry_validates_bounds() {
         let e = entry(1);
-        let bad_group = e.num_groups();
+        let bad_group = e.model().group_store().num_groups();
+        let bad_item = e.model().num_items();
         assert_eq!(
-            e.score_cases(&[(bad_group, vec![0])]),
-            Err(ColdStartError::UnknownGroup(bad_group))
-        );
-        let bad_item = e.num_items();
-        assert_eq!(
-            e.score_cases(&[(0, vec![bad_item])]),
-            Err(ColdStartError::UnknownItem(bad_item))
+            e.try_score_cases(&[(bad_group, vec![0]), (0, vec![bad_item])]),
+            vec![Err(ScoreError::UnknownGroup(bad_group)), Err(ScoreError::UnknownItem(bad_item))]
         );
     }
 

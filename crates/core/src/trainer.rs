@@ -17,6 +17,7 @@ use crate::config::{GroupLoss, KgagConfig};
 use crate::explain::GroupExplanation;
 use crate::loss::{bpr_group_loss, margin_group_loss, user_log_loss};
 use crate::model::ModelParams;
+use crate::scorer::ScoreError;
 use kgag_data::split::{DatasetSplit, NegativeSampler};
 use kgag_data::GroupDataset;
 use kgag_eval::{EvalConfig, GroupEvalCase, GroupScorer, MetricSummary};
@@ -330,14 +331,10 @@ impl Kgag {
 
     /// Member user ids → CKG entity ids, with the typed validation the
     /// cold-start path needs (never panics on bad input).
-    pub(crate) fn member_entities_for(
-        &self,
-        members: &[u32],
-    ) -> Result<Vec<u32>, crate::dynamic::ColdStartError> {
-        use crate::dynamic::ColdStartError;
+    pub(crate) fn member_entities_for(&self, members: &[u32]) -> Result<Vec<u32>, ScoreError> {
         match members.len() {
-            0 => return Err(ColdStartError::EmptyGroup),
-            1 => return Err(ColdStartError::SingleMember),
+            0 => return Err(ScoreError::EmptyGroup),
+            1 => return Err(ScoreError::SingleMember),
             _ => {}
         }
         members
@@ -346,7 +343,7 @@ impl Kgag {
                 if u < self.ckg.num_users() {
                     Ok(self.ckg.user_entity(u).0)
                 } else {
-                    Err(ColdStartError::UnknownUser(u))
+                    Err(ScoreError::UnknownUser(u))
                 }
             })
             .collect()
@@ -371,12 +368,6 @@ impl Kgag {
 
     pub(crate) fn eval_sampler(&self) -> &NeighborSampler {
         &self.eval_sampler
-    }
-
-    /// The bound group table (member user ids per group) — read by the
-    /// scatter-gather router when it detaches from the model.
-    pub(crate) fn groups(&self) -> &[Vec<u32>] {
-        &self.groups
     }
 
     /// Parameter handles — read by the inference engine, which scores
@@ -630,15 +621,11 @@ impl Kgag {
     /// scores bit-identically to [`Kgag::score_group_items`].
     ///
     /// Unlike the panicking in-process paths, every bad input is a typed
-    /// [`crate::dynamic::ColdStartError`].
-    pub fn score_members(
-        &self,
-        members: &[u32],
-        items: &[u32],
-    ) -> Result<Vec<f32>, crate::dynamic::ColdStartError> {
+    /// [`ScoreError`].
+    pub fn score_members(&self, members: &[u32], items: &[u32]) -> Result<Vec<f32>, ScoreError> {
         let member_ents = self.member_entities_for(members)?;
         if let Some(&v) = items.iter().find(|&&v| v >= self.num_items) {
-            return Err(crate::dynamic::ColdStartError::UnknownItem(v));
+            return Err(ScoreError::UnknownItem(v));
         }
         Ok(self.score_member_ents(&member_ents, items))
     }

@@ -10,7 +10,7 @@
 //! thread matrix, under the KGAG-KG ablation, with the residual combine
 //! off, and on rosters off the trained group size.
 
-use kgag::{Backend, Kgag, KgagConfig};
+use kgag::{Backend, DynamicScorer, Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -130,7 +130,8 @@ fn engine_equals_tape_on_off_nominal_rosters() {
                 let members: Vec<u32> = (start..start + size).collect();
                 let want = bits(&model.score_members(&members, &items).expect("valid roster"));
                 for cache in [false, true] {
-                    let scorer = model.dynamic_scorer_with(cache).with_batch_instances(7);
+                    let scorer =
+                        DynamicScorer::from(model.batch_scorer_with(cache).with_batch_instances(7));
                     let ack = scorer
                         .apply(&LifecycleOp::Create { members: members.clone() })
                         .expect("create applies");

@@ -12,16 +12,16 @@
 //! incremental cache invalidate-and-repair machinery is checked against
 //! two independently-computed answers.
 //!
-//! CI runs the suite at `KGAG_THREADS=1` and `4` and under
-//! `KGAG_RF_CACHE=0` (the `lifecycle_check` stage); the explicit matrix
-//! test below additionally sweeps threads × cache inside one process.
+//! CI runs the suite at `KGAG_THREADS=1` and `4`; the headline property
+//! sweeps the cache on and off, and the explicit matrix test below
+//! additionally sweeps threads × cache inside one process.
 //!
 //! Cold-start scoring gets its own unit tests: a never-trained group's
 //! attention-aggregated score is recomputed by hand from raw embedding
 //! rows, and every malformed input yields a typed error, never a panic.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{ColdStartError, Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, ScoreCases, ScoreError};
 use kgag_data::movielens::Scale;
 use kgag_data::split::{split_dataset, DatasetSplit};
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -113,7 +113,11 @@ fn run_case(
     let items: Vec<u32> = (0..ds.num_items.min(8)).collect();
     let cases: Vec<(u32, Vec<u32>)> =
         (0..mirror.num_groups()).map(|g| (g, items.clone())).collect();
-    let served = live.try_score_cases(&cases).map_err(|e| format!("live scoring failed: {e}"))?;
+    let served: Vec<Vec<f32>> = live
+        .try_score_cases(&cases)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("live scoring failed: {e}"))?;
 
     // reference 1: the per-case cold-start path over the final
     // membership — live sampling, no caches, no batching
@@ -152,16 +156,18 @@ fn run_case(
 
 /// The headline property: ≥64 random interleavings of create/join/leave
 /// (valid and rejected), scored after the fact, must match both the
-/// per-case path and the full rebuild bit for bit. Runs under whatever
-/// `KGAG_THREADS` / `KGAG_RF_CACHE` the environment sets — the CI
-/// lifecycle stage sweeps both.
+/// per-case path and the full rebuild bit for bit — with the
+/// receptive-field cache on and off, each at the full case count. Runs
+/// under whatever `KGAG_THREADS` the environment sets; the CI test stage
+/// runs it at 1 and 4.
 #[test]
 fn mutate_then_score_equals_rebuild_from_final_membership() {
     let (ds, split, model, ckpt) = smoke_model();
-    let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
     let gen = vec_of((u32_in(0..6), u32_in(0..10_000), u32_in(0..10_000)), 1..9);
-    Runner::new("lifecycle-oracle")
-        .run(&gen, |ops| run_case(&ds, &split, &model, &ckpt, ops, cache));
+    for cache in [true, false] {
+        Runner::new("lifecycle-oracle")
+            .run(&gen, |ops| run_case(&ds, &split, &model, &ckpt, ops, cache));
+    }
 }
 
 /// The same oracle swept explicitly over threads × cache inside one
@@ -196,6 +202,8 @@ fn created_nominal_size_group_scores_like_a_bound_group() {
     let items: Vec<u32> = (0..ds.num_items.min(8)).collect();
     let served = live
         .try_score_cases(&[(0, items.clone()), (ack.group, items.clone())])
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("both groups live");
     // bound group 0 keeps its original member order; the created twin is
     // sorted. Yelp's formation emits sorted members, so the orders — and
@@ -276,34 +284,34 @@ fn cold_start_rejects_bad_inputs_with_typed_errors() {
     let model = Kgag::new(&ds, &split, KgagConfig::default());
     let items = [0u32];
 
-    assert_eq!(model.score_members(&[], &items), Err(ColdStartError::EmptyGroup));
-    assert_eq!(model.score_members(&[0], &items), Err(ColdStartError::SingleMember));
+    assert_eq!(model.score_members(&[], &items), Err(ScoreError::EmptyGroup));
+    assert_eq!(model.score_members(&[0], &items), Err(ScoreError::SingleMember));
     assert_eq!(
         model.score_members(&[0, ds.num_users], &items),
-        Err(ColdStartError::UnknownUser(ds.num_users))
+        Err(ScoreError::UnknownUser(ds.num_users))
     );
     assert_eq!(
         model.score_members(&[0, 1], &[ds.num_items]),
-        Err(ColdStartError::UnknownItem(ds.num_items))
+        Err(ScoreError::UnknownItem(ds.num_items))
     );
 
     let live = model.dynamic_scorer_with(false);
     assert_eq!(
         live.try_score_cases(&[(ds.num_groups() + 7, vec![0])]),
-        Err(ColdStartError::UnknownGroup(ds.num_groups() + 7))
+        vec![Err(ScoreError::UnknownGroup(ds.num_groups() + 7))]
     );
     assert_eq!(
         live.try_score_cases(&[(0, vec![ds.num_items])]),
-        Err(ColdStartError::UnknownItem(ds.num_items))
+        vec![Err(ScoreError::UnknownItem(ds.num_items))]
     );
     assert_eq!(live.members_of(ds.num_groups()), Err(LifecycleError::UnknownGroup));
     // the typed errors format without panicking
     for e in [
-        ColdStartError::EmptyGroup,
-        ColdStartError::SingleMember,
-        ColdStartError::UnknownUser(3),
-        ColdStartError::UnknownItem(4),
-        ColdStartError::UnknownGroup(5),
+        ScoreError::EmptyGroup,
+        ScoreError::SingleMember,
+        ScoreError::UnknownUser(3),
+        ScoreError::UnknownItem(4),
+        ScoreError::UnknownGroup(5),
     ] {
         assert!(!e.to_string().is_empty());
     }

@@ -1,6 +1,6 @@
 //! The scatter-gather sharding oracle (DESIGN.md §15).
 //!
-//! [`kgag::RouterCore`] promises that scoring over *any* row
+//! The one [`kgag::Scorer`] promises that scoring over *any* row
 //! partitioning of the model — 1 to N shards — is **bit-identical** to
 //! the single-node [`kgag::BatchScorer`] path, at any thread count and
 //! with the draw memo on or off — also when a gathered row is
@@ -15,9 +15,16 @@
 //! Failure semantics get their own tests: with one shard dead, every
 //! case either scores bit-identically (its receptive field never
 //! touches the dead shard) or fails with a typed [`kgag::ShardError`]
-//! naming that shard — never a panic, never a corrupted score.
+//! naming that shard — never a panic, never a corrupted score. And the
+//! scorer's shared validation gets its own property: batches mixing
+//! valid cases with unknown groups and items, through the in-process
+//! source and through partitioned fetches, fail exactly the bad cases
+//! typed while every valid case keeps its per-case bits.
 
-use kgag::{Kgag, KgagConfig, LocalFetch, RouterCore, ShardError, ShardErrorKind, ShardFetch};
+use kgag::{
+    DrawMemo, Kgag, KgagConfig, LocalFetch, ScoreCases, ScoreError, Scorer, ShardError,
+    ShardErrorKind, ShardFetch,
+};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -80,8 +87,8 @@ fn sharded_scores_are_bit_identical_to_single_node() {
         |words| {
             let (count, threads, memo, cases) = decode(words, num_groups, num_items);
             let want = with_threads(1, || scorer.score_cases(&cases));
-            let router = RouterCore::from_model(&model, memo);
-            let got = with_threads(threads, || router.score_cases(&fetches[count - 1], &cases));
+            let router = Scorer::new(&model, DrawMemo::new(&fetches[count - 1], memo));
+            let got = with_threads(threads, || router.try_score_cases(&cases));
             for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                 match g {
                     Ok(scores) if bits(scores) == bits(w) => {}
@@ -131,8 +138,8 @@ fn non_finite_entity_row_scores_like_single_node() {
     );
     for (count, fetch) in fetches.iter().enumerate() {
         for memo in [false, true] {
-            let router = RouterCore::from_model(&model, memo);
-            let got = router.score_cases(fetch, &cases);
+            let router = Scorer::new(&model, DrawMemo::new(fetch, memo));
+            let got = router.try_score_cases(&cases);
             for (ci, (w, g)) in single.iter().zip(&got).enumerate() {
                 let g = g.as_ref().expect("local fetch never fails");
                 assert_eq!(
@@ -212,8 +219,8 @@ fn dead_shard_yields_typed_errors_on_affected_cases_only() {
                 count,
             };
             for memo in [false, true] {
-                let router = RouterCore::from_model(&model, memo);
-                let got = router.score_cases(&fetch, &cases);
+                let router = Scorer::new(&model, DrawMemo::new(&fetch, memo));
+                let got = router.try_score_cases(&cases);
                 for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                     match g {
                         Ok(scores) => assert_eq!(
@@ -223,7 +230,10 @@ fn dead_shard_yields_typed_errors_on_affected_cases_only() {
                         ),
                         Err(e) => assert_eq!(
                             *e,
-                            ShardError { shard: dead, kind: ShardErrorKind::Unavailable },
+                            ScoreError::Shard(ShardError {
+                                shard: dead,
+                                kind: ShardErrorKind::Unavailable
+                            }),
                             "count={count} dead={dead} memo={memo}: case {ci} wrong error"
                         ),
                     }
@@ -241,8 +251,75 @@ fn single_shard_router_matches_per_case_path() {
     let (ds, model) = smoke_model();
     let fetch = LocalFetch::new(vec![model.shard_state(0, 1)]);
     let items: Vec<u32> = (0..ds.num_items).collect();
-    let router = RouterCore::from_model(&model, true);
-    let got = router.score_cases(&fetch, &[(0, items.clone())]);
+    let router = Scorer::new(&model, DrawMemo::new(fetch, true));
+    let got = router.try_score_cases(&[(0, items.clone())]);
     let want = model.score_group_items(0, &items);
     assert_eq!(bits(got[0].as_ref().expect("local fetch never fails")), bits(&want));
+}
+
+/// The shared validation and scoring loop, through both kinds of source: a
+/// random batch mixing valid cases with unknown-group and unknown-item
+/// cases, scored by the in-process source (cache on and off) and by
+/// 1–3-shard local fetches (memo on and off). Every valid case equals
+/// the per-case tape path bit for bit; every bad case carries its typed
+/// error; nothing panics.
+#[test]
+fn mixed_batches_fail_only_bad_cases_through_every_source() {
+    let (ds, model) = smoke_model();
+    let fetches = local_fetches(&model, 3);
+    let (num_groups, num_items) = (ds.num_groups(), ds.num_items);
+    let in_process = [model.batch_scorer_with(true), model.batch_scorer_with(false)];
+    Runner::new("mixed_batches_fail_only_bad_cases").cases(24).run(
+        &vec_of((u32_in(0..4), u32_in(0..u32::MAX), u32_in(0..u32::MAX)), 1..10),
+        |triples| {
+            // kind 0 → unknown group, 1 → one unknown item, else valid
+            let cases: Vec<(u32, Vec<u32>)> = triples
+                .iter()
+                .map(|&(kind, a, b)| {
+                    let len = 1 + b % 6;
+                    let mut items: Vec<u32> = (0..len).map(|i| (b / 7 + i) % num_items).collect();
+                    let group = match kind {
+                        0 => num_groups + a % 5,
+                        _ => a % num_groups,
+                    };
+                    if kind == 1 {
+                        items[(a % len) as usize] = num_items + b % 3;
+                    }
+                    (group, items)
+                })
+                .collect();
+            let want: Vec<Result<Vec<u32>, ScoreError>> = cases
+                .iter()
+                .map(|(g, items)| {
+                    if *g >= num_groups {
+                        Err(ScoreError::UnknownGroup(*g))
+                    } else if let Some(&v) = items.iter().find(|&&v| v >= num_items) {
+                        Err(ScoreError::UnknownItem(v))
+                    } else {
+                        Ok(bits(&model.score_group_items(*g, items)))
+                    }
+                })
+                .collect();
+            let check = |label: &str, got: Vec<Result<Vec<f32>, ScoreError>>| {
+                let got: Vec<Result<Vec<u32>, ScoreError>> =
+                    got.into_iter().map(|r| r.map(|s| bits(&s))).collect();
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!("{label}: got {got:?}\nwant {want:?}"))
+                }
+            };
+            for (scorer, cache) in in_process.iter().zip([true, false]) {
+                check(&format!("in-process cache={cache}"), scorer.try_score_cases(&cases))?;
+            }
+            for (count, fetch) in fetches.iter().enumerate() {
+                for memo in [true, false] {
+                    let router = Scorer::new(&model, DrawMemo::new(fetch, memo));
+                    let label = format!("{} shard(s) memo={memo}", count + 1);
+                    check(&label, router.try_score_cases(&cases))?;
+                }
+            }
+            Ok(())
+        },
+    );
 }

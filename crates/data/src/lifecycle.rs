@@ -95,14 +95,12 @@ pub struct Applied {
 
 /// The capability a scorer exposes when it supports live group
 /// mutations — what the dynamic serve path dispatches lifecycle opcodes
-/// through, and the bounds it pre-validates score requests against.
+/// through, and the group bound it checks score requests against.
 pub trait GroupLifecycle {
     /// Apply one mutation; the store is unchanged on `Err`.
     fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError>;
     /// Live groups (valid score targets are `0..group_count()`).
     fn group_count(&self) -> u32;
-    /// Catalog size (valid candidate items are `0..item_count()`).
-    fn item_count(&self) -> u32;
 }
 
 /// Mutable group membership for a live serving instance (see module

@@ -10,17 +10,19 @@
 //!   terminal [`ServeError`]. Shutdown drains the queue; nothing
 //!   accepted is dropped, nothing is answered twice.
 //! * **Fusion is value-neutral.** Workers only ever *group* requests
-//!   into [`BatchGroupScorer::score_batch`] calls; they never reorder
-//!   scores within a request or mix rows across requests. With a
-//!   chunking-invariant scorer (the engine's `BatchScorer`), served
-//!   scores are bit-identical to any offline scoring of the same cases.
+//!   into [`ScoreCases::try_score_cases`] calls; they never reorder
+//!   scores within a request or mix rows across requests, and a case
+//!   the scorer rejects fails alone. With a chunking-invariant scorer
+//!   (every `kgag` scorer), served scores are bit-identical to any
+//!   offline scoring of the same cases.
 //! * **Bounded memory.** The queue never exceeds
 //!   [`ServeConfig::queue_capacity`]; overflow is an immediate
 //!   [`ServeError::Rejected`], so a slow model sheds load instead of
 //!   accumulating it.
 
 use crate::config::ServeConfig;
-use crate::{ServeError, ServeResult, TryBatchGroupScorer};
+use crate::{ServeError, ServeResult};
+use kgag::ScoreCases;
 use kgag_tensor::pool;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,6 +88,18 @@ struct Shared {
     /// Live requests: accepted but not yet responded to. Lets tests and
     /// the drain guard observe "everything answered" directly.
     in_flight: AtomicUsize,
+}
+
+impl Shared {
+    fn new(config: &ServeConfig) -> Arc<Shared> {
+        Arc::new(Shared {
+            state: Mutex::new(QueueState { queue: VecDeque::new(), open: true }),
+            cv: Condvar::new(),
+            cfg: config.clone(),
+            metrics: Metrics::new(),
+            in_flight: AtomicUsize::new(0),
+        })
+    }
 }
 
 /// A cloneable client handle to a running batcher. All methods are
@@ -191,29 +205,9 @@ pub fn serve_in_process<S, R>(
     f: impl FnOnce(ServeHandle) -> R,
 ) -> R
 where
-    S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized,
+    S: ScoreCases + ?Sized,
 {
-    serve_in_process_try(&crate::InfallibleScorer(scorer), config, f)
-}
-
-/// [`serve_in_process`] for scorers whose cases can fail individually —
-/// the entry point the sharded [`ShardedScorer`](crate::ShardedScorer)
-/// uses, where a dead peer must fail only the requests that needed it.
-pub fn serve_in_process_try<S, R>(
-    scorer: &S,
-    config: &ServeConfig,
-    f: impl FnOnce(ServeHandle) -> R,
-) -> R
-where
-    S: TryBatchGroupScorer,
-{
-    let shared = Arc::new(Shared {
-        state: Mutex::new(QueueState { queue: VecDeque::new(), open: true }),
-        cv: Condvar::new(),
-        cfg: config.clone(),
-        metrics: Metrics::new(),
-        in_flight: AtomicUsize::new(0),
-    });
+    let shared = Shared::new(config);
     let handle = ServeHandle { shared: Arc::clone(&shared) };
     let threads = pool::num_threads();
     std::thread::scope(|s| {
@@ -244,7 +238,7 @@ impl Drop for DrainGuard {
 /// are created by `LOAD` requests and retired at runtime rather than
 /// scoped to a stack frame.
 ///
-/// Same delivery contract as [`serve_in_process_try`]: dropping the
+/// Same delivery contract as [`serve_in_process`]: dropping the
 /// guard (or calling [`shutdown`](Self::shutdown)) stops admissions,
 /// drains every accepted request, and joins the workers. The scorer is
 /// freed when the last `Arc` drops — after the workers exit.
@@ -282,18 +276,12 @@ impl Drop for BatcherGuard {
 /// owned scorer and return the [`BatcherGuard`] that drains and joins
 /// them on drop. The caller's pool thread-count override is captured
 /// here and re-applied inside each worker, exactly as
-/// [`serve_in_process_try`] does for scoped workers.
+/// [`serve_in_process`] does for scoped workers.
 pub fn spawn_batcher<S>(scorer: Arc<S>, config: &ServeConfig) -> BatcherGuard
 where
-    S: TryBatchGroupScorer + Send + Sync + 'static,
+    S: ScoreCases + Send + 'static,
 {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(QueueState { queue: VecDeque::new(), open: true }),
-        cv: Condvar::new(),
-        cfg: config.clone(),
-        metrics: Metrics::new(),
-        in_flight: AtomicUsize::new(0),
-    });
+    let shared = Shared::new(config);
     let handle = ServeHandle { shared: Arc::clone(&shared) };
     let threads = pool::num_threads();
     let workers = (0..shared.cfg.workers.max(1))
@@ -310,7 +298,7 @@ where
 
 /// One worker: wait for work, hold the batch window open, drain a
 /// chunk, score, respond; exit when the queue is closed *and* empty.
-fn worker_loop<S: TryBatchGroupScorer + ?Sized>(scorer: &S, shared: &Shared) {
+fn worker_loop<S: ScoreCases + ?Sized>(scorer: &S, shared: &Shared) {
     let cfg = &shared.cfg;
     loop {
         let mut st = shared.state.lock().unwrap();
@@ -358,11 +346,7 @@ fn worker_loop<S: TryBatchGroupScorer + ?Sized>(scorer: &S, shared: &Shared) {
     }
 }
 
-fn score_and_respond<S: TryBatchGroupScorer + ?Sized>(
-    scorer: &S,
-    shared: &Shared,
-    batch: Vec<Pending>,
-) {
+fn score_and_respond<S: ScoreCases + ?Sized>(scorer: &S, shared: &Shared, batch: Vec<Pending>) {
     // Expired requests are dropped *before* scoring — their slots do not
     // inflate the fused batch.
     let now = Instant::now();
@@ -393,7 +377,7 @@ fn score_and_respond<S: TryBatchGroupScorer + ?Sized>(
     // scorer left inconsistent by its own panic is the scorer's bug —
     // the batcher's own state is untouched by the unwind.)
     let results =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scorer.try_score_batch(&cases)));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scorer.try_score_cases(&cases)));
     shared.metrics.batch_score_ns.record(t0.elapsed().as_nanos() as u64);
     let results = match results {
         Ok(results) => results,
@@ -408,13 +392,13 @@ fn score_and_respond<S: TryBatchGroupScorer + ?Sized>(
     assert_eq!(
         results.len(),
         meta.len(),
-        "scorer broke the TryBatchGroupScorer contract: {} cases, {} results",
+        "scorer broke the ScoreCases contract: {} cases, {} results",
         meta.len(),
         results.len()
     );
     for (result, (tx, enqueued)) in results.into_iter().zip(meta) {
         shared.metrics.latency_ns.record(enqueued.elapsed().as_nanos() as u64);
-        respond(shared, &tx, result);
+        respond(shared, &tx, result.map_err(ServeError::from));
     }
 }
 

@@ -1,8 +1,8 @@
 //! # kgag-serve
 //!
-//! A concurrent scoring front-end over any
-//! [`BatchGroupScorer`](kgag_eval::protocol::BatchGroupScorer): load a
-//! model once, share it read-only across threads, and turn many small
+//! A concurrent scoring front-end over any [`kgag::ScoreCases`] scorer
+//! — the one per-case scoring API of the `kgag` crate: load a model
+//! once, share it read-only across threads, and turn many small
 //! independent `(group, candidates)` requests into the large fused
 //! batches the inference engine is fast at.
 //!
@@ -11,10 +11,13 @@
 //! threads drain it in chunks, waiting up to a configurable latency
 //! budget ([`ServeConfig::batch_window`]) for more requests to fuse
 //! before calling
-//! [`score_batch`](kgag_eval::protocol::BatchGroupScorer::score_batch)
-//! once per chunk.
-//! Because the engine's batched scorer is bit-identical at *any*
-//! chunking (the PR 4 oracle guarantee, re-enforced for serving by
+//! [`try_score_cases`](kgag::ScoreCases::try_score_cases) once per
+//! chunk. A case the scorer rejects (unknown group or item, failed
+//! shard) fails alone, mapped to its [`ServeError`] by the one
+//! `From<kgag::ScoreError>`; the rest of the fused batch is answered
+//! normally.
+//! Because the scorer is bit-identical at *any* chunking (the batched
+//! oracle guarantee, re-enforced for serving by
 //! `crates/bench/src/bin/serve_check.rs`), fusing arbitrary interleavings
 //! of concurrent requests is value-neutral: every client receives
 //! exactly the scores the offline evaluation path would have produced.
@@ -30,13 +33,14 @@
 //!   one OS thread per connection feeding the shared batcher, shutdown
 //!   via a [`ShutdownToken`].
 //!
-//! [`serve_tcp_dynamic`] layers **group lifecycle** on the same socket
-//! (DESIGN.md §13): create/join/leave opcodes dispatched to a
-//! [`GroupLifecycle`](kgag_data::GroupLifecycle) backend synchronously
-//! on the connection thread — never through the batcher — so a
-//! client's next score request always observes its own mutation.
-//! Servers without a backend ([`serve_tcp`]) answer mutations with
-//! [`ServeError::Unsupported`] on a still-usable connection.
+//! Given a [`GroupLifecycle`](kgag_data::GroupLifecycle) backend,
+//! [`serve_tcp`] layers **group lifecycle** on the same socket
+//! (DESIGN.md §13): create/join/leave opcodes are applied synchronously
+//! on the connection thread — never through the batcher — so a client's
+//! next score request always observes its own mutation. Without one,
+//! mutations are answered [`ServeError::Unsupported`] on a still-usable
+//! connection. The same entry point serves every scorer: single-node,
+//! lifecycle-aware and sharded.
 //!
 //! Delivery contract: every request accepted by [`ServeHandle::submit`]
 //! receives **exactly one** response — a score vector, or a terminal
@@ -55,15 +59,11 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use batcher::{
-    serve_in_process, serve_in_process_try, spawn_batcher, BatcherGuard, PendingResponse,
-    ServeHandle,
-};
+pub use batcher::{serve_in_process, spawn_batcher, BatcherGuard, PendingResponse, ServeHandle};
 pub use config::ServeConfig;
 pub use registry::{serve_tcp_registry, Governor, ModelFactory, RegistryConfig, RegistryServer};
 pub use server::{
-    serve_tcp, serve_tcp_dynamic, serve_tcp_try, ClientError, LifecycleResult, RegistryResult,
-    ServeClient, ShutdownToken,
+    serve_tcp, ClientError, LifecycleResult, RegistryResult, ServeClient, ShutdownToken,
 };
 pub use shard::{serve_shard, ShardConfig, ShardPool, ShardedScorer};
 
@@ -82,11 +82,10 @@ pub enum ServeError {
     /// graceful shutdown drains the queue instead.
     Canceled,
     /// The wire-level request could not be decoded, or a score request
-    /// named an out-of-range item on a lifecycle-aware server.
+    /// named a group or item the scorer does not know.
     Invalid,
     /// A lifecycle opcode reached a server without a lifecycle backend
-    /// (static [`serve_tcp`]; mutations need
-    /// [`server::serve_tcp_dynamic`]).
+    /// ([`serve_tcp`] with `lifecycle: None`).
     Unsupported,
     /// A well-formed lifecycle mutation the backend rejected (unknown
     /// group, duplicate member, …); the serving state is unchanged.
@@ -140,36 +139,19 @@ impl std::error::Error for ServeError {}
 /// or a terminal error.
 pub type ServeResult = Result<Vec<f32>, ServeError>;
 
-/// A batch scorer whose cases can fail *individually* — the seam the
-/// batcher actually drains. Infallible scorers (anything implementing
-/// [`kgag_eval::protocol::BatchGroupScorer`]) are adapted automatically
-/// by the non-`_try` entry points, which wrap every row in `Ok`; the
-/// sharded [`ShardedScorer`] implements this directly, mapping per-case
-/// [`kgag::ShardError`]s to [`ServeError::Shard`] so one dead peer
-/// fails only the requests that needed it, never the whole batch.
-pub trait TryBatchGroupScorer: Sync {
-    /// One result per case, aligned with `cases`; `Ok` rows are aligned
-    /// with that case's items.
-    fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult>;
-}
-
-/// Adapter giving every infallible [`BatchGroupScorer`] the fallible
-/// interface. The non-`_try` entry points wrap in this internally;
-/// it is public so test harnesses (e.g. [`FaultScorer`] over a plain
-/// [`BatchGroupScorer`]) can compose the same adaptation explicitly.
-///
-/// [`BatchGroupScorer`]: kgag_eval::protocol::BatchGroupScorer
-pub struct InfallibleScorer<'a, S: ?Sized>(pub &'a S);
-
-impl<S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized> TryBatchGroupScorer
-    for InfallibleScorer<'_, S>
-{
-    fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
-        self.0.score_batch(cases).into_iter().map(Ok).collect()
+impl From<kgag::ScoreError> for ServeError {
+    /// The one mapping from a per-case scoring failure to its wire
+    /// status: a shard failure keeps its class, every bad id is
+    /// [`ServeError::Invalid`].
+    fn from(e: kgag::ScoreError) -> ServeError {
+        match e {
+            kgag::ScoreError::Shard(e) => ServeError::Shard(e.kind),
+            _ => ServeError::Invalid,
+        }
     }
 }
 
-/// A [`TryBatchGroupScorer`] that misbehaves on a scripted schedule —
+/// A scorer that misbehaves on a scripted schedule —
 /// the interpreter for [`kgag_testkit::FaultPlan`] (which owns the
 /// schedule; this wrapper owns the scorer it wraps). One scoring call
 /// draws one [`FaultAction`](kgag_testkit::FaultAction):
@@ -178,15 +160,16 @@ impl<S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized> TryBatchGroupScor
 /// * `Panic` — panic mid-batch (the batcher must survive and answer);
 /// * `Delay(d)` — sleep, then delegate (drives queued requests past
 ///   their deadlines);
-/// * `Error` — fail every case with [`ServeError::Shard`] /
-///   `Unavailable`, the typed dependency-outage shape;
+/// * `Error` — fail every case with a shard-0 `Unavailable`
+///   [`kgag::ScoreError::Shard`], the typed dependency-outage shape;
 /// * `Corrupt` — delegate, then flip the low mantissa bit of the first
 ///   score (the minimal bit-identity violation, for circuit-breaker
 ///   tests).
 ///
-/// The property suites in `crates/serve/tests/fault_props.rs` wrap the
-/// batcher's scorer in this and prove the exactly-once delivery
-/// contract under every action.
+/// `inner` is any pointer to a scorer (`&S`, `Arc<S>`). The property
+/// suites in `crates/serve/tests/fault_props.rs` wrap the batcher's
+/// scorer in this and prove the exactly-once delivery contract under
+/// every action.
 pub struct FaultScorer<S> {
     inner: S,
     plan: kgag_testkit::FaultPlan,
@@ -204,22 +187,29 @@ impl<S> FaultScorer<S> {
     }
 }
 
-impl<S: TryBatchGroupScorer> TryBatchGroupScorer for FaultScorer<S> {
-    fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
+impl<S> kgag::ScoreCases for FaultScorer<S>
+where
+    S: std::ops::Deref + Sync,
+    S::Target: kgag::ScoreCases,
+{
+    fn try_score_cases(
+        &self,
+        cases: &[(u32, Vec<u32>)],
+    ) -> Vec<Result<Vec<f32>, kgag::ScoreError>> {
         use kgag_testkit::FaultAction;
         match self.plan.next_action() {
-            FaultAction::Pass => self.inner.try_score_batch(cases),
+            FaultAction::Pass => self.inner.try_score_cases(cases),
             FaultAction::Panic => panic!("injected fault: scorer panic"),
             FaultAction::Delay(d) => {
                 std::thread::sleep(d);
-                self.inner.try_score_batch(cases)
+                self.inner.try_score_cases(cases)
             }
-            FaultAction::Error => cases
-                .iter()
-                .map(|_| Err(ServeError::Shard(kgag::ShardErrorKind::Unavailable)))
-                .collect(),
+            FaultAction::Error => {
+                let down = kgag::ShardError { shard: 0, kind: kgag::ShardErrorKind::Unavailable };
+                cases.iter().map(|_| Err(kgag::ScoreError::Shard(down))).collect()
+            }
             FaultAction::Corrupt => {
-                let mut out = self.inner.try_score_batch(cases);
+                let mut out = self.inner.try_score_cases(cases);
                 if let Some(s) = out.iter_mut().filter_map(|r| r.as_mut().ok()).flatten().next() {
                     *s = f32::from_bits(s.to_bits() ^ 1);
                 }

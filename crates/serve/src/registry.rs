@@ -32,7 +32,7 @@
 //! tenant has a staged candidate is mirrored through the *candidate's
 //! batcher* (arbitrary fusion with other traffic), then compared
 //! bit-for-bit against the candidate's own offline
-//! [`score_cases`](kgag::RegistryModel::score_cases) — the `serve_check`
+//! [`try_score_cases`](kgag::ScoreCases::try_score_cases) — the `serve_check`
 //! chunking-invariance oracle, applied continuously to live traffic.
 //! Verdicts feed [`kgag::ModelRegistry::record_shadow`]; one mismatch
 //! quarantines the candidate registry-wide. The mirrored scoring rides
@@ -41,10 +41,10 @@
 
 use crate::batcher::{spawn_batcher, BatcherGuard, ServeHandle};
 use crate::config::{parse_or, ServeConfig};
-use crate::server::{serve_connections, Dispatch, ShutdownToken};
+use crate::server::{answer_message, serve_connections, Dispatch, ShutdownToken};
 use crate::wire::{Message, RegistryOp, Response, TenantRequest};
-use crate::{ServeError, ServeResult, TryBatchGroupScorer};
-use kgag::{checkpoint_hash, ModelRegistry, RegistryModel};
+use crate::{ServeError, ServeResult};
+use kgag::{checkpoint_hash, ModelRegistry, RegistryModel, ScoreCases};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,22 +179,6 @@ impl Governor {
     }
 }
 
-/// Adapter putting one registry entry behind the batcher's fallible
-/// scorer seam. Bounds are pre-validated on the connection thread, so a
-/// residual `score_cases` rejection here (a race against nothing — the
-/// entry is immutable) degrades to [`ServeError::Invalid`] per case
-/// rather than a panic.
-struct EntryScorer(Arc<RegistryModel>);
-
-impl TryBatchGroupScorer for EntryScorer {
-    fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
-        match self.0.score_cases(cases) {
-            Ok(rows) => rows.into_iter().map(Ok).collect(),
-            Err(_) => cases.iter().map(|_| Err(ServeError::Invalid)).collect(),
-        }
-    }
-}
-
 /// Per-tenant telemetry handles, interned lazily under
 /// `registry.tenant<id>.*`.
 struct TenantMetrics {
@@ -275,7 +259,7 @@ impl RegistryServer {
     /// Make an already-built entry resident and spin up its batcher.
     /// The in-process twin of the wire's LOAD.
     pub fn install(&self, entry: RegistryModel) -> Result<u64, ServeError> {
-        self.install_with(entry, EntryScorer)
+        self.install_with(entry, spawn_batcher)
     }
 
     /// [`install`](Self::install) with the entry's batcher scorer
@@ -288,20 +272,19 @@ impl RegistryServer {
         entry: RegistryModel,
         plan: kgag_testkit::FaultPlan,
     ) -> Result<u64, ServeError> {
-        self.install_with(entry, |m| crate::FaultScorer::new(EntryScorer(m), plan))
+        self.install_with(entry, |model, cfg| {
+            spawn_batcher(Arc::new(crate::FaultScorer::new(model, plan)), cfg)
+        })
     }
 
-    fn install_with<S>(
+    fn install_with(
         &self,
         entry: RegistryModel,
-        wrap: impl FnOnce(Arc<RegistryModel>) -> S,
-    ) -> Result<u64, ServeError>
-    where
-        S: TryBatchGroupScorer + Send + Sync + 'static,
-    {
+        spawn: impl FnOnce(Arc<RegistryModel>, &ServeConfig) -> BatcherGuard,
+    ) -> Result<u64, ServeError> {
         let hash = self.registry.load(entry).map_err(ServeError::Registry)?;
         let model = self.registry.entry(hash).expect("entry resident immediately after load");
-        let guard = spawn_batcher(Arc::new(wrap(model)), &self.cfg.serve);
+        let guard = spawn(model, &self.cfg.serve);
         self.batchers.lock().unwrap().insert(hash, guard);
         self.metrics.loads.add(1);
         Ok(hash)
@@ -334,11 +317,7 @@ impl RegistryServer {
         }
         let admission = self.registry.resolve(req.tenant).map_err(ServeError::Registry)?;
         self.metrics.tenant(req.tenant, |m| m.accepted.add(1));
-        let active = &admission.active;
-        if req.group >= active.num_groups() || req.items.iter().any(|&v| v >= active.num_items()) {
-            return Err(ServeError::Invalid);
-        }
-        let handle = match self.handle_of(active.hash()) {
+        let handle = match self.handle_of(admission.active.hash()) {
             Some(h) => h,
             None => return Err(ServeError::Rejected), // entry retired mid-resolve
         };
@@ -347,8 +326,10 @@ impl RegistryServer {
             Ok(pending) => pending.wait(),
             Err(e) => Err(e),
         };
-        if let Some(shadow) = admission.shadow {
-            self.maybe_shadow(req, &shadow);
+        match admission.shadow {
+            // a request the active model rejects as malformed is not mirrored
+            Some(shadow) if result != Err(ServeError::Invalid) => self.maybe_shadow(req, &shadow),
+            _ => {}
         }
         result
     }
@@ -356,17 +337,11 @@ impl RegistryServer {
     /// Mirror every `shadow_sample`-th request onto the staged
     /// candidate and report the bit-identity verdict. The comparison is
     /// served-through-the-batcher (arbitrary fusion with whatever else
-    /// is queued) against the candidate's own offline `score_cases` of
+    /// is queued) against the candidate's own offline scoring of
     /// just this case — chunking invariance asserted on live traffic.
     fn maybe_shadow(&self, req: &TenantRequest, shadow: &Arc<RegistryModel>) {
         let n = self.cfg.shadow_sample;
         if n == 0 || self.shadow_tick.fetch_add(1, Ordering::Relaxed) % n != 0 {
-            return;
-        }
-        if req.group >= shadow.num_groups() || req.items.iter().any(|&v| v >= shadow.num_items()) {
-            // The candidate cannot represent this request (smaller
-            // catalog); that is a capability gap, not a scoring
-            // divergence — skip rather than poison the verdict.
             return;
         }
         let handle = match self.handle_of(shadow.hash()) {
@@ -377,16 +352,16 @@ impl RegistryServer {
             Ok(pending) => pending.wait(),
             Err(_) => return, // shed shadow work is no verdict at all
         };
-        let offline = match shadow.score_cases(&[(req.group, req.items.clone())]) {
-            Ok(mut rows) => rows.pop().unwrap_or_default(),
-            Err(_) => return,
-        };
-        let clean = match served {
-            Ok(scores) => {
+        // A candidate that cannot represent this request (smaller
+        // catalog) fails it on both paths: a capability gap, not a
+        // scoring divergence — skip rather than poison the verdict.
+        let offline = shadow.try_score_cases(&[(req.group, req.items.clone())]).pop();
+        let clean = match (served, offline) {
+            (Ok(scores), Some(Ok(offline))) => {
                 scores.len() == offline.len()
                     && scores.iter().zip(&offline).all(|(a, b)| a.to_bits() == b.to_bits())
             }
-            Err(_) => return,
+            _ => return,
         };
         if clean {
             self.metrics.shadow_clean.add(1);
@@ -441,15 +416,15 @@ impl RegistryServer {
 }
 
 impl Dispatch for RegistryServer {
-    fn dispatch(&self, msg: Message) -> Response {
-        match msg {
+    fn answer(&self, payload: &[u8]) -> Vec<u8> {
+        answer_message(payload, |msg| match msg {
             Message::Tenant(req) => Response::from_result(req.id, self.score_tenant(&req)),
             Message::Registry(req) => Response::from_registry(req.id, self.apply(&req.op)),
             // Version skew: a registry server has no un-tenanted
             // default model and no lifecycle backend.
             Message::Score(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
             Message::Lifecycle(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
-        }
+        })
     }
 }
 

@@ -7,16 +7,20 @@
 //! (responses are written in request order, so the client can pipeline
 //! frames and match them by correlation id).
 //!
-//! Lifecycle dispatch: [`serve_tcp_dynamic`] additionally routes the
-//! create/join/leave opcodes to a
-//! [`GroupLifecycle`](kgag_data::GroupLifecycle) backend. Mutations are
-//! applied *synchronously on the connection thread* — they never enter
-//! the batcher queue, so a mutation is fully applied (store + caches)
+//! Lifecycle dispatch: given a
+//! [`GroupLifecycle`](kgag_data::GroupLifecycle) backend, [`serve_tcp`]
+//! routes the create/join/leave opcodes to it. Mutations are applied
+//! *synchronously on the connection thread* — they never enter the
+//! batcher queue, so a mutation is fully applied (store + caches)
 //! before its ack is written, and any score request the same client
-//! sends afterwards sees the new membership. Score requests are
-//! pre-validated against the live group/item bounds here, keeping the
-//! infallible batch path panic-free. [`serve_tcp`] answers every
-//! lifecycle opcode [`ServeError::Unsupported`].
+//! sends afterwards sees the new membership. Without a backend every
+//! lifecycle opcode is answered [`ServeError::Unsupported`].
+//!
+//! Validation: the connection thread checks nothing but the wire
+//! format. Unknown groups and items reach the scorer, which fails just
+//! those cases with typed errors ([`ServeError::Invalid`]); a lifecycle
+//! server alone answers an unknown group
+//! `Lifecycle(UnknownGroup)` before submitting.
 //!
 //! Shutdown: trigger the [`ShutdownToken`]. The acceptor stops taking
 //! connections, per-connection threads finish their buffered requests
@@ -25,10 +29,11 @@
 //! dropped — the same exactly-one-response contract as the in-process
 //! layer.
 
-use crate::batcher::{serve_in_process_try, ServeHandle};
+use crate::batcher::{serve_in_process, ServeHandle};
 use crate::config::ServeConfig;
 use crate::wire::{self, LifecycleRequest, Message, Reply, Request, Response};
-use crate::{ServeError, ServeResult, TryBatchGroupScorer};
+use crate::{ServeError, ServeResult};
+use kgag::ScoreCases;
 use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleOp};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -37,12 +42,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often the acceptor re-checks the shutdown token while idle.
-/// Shared with the shard server (`crate::shard`), which runs the same
-/// accept-loop shape.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(2);
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Read timeout per connection: the cadence at which handlers notice a
 /// triggered token on an otherwise-quiet socket.
-pub(crate) const READ_POLL: Duration = Duration::from_millis(50);
+const READ_POLL: Duration = Duration::from_millis(50);
 
 /// A cloneable one-way shutdown switch shared between the server and
 /// whoever decides it is done (signal handler, test, CLI stdin watcher).
@@ -64,8 +67,14 @@ impl ShutdownToken {
     }
 }
 
-/// Serve `scorer` over TCP until `token` is triggered — score requests
-/// only; lifecycle opcodes are answered [`ServeError::Unsupported`].
+/// Serve `scorer` over TCP until `token` is triggered — the one TCP
+/// front door for every scorer (single-node, lifecycle-aware, sharded).
+///
+/// With a `lifecycle` backend, create/join/leave opcodes are applied
+/// through it; pass the same object as `scorer` (a `DynamicScorer`
+/// implements both traits) so scores always read the membership that
+/// mutations write. Without one they are answered
+/// [`ServeError::Unsupported`].
 ///
 /// Binds `addr` (use `127.0.0.1:0` for an ephemeral loopback port),
 /// reports the bound address through `on_ready` once the batcher is
@@ -74,62 +83,6 @@ impl ShutdownToken {
 /// been answered and all connection threads have exited.
 pub fn serve_tcp<S>(
     scorer: &S,
-    config: &ServeConfig,
-    addr: &str,
-    token: &ShutdownToken,
-    on_ready: impl FnOnce(SocketAddr),
-) -> std::io::Result<()>
-where
-    S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized,
-{
-    serve_tcp_inner(&crate::InfallibleScorer(scorer), None, config, addr, token, on_ready)
-}
-
-/// [`serve_tcp`] for fallible scorers — the front door of a sharded
-/// deployment (`kgag serve --shards …`). Per-case failures surface as
-/// typed wire errors (status bytes 24..=26) on exactly the requests
-/// that hit them; the connection stays usable.
-pub fn serve_tcp_try<S>(
-    scorer: &S,
-    config: &ServeConfig,
-    addr: &str,
-    token: &ShutdownToken,
-    on_ready: impl FnOnce(SocketAddr),
-) -> std::io::Result<()>
-where
-    S: TryBatchGroupScorer,
-{
-    serve_tcp_inner(scorer, None, config, addr, token, on_ready)
-}
-
-/// [`serve_tcp`] plus a live group table: create/join/leave opcodes are
-/// applied through `lifecycle` and score requests are bounds-checked
-/// against it. Pass the same object as `scorer` and `lifecycle` (a
-/// `DynamicScorer` implements both traits) so scores always read the
-/// membership that mutations write.
-pub fn serve_tcp_dynamic<S>(
-    scorer: &S,
-    lifecycle: &(dyn GroupLifecycle + Sync),
-    config: &ServeConfig,
-    addr: &str,
-    token: &ShutdownToken,
-    on_ready: impl FnOnce(SocketAddr),
-) -> std::io::Result<()>
-where
-    S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized,
-{
-    serve_tcp_inner(
-        &crate::InfallibleScorer(scorer),
-        Some(lifecycle),
-        config,
-        addr,
-        token,
-        on_ready,
-    )
-}
-
-fn serve_tcp_inner<S>(
-    scorer: &S,
     lifecycle: Option<&(dyn GroupLifecycle + Sync)>,
     config: &ServeConfig,
     addr: &str,
@@ -137,12 +90,12 @@ fn serve_tcp_inner<S>(
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()>
 where
-    S: TryBatchGroupScorer,
+    S: ScoreCases + ?Sized,
 {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
-    serve_in_process_try(scorer, config, |handle| {
+    serve_in_process(scorer, config, |handle| {
         on_ready(local);
         let dispatch = BatcherDispatch { handle, lifecycle };
         serve_connections(&listener, token, &dispatch);
@@ -150,21 +103,21 @@ where
     Ok(())
 }
 
-/// What a server *does* with a decoded request — the seam between the
-/// shared framing/connection machinery and the two dispatch models:
+/// What a server *does* with one request payload — the seam between the
+/// shared framing/connection machinery and the three servers:
 /// single-model ([`BatcherDispatch`]: one batcher, optional lifecycle
-/// backend) and multi-tenant (`crate::registry`: per-entry batchers
-/// behind admission control). One call handles one request and must
-/// return exactly one response.
+/// backend), multi-tenant (`crate::registry`: per-entry batchers behind
+/// admission control) and shard (`crate::shard`: draw and row queries).
+/// One call answers one request with exactly one response frame.
 pub(crate) trait Dispatch: Sync {
-    fn dispatch(&self, msg: Message) -> Response;
+    fn answer(&self, payload: &[u8]) -> Vec<u8>;
 }
 
-/// Accept-loop body shared by every TCP front door: take connections
-/// until the token triggers, one scoped OS thread per connection, all
-/// answering through `dispatch`. The listener must already be
-/// nonblocking.
-pub(crate) fn serve_connections<D: Dispatch>(
+/// Accept-loop body shared by every TCP server (scoring, registry and
+/// shard): take connections until the token triggers, one scoped OS
+/// thread per connection, all answering through `dispatch`. The
+/// listener must already be nonblocking.
+pub(crate) fn serve_connections<D: Dispatch + ?Sized>(
     listener: &TcpListener,
     token: &ShutdownToken,
     dispatch: &D,
@@ -203,7 +156,7 @@ fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, toke
         loop {
             match wire::take_frame(&mut buf) {
                 Ok(Some(payload)) => {
-                    if !answer(&mut stream, dispatch, &payload) {
+                    if wire::write_frame(&mut stream, &dispatch.answer(&payload)).is_err() {
                         return;
                     }
                 }
@@ -226,14 +179,17 @@ fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, toke
     }
 }
 
-/// Decode, dispatch, write the response. Returns `false` when the
-/// connection is unusable and should close.
-fn answer<D: Dispatch + ?Sized>(stream: &mut TcpStream, dispatch: &D, payload: &[u8]) -> bool {
+/// Decode a scoring-protocol request, dispatch it, and encode the
+/// response frame.
+pub(crate) fn answer_message(
+    payload: &[u8],
+    dispatch: impl FnOnce(Message) -> Response,
+) -> Vec<u8> {
     let response = match wire::decode_request(payload) {
-        Ok(msg) => dispatch.dispatch(msg),
+        Ok(msg) => dispatch(msg),
         Err(_) => Response { id: wire::salvage_id(payload), reply: Err(ServeError::Invalid) },
     };
-    let frame = match wire::encode_response(&response) {
+    match wire::encode_response(&response) {
         Ok(frame) => frame,
         // A response too large for one frame (pathological score count)
         // degrades to a typed error under the same correlation id —
@@ -242,8 +198,7 @@ fn answer<D: Dispatch + ?Sized>(stream: &mut TcpStream, dispatch: &D, payload: &
             let fallback = Response { id: response.id, reply: Err(ServeError::Invalid) };
             wire::encode_response(&fallback).expect("error responses fit one frame")
         }
-    };
-    wire::write_frame(stream, &frame).is_ok()
+    }
 }
 
 /// The single-model dispatch: scores through one shared batcher,
@@ -257,8 +212,8 @@ struct BatcherDispatch<'a> {
 }
 
 impl Dispatch for BatcherDispatch<'_> {
-    fn dispatch(&self, msg: Message) -> Response {
-        match msg {
+    fn answer(&self, payload: &[u8]) -> Vec<u8> {
+        answer_message(payload, |msg| match msg {
             Message::Score(req) => {
                 let outcome = score_request(&self.handle, self.lifecycle, &req);
                 Response::from_result(req.id, outcome)
@@ -269,7 +224,7 @@ impl Dispatch for BatcherDispatch<'_> {
             },
             Message::Tenant(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
             Message::Registry(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
-        }
+        })
     }
 }
 
@@ -285,22 +240,17 @@ pub(crate) fn wire_deadline(deadline_us: u64) -> Option<Instant> {
         .flatten()
 }
 
-/// Submit one score request to the batcher and wait. With a lifecycle
-/// backend, group and item ids are bounds-checked first: the dynamic
-/// scorer's batch path is infallible by contract, so out-of-range ids
-/// must be turned into typed errors here rather than reach it.
+/// Submit one score request to the batcher and wait. Bad ids come back
+/// from the scorer as typed per-case errors; only a lifecycle server
+/// checks the group first, answering an unknown one in lifecycle terms
+/// (the group may simply not have been created yet).
 fn score_request(
     handle: &ServeHandle,
     lifecycle: Option<&(dyn GroupLifecycle + Sync)>,
     req: &Request,
 ) -> ServeResult {
-    if let Some(l) = lifecycle {
-        if req.group >= l.group_count() {
-            return Err(ServeError::Lifecycle(kgag_data::LifecycleError::UnknownGroup));
-        }
-        if req.items.iter().any(|&v| v >= l.item_count()) {
-            return Err(ServeError::Invalid);
-        }
+    if lifecycle.is_some_and(|l| req.group >= l.group_count()) {
+        return Err(ServeError::Lifecycle(kgag_data::LifecycleError::UnknownGroup));
     }
     match handle.submit(req.group, req.items.clone(), wire_deadline(req.deadline_us)) {
         Ok(pending) => pending.wait(),

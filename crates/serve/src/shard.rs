@@ -3,7 +3,7 @@
 //! A sharded deployment splits the embedding tables and the knowledge
 //! graph's adjacency rows across `N` shard processes (contiguous row
 //! ranges, [`kgag_kg::Partition`]); a router process holds only the
-//! small dense parameters ([`kgag::RouterCore`]) and assembles each
+//! small dense parameters ([`ShardedScorer`]) and assembles each
 //! request's receptive field by querying shards for keyed neighbour
 //! draws and raw embedding rows, then runs the *same* inference engine a
 //! single-node server would. Because draws are keyed on
@@ -41,17 +41,16 @@
 //! request/reply framing cannot be resynchronised after a partial read
 //! — and every queued and future job on that peer fails fast with a
 //! typed [`kgag::ShardError`]. The router maps those to
-//! [`ServeError::Shard`] **per request**: only requests whose receptive
+//! [`crate::ServeError::Shard`] **per request**: only requests whose receptive
 //! field touches the dead shard fail; the rest of the batch is answered
 //! normally, and nothing panics or hangs.
 
 use crate::config::parse_or;
-use crate::server::{ShutdownToken, ACCEPT_POLL, READ_POLL};
-use crate::wire::{self, MAX_FRAME};
-use crate::{ServeError, ServeResult, TryBatchGroupScorer};
-use kgag::{RouterCore, ShardError, ShardErrorKind, ShardFetch};
+use crate::server::{serve_connections, Dispatch, ShutdownToken};
+use crate::wire::{self, Cursor, MAX_FRAME};
+use kgag::{DrawMemo, Kgag, Scorer, ShardError, ShardErrorKind, ShardFetch};
 use kgag_kg::{Partition, ShardState};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -148,81 +147,25 @@ fn encode_rows(table: u8, ids: &[u32]) -> Vec<u8> {
     p
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!("truncated shard request at byte {}", self.pos));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn ids(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.u32()? as usize;
-        // the length prefix must be consistent with the bytes actually
-        // present — a lying count is a framing error, not a short read
-        if self.buf.len() - self.pos < n * 4 {
-            return Err(format!("id list claims {n} ids but body is short"));
-        }
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(self.u32()?);
-        }
-        Ok(ids)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{} trailing bytes after shard request",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
-
 fn decode_shard_request(payload: &[u8]) -> Result<ShardRequest, String> {
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let op = c.u8().map_err(|_| "empty shard request".to_owned())?;
-    let req = match op {
-        OP_SHARD_INFO => ShardRequest::Info,
+    match op {
+        OP_SHARD_INFO => c.finish("shard info").map(|()| ShardRequest::Info),
         OP_SHARD_DRAWS => {
             let salt = c.u64()?;
             let level = c.u32()?;
-            let ids = c.ids()?;
-            ShardRequest::Draws { salt, level, ids }
+            Ok(ShardRequest::Draws { salt, level, ids: c.ids("id")? })
         }
         OP_SHARD_ROWS => {
             let table = c.u8()?;
             if table != TABLE_ENTITY && table != TABLE_RELATION {
                 return Err(format!("unknown row table {table}"));
             }
-            let ids = c.ids()?;
-            ShardRequest::Rows { table, ids }
+            Ok(ShardRequest::Rows { table, ids: c.ids("id")? })
         }
-        other => return Err(format!("unknown shard opcode {other}")),
-    };
-    c.finish()?;
-    Ok(req)
+        other => Err(format!("unknown shard opcode {other}")),
+    }
 }
 
 /// Split a shard reply into its ok-body, or the refusal reason.
@@ -267,10 +210,10 @@ fn into_frame(payload: &[u8]) -> Option<Vec<u8>> {
 
 /// Serve one shard's slice over TCP until `token` is triggered.
 ///
-/// Mirrors [`crate::serve_tcp`]'s accept loop: binds `addr` (use
-/// `127.0.0.1:0` for an ephemeral port), reports the bound address
-/// through `on_ready`, then accepts router connections on the calling
-/// thread — one handler thread per connection, requests answered
+/// The same accept loop and framing as [`crate::serve_tcp`]: binds
+/// `addr` (use `127.0.0.1:0` for an ephemeral port), reports the bound
+/// address through `on_ready`, then accepts router connections on the
+/// calling thread — one handler thread per connection, requests answered
 /// synchronously in order. Shards are stateless request/reply servers;
 /// all batching, caching and fusion lives on the router.
 pub fn serve_shard(
@@ -281,65 +224,20 @@ pub fn serve_shard(
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    on_ready(local);
-    std::thread::scope(|s| {
-        while !token.is_triggered() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let token = token.clone();
-                    s.spawn(move || shard_connection(stream, state, token));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                Err(e) => {
-                    eprintln!("[kgag-serve] shard accept error: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-    });
+    on_ready(listener.local_addr()?);
+    serve_connections(&listener, token, state);
     Ok(())
 }
 
-/// Per-connection loop: identical framing discipline to the scoring
-/// server — partial frames survive read timeouts, an invalid length
-/// prefix drops the connection.
-fn shard_connection(stream: TcpStream, state: &ShardState, token: ShutdownToken) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut stream = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 4096];
-    loop {
-        loop {
-            match wire::take_frame(&mut buf) {
-                Ok(Some(payload)) => {
-                    let reply = match answer_shard(state, &payload) {
-                        Ok(body) => ok_reply(&body),
-                        Err(msg) => err_reply(&msg),
-                    };
-                    let frame = into_frame(&reply).unwrap_or_else(|| {
-                        into_frame(&err_reply("reply exceeds MAX_FRAME"))
-                            .expect("error replies fit one frame")
-                    });
-                    if stream.write_all(&frame).and_then(|()| stream.flush()).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-        if token.is_triggered() {
-            return;
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+impl Dispatch for ShardState {
+    fn answer(&self, payload: &[u8]) -> Vec<u8> {
+        let reply = match answer_shard(self, payload) {
+            Ok(body) => ok_reply(&body),
+            Err(msg) => err_reply(&msg),
+        };
+        into_frame(&reply).unwrap_or_else(|| {
+            into_frame(&err_reply("reply exceeds MAX_FRAME")).expect("error replies fit one frame")
+        })
     }
 }
 
@@ -405,7 +303,7 @@ fn answer_shard(state: &ShardState, payload: &[u8]) -> Result<Vec<u8>, String> {
 // ---------------------------------------------------------------------------
 
 /// What the shard reported at handshake; the router checks this against
-/// its own [`RouterCore`] before serving anything.
+/// its own model card before serving anything.
 #[derive(Clone, Copy, Debug)]
 struct PeerInfo {
     index: usize,
@@ -729,70 +627,35 @@ impl ShardPool {
 // The sharded scorer
 // ---------------------------------------------------------------------------
 
-/// The router's batch scorer: a [`RouterCore`] fused over a
-/// [`ShardPool`]. Implements [`TryBatchGroupScorer`] — serve it with
-/// [`crate::serve_tcp_try`] — and fails *per case*: out-of-range ids
-/// become [`ServeError::Invalid`], shard failures become
-/// [`ServeError::Shard`] on exactly the requests that needed the
-/// failing peer.
-pub struct ShardedScorer {
-    core: RouterCore,
-    pool: ShardPool,
-}
+/// The router: the one [`kgag::Scorer`] over a [`ShardPool`], with the
+/// draw memo in front of the pool. Serve it with [`crate::serve_tcp`];
+/// it fails *per case* — unknown ids become [`crate::ServeError::Invalid`],
+/// shard failures [`crate::ServeError::Shard`] on exactly the requests that
+/// needed the failing peer.
+pub type ShardedScorer = Scorer<DrawMemo<ShardPool>>;
 
-impl ShardedScorer {
-    /// Pair a router core with a connected pool. Panics on a model-card
-    /// mismatch — a deployment error no request could ever recover
-    /// from.
-    pub fn new(core: RouterCore, pool: ShardPool) -> ShardedScorer {
-        assert_eq!(pool.dim(), core.dim(), "shard pool and router disagree on dim");
-        assert_eq!(pool.k(), core.sampler_k(), "shard pool and router disagree on sampler k");
-        assert_eq!(
-            pool.num_entities(),
-            core.num_entities(),
-            "shard pool and router disagree on entity count"
-        );
-        assert_eq!(
-            pool.num_relation_slots(),
-            core.num_relation_slots(),
-            "shard pool and router disagree on relation count"
-        );
-        ShardedScorer { core, pool }
-    }
-
-    pub fn core(&self) -> &RouterCore {
-        &self.core
-    }
-
-    pub fn pool(&self) -> &ShardPool {
-        &self.pool
-    }
-}
-
-impl TryBatchGroupScorer for ShardedScorer {
-    fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
-        // Bounds are validated here because RouterCore::score_cases
-        // asserts them — a malformed wire request must become a typed
-        // error, not a router panic.
-        let mut out: Vec<Option<ServeResult>> = vec![None; cases.len()];
-        let mut valid_idx = Vec::with_capacity(cases.len());
-        let mut valid_cases = Vec::with_capacity(cases.len());
-        for (i, (group, items)) in cases.iter().enumerate() {
-            if *group >= self.core.num_groups() || items.iter().any(|&v| v >= self.core.num_items())
-            {
-                out[i] = Some(Err(ServeError::Invalid));
-            } else {
-                valid_idx.push(i);
-                valid_cases.push((*group, items.clone()));
-            }
+impl ShardPool {
+    /// The router for `model` over this pool, memoizing draws when
+    /// `memo`. Refuses a pool whose model card disagrees with the model
+    /// — a deployment error no request could ever recover from.
+    pub fn into_scorer(self, model: &Kgag, memo: bool) -> std::io::Result<ShardedScorer> {
+        let ckg = model.collaborative_kg();
+        let scorer = Scorer::new(model, DrawMemo::new(self, memo));
+        let pool = scorer.source().inner();
+        if (pool.dim, pool.k, pool.num_entities(), pool.num_relation_slots())
+            != (
+                model.config().dim,
+                scorer.sampler_k(),
+                ckg.num_entities(),
+                ckg.num_relation_slots(),
+            )
+        {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                "shard pool and router disagree on the model card",
+            ));
         }
-        if !valid_cases.is_empty() {
-            let results = self.core.score_cases(&self.pool, &valid_cases);
-            for (i, r) in valid_idx.into_iter().zip(results) {
-                out[i] = Some(r.map_err(|e| ServeError::Shard(e.kind)));
-            }
-        }
-        out.into_iter().map(|o| o.expect("every case resolved")).collect()
+        Ok(scorer)
     }
 }
 

@@ -449,46 +449,24 @@ pub fn encode_registry(req: &RegistryRequest) -> Result<Vec<u8>, FrameTooLarge> 
 
 /// Decode a request payload (frame prefix already stripped).
 pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let op = c.u8()?;
     let id = c.u64()?;
     match op {
         OP_SCORE => {
             let group = c.u32()?;
             let deadline_us = c.u64()?;
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!(
-                    "item count {n} disagrees with payload ({} trailing bytes)",
-                    payload.len() - c.pos
-                ));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(c.u32()?);
-            }
+            let items = c.ids("item")?;
             Ok(Message::Score(Request { id, group, deadline_us, items }))
         }
         OP_CREATE => {
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!(
-                    "member count {n} disagrees with payload ({} trailing bytes)",
-                    payload.len() - c.pos
-                ));
-            }
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(c.u32()?);
-            }
+            let members = c.ids("member")?;
             Ok(Message::Lifecycle(LifecycleRequest { id, op: LifecycleOp::Create { members } }))
         }
         OP_JOIN | OP_LEAVE => {
             let group = c.u32()?;
             let user = c.u32()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after join/leave", payload.len() - c.pos));
-            }
+            c.finish("join/leave")?;
             let op = if op == OP_JOIN {
                 LifecycleOp::Join { group, user }
             } else {
@@ -500,17 +478,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
             let tenant = c.u32()?;
             let group = c.u32()?;
             let deadline_us = c.u64()?;
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!(
-                    "item count {n} disagrees with payload ({} trailing bytes)",
-                    payload.len() - c.pos
-                ));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(c.u32()?);
-            }
+            let items = c.ids("item")?;
             Ok(Message::Tenant(TenantRequest { id, tenant, group, deadline_us, items }))
         }
         OP_LOAD => {
@@ -529,18 +497,14 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
         OP_BIND => {
             let tenant = c.u32()?;
             let hash = c.u64()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after bind", payload.len() - c.pos));
-            }
+            c.finish("bind")?;
             Ok(Message::Registry(RegistryRequest { id, op: RegistryOp::Bind { tenant, hash } }))
         }
         OP_SHADOW => {
             let tenant = c.u32()?;
             let hash = c.u64()?;
             let min_clean = c.u64()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after shadow", payload.len() - c.pos));
-            }
+            c.finish("shadow")?;
             Ok(Message::Registry(RegistryRequest {
                 id,
                 op: RegistryOp::Shadow { tenant, hash, min_clean },
@@ -548,12 +512,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
         }
         OP_PROMOTE | OP_ROLLBACK => {
             let tenant = c.u32()?;
-            if c.pos != payload.len() {
-                return Err(format!(
-                    "{} trailing bytes after promote/rollback",
-                    payload.len() - c.pos
-                ));
-            }
+            c.finish("promote/rollback")?;
             let op = if op == OP_PROMOTE {
                 RegistryOp::Promote { tenant }
             } else {
@@ -563,9 +522,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
         }
         OP_RETIRE => {
             let hash = c.u64()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after retire", payload.len() - c.pos));
-            }
+            c.finish("retire")?;
             Ok(Message::Registry(RegistryRequest { id, op: RegistryOp::Retire { hash } }))
         }
         other => Err(format!("unknown opcode {other}")),
@@ -634,34 +591,22 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, FrameTooLarge> {
 
 /// Decode a response payload (frame prefix already stripped).
 pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let id = c.u64()?;
     let status = c.u8()?;
     let reply = match status {
         b if b == Status::Ok as u8 => {
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!("score count {n} disagrees with payload"));
-            }
-            let mut scores = Vec::with_capacity(n);
-            for _ in 0..n {
-                scores.push(f32::from_bits(c.u32()?));
-            }
-            Ok(Reply::Scores(scores))
+            Ok(Reply::Scores(c.ids("score")?.into_iter().map(f32::from_bits).collect()))
         }
         b if b == Status::Ack as u8 => {
             let group = c.u32()?;
             let members = c.u32()?;
-            if c.pos != payload.len() {
-                return Err("trailing bytes after ack".to_owned());
-            }
+            c.finish("ack")?;
             Ok(Reply::Ack(LifecycleAck { group, members }))
         }
         b if b == Status::RegistryAck as u8 => {
             let hash = c.u64()?;
-            if c.pos != payload.len() {
-                return Err("trailing bytes after registry ack".to_owned());
-            }
+            c.finish("registry ack")?;
             Ok(Reply::RegistryAck(hash))
         }
         b if b == Status::Rejected as u8 => Err(ServeError::Rejected),
@@ -682,8 +627,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
             },
         },
     };
-    if matches!(reply, Err(_)) && c.pos != payload.len() {
-        return Err("trailing bytes after error status".to_owned());
+    if reply.is_err() {
+        c.finish("error status")?;
     }
     Ok(Response { id, reply })
 }
@@ -727,13 +672,21 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-struct Cursor<'a> {
+/// A bounds-checked little-endian reader over one payload — the decoder
+/// of both the scoring protocol and the shard protocol
+/// ([`crate::shard`]). Every read past the end is an `Err`, never a
+/// panic.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.pos + n > self.buf.len() {
             return Err(format!("truncated payload at byte {}", self.pos));
         }
@@ -742,16 +695,36 @@ impl Cursor<'_> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A `u32` count, then exactly that many `u32`s ending the payload —
+    /// a count that disagrees with the bytes present is a framing
+    /// error, not a short read.
+    pub(crate) fn ids(&mut self, what: &str) -> Result<Vec<u32>, String> {
+        let n = self.u32()? as usize;
+        let rest = self.buf.len() - self.pos;
+        if rest != 4 * n {
+            return Err(format!("{what} count {n} disagrees with payload ({rest} trailing bytes)"));
+        }
+        (0..n).map(|_| self.u32()).collect()
+    }
+
+    /// `Err` unless the whole payload has been read.
+    pub(crate) fn finish(&self, what: &str) -> Result<(), String> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            rest => Err(format!("{rest} trailing bytes after {what}")),
+        }
     }
 }
 

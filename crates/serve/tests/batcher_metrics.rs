@@ -7,15 +7,15 @@
 //! counter/histogram totals, which concurrent tests in a shared binary
 //! would perturb.
 
-use kgag_eval::protocol::BatchGroupScorer;
+use kgag::{ScoreCases, ScoreError};
 use kgag_serve::{serve_in_process, ServeConfig};
 use std::time::Duration;
 
 struct EchoScorer;
 
-impl BatchGroupScorer for EchoScorer {
-    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
-        cases.iter().map(|(g, items)| items.iter().map(|&v| (g + v) as f32).collect()).collect()
+impl ScoreCases for EchoScorer {
+    fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
+        cases.iter().map(|(g, items)| Ok(items.iter().map(|&v| (g + v) as f32).collect())).collect()
     }
 }
 

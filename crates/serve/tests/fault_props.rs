@@ -6,9 +6,9 @@
 //! applies the same discipline to the shard pool, and a silent listener
 //! pins the client-side read timeout.
 
+use kgag::{ScoreCases, ScoreError};
 use kgag_serve::{
-    serve_in_process_try, ClientError, FaultScorer, InfallibleScorer, ServeClient, ServeConfig,
-    ServeError, TryBatchGroupScorer,
+    serve_in_process, ClientError, FaultScorer, ServeClient, ServeConfig, ServeError,
 };
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, vec_of};
@@ -27,9 +27,12 @@ fn stub_score(group: u32, item: u32) -> f32 {
 
 struct StubScorer;
 
-impl kgag_eval::protocol::BatchGroupScorer for StubScorer {
-    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
-        cases.iter().map(|(g, items)| items.iter().map(|&v| stub_score(*g, v)).collect()).collect()
+impl ScoreCases for StubScorer {
+    fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
+        cases
+            .iter()
+            .map(|(g, items)| Ok(items.iter().map(|&v| stub_score(*g, v)).collect()))
+            .collect()
     }
 }
 
@@ -46,11 +49,8 @@ fn serial_config() -> ServeConfig {
 
 #[test]
 fn panic_fault_cancels_its_batch_and_the_worker_survives() {
-    let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
-        FaultPlan::script(vec![FaultAction::Panic]),
-    );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    let scorer = FaultScorer::new(&StubScorer, FaultPlan::script(vec![FaultAction::Panic]));
+    serve_in_process(&scorer, &serial_config(), |handle| {
         assert_eq!(handle.score(1, vec![10, 11]), Err(ServeError::Canceled));
         // the worker outlived the unwind; the next draw (past the plan's
         // end) passes through and scores bit-exactly
@@ -63,11 +63,8 @@ fn panic_fault_cancels_its_batch_and_the_worker_survives() {
 
 #[test]
 fn error_fault_is_typed_per_case_and_transient() {
-    let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
-        FaultPlan::script(vec![FaultAction::Error]),
-    );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    let scorer = FaultScorer::new(&StubScorer, FaultPlan::script(vec![FaultAction::Error]));
+    serve_in_process(&scorer, &serial_config(), |handle| {
         assert_eq!(
             handle.score(1, vec![10]),
             Err(ServeError::Shard(kgag::ShardErrorKind::Unavailable))
@@ -79,11 +76,8 @@ fn error_fault_is_typed_per_case_and_transient() {
 
 #[test]
 fn corrupt_fault_flips_exactly_the_first_score_bit() {
-    let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
-        FaultPlan::script(vec![FaultAction::Corrupt]),
-    );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    let scorer = FaultScorer::new(&StubScorer, FaultPlan::script(vec![FaultAction::Corrupt]));
+    serve_in_process(&scorer, &serial_config(), |handle| {
         let got = handle.score(3, vec![30, 31, 32]).expect("corrupt still answers");
         let want = expected_bits(3, &[30, 31, 32]);
         assert_eq!(got[0].to_bits(), want[0] ^ 1, "first score low bit flipped");
@@ -95,10 +89,10 @@ fn corrupt_fault_flips_exactly_the_first_score_bit() {
 #[test]
 fn delay_fault_pushes_queued_requests_past_their_deadline() {
     let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
+        &StubScorer,
         FaultPlan::script(vec![FaultAction::Delay(Duration::from_millis(60))]),
     );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    serve_in_process(&scorer, &serial_config(), |handle| {
         // the single worker picks this up and sleeps inside the scorer
         let slow = handle.submit(1, vec![10], None).unwrap();
         // queued behind the delay with a budget the delay will blow
@@ -143,9 +137,8 @@ fn every_accepted_request_resolves_exactly_once_under_fault_storms() {
                 queue_capacity: 4096,
                 workers: *workers as usize,
             };
-            let scorer =
-                FaultScorer::new(InfallibleScorer(&StubScorer), FaultPlan::script(actions));
-            serve_in_process_try(&scorer, &config, |handle| {
+            let scorer = FaultScorer::new(&StubScorer, FaultPlan::script(actions));
+            serve_in_process(&scorer, &config, |handle| {
                 let results: Vec<_> = std::thread::scope(|s| {
                     let joins: Vec<_> = reqs
                         .chunks(reqs.len().div_ceil(2))
@@ -281,11 +274,11 @@ fn frame_cutting_proxy(upstream: std::net::SocketAddr, cut_after: usize) -> std:
 /// panic, and the pool marks the peer dead.
 #[test]
 fn shard_pool_survives_a_connection_severed_after_handshake() {
-    use kgag::{Kgag, KgagConfig, RouterCore};
+    use kgag::{Kgag, KgagConfig};
     use kgag_data::movielens::Scale;
     use kgag_data::split::split_dataset;
     use kgag_data::yelp::{yelp, YelpConfig};
-    use kgag_serve::{serve_shard, ShardConfig, ShardPool, ShardedScorer, ShutdownToken};
+    use kgag_serve::{serve_shard, ShardConfig, ShardPool, ShutdownToken};
 
     let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
     let split = split_dataset(&ds, 11);
@@ -314,11 +307,14 @@ fn shard_pool_survives_a_connection_severed_after_handshake() {
 
     let config = ShardConfig { timeout: Duration::from_millis(500), queue: 16 };
     let pool = ShardPool::connect(&addrs, &config).expect("handshake passes through the proxy");
-    let scorer = ShardedScorer::new(RouterCore::from_model(&model, false), pool);
+    let scorer = pool.into_scorer(&model, false).expect("model card matches");
+    let score = |cases: &[(u32, Vec<u32>)]| -> Vec<Result<Vec<f32>, ServeError>> {
+        scorer.try_score_cases(cases).into_iter().map(|r| r.map_err(ServeError::from)).collect()
+    };
 
     let cases: Vec<(u32, Vec<u32>)> = (0..4u32).map(|g| (g, vec![g, g + 1, g + 2])).collect();
     let started = Instant::now();
-    let results = scorer.try_score_batch(&cases);
+    let results = score(&cases);
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "severed connection must fail fast, not hang"
@@ -333,10 +329,10 @@ fn shard_pool_survives_a_connection_severed_after_handshake() {
         }
     }
     assert!(failed > 0, "requests touching the severed shard must fail typed");
-    assert!(scorer.pool().is_dead(1), "the severed peer must be marked dead");
+    assert!(scorer.source().inner().is_dead(1), "the severed peer must be marked dead");
 
     // the deployment keeps answering typed — exactly-once survives
-    for r in scorer.try_score_batch(&cases[..2]) {
+    for r in score(&cases[..2]) {
         if let Err(e) = r {
             assert!(matches!(e, ServeError::Shard(_)), "only typed shard errors: {e}");
         }

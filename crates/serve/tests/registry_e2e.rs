@@ -6,7 +6,7 @@
 //! and a promote/rollback stress proving no response is ever torn
 //! between versions.
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -94,12 +94,15 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// Offline oracle: the checkpoint's own `score_cases`, single-threaded.
+/// Offline oracle: the checkpoint's own `try_score_cases`, single-threaded.
 /// The serve path must reproduce these bits exactly, whatever fusion and
 /// thread count the batcher used.
 fn offline_bits(ckpt: &[u8], cases: &[(u32, Vec<u32>)]) -> Vec<Vec<u32>> {
     let entry = entry_from(ckpt);
-    with_threads(1, || entry.score_cases(cases)).unwrap().iter().map(|r| bits(r)).collect()
+    with_threads(1, || entry.try_score_cases(cases))
+        .iter()
+        .map(|r| bits(r.as_ref().unwrap()))
+        .collect()
 }
 
 /// A registry server on a loopback port, joined down on drop — the
@@ -260,7 +263,7 @@ fn version_skew_is_typed_unsupported_in_both_directions() {
             let token = token.clone();
             let (scorer, config) = (&scorer, &config);
             s.spawn(move || {
-                serve_tcp(scorer, config, "127.0.0.1:0", &token, |a| {
+                serve_tcp(scorer, None, config, "127.0.0.1:0", &token, |a| {
                     let _ = tx.send(a);
                 })
             })

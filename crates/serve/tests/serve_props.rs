@@ -8,11 +8,10 @@
 //! gate; these tests pin the transport and scheduling semantics with
 //! scorers whose behaviour is fully controlled.
 
+use kgag::{ScoreCases, ScoreError};
 use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
-use kgag_eval::protocol::BatchGroupScorer;
 use kgag_serve::{
-    serve_in_process, serve_tcp, serve_tcp_dynamic, ServeClient, ServeConfig, ServeError,
-    ShutdownToken,
+    serve_in_process, serve_tcp, ServeClient, ServeConfig, ServeError, ShutdownToken,
 };
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, u64_in, vec_of};
@@ -30,22 +29,34 @@ fn stub_score(group: u32, item: u32) -> f32 {
     ((x >> 40) as f32) / 16_777_216.0 - 0.5
 }
 
-/// Pure stub scorer; also records the size of every fused batch so
-/// tests can check `max_batch` is honoured.
+/// Pure stub scorer over a catalog of `num_items` items (an item past
+/// it fails its case typed, as a real scorer does); also records the
+/// size of every fused batch so tests can check `max_batch` is honoured.
 struct StubScorer {
     batch_sizes: Mutex<Vec<usize>>,
+    num_items: u32,
 }
 
 impl StubScorer {
     fn new() -> StubScorer {
-        StubScorer { batch_sizes: Mutex::new(Vec::new()) }
+        StubScorer::with_catalog(u32::MAX)
+    }
+
+    fn with_catalog(num_items: u32) -> StubScorer {
+        StubScorer { batch_sizes: Mutex::new(Vec::new()), num_items }
     }
 }
 
-impl BatchGroupScorer for StubScorer {
-    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+impl ScoreCases for StubScorer {
+    fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
         self.batch_sizes.lock().unwrap().push(cases.len());
-        cases.iter().map(|(g, items)| items.iter().map(|&v| stub_score(*g, v)).collect()).collect()
+        cases
+            .iter()
+            .map(|(g, items)| match items.iter().find(|&&v| v >= self.num_items) {
+                Some(&v) => Err(ScoreError::UnknownItem(v)),
+                None => Ok(expected(*g, items)),
+            })
+            .collect()
     }
 }
 
@@ -70,12 +81,12 @@ impl GateScorer {
     }
 }
 
-impl BatchGroupScorer for GateScorer {
-    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+impl ScoreCases for GateScorer {
+    fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
         let _ = self.started.lock().unwrap().send(());
         self.release.lock().unwrap().recv().expect("test forgot to release the gate");
         self.scored_cases.lock().unwrap().extend(cases.iter().cloned());
-        cases.iter().map(|(g, items)| items.iter().map(|&v| stub_score(*g, v)).collect()).collect()
+        cases.iter().map(|(g, items)| Ok(expected(*g, items))).collect()
     }
 }
 
@@ -287,7 +298,7 @@ fn overflowing_wire_deadline_saturates_and_scores() {
             let token = token.clone();
             let (scorer, config) = (&scorer, &config);
             s.spawn(move || {
-                serve_tcp(scorer, config, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
+                serve_tcp(scorer, None, config, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");
@@ -329,7 +340,7 @@ fn tcp_round_trip_with_concurrent_clients() {
             let scorer = &scorer;
             let config = &config;
             s.spawn(move || {
-                serve_tcp(scorer, config, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
+                serve_tcp(scorer, None, config, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");
@@ -389,7 +400,6 @@ fn tcp_round_trip_with_concurrent_clients() {
 /// server dispatches through.
 struct StubLifecycle {
     store: Mutex<GroupStore>,
-    num_items: u32,
 }
 
 impl GroupLifecycle for StubLifecycle {
@@ -400,10 +410,6 @@ impl GroupLifecycle for StubLifecycle {
     fn group_count(&self) -> u32 {
         self.store.lock().unwrap().num_groups()
     }
-
-    fn item_count(&self) -> u32 {
-        self.num_items
-    }
 }
 
 /// End-to-end lifecycle dispatch over TCP: acks carry the mutated
@@ -411,11 +417,9 @@ impl GroupLifecycle for StubLifecycle {
 /// requests are bounds-checked against the *live* group table.
 #[test]
 fn tcp_dynamic_lifecycle_round_trip() {
-    let scorer = StubScorer::new();
-    let lifecycle = StubLifecycle {
-        store: Mutex::new(GroupStore::new(vec![vec![0, 1], vec![2, 3]], 10)),
-        num_items: 50,
-    };
+    let scorer = StubScorer::with_catalog(50);
+    let lifecycle =
+        StubLifecycle { store: Mutex::new(GroupStore::new(vec![vec![0, 1], vec![2, 3]], 10)) };
     let config = ServeConfig {
         batch_window: Duration::from_micros(200),
         max_batch: 16,
@@ -428,7 +432,7 @@ fn tcp_dynamic_lifecycle_round_trip() {
         let server = {
             let (token, scorer, lifecycle, config) = (token.clone(), &scorer, &lifecycle, &config);
             s.spawn(move || {
-                serve_tcp_dynamic(scorer, lifecycle, config, "127.0.0.1:0", &token, |a| {
+                serve_tcp(scorer, Some(lifecycle), config, "127.0.0.1:0", &token, |a| {
                     addr_tx.send(a).unwrap()
                 })
             })
@@ -469,6 +473,50 @@ fn tcp_dynamic_lifecycle_round_trip() {
         assert_eq!(client.score(0, &[49]).unwrap().unwrap(), expected(0, &[49]));
 
         token.trigger();
-        server.join().unwrap().expect("serve_tcp_dynamic exits cleanly");
+        server.join().unwrap().expect("serve_tcp exits cleanly");
     });
+}
+
+/// One bad request must not cancel the batch it fused into. Three
+/// requests land in one wide batch window — one valid, one naming an
+/// unknown group, one naming an unknown item — against the real
+/// single-node and lifecycle scorers: the valid one is answered
+/// bit-identically to offline `score_case`, each bad one gets a typed
+/// `Invalid`, and the scorer never panics.
+#[test]
+fn a_bad_request_fails_alone_in_its_fused_batch() {
+    use kgag::{Kgag, KgagConfig};
+    use kgag_data::movielens::Scale;
+    use kgag_data::split::split_dataset;
+    use kgag_data::yelp::{yelp, YelpConfig};
+
+    let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
+    let split = split_dataset(&ds, 11);
+    let model = Kgag::new(&ds, &split, KgagConfig::default());
+    let good = (1u32, vec![0u32, 3, 5]);
+    let want: Vec<u32> =
+        model.batch_scorer().score_case(good.0, &good.1).iter().map(|s| s.to_bits()).collect();
+    let requests = [good.clone(), (ds.num_groups() + 3, vec![0]), (0, vec![2, ds.num_items + 1])];
+    let config = ServeConfig {
+        batch_window: Duration::from_millis(300),
+        max_batch: 3,
+        queue_capacity: 16,
+        workers: 1,
+    };
+    let panics = kgag_obs::counter("serve.scorer_panics");
+    let panics_before = panics.get();
+    let check = |handle: kgag_serve::ServeHandle| {
+        let pending: Vec<_> = requests
+            .iter()
+            .map(|(g, items)| handle.submit(*g, items.clone(), None).expect("accepted"))
+            .collect();
+        let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
+        let scores = got[0].as_ref().expect("the valid request must be answered");
+        assert_eq!(scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), want);
+        assert_eq!(got[1], Err(ServeError::Invalid), "unknown group");
+        assert_eq!(got[2], Err(ServeError::Invalid), "unknown item");
+    };
+    serve_in_process(&model.batch_scorer(), &config, check);
+    serve_in_process(&model.dynamic_scorer(), &config, check);
+    assert_eq!(panics.get(), panics_before, "no request may reach a scorer panic");
 }

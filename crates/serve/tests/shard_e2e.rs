@@ -9,16 +9,15 @@
 //! already sweeps partition counts, thread counts and memo modes via
 //! `LocalFetch`; this file pins down what only the network can break:
 //! handshakes, framing, the peer pool's failure semantics, and the
-//! batcher-facing `TryBatchGroupScorer` seam.
+//! per-case errors the batcher maps onto the wire.
 
-use kgag::{Kgag, KgagConfig, RouterCore};
+use kgag::{Kgag, KgagConfig, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_serve::{
-    serve_shard, ServeError, ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
-    TryBatchGroupScorer,
+    serve_shard, ServeError, ServeResult, ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
 };
 use kgag_tensor::pool::with_threads;
 use std::net::SocketAddr;
@@ -94,6 +93,11 @@ fn cases(ds: &GroupDataset) -> Vec<(u32, Vec<u32>)> {
         .collect()
 }
 
+/// The router's per-case results as the wire reports them.
+fn served(scorer: &ShardedScorer, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
+    scorer.try_score_cases(cases).into_iter().map(|r| r.map_err(ServeError::from)).collect()
+}
+
 fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
@@ -108,8 +112,8 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
         .collect();
     for count in [2usize, 3] {
         let (_shards, pool) = spawn_deployment(model, count);
-        let scorer = ShardedScorer::new(RouterCore::from_model(model, true), pool);
-        let got = scorer.try_score_batch(&cases);
+        let scorer = pool.into_scorer(model, true).expect("model card matches");
+        let got = served(&scorer, &cases);
         assert_eq!(got.len(), cases.len());
         for (ci, result) in got.iter().enumerate() {
             let scores = result
@@ -124,11 +128,11 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
 fn out_of_range_requests_get_typed_invalid_not_a_panic() {
     let (ds, model) = fixture();
     let (_shards, pool) = spawn_deployment(model, 2);
-    let scorer = ShardedScorer::new(RouterCore::from_model(model, true), pool);
+    let scorer = pool.into_scorer(model, true).expect("model card matches");
     let good = (0, vec![0u32, 1]);
     let bad_group = (ds.num_groups() + 7, vec![0u32]);
     let bad_item = (0, vec![ds.num_items + 1]);
-    let got = scorer.try_score_batch(&[good, bad_group, bad_item]);
+    let got = served(&scorer, &[good, bad_group, bad_item]);
     assert!(got[0].is_ok(), "valid case must still be answered");
     assert_eq!(got[1], Err(ServeError::Invalid));
     assert_eq!(got[2], Err(ServeError::Invalid));
@@ -143,16 +147,16 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
         .map(|r| bits(r))
         .collect();
     let (mut shards, pool) = spawn_deployment(model, 2);
-    let scorer = ShardedScorer::new(RouterCore::from_model(model, false), pool);
+    let scorer = pool.into_scorer(model, false).expect("model card matches");
 
     // healthy warm-up: every case answers
-    for r in scorer.try_score_batch(&cases) {
+    for r in served(&scorer, &cases) {
         r.expect("healthy deployment answers everything");
     }
 
     shards[1].kill();
 
-    let got = scorer.try_score_batch(&cases);
+    let got = served(&scorer, &cases);
     let mut failed = 0;
     for (ci, result) in got.into_iter().enumerate() {
         match result {
@@ -166,10 +170,10 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
         }
     }
     assert!(failed > 0, "half the rows are gone; something must have needed them");
-    assert!(scorer.pool().is_dead(1), "the pool must have marked the dead peer");
+    assert!(scorer.source().inner().is_dead(1), "the pool must have marked the dead peer");
 
     // the deployment keeps answering (or typed-failing) — no hang, no panic
-    let again = scorer.try_score_batch(&cases[..2]);
+    let again = served(&scorer, &cases[..2]);
     assert_eq!(again.len(), 2);
     for r in again {
         if let Err(e) = r {

@@ -96,7 +96,9 @@ default 0.1), or interaction (member-interaction mixing). Checkpoints
 carry the backend tag, so --checkpoint restores refuse a mismatched
 --backend.
 --batched evaluates through the receptive-field-cached batch scorer
-(bit-identical metrics, faster; see KGAG_RF_CACHE / KGAG_EVAL_BATCH).
+(bit-identical metrics, faster). KGAG_RF_CACHE=0 disables the
+receptive-field cache of --batched and every serve mode (the router's
+draw memo under --shards); scores are bit-identical either way.
 serve loads --checkpoint if the file exists (training and writing it
 otherwise), binds --addr (default 127.0.0.1:0, port printed on stdout)
 and scores requests until stdin reaches EOF or reads \"quit\". The
@@ -105,8 +107,7 @@ live group table and later score requests see the new membership
 (groups at the trained size use the full attention path, other sizes
 the cold-start path; DESIGN.md §13). Batching knobs:
 KGAG_SERVE_BATCH_WINDOW_US, KGAG_SERVE_MAX_BATCH, KGAG_SERVE_QUEUE,
-KGAG_SERVE_WORKERS; cache knob KGAG_RF_CACHE=0 disables the
-receptive-field cache (scores are bit-identical either way).
+KGAG_SERVE_WORKERS.
 `serve --shards A,B,..` runs the scatter-gather router instead: shard
 peers (started with `kgag shard --index I --count N` on the same
 dataset/config/checkpoint) hold the embedding-table slices and answer
@@ -233,7 +234,11 @@ fn train_and_report(ds: &GroupDataset, opts: &Flags) -> Result<Kgag, String> {
     // oracle test + CI stage enforce it), only the wall clock differs
     let batched = opts.contains_key("batched");
     let (val_summary, test_summary) = if batched {
-        (model.evaluate_batched(&val, &ecfg), model.evaluate_batched(&test, &ecfg))
+        let scorer = model.batch_scorer_with(rf_cache());
+        (
+            model.evaluate_batched_with(&scorer, &val, &ecfg),
+            model.evaluate_batched_with(&scorer, &test, &ecfg),
+        )
     } else {
         (model.evaluate(&val, &ecfg), model.evaluate(&test, &ecfg))
     };
@@ -308,6 +313,12 @@ fn load_or_train(ds: &GroupDataset, opts: &Flags) -> Result<Kgag, String> {
     Ok(model)
 }
 
+/// The receptive-field cache setting (`KGAG_RF_CACHE=0` turns it off):
+/// the one place the process reads it, passed down to every scorer.
+fn rf_cache() -> bool {
+    std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true)
+}
+
 /// Spawn the stdin watcher: closing stdin (or typing "quit") triggers
 /// the shutdown token — works under pipes, terminals and process
 /// supervisors alike.
@@ -328,29 +339,51 @@ fn shutdown_on_stdin(token: &kgag_serve::ShutdownToken) {
 }
 
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
-    use kgag_serve::{serve_tcp_dynamic, ServeConfig, ShutdownToken};
-    if opts.contains_key("shards") {
-        return cmd_serve_sharded(opts);
-    }
+    let cache = rf_cache();
     if opts.contains_key("registry") {
-        return cmd_serve_registry(opts);
+        return cmd_serve_registry(opts, cache);
     }
     let ds = dataset(opts)?;
     let model = load_or_train(&ds, opts)?;
+    if let Some(shards) = opts.get("shards") {
+        let scorer = connect_router(shards, &model, cache)?;
+        return serve_until_stdin(opts, &scorer, None);
+    }
     // the dynamic scorer doubles as the lifecycle backend: the same
     // server socket accepts create/join/leave mutations and scores
     // against the live group table (DESIGN.md §13)
-    let scorer = model.dynamic_scorer();
+    let scorer = model.dynamic_scorer_with(cache);
     match scorer.cache_bytes() {
         Some(b) => eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0),
         None => eprintln!("receptive-field cache disabled"),
     }
     eprintln!("lifecycle enabled: {} groups live", scorer.num_groups());
+    serve_until_stdin(opts, &scorer, Some(&scorer))?;
+    eprintln!(
+        "lifecycle: {} created, {} joins, {} leaves, {} cache entries evicted ({} groups final)",
+        kgag_obs::counter("lifecycle.groups_created").get(),
+        kgag_obs::counter("lifecycle.joins").get(),
+        kgag_obs::counter("lifecycle.leaves").get(),
+        kgag_obs::counter("lifecycle.cache_evicted").get(),
+        scorer.num_groups(),
+    );
+    Ok(())
+}
+
+/// Serve `scorer` over the wire protocol on `--addr` until stdin closes,
+/// then report the drain — the one front door of `kgag serve`, with or
+/// without a lifecycle backend.
+fn serve_until_stdin<S: kgag::ScoreCases>(
+    opts: &Flags,
+    scorer: &S,
+    lifecycle: Option<&(dyn kgag_data::GroupLifecycle + Sync)>,
+) -> Result<(), String> {
+    use kgag_serve::{serve_tcp, ServeConfig, ShutdownToken};
     let serve_cfg = ServeConfig::from_env();
     let addr = opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:0".into());
     let token = ShutdownToken::new();
     shutdown_on_stdin(&token);
-    serve_tcp_dynamic(&scorer, &scorer, &serve_cfg, &addr, &token, |bound| {
+    serve_tcp(scorer, lifecycle, &serve_cfg, &addr, &token, |bound| {
         println!("serving on {bound}");
         eprintln!(
             "batch window {:?}, max batch {}, queue {}, workers {} — close stdin or type \
@@ -371,67 +404,36 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         kgag_obs::counter("serve.requests_rejected").get(),
         kgag_obs::counter("serve.deadline_missed").get(),
     );
-    eprintln!(
-        "lifecycle: {} created, {} joins, {} leaves, {} cache entries evicted ({} groups final)",
-        kgag_obs::counter("lifecycle.groups_created").get(),
-        kgag_obs::counter("lifecycle.joins").get(),
-        kgag_obs::counter("lifecycle.leaves").get(),
-        kgag_obs::counter("lifecycle.cache_evicted").get(),
-        scorer.num_groups(),
-    );
     Ok(())
 }
 
-/// `kgag serve --shards a,b,…` — the scatter-gather router (DESIGN.md
-/// §15). Holds only the dense parameters; entity/relation rows and
-/// adjacency live on the shard peers, which must be running the same
+/// The scatter-gather router of `kgag serve --shards a,b,…` (DESIGN.md
+/// §15): the one scorer over a pool of shard peers, which hold the
+/// entity/relation rows and adjacency and must be running the same
 /// dataset/config/checkpoint (`kgag shard`). Scores are bit-identical
 /// to single-node serving; shard failures surface as typed per-request
 /// errors. Lifecycle mutations are not available in sharded mode.
-fn cmd_serve_sharded(opts: &Flags) -> Result<(), String> {
-    use kgag_serve::{
-        serve_tcp_try, ServeConfig, ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
-    };
-    let ds = dataset(opts)?;
-    let model = load_or_train(&ds, opts)?;
-    let addrs: Vec<String> = opts
-        .get("shards")
-        .expect("checked by cmd_serve")
-        .split(',')
-        .map(|a| a.trim().to_owned())
-        .filter(|a| !a.is_empty())
-        .collect();
+fn connect_router(
+    shards: &str,
+    model: &Kgag,
+    cache: bool,
+) -> Result<kgag_serve::ShardedScorer, String> {
+    use kgag_serve::{ShardConfig, ShardPool};
+    let addrs: Vec<&str> = shards.split(',').map(str::trim).filter(|a| !a.is_empty()).collect();
     if addrs.is_empty() {
         return Err("--shards needs at least one HOST:PORT".into());
     }
     let shard_cfg = ShardConfig::from_env();
     let pool = ShardPool::connect(&addrs, &shard_cfg).map_err(|e| format!("--shards: {e}"))?;
-    let core = model.router_core();
     eprintln!(
         "router over {} shard(s): {} entities, {} relation slots, timeout {:?}, queue {}",
         pool.count(),
-        core.num_entities(),
-        core.num_relation_slots(),
+        pool.num_entities(),
+        pool.num_relation_slots(),
         shard_cfg.timeout,
         shard_cfg.queue,
     );
-    let scorer = ShardedScorer::new(core, pool);
-    let serve_cfg = ServeConfig::from_env();
-    let addr = opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:0".into());
-    let token = ShutdownToken::new();
-    shutdown_on_stdin(&token);
-    serve_tcp_try(&scorer, &serve_cfg, &addr, &token, |bound| {
-        println!("serving on {bound}");
-        eprintln!("sharded router up — close stdin or type \"quit\" to stop");
-    })
-    .map_err(|e| e.to_string())?;
-    eprintln!(
-        "drained: {} responses in {} batches, {} rejected",
-        kgag_obs::counter("serve.responses").get(),
-        kgag_obs::counter("serve.batches").get(),
-        kgag_obs::counter("serve.requests_rejected").get(),
-    );
-    Ok(())
+    pool.into_scorer(model, cache).map_err(|e| format!("--shards: {e}"))
 }
 
 /// `kgag serve --registry` — the multi-tenant registry server
@@ -443,7 +445,7 @@ fn cmd_serve_sharded(opts: &Flags) -> Result<(), String> {
 /// before PROMOTE swaps them in with zero downtime, ROLLBACK, RETIRE.
 /// Admission control and shadow sampling come from KGAG_QUOTA_RATE /
 /// KGAG_QUOTA_BURST / KGAG_SHADOW_SAMPLE.
-fn cmd_serve_registry(opts: &Flags) -> Result<(), String> {
+fn cmd_serve_registry(opts: &Flags, cache: bool) -> Result<(), String> {
     use kgag_serve::{
         serve_tcp_registry, ModelFactory, RegistryConfig, RegistryServer, ShutdownToken,
     };
@@ -453,7 +455,6 @@ fn cmd_serve_registry(opts: &Flags) -> Result<(), String> {
     let hash = kgag::checkpoint_hash(&bytes);
     drop(model); // the factory rebuilds it below — one construction path
     let cfg = config(opts)?;
-    let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
     let factory: ModelFactory = {
         let ds = ds.clone();
         Box::new(move |ckpt_bytes, ckpt_hash| {
