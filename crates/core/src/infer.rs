@@ -1,12 +1,12 @@
 //! The inference engine (DESIGN.md §14).
 //!
-//! At inference the model is a fixed sequence of per-level gather →
-//! softmax → weighted-sum → matmul steps, so the one [`crate::Scorer`]
-//! — and with it every front end over any source — scores through the
-//! one [`Engine`] here: the
-//! fused kernels of [`kgag_tensor::infer`], no tape, no backward
-//! bookkeeping, no materialised `repeat_rows`/`peer_concat`/`concat_cols`
-//! copies, embedding rows read in place from the parameter tensors.
+//! At inference the model is a fixed sequence of attention → weighted
+//! sum → matmul steps over a receptive field, so the one
+//! [`crate::Scorer`] — and with it every front end over any source —
+//! scores through the one [`Engine`] here: the fused kernels of
+//! [`kgag_tensor::infer`], no tape, no backward bookkeeping, no
+//! materialised `gather`/`repeat_rows`/`peer_concat`/`concat_cols`
+//! copies.
 //!
 //! The engine is **bit-identical to the tape forward**
 //! (`forward_group_prepared`), which stays as the training path and the
@@ -19,21 +19,93 @@
 //!    the f32 `1/√d` after the gather-dot;
 //! 3. peer influence sums `W₁·u` and `W₂·peers` in separate
 //!    accumulators and then adds them;
-//! 4. values are read raw — no subnormal flush, no copy, no rescale.
+//! 4. values are read raw — no subnormal flush, no copy, no rescale;
+//! 5. rows are read in place by id: iteration 0 of propagation reads
+//!    every level, the residual's `e⁰` and the member queries (member
+//!    row `i` under item row `i / L`) straight from the entity table,
+//!    and only levels propagation has updated are owned buffers;
+//! 6. a relation-attention logit depends only on its query row and
+//!    relation, so it is computed once per (query row, relation) with
+//!    the tape's own expression and copied to every edge that shares
+//!    it;
+//! 7. the accumulating kernels keep an output tile in registers, with
+//!    each element still summing its terms in k order, zero terms
+//!    skipped.
 //!
 //! Every kernel computes each output row from its own instance rows
 //! only, and receptive-field draws are position-independent, so the
 //! chunking, thread count and cache setting are value-neutral
 //! (DESIGN.md §11).
+//!
+//! With telemetry on, each chunk adds its wall time per stage to the
+//! `infer.stage.{fields,attention,propagate,aggregate}_ns` counters and
+//! its relation dot count to `infer.relation_dots` — once per chunk,
+//! never per op, and never touching a value.
 
 use crate::backend::FusedAggregation;
 use crate::config::KgagConfig;
 use crate::model::ModelParams;
 use kgag_kg::ReceptiveField;
-use kgag_tensor::infer::{self as kernels, Activation};
+use kgag_tensor::infer::{self as kernels, Activation, Rows};
 use kgag_tensor::tensor::{dot, sigmoid};
 use kgag_tensor::{pool, ParamStore};
 use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// A stage of one chunk's scoring, as the stage clock splits it.
+#[derive(Clone, Copy)]
+pub(crate) enum Stage {
+    /// Receptive fields and rows from the chunk source.
+    Fields,
+    /// Relation-attention logits and their softmax.
+    Attention,
+    /// Propagation layers and the residual combine.
+    Propagate,
+    /// Member mixing, preference aggregation and the read-out.
+    Aggregate,
+}
+
+const STAGE_COUNTERS: [&str; 4] = [
+    "infer.stage.fields_ns",
+    "infer.stage.attention_ns",
+    "infer.stage.propagate_ns",
+    "infer.stage.aggregate_ns",
+];
+
+/// One chunk's passive stage timer: a no-op unless telemetry is on;
+/// otherwise laps accumulate locally and reach the counters once, in
+/// [`StageClock::flush`].
+pub(crate) struct StageClock {
+    last: Option<Instant>,
+    ns: [u64; 4],
+    dots: u64,
+}
+
+impl StageClock {
+    /// Start timing a chunk.
+    pub(crate) fn start() -> Self {
+        StageClock { last: kgag_obs::enabled().then(Instant::now), ns: [0; 4], dots: 0 }
+    }
+
+    /// Charge the time since the previous lap to `stage`.
+    pub(crate) fn lap(&mut self, stage: Stage) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.ns[stage as usize] += now.duration_since(*last).as_nanos() as u64;
+            *last = now;
+        }
+    }
+
+    /// Add the chunk's totals to the telemetry counters.
+    pub(crate) fn flush(self) {
+        if self.last.is_some() {
+            for (name, ns) in STAGE_COUNTERS.iter().zip(self.ns) {
+                kgag_obs::counter(name).add(ns);
+            }
+            kgag_obs::counter("infer.relation_dots").add(self.dots);
+        }
+    }
+}
 
 /// A borrowed view of everything the ranking forward reads: the model
 /// config, the weights in a [`ParamStore`] and the two embedding tables
@@ -85,6 +157,14 @@ impl<'a> Engine<'a> {
         self.store.value(id).data()
     }
 
+    /// Rows of the entity table by id, in place.
+    fn entities<'r>(&self, ids: &'r [u32]) -> Rows<'r>
+    where
+        'a: 'r,
+    {
+        Rows::ById { table: self.entity, ids }
+    }
+
     /// Raw scores → sigmoid for one uniform-`l` chunk of `(group,
     /// item)` instances over prepared receptive fields (`None` under
     /// the KGAG-KG ablation) — the engine twin of
@@ -96,99 +176,86 @@ impl<'a> Engine<'a> {
         flat_members: &[u32],
         item_ents: &[u32],
         l: usize,
+        clock: &mut StageClock,
     ) -> Vec<f32> {
         debug_assert_eq!(flat_members.len(), item_ents.len() * l);
         let d = self.config.dim;
-        let b = item_ents.len();
-        let mut m0 = Vec::new();
-        kernels::gather_rows(self.entity, d, flat_members, &mut m0);
-        let mut i0 = Vec::new();
-        kernels::gather_rows(self.entity, d, item_ents, &mut i0);
+        let (members, items) = (self.entities(flat_members), self.entities(item_ents));
+        let gathered = |ids: &[u32]| {
+            let mut out = Vec::new();
+            kernels::gather_rows(self.entity, d, ids, &mut out);
+            out
+        };
         // §III-C queries: the item propagates under the members' mean
-        // zero-order embedding, each member under the item's
+        // zero-order embedding, each member under its item's
         let item_rep = match rf_items {
             Some(rf) => {
                 let mut q_item = Vec::new();
-                kernels::group_mean(&m0, d, l, &mut q_item);
-                self.propagate(rf, &q_item)
+                kernels::group_mean(members, d, l, &mut q_item);
+                clock.lap(Stage::Propagate);
+                self.propagate(rf, Rows::Dense(&q_item), clock)
             }
-            None => i0.clone(),
+            None => gathered(item_ents),
         };
         let member_rep = match rf_members {
-            Some(rf) => {
-                let mut q_members = Vec::with_capacity(b * l * d);
-                for row in i0.chunks_exact(d) {
-                    for _ in 0..l {
-                        q_members.extend_from_slice(row);
-                    }
-                }
-                self.propagate(rf, &q_members)
-            }
-            None => m0,
+            Some(rf) => self.propagate(rf, items, clock),
+            None => gathered(flat_members),
         };
         let member_rep = self.member_interaction(member_rep, l);
-        self.aggregate_and_score(&member_rep, &item_rep, l, b)
+        let scores = self.aggregate_and_score(&member_rep, &item_rep, l, item_ents.len());
+        clock.lap(Stage::Aggregate);
+        scores
     }
 
     /// Propagation (§III-C): relation-attention weights per level, then
     /// the triangular H-iteration update with the bias and activation
-    /// fused into each layer's matmul.
-    fn propagate(&self, rf: &ReceptiveField, query: &[f32]) -> Vec<f32> {
+    /// fused into each layer's matmul. Query row `i` serves the `i`-th
+    /// equal share of the targets (one row per target, or one item row
+    /// per `L` members).
+    fn propagate(&self, rf: &ReceptiveField, query: Rows<'_>, clock: &mut StageClock) -> Vec<f32> {
         let d = self.config.dim;
         let layers = self.params.prop.layer_w.len();
         let k = rf.k;
-        let n = rf.entities[0].len();
         assert_eq!(rf.depth, layers, "receptive field depth {} != layers {layers}", rf.depth);
-        debug_assert_eq!(query.len(), n * d);
-        let mut reps: Vec<Vec<f32>> = rf
-            .entities
-            .iter()
-            .map(|level| {
-                let mut out = Vec::new();
-                kernels::gather_rows(self.entity, d, level, &mut out);
-                out
-            })
-            .collect();
         // query- and level- but not iteration-dependent: precompute
-        let level_weights: Vec<Vec<f32>> = rf
-            .relations
-            .iter()
-            .map(|rels| {
-                let mut w = Vec::new();
-                let times = rels.len() / n;
-                kernels::gather_row_dot_rep(
-                    self.relation,
-                    d,
-                    rels,
-                    query,
-                    times,
-                    self.inv_sqrt_d,
-                    &mut w,
-                );
-                kernels::softmax_groups_inplace(&mut w, k);
-                w
-            })
-            .collect();
-        let e0 = (self.residual_weight > 0.0).then(|| reps[0].clone());
-        let mut e_n = Vec::new();
-        let mut sum = Vec::new();
-        let mut updated = Vec::new();
+        let mut level_weights = Vec::new();
+        clock.dots += kernels::relation_logits(
+            self.relation,
+            d,
+            query,
+            &rf.relations,
+            self.inv_sqrt_d,
+            &mut level_weights,
+        ) as u64;
+        for w in &mut level_weights {
+            kernels::softmax_groups_inplace(w, k);
+        }
+        clock.lap(Stage::Attention);
+        // iteration 0 reads every level in place; `reps[lvl]` holds
+        // level `lvl` once propagation has updated it
+        let mut reps: Vec<Vec<f32>> = Vec::with_capacity(layers);
+        let (mut e_n, mut sum, mut updated) = (Vec::new(), Vec::new(), Vec::new());
         for h in 0..layers {
             let act = if h + 1 == layers { Activation::Tanh } else { Activation::Relu };
             let w = self.weight(self.params.prop.layer_w[h]);
             let bias = self.weight(self.params.prop.layer_b[h]);
             for lvl in 0..(layers - h) {
-                kernels::group_weighted_sum(&level_weights[lvl], &reps[lvl + 1], d, k, &mut e_n);
-                let rows = reps[lvl].len() / d;
+                let (own, neighbours) = if h == 0 {
+                    (self.entities(&rf.entities[lvl]), self.entities(&rf.entities[lvl + 1]))
+                } else {
+                    (Rows::Dense(&reps[lvl]), Rows::Dense(&reps[lvl + 1]))
+                };
+                kernels::group_weighted_sum(&level_weights[lvl], neighbours, d, k, &mut e_n);
+                let rows = own.len(d);
                 match self.plan {
                     FusedAggregation::SumSelf => {
-                        kernels::add_into(&reps[lvl], &e_n, &mut sum);
+                        kernels::add_into(own, &e_n, d, &mut sum);
                         kernels::matmul_bias_act(&sum, rows, d, w, d, bias, act, &mut updated);
                     }
                     FusedAggregation::SplitConcat => {
                         let (w_self, w_neigh) = w.split_at(d * d);
                         kernels::matmul2_bias_act(
-                            &reps[lvl],
+                            own,
                             &e_n,
                             rows,
                             d,
@@ -201,13 +268,20 @@ impl<'a> Engine<'a> {
                         );
                     }
                 }
-                std::mem::swap(&mut reps[lvl], &mut updated);
+                if h == 0 {
+                    reps.push(std::mem::take(&mut updated));
+                } else {
+                    std::mem::swap(&mut reps[lvl], &mut updated);
+                }
             }
         }
+        // the config keeps `layers ≥ 1` whenever the KG is on
         let mut out = reps.swap_remove(0);
-        if let Some(e0) = e0 {
-            kernels::residual_inplace(&e0, self.residual_weight, &mut out);
+        if self.residual_weight > 0.0 {
+            let e0 = self.entities(&rf.entities[0]);
+            kernels::residual_inplace(e0, self.residual_weight, d, &mut out);
         }
+        clock.lap(Stage::Propagate);
         out
     }
 
@@ -224,7 +298,7 @@ impl<'a> Engine<'a> {
         }
         let d = self.config.dim;
         let mut mean = Vec::new();
-        kernels::group_mean(&member_rep, d, l, &mut mean);
+        kernels::group_mean(Rows::Dense(&member_rep), d, l, &mut mean);
         let up = l as f32 / (l as f32 - 1.0);
         let down = -1.0 / (l as f32 - 1.0);
         let mut peer_mean = Vec::with_capacity(member_rep.len());
@@ -235,7 +309,7 @@ impl<'a> Engine<'a> {
         let (w_m, w_peer) = self.weight(ip.w).split_at(d * d);
         let mut mixed = Vec::new();
         kernels::matmul2_bias_act(
-            &member_rep,
+            Rows::Dense(&member_rep),
             &peer_mean,
             member_rep.len() / d,
             d,
@@ -317,7 +391,7 @@ impl<'a> Engine<'a> {
         };
         kernels::softmax_groups_inplace(&mut alpha, l);
         let mut group_rep = Vec::new();
-        kernels::group_weighted_sum(&alpha, member_rep, d, l, &mut group_rep);
+        kernels::group_weighted_sum(&alpha, Rows::Dense(member_rep), d, l, &mut group_rep);
         group_rep
             .chunks_exact(d)
             .zip(item_rep.chunks_exact(d))

@@ -30,7 +30,7 @@
 //! bit-identically (`crates/core/tests/shard_oracle.rs`).
 
 use crate::config::KgagConfig;
-use crate::infer::{score_buckets, Engine};
+use crate::infer::{score_buckets, Engine, Stage, StageClock};
 use crate::model::ModelParams;
 use crate::shard::{ShardError, ShardFetch};
 use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
@@ -304,7 +304,9 @@ impl<S: ChunkSource> Scorer<S> {
             cases,
             |v| self.item_entity[v as usize],
             |members, items, l| {
+                let mut clock = StageClock::start();
                 let rows = self.source.chunk(&self.plan, members, items)?;
+                clock.lap(Stage::Fields);
                 let engine = Engine::new(
                     &self.config,
                     self.group_size,
@@ -313,13 +315,16 @@ impl<S: ChunkSource> Scorer<S> {
                     &rows.entity,
                     &rows.relation,
                 );
-                Ok(engine.score_chunk(
+                let scores = engine.score_chunk(
                     rows.fields.as_ref().map(|(m, _)| m),
                     rows.fields.as_ref().map(|(_, i)| i),
                     &rows.members,
                     &rows.items,
                     l,
-                ))
+                    &mut clock,
+                );
+                clock.flush();
+                Ok(scores)
             },
         )
     }

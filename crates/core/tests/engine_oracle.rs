@@ -7,8 +7,9 @@
 //! receptive fields, so comparing them with the engine-backed
 //! [`kgag::BatchScorer`] / [`kgag::DynamicScorer`] pins the engine to
 //! the tape bit for bit — for every backend, across the cache × chunk ×
-//! thread matrix, under the KGAG-KG ablation, with the residual combine
-//! off, and on rosters off the trained group size.
+//! thread matrix, at embedding widths that take different register
+//! tiles, under the KGAG-KG ablation, with the residual combine off, and
+//! on rosters off the trained group size.
 
 use kgag::{Backend, DynamicScorer, Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
@@ -90,6 +91,21 @@ fn engine_equals_tape_for_every_backend() {
     for backend in Backend::all() {
         let (ds, model) = trained(KgagConfig { epochs: 2, backend, ..Default::default() });
         assert_engine_equals_tape(backend.tag(), &model, &cases(&ds, 4));
+    }
+}
+
+/// Widths off the default `d = 16` tile rows differently: `d = 12`
+/// takes the 4-wide fallback (three tiles a row), `d = 32` two 16-wide
+/// tiles — under both fused plans (GCN's sum-self, GraphSage's split
+/// concat).
+#[test]
+fn engine_equals_tape_across_dims() {
+    for dim in [12, 32] {
+        for backend in [Backend::Gcn, Backend::GraphSage] {
+            let (ds, model) = trained(KgagConfig { epochs: 2, dim, backend, ..Default::default() });
+            let label = format!("{}-d{dim}", backend.tag());
+            assert_engine_equals_tape(&label, &model, &cases(&ds, 4));
+        }
     }
 }
 

@@ -2,23 +2,29 @@
 //! (`kgag_tensor::infer`, DESIGN.md §14).
 //!
 //! Every kernel must equal the tape op sequence it fuses **bit for
-//! bit** on random inputs — no tolerance. Inputs are mostly uniform
-//! draws with a sprinkling of the values where a reordered sum, a
-//! folded constant or a flush would show: ±0, subnormals, NaN and ±∞.
-//! The one exception is a NaN's sign and payload, which IEEE 754 leaves
-//! to the hardware operand order of each compiled add: every NaN
-//! compares equal to every other NaN, and to nothing else.
+//! bit** on random inputs — no tolerance — at output widths that take
+//! the 16-wide register tile, the 4-wide one and its one-wide tail, and
+//! with every row operand both dense and read in place by id.
+//! Inputs are mostly uniform draws with a sprinkling of the values
+//! where a reordered sum, a dropped zero-skip, a folded constant or a
+//! flush would show: ±0, subnormals, NaN and ±∞. The one exception is a
+//! NaN's sign and payload, which IEEE 754 leaves to the hardware operand
+//! order of each compiled add: every NaN compares equal to every other
+//! NaN, and to nothing else.
 
 use kgag_tensor::infer::{
-    accumulate_row, add_into, gather_row_dot_rep, gather_rows, group_mean, group_weighted_sum,
-    matmul2_bias_act, matmul_bias_act, residual_inplace, row_dot_rep_scaled,
-    softmax_groups_inplace, Activation,
+    accumulate_row, add_into, gather_rows, group_mean, group_weighted_sum, matmul2_bias_act,
+    matmul_bias_act, relation_logits, residual_inplace, row_dot_rep_scaled, softmax_groups_inplace,
+    Activation, Rows,
 };
 use kgag_tensor::rng::SplitMix64;
 use kgag_tensor::{ParamStore, Tape, Tensor};
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u64_in, usize_in};
 use kgag_testkit::prop_assert_eq;
+use std::collections::HashSet;
+
+const ACTIVATIONS: [Activation; 3] = [Activation::None, Activation::Relu, Activation::Tanh];
 
 /// Uniform draws in `[lo, hi)`, one in 16 replaced by a special value.
 fn rand_vec(rng: &mut SplitMix64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
@@ -51,6 +57,30 @@ fn rand_ids(rng: &mut SplitMix64, n: usize, rows: usize) -> Vec<u32> {
     (0..n).map(|_| (rng.next_u64() % rows as u64) as u32).collect()
 }
 
+/// `n` rows of width `dim` drawn as ids into a random table: the
+/// table and ids for the by-id form, and the gathered dense copy.
+struct Operand {
+    table: Vec<f32>,
+    ids: Vec<u32>,
+    dense: Vec<f32>,
+}
+
+impl Operand {
+    fn draw(rng: &mut SplitMix64, n: usize, dim: usize, lo: f32, hi: f32) -> Self {
+        let rows = 1 + n / 2; // fewer table rows than ids: repeats
+        let table = rand_vec(rng, rows * dim, lo, hi);
+        let ids = rand_ids(rng, n, rows);
+        let mut dense = Vec::new();
+        gather_rows(&table, dim, &ids, &mut dense);
+        Operand { table, ids, dense }
+    }
+
+    /// The dense and the by-id form of the same rows.
+    fn forms(&self) -> [Rows<'_>; 2] {
+        [Rows::Dense(&self.dense), Rows::ById { table: &self.table, ids: &self.ids }]
+    }
+}
+
 #[test]
 fn gather_rows_equals_tape_gather() {
     let gen = (usize_in(1..40), usize_in(1..24), usize_in(0..30), u64_in(0..u64::MAX));
@@ -69,28 +99,55 @@ fn gather_rows_equals_tape_gather() {
     });
 }
 
+/// The per-relation logit memo equals the tape's per-edge
+/// `repeat_rows` (query → targets → edges) → `gather_row_dot` → `scale`
+/// at every level, with few relations so ids repeat within and across
+/// sibling sets in no particular order, and computes exactly one dot
+/// per distinct relation per query row.
 #[test]
-fn gather_row_dot_rep_equals_tape_repeat_gather_dot_scale() {
-    let gen =
-        (usize_in(1..40), usize_in(1..24), usize_in(1..6), usize_in(1..5), u64_in(0..u64::MAX));
-    Runner::new("infer-gather-row-dot-vs-tape").cases(96).run(
+fn relation_logits_equal_tape_repeat_gather_dot_scale() {
+    let gen = (usize_in(1..6), usize_in(1..4), usize_in(1..5), usize_in(1..4), usize_in(1..20));
+    let gen = (gen, usize_in(1..8), u64_in(0..u64::MAX));
+    Runner::new("infer-relation-logits-vs-tape").cases(128).run(
         &gen,
-        |&(rows, dim, n_query, rep, seed)| {
+        |&((n_query, rep, k, depth, dim), n_rel, seed)| {
             let mut rng = SplitMix64::new(seed);
-            let src = rand_vec(&mut rng, rows * dim, -2.0, 2.0);
-            let query = rand_vec(&mut rng, n_query * dim, -2.0, 2.0);
-            let ids = rand_ids(&mut rng, n_query * rep, rows);
+            let relation = rand_vec(&mut rng, n_rel * dim, -2.0, 2.0);
+            let query = Operand::draw(&mut rng, n_query, dim, -2.0, 2.0);
+            let targets = n_query * rep;
+            let levels: Vec<Vec<u32>> = (1..=depth)
+                .map(|lvl| rand_ids(&mut rng, targets * k.pow(lvl as u32), n_rel))
+                .collect();
             let scale = 1.0 / (dim as f32).sqrt();
             let mut store = ParamStore::new();
-            let table = store.register("t", Tensor::from_vec(rows, dim, src.clone()));
+            let rel = store.register("rel", Tensor::from_vec(n_rel, dim, relation.clone()));
             let mut tape = Tape::new(&store);
-            let q = tape.constant(Tensor::from_vec(n_query, dim, query.clone()));
-            let q_rep = tape.repeat_rows(q, rep);
-            let raw = tape.gather_row_dot(table, &ids, q_rep);
-            let want = tape.scale(raw, scale);
-            let mut got = Vec::new();
-            gather_row_dot_rep(&src, dim, &ids, &query, rep, scale, &mut got);
-            prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+            let q = tape.constant(Tensor::from_vec(n_query, dim, query.dense.clone()));
+            let q_targets = tape.repeat_rows(q, rep);
+            let want: Vec<Vec<u32>> = levels
+                .iter()
+                .map(|edges| {
+                    let q_edges = tape.repeat_rows(q_targets, edges.len() / targets);
+                    let raw = tape.gather_row_dot(rel, edges, q_edges);
+                    let logits = tape.scale(raw, scale);
+                    bits(tape.value(logits).data())
+                })
+                .collect();
+            let distinct: usize = (0..n_query)
+                .map(|qi| {
+                    let share = |edges: &Vec<u32>| {
+                        let s = edges.len() / n_query;
+                        edges[qi * s..(qi + 1) * s].to_vec()
+                    };
+                    levels.iter().flat_map(share).collect::<HashSet<u32>>().len()
+                })
+                .sum();
+            for form in query.forms() {
+                let mut got = Vec::new();
+                let dots = relation_logits(&relation, dim, form, &levels, scale, &mut got);
+                prop_assert_eq!(got.iter().map(|l| bits(l)).collect::<Vec<_>>(), want.clone());
+                prop_assert_eq!(dots, distinct);
+            }
             Ok(())
         },
     );
@@ -113,23 +170,27 @@ fn softmax_groups_equals_tape() {
     });
 }
 
+/// Dense and by-id values at widths that take either tile.
 #[test]
 fn group_weighted_sum_equals_tape() {
-    let gen = (usize_in(1..20), usize_in(1..8), usize_in(1..24), u64_in(0..u64::MAX));
+    let gen = (usize_in(1..12), usize_in(1..9), usize_in(1..71), u64_in(0..u64::MAX));
     Runner::new("infer-group-weighted-sum-vs-tape").cases(96).run(
         &gen,
         |&(n, group, dim, seed)| {
             let mut rng = SplitMix64::new(seed);
             let weights = rand_vec(&mut rng, n * group, -1.5, 1.5);
-            let values = rand_vec(&mut rng, n * group * dim, -2.0, 2.0);
+            let values = Operand::draw(&mut rng, n * group, dim, -2.0, 2.0);
             let store = ParamStore::new();
             let mut tape = Tape::new(&store);
             let w = tape.constant(Tensor::from_vec(n * group, 1, weights.clone()));
-            let v = tape.constant(Tensor::from_vec(n * group, dim, values.clone()));
+            let v = tape.constant(Tensor::from_vec(n * group, dim, values.dense.clone()));
             let want = tape.group_weighted_sum(w, v, group);
-            let mut got = Vec::new();
-            group_weighted_sum(&weights, &values, dim, group, &mut got);
-            prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+            let want = bits(tape.value(want).data());
+            for form in values.forms() {
+                let mut got = Vec::new();
+                group_weighted_sum(&weights, form, dim, group, &mut got);
+                prop_assert_eq!(bits(&got), want.clone());
+            }
             Ok(())
         },
     );
@@ -140,14 +201,16 @@ fn group_mean_equals_tape() {
     let gen = (usize_in(1..20), usize_in(1..8), usize_in(1..24), u64_in(0..u64::MAX));
     Runner::new("infer-group-mean-vs-tape").cases(96).run(&gen, |&(n, group, dim, seed)| {
         let mut rng = SplitMix64::new(seed);
-        let values = rand_vec(&mut rng, n * group * dim, -3.0, 3.0);
+        let values = Operand::draw(&mut rng, n * group, dim, -3.0, 3.0);
         let store = ParamStore::new();
         let mut tape = Tape::new(&store);
-        let v = tape.constant(Tensor::from_vec(n * group, dim, values.clone()));
+        let v = tape.constant(Tensor::from_vec(n * group, dim, values.dense.clone()));
         let want = tape.group_mean(v, group);
-        let mut got = Vec::new();
-        group_mean(&values, dim, group, &mut got);
-        prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+        for form in values.forms() {
+            let mut got = Vec::new();
+            group_mean(form, dim, group, &mut got);
+            prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
+        }
         Ok(())
     });
 }
@@ -159,7 +222,7 @@ fn tape_matmul_bias_act(
     w: Tensor,
     bias: Tensor,
     act: Activation,
-) -> Vec<f32> {
+) -> Vec<u32> {
     let a = tape.constant(a);
     let w = tape.constant(w);
     let b = tape.constant(bias);
@@ -170,77 +233,102 @@ fn tape_matmul_bias_act(
         Activation::Relu => tape.relu(biased),
         Activation::Tanh => tape.tanh(biased),
     };
-    tape.value(out).data().to_vec()
+    bits(tape.value(out).data())
+}
+
+/// One `matmul_bias_act` case against the tape at every activation.
+fn check_matmul(rng: &mut SplitMix64, rows: usize, d_in: usize, d_out: usize) -> bool {
+    let a = rand_vec(rng, rows * d_in, -2.0, 2.0);
+    let w = rand_vec(rng, d_in * d_out, -1.0, 1.0);
+    let bias = rand_vec(rng, d_out, -0.5, 0.5);
+    let store = ParamStore::new();
+    ACTIVATIONS.into_iter().all(|act| {
+        let mut tape = Tape::new(&store);
+        let want = tape_matmul_bias_act(
+            &mut tape,
+            Tensor::from_vec(rows, d_in, a.clone()),
+            Tensor::from_vec(d_in, d_out, w.clone()),
+            Tensor::from_vec(1, d_out, bias.clone()),
+            act,
+        );
+        let mut got = Vec::new();
+        matmul_bias_act(&a, rows, d_in, &w, d_out, &bias, act, &mut got);
+        bits(&got) == want
+    })
 }
 
 #[test]
 fn matmul_bias_act_equals_tape() {
-    let gen =
-        (usize_in(1..12), usize_in(1..20), usize_in(1..20), usize_in(0..3), u64_in(0..u64::MAX));
+    let gen = (usize_in(1..12), usize_in(1..20), usize_in(1..71), u64_in(0..u64::MAX));
     Runner::new("infer-matmul-bias-act-vs-tape").cases(96).run(
         &gen,
-        |&(rows, d_in, d_out, act_ix, seed)| {
-            let mut rng = SplitMix64::new(seed);
-            let a = rand_vec(&mut rng, rows * d_in, -2.0, 2.0);
-            let w = rand_vec(&mut rng, d_in * d_out, -1.0, 1.0);
-            let bias = rand_vec(&mut rng, d_out, -0.5, 0.5);
-            let act = [Activation::None, Activation::Relu, Activation::Tanh][act_ix];
-            let store = ParamStore::new();
-            let mut tape = Tape::new(&store);
-            let want = tape_matmul_bias_act(
-                &mut tape,
-                Tensor::from_vec(rows, d_in, a.clone()),
-                Tensor::from_vec(d_in, d_out, w.clone()),
-                Tensor::from_vec(1, d_out, bias.clone()),
-                act,
-            );
-            let mut got = Vec::new();
-            matmul_bias_act(&a, rows, d_in, &w, d_out, &bias, act, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want));
+        |&(rows, d_in, d_out, seed)| {
+            prop_assert_eq!(check_matmul(&mut SplitMix64::new(seed), rows, d_in, d_out), true);
             Ok(())
         },
     );
 }
 
+/// Every output width 1..=70 — multiples of 16 (the wide tile), of 4
+/// (whole narrow tiles) and the rest (a one-wide tail) — through
+/// `matmul_bias_act` and `accumulate_row`.
+#[test]
+fn tiled_kernels_equal_tape_at_every_width() {
+    let mut rng = SplitMix64::new(0x7113);
+    for d_out in 1..=70 {
+        let d_in = 1 + d_out % 17;
+        assert!(check_matmul(&mut rng, 3, d_in, d_out), "matmul_bias_act at width {d_out}");
+        // two accumulations onto one row are the matmul of the
+        // concatenated row — the peer-influence tower's peer blocks
+        let a = rand_vec(&mut rng, 2 * d_in, -2.0, 2.0);
+        let w = rand_vec(&mut rng, 2 * d_in * d_out, -1.0, 1.0);
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let ta = tape.constant(Tensor::from_vec(1, 2 * d_in, a.clone()));
+        let tw = tape.constant(Tensor::from_vec(2 * d_in, d_out, w.clone()));
+        let want = tape.matmul(ta, tw);
+        let want = bits(tape.value(want).data());
+        let (w1, w2) = w.split_at(d_in * d_out);
+        let mut got = vec![0.0f32; d_out];
+        accumulate_row(&a[..d_in], w1, d_out, &mut got);
+        accumulate_row(&a[d_in..], w2, d_out, &mut got);
+        assert_eq!(bits(&got), want, "accumulate_row at width {d_out}");
+    }
+}
+
 #[test]
 fn matmul2_equals_tape_concat_matmul() {
-    let gen = (usize_in(1..12), usize_in(1..16), usize_in(1..16), u64_in(0..u64::MAX));
+    let gen = (usize_in(1..12), usize_in(1..16), usize_in(1..71), u64_in(0..u64::MAX));
     Runner::new("infer-matmul2-vs-tape-concat").cases(96).run(
         &gen,
         |&(rows, d_in, d_out, seed)| {
             let mut rng = SplitMix64::new(seed);
-            let a = rand_vec(&mut rng, rows * d_in, -2.0, 2.0);
+            let a = Operand::draw(&mut rng, rows, d_in, -2.0, 2.0);
             let b = rand_vec(&mut rng, rows * d_in, -2.0, 2.0);
             let w = rand_vec(&mut rng, 2 * d_in * d_out, -1.0, 1.0);
             let bias = rand_vec(&mut rng, d_out, -0.5, 0.5);
             let store = ParamStore::new();
-            let mut tape = Tape::new(&store);
-            let ta = tape.constant(Tensor::from_vec(rows, d_in, a.clone()));
-            let tb = tape.constant(Tensor::from_vec(rows, d_in, b.clone()));
-            let cat = tape.concat_cols(ta, tb);
-            let cat = tape.value(cat).clone();
-            let want = tape_matmul_bias_act(
-                &mut tape,
-                cat,
-                Tensor::from_vec(2 * d_in, d_out, w.clone()),
-                Tensor::from_vec(1, d_out, bias.clone()),
-                Activation::Tanh,
-            );
             let (w_a, w_b) = w.split_at(d_in * d_out);
-            let mut got = Vec::new();
-            matmul2_bias_act(
-                &a,
-                &b,
-                rows,
-                d_in,
-                w_a,
-                w_b,
-                d_out,
-                &bias,
-                Activation::Tanh,
-                &mut got,
-            );
-            prop_assert_eq!(bits(&got), bits(&want));
+            for act in ACTIVATIONS {
+                let mut tape = Tape::new(&store);
+                let ta = tape.constant(Tensor::from_vec(rows, d_in, a.dense.clone()));
+                let tb = tape.constant(Tensor::from_vec(rows, d_in, b.clone()));
+                let cat = tape.concat_cols(ta, tb);
+                let cat = tape.value(cat).clone();
+                let want = tape_matmul_bias_act(
+                    &mut tape,
+                    cat,
+                    Tensor::from_vec(2 * d_in, d_out, w.clone()),
+                    Tensor::from_vec(1, d_out, bias.clone()),
+                    act,
+                );
+                for form in a.forms() {
+                    let mut got = Vec::new();
+                    let (d, o) = (d_in, d_out);
+                    matmul2_bias_act(form, &b, rows, d, w_a, w_b, o, &bias, act, &mut got);
+                    prop_assert_eq!(bits(&got), want.clone());
+                }
+            }
             Ok(())
         },
     );
@@ -250,7 +338,7 @@ fn matmul2_equals_tape_concat_matmul() {
 /// `[d, 1]` projection of the peer-influence tower.
 #[test]
 fn accumulate_row_equals_tape_matmul_row() {
-    let gen = (usize_in(1..20), usize_in(1..20), u64_in(0..u64::MAX));
+    let gen = (usize_in(1..20), usize_in(1..71), u64_in(0..u64::MAX));
     Runner::new("infer-accumulate-row-vs-tape").cases(96).run(&gen, |&(d_in, d_out, seed)| {
         let mut rng = SplitMix64::new(seed);
         let a = rand_vec(&mut rng, d_in, -2.0, 2.0);
@@ -267,6 +355,8 @@ fn accumulate_row_equals_tape_matmul_row() {
     });
 }
 
+/// The self term and the residual's `e⁰` read by id equal the tape's
+/// gathered rows; the repeated-row dot equals `repeat_rows` → `row_dot`.
 #[test]
 fn add_residual_and_row_dot_equal_tape() {
     let gen = (usize_in(1..16), usize_in(1..5), usize_in(1..24), u64_in(0..u64::MAX));
@@ -274,35 +364,37 @@ fn add_residual_and_row_dot_equal_tape() {
         &gen,
         |&(n, rep, dim, seed)| {
             let mut rng = SplitMix64::new(seed);
-            let a = rand_vec(&mut rng, n * rep * dim, -2.0, 2.0);
+            let a = Operand::draw(&mut rng, n * rep, dim, -2.0, 2.0);
             let b = rand_vec(&mut rng, n * rep * dim, -2.0, 2.0);
             let q = rand_vec(&mut rng, n * dim, -2.0, 2.0);
             let gamma = 0.25 + rng.next_f32();
             let scale = 1.0 / (dim as f32).sqrt();
             let store = ParamStore::new();
             let mut tape = Tape::new(&store);
-            let ta = tape.constant(Tensor::from_vec(n * rep, dim, a.clone()));
+            let ta = tape.constant(Tensor::from_vec(n * rep, dim, a.dense.clone()));
             let tb = tape.constant(Tensor::from_vec(n * rep, dim, b.clone()));
             let tq = tape.constant(Tensor::from_vec(n, dim, q.clone()));
 
+            // self term: add(e, e_N)
             let sum = tape.add(ta, tb);
-            let mut got = Vec::new();
-            add_into(&a, &b, &mut got);
-            prop_assert_eq!(bits(&got), bits(tape.value(sum).data()));
-
             // residual: e0 + scale(acc, γ)
             let scaled = tape.scale(tb, gamma);
             let res = tape.add(ta, scaled);
-            let mut acc = b.clone();
-            residual_inplace(&a, gamma, &mut acc);
-            prop_assert_eq!(bits(&acc), bits(tape.value(res).data()));
+            for form in a.forms() {
+                let mut got = Vec::new();
+                add_into(form, &b, dim, &mut got);
+                prop_assert_eq!(bits(&got), bits(tape.value(sum).data()));
+                let mut acc = b.clone();
+                residual_inplace(form, gamma, dim, &mut acc);
+                prop_assert_eq!(bits(&acc), bits(tape.value(res).data()));
+            }
 
             // self persistence: scale(row_dot(a, repeat_rows(q)), 1/√d)
             let q_rep = tape.repeat_rows(tq, rep);
             let raw = tape.row_dot(ta, q_rep);
             let sp = tape.scale(raw, scale);
             let mut got = Vec::new();
-            row_dot_rep_scaled(&a, &q, dim, rep, scale, &mut got);
+            row_dot_rep_scaled(&a.dense, &q, dim, rep, scale, &mut got);
             prop_assert_eq!(bits(&got), bits(tape.value(sp).data()));
             Ok(())
         },

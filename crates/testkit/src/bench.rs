@@ -198,15 +198,17 @@ impl BenchSuite {
         &self.results
     }
 
-    /// Print a closing line and write `results/bench_<suite>.json`.
-    ///
-    /// The artifact stamps run metadata — logical thread count, git
+    /// The suite's JSON artifact. It stamps run metadata — the pool's
+    /// thread count beside the cores the machine makes available, git
     /// commit, iteration/warmup counts — so bench trajectories stay
-    /// comparable across machines and PRs.
-    pub fn finish(self) {
+    /// comparable across machines and PRs, and a thread-scaling figure
+    /// can be read against the cores it actually had.
+    pub fn artifact(&self) -> Json {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let mut fields = vec![
             ("suite", self.name.to_json()),
             ("threads", kgag_tensor::pool::num_threads().to_json()),
+            ("available_parallelism", cores.to_json()),
             ("git_sha", git_sha().to_json()),
             ("iters", self.config.iters.to_json()),
             ("warmup", self.config.warmup.to_json()),
@@ -215,7 +217,13 @@ impl BenchSuite {
         for (k, v) in &self.annotations {
             fields.push((k.as_str(), v.clone()));
         }
-        let payload = Json::obj(fields);
+        Json::obj(fields)
+    }
+
+    /// Print a closing line and write [`BenchSuite::artifact`] to
+    /// `results/bench_<suite>.json`.
+    pub fn finish(self) {
+        let payload = self.artifact();
         let dir = std::env::var("KGAG_BENCH_DIR").unwrap_or_else(|_| "results".into());
         match crate::json::write_json_file(
             std::path::Path::new(&dir),
@@ -264,6 +272,16 @@ mod tests {
         for key in ["name", "iters", "median_ns", "p95_ns", "mean_ns", "min_ns", "max_ns"] {
             assert!(text.contains(key), "missing {key}: {text}");
         }
+    }
+
+    #[test]
+    fn artifact_stamps_threads_beside_available_cores() {
+        let suite = BenchSuite::with_config("stamp", BenchConfig { warmup: 0, iters: 1 });
+        let text = suite.artifact().to_string_pretty();
+        let json = Json::parse(&text).expect("the artifact is valid JSON");
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(json.get("available_parallelism").and_then(Json::as_f64), Some(cores as f64));
+        assert!(json.get("threads").and_then(Json::as_f64).is_some_and(|t| t >= 1.0), "{text}");
     }
 
     #[test]
