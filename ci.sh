@@ -36,7 +36,7 @@
 #                bit-identical — no panic, no hang
 #   registry   — multi-tenant registry gate (DESIGN.md §16): the
 #                registry_check binary at both thread counts. Against a
-#                real serve_tcp_registry server it LOADs two
+#                real serve_tcp server it LOADs two
 #                checkpoints by path, proves a shadow candidate on live
 #                traffic (every mirrored request bit-identical to the
 #                candidate's offline scores), promotes with zero

@@ -9,8 +9,8 @@
 //! The check trains the fixed smoke model (yelp tiny, split seed 11,
 //! fit single-threaded so parameters are thread-count invariant),
 //! wraps it in a [`DynamicScorer`](kgag::DynamicScorer), serves it via
-//! `serve_tcp` with the scorer as its lifecycle backend, and drives
-//! four layers:
+//! `serve_tcp` as tenant 0's entry with the scorer as its group
+//! lifecycle, and drives four layers:
 //!
 //! 1. **Concurrent mutate/score** — 4 clients, each creating its own
 //!    group from a disjoint user slice, then join → score → leave →
@@ -31,12 +31,15 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{Kgag, KgagConfig, ScoreCases};
+use kgag::{DynamicScorer, Kgag, KgagConfig, RegistryModel, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_serve::{serve_tcp, ServeClient, ServeConfig, ServeError, ShutdownToken};
+use kgag_serve::{
+    serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig, ServeError, ShutdownToken,
+};
 use kgag_tensor::pool::{self, with_threads};
+use std::sync::Arc;
 use std::time::Duration;
 
 const CLIENTS: u32 = 4;
@@ -58,7 +61,8 @@ fn main() {
     assert!(ds.num_users >= 4 * CLIENTS, "smoke world too small for disjoint rosters");
     let static_groups = ds.num_groups();
 
-    let scorer = model.dynamic_scorer();
+    let model = Arc::new(model);
+    let scorer = Arc::new(DynamicScorer::shared(model.clone(), true));
     match scorer.cache_bytes() {
         Some(b) => println!("lifecycle_check: rf cache resident ({b} bytes)"),
         None => println!("lifecycle_check: rf cache disabled"),
@@ -86,15 +90,17 @@ fn main() {
         queue_capacity: 4096,
         workers: 2,
     };
+    let entry = RegistryModel::new(scorer.clone(), Some(scorer.clone()), 0);
+    let rcfg = RegistryConfig { serve: config, ..RegistryConfig::default() };
+    let no_loads = Box::new(|_: &[u8], _| Err("lifecycle_check loads nothing".to_owned()));
+    let registry = RegistryServer::bootstrap(rcfg, no_loads, entry).expect("entry installs");
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     let mut created: Vec<(u32, Vec<u32>)> = std::thread::scope(|s| {
         let server = {
-            let (token, scorer, config) = (token.clone(), &scorer, &config);
+            let (token, registry) = (token.clone(), &registry);
             s.spawn(move || {
-                serve_tcp(scorer, Some(scorer), config, "127.0.0.1:0", &token, |a| {
-                    addr_tx.send(a).unwrap()
-                })
+                serve_tcp(registry, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");

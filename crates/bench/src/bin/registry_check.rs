@@ -6,7 +6,7 @@
 //! fit single-threaded) and snapshots **two** checkpoints from it: `a`
 //! (trained) and `b` (the untrained initialisation — same shapes,
 //! different parameters). It then drives three phases against a real
-//! `serve_tcp_registry` server through the wire protocol:
+//! `serve_tcp` server through the wire protocol:
 //!
 //! 1. **Shadow-proven swap** — LOAD both checkpoints by path, bind a
 //!    tenant to `a`, fan a fixed request slice out over 4 concurrent
@@ -36,8 +36,8 @@ use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_serve::{
-    serve_tcp_registry, ModelFactory, RegistryConfig, RegistryServer, ServeClient, ServeConfig,
-    ServeError, ShutdownToken,
+    serve_tcp, ModelFactory, RegistryConfig, RegistryServer, ServeClient, ServeConfig, ServeError,
+    ShutdownToken,
 };
 use kgag_tensor::pool::{self, with_threads};
 use std::sync::Arc;
@@ -162,7 +162,7 @@ fn main() {
         let server = Arc::clone(&server);
         let token = token.clone();
         std::thread::spawn(move || {
-            serve_tcp_registry(&server, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
+            serve_tcp(&server, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
                 .expect("registry bind")
         })
     };
@@ -273,7 +273,7 @@ fn main() {
         let qserver = Arc::clone(&qserver);
         let qtoken = qtoken.clone();
         std::thread::spawn(move || {
-            serve_tcp_registry(&qserver, "127.0.0.1:0", &qtoken, |a| qaddr_tx.send(a).unwrap())
+            serve_tcp(&qserver, "127.0.0.1:0", &qtoken, |a| qaddr_tx.send(a).unwrap())
                 .expect("registry bind")
         })
     };

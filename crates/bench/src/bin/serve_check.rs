@@ -21,22 +21,25 @@
 //!    accepted request is answered with correct scores, every refused
 //!    one is an explicit rejection, nothing hangs or is dropped.
 //! 4. **TCP round trip** — the same slice through 4 `ServeClient`
-//!    connections against `serve_tcp`; f32 bits must survive the wire.
+//!    connections against `serve_tcp`, the one server, with the model
+//!    as tenant 0's entry; f32 bits must survive the wire.
 //!
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{DynamicScorer, Kgag, KgagConfig, RegistryModel};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_eval::protocol::evaluate_group_ranking_batched_detailed;
 use kgag_eval::{BatchGroupScorer, EvalConfig};
 use kgag_serve::{
-    serve_in_process, serve_tcp, ServeClient, ServeConfig, ServeError, ShutdownToken,
+    serve_in_process, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig,
+    ServeError, ShutdownToken,
 };
 use kgag_tensor::pool::{self, with_threads};
+use std::sync::Arc;
 use std::time::Duration;
 
 const CLIENTS: usize = 4;
@@ -104,6 +107,7 @@ fn main() {
     assert!(!cases.is_empty(), "smoke world must produce test cases");
     let mut model = Kgag::new(&ds, &split, KgagConfig { epochs: 3, ..Default::default() });
     with_threads(1, || model.fit(&split));
+    let model = Arc::new(model);
     let scorer = model.batch_scorer();
 
     // the fixed request slice: every test group over candidate lists of
@@ -201,16 +205,17 @@ fn main() {
     println!("serve_check: drain answered {answered}, explicitly rejected {refused}");
 
     // 4. TCP round trip: bits must survive the wire
+    let entry = RegistryModel::new(Arc::new(DynamicScorer::shared(model.clone(), true)), None, 0);
+    let rcfg = RegistryConfig { serve: fusing_config(), ..RegistryConfig::default() };
+    let no_loads = Box::new(|_: &[u8], _| Err("serve_check loads nothing".to_owned()));
+    let registry = RegistryServer::bootstrap(rcfg, no_loads, entry).expect("entry installs");
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
         let server = {
-            let token = token.clone();
-            let scorer = &scorer;
+            let (token, registry) = (token.clone(), &registry);
             s.spawn(move || {
-                serve_tcp(scorer, None, &fusing_config(), "127.0.0.1:0", &token, |a| {
-                    addr_tx.send(a).unwrap()
-                })
+                serve_tcp(registry, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");

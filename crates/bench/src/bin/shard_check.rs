@@ -19,8 +19,9 @@
 //!    bit (draw memo on).
 //! 2. **Memo off** — the same deployment with the router's draw memo
 //!    off: every draw goes over the wire, the bits stay the same.
-//! 3. **TCP front door** — the same requests through `serve_tcp` +
-//!    `ServeClient`: bits survive the client wire too.
+//! 3. **TCP front door** — the same requests through `serve_tcp`, the
+//!    one server with the router as tenant 0's entry, + `ServeClient`:
+//!    bits survive the client wire too.
 //! 4. **Shard kill** — SIGKILL one worker while a request stream is in
 //!    flight: every response is either bit-identical (receptive field
 //!    never touched the dead shard) or a typed `ServeError::Shard`,
@@ -29,14 +30,14 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{Kgag, KgagConfig, ScoreCases};
+use kgag::{Kgag, KgagConfig, RegistryModel, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_serve::{
-    serve_shard, serve_tcp, ServeClient, ServeConfig, ServeError, ShardConfig, ShardPool,
-    ShutdownToken,
+    serve_shard, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeError, ShardConfig,
+    ShardPool, ShutdownToken,
 };
 use kgag_tensor::pool::{self, with_threads};
 use std::io::{BufRead, BufReader};
@@ -169,16 +170,17 @@ fn main() {
     // flight, so the death is discovered *inside* request scoring.
     let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
     let sharded = pool.into_scorer(&model, true).expect("model card matches");
+    let entry = RegistryModel::new(std::sync::Arc::new(sharded), None, 0);
+    let no_loads = Box::new(|_: &[u8], _| Err("shard_check loads nothing".to_owned()));
+    let registry = RegistryServer::bootstrap(RegistryConfig::default(), no_loads, entry)
+        .expect("router entry installs");
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
         let server = {
-            let token = token.clone();
-            let sharded = &sharded;
+            let (token, registry) = (token.clone(), &registry);
             s.spawn(move || {
-                serve_tcp(sharded, None, &ServeConfig::default(), "127.0.0.1:0", &token, |a| {
-                    addr_tx.send(a).unwrap()
-                })
+                serve_tcp(registry, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("router ready");

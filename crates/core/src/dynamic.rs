@@ -38,26 +38,30 @@
 //! groups — mutated or not — score through the full attention,
 //! bit-identical to the static engine.
 
-use crate::batch::BatchScorer;
-use crate::scorer::{ScoreCases, ScoreError};
+use crate::batch::InProcess;
+use crate::scorer::{ScoreCases, ScoreError, Scorer};
 use crate::trainer::Kgag;
 use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
-use std::sync::{RwLock, RwLockReadGuard};
+use std::borrow::Borrow;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-/// A [`BatchScorer`] over a *live* group table: scores exactly like it
-/// (same engine, same caches, same bits) and additionally applies
-/// [`LifecycleOp`]s between batches.
+/// An in-process [`Scorer`] over a *live* group table: scores exactly
+/// like a [`BatchScorer`](crate::BatchScorer) (same engine, same caches,
+/// same bits) and additionally applies [`LifecycleOp`]s between batches.
+/// `M` is how the scorer holds its model: borrowed (`&Kgag`, from
+/// [`Kgag::dynamic_scorer`]) or shared (`Arc<Kgag>`, from
+/// [`DynamicScorer::shared`] — what a registry entry owns).
 ///
 /// One lock covers the scorer's group store and caches. Scoring takes
 /// the read side, mutations the write side, so any number of batch
 /// threads score concurrently and a score request sees either the whole
 /// mutation or none of it.
-pub struct DynamicScorer<'m> {
-    scorer: RwLock<BatchScorer<'m>>,
+pub struct DynamicScorer<M> {
+    scorer: RwLock<Scorer<InProcess<M>>>,
 }
 
-impl<'m> From<BatchScorer<'m>> for DynamicScorer<'m> {
-    fn from(scorer: BatchScorer<'m>) -> Self {
+impl<M> From<Scorer<InProcess<M>>> for DynamicScorer<M> {
+    fn from(scorer: Scorer<InProcess<M>>) -> Self {
         DynamicScorer { scorer: RwLock::new(scorer) }
     }
 }
@@ -65,19 +69,29 @@ impl<'m> From<BatchScorer<'m>> for DynamicScorer<'m> {
 impl Kgag {
     /// A [`DynamicScorer`] seeded with the model's bound groups, with
     /// the receptive-field cache on.
-    pub fn dynamic_scorer(&self) -> DynamicScorer<'_> {
+    pub fn dynamic_scorer(&self) -> DynamicScorer<&Kgag> {
         self.dynamic_scorer_with(true)
     }
 
     /// A [`DynamicScorer`] over the bound groups with the
     /// receptive-field cache explicitly on or off.
-    pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<'_> {
+    pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<&Kgag> {
         self.batch_scorer_with(cache).into()
     }
 }
 
-impl<'m> DynamicScorer<'m> {
-    fn read(&self) -> RwLockReadGuard<'_, BatchScorer<'m>> {
+impl DynamicScorer<Arc<Kgag>> {
+    /// A [`DynamicScorer`] that shares ownership of `model`, so it lives
+    /// as long as whoever holds it rather than a borrow — the in-process
+    /// entry kind of the model registry.
+    pub fn shared(model: Arc<Kgag>, cache: bool) -> Self {
+        let caches = model.eval_rf_caches(cache);
+        Scorer::new(&model, InProcess { model: Arc::clone(&model), caches }).into()
+    }
+}
+
+impl<M: Borrow<Kgag> + Send + Sync> DynamicScorer<M> {
+    fn read(&self) -> RwLockReadGuard<'_, Scorer<InProcess<M>>> {
         self.scorer.read().expect("scorer lock poisoned by a panicked mutation")
     }
 
@@ -116,7 +130,7 @@ impl<'m> DynamicScorer<'m> {
         let mut scorer = self.scorer.write().expect("scorer lock poisoned by a panicked mutation");
         let scorer = &mut *scorer;
         let applied = scorer.groups.apply(op)?;
-        let model = scorer.source.model;
+        let model = scorer.source.model.borrow();
         let touched_ents: Vec<u32> =
             applied.touched.iter().map(|&u| model.collaborative_kg().user_entity(u).0).collect();
         let mut evicted = 0usize;
@@ -139,7 +153,7 @@ impl<'m> DynamicScorer<'m> {
     }
 }
 
-impl ScoreCases for DynamicScorer<'_> {
+impl<M: Borrow<Kgag> + Send + Sync> ScoreCases for DynamicScorer<M> {
     /// Scores against the live membership, the whole batch under one
     /// read-lock — one consistent membership snapshot.
     fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
@@ -147,7 +161,7 @@ impl ScoreCases for DynamicScorer<'_> {
     }
 }
 
-impl GroupLifecycle for DynamicScorer<'_> {
+impl<M: Borrow<Kgag> + Send + Sync> GroupLifecycle for DynamicScorer<M> {
     fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
         self.apply(op)
     }

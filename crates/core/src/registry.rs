@@ -32,9 +32,10 @@
 //! the wire protocol live in `kgag-serve`, which composes them around
 //! this state machine.
 
-use crate::batch::InProcess;
-use crate::scorer::{ScoreCases, ScoreError, Scorer};
+use crate::dynamic::DynamicScorer;
+use crate::scorer::{ScoreCases, ScoreError};
 use crate::trainer::Kgag;
+use kgag_data::GroupLifecycle;
 use kgag_tensor::infer::{scan_finite, ConvertError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -97,16 +98,20 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// One registry entry: an owned checkpoint with its scorer.
+/// One registry entry: a scorer keyed by its checkpoint hash, plus the
+/// group lifecycle that mutates the scorer's group table when it has
+/// one.
 ///
-/// Unlike [`crate::BatchScorer`] (which borrows a [`Kgag`]), a
-/// `RegistryModel` *owns* its model (shared with its in-process source)
-/// and receptive-field caches, so entries can be loaded and retired at
-/// runtime without a borrow tying them to the process lifetime. Scoring
-/// goes through the same scorer as every other front end — same
-/// validation, same chunking, same bits.
+/// An entry owns (shares) everything it scores with, so entries can be
+/// loaded and retired at runtime without a borrow tying them to the
+/// process lifetime. Any [`ScoreCases`] can be an entry
+/// ([`RegistryModel::new`]): a checkpoint's in-process
+/// [`DynamicScorer`] with its own live [`GroupStore`](kgag_data::GroupStore)
+/// ([`RegistryModel::try_new`]), a sharded router with no lifecycle, or
+/// a test stub.
 pub struct RegistryModel {
-    scorer: Scorer<InProcess<Arc<Kgag>>>,
+    scorer: Arc<dyn ScoreCases + Send>,
+    lifecycle: Option<Arc<dyn GroupLifecycle + Send + Sync>>,
     hash: u64,
 }
 
@@ -114,15 +119,29 @@ impl std::fmt::Debug for RegistryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryModel")
             .field("hash", &format_args!("{:016x}", self.hash))
-            .field("cached", &self.scorer.cached())
+            .field("lifecycle", &self.lifecycle.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl RegistryModel {
-    /// Build an entry with the receptive-field cache on or off. `hash`
-    /// is the checkpoint's [`checkpoint_hash`] (callers that trained
-    /// the model in-process hash `model.save_checkpoint()`).
+    /// An entry over any scorer. Pass the scorer's own group table as
+    /// `lifecycle` (a [`DynamicScorer`] is both) so scores always read
+    /// the membership mutations write; `None` answers lifecycle ops
+    /// with a refusal upstream.
+    pub fn new(
+        scorer: Arc<dyn ScoreCases + Send>,
+        lifecycle: Option<Arc<dyn GroupLifecycle + Send + Sync>>,
+        hash: u64,
+    ) -> Self {
+        RegistryModel { scorer, lifecycle, hash }
+    }
+
+    /// The in-process entry: `model` behind a [`DynamicScorer`] with the
+    /// receptive-field cache on or off, which is also the entry's group
+    /// lifecycle. `hash` is the checkpoint's [`checkpoint_hash`]
+    /// (callers that trained the model in-process hash
+    /// `model.save_checkpoint()`).
     ///
     /// Checkpoints reach the registry from outside the process (wire
     /// LOAD), so the parameters are scanned first: a NaN or ±∞ anywhere
@@ -130,10 +149,8 @@ impl RegistryModel {
     /// model.
     pub fn try_new(model: Kgag, hash: u64, cache: bool) -> Result<Self, ConvertError> {
         scan_finite(model.store())?;
-        let caches = model.eval_rf_caches(cache);
-        let model = Arc::new(model);
-        let scorer = Scorer::new(&model, InProcess { model: Arc::clone(&model), caches });
-        Ok(RegistryModel { scorer, hash })
+        let live = Arc::new(DynamicScorer::shared(Arc::new(model), cache));
+        Ok(RegistryModel::new(live.clone(), Some(live), hash))
     }
 
     /// The checkpoint content hash this entry is keyed by.
@@ -141,15 +158,15 @@ impl RegistryModel {
         self.hash
     }
 
-    /// The owned model, for read-only interrogation (explanations,
-    /// evaluation harnesses).
-    pub fn model(&self) -> &Kgag {
-        self.scorer.model()
+    /// The entry's group lifecycle, when its scorer has a live group
+    /// table.
+    pub fn lifecycle(&self) -> Option<&(dyn GroupLifecycle + Send + Sync)> {
+        self.lifecycle.as_deref()
     }
 }
 
 impl ScoreCases for RegistryModel {
-    /// Scores against the entry's bound groups — the shadow oracle
+    /// Scores against the entry's own group table — the shadow oracle
     /// *and* the serving path, so asserting one against the other is
     /// exactly the `serve_check` chunking-invariance discipline.
     fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
@@ -511,9 +528,10 @@ mod tests {
 
     #[test]
     fn entry_validates_bounds() {
+        let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
         let e = entry(1);
-        let bad_group = e.model().group_store().num_groups();
-        let bad_item = e.model().num_items();
+        let bad_group = ds.num_groups();
+        let bad_item = ds.num_items;
         assert_eq!(
             e.try_score_cases(&[(bad_group, vec![0]), (0, vec![bad_item])]),
             vec![Err(ScoreError::UnknownGroup(bad_group)), Err(ScoreError::UnknownItem(bad_item))]

@@ -26,21 +26,23 @@
 //!
 //! * [`serve_in_process`] — spawn workers over a borrowed scorer, hand
 //!   the caller a cloneable [`ServeHandle`], drain gracefully on exit.
-//!   This is the API the CI bit-identity gate and the TCP layer build on.
+//!   This is the API the CI bit-identity gate builds on; the registry
+//!   gives each resident entry an owned twin ([`spawn_batcher`]).
 //! * [`wire`] — a tiny length-prefixed binary protocol (little-endian,
 //!   `u32` frame length) for request/response over a byte stream.
-//! * [`serve_tcp`] / [`ServeClient`] — a loopback-first TCP server:
-//!   one OS thread per connection feeding the shared batcher, shutdown
-//!   via a [`ShutdownToken`].
+//! * [`serve_tcp`] / [`ServeClient`] — a loopback-first TCP server over
+//!   a [`RegistryServer`]: one OS thread per connection feeding the
+//!   entries' batchers, shutdown via a [`ShutdownToken`].
 //!
-//! Given a [`GroupLifecycle`](kgag_data::GroupLifecycle) backend,
-//! [`serve_tcp`] layers **group lifecycle** on the same socket
-//! (DESIGN.md §13): create/join/leave opcodes are applied synchronously
-//! on the connection thread — never through the batcher — so a client's
-//! next score request always observes its own mutation. Without one,
-//! mutations are answered [`ServeError::Unsupported`] on a still-usable
-//! connection. The same entry point serves every scorer: single-node,
-//! lifecycle-aware and sharded.
+//! There is one server (DESIGN.md §16): `kgag serve` boots a
+//! [`RegistryServer`] with its checkpoint resident and tenant 0 bound.
+//! The un-tenanted score opcode scores tenant 0, and the **group
+//! lifecycle** opcodes (DESIGN.md §13) mutate tenant 0's active entry:
+//! create/join/leave are applied synchronously on the connection thread
+//! — never through the batcher — so a client's next score request
+//! always observes its own mutation. An entry without a group lifecycle
+//! (the sharded router) answers them [`ServeError::Unsupported`] on a
+//! still-usable connection.
 //!
 //! Delivery contract: every request accepted by [`ServeHandle::submit`]
 //! receives **exactly one** response — a score vector, or a terminal
@@ -61,7 +63,7 @@ pub mod wire;
 
 pub use batcher::{serve_in_process, spawn_batcher, BatcherGuard, PendingResponse, ServeHandle};
 pub use config::ServeConfig;
-pub use registry::{serve_tcp_registry, Governor, ModelFactory, RegistryConfig, RegistryServer};
+pub use registry::{Governor, ModelFactory, RegistryConfig, RegistryServer};
 pub use server::{
     serve_tcp, ClientError, LifecycleResult, RegistryResult, ServeClient, ShutdownToken,
 };
@@ -84,8 +86,9 @@ pub enum ServeError {
     /// The wire-level request could not be decoded, or a score request
     /// named a group or item the scorer does not know.
     Invalid,
-    /// A lifecycle opcode reached a server without a lifecycle backend
-    /// ([`serve_tcp`] with `lifecycle: None`).
+    /// A lifecycle opcode reached a model with no group lifecycle: tenant
+    /// 0's active entry is the sharded router, whose group table is
+    /// fixed.
     Unsupported,
     /// A well-formed lifecycle mutation the backend rejected (unknown
     /// group, duplicate member, …); the serving state is unchanged.
@@ -116,7 +119,9 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineMissed => f.write_str("deadline missed before scoring"),
             ServeError::Canceled => f.write_str("server terminated before responding"),
             ServeError::Invalid => f.write_str("malformed request"),
-            ServeError::Unsupported => f.write_str("lifecycle ops unsupported by this server"),
+            ServeError::Unsupported => {
+                f.write_str("lifecycle op refused: the model has no group lifecycle")
+            }
             ServeError::Lifecycle(e) => write!(f, "lifecycle rejected: {e}"),
             ServeError::Shard(kind) => {
                 let what = match kind {

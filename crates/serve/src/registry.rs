@@ -1,19 +1,20 @@
-//! The multi-tenant registry server (DESIGN.md §16): protocol-v3
-//! dispatch over a [`kgag::ModelRegistry`], with one owned batcher per
-//! resident checkpoint, admission control in front of the queues, and
-//! live shadow-scoring feeding the registry's circuit breaker.
+//! The registry server (DESIGN.md §16) — what every `kgag serve` runs:
+//! wire dispatch over a [`kgag::ModelRegistry`], with one owned batcher
+//! per resident checkpoint, admission control in front of the queues,
+//! and live shadow-scoring feeding the registry's circuit breaker.
 //!
 //! Composition, outermost in:
 //!
-//! * [`serve_tcp_registry`] — the same accept loop / framing machinery
-//!   as [`crate::serve_tcp`] (one thread per connection, partial-frame
-//!   safe), dispatching to a [`RegistryServer`].
-//! * [`RegistryServer`] — routes each decoded message: tenant-tagged
-//!   scores through admission → per-entry batcher; registry transitions
+//! * [`crate::serve_tcp`] — the accept loop / framing machinery (one
+//!   thread per connection, partial-frame safe), dispatching to a
+//!   [`RegistryServer`].
+//! * [`RegistryServer`] — routes each decoded message: scores through
+//!   admission → the tenant's active entry's batcher, where the
+//!   un-tenanted score opcode addresses tenant 0; create/join/leave to
+//!   tenant 0's active entry's group lifecycle; registry transitions
 //!   (LOAD/BIND/SHADOW/PROMOTE/ROLLBACK/RETIRE) through the state
-//!   machine synchronously on the connection thread, like lifecycle
-//!   mutations; v2 un-tenanted opcodes answered
-//!   [`ServeError::Unsupported`].
+//!   machine. Mutations and transitions run synchronously on the
+//!   connection thread.
 //! * [`Governor`] — per-tenant token buckets. Admission control is off
 //!   only when no capacity is configured ([`Governor::unlimited`],
 //!   `quota_burst: None`); a configured `burst == 0` is a closed valve
@@ -41,12 +42,12 @@
 
 use crate::batcher::{spawn_batcher, BatcherGuard, ServeHandle};
 use crate::config::{parse_or, ServeConfig};
-use crate::server::{answer_message, serve_connections, Dispatch, ShutdownToken};
-use crate::wire::{Message, RegistryOp, Response, TenantRequest};
-use crate::{ServeError, ServeResult};
+use crate::server::{answer_message, wire_deadline, Dispatch};
+use crate::wire::{Message, RegistryOp, Reply, Response, TenantRequest};
+use crate::{LifecycleResult, ServeError, ServeResult};
 use kgag::{checkpoint_hash, ModelRegistry, RegistryModel, ScoreCases};
+use kgag_data::{LifecycleError, LifecycleOp};
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -250,6 +251,20 @@ impl RegistryServer {
         }
     }
 
+    /// A server with `entry` resident and tenant 0 bound to it — the
+    /// state `kgag serve` boots into. The un-tenanted score and
+    /// lifecycle opcodes address tenant 0.
+    pub fn bootstrap(
+        cfg: RegistryConfig,
+        factory: ModelFactory,
+        entry: RegistryModel,
+    ) -> Result<RegistryServer, ServeError> {
+        let server = RegistryServer::new(cfg, factory);
+        let hash = server.install(entry)?;
+        server.registry.bind(0, hash).map_err(ServeError::Registry)?;
+        Ok(server)
+    }
+
     /// The underlying state machine, for bootstrap (bind tenants before
     /// opening the socket) and for test assertions.
     pub fn registry(&self) -> &ModelRegistry {
@@ -309,19 +324,26 @@ impl RegistryServer {
 
     /// Admit, pin, score. The active entry and its batcher handle are
     /// both resolved before scoring starts, so concurrent transitions
-    /// cannot tear this request.
-    fn score_tenant(&self, req: &TenantRequest) -> ServeResult {
+    /// cannot tear this request. An `untenanted` request (opcode 0)
+    /// names a group of tenant 0's live group table, so an entry with a
+    /// lifecycle answers an unknown one in lifecycle terms — the group
+    /// may simply not have been created yet.
+    fn score_tenant(&self, req: &TenantRequest, untenanted: bool) -> ServeResult {
         if !self.governor.admit(req.tenant) {
             self.metrics.tenant(req.tenant, |m| m.quota_rejected.add(1));
             return Err(ServeError::Quota);
         }
         let admission = self.registry.resolve(req.tenant).map_err(ServeError::Registry)?;
         self.metrics.tenant(req.tenant, |m| m.accepted.add(1));
+        let live = admission.active.lifecycle();
+        if untenanted && live.is_some_and(|l| req.group >= l.group_count()) {
+            return Err(ServeError::Lifecycle(LifecycleError::UnknownGroup));
+        }
         let handle = match self.handle_of(admission.active.hash()) {
             Some(h) => h,
             None => return Err(ServeError::Rejected), // entry retired mid-resolve
         };
-        let deadline = crate::server::wire_deadline(req.deadline_us);
+        let deadline = wire_deadline(req.deadline_us);
         let result = match handle.submit(req.group, req.items.clone(), deadline) {
             Ok(pending) => pending.wait(),
             Err(e) => Err(e),
@@ -371,6 +393,15 @@ impl RegistryServer {
         self.registry.record_shadow(req.tenant, shadow.hash(), clean);
     }
 
+    /// Apply one create/join/leave to tenant 0's active entry. An entry
+    /// without a group lifecycle (the sharded router) refuses it
+    /// [`ServeError::Unsupported`].
+    fn mutate(&self, op: &LifecycleOp) -> LifecycleResult {
+        let admission = self.registry.resolve(0).map_err(ServeError::Registry)?;
+        let lifecycle = admission.active.lifecycle().ok_or(ServeError::Unsupported)?;
+        lifecycle.apply_op(op).map_err(ServeError::Lifecycle)
+    }
+
     fn handle_of(&self, hash: u64) -> Option<ServeHandle> {
         self.batchers.lock().unwrap().get(&hash).map(|g| g.handle())
     }
@@ -418,33 +449,23 @@ impl RegistryServer {
 impl Dispatch for RegistryServer {
     fn answer(&self, payload: &[u8]) -> Vec<u8> {
         answer_message(payload, |msg| match msg {
-            Message::Tenant(req) => Response::from_result(req.id, self.score_tenant(&req)),
+            Message::Score(req) => {
+                let req = TenantRequest {
+                    id: req.id,
+                    tenant: 0,
+                    group: req.group,
+                    deadline_us: req.deadline_us,
+                    items: req.items,
+                };
+                Response::from_result(req.id, self.score_tenant(&req, true))
+            }
+            Message::Tenant(req) => Response::from_result(req.id, self.score_tenant(&req, false)),
+            Message::Lifecycle(req) => {
+                Response { id: req.id, reply: self.mutate(&req.op).map(Reply::Ack) }
+            }
             Message::Registry(req) => Response::from_registry(req.id, self.apply(&req.op)),
-            // Version skew: a registry server has no un-tenanted
-            // default model and no lifecycle backend.
-            Message::Score(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
-            Message::Lifecycle(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
         })
     }
-}
-
-/// Serve a [`RegistryServer`] over TCP until `token` triggers — the
-/// registry twin of [`crate::serve_tcp`], sharing its accept loop,
-/// framing, and shutdown drain. Entries installed before or during the
-/// serve keep their batchers; on return the server is still usable (and
-/// still draining batchers only when dropped).
-pub fn serve_tcp_registry(
-    server: &RegistryServer,
-    addr: &str,
-    token: &ShutdownToken,
-    on_ready: impl FnOnce(SocketAddr),
-) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    on_ready(local);
-    serve_connections(&listener, token, server);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,40 +1,30 @@
 //! The loopback-first TCP front door and its client.
 //!
 //! Threading model: one acceptor loop (the caller's thread inside
-//! [`serve_tcp`]), one OS thread per connection, all feeding the shared
-//! [`crate::batcher`] — concurrency across clients comes from multiple
-//! connections, while each connection handles its requests in order
-//! (responses are written in request order, so the client can pipeline
-//! frames and match them by correlation id).
+//! [`serve_tcp`]), one OS thread per connection, each answering through
+//! the [`RegistryServer`] — concurrency across clients comes from
+//! multiple connections, while each connection handles its requests in
+//! order (responses are written in request order, so the client can
+//! pipeline frames and match them by correlation id).
 //!
-//! Lifecycle dispatch: given a
-//! [`GroupLifecycle`](kgag_data::GroupLifecycle) backend, [`serve_tcp`]
-//! routes the create/join/leave opcodes to it. Mutations are applied
-//! *synchronously on the connection thread* — they never enter the
-//! batcher queue, so a mutation is fully applied (store + caches)
-//! before its ack is written, and any score request the same client
-//! sends afterwards sees the new membership. Without a backend every
-//! lifecycle opcode is answered [`ServeError::Unsupported`].
-//!
-//! Validation: the connection thread checks nothing but the wire
-//! format. Unknown groups and items reach the scorer, which fails just
-//! those cases with typed errors ([`ServeError::Invalid`]); a lifecycle
-//! server alone answers an unknown group
-//! `Lifecycle(UnknownGroup)` before submitting.
+//! Every `kgag serve` is a registry server (DESIGN.md §16): score
+//! requests go through the per-entry batchers, and lifecycle and
+//! registry transitions are applied *synchronously on the connection
+//! thread* — they never enter a batcher queue, so a mutation is fully
+//! applied (store + caches) before its ack is written, and any score
+//! request the same client sends afterwards sees the new membership.
 //!
 //! Shutdown: trigger the [`ShutdownToken`]. The acceptor stops taking
 //! connections, per-connection threads finish their buffered requests
-//! and close, the batcher drains everything accepted, and
-//! [`serve_tcp`] returns. In-flight requests are answered, never
-//! dropped — the same exactly-one-response contract as the in-process
-//! layer.
+//! and close, and [`serve_tcp`] returns. Every request read before
+//! shutdown is answered, never dropped — the same exactly-one-response
+//! contract as the in-process layer; the entry batchers drain when the
+//! server drops.
 
-use crate::batcher::{serve_in_process, ServeHandle};
-use crate::config::ServeConfig;
+use crate::registry::RegistryServer;
 use crate::wire::{self, LifecycleRequest, Message, Reply, Request, Response};
 use crate::{ServeError, ServeResult};
-use kgag::ScoreCases;
-use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleOp};
+use kgag_data::{LifecycleAck, LifecycleOp};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,54 +57,38 @@ impl ShutdownToken {
     }
 }
 
-/// Serve `scorer` over TCP until `token` is triggered — the one TCP
-/// front door for every scorer (single-node, lifecycle-aware, sharded).
-///
-/// With a `lifecycle` backend, create/join/leave opcodes are applied
-/// through it; pass the same object as `scorer` (a `DynamicScorer`
-/// implements both traits) so scores always read the membership that
-/// mutations write. Without one they are answered
-/// [`ServeError::Unsupported`].
+/// Serve `server` over TCP until `token` is triggered — the one TCP
+/// front door of `kgag serve`.
 ///
 /// Binds `addr` (use `127.0.0.1:0` for an ephemeral loopback port),
-/// reports the bound address through `on_ready` once the batcher is
-/// accepting, then runs the accept loop on the calling thread. Returns
-/// after a graceful drain: every request accepted before shutdown has
-/// been answered and all connection threads have exited.
-pub fn serve_tcp<S>(
-    scorer: &S,
-    lifecycle: Option<&(dyn GroupLifecycle + Sync)>,
-    config: &ServeConfig,
+/// reports the bound address through `on_ready`, then runs the accept
+/// loop on the calling thread. Returns once every connection thread has
+/// exited, so every request read before shutdown has been answered.
+/// The server stays usable afterwards; its entry batchers drain when it
+/// drops.
+pub fn serve_tcp(
+    server: &RegistryServer,
     addr: &str,
     token: &ShutdownToken,
     on_ready: impl FnOnce(SocketAddr),
-) -> std::io::Result<()>
-where
-    S: ScoreCases + ?Sized,
-{
+) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    serve_in_process(scorer, config, |handle| {
-        on_ready(local);
-        let dispatch = BatcherDispatch { handle, lifecycle };
-        serve_connections(&listener, token, &dispatch);
-    });
+    on_ready(listener.local_addr()?);
+    serve_connections(&listener, token, server);
     Ok(())
 }
 
 /// What a server *does* with one request payload — the seam between the
-/// shared framing/connection machinery and the three servers:
-/// single-model ([`BatcherDispatch`]: one batcher, optional lifecycle
-/// backend), multi-tenant (`crate::registry`: per-entry batchers behind
-/// admission control) and shard (`crate::shard`: draw and row queries).
-/// One call answers one request with exactly one response frame.
+/// shared framing/connection machinery and the two servers: the
+/// registry server (per-entry batchers behind admission control) and
+/// the shard peer (`crate::shard`: draw and row queries). One call
+/// answers one request with exactly one response frame.
 pub(crate) trait Dispatch: Sync {
     fn answer(&self, payload: &[u8]) -> Vec<u8>;
 }
 
-/// Accept-loop body shared by every TCP server (scoring, registry and
-/// shard): take connections until the token triggers, one scoped OS
+/// Accept-loop body shared by both TCP servers (registry and shard): take connections until the token triggers, one scoped OS
 /// thread per connection, all answering through `dispatch`. The
 /// listener must already be nonblocking.
 pub(crate) fn serve_connections<D: Dispatch + ?Sized>(
@@ -201,33 +175,6 @@ pub(crate) fn answer_message(
     }
 }
 
-/// The single-model dispatch: scores through one shared batcher,
-/// mutations through the optional lifecycle backend, and every
-/// protocol-v3 opcode answered [`ServeError::Unsupported`] — this
-/// server has no registry, exactly as a lifecycle opcode is
-/// unsupported on a static server.
-struct BatcherDispatch<'a> {
-    handle: ServeHandle,
-    lifecycle: Option<&'a (dyn GroupLifecycle + Sync)>,
-}
-
-impl Dispatch for BatcherDispatch<'_> {
-    fn answer(&self, payload: &[u8]) -> Vec<u8> {
-        answer_message(payload, |msg| match msg {
-            Message::Score(req) => {
-                let outcome = score_request(&self.handle, self.lifecycle, &req);
-                Response::from_result(req.id, outcome)
-            }
-            Message::Lifecycle(LifecycleRequest { id, op }) => match self.lifecycle {
-                Some(l) => Response::from_ack(id, l.apply_op(&op)),
-                None => Response { id, reply: Err(ServeError::Unsupported) },
-            },
-            Message::Tenant(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
-            Message::Registry(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
-        })
-    }
-}
-
 /// Turn the wire's µs latency budget into a batcher deadline. Zero
 /// means "no deadline", and a budget so large that `now + budget`
 /// overflows `Instant` saturates to no deadline too — the field is
@@ -238,24 +185,6 @@ pub(crate) fn wire_deadline(deadline_us: u64) -> Option<Instant> {
     (deadline_us > 0)
         .then(|| Instant::now().checked_add(Duration::from_micros(deadline_us)))
         .flatten()
-}
-
-/// Submit one score request to the batcher and wait. Bad ids come back
-/// from the scorer as typed per-case errors; only a lifecycle server
-/// checks the group first, answering an unknown one in lifecycle terms
-/// (the group may simply not have been created yet).
-fn score_request(
-    handle: &ServeHandle,
-    lifecycle: Option<&(dyn GroupLifecycle + Sync)>,
-    req: &Request,
-) -> ServeResult {
-    if lifecycle.is_some_and(|l| req.group >= l.group_count()) {
-        return Err(ServeError::Lifecycle(kgag_data::LifecycleError::UnknownGroup));
-    }
-    match handle.submit(req.group, req.items.clone(), wire_deadline(req.deadline_us)) {
-        Ok(pending) => pending.wait(),
-        Err(e) => Err(e),
-    }
 }
 
 /// Client-side transport failure. Everything the *server* decides is a

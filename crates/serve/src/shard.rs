@@ -628,8 +628,8 @@ impl ShardPool {
 // ---------------------------------------------------------------------------
 
 /// The router: the one [`kgag::Scorer`] over a [`ShardPool`], with the
-/// draw memo in front of the pool. Serve it with [`crate::serve_tcp`];
-/// it fails *per case* — unknown ids become [`crate::ServeError::Invalid`],
+/// draw memo in front of the pool. Serve it as a registry entry with no
+/// group lifecycle ([`kgag::RegistryModel::new`]); it fails *per case* — unknown ids become [`crate::ServeError::Invalid`],
 /// shard failures [`crate::ServeError::Shard`] on exactly the requests that
 /// needed the failing peer.
 pub type ShardedScorer = Scorer<DrawMemo<ShardPool>>;

@@ -29,12 +29,11 @@
 //! transitions LOAD / BIND / SHADOW / PROMOTE / ROLLBACK / RETIRE. A
 //! LOAD carries a checkpoint *path* the server reads locally — model
 //! parameters never cross this socket (they would blow [`MAX_FRAME`];
-//! real registries reference artifact storage the same way). Version
-//! skew is typed in both directions: single-model servers answer v3
-//! opcodes with [`ServeError::Unsupported`] (exactly as static servers
-//! answer lifecycle opcodes), and registry servers answer un-tenanted
-//! v2 score/lifecycle opcodes with [`ServeError::Unsupported`] — there
-//! is no "default model" to guess.
+//! real registries reference artifact storage the same way). Every
+//! server answers all eleven opcodes: the un-tenanted opcodes 0–3
+//! address tenant 0, and a lifecycle opcode that reaches a model with
+//! no group lifecycle (the sharded router) is
+//! [`ServeError::Unsupported`].
 //!
 //! `deadline_us == 0` means no deadline; otherwise it is a budget in
 //! microseconds relative to server receipt. Status bytes 1–4, 6, 8 and

@@ -2,18 +2,19 @@
 //! LOAD → BIND → SHADOW → PROMOTE → ROLLBACK → RETIRE journey over TCP
 //! with bit-identity against each checkpoint's offline oracle, the
 //! quota governor's deterministic shedding, the shadow circuit breaker
-//! tripped by an injected serve-path corruption, version-skew typing,
-//! and a promote/rollback stress proving no response is ever torn
-//! between versions.
+//! tripped by an injected serve-path corruption, the un-tenanted
+//! opcodes addressing tenant 0's live group table, and a
+//! promote/rollback stress proving no response is ever torn between
+//! versions.
 
 use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_data::GroupDataset;
+use kgag_data::{GroupDataset, LifecycleError, LifecycleOp};
 use kgag_serve::{
-    serve_tcp, serve_tcp_registry, ModelFactory, RegistryConfig, RegistryServer, ServeClient,
-    ServeConfig, ServeError, ShutdownToken,
+    serve_tcp, ModelFactory, RegistryConfig, RegistryServer, ServeClient, ServeConfig, ServeError,
+    ShutdownToken,
 };
 use kgag_tensor::pool::with_threads;
 use kgag_testkit::{FaultAction, FaultPlan};
@@ -120,7 +121,7 @@ impl RegProc {
         let server_token = token.clone();
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
-            serve_tcp_registry(&server, "127.0.0.1:0", &server_token, |a| {
+            serve_tcp(&server, "127.0.0.1:0", &server_token, |a| {
                 let _ = tx.send(a);
             })
             .expect("registry bind");
@@ -247,55 +248,86 @@ fn retire_drops_an_unreferenced_entry_and_its_batcher() {
     );
 }
 
+/// Every server answers every opcode: the un-tenanted score and
+/// lifecycle opcodes address tenant 0, whose active entry keeps its own
+/// live group table — so a PROMOTE switches tenant 0 to the
+/// candidate's table, and a ROLLBACK back to the one it mutated.
 #[test]
-fn version_skew_is_typed_unsupported_in_both_directions() {
+fn untenanted_opcodes_address_tenant_zero_and_its_group_table() {
     let fx = fixture();
     let cases = cases();
+    let want_a = offline_bits(&fx.ckpt_a, &cases);
+    let want_b = offline_bits(&fx.ckpt_b, &cases);
+    let dir = std::env::temp_dir().join("kgag_registry_e2e_tenant0");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path_b = dir.join("ckpt_b.bin");
+    std::fs::write(&path_b, &fx.ckpt_b).unwrap();
 
-    // v3 opcodes against a single-model server: typed, connection survives
-    let entry = entry_from(&fx.ckpt_a);
-    let scorer = entry.model().batch_scorer_with(true);
-    let config = ServeConfig::default();
-    let token = ShutdownToken::new();
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        let server = {
-            let token = token.clone();
-            let (scorer, config) = (&scorer, &config);
-            s.spawn(move || {
-                serve_tcp(scorer, None, config, "127.0.0.1:0", &token, |a| {
-                    let _ = tx.send(a);
-                })
-            })
-        };
-        let addr = rx.recv().unwrap();
-        let mut client = ServeClient::connect(addr).unwrap();
-        assert_eq!(client.score_tenant(0, 0, &[0]).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.load_model("x").unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.bind_tenant(0, 1).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.stage_shadow(0, 1, 1).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.promote(0).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.rollback(0).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.retire(1).unwrap(), Err(ServeError::Unsupported));
-        // the connection survives skew; v2 scoring still works
-        let got = client.score(cases[0].0, &cases[0].1).unwrap().unwrap();
-        assert_eq!(got.len(), cases[0].1.len());
-        token.trigger();
-        server.join().unwrap().unwrap();
-    });
-
-    // v2 opcodes against a registry server: same typed answer back
-    let server = Arc::new(RegistryServer::new(fast_config(), factory()));
-    let hash = server.install(entry_from(&fx.ckpt_a)).unwrap();
-    server.registry().bind(0, hash).unwrap();
+    let server = Arc::new(
+        RegistryServer::bootstrap(fast_config(), factory(), entry_from(&fx.ckpt_a)).unwrap(),
+    );
+    let hash_a = checkpoint_hash(&fx.ckpt_a);
+    assert_eq!(server.registry().active_of(0), Ok(hash_a));
     let proc = RegProc::spawn(&server);
     let mut client = ServeClient::connect(proc.addr).unwrap();
-    assert_eq!(client.score(0, &[0]).unwrap(), Err(ServeError::Unsupported));
-    assert_eq!(client.create_group(&[1, 2]).unwrap(), Err(ServeError::Unsupported));
-    assert_eq!(client.join_group(0, 1).unwrap(), Err(ServeError::Unsupported));
-    // the connection survives; v3 scoring works
-    let got = client.score_tenant(0, cases[0].0, &cases[0].1).unwrap().unwrap();
-    assert_eq!(got.len(), cases[0].1.len());
+
+    // opcode 0 and opcode 4 for tenant 0 are the same bits
+    for (ci, (g, items)) in cases.iter().enumerate() {
+        let v2 = client.score(*g, items).unwrap().expect("opcode 0 scores tenant 0");
+        let v3 = client.score_tenant(0, *g, items).unwrap().expect("opcode 4 scores tenant 0");
+        assert_eq!(bits(&v2), want_a[ci], "case {ci}: opcode 0 diverged from checkpoint a");
+        assert_eq!(bits(&v3), want_a[ci], "case {ci}: opcode 4 diverged from checkpoint a");
+    }
+
+    // a group created over opcode 1 scores through opcode 4 for tenant 0,
+    // bit-identical to the same mutation on an offline entry
+    let members = vec![1u32, 2, 3];
+    let ack = client.create_group(&members).unwrap().expect("tenant 0 has a lifecycle");
+    assert_eq!(ack.group, fx.ds.num_groups(), "created ids follow the bound groups");
+    let reference = entry_from(&fx.ckpt_a);
+    let op = LifecycleOp::Create { members: members.clone() };
+    reference.lifecycle().unwrap().apply_op(&op).unwrap();
+    let created = (ack.group, cases[0].1.clone());
+    let want_created = bits(
+        with_threads(1, || reference.try_score_cases(std::slice::from_ref(&created)))[0]
+            .as_ref()
+            .unwrap(),
+    );
+    let v3 = client.score_tenant(0, created.0, &created.1).unwrap().expect("created group");
+    let v2 = client.score(created.0, &created.1).unwrap().expect("created group");
+    assert_eq!(bits(&v3), want_created);
+    assert_eq!(bits(&v2), want_created);
+
+    // an unknown group: opcode 0 answers in lifecycle terms, opcode 4 as
+    // a bad id
+    let unknown = ack.group + 1;
+    assert_eq!(
+        client.score(unknown, &[0]).unwrap(),
+        Err(ServeError::Lifecycle(LifecycleError::UnknownGroup))
+    );
+    assert_eq!(client.score_tenant(0, unknown, &[0]).unwrap(), Err(ServeError::Invalid));
+
+    // after a PROMOTE tenant 0 reads the candidate's own group table:
+    // the group created before the promotion is unknown there
+    let hash_b = client.load_model(path_b.to_str().unwrap()).unwrap().expect("load b");
+    assert_eq!(client.stage_shadow(0, hash_b, 0).unwrap(), Ok(hash_b));
+    assert_eq!(client.promote(0).unwrap(), Ok(hash_b));
+    assert_eq!(
+        client.score(created.0, &created.1).unwrap(),
+        Err(ServeError::Lifecycle(LifecycleError::UnknownGroup))
+    );
+    assert_eq!(client.score_tenant(0, created.0, &created.1).unwrap(), Err(ServeError::Invalid));
+    assert_eq!(
+        client.join_group(created.0, 4).unwrap(),
+        Err(ServeError::Lifecycle(LifecycleError::UnknownGroup))
+    );
+    let got = client.score(cases[0].0, &cases[0].1).unwrap().unwrap();
+    assert_eq!(bits(&got), want_b[0], "opcode 0 follows the promotion");
+
+    // ROLLBACK returns tenant 0 to a's table, where the group still lives
+    assert_eq!(client.rollback(0).unwrap(), Ok(hash_a));
+    let got = client.score(created.0, &created.1).unwrap().expect("a's table kept the group");
+    assert_eq!(bits(&got), want_created);
 }
 
 /// Quota governor with no refill: the first `burst` requests per tenant

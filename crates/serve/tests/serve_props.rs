@@ -8,16 +8,17 @@
 //! gate; these tests pin the transport and scheduling semantics with
 //! scorers whose behaviour is fully controlled.
 
-use kgag::{ScoreCases, ScoreError};
+use kgag::{RegistryModel, ScoreCases, ScoreError};
 use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
 use kgag_serve::{
-    serve_in_process, serve_tcp, ServeClient, ServeConfig, ServeError, ShutdownToken,
+    serve_in_process, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig,
+    ServeError, ShutdownToken,
 };
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, u64_in, vec_of};
 use kgag_testkit::{prop_assert, prop_assert_eq};
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Deterministic per-(group, item) score — the reference every test
@@ -96,6 +97,20 @@ fn expected(group: u32, items: &[u32]) -> Vec<f32> {
 
 fn request_items(group: u32, len: u32) -> Vec<u32> {
     (0..len).map(|i| group.wrapping_mul(31).wrapping_add(i * 3)).collect()
+}
+
+/// The one TCP server with a stub as tenant 0's model: `lifecycle`
+/// (when given) answers the create/join/leave opcodes, and the server
+/// loads no checkpoints.
+fn stub_server(
+    scorer: impl ScoreCases + Send + 'static,
+    lifecycle: Option<Arc<dyn GroupLifecycle + Send + Sync>>,
+    serve: ServeConfig,
+) -> RegistryServer {
+    let entry = RegistryModel::new(Arc::new(scorer), lifecycle, 0);
+    let cfg = RegistryConfig { serve, ..RegistryConfig::default() };
+    RegistryServer::bootstrap(cfg, Box::new(|_, _| Err("stub loads nothing".into())), entry)
+        .expect("stub entry installs")
 }
 
 /// Any interleaving of concurrent clients, any window/batch/worker
@@ -284,21 +299,20 @@ fn expired_requests_are_dropped_unscored() {
 /// on the untrusted `deadline_us` field.
 #[test]
 fn overflowing_wire_deadline_saturates_and_scores() {
-    let scorer = StubScorer::new();
     let config = ServeConfig {
         batch_window: Duration::from_micros(200),
         max_batch: 16,
         queue_capacity: 1024,
         workers: 1,
     };
+    let registry = stub_server(StubScorer::new(), None, config);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {
         let server = {
-            let token = token.clone();
-            let (scorer, config) = (&scorer, &config);
+            let (token, registry) = (token.clone(), &registry);
             s.spawn(move || {
-                serve_tcp(scorer, None, config, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
+                serve_tcp(registry, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");
@@ -325,22 +339,20 @@ fn overflowing_wire_deadline_saturates_and_scores() {
 /// deliberately malformed frame answered `Invalid`, graceful stop.
 #[test]
 fn tcp_round_trip_with_concurrent_clients() {
-    let scorer = StubScorer::new();
     let config = ServeConfig {
         batch_window: Duration::from_micros(200),
         max_batch: 16,
         queue_capacity: 1024,
         workers: 1,
     };
+    let registry = stub_server(StubScorer::new(), None, config);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {
         let server = {
-            let token = token.clone();
-            let scorer = &scorer;
-            let config = &config;
+            let (token, registry) = (token.clone(), &registry);
             s.spawn(move || {
-                serve_tcp(scorer, None, config, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
+                serve_tcp(registry, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");
@@ -417,7 +429,6 @@ impl GroupLifecycle for StubLifecycle {
 /// requests are bounds-checked against the *live* group table.
 #[test]
 fn tcp_dynamic_lifecycle_round_trip() {
-    let scorer = StubScorer::with_catalog(50);
     let lifecycle =
         StubLifecycle { store: Mutex::new(GroupStore::new(vec![vec![0, 1], vec![2, 3]], 10)) };
     let config = ServeConfig {
@@ -426,15 +437,14 @@ fn tcp_dynamic_lifecycle_round_trip() {
         queue_capacity: 1024,
         workers: 1,
     };
+    let registry = stub_server(StubScorer::with_catalog(50), Some(Arc::new(lifecycle)), config);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {
         let server = {
-            let (token, scorer, lifecycle, config) = (token.clone(), &scorer, &lifecycle, &config);
+            let (token, registry) = (token.clone(), &registry);
             s.spawn(move || {
-                serve_tcp(scorer, Some(lifecycle), config, "127.0.0.1:0", &token, |a| {
-                    addr_tx.send(a).unwrap()
-                })
+                serve_tcp(registry, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap())
             })
         };
         let addr = addr_rx.recv().expect("server ready");

@@ -9,19 +9,22 @@
 //! already sweeps partition counts, thread counts and memo modes via
 //! `LocalFetch`; this file pins down what only the network can break:
 //! handshakes, framing, the peer pool's failure semantics, and the
-//! per-case errors the batcher maps onto the wire.
+//! per-case errors the batcher maps onto the wire, and what a router
+//! serves as tenant 0's model: no group lifecycle, but LOAD still
+//! builds in-process entries.
 
-use kgag::{Kgag, KgagConfig, ScoreCases};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, ScoreCases};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_serve::{
-    serve_shard, ServeError, ServeResult, ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
+    serve_shard, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeError, ServeResult,
+    ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
 };
 use kgag_tensor::pool::with_threads;
 use std::net::SocketAddr;
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
 static FIXTURE: OnceLock<(GroupDataset, Kgag)> = OnceLock::new();
@@ -180,4 +183,71 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
             assert!(matches!(e, ServeError::Shard(_)), "only typed shard errors: {e}");
         }
     }
+}
+
+/// A router is tenant 0's model on the one server: it scores opcode 0
+/// bit-identically to single-node, answers create/join/leave
+/// `Unsupported` (its group table is fixed), and a LOAD + BIND on the
+/// same server builds an in-process entry — never a second router.
+#[test]
+fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
+    let (ds, model) = fixture();
+    let cases = cases(ds);
+    let want: Vec<Vec<u32>> = with_threads(1, || model.batch_scorer_with(true).score_cases(&cases))
+        .iter()
+        .map(|r| bits(r))
+        .collect();
+    // a second checkpoint over the same dataset: the untrained init
+    let split = split_dataset(ds, 11);
+    let untrained = Kgag::new(ds, &split, KgagConfig { epochs: 3, ..Default::default() });
+    let want_loaded: Vec<Vec<u32>> =
+        with_threads(1, || untrained.batch_scorer_with(true).score_cases(&cases))
+            .iter()
+            .map(|r| bits(r))
+            .collect();
+    let dir = std::env::temp_dir().join("kgag_shard_e2e_router");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("untrained.bin");
+    std::fs::write(&path, untrained.save_checkpoint()).unwrap();
+
+    let (_shards, pool) = spawn_deployment(model, 2);
+    let router = pool.into_scorer(model, true).expect("model card matches");
+    let entry =
+        RegistryModel::new(Arc::new(router), None, checkpoint_hash(&model.save_checkpoint()));
+    let factory = Box::new(move |bytes: &[u8], hash| {
+        let split = split_dataset(ds, 11);
+        let mut m = Kgag::new(ds, &split, KgagConfig { epochs: 3, ..Default::default() });
+        m.load_checkpoint(bytes).map_err(|e| e.to_string())?;
+        RegistryModel::try_new(m, hash, true).map_err(|e| e.to_string())
+    });
+    let server = RegistryServer::bootstrap(RegistryConfig::default(), factory, entry).unwrap();
+    let token = ShutdownToken::new();
+    let (addr_tx, addr_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let handle = {
+            let (server, token) = (&server, token.clone());
+            s.spawn(move || serve_tcp(server, "127.0.0.1:0", &token, |a| addr_tx.send(a).unwrap()))
+        };
+        let mut client = ServeClient::connect(addr_rx.recv().unwrap()).unwrap();
+        for (ci, (g, items)) in cases.iter().enumerate() {
+            let got = client.score(*g, items).unwrap().expect("router scores opcode 0");
+            assert_eq!(bits(&got), want[ci], "case {ci}: router diverged from single-node");
+        }
+        assert_eq!(client.create_group(&[1, 2, 3]).unwrap(), Err(ServeError::Unsupported));
+        assert_eq!(client.join_group(0, 5).unwrap(), Err(ServeError::Unsupported));
+        assert_eq!(client.leave_group(0, 5).unwrap(), Err(ServeError::Unsupported));
+
+        let hash = client.load_model(path.to_str().unwrap()).unwrap().expect("LOAD on a router");
+        assert_eq!(client.bind_tenant(1, hash).unwrap(), Ok(hash));
+        let entry = server.registry().entry(hash).expect("resident");
+        assert!(entry.lifecycle().is_some(), "LOAD builds an in-process entry, not a router");
+        for (ci, (g, items)) in cases.iter().enumerate() {
+            let got = client.score_tenant(1, *g, items).unwrap().expect("loaded entry scores");
+            assert_eq!(bits(&got), want_loaded[ci], "case {ci}: loaded entry diverged");
+        }
+        // lifecycle opcodes still address the router, tenant 0
+        assert_eq!(client.create_group(&[1, 2, 3]).unwrap(), Err(ServeError::Unsupported));
+        token.trigger();
+        handle.join().unwrap().expect("serve_tcp exits cleanly");
+    });
 }

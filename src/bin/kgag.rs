@@ -10,7 +10,7 @@
 //!              --interactions FILE --kg FILE --groups FILE [--epochs N]
 //! kgag serve   [--scale ..] [--dataset ..] [--epochs N] [--seed N]
 //!              [--backend B] [--checkpoint PATH] [--addr HOST:PORT]
-//!              [--shards A,B,..] [--registry]
+//!              [--shards A,B,..]
 //! kgag shard   --index I --count N [--scale ..] [--dataset ..]
 //!              [--epochs N] [--seed N] [--checkpoint PATH] [--addr HOST:PORT]
 //! ```
@@ -20,9 +20,10 @@
 //! same pipeline on user-provided TSV files (see
 //! `kgag_data::import` for the formats); `serve` exposes a trained
 //! model over the `kgag_serve` wire protocol (DESIGN.md §12) until
-//! stdin closes, with live group lifecycle — create/join/leave
-//! mutations take effect on the very next score request (DESIGN.md
-//! §13).
+//! stdin closes. Every server is a model registry with the model bound
+//! to tenant 0 (DESIGN.md §16), with live group lifecycle —
+//! create/join/leave mutations take effect on the very next score
+//! request (DESIGN.md §13).
 
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag::{Kgag, KgagConfig};
@@ -86,7 +87,7 @@ USAGE:
                  --kg FILE --groups FILE [--epochs N] [--json]
     kgag serve   [--scale S] [--dataset D] [--epochs N] [--seed N]
                  [--backend B] [--checkpoint PATH] [--addr HOST:PORT]
-                 [--shards A,B,..] [--registry]
+                 [--shards A,B,..]
     kgag shard   --index I --count N [--scale S] [--dataset D] [--epochs N]
                  [--seed N] [--checkpoint PATH] [--addr HOST:PORT]
 
@@ -97,36 +98,37 @@ carry the backend tag, so --checkpoint restores refuse a mismatched
 --backend.
 --batched evaluates through the receptive-field-cached batch scorer
 (bit-identical metrics, faster). KGAG_RF_CACHE=0 disables the
-receptive-field cache of --batched and every serve mode (the router's
-draw memo under --shards); scores are bit-identical either way.
+receptive-field cache of --batched and serve (the router's draw memo
+under --shards); scores are bit-identical either way.
 serve loads --checkpoint if the file exists (training and writing it
 otherwise), binds --addr (default 127.0.0.1:0, port printed on stdout)
-and scores requests until stdin reaches EOF or reads \"quit\". The
-server is lifecycle-aware: wire opcodes create/join/leave mutate the
-live group table and later score requests see the new membership
-(groups at the trained size use the full attention path, other sizes
-the cold-start path; DESIGN.md §13). Batching knobs:
-KGAG_SERVE_BATCH_WINDOW_US, KGAG_SERVE_MAX_BATCH, KGAG_SERVE_QUEUE,
-KGAG_SERVE_WORKERS.
-`serve --shards A,B,..` runs the scatter-gather router instead: shard
-peers (started with `kgag shard --index I --count N` on the same
-dataset/config/checkpoint) hold the embedding-table slices and answer
-draw/row queries; the router fuses scores bit-identically to
-single-node serving (DESIGN.md §15). Knobs:
-KGAG_SHARD_TIMEOUT_MS (per-reply deadline, default 2000) and
-KGAG_SHARD_QUEUE (per-peer queue depth, default 64). A dead shard
-fails only the requests that needed it, with typed errors; lifecycle
-mutations are unavailable in sharded mode.
-`serve --registry` runs the multi-tenant registry server instead
-(DESIGN.md §16): the trained/loaded model is the bootstrap checkpoint
-with tenant 0 bound, and the wire's v3 opcodes manage the rest —
-LOAD server-local checkpoints, BIND tenants, stage SHADOW candidates
+and scores requests until stdin reaches EOF or reads \"quit\". Every
+server is a multi-tenant model registry (DESIGN.md §16) with the
+checkpoint resident and bound to tenant 0. The un-tenanted wire
+opcodes address tenant 0: score, and create/join/leave, which mutate
+the live group table of tenant 0's active model so later score
+requests see the new membership (groups at the trained size use the
+full attention path, other sizes the cold-start path; DESIGN.md §13).
+The registry opcodes manage the rest — LOAD server-local checkpoints
+(rebuilt over the same dataset), BIND tenants, stage SHADOW candidates
 (promotion is refused until the candidate reproduces live traffic
-bit-for-bit), PROMOTE with zero downtime, ROLLBACK, RETIRE. Knobs:
-KGAG_QUOTA_RATE / KGAG_QUOTA_BURST (per-tenant token-bucket admission;
-burst unset = off, burst 0 = shed everything),
-KGAG_SHADOW_SAMPLE (mirror every Nth request, 0 = off),
-and KGAG_CLIENT_TIMEOUT_MS (client-side read timeout).
+bit-for-bit), PROMOTE with zero downtime, ROLLBACK, RETIRE. PROMOTE and
+ROLLBACK switch tenant 0 to the other model's own group table. Knobs:
+KGAG_SERVE_BATCH_WINDOW_US, KGAG_SERVE_MAX_BATCH, KGAG_SERVE_QUEUE,
+KGAG_SERVE_WORKERS (batching, per resident model); KGAG_QUOTA_RATE /
+KGAG_QUOTA_BURST (per-tenant token-bucket admission; burst unset = off,
+burst 0 = shed everything); KGAG_SHADOW_SAMPLE (mirror every Nth
+request, 0 = off); KGAG_CLIENT_TIMEOUT_MS (client-side read timeout).
+`serve --shards A,B,..` makes tenant 0's model the scatter-gather
+router instead: shard peers (started with `kgag shard --index I
+--count N` on the same dataset/config/checkpoint) hold the
+embedding-table slices and answer draw/row queries; the router fuses
+scores bit-identically to single-node serving (DESIGN.md §15) and keeps
+no embedding table itself. Knobs: KGAG_SHARD_TIMEOUT_MS (per-reply
+deadline, default 2000) and KGAG_SHARD_QUEUE (per-peer queue depth,
+default 64). A dead shard fails only the requests that needed it, with
+typed errors; the router's groups are fixed, so create/join/leave
+answer Unsupported. LOAD still builds in-process models.
 Formats for `import` are documented in kgag_data::import: interactions
 as `user<TAB>item`, KG as `head<TAB>rel<TAB>tail` (items = entities
 0..M), groups as `m1,m2,...<TAB>v1,v2,...`.";
@@ -140,7 +142,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
-        if key == "json" || key == "batched" || key == "registry" {
+        if key == "json" || key == "batched" {
             out.insert(key.to_owned(), "true".into());
             continue;
         }
@@ -289,28 +291,33 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
 /// Load the checkpoint when it exists; otherwise train and (if a path
 /// was given) persist, so repeated `--checkpoint P` runs train exactly
 /// once. Shared by `serve` and `shard` — a sharded deployment's peers
-/// all reconstruct the identical model this way.
-fn load_or_train(ds: &GroupDataset, opts: &Flags) -> Result<Kgag, String> {
+/// all reconstruct the identical model this way. Also returns the
+/// checkpoint's content hash, taken from the bytes at hand so a serving
+/// process never serialises its model a second time.
+fn load_or_train(ds: &GroupDataset, opts: &Flags) -> Result<(Kgag, u64), String> {
     let cfg = config(opts)?;
     let epochs = cfg.epochs;
     let split = split_dataset(ds, 0x5eed);
     let mut model = Kgag::new(ds, &split, cfg);
-    match opts.get("checkpoint").filter(|p| std::path::Path::new(p.as_str()).is_file()) {
+    let hash = match opts.get("checkpoint").filter(|p| std::path::Path::new(p.as_str()).is_file()) {
         Some(path) => {
             let bytes = std::fs::read(path).map_err(|e| format!("--checkpoint {path}: {e}"))?;
             let n = model.load_checkpoint(&bytes).map_err(|e| e.to_string())?;
             eprintln!("restored {n} tensors from {path}");
+            kgag::checkpoint_hash(&bytes)
         }
         None => {
             eprintln!("no checkpoint to load; training {epochs} epochs on {} first...", ds.name);
             model.fit(&split);
+            let bytes = model.save_checkpoint();
             if let Some(path) = opts.get("checkpoint") {
-                std::fs::write(path, model.save_checkpoint()).map_err(|e| e.to_string())?;
+                std::fs::write(path, &bytes).map_err(|e| e.to_string())?;
                 eprintln!("checkpoint written to {path}");
             }
+            kgag::checkpoint_hash(&bytes)
         }
-    }
-    Ok(model)
+    };
+    Ok((model, hash))
 }
 
 /// The receptive-field cache setting (`KGAG_RF_CACHE=0` turns it off):
@@ -338,52 +345,80 @@ fn shutdown_on_stdin(token: &kgag_serve::ShutdownToken) {
     });
 }
 
+/// `kgag serve` — the registry server (DESIGN.md §16) booted with the
+/// trained/loaded checkpoint resident and tenant 0 bound to it. Without
+/// `--shards` the entry is the model behind a live scorer, so the
+/// lifecycle opcodes mutate its group table (DESIGN.md §13); with
+/// `--shards a,b,…` it is the scatter-gather router over shard peers
+/// running the same dataset/config/checkpoint (`kgag shard`, DESIGN.md
+/// §15), and the router process keeps no embedding table. Either way
+/// the wire's LOAD rebuilds further checkpoints in-process over the
+/// same dataset.
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
+    use kgag_serve::{serve_tcp, RegistryConfig, RegistryServer, ShardConfig, ShardPool};
+    use std::sync::Arc;
     let cache = rf_cache();
-    if opts.contains_key("registry") {
-        return cmd_serve_registry(opts, cache);
-    }
+    let cfg = config(opts)?;
     let ds = dataset(opts)?;
-    let model = load_or_train(&ds, opts)?;
-    if let Some(shards) = opts.get("shards") {
-        let scorer = connect_router(shards, &model, cache)?;
-        return serve_until_stdin(opts, &scorer, None);
-    }
-    // the dynamic scorer doubles as the lifecycle backend: the same
-    // server socket accepts create/join/leave mutations and scores
-    // against the live group table (DESIGN.md §13)
-    let scorer = model.dynamic_scorer_with(cache);
-    match scorer.cache_bytes() {
-        Some(b) => eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0),
-        None => eprintln!("receptive-field cache disabled"),
-    }
-    eprintln!("lifecycle enabled: {} groups live", scorer.num_groups());
-    serve_until_stdin(opts, &scorer, Some(&scorer))?;
+    let (model, hash) = load_or_train(&ds, opts)?;
+    let entry = match opts.get("shards") {
+        Some(shards) => {
+            let addrs: Vec<&str> =
+                shards.split(',').map(str::trim).filter(|a| !a.is_empty()).collect();
+            if addrs.is_empty() {
+                return Err("--shards needs at least one HOST:PORT".into());
+            }
+            let shard_cfg = ShardConfig::from_env();
+            let pool =
+                ShardPool::connect(&addrs, &shard_cfg).map_err(|e| format!("--shards: {e}"))?;
+            eprintln!(
+                "router over {} shard(s): {} entities, {} relation slots, timeout {:?}, queue {}",
+                pool.count(),
+                pool.num_entities(),
+                pool.num_relation_slots(),
+                shard_cfg.timeout,
+                shard_cfg.queue,
+            );
+            let router = pool.into_scorer(&model, cache).map_err(|e| format!("--shards: {e}"))?;
+            // the router keeps clones of the small weights only; the
+            // embedding tables live on the peers
+            drop(model);
+            kgag::RegistryModel::new(Arc::new(router), None, hash)
+        }
+        None => {
+            let live = Arc::new(kgag::DynamicScorer::shared(Arc::new(model), cache));
+            match live.cache_bytes() {
+                Some(b) => {
+                    eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0)
+                }
+                None => eprintln!("receptive-field cache disabled"),
+            }
+            eprintln!("lifecycle enabled: {} groups live", live.num_groups());
+            kgag::RegistryModel::new(live.clone(), Some(live), hash)
+        }
+    };
+    // LOAD rebuilds checkpoints over this dataset, never as a router:
+    // the peers hold the bootstrap checkpoint's rows only
+    let factory: kgag_serve::ModelFactory = Box::new(move |bytes, hash| {
+        let split = split_dataset(&ds, 0x5eed);
+        let mut m = Kgag::new(&ds, &split, cfg.clone());
+        m.load_checkpoint(bytes).map_err(|e| e.to_string())?;
+        kgag::RegistryModel::try_new(m, hash, cache).map_err(|e| e.to_string())
+    });
+    let rcfg = RegistryConfig::from_env();
+    let server = RegistryServer::bootstrap(rcfg.clone(), factory, entry)
+        .map_err(|e| format!("bootstrap: {e}"))?;
+    let burst = rcfg.quota_burst.map_or("unlimited".into(), |b| b.to_string());
     eprintln!(
-        "lifecycle: {} created, {} joins, {} leaves, {} cache entries evicted ({} groups final)",
-        kgag_obs::counter("lifecycle.groups_created").get(),
-        kgag_obs::counter("lifecycle.joins").get(),
-        kgag_obs::counter("lifecycle.leaves").get(),
-        kgag_obs::counter("lifecycle.cache_evicted").get(),
-        scorer.num_groups(),
+        "registry: checkpoint {hash:016x} bound to tenant 0; quota rate {} burst {burst}, \
+         shadow sample {}",
+        rcfg.quota_rate, rcfg.shadow_sample
     );
-    Ok(())
-}
-
-/// Serve `scorer` over the wire protocol on `--addr` until stdin closes,
-/// then report the drain — the one front door of `kgag serve`, with or
-/// without a lifecycle backend.
-fn serve_until_stdin<S: kgag::ScoreCases>(
-    opts: &Flags,
-    scorer: &S,
-    lifecycle: Option<&(dyn kgag_data::GroupLifecycle + Sync)>,
-) -> Result<(), String> {
-    use kgag_serve::{serve_tcp, ServeConfig, ShutdownToken};
-    let serve_cfg = ServeConfig::from_env();
     let addr = opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:0".into());
-    let token = ShutdownToken::new();
+    let token = kgag_serve::ShutdownToken::new();
     shutdown_on_stdin(&token);
-    serve_tcp(scorer, lifecycle, &serve_cfg, &addr, &token, |bound| {
+    let serve_cfg = &rcfg.serve;
+    serve_tcp(&server, &addr, &token, |bound| {
         println!("serving on {bound}");
         eprintln!(
             "batch window {:?}, max batch {}, queue {}, workers {} — close stdin or type \
@@ -395,6 +430,13 @@ fn serve_until_stdin<S: kgag::ScoreCases>(
         );
     })
     .map_err(|e| e.to_string())?;
+    let groups = server
+        .registry()
+        .resolve(0)
+        .ok()
+        .and_then(|a| a.active.lifecycle().map(|l| l.group_count()));
+    let models = server.registry().num_models();
+    drop(server); // drain every entry's batcher before reporting
     eprintln!(
         "drained: {} responses in {} batches (mean fuse {:.2} requests), {} rejected, {} missed \
          deadlines",
@@ -404,99 +446,25 @@ fn serve_until_stdin<S: kgag::ScoreCases>(
         kgag_obs::counter("serve.requests_rejected").get(),
         kgag_obs::counter("serve.deadline_missed").get(),
     );
-    Ok(())
-}
-
-/// The scatter-gather router of `kgag serve --shards a,b,…` (DESIGN.md
-/// §15): the one scorer over a pool of shard peers, which hold the
-/// entity/relation rows and adjacency and must be running the same
-/// dataset/config/checkpoint (`kgag shard`). Scores are bit-identical
-/// to single-node serving; shard failures surface as typed per-request
-/// errors. Lifecycle mutations are not available in sharded mode.
-fn connect_router(
-    shards: &str,
-    model: &Kgag,
-    cache: bool,
-) -> Result<kgag_serve::ShardedScorer, String> {
-    use kgag_serve::{ShardConfig, ShardPool};
-    let addrs: Vec<&str> = shards.split(',').map(str::trim).filter(|a| !a.is_empty()).collect();
-    if addrs.is_empty() {
-        return Err("--shards needs at least one HOST:PORT".into());
+    if let Some(groups) = groups {
+        eprintln!(
+            "lifecycle: {} created, {} joins, {} leaves, {} cache entries evicted ({groups} \
+             groups final)",
+            kgag_obs::counter("lifecycle.groups_created").get(),
+            kgag_obs::counter("lifecycle.joins").get(),
+            kgag_obs::counter("lifecycle.leaves").get(),
+            kgag_obs::counter("lifecycle.cache_evicted").get(),
+        );
     }
-    let shard_cfg = ShardConfig::from_env();
-    let pool = ShardPool::connect(&addrs, &shard_cfg).map_err(|e| format!("--shards: {e}"))?;
     eprintln!(
-        "router over {} shard(s): {} entities, {} relation slots, timeout {:?}, queue {}",
-        pool.count(),
-        pool.num_entities(),
-        pool.num_relation_slots(),
-        shard_cfg.timeout,
-        shard_cfg.queue,
-    );
-    pool.into_scorer(model, cache).map_err(|e| format!("--shards: {e}"))
-}
-
-/// `kgag serve --registry` — the multi-tenant registry server
-/// (DESIGN.md §16). The trained/loaded model becomes the bootstrap
-/// entry with tenant 0 bound to it; everything else happens over the
-/// wire: LOAD more checkpoints by server-local path (rebuilt over the
-/// same dataset through the model factory), BIND tenants, stage
-/// SHADOW candidates that must reproduce live traffic bit-for-bit
-/// before PROMOTE swaps them in with zero downtime, ROLLBACK, RETIRE.
-/// Admission control and shadow sampling come from KGAG_QUOTA_RATE /
-/// KGAG_QUOTA_BURST / KGAG_SHADOW_SAMPLE.
-fn cmd_serve_registry(opts: &Flags, cache: bool) -> Result<(), String> {
-    use kgag_serve::{
-        serve_tcp_registry, ModelFactory, RegistryConfig, RegistryServer, ShutdownToken,
-    };
-    let ds = dataset(opts)?;
-    let model = load_or_train(&ds, opts)?;
-    let bytes = model.save_checkpoint();
-    let hash = kgag::checkpoint_hash(&bytes);
-    drop(model); // the factory rebuilds it below — one construction path
-    let cfg = config(opts)?;
-    let factory: ModelFactory = {
-        let ds = ds.clone();
-        Box::new(move |ckpt_bytes, ckpt_hash| {
-            let split = split_dataset(&ds, 0x5eed);
-            let mut m = Kgag::new(&ds, &split, cfg.clone());
-            m.load_checkpoint(ckpt_bytes).map_err(|e| e.to_string())?;
-            kgag::RegistryModel::try_new(m, ckpt_hash, cache).map_err(|e| e.to_string())
-        })
-    };
-    let entry = factory(&bytes, hash)?;
-    let rcfg = RegistryConfig::from_env();
-    let server = RegistryServer::new(rcfg.clone(), factory);
-    let resident = server.install(entry).map_err(|e| e.to_string())?;
-    server.registry().bind(0, resident).map_err(|e| e.to_string())?;
-    let burst = match rcfg.quota_burst {
-        Some(b) => b.to_string(),
-        None => "unlimited (admission off)".into(),
-    };
-    eprintln!(
-        "registry: bootstrap checkpoint {resident:016x} resident, tenant 0 bound; quota \
-         rate {} burst {burst}, shadow sample {}",
-        rcfg.quota_rate, rcfg.shadow_sample
-    );
-    let addr = opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:0".into());
-    let token = ShutdownToken::new();
-    shutdown_on_stdin(&token);
-    serve_tcp_registry(&server, &addr, &token, |bound| {
-        println!("serving on {bound} (registry)");
-        eprintln!("close stdin or type \"quit\" to stop");
-    })
-    .map_err(|e| e.to_string())?;
-    eprintln!(
-        "drained: {} responses; registry: {} loads, {} promotions, {} rollbacks, {} \
-         retirements, shadow {} clean / {} mismatch, {} models resident",
-        kgag_obs::counter("serve.responses").get(),
+        "registry: {} loads, {} promotions, {} rollbacks, {} retirements, shadow {} clean / {} \
+         mismatch, {models} models resident",
         kgag_obs::counter("registry.loads").get(),
         kgag_obs::counter("registry.promotions").get(),
         kgag_obs::counter("registry.rollbacks").get(),
         kgag_obs::counter("registry.retirements").get(),
         kgag_obs::counter("registry.shadow_clean").get(),
         kgag_obs::counter("registry.shadow_mismatch").get(),
-        server.registry().num_models(),
     );
     Ok(())
 }
@@ -514,7 +482,7 @@ fn cmd_shard(opts: &Flags) -> Result<(), String> {
         return Err(format!("--index {index} out of --count {count}"));
     }
     let ds = dataset(opts)?;
-    let model = load_or_train(&ds, opts)?;
+    let (model, _) = load_or_train(&ds, opts)?;
     let state = model.shard_state(index, count);
     eprintln!(
         "shard {index}/{count}: entities {:?}, relations {:?}, ~{:.1} KiB resident",
