@@ -28,9 +28,13 @@
 //!    relation, so it is computed once per (query row, relation) with
 //!    the tape's own expression and copied to every edge that shares
 //!    it;
-//! 7. the accumulating kernels keep an output tile in registers, with
+//! 7. at d = 16 the accumulating kernels hold the output row packed in
+//!    registers — across all L−1 `W₂` blocks in the PI tower — with
 //!    each element still summing its terms in k order, zero terms
-//!    skipped.
+//!    skipped;
+//! 8. the propagation softmax computes `exp(π − max)` once per (query
+//!    row, relation, relation of the group max) and runs a group whose
+//!    logits are all NaN per edge.
 //!
 //! Every kernel computes each output row from its own instance rows
 //! only, and receptive-field draws are position-independent, so the
@@ -38,9 +42,10 @@
 //! (DESIGN.md §11).
 //!
 //! With telemetry on, each chunk adds its wall time per stage to the
-//! `infer.stage.{fields,attention,propagate,aggregate}_ns` counters and
-//! its relation dot count to `infer.relation_dots` — once per chunk,
-//! never per op, and never touching a value.
+//! `infer.stage.{fields,attention,propagate,aggregate}_ns` counters, its
+//! relation dot count to `infer.relation_dots` and its softmax `exp`
+//! count to `infer.exps` — once per chunk, never per op, and never
+//! touching a value.
 
 use crate::backend::FusedAggregation;
 use crate::config::KgagConfig;
@@ -79,12 +84,13 @@ pub(crate) struct StageClock {
     last: Option<Instant>,
     ns: [u64; 4],
     dots: u64,
+    exps: u64,
 }
 
 impl StageClock {
     /// Start timing a chunk.
     pub(crate) fn start() -> Self {
-        StageClock { last: kgag_obs::enabled().then(Instant::now), ns: [0; 4], dots: 0 }
+        StageClock { last: kgag_obs::enabled().then(Instant::now), ns: [0; 4], dots: 0, exps: 0 }
     }
 
     /// Charge the time since the previous lap to `stage`.
@@ -103,6 +109,7 @@ impl StageClock {
                 kgag_obs::counter(name).add(ns);
             }
             kgag_obs::counter("infer.relation_dots").add(self.dots);
+            kgag_obs::counter("infer.exps").add(self.exps);
         }
     }
 }
@@ -227,9 +234,13 @@ impl<'a> Engine<'a> {
             self.inv_sqrt_d,
             &mut level_weights,
         ) as u64;
-        for w in &mut level_weights {
-            kernels::softmax_groups_inplace(w, k);
-        }
+        clock.exps += kernels::relation_softmax(
+            &mut level_weights,
+            &rf.relations,
+            query.len(d),
+            self.relation.len() / d,
+            k,
+        ) as u64;
         clock.lap(Stage::Attention);
         // iteration 0 reads every level in place; `reps[lvl]` holds
         // level `lvl` once propagation has updated it
@@ -359,15 +370,8 @@ impl<'a> Engine<'a> {
                     kernels::accumulate_row(member(j), w1, d, &mut h1);
                     // peer slot q holds the q-th other member in
                     // ascending order — W₂'s d×d block q multiplies it
-                    for q in 0..l - 1 {
-                        let p = if q < j { q } else { q + 1 };
-                        kernels::accumulate_row(
-                            member(p),
-                            &w2[q * d * d..(q + 1) * d * d],
-                            d,
-                            &mut h2,
-                        );
-                    }
+                    let peers = (0..l - 1).map(|q| member(if q < j { q } else { q + 1 }));
+                    kernels::accumulate_blocks(peers, w2, d, &mut h2);
                     for (c, a) in act.iter_mut().enumerate() {
                         *a = (h1[c] + h2[c] + bias[c]).max(0.0);
                     }

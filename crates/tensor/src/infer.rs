@@ -11,9 +11,14 @@
 //!   rows of an embedding table picked by id and read where they lie.
 //! * **One logit per (query row, relation).** [`relation_logits`]
 //!   memoises the attention dot by relation id within each query row.
-//! * **Register tiles.** The accumulating kernels keep a 16-wide slice
-//!   of the output row (4-wide where 16 does not divide the row) in a
-//!   local array across the whole k loop, loading and storing it once.
+//! * **One `exp` per (query row, relation, group max).**
+//!   [`relation_softmax`] memoises the softmax numerator by relation
+//!   and the relation of the group's max logit.
+//! * **Packed rows at the served width.** At d = 16 the accumulating
+//!   kernels hold the output row in a fixed-size array the compiler
+//!   keeps in four SSE registers, with a matmul block's 16 terms
+//!   unrolled. Other widths keep a 16-wide slice of the row (4-wide
+//!   where 16 does not divide it) in a local array across the k loop.
 //!
 //! Two properties every kernel guarantees (the property suite in
 //! `tests/infer_props.rs` enforces both):
@@ -23,9 +28,10 @@
 //!   bit-identical to the tape's on any input — non-finite values
 //!   included. Every output element still accumulates its terms in k
 //!   order from the same start value, zero-weight terms skipped, no FMA;
-//!   a memoised logit is the very expression the tape evaluates. Fusion
-//!   only removes copies and repeats; it never reorders a sum, folds a
-//!   constant or rescales a table.
+//!   a memoised logit or `exp` is the very expression the tape
+//!   evaluates, on the same bits. Fusion only removes copies and
+//!   repeats; it never reorders a sum, folds a constant or rescales a
+//!   table.
 //! * **Per-row purity.** Output row `i` reads only its own input rows,
 //!   so chunking a batch across the pool is value-neutral (DESIGN.md
 //!   §11).
@@ -180,6 +186,83 @@ pub fn relation_logits(
     dots
 }
 
+/// The propagation softmax over the relation-attention logits of
+/// [`relation_logits`], in place: each level is softmaxed over
+/// consecutive `group`-sized blocks, bit for bit as
+/// [`softmax_groups_inplace`] does, with one `exp` per (query row,
+/// relation, group-max relation) instead of one per edge. Returns the
+/// number of `exp` evaluated.
+///
+/// `levels` are the logits' relation ids, query row `i` owns the `i`-th
+/// of `n_query` equal shares of every level, and `relations` bounds the
+/// ids. A block's softmax is `exp(x − max) / Σ`, and `exp(x − max)`
+/// depends only on the bits of `x` and `max`. Within a query row `x` is
+/// a function of the relation (the logit memo's invariant), and `max` —
+/// an `f32::max` fold from −∞ — is the bits of one of the block's own
+/// logits, so it is named by that logit's relation. A memo keyed by
+/// (relation, max relation) and stamped with the query row therefore
+/// returns the very value the per-edge `exp` would. The one block whose
+/// max is no logit — every logit NaN, max −∞ — runs the plain per-edge
+/// softmax. The max fold, the sum in edge order and the divide are
+/// unchanged.
+pub fn relation_softmax(
+    logits: &mut [Vec<f32>],
+    levels: &[Vec<u32>],
+    n_query: usize,
+    relations: usize,
+    group: usize,
+) -> usize {
+    assert!(group > 0, "group must be positive");
+    assert_eq!(logits.len(), levels.len(), "one id level per logit level");
+    for (xs, ids) in logits.iter().zip(levels) {
+        assert_eq!(xs.len(), ids.len(), "one relation id per logit");
+        assert!(
+            n_query > 0 && xs.len() % (n_query * group) == 0 || xs.is_empty(),
+            "every query row must own whole blocks"
+        );
+    }
+    let mut stamp = vec![0usize; relations * relations];
+    let mut memo = vec![0.0f32; relations * relations];
+    let mut exps = 0;
+    for qi in 0..n_query {
+        for (xs, ids) in logits.iter_mut().zip(levels) {
+            let share = xs.len() / n_query;
+            let span = qi * share..(qi + 1) * share;
+            for (block, ids) in
+                xs[span.clone()].chunks_exact_mut(group).zip(ids[span].chunks(group))
+            {
+                let max = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let Some(top) = block.iter().position(|x| x.to_bits() == max.to_bits()) else {
+                    softmax_inplace(block);
+                    exps += group;
+                    continue;
+                };
+                let top = ids[top] as usize;
+                // with `top` in range, an out-of-range id indexes past the memo
+                assert!(top < relations, "relation id {top} out of range");
+                let mut sum = 0.0;
+                for (x, &r) in block.iter_mut().zip(ids) {
+                    let key = r as usize * relations + top;
+                    if stamp[key] != qi + 1 {
+                        stamp[key] = qi + 1;
+                        memo[key] = (*x - max).exp();
+                        exps += 1;
+                    }
+                    debug_assert_eq!(memo[key].to_bits(), (*x - max).exp().to_bits());
+                    *x = memo[key];
+                    sum += *x;
+                }
+                if sum > 0.0 {
+                    for x in block.iter_mut() {
+                        *x /= sum;
+                    }
+                }
+            }
+        }
+    }
+    exps
+}
+
 /// In-place softmax over consecutive `group`-sized blocks — the tape's
 /// `softmax_groups` without the output clone.
 pub fn softmax_groups_inplace(xs: &mut [f32], group: usize) {
@@ -190,14 +273,62 @@ pub fn softmax_groups_inplace(xs: &mut [f32], group: usize) {
     }
 }
 
+/// The served embedding width. Kernels whose rows are this wide run
+/// packed bodies: the row is a fixed-size array the compiler keeps in
+/// four SSE registers, and a `[16, 16]` matmul block has its 16 terms
+/// unrolled. Each element still sees the [`accumulate`] sequence.
+const PACKED: usize = 16;
+
+/// One packed row.
+type Packed = [f32; PACKED];
+
+/// Row `i` of a dense buffer of packed rows.
+#[inline(always)]
+fn packed(data: &[f32], i: usize) -> &Packed {
+    data[i * PACKED..(i + 1) * PACKED].try_into().expect("a packed row")
+}
+
+/// `acc += x · row`, lane by lane: a separate multiply and add, no FMA.
+#[inline(always)]
+fn axpy(acc: &mut Packed, x: f32, row: &Packed) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a += x * v;
+    }
+}
+
+/// `acc += a · w` for a `w` whose first `16 · 16` elements are the
+/// `[16, 16]` block: the terms `a[k] · w.row(k)` in k order, zero terms
+/// skipped.
+#[inline(always)]
+fn axpy_block(acc: &mut Packed, a: &Packed, w: &[f32]) {
+    let w: &[f32; PACKED * PACKED] = w[..PACKED * PACKED].try_into().expect("a packed block");
+    for (k, &x) in a.iter().enumerate() {
+        if x != 0.0 {
+            axpy(acc, x, packed(w, k));
+        }
+    }
+}
+
+/// The matmul epilogue at the packed width: `out_row[c] = act(acc[c] +
+/// bias[c])`.
+#[inline(always)]
+fn finish_packed(acc: &Packed, bias: &[f32], act: Activation, out_row: &mut [f32]) {
+    let lanes = out_row.iter_mut().zip(acc).zip(packed(bias, 0));
+    match act {
+        Activation::None => lanes.for_each(|((o, &a), &b)| *o = a + b),
+        Activation::Relu => lanes.for_each(|((o, &a), &b)| *o = (a + b).max(0.0)),
+        Activation::Tanh => lanes.for_each(|((o, &a), &b)| *o = (a + b).tanh()),
+    }
+}
+
 /// The one accumulating kernel body:
 /// `out_row[c] = finish(c, out_row[c] + Σ_t x_t · row_t[c])` with the
 /// terms `(x_t, row_t)` added in order, terms with `x_t == 0.0` skipped
 /// (as the tape does — adding `0·v` could inject NaN or flip a `+0.0`
-/// sum to `-0.0`), no FMA. The register tile is 16 lanes when 16 divides
-/// the row — a whole row at the default `d = 16` — and 4 lanes
-/// otherwise; the tile is only a speed choice, every element sees the
-/// same additions in the same order with either.
+/// sum to `-0.0`), no FMA. The kernels run it wherever their packed
+/// bodies do not apply. The register tile is 16 lanes when 16 divides
+/// the row and 4 lanes otherwise; the tile is only a speed choice,
+/// every element sees the same additions in the same order with either.
 #[inline(always)]
 fn accumulate<'r, I>(terms: I, out_row: &mut [f32], finish: impl Fn(usize, f32) -> f32)
 where
@@ -277,9 +408,41 @@ pub fn group_weighted_sum(
     assert_eq!(values.len(dim), weights.len(), "values rows must match weights");
     out.clear();
     out.resize(weights.len() / group * dim, 0.0);
+    if dim == PACKED {
+        // resolve the row storage once, not per term
+        match values {
+            Rows::Dense(data) => weighted_sum_packed(weights, group, |r| packed(data, r), out),
+            Rows::ById { table, ids } => {
+                weighted_sum_packed(weights, group, |r| packed(table, ids[r] as usize), out)
+            }
+        }
+        return;
+    }
     for (g, out_row) in out.chunks_exact_mut(dim).enumerate() {
         let terms = (g * group..(g + 1) * group).map(|r| (weights[r], values.row(r, dim)));
         accumulate(terms, out_row, |_, x| x);
+    }
+}
+
+/// [`group_weighted_sum`] at the packed width, value row `r` read by
+/// `row(r)`.
+#[inline(always)]
+fn weighted_sum_packed<'r>(
+    weights: &[f32],
+    group: usize,
+    row: impl Fn(usize) -> &'r Packed,
+    out: &mut [f32],
+) {
+    for (g, (ws, out_row)) in
+        weights.chunks_exact(group).zip(out.chunks_exact_mut(PACKED)).enumerate()
+    {
+        let mut acc = [0.0; PACKED];
+        for (k, &x) in ws.iter().enumerate() {
+            if x != 0.0 {
+                axpy(&mut acc, x, row(g * group + k));
+            }
+        }
+        out_row.copy_from_slice(&acc);
     }
 }
 
@@ -344,6 +507,14 @@ pub fn matmul_bias_act(
     assert!(d_out > 0, "d_out must be positive");
     out.clear();
     out.resize(rows * d_out, 0.0);
+    if d_in == PACKED && d_out == PACKED {
+        for (i, out_row) in out.chunks_exact_mut(PACKED).enumerate() {
+            let mut acc = [0.0; PACKED];
+            axpy_block(&mut acc, packed(a, i), w);
+            finish_packed(&acc, bias, act, out_row);
+        }
+        return;
+    }
     for (i, out_row) in out.chunks_exact_mut(d_out).enumerate() {
         let terms = matmul_terms(&a[i * d_in..(i + 1) * d_in], w, d_out);
         accumulate(terms, out_row, |c, x| activate(x + bias[c], act));
@@ -377,6 +548,15 @@ pub fn matmul2_bias_act(
     assert!(d_out > 0, "d_out must be positive");
     out.clear();
     out.resize(rows * d_out, 0.0);
+    if d_in == PACKED && d_out == PACKED {
+        for (i, out_row) in out.chunks_exact_mut(PACKED).enumerate() {
+            let mut acc = [0.0; PACKED];
+            axpy_block(&mut acc, packed(a.row(i, PACKED), 0), w_a);
+            axpy_block(&mut acc, packed(b, i), w_b);
+            finish_packed(&acc, bias, act, out_row);
+        }
+        return;
+    }
     for (i, out_row) in out.chunks_exact_mut(d_out).enumerate() {
         let terms = matmul_terms(a.row(i, d_in), w_a, d_out).chain(matmul_terms(
             &b[i * d_in..(i + 1) * d_in],
@@ -391,10 +571,38 @@ pub fn matmul2_bias_act(
 /// included (dropping it could turn a +0.0 sum into -0.0).
 #[inline]
 pub fn accumulate_row(a_row: &[f32], w: &[f32], d_out: usize, out_row: &mut [f32]) {
+    accumulate_blocks(std::iter::once(a_row), w, d_out, out_row)
+}
+
+/// `out_row += CONCAT(blocks) · w` without the concatenation: block `q`
+/// multiplies the `q`-th `[d_in, d_out]` slab of `w`, and every element
+/// adds its terms in the concatenated row's k order — the
+/// peer-influence tower's `W₂ · CONCAT(peers)` over per-slot blocks. All
+/// blocks are `d_in` wide. At the packed width the accumulator stays in
+/// registers across every block.
+pub fn accumulate_blocks<'r, I>(blocks: I, w: &[f32], d_out: usize, out_row: &mut [f32])
+where
+    I: Iterator<Item = &'r [f32]> + Clone,
+{
     assert!(d_out > 0, "d_out must be positive");
-    debug_assert_eq!(w.len(), a_row.len() * d_out);
-    debug_assert_eq!(out_row.len(), d_out);
-    accumulate(matmul_terms(a_row, w, d_out), out_row, |_, x| x)
+    assert_eq!(out_row.len(), d_out, "out_row length must be d_out");
+    let d_in = blocks.clone().next().map_or(0, <[f32]>::len);
+    assert!(blocks.clone().all(|b| b.len() == d_in), "blocks must be equally wide");
+    assert_eq!(w.len(), blocks.clone().count() * d_in * d_out, "w must hold one slab a block");
+    if d_in == 0 {
+        return; // no terms
+    }
+    if d_in == PACKED && d_out == PACKED {
+        let mut acc = *packed(out_row, 0);
+        for (block, w) in blocks.zip(w.chunks_exact(PACKED * PACKED)) {
+            axpy_block(&mut acc, packed(block, 0), w);
+        }
+        out_row.copy_from_slice(&acc);
+        return;
+    }
+    for (block, w) in blocks.zip(w.chunks_exact(d_in * d_out)) {
+        accumulate(matmul_terms(block, w, d_out), out_row, |_, x| x);
+    }
 }
 
 /// Elementwise `out = a + b` over equal-shaped operands; `a` may be read

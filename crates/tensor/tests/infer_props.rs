@@ -13,11 +13,12 @@
 //! NaN, and to nothing else.
 
 use kgag_tensor::infer::{
-    accumulate_row, add_into, gather_rows, group_mean, group_weighted_sum, matmul2_bias_act,
-    matmul_bias_act, relation_logits, residual_inplace, row_dot_rep_scaled, softmax_groups_inplace,
-    Activation, Rows,
+    accumulate_blocks, accumulate_row, add_into, gather_rows, group_mean, group_weighted_sum,
+    matmul2_bias_act, matmul_bias_act, relation_logits, relation_softmax, residual_inplace,
+    row_dot_rep_scaled, softmax_groups_inplace, Activation, Rows,
 };
 use kgag_tensor::rng::SplitMix64;
+use kgag_tensor::tensor::softmax_inplace;
 use kgag_tensor::{ParamStore, Tape, Tensor};
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u64_in, usize_in};
@@ -399,4 +400,207 @@ fn add_residual_and_row_dot_equal_tape() {
             Ok(())
         },
     );
+}
+
+/// Logits of `n_rel` relations under one query row, with every value
+/// the memoised softmax must reproduce: uniform draws, ±0, ±∞, NaN and
+/// ties across relations (a relation repeating an earlier one's bits).
+/// One row in four is all NaN, so each of its groups has max −∞ and no
+/// logit equal to it.
+fn logit_row(rng: &mut SplitMix64, n_rel: usize) -> Vec<f32> {
+    const SPECIAL: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    if rng.next_u64() % 4 == 0 {
+        return vec![f32::NAN; n_rel];
+    }
+    let mut row: Vec<f32> = Vec::with_capacity(n_rel);
+    for r in 0..n_rel {
+        let x = match rng.next_u64() % 6 {
+            0 => SPECIAL[(rng.next_u64() % SPECIAL.len() as u64) as usize],
+            1 if r > 0 => row[(rng.next_u64() % r as u64) as usize],
+            _ => -20.0 + 40.0 * rng.next_f32(),
+        };
+        row.push(x);
+    }
+    row
+}
+
+/// The relation-keyed `exp` memo equals a plain per-group
+/// `softmax_inplace` bit for bit, over logits that are a function of
+/// (query row, relation) as the logit memo produces them, with
+/// repeated, unsorted ids and every special value; and it evaluates one
+/// `exp` per distinct (relation, first max relation) pair in each query
+/// row, plus one per edge of every all-NaN group.
+#[test]
+fn relation_softmax_equals_per_group_softmax() {
+    let gen = (usize_in(1..5), usize_in(1..4), usize_in(1..9), usize_in(1..4), usize_in(1..8));
+    let gen = (gen, u64_in(0..u64::MAX));
+    Runner::new("infer-relation-softmax-vs-softmax").cases(192).run(
+        &gen,
+        |&((n_query, rep, group, depth, n_rel), seed)| {
+            let mut rng = SplitMix64::new(seed);
+            let table: Vec<Vec<f32>> = (0..n_query).map(|_| logit_row(&mut rng, n_rel)).collect();
+            let levels: Vec<Vec<u32>> = (1..=depth)
+                .map(|lvl| rand_ids(&mut rng, n_query * rep * group.pow(lvl as u32), n_rel))
+                .collect();
+            let logits: Vec<Vec<f32>> = levels
+                .iter()
+                .map(|ids| {
+                    let share = ids.len() / n_query;
+                    ids.iter().enumerate().map(|(e, &r)| table[e / share][r as usize]).collect()
+                })
+                .collect();
+            let mut want = logits.clone();
+            for level in &mut want {
+                level.chunks_mut(group).for_each(softmax_inplace);
+            }
+            let mut expected_exps = 0;
+            for qi in 0..n_query {
+                let mut pairs = HashSet::new();
+                for (xs, ids) in logits.iter().zip(&levels) {
+                    let share = xs.len() / n_query;
+                    let span = qi * share..(qi + 1) * share;
+                    for (block, ids) in xs[span.clone()].chunks(group).zip(ids[span].chunks(group))
+                    {
+                        let max = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                        match block.iter().position(|x| x.to_bits() == max.to_bits()) {
+                            Some(top) => pairs.extend(ids.iter().map(|&r| (r, ids[top]))),
+                            None => expected_exps += group,
+                        }
+                    }
+                }
+                expected_exps += pairs.len();
+            }
+            let mut got = logits;
+            let exps = relation_softmax(&mut got, &levels, n_query, n_rel, group);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(bits(g), bits(w));
+            }
+            prop_assert_eq!(exps, expected_exps);
+            Ok(())
+        },
+    );
+}
+
+/// Uniform draws in `[lo, hi)`, one in four replaced by zero, a
+/// subnormal or ±∞ — dense enough that most 16-term rows skip a zero
+/// term and most blocks meet a subnormal or an infinity.
+fn spiky_vec(rng: &mut SplitMix64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+    const SPECIAL: [f32; 6] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 8.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    (0..n)
+        .map(|_| {
+            if rng.next_u64() % 4 == 0 {
+                SPECIAL[(rng.next_u64() % SPECIAL.len() as u64) as usize]
+            } else {
+                lo + (hi - lo) * rng.next_f32()
+            }
+        })
+        .collect()
+}
+
+impl Operand {
+    /// [`Operand::draw`] with the table drawn by [`spiky_vec`].
+    fn spiky(rng: &mut SplitMix64, n: usize, dim: usize, lo: f32, hi: f32) -> Self {
+        let rows = 1 + n / 2;
+        let table = spiky_vec(rng, rows * dim, lo, hi);
+        let ids = rand_ids(rng, n, rows);
+        let mut dense = Vec::new();
+        gather_rows(&table, dim, &ids, &mut dense);
+        Operand { table, ids, dense }
+    }
+}
+
+/// The packed `d = 16` kernels — the matmul with every activation, the
+/// split concat matmul, the weighted sum with rows dense and by id, and
+/// the peer-influence tower's `W₁` row and `W₂` block chain — equal the
+/// tape with zero terms, subnormals and ±∞ in every operand.
+#[test]
+fn packed_kernels_equal_tape_at_d16() {
+    const D: usize = 16;
+    let gen = (usize_in(1..6), usize_in(1..9), usize_in(2..9), u64_in(0..u64::MAX));
+    Runner::new("infer-packed-d16-vs-tape").cases(96).run(&gen, |&(rows, group, l, seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let store = ParamStore::new();
+        let a = Operand::spiky(&mut rng, rows, D, -2.0, 2.0);
+        let b = spiky_vec(&mut rng, rows * D, -2.0, 2.0);
+        let w = spiky_vec(&mut rng, 2 * D * D, -1.0, 1.0);
+        let (w_a, w_b) = w.split_at(D * D);
+        let bias = spiky_vec(&mut rng, D, -0.5, 0.5);
+        for act in ACTIVATIONS {
+            let mut tape = Tape::new(&store);
+            let want = tape_matmul_bias_act(
+                &mut tape,
+                Tensor::from_vec(rows, D, a.dense.clone()),
+                Tensor::from_vec(D, D, w_a.to_vec()),
+                Tensor::from_vec(1, D, bias.clone()),
+                act,
+            );
+            let mut got = Vec::new();
+            matmul_bias_act(&a.dense, rows, D, w_a, D, &bias, act, &mut got);
+            prop_assert_eq!(bits(&got), want);
+
+            let ta = tape.constant(Tensor::from_vec(rows, D, a.dense.clone()));
+            let tb = tape.constant(Tensor::from_vec(rows, D, b.clone()));
+            let cat = tape.concat_cols(ta, tb);
+            let cat = tape.value(cat).clone();
+            let want = tape_matmul_bias_act(
+                &mut tape,
+                cat,
+                Tensor::from_vec(2 * D, D, w.clone()),
+                Tensor::from_vec(1, D, bias.clone()),
+                act,
+            );
+            for form in a.forms() {
+                let mut got = Vec::new();
+                matmul2_bias_act(form, &b, rows, D, w_a, w_b, D, &bias, act, &mut got);
+                prop_assert_eq!(bits(&got), want.clone());
+            }
+        }
+
+        // weighted sum over `group`-row blocks, values dense and by id
+        let weights = spiky_vec(&mut rng, rows * group, -1.5, 1.5);
+        let values = Operand::spiky(&mut rng, rows * group, D, -2.0, 2.0);
+        let mut tape = Tape::new(&store);
+        let tw = tape.constant(Tensor::from_vec(rows * group, 1, weights.clone()));
+        let tv = tape.constant(Tensor::from_vec(rows * group, D, values.dense.clone()));
+        let want = tape.group_weighted_sum(tw, tv, group);
+        let want = bits(tape.value(want).data());
+        for form in values.forms() {
+            let mut got = Vec::new();
+            group_weighted_sum(&weights, form, D, group, &mut got);
+            prop_assert_eq!(bits(&got), want.clone());
+        }
+
+        // the PI tower: h₁ = m_j · W₁ and h₂ = CONCAT(peers of j) · W₂
+        let members = spiky_vec(&mut rng, l * D, -2.0, 2.0);
+        let w1 = spiky_vec(&mut rng, D * D, -1.0, 1.0);
+        let w2 = spiky_vec(&mut rng, (l - 1) * D * D, -1.0, 1.0);
+        let mut tape = Tape::new(&store);
+        let tm = tape.constant(Tensor::from_vec(l, D, members.clone()));
+        let tw1 = tape.constant(Tensor::from_vec(D, D, w1.clone()));
+        let tw2 = tape.constant(Tensor::from_vec((l - 1) * D, D, w2.clone()));
+        let h1 = tape.matmul(tm, tw1);
+        let peers = tape.peer_concat(tm, l);
+        let h2 = tape.matmul(peers, tw2);
+        let member = |m: usize| &members[m * D..(m + 1) * D];
+        let (mut got1, mut got2) = (Vec::new(), Vec::new());
+        for j in 0..l {
+            let mut row = [0.0f32; D];
+            accumulate_row(member(j), &w1, D, &mut row);
+            got1.extend_from_slice(&row);
+            let mut row = [0.0f32; D];
+            let peers = (0..l - 1).map(|q| member(if q < j { q } else { q + 1 }));
+            accumulate_blocks(peers, &w2, D, &mut row);
+            got2.extend_from_slice(&row);
+        }
+        prop_assert_eq!(bits(&got1), bits(tape.value(h1).data()));
+        prop_assert_eq!(bits(&got2), bits(tape.value(h2).data()));
+        Ok(())
+    });
 }
