@@ -17,51 +17,11 @@
 #   build      — release build with RUSTFLAGS="-D warnings"
 #   test       — full suite at KGAG_THREADS=1 and KGAG_THREADS=4; the
 #                determinism suite additionally compares both thread
-#                counts bit-for-bit inside one process (DESIGN.md §9)
-#   serve      — the serve_check gate, at both thread counts: a fixed
-#                request slice fanned out through 4 concurrent clients
-#                of the in-process server and over loopback TCP must
-#                score bit-identically to the offline BatchScorer, the
-#                full evaluation protocol must reproduce
-#                evaluate_batched exactly with the server in the scorer
-#                seat, and graceful shutdown must answer every accepted
-#                request (DESIGN.md §12)
-#   shard      — sharded-serving gate (DESIGN.md §15): the shard_check
-#                binary at both thread counts. It spawns 2 real shard
-#                processes, proves router-fused scatter-gather scores
-#                bit-identical to the single-node BatchScorer with the
-#                draw memo on and off, round-trips the TCP front door, then
-#                SIGKILLs a shard mid-stream: affected requests must
-#                fail with typed errors while untouched ones stay
-#                bit-identical — no panic, no hang
-#   registry   — multi-tenant registry gate (DESIGN.md §16): the
-#                registry_check binary at both thread counts. Against a
-#                real serve_tcp server it LOADs two
-#                checkpoints by path, proves a shadow candidate on live
-#                traffic (every mirrored request bit-identical to the
-#                candidate's offline scores), promotes with zero
-#                downtime, storms wire ROLLBACKs under 4 concurrent
-#                clients (every response must match exactly one
-#                checkpoint's bits — never a torn mix), and pins the
-#                burst-5 no-refill governor to exactly 5 admissions +
-#                3 Quota rejections per tenant with obs counters
-#                matching
-#   backend    — propagation-backend parity gate (DESIGN.md §17): the
-#                backend_oracle suite at KGAG_THREADS=1 and 4. All four
-#                backends must be self-identical across the cache ×
-#                chunk × thread matrix, KGNN-LS at ls_weight=0 must
-#                reproduce GCN training bit-for-bit, and checkpoints
-#                must refuse cross-backend restores typed
-#   lifecycle  — dynamic-group gate (DESIGN.md §13): the
-#                lifecycle_check binary at both thread counts — 4
-#                concurrent TCP clients creating/joining/leaving
-#                disjoint groups while scoring, every response
-#                bit-identical to the roster-level reference and every
-#                malformed mutation a typed rejection
-#   telemetry  — smoke training with the JSONL telemetry sink enabled:
-#                model outputs must be bit-identical with telemetry on
-#                vs off, and every emitted line must pass the testkit
-#                JSON parser plus the per-kind schema checks (§10)
+#                counts bit-for-bit inside one process (DESIGN.md §9).
+#                The suite holds every serving oracle too: served,
+#                sharded (real `kgag shard` processes, one SIGKILLed
+#                mid-stream), registry, lifecycle, backend and
+#                telemetry bit-identity against offline scoring
 #   kgbench    — the repository benchmark (its own package under
 #                kgbench/): builds it against the workspace's public
 #                API and runs its unit tests plus its --smoke run
@@ -94,22 +54,16 @@ cd "$(dirname "$0")"
 
 # ----------------------------------------------------------------- manifest
 
-STAGES="fmt build test serve shard registry backend lifecycle telemetry kgbench golden bench"
+STAGES="fmt build test kgbench golden bench"
 # bench is opt-in: excluded from a default run, included by --bench /
 # --bench-baseline or an explicit --stage selection
-DEFAULT_STAGES="fmt build test serve shard registry backend lifecycle telemetry kgbench golden"
+DEFAULT_STAGES="fmt build test kgbench golden"
 
 stage_desc() {
     case "$1" in
     fmt) echo "cargo fmt --check" ;;
     build) echo "release build, deny warnings" ;;
     test) echo "full test suite at KGAG_THREADS=1 and 4" ;;
-    serve) echo "serving gate: concurrent bit-identity + drain" ;;
-    shard) echo "sharded gate: scatter-gather bit-identity + shard kill" ;;
-    registry) echo "registry gate: shadow-proven swap + quota determinism" ;;
-    backend) echo "backend gate: 4-backend parity oracle" ;;
-    lifecycle) echo "lifecycle gate: mutate-equals-rebuild + TCP mutations" ;;
-    telemetry) echo "telemetry gate: passivity + JSONL schema" ;;
     kgbench) echo "benchmark package: builds against the API, tests + smoke" ;;
     golden) echo "golden-file gate: bit-identical smoke metrics" ;;
     bench) echo "bench regression gate (opt-in: --bench)" ;;
@@ -127,35 +81,6 @@ run_build() {
 run_test() {
     KGAG_THREADS=1 cargo test -q --offline --workspace
     KGAG_THREADS=4 cargo test -q --offline --workspace
-}
-
-run_serve() {
-    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin serve_check
-    KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin serve_check
-}
-
-run_shard() {
-    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin shard_check
-    KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin shard_check
-}
-
-run_registry() {
-    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin registry_check
-    KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin registry_check
-}
-
-run_backend() {
-    KGAG_THREADS=1 cargo test -q --release --offline -p kgag --test backend_oracle
-    KGAG_THREADS=4 cargo test -q --release --offline -p kgag --test backend_oracle
-}
-
-run_lifecycle() {
-    KGAG_THREADS=1 cargo run -q --release --offline -p kgag-bench --bin lifecycle_check
-    KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin lifecycle_check
-}
-
-run_telemetry() {
-    KGAG_THREADS=4 cargo run -q --release --offline -p kgag-bench --bin telemetry_check
 }
 
 run_kgbench() {

@@ -19,8 +19,8 @@
 //!    fiat: it must first be staged ([`ModelRegistry::stage_shadow`])
 //!    and accumulate [`ShadowStatus::min_clean`] live requests whose
 //!    served scores were bit-identical to its own offline
-//!    `score_cases` — the same oracle discipline `serve_check` applies
-//!    offline, asserted continuously on production traffic. One
+//!    `score_cases` — the same oracle discipline the serving tests
+//!    apply offline, asserted continuously on production traffic. One
 //!    recorded mismatch trips the circuit breaker: the entry is
 //!    quarantined and the shadow dissolved ([`ModelRegistry::record_shadow`]).
 //! 3. **Typed failure.** Every malformed transition — unknown tenant or
@@ -168,7 +168,7 @@ impl RegistryModel {
 impl ScoreCases for RegistryModel {
     /// Scores against the entry's own group table — the shadow oracle
     /// *and* the serving path, so asserting one against the other is
-    /// exactly the `serve_check` chunking-invariance discipline.
+    /// exactly the serving tests' chunking-invariance discipline.
     fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
         self.scorer.try_score_cases(cases)
     }

@@ -8,9 +8,10 @@
 //! instead of panicking. The property suite here drives random case batches over
 //! random 1–4-shard partitions through [`kgag::LocalFetch`] — the
 //! partitioning semantics without the network — against exactly that
-//! oracle. CI additionally proves the *networked* layer end-to-end
-//! (`shard_check`), so the TCP pool only ever adds transport, never
-//! semantics.
+//! oracle. The serve crate's `shard_e2e` suite and the root package's
+//! `shard_process` suite (real `kgag shard` processes) prove the
+//! *networked* layer end to end, so the TCP pool only ever adds
+//! transport, never semantics.
 //!
 //! Failure semantics get their own tests: with one shard dead, every
 //! case either scores bit-identically (its receptive field never

@@ -8,8 +8,8 @@
 //! * **Passive.** Telemetry reads clocks and writes a file; it never
 //!   touches an RNG, a parameter or a score. Model outputs are
 //!   bit-identical with telemetry on or off — enforced end to end by
-//!   `crates/core/tests/determinism.rs` and the `telemetry_check` CI
-//!   stage.
+//!   `crates/core/tests/determinism.rs`, which also schema-checks the
+//!   emitted stream.
 //! * **Near-zero cost when disabled.** Every entry point starts with
 //!   [`enabled`] — two relaxed atomic loads — and returns immediately
 //!   when telemetry is off. No allocation, no lock, no clock read.
@@ -78,8 +78,8 @@ fn init_from_env() {
 
 /// Enable telemetry programmatically, truncating/creating the JSONL file
 /// at `path`. Claims environment initialisation, so a later [`enabled`]
-/// never overrides the explicit choice. Used by tests and the
-/// `telemetry_check` gate to compare on/off inside one process.
+/// never overrides the explicit choice. Used by tests to compare on/off
+/// inside one process.
 pub fn enable_to(path: &std::path::Path) -> std::io::Result<()> {
     INIT.call_once(|| {});
     install_sink(path)

@@ -2,8 +2,8 @@
 //! fuse queued requests into `score_batch` calls under a latency
 //! budget, and a graceful drain on shutdown.
 //!
-//! Invariants (tested in `tests/serve_props.rs`, enforced end-to-end by
-//! the `serve_check` CI gate):
+//! Invariants (tested in `tests/serve_props.rs`, with stub scorers and
+//! end to end on the real engine):
 //!
 //! * **Exactly-one response.** Every request accepted by
 //!   [`ServeHandle::submit`] resolves exactly once — scores, or a

@@ -17,8 +17,8 @@
 //! `From<kgag::ScoreError>`; the rest of the fused batch is answered
 //! normally.
 //! Because the scorer is bit-identical at *any* chunking (the batched
-//! oracle guarantee, re-enforced for serving by
-//! `crates/bench/src/bin/serve_check.rs`), fusing arbitrary interleavings
+//! oracle guarantee, re-enforced for serving by `tests/serve_props.rs`
+//! on the real engine), fusing arbitrary interleavings
 //! of concurrent requests is value-neutral: every client receives
 //! exactly the scores the offline evaluation path would have produced.
 //!

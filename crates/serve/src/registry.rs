@@ -20,7 +20,7 @@
 //!   `quota_burst: None`); a configured `burst == 0` is a closed valve
 //!   that sheds everything. `rate == 0` never refills, so a bucket
 //!   admits exactly `burst` requests — the deterministic configuration
-//!   the quota tests and the `registry_check` CI stage pin.
+//!   the quota tests pin.
 //!
 //! Zero-downtime by construction: scoring pins its entry via
 //! [`kgag::ModelRegistry::resolve`] (an `Arc` clone) *and* its batcher
@@ -33,8 +33,9 @@
 //! tenant has a staged candidate is mirrored through the *candidate's
 //! batcher* (arbitrary fusion with other traffic), then compared
 //! bit-for-bit against the candidate's own offline
-//! [`try_score_cases`](kgag::ScoreCases::try_score_cases) — the `serve_check`
-//! chunking-invariance oracle, applied continuously to live traffic.
+//! [`try_score_cases`](kgag::ScoreCases::try_score_cases) — the
+//! chunking-invariance oracle of `tests/serve_props.rs`, applied
+//! continuously to live traffic.
 //! Verdicts feed [`kgag::ModelRegistry::record_shadow`]; one mismatch
 //! quarantines the candidate registry-wide. The mirrored scoring rides
 //! the serving thread, so the *active* response a client sees is never
@@ -279,7 +280,7 @@ impl RegistryServer {
 
     /// [`install`](Self::install) with the entry's batcher scorer
     /// wrapped in a [`crate::FaultScorer`] — the seam the fault suites
-    /// and `registry_check` use to prove the shadow circuit breaker
+    /// and `tests/registry_e2e.rs` use to prove the shadow circuit breaker
     /// trips on a genuinely divergent serve path (a scripted `Corrupt`
     /// is the minimal bit-identity violation).
     pub fn install_faulted(

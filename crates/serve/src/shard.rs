@@ -10,8 +10,9 @@
 //! `(seed, salt, entity, level)` and entity-local, and because score
 //! fusion happens entirely on the router in the engine's (= the
 //! tape's) reduction order, sharded scores are **bit-identical** to
-//! single-node scores — enforced by `crates/bench/src/bin/shard_check.rs`
-//! in CI.
+//! single-node scores — enforced over loopback peers by
+//! `tests/shard_e2e.rs` and over real `kgag shard` processes by the
+//! root package's `tests/shard_process.rs`.
 //!
 //! Wire protocol: the same little-endian `u32` length-prefixed framing
 //! as [`crate::wire`], with shard-only opcodes on dedicated

@@ -3,15 +3,17 @@
 //! with bit-identity against each checkpoint's offline oracle, the
 //! quota governor's deterministic shedding, the shadow circuit breaker
 //! tripped by an injected serve-path corruption, the un-tenanted
-//! opcodes addressing tenant 0's live group table, and a
-//! promote/rollback stress proving no response is ever torn between
-//! versions.
+//! opcodes addressing tenant 0's live group table, concurrent group
+//! lifecycle clients on a real `DynamicScorer`, and a promote/rollback
+//! stress proving no response is ever torn between versions.
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel, ScoreCases};
+use kgag::{
+    checkpoint_hash, DynamicScorer, Kgag, KgagConfig, RegistryError, RegistryModel, ScoreCases,
+};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_data::{GroupDataset, LifecycleError, LifecycleOp};
+use kgag_data::{GroupDataset, LifecycleAck, LifecycleError, LifecycleOp};
 use kgag_serve::{
     serve_tcp, ModelFactory, RegistryConfig, RegistryServer, ServeClient, ServeConfig, ServeError,
     ShutdownToken,
@@ -48,15 +50,20 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Rebuild a registry entry from checkpoint bytes — what the CLI's
-/// model factory does, shared here between direct installs and the
-/// wire-LOAD factory.
-fn entry_from(bytes: &[u8]) -> RegistryModel {
+/// Restore a model from checkpoint bytes over the fixture's split.
+fn model_from(bytes: &[u8]) -> Kgag {
     let fx = fixture();
     let split = split_dataset(&fx.ds, 11);
     let mut model = Kgag::new(&fx.ds, &split, KgagConfig { epochs: 3, ..Default::default() });
     model.load_checkpoint(bytes).expect("fixture checkpoint must restore");
-    RegistryModel::try_new(model, checkpoint_hash(bytes), true).unwrap()
+    model
+}
+
+/// Rebuild a registry entry from checkpoint bytes — what the CLI's
+/// model factory does, shared here between direct installs and the
+/// wire-LOAD factory.
+fn entry_from(bytes: &[u8]) -> RegistryModel {
+    RegistryModel::try_new(model_from(bytes), checkpoint_hash(bytes), true).unwrap()
 }
 
 fn factory() -> ModelFactory {
@@ -106,6 +113,36 @@ fn offline_bits(ckpt: &[u8], cases: &[(u32, Vec<u32>)]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Fan `cases` out over 4 concurrent TCP connections to `tenant`; every
+/// response must be bit-identical to `want`.
+fn fan_out(
+    addr: SocketAddr,
+    tenant: u32,
+    label: &str,
+    cases: &[(u32, Vec<u32>)],
+    want: &[Vec<u32>],
+) {
+    std::thread::scope(|s| {
+        for c in 0..4 {
+            s.spawn(move || {
+                let mut client = ServeClient::connect(addr).unwrap();
+                for (ci, (g, items)) in cases.iter().enumerate().skip(c).step_by(4) {
+                    let got = client.score_tenant(tenant, *g, items).unwrap().expect(label);
+                    assert_eq!(bits(&got), want[ci], "{label}: case {ci} diverged");
+                }
+            });
+        }
+    });
+}
+
+/// A per-process scratch dir, so concurrent test processes never share
+/// checkpoint files; each test removes its own at the end.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// A registry server on a loopback port, joined down on drop — the
 /// registry twin of `shard_e2e`'s `ShardProc`.
 struct RegProc {
@@ -147,8 +184,7 @@ fn full_registry_journey_over_tcp_is_bit_identical_to_offline() {
     let want_a = offline_bits(&fx.ckpt_a, &cases);
     let want_b = offline_bits(&fx.ckpt_b, &cases);
 
-    let dir = std::env::temp_dir().join("kgag_registry_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("kgag_registry_e2e");
     let path_a = dir.join("ckpt_a.bin");
     let path_b = dir.join("ckpt_b.bin");
     std::fs::write(&path_a, &fx.ckpt_a).unwrap();
@@ -182,10 +218,7 @@ fn full_registry_journey_over_tcp_is_bit_identical_to_offline() {
     );
 
     // served scores are bit-identical to a's offline oracle
-    for (ci, (g, items)) in cases.iter().enumerate() {
-        let got = client.score_tenant(1, *g, items).unwrap().expect("bound tenant scores");
-        assert_eq!(bits(&got), want_a[ci], "case {ci} diverged from checkpoint a");
-    }
+    fan_out(proc.addr, 1, "active=a", &cases, &want_a);
     // bounds are typed, not panics
     let bad_group = fx.ds.num_groups() + 50;
     assert_eq!(client.score_tenant(1, bad_group, &[0]).unwrap(), Err(ServeError::Invalid));
@@ -194,26 +227,24 @@ fn full_registry_journey_over_tcp_is_bit_identical_to_offline() {
         Err(ServeError::Invalid)
     );
 
-    // SHADOW b with a 3-clean quota: premature promotion is typed, live
-    // traffic proves the candidate, then promotion swaps atomically
-    assert_eq!(client.stage_shadow(1, hash_b, 3).unwrap(), Ok(hash_b));
+    // SHADOW b with a quota of the whole slice: premature promotion is
+    // typed, live traffic from 4 connections proves the candidate (each
+    // mirrored request checked against b's own bits), then promotion
+    // swaps atomically
+    let quota = cases.len() as u64;
+    assert_eq!(client.stage_shadow(1, hash_b, quota).unwrap(), Ok(hash_b));
     assert_eq!(
         client.promote(1).unwrap(),
         Err(ServeError::Registry(RegistryError::ShadowNotClean))
     );
-    for (g, items) in cases.iter().take(3) {
-        client.score_tenant(1, *g, items).unwrap().expect("shadowed traffic still scores");
-    }
+    fan_out(proc.addr, 1, "shadowing", &cases, &want_a);
     let status = server.registry().shadow_status(1).expect("shadow staged");
-    assert!(status.ready(), "3 mirrored requests must have proven the 3-clean quota: {status:?}");
+    assert!(status.ready(), "{quota} mirrored requests must meet the quota: {status:?}");
     assert_eq!(status.mismatches, 0, "identical engines can never diverge");
     assert_eq!(client.promote(1).unwrap(), Ok(hash_b));
 
     // the new active is b, bit-identical to b's offline oracle
-    for (ci, (g, items)) in cases.iter().enumerate() {
-        let got = client.score_tenant(1, *g, items).unwrap().expect("promoted tenant scores");
-        assert_eq!(bits(&got), want_b[ci], "case {ci} diverged from checkpoint b");
-    }
+    fan_out(proc.addr, 1, "active=b", &cases, &want_b);
 
     // ROLLBACK returns to a (and is its own inverse)
     assert_eq!(client.rollback(1).unwrap(), Ok(hash_a));
@@ -230,6 +261,7 @@ fn full_registry_journey_over_tcp_is_bit_identical_to_offline() {
         client.retire(0xdead).unwrap(),
         Err(ServeError::Registry(RegistryError::UnknownModel))
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -258,8 +290,7 @@ fn untenanted_opcodes_address_tenant_zero_and_its_group_table() {
     let cases = cases();
     let want_a = offline_bits(&fx.ckpt_a, &cases);
     let want_b = offline_bits(&fx.ckpt_b, &cases);
-    let dir = std::env::temp_dir().join("kgag_registry_e2e_tenant0");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("kgag_registry_e2e_tenant0");
     let path_b = dir.join("ckpt_b.bin");
     std::fs::write(&path_b, &fx.ckpt_b).unwrap();
 
@@ -328,6 +359,101 @@ fn untenanted_opcodes_address_tenant_zero_and_its_group_table() {
     assert_eq!(client.rollback(0).unwrap(), Ok(hash_a));
     let got = client.score(created.0, &created.1).unwrap().expect("a's table kept the group");
     assert_eq!(bits(&got), want_created);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Group lifecycle under concurrent clients: tenant 0 is a real
+/// `DynamicScorer`, and 4 clients each create → join → leave a group on
+/// a disjoint roster, so each client's own mirror predicts its group
+/// exactly under any interleaving. Every score equals
+/// `Kgag::score_members` on that roster, a bound group keeps its
+/// offline bits while mutations land, and the final table is what the
+/// op history implies.
+#[test]
+fn concurrent_lifecycle_clients_score_like_the_roster_reference() {
+    const CLIENTS: u32 = 4;
+    let fx = fixture();
+    let ds = &fx.ds;
+    // each client owns users 4c..4c+4: 3 founders and one joiner
+    assert!(ds.num_users >= 4 * CLIENTS, "smoke world too small for disjoint rosters");
+    let static_groups = ds.num_groups();
+    let model = Arc::new(model_from(&fx.ckpt_a));
+    let scorer = Arc::new(DynamicScorer::shared(model.clone(), true));
+    let entry = RegistryModel::new(scorer.clone(), Some(scorer.clone()), 0);
+    let server = Arc::new(RegistryServer::bootstrap(fast_config(), factory(), entry).unwrap());
+    let items_for =
+        |c: u32| -> Vec<u32> { (0..3 + c).map(|j| (c * 11 + j * 5) % ds.num_items).collect() };
+    let reference = |roster: &[u32], items: &[u32]| {
+        bits(&model.score_members(roster, items).expect("roster reference"))
+    };
+
+    let proc = RegProc::spawn(&server);
+    let addr = proc.addr;
+    let mut created: Vec<(u32, Vec<u32>)> = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (items_for, reference) = (&items_for, &reference);
+                s.spawn(move || {
+                    let mut client = ServeClient::connect(addr).unwrap();
+                    let items = items_for(c);
+                    let check =
+                        |client: &mut ServeClient, gid: u32, roster: &[u32], stage: &str| {
+                            let got = client.score(gid, &items).unwrap().expect("lifecycle scores");
+                            assert_eq!(bits(&got), reference(roster, &items), "client {c}/{stage}");
+                        };
+                    let founders = [4 * c, 4 * c + 1, 4 * c + 2];
+                    let joiner = 4 * c + 3;
+                    let ack = client.create_group(&founders).unwrap().expect("create ack");
+                    assert_eq!(ack.members, 3, "client {c}: create ack membership");
+                    let gid = ack.group;
+                    assert!(gid >= static_groups, "client {c}: created id collides");
+                    check(&mut client, gid, &founders, "created");
+
+                    let ack = client.join_group(gid, joiner).unwrap().expect("join ack");
+                    assert_eq!(ack, LifecycleAck { group: gid, members: 4 });
+                    check(
+                        &mut client,
+                        gid,
+                        &[founders[0], founders[1], founders[2], joiner],
+                        "after-join",
+                    );
+
+                    // a bound group keeps its offline bits while unrelated
+                    // mutations land from every client
+                    let bound = c % static_groups;
+                    let bitems = items_for(bound % CLIENTS);
+                    let got = client.score(bound, &bitems).unwrap().expect("bound scores");
+                    let want = reference(&fx.ds.groups[bound as usize], &bitems);
+                    assert_eq!(bits(&got), want, "client {c}/bound");
+
+                    let ack = client.leave_group(gid, founders[1]).unwrap().expect("leave ack");
+                    assert_eq!(ack, LifecycleAck { group: gid, members: 3 });
+                    let roster = vec![founders[0], founders[2], joiner];
+                    check(&mut client, gid, &roster, "after-leave");
+                    (gid, roster)
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+    drop(proc);
+
+    // final-state audit against the interleaved history
+    assert_eq!(scorer.num_groups(), static_groups + CLIENTS, "final group count");
+    assert_eq!(scorer.version(), 3 * CLIENTS as u64, "one version bump per applied mutation");
+    created.sort_by_key(|(gid, _)| *gid);
+    for (gid, roster) in &created {
+        let mut want = roster.clone();
+        want.sort_unstable();
+        assert_eq!(scorer.members_of(*gid), Ok(want), "audited roster for group {gid}");
+    }
+    let final_cases: Vec<(u32, Vec<u32>)> =
+        (0..scorer.num_groups()).map(|g| (g, items_for(g % CLIENTS))).collect();
+    for (g, result) in scorer.try_score_cases(&final_cases).into_iter().enumerate() {
+        let roster = scorer.members_of(g as u32).expect("audited group");
+        let got = result.expect("every audited group scores");
+        assert_eq!(bits(&got), reference(&roster, &final_cases[g].1), "audit group {g}");
+    }
 }
 
 /// Quota governor with no refill: the first `burst` requests per tenant
@@ -455,15 +581,13 @@ fn promote_rollback_storm_never_tears_a_response() {
     let proc = RegProc::spawn(&server);
     let addr = proc.addr;
     std::thread::scope(|s| {
-        let mutator = {
-            let server = Arc::clone(&server);
-            s.spawn(move || {
-                for _ in 0..60 {
-                    server.registry().rollback(0).expect("rollback storm");
-                    std::thread::sleep(Duration::from_micros(300));
-                }
-            })
-        };
+        let mutator = s.spawn(move || {
+            let mut admin = ServeClient::connect(addr).unwrap();
+            for _ in 0..60 {
+                admin.rollback(0).unwrap().expect("wire ROLLBACK storm");
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        });
         let mut clients = Vec::new();
         for t in 0..4u32 {
             let (cases, want_a, want_b) = (&cases, &want_a, &want_b);

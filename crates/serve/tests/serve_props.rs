@@ -3,17 +3,25 @@
 //! across shutdown, backpressure rejects instead of blocking, deadlines
 //! drop unscored work, and the TCP layer preserves score bits.
 //!
-//! Bit-identity against the *real* engine (checkpoint → BatchScorer →
-//! served scores vs `evaluate_batched`) lives in the `serve_check` CI
-//! gate; these tests pin the transport and scheduling semantics with
-//! scorers whose behaviour is fully controlled.
+//! Most tests pin the transport and scheduling semantics with scorers
+//! whose behaviour is fully controlled. The last two put the *real*
+//! engine behind the server: served scores and the whole evaluation
+//! protocol must reproduce offline scoring bit for bit, and a bad
+//! request must fail alone in its fused batch.
 
-use kgag::{RegistryModel, ScoreCases, ScoreError};
+use kgag::harness::{eval_cases, EvalBucket};
+use kgag::{Kgag, KgagConfig, RegistryModel, ScoreCases, ScoreError};
+use kgag_data::movielens::Scale;
+use kgag_data::split::split_dataset;
+use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
+use kgag_eval::protocol::evaluate_group_ranking_batched_detailed;
+use kgag_eval::{BatchGroupScorer, EvalConfig};
 use kgag_serve::{
     serve_in_process, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig,
-    ServeError, ShutdownToken,
+    ServeError, ServeHandle, ShutdownToken,
 };
+use kgag_tensor::pool::with_threads;
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, u64_in, vec_of};
 use kgag_testkit::{prop_assert, prop_assert_eq};
@@ -495,11 +503,6 @@ fn tcp_dynamic_lifecycle_round_trip() {
 /// `Invalid`, and the scorer never panics.
 #[test]
 fn a_bad_request_fails_alone_in_its_fused_batch() {
-    use kgag::{Kgag, KgagConfig};
-    use kgag_data::movielens::Scale;
-    use kgag_data::split::split_dataset;
-    use kgag_data::yelp::{yelp, YelpConfig};
-
     let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
     let split = split_dataset(&ds, 11);
     let model = Kgag::new(&ds, &split, KgagConfig::default());
@@ -529,4 +532,99 @@ fn a_bad_request_fails_alone_in_its_fused_batch() {
     serve_in_process(&model.batch_scorer(), &config, check);
     serve_in_process(&model.dynamic_scorer(), &config, check);
     assert_eq!(panics.get(), panics_before, "no request may reach a scorer panic");
+}
+
+/// Puts a running server in the evaluation protocol's scorer seat: the
+/// cases are split over 4 client threads, each submitting its whole
+/// share before waiting, so requests from different clients interleave
+/// and fuse inside the batcher.
+struct ServedScorer<'a>(&'a ServeHandle);
+
+impl BatchGroupScorer for ServedScorer<'_> {
+    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+        let share = cases.len().div_ceil(4).max(1);
+        std::thread::scope(|s| {
+            let joins: Vec<_> = cases
+                .chunks(share)
+                .map(|part| {
+                    s.spawn(move || {
+                        let pending: Vec<_> = part
+                            .iter()
+                            .map(|(g, items)| {
+                                self.0
+                                    .submit(*g, items.clone(), None)
+                                    .expect("queue fits the slice")
+                            })
+                            .collect();
+                        pending
+                            .into_iter()
+                            .map(|p| p.wait().expect("must score"))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            joins.into_iter().flat_map(|j| j.join().unwrap()).collect()
+        })
+    }
+}
+
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// The trained smoke model behind the batcher, under a fusing and a
+/// degenerate (zero window, singleton batches) config: a fixed request
+/// slice — every test group over varying candidate windows, plus
+/// full-catalog requests — scores bit-identically to the offline
+/// `BatchScorer`, and the evaluation protocol with the server in the
+/// scorer seat reproduces the offline summary and every per-case
+/// metric.
+#[test]
+fn served_evaluation_is_bit_identical_to_offline_on_the_real_engine() {
+    let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
+    let split = split_dataset(&ds, 11);
+    let cases = eval_cases(&ds, &split.group, EvalBucket::Test);
+    assert!(!cases.is_empty(), "smoke world must produce test cases");
+    let mut model = Kgag::new(&ds, &split, KgagConfig { epochs: 3, ..Default::default() });
+    with_threads(1, || model.fit(&split));
+    let scorer = model.batch_scorer();
+
+    let v = ds.num_items as usize;
+    let mut requests: Vec<(u32, Vec<u32>)> = Vec::new();
+    for (i, c) in cases.iter().enumerate() {
+        let (len, start) = (1 + (i * 7) % v, (i * 13) % v);
+        requests.push((c.group, (0..len).map(|j| ((start + j) % v) as u32).collect()));
+        if i % 3 == 0 {
+            requests.push((c.group, (0..ds.num_items).collect()));
+        }
+    }
+    let reference = scorer.score_cases(&requests);
+    let ecfg = EvalConfig::default();
+    let offline = evaluate_group_ranking_batched_detailed(&scorer, ds.num_items, &cases, &ecfg);
+
+    let fusing = ServeConfig {
+        batch_window: Duration::from_micros(300),
+        max_batch: 7,
+        queue_capacity: 4096,
+        workers: 2,
+    };
+    let degenerate = ServeConfig {
+        batch_window: Duration::ZERO,
+        max_batch: 1,
+        queue_capacity: 4096,
+        workers: 1,
+    };
+    for (name, config) in [("fusing", fusing), ("degenerate", degenerate)] {
+        let (scores, served) = serve_in_process(&scorer, &config, |handle| {
+            let seat = ServedScorer(&handle);
+            let scores = seat.score_batch(&requests);
+            (scores, evaluate_group_ranking_batched_detailed(&seat, ds.num_items, &cases, &ecfg))
+        });
+        assert_eq!(scores.len(), reference.len(), "{name}: response count");
+        for (i, (got, want)) in scores.iter().zip(&reference).enumerate() {
+            assert_eq!(bits(got), bits(want), "{name}: request {i} diverged");
+        }
+        assert_eq!(served.1, offline.1, "{name}: per-case metrics diverged through the server");
+        assert_eq!(served.0, offline.0, "{name}: metric summary diverged through the server");
+    }
 }

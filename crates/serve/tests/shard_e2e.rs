@@ -113,16 +113,21 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
         .iter()
         .map(|r| bits(r))
         .collect();
-    for count in [2usize, 3] {
+    // memo off sends every neighbour draw over the wire: same bits
+    for (count, memo) in [(2usize, true), (2, false), (3, true), (3, false)] {
         let (_shards, pool) = spawn_deployment(model, count);
-        let scorer = pool.into_scorer(model, true).expect("model card matches");
+        let scorer = pool.into_scorer(model, memo).expect("model card matches");
         let got = served(&scorer, &cases);
         assert_eq!(got.len(), cases.len());
         for (ci, result) in got.iter().enumerate() {
-            let scores = result
-                .as_ref()
-                .unwrap_or_else(|e| panic!("case {ci} failed over {count} healthy shards: {e}"));
-            assert_eq!(bits(scores), want[ci], "case {ci} diverged over {count} shards");
+            let scores = result.as_ref().unwrap_or_else(|e| {
+                panic!("case {ci} failed over {count} healthy shards, memo {memo}: {e}")
+            });
+            assert_eq!(
+                bits(scores),
+                want[ci],
+                "case {ci} diverged over {count} shards, memo {memo}"
+            );
         }
     }
 }
@@ -205,7 +210,7 @@ fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
             .iter()
             .map(|r| bits(r))
             .collect();
-    let dir = std::env::temp_dir().join("kgag_shard_e2e_router");
+    let dir = std::env::temp_dir().join(format!("kgag_shard_e2e_router_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("untrained.bin");
     std::fs::write(&path, untrained.save_checkpoint()).unwrap();
@@ -250,4 +255,5 @@ fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
         token.trigger();
         handle.join().unwrap().expect("serve_tcp exits cleanly");
     });
+    let _ = std::fs::remove_dir_all(&dir);
 }
