@@ -16,16 +16,10 @@
 //!    membership. The property suite in
 //!    `crates/core/tests/lifecycle_oracle.rs` drives random op/score
 //!    sequences against exactly that oracle.
-//! 2. **Precise invalidation.** A mutation touches a known set of user
-//!    entities; only cache entries whose receptive field can reach a
-//!    touched entity (within the cache depth) are evicted, then
-//!    repaired in place. The collaborative-KG topology itself is
-//!    membership-independent — `Interact` edges come from feedback, not
-//!    group rosters — so repair restores byte-identical rows; eviction
-//!    is the hook through which future *graph* deltas (new
-//!    interactions) propagate, and `crates/kg/tests/rf_cache_props.rs`
-//!    proves precision and repair equivalence on genuine topology
-//!    changes.
+//! 2. **Immutable caches.** The receptive-field caches depend only on
+//!    the collaborative KG, which is built from the split's feedback
+//!    and never from group rosters, so no mutation can change a cached
+//!    row: a lifecycle op writes the group table and nothing else.
 //! 3. **Typed failure.** Every malformed input — unknown group or user,
 //!    duplicate membership, a leave that would strand one member, an
 //!    empty ad-hoc roster — is a typed error ([`crate::ScoreError`],
@@ -43,7 +37,7 @@ use crate::scorer::{ScoreCases, ScoreError, Scorer};
 use crate::trainer::Kgag;
 use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
 use std::borrow::Borrow;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 /// An in-process [`Scorer`] over a *live* group table: scores exactly
 /// like a [`BatchScorer`](crate::BatchScorer) (same engine, same caches,
@@ -52,7 +46,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 /// [`Kgag::dynamic_scorer`]) or shared (`Arc<Kgag>`, from
 /// [`DynamicScorer::shared`] — what a registry entry owns).
 ///
-/// One lock covers the scorer's group store and caches. Scoring takes
+/// One lock covers the scorer's group store. Scoring takes
 /// the read side, mutations the write side, so any number of batch
 /// threads score concurrently and a score request sees either the whole
 /// mutation or none of it.
@@ -74,7 +68,8 @@ impl Kgag {
     }
 
     /// A [`DynamicScorer`] over the bound groups with the
-    /// receptive-field cache explicitly on or off.
+    /// receptive-field cache explicitly on or off (off samples fields
+    /// live — the reference the equivalence tests compare against).
     pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<&Kgag> {
         self.batch_scorer_with(cache).into()
     }
@@ -83,9 +78,9 @@ impl Kgag {
 impl DynamicScorer<Arc<Kgag>> {
     /// A [`DynamicScorer`] that shares ownership of `model`, so it lives
     /// as long as whoever holds it rather than a borrow — the in-process
-    /// entry kind of the model registry.
-    pub fn shared(model: Arc<Kgag>, cache: bool) -> Self {
-        let caches = model.eval_rf_caches(cache);
+    /// entry kind of the model registry. The receptive-field cache is on.
+    pub fn shared(model: Arc<Kgag>) -> Self {
+        let caches = model.eval_rf_caches(true);
         Scorer::new(&model, InProcess { model: Arc::clone(&model), caches }).into()
     }
 }
@@ -123,33 +118,28 @@ impl<M: Borrow<Kgag> + Send + Sync> DynamicScorer<M> {
         self.try_score_cases(&[(group, items.to_vec())]).pop().unwrap_or(Ok(Vec::new()))
     }
 
-    /// Apply one lifecycle op atomically: mutate the group table, then
-    /// evict and repair every receptive-field cache entry reachable from
-    /// the touched users. Failed ops leave both untouched.
+    /// Apply one lifecycle op atomically to the group table. A failed op
+    /// leaves it untouched.
     pub fn apply(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
         let mut scorer = self.scorer.write().expect("scorer lock poisoned by a panicked mutation");
-        let scorer = &mut *scorer;
-        let applied = scorer.groups.apply(op)?;
-        let model = scorer.source.model.borrow();
-        let touched_ents: Vec<u32> =
-            applied.touched.iter().map(|&u| model.collaborative_kg().user_entity(u).0).collect();
-        let mut evicted = 0usize;
-        if let Some((members, items)) = scorer.source.caches.as_mut() {
-            let graph = model.collaborative_kg().graph();
-            evicted += members.invalidate_reachable(graph, &touched_ents).evicted;
-            evicted += items.invalidate_reachable(graph, &touched_ents).evicted;
-            members.repair(model.eval_sampler(), graph);
-            items.repair(model.eval_sampler(), graph);
-        }
-        if kgag_obs::enabled() {
-            match op {
-                LifecycleOp::Create { .. } => kgag_obs::counter("lifecycle.groups_created").add(1),
-                LifecycleOp::Join { .. } => kgag_obs::counter("lifecycle.joins").add(1),
-                LifecycleOp::Leave { .. } => kgag_obs::counter("lifecycle.leaves").add(1),
-            }
-            kgag_obs::counter("lifecycle.cache_evicted").add(evicted as u64);
-        }
-        Ok(applied.ack)
+        let ack = scorer.groups.apply(op)?.ack;
+        op_counter(op).add(1);
+        Ok(ack)
+    }
+}
+
+/// The lifecycle counter `op` bumps, interned once per process and
+/// recorded whether or not telemetry is on (the `kgag serve` drain
+/// summary reads them).
+fn op_counter(op: &LifecycleOp) -> &'static kgag_obs::Counter {
+    static COUNTERS: OnceLock<[Arc<kgag_obs::Counter>; 3]> = OnceLock::new();
+    let [created, joins, leaves] = COUNTERS.get_or_init(|| {
+        ["lifecycle.groups_created", "lifecycle.joins", "lifecycle.leaves"].map(kgag_obs::counter)
+    });
+    match op {
+        LifecycleOp::Create { .. } => created,
+        LifecycleOp::Join { .. } => joins,
+        LifecycleOp::Leave { .. } => leaves,
     }
 }
 

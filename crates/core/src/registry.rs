@@ -137,19 +137,18 @@ impl RegistryModel {
         RegistryModel { scorer, lifecycle, hash }
     }
 
-    /// The in-process entry: `model` behind a [`DynamicScorer`] with the
-    /// receptive-field cache on or off, which is also the entry's group
-    /// lifecycle. `hash` is the checkpoint's [`checkpoint_hash`]
-    /// (callers that trained the model in-process hash
-    /// `model.save_checkpoint()`).
+    /// The in-process entry: `model` behind a [`DynamicScorer`], which is
+    /// also the entry's group lifecycle. `hash` is the checkpoint's
+    /// [`checkpoint_hash`] (callers that trained the model in-process
+    /// hash `model.save_checkpoint()`).
     ///
     /// Checkpoints reach the registry from outside the process (wire
     /// LOAD), so the parameters are scanned first: a NaN or ±∞ anywhere
     /// is a typed [`ConvertError::NonFinite`] refusal, not a served
     /// model.
-    pub fn try_new(model: Kgag, hash: u64, cache: bool) -> Result<Self, ConvertError> {
+    pub fn try_new(model: Kgag, hash: u64) -> Result<Self, ConvertError> {
         scan_finite(model.store())?;
-        let live = Arc::new(DynamicScorer::shared(Arc::new(model), cache));
+        let live = Arc::new(DynamicScorer::shared(Arc::new(model)));
         Ok(RegistryModel::new(live.clone(), Some(live), hash))
     }
 
@@ -471,7 +470,7 @@ mod tests {
         let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
         let split = split_dataset(&ds, 11);
         let model = Kgag::new(&ds, &split, KgagConfig::default());
-        RegistryModel::try_new(model, hash, true).unwrap()
+        RegistryModel::try_new(model, hash).unwrap()
     }
 
     fn prove(reg: &ModelRegistry, tenant: u32, hash: u64, n: u64) {
@@ -499,7 +498,7 @@ mod tests {
             scorer.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])])
         };
         let bytes = model.save_checkpoint();
-        let entry = RegistryModel::try_new(model, checkpoint_hash(&bytes), true).unwrap();
+        let entry = RegistryModel::try_new(model, checkpoint_hash(&bytes)).unwrap();
         let got = entry.try_score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])]);
         assert_eq!(got.len(), want.len());
         let got: Vec<Vec<f32>> = got.into_iter().map(Result::unwrap).collect();
@@ -518,7 +517,7 @@ mod tests {
         store.value_mut(att_b).row_mut(0)[3] = f32::INFINITY;
         let bytes = kgag_tensor::checkpoint::save_tagged(&store, model.config().backend.tag());
         model.load_checkpoint(&bytes).unwrap();
-        match RegistryModel::try_new(model, checkpoint_hash(&bytes), true) {
+        match RegistryModel::try_new(model, checkpoint_hash(&bytes)) {
             Err(ConvertError::NonFinite { param, row, col }) => {
                 assert_eq!((param.as_str(), row, col), ("att_b", 0, 3));
             }

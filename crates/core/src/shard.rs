@@ -218,15 +218,14 @@ type Draws = HashMap<(u64, u32, u32), (Box<[u32]>, Box<[u32]>)>;
 /// over the wire. Rows are never memoized.
 pub struct DrawMemo<F> {
     inner: F,
-    /// `None` passes every draw through to `inner`.
-    draws: Option<Mutex<Draws>>,
+    draws: Mutex<Draws>,
 }
 
 impl<F> DrawMemo<F> {
-    /// Wrap `inner`, memoizing its draws when `on` (the CLI's cache
-    /// setting; the equivalence suites sweep both).
-    pub fn new(inner: F, on: bool) -> Self {
-        DrawMemo { inner, draws: on.then(|| Mutex::new(HashMap::new())) }
+    /// Wrap `inner`, memoizing its draws. The equivalence suites compare
+    /// against a scorer over the bare `inner`.
+    pub fn new(inner: F) -> Self {
+        DrawMemo { inner, draws: Mutex::new(HashMap::new()) }
     }
 
     /// The wrapped fetch.
@@ -242,12 +241,9 @@ impl<F: ShardFetch> ShardFetch for DrawMemo<F> {
         level: usize,
         parents: &[u32],
     ) -> Result<(Vec<u32>, Vec<u32>), ShardError> {
-        let Some(memo) = &self.draws else {
-            return self.inner.fetch_draws(salt, level, parents);
-        };
         let key = |p: u32| (salt, level as u32, p);
         let mut missing: Vec<u32> = {
-            let guard = memo.lock().expect("draw memo poisoned");
+            let guard = self.draws.lock().expect("draw memo poisoned");
             parents.iter().copied().filter(|&p| !guard.contains_key(&key(p))).collect()
         };
         missing.sort_unstable();
@@ -258,14 +254,14 @@ impl<F: ShardFetch> ShardFetch for DrawMemo<F> {
             // but insert identical draws (they're keyed), so either wins
             let (ch, rl) = self.inner.fetch_draws(salt, level, &missing)?;
             let k = ch.len() / missing.len();
-            let mut guard = memo.lock().expect("draw memo poisoned");
+            let mut guard = self.draws.lock().expect("draw memo poisoned");
             for (i, &p) in missing.iter().enumerate() {
                 guard.entry(key(p)).or_insert_with(|| {
                     (ch[i * k..(i + 1) * k].into(), rl[i * k..(i + 1) * k].into())
                 });
             }
         }
-        let guard = memo.lock().expect("draw memo poisoned");
+        let guard = self.draws.lock().expect("draw memo poisoned");
         let mut out_e = Vec::new();
         let mut out_r = Vec::new();
         for &p in parents {

@@ -8,9 +8,8 @@
 //! receptive-field caches — and scoring through the static engine. The
 //! property suite here drives random op sequences against exactly that
 //! oracle, plus a second reference (the per-case cold-start path
-//! [`Kgag::score_members`], which samples fields live), so the
-//! incremental cache invalidate-and-repair machinery is checked against
-//! two independently-computed answers.
+//! [`Kgag::score_members`], which samples fields live), so the live
+//! scorer is checked against two independently-computed answers.
 //!
 //! CI runs the suite at `KGAG_THREADS=1` and `4`; the headline property
 //! sweeps the cache on and off, and the explicit matrix test below

@@ -70,6 +70,20 @@ fn decode(
     (count, threads, memo, cases)
 }
 
+/// The router over `fetch`: behind a [`DrawMemo`] when `memo`, over the
+/// bare fetch otherwise.
+fn router_over<'a>(
+    model: &Kgag,
+    fetch: impl ShardFetch + 'a,
+    memo: bool,
+) -> Box<dyn ScoreCases + 'a> {
+    if memo {
+        Box::new(Scorer::new(model, DrawMemo::new(fetch)))
+    } else {
+        Box::new(Scorer::new(model, fetch))
+    }
+}
+
 fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
@@ -88,7 +102,7 @@ fn sharded_scores_are_bit_identical_to_single_node() {
         |words| {
             let (count, threads, memo, cases) = decode(words, num_groups, num_items);
             let want = with_threads(1, || scorer.score_cases(&cases));
-            let router = Scorer::new(&model, DrawMemo::new(&fetches[count - 1], memo));
+            let router = router_over(&model, &fetches[count - 1], memo);
             let got = with_threads(threads, || router.try_score_cases(&cases));
             for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                 match g {
@@ -139,7 +153,7 @@ fn non_finite_entity_row_scores_like_single_node() {
     );
     for (count, fetch) in fetches.iter().enumerate() {
         for memo in [false, true] {
-            let router = Scorer::new(&model, DrawMemo::new(fetch, memo));
+            let router = router_over(&model, fetch, memo);
             let got = router.try_score_cases(&cases);
             for (ci, (w, g)) in single.iter().zip(&got).enumerate() {
                 let g = g.as_ref().expect("local fetch never fails");
@@ -220,7 +234,7 @@ fn dead_shard_yields_typed_errors_on_affected_cases_only() {
                 count,
             };
             for memo in [false, true] {
-                let router = Scorer::new(&model, DrawMemo::new(&fetch, memo));
+                let router = router_over(&model, &fetch, memo);
                 let got = router.try_score_cases(&cases);
                 for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                     match g {
@@ -252,7 +266,7 @@ fn single_shard_router_matches_per_case_path() {
     let (ds, model) = smoke_model();
     let fetch = LocalFetch::new(vec![model.shard_state(0, 1)]);
     let items: Vec<u32> = (0..ds.num_items).collect();
-    let router = Scorer::new(&model, DrawMemo::new(fetch, true));
+    let router = Scorer::new(&model, DrawMemo::new(fetch));
     let got = router.try_score_cases(&[(0, items.clone())]);
     let want = model.score_group_items(0, &items);
     assert_eq!(bits(got[0].as_ref().expect("local fetch never fails")), bits(&want));
@@ -315,7 +329,7 @@ fn mixed_batches_fail_only_bad_cases_through_every_source() {
             }
             for (count, fetch) in fetches.iter().enumerate() {
                 for memo in [true, false] {
-                    let router = Scorer::new(&model, DrawMemo::new(fetch, memo));
+                    let router = router_over(&model, fetch, memo);
                     let label = format!("{} shard(s) memo={memo}", count + 1);
                     check(&label, router.try_score_cases(&cases))?;
                 }

@@ -83,14 +83,10 @@ pub struct LifecycleAck {
     pub members: u32,
 }
 
-/// A successful mutation plus the users whose serving state it touched —
-/// what incremental cache invalidation keys on.
+/// A successful mutation, as [`GroupStore::apply`] reports it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Applied {
     pub ack: LifecycleAck,
-    /// Users involved in the mutation (all members of a created group;
-    /// the joining/leaving user otherwise).
-    pub touched: Vec<u32>,
 }
 
 /// The capability a scorer exposes when it supports live group
@@ -211,29 +207,19 @@ impl GroupStore {
 
     /// Apply one [`LifecycleOp`]; the store is unchanged on `Err`.
     pub fn apply(&mut self, op: &LifecycleOp) -> Result<Applied, LifecycleError> {
-        match op {
+        let ack = match op {
             LifecycleOp::Create { members } => {
                 let group = self.create(members)?;
-                Ok(Applied {
-                    ack: LifecycleAck { group, members: members.len() as u32 },
-                    touched: self.groups[group as usize].clone(),
-                })
+                LifecycleAck { group, members: members.len() as u32 }
             }
             LifecycleOp::Join { group, user } => {
-                let n = self.join(*group, *user)?;
-                Ok(Applied {
-                    ack: LifecycleAck { group: *group, members: n as u32 },
-                    touched: vec![*user],
-                })
+                LifecycleAck { group: *group, members: self.join(*group, *user)? as u32 }
             }
             LifecycleOp::Leave { group, user } => {
-                let n = self.leave(*group, *user)?;
-                Ok(Applied {
-                    ack: LifecycleAck { group: *group, members: n as u32 },
-                    touched: vec![*user],
-                })
+                LifecycleAck { group: *group, members: self.leave(*group, *user)? as u32 }
             }
-        }
+        };
+        Ok(Applied { ack })
     }
 }
 
@@ -291,17 +277,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_reports_acks_and_touched_users() {
+    fn apply_reports_acks() {
         let mut s = store();
         let a = s.apply(&LifecycleOp::Create { members: vec![5, 0] }).unwrap();
         assert_eq!(a.ack, LifecycleAck { group: 2, members: 2 });
-        assert_eq!(a.touched, vec![0, 5]);
         let a = s.apply(&LifecycleOp::Join { group: 2, user: 3 }).unwrap();
         assert_eq!(a.ack, LifecycleAck { group: 2, members: 3 });
-        assert_eq!(a.touched, vec![3]);
         let a = s.apply(&LifecycleOp::Leave { group: 2, user: 0 }).unwrap();
         assert_eq!(a.ack, LifecycleAck { group: 2, members: 2 });
-        assert_eq!(a.touched, vec![0]);
         assert_eq!(s.version(), 3);
     }
 

@@ -34,6 +34,6 @@ pub mod triple;
 pub use collab::CollaborativeKg;
 pub use graph::KgGraph;
 pub use partition::{Partition, ShardState};
-pub use rf_cache::{Invalidation, RfCache};
+pub use rf_cache::RfCache;
 pub use sampler::{NeighborSampler, ReceptiveField};
 pub use triple::{EntityId, RelationId, Triple, TripleStore};

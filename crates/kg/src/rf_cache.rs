@@ -30,29 +30,13 @@ struct CacheLevel {
     relations: Vec<u32>,
 }
 
-/// Report of one [`RfCache::invalidate_reachable`] call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Invalidation {
-    /// Entities newly marked invalid by this call.
-    pub evicted: usize,
-    /// Entities still valid afterwards.
-    pub retained: usize,
-}
-
 /// Precomputed fixed-`K` receptive-field tables for every entity of a
 /// graph, at a fixed sampler seed and salt.
 ///
-/// The tables support **incremental invalidation** for live serving:
-/// when the world changes around a set of touched entities,
-/// [`invalidate_reachable`](Self::invalidate_reachable) evicts exactly
-/// the entries whose assembled fields could have seen the change (BFS
-/// within `depth` hops of the touched set) and
-/// [`repair`](Self::repair) re-derives only those rows. Because entity
-/// `e`'s row at each level depends solely on `(seed, salt, e, level)`
-/// and `e`'s own adjacency — never on other entities' rows or batch
-/// structure — a repaired cache is byte-identical to one rebuilt from
-/// scratch, which the property suite in `tests/rf_cache_props.rs`
-/// asserts entry by entry.
+/// Built once and read-only: entity `e`'s row at each level depends
+/// solely on `(seed, salt, e, level)` and `e`'s own adjacency, and the
+/// graph a checkpoint serves from never changes, so no row can go stale.
+/// A different graph needs a new cache.
 #[derive(Clone, Debug)]
 pub struct RfCache {
     k: usize,
@@ -62,10 +46,6 @@ pub struct RfCache {
     /// `levels[l]` holds the draws parents make at level `l` (edges from
     /// level `l` nodes to level `l+1` nodes); `depth` entries.
     levels: Vec<CacheLevel>,
-    /// Per-entity validity: `false` rows have been evicted by
-    /// [`Self::invalidate_reachable`] and must be repaired before the
-    /// entity's field (or a field passing through it) is assembled.
-    valid: Vec<bool>,
 }
 
 impl RfCache {
@@ -102,7 +82,7 @@ impl RfCache {
             });
             levels.push(CacheLevel { children, relations });
         }
-        RfCache { k, depth, salt, num_entities: n, levels, valid: vec![true; n] }
+        RfCache { k, depth, salt, num_entities: n, levels }
     }
 
     /// Neighbors memoized per node.
@@ -145,9 +125,7 @@ impl RfCache {
     ///
     /// Bit-identical to
     /// `sampler.receptive_field(graph, targets, depth, salt)` for the
-    /// `(sampler, graph, depth, salt)` this cache was built from,
-    /// provided every entry the assembly reads is valid (debug builds
-    /// assert it) — after a mutation, [`Self::repair`] first.
+    /// `(sampler, graph, depth, salt)` this cache was built from.
     pub fn receptive_field(&self, targets: &[u32]) -> ReceptiveField {
         let k = self.k;
         let mut entities = Vec::with_capacity(self.depth + 1);
@@ -159,7 +137,6 @@ impl RfCache {
             let mut next_r = Vec::with_capacity(parents.len() * k);
             for &p in parents {
                 let p = p as usize;
-                debug_assert!(self.valid[p], "assembled through evicted entity {p}: repair first");
                 next_e.extend_from_slice(&level.children[p * k..(p + 1) * k]);
                 next_r.extend_from_slice(&level.relations[p * k..(p + 1) * k]);
             }
@@ -169,124 +146,12 @@ impl RfCache {
         ReceptiveField { entities, relations, k, depth: self.depth }
     }
 
-    // ------------------------------------------------------------------
-    // Incremental invalidation
-    // ------------------------------------------------------------------
-
-    /// Is this entity's row set currently valid?
-    pub fn is_valid(&self, entity: u32) -> bool {
-        self.valid[entity as usize]
-    }
-
-    /// Entities currently evicted (0 on a freshly built or fully
-    /// repaired cache).
-    pub fn invalid_count(&self) -> usize {
-        self.valid.iter().filter(|v| !**v).count()
-    }
-
     /// One entity's memoized row at one level — `(children, relations)`.
-    /// Test hook for byte-level comparisons between caches.
+    /// Test hook for byte-level comparisons against other draw sources.
     pub fn entry(&self, level: usize, entity: u32) -> (&[u32], &[u32]) {
         let e = entity as usize;
         let lv = &self.levels[level];
         (&lv.children[e * self.k..(e + 1) * self.k], &lv.relations[e * self.k..(e + 1) * self.k])
-    }
-
-    /// Evict every entry whose assembled field could have seen a change
-    /// at the `touched` entities: a breadth-first sweep over `graph`
-    /// marks all entities within `depth` hops of the touched set
-    /// invalid. Everything outside that ball keeps its memoized rows —
-    /// an entity's draws depend only on its own adjacency and the RNG
-    /// key, so entries out of reach are untouched by construction (the
-    /// precision property in `tests/rf_cache_props.rs` checks both
-    /// directions).
-    ///
-    /// Returns how many entries this call evicted and how many remain
-    /// valid. Idempotent: re-invalidating the same set evicts nothing
-    /// new.
-    ///
-    /// # Panics
-    /// Panics when a touched entity is outside the cache's universe or
-    /// the graph's entity count disagrees with the cache.
-    pub fn invalidate_reachable(&mut self, graph: &KgGraph, touched: &[u32]) -> Invalidation {
-        assert_eq!(
-            graph.num_entities(),
-            self.num_entities,
-            "graph/cache entity universes disagree"
-        );
-        let mut evicted = 0usize;
-        let mut frontier: Vec<u32> = Vec::new();
-        // `seen` bounds the BFS; eviction itself is recorded in `valid`
-        let mut seen = vec![false; self.num_entities];
-        for &t in touched {
-            let ti = t as usize;
-            assert!(ti < self.num_entities, "touched entity {t} outside the cached universe");
-            if !seen[ti] {
-                seen[ti] = true;
-                frontier.push(t);
-            }
-        }
-        for _hop in 0..=self.depth {
-            let mut next = Vec::new();
-            for &e in &frontier {
-                let ei = e as usize;
-                if self.valid[ei] {
-                    self.valid[ei] = false;
-                    evicted += 1;
-                }
-                for (nb, _rel) in graph.neighbors(crate::triple::EntityId(e)) {
-                    let ni = nb.0 as usize;
-                    if !seen[ni] {
-                        seen[ni] = true;
-                        next.push(nb.0);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Invalidation { evicted, retained: self.num_entities - self.invalid_count() }
-    }
-
-    /// Recompute every evicted entry from `sampler` and `graph`,
-    /// marking it valid again. Row recomputation is entity-local, so a
-    /// repaired cache is byte-identical to `RfCache::build` over the
-    /// same `(sampler, graph, depth, salt)` — the mutate-equals-rebuild
-    /// guarantee the lifecycle oracle leans on.
-    ///
-    /// `sampler` must be the one the cache was built with (same seed and
-    /// `k`); `graph` is the *current* graph — pass the mutated one after
-    /// a topology change.
-    ///
-    /// Returns the number of entries repaired.
-    ///
-    /// # Panics
-    /// Panics when the sampler's `k` or the graph's entity count
-    /// disagrees with the cache.
-    pub fn repair(&mut self, sampler: &NeighborSampler, graph: &KgGraph) -> usize {
-        assert_eq!(sampler.k(), self.k, "sampler k changed since build");
-        assert_eq!(
-            graph.num_entities(),
-            self.num_entities,
-            "graph/cache entity universes disagree"
-        );
-        let base = sampler.field_base(self.salt);
-        let k = self.k;
-        let mut repaired = 0usize;
-        for e in 0..self.num_entities {
-            if self.valid[e] {
-                continue;
-            }
-            for (l, level) in self.levels.iter_mut().enumerate() {
-                let (e_slot, r_slot) = (
-                    &mut level.children[e * k..(e + 1) * k],
-                    &mut level.relations[e * k..(e + 1) * k],
-                );
-                sample_one(graph, base, l, e as u32, k, e_slot, r_slot);
-            }
-            self.valid[e] = true;
-            repaired += 1;
-        }
-        repaired
     }
 }
 

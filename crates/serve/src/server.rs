@@ -193,7 +193,7 @@ pub(crate) fn wire_deadline(deadline_us: u64) -> Option<Instant> {
 #[derive(Debug)]
 pub enum ClientError {
     /// No response within the client's read timeout
-    /// (`KGAG_CLIENT_TIMEOUT_MS` / [`ServeClient::set_timeout`]). The
+    /// ([`ServeClient::set_timeout`]). The
     /// connection may have a stale response in flight afterwards, so
     /// treat it as poisoned: drop it and reconnect.
     Timeout,
@@ -222,33 +222,23 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// A blocking client for the wire protocol — what the `kgag serve`
-/// smoke mode, the CI gates' load generators and the serving bench use.
+/// A blocking client for the wire protocol — what the serving test
+/// suites drive servers with.
 ///
-/// A read timeout (off by default; `KGAG_CLIENT_TIMEOUT_MS=<ms>` or
-/// [`ServeClient::set_timeout`]) bounds how long any call blocks on a
-/// stalled server: the call returns [`ClientError::Timeout`] instead of
-/// hanging forever.
+/// A read timeout (off by default; [`ServeClient::set_timeout`]) bounds
+/// how long any call blocks on a stalled server: the call returns
+/// [`ClientError::Timeout`] instead of hanging forever.
 pub struct ServeClient {
     stream: TcpStream,
     next_id: u64,
 }
 
 impl ServeClient {
-    /// Connect, honouring `KGAG_CLIENT_TIMEOUT_MS` (unset or 0 = no
-    /// read timeout).
+    /// Connect, with no read timeout.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<ServeClient, ClientError> {
         let stream = TcpStream::connect(addr).map_err(ClientError::Io)?;
         stream.set_nodelay(true).map_err(ClientError::Io)?;
-        let mut client = ServeClient { stream, next_id: 1 };
-        let env_ms = std::env::var("KGAG_CLIENT_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0);
-        if let Some(ms) = env_ms {
-            client.set_timeout(Some(Duration::from_millis(ms)))?;
-        }
-        Ok(client)
+        Ok(ServeClient { stream, next_id: 1 })
     }
 
     /// Set or clear the per-response read timeout.

@@ -636,12 +636,12 @@ impl ShardPool {
 pub type ShardedScorer = Scorer<DrawMemo<ShardPool>>;
 
 impl ShardPool {
-    /// The router for `model` over this pool, memoizing draws when
-    /// `memo`. Refuses a pool whose model card disagrees with the model
-    /// — a deployment error no request could ever recover from.
-    pub fn into_scorer(self, model: &Kgag, memo: bool) -> std::io::Result<ShardedScorer> {
+    /// The router for `model` over this pool, memoizing draws. Refuses a
+    /// pool whose model card disagrees with the model — a deployment
+    /// error no request could ever recover from.
+    pub fn into_scorer(self, model: &Kgag) -> std::io::Result<ShardedScorer> {
         let ckg = model.collaborative_kg();
-        let scorer = Scorer::new(model, DrawMemo::new(self, memo));
+        let scorer = Scorer::new(model, DrawMemo::new(self));
         let pool = scorer.source().inner();
         if (pool.dim, pool.k, pool.num_entities(), pool.num_relation_slots())
             != (

@@ -274,7 +274,7 @@ fn frame_cutting_proxy(upstream: std::net::SocketAddr, cut_after: usize) -> std:
 /// panic, and the pool marks the peer dead.
 #[test]
 fn shard_pool_survives_a_connection_severed_after_handshake() {
-    use kgag::{Kgag, KgagConfig};
+    use kgag::{Kgag, KgagConfig, Scorer};
     use kgag_data::movielens::Scale;
     use kgag_data::split::split_dataset;
     use kgag_data::yelp::{yelp, YelpConfig};
@@ -307,7 +307,9 @@ fn shard_pool_survives_a_connection_severed_after_handshake() {
 
     let config = ShardConfig { timeout: Duration::from_millis(500), queue: 16 };
     let pool = ShardPool::connect(&addrs, &config).expect("handshake passes through the proxy");
-    let scorer = pool.into_scorer(&model, false).expect("model card matches");
+    // the router over the bare pool: no draw memo, so every chunk asks
+    // the peers
+    let scorer = Scorer::new(&model, pool);
     let score = |cases: &[(u32, Vec<u32>)]| -> Vec<Result<Vec<f32>, ServeError>> {
         scorer.try_score_cases(cases).into_iter().map(|r| r.map_err(ServeError::from)).collect()
     };
@@ -329,7 +331,7 @@ fn shard_pool_survives_a_connection_severed_after_handshake() {
         }
     }
     assert!(failed > 0, "requests touching the severed shard must fail typed");
-    assert!(scorer.source().inner().is_dead(1), "the severed peer must be marked dead");
+    assert!(scorer.source().is_dead(1), "the severed peer must be marked dead");
 
     // the deployment keeps answering typed — exactly-once survives
     for r in score(&cases[..2]) {
@@ -366,25 +368,5 @@ fn client_read_timeout_fires_against_a_silent_server() {
         started.elapsed() < Duration::from_secs(1),
         "timeout must fire near the configured 50ms, not hang"
     );
-    silent.join().unwrap();
-}
-
-/// `KGAG_CLIENT_TIMEOUT_MS` arms the same timeout at connect time.
-#[test]
-fn client_timeout_env_knob_is_honoured_at_connect() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let silent = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let _ = kgag_serve::wire::read_frame(&mut stream);
-        std::thread::sleep(Duration::from_millis(500));
-    });
-
-    std::env::set_var("KGAG_CLIENT_TIMEOUT_MS", "50");
-    let client = ServeClient::connect(addr);
-    std::env::remove_var("KGAG_CLIENT_TIMEOUT_MS");
-    let mut client = client.unwrap();
-    let err = client.score(1, &[2]).expect_err("silent server must time out via env knob");
-    assert!(matches!(err, ClientError::Timeout), "wanted Timeout, got {err}");
     silent.join().unwrap();
 }

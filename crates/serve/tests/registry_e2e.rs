@@ -63,7 +63,7 @@ fn model_from(bytes: &[u8]) -> Kgag {
 /// model factory does, shared here between direct installs and the
 /// wire-LOAD factory.
 fn entry_from(bytes: &[u8]) -> RegistryModel {
-    RegistryModel::try_new(model_from(bytes), checkpoint_hash(bytes), true).unwrap()
+    RegistryModel::try_new(model_from(bytes), checkpoint_hash(bytes)).unwrap()
 }
 
 fn factory() -> ModelFactory {
@@ -378,7 +378,7 @@ fn concurrent_lifecycle_clients_score_like_the_roster_reference() {
     assert!(ds.num_users >= 4 * CLIENTS, "smoke world too small for disjoint rosters");
     let static_groups = ds.num_groups();
     let model = Arc::new(model_from(&fx.ckpt_a));
-    let scorer = Arc::new(DynamicScorer::shared(model.clone(), true));
+    let scorer = Arc::new(DynamicScorer::shared(model.clone()));
     let entry = RegistryModel::new(scorer.clone(), Some(scorer.clone()), 0);
     let server = Arc::new(RegistryServer::bootstrap(fast_config(), factory(), entry).unwrap());
     let items_for =

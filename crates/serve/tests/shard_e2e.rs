@@ -13,14 +13,14 @@
 //! serves as tenant 0's model: no group lifecycle, but LOAD still
 //! builds in-process entries.
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, ScoreCases};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, ScoreCases, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
 use kgag_serve::{
     serve_shard, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeError, ServeResult,
-    ShardConfig, ShardPool, ShardedScorer, ShutdownToken,
+    ShardConfig, ShardPool, ShutdownToken,
 };
 use kgag_tensor::pool::with_threads;
 use std::net::SocketAddr;
@@ -97,7 +97,7 @@ fn cases(ds: &GroupDataset) -> Vec<(u32, Vec<u32>)> {
 }
 
 /// The router's per-case results as the wire reports them.
-fn served(scorer: &ShardedScorer, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
+fn served(scorer: &impl ScoreCases, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
     scorer.try_score_cases(cases).into_iter().map(|r| r.map_err(ServeError::from)).collect()
 }
 
@@ -116,8 +116,11 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
     // memo off sends every neighbour draw over the wire: same bits
     for (count, memo) in [(2usize, true), (2, false), (3, true), (3, false)] {
         let (_shards, pool) = spawn_deployment(model, count);
-        let scorer = pool.into_scorer(model, memo).expect("model card matches");
-        let got = served(&scorer, &cases);
+        let got = if memo {
+            served(&pool.into_scorer(model).expect("model card matches"), &cases)
+        } else {
+            served(&Scorer::new(model, pool), &cases)
+        };
         assert_eq!(got.len(), cases.len());
         for (ci, result) in got.iter().enumerate() {
             let scores = result.as_ref().unwrap_or_else(|e| {
@@ -136,7 +139,7 @@ fn tcp_sharded_scores_are_bit_identical_to_single_node() {
 fn out_of_range_requests_get_typed_invalid_not_a_panic() {
     let (ds, model) = fixture();
     let (_shards, pool) = spawn_deployment(model, 2);
-    let scorer = pool.into_scorer(model, true).expect("model card matches");
+    let scorer = pool.into_scorer(model).expect("model card matches");
     let good = (0, vec![0u32, 1]);
     let bad_group = (ds.num_groups() + 7, vec![0u32]);
     let bad_item = (0, vec![ds.num_items + 1]);
@@ -155,7 +158,7 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
         .map(|r| bits(r))
         .collect();
     let (mut shards, pool) = spawn_deployment(model, 2);
-    let scorer = pool.into_scorer(model, false).expect("model card matches");
+    let scorer = Scorer::new(model, pool);
 
     // healthy warm-up: every case answers
     for r in served(&scorer, &cases) {
@@ -178,7 +181,7 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
         }
     }
     assert!(failed > 0, "half the rows are gone; something must have needed them");
-    assert!(scorer.source().inner().is_dead(1), "the pool must have marked the dead peer");
+    assert!(scorer.source().is_dead(1), "the pool must have marked the dead peer");
 
     // the deployment keeps answering (or typed-failing) — no hang, no panic
     let again = served(&scorer, &cases[..2]);
@@ -216,14 +219,14 @@ fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
     std::fs::write(&path, untrained.save_checkpoint()).unwrap();
 
     let (_shards, pool) = spawn_deployment(model, 2);
-    let router = pool.into_scorer(model, true).expect("model card matches");
+    let router = pool.into_scorer(model).expect("model card matches");
     let entry =
         RegistryModel::new(Arc::new(router), None, checkpoint_hash(&model.save_checkpoint()));
     let factory = Box::new(move |bytes: &[u8], hash| {
         let split = split_dataset(ds, 11);
         let mut m = Kgag::new(ds, &split, KgagConfig { epochs: 3, ..Default::default() });
         m.load_checkpoint(bytes).map_err(|e| e.to_string())?;
-        RegistryModel::try_new(m, hash, true).map_err(|e| e.to_string())
+        RegistryModel::try_new(m, hash).map_err(|e| e.to_string())
     });
     let server = RegistryServer::bootstrap(RegistryConfig::default(), factory, entry).unwrap();
     let token = ShutdownToken::new();

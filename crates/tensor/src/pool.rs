@@ -71,8 +71,8 @@ pub fn num_threads() -> usize {
 /// Run `f` with the logical thread count forced to `n` on this thread.
 ///
 /// Restores the previous value on exit (also on panic). This is how the
-/// determinism suite and the `parallel_scaling` bench compare thread
-/// counts without re-launching the process.
+/// determinism suite and the oracle suites compare thread counts without
+/// re-launching the process.
 ///
 /// # Panics
 /// Panics when `n == 0`.

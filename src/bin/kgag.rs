@@ -4,7 +4,7 @@
 //! kgag stats   [--scale tiny|small|medium] [--dataset rand|simi|yelp]
 //! kgag train   [--scale ..] [--dataset ..] [--epochs N] [--seed N]
 //!              [--backend B] [--ls-weight F] [--checkpoint PATH]
-//!              [--json] [--batched]
+//!              [--json]
 //! kgag explain [--scale ..] [--dataset ..] [--epochs N] --group G [--item V]
 //! kgag import  --name NAME --users N --items M \
 //!              --interactions FILE --kg FILE --groups FILE [--epochs N]
@@ -81,7 +81,7 @@ USAGE:
     kgag stats   [--scale tiny|small|medium] [--dataset rand|simi|yelp]
     kgag train   [--scale S] [--dataset D] [--epochs N] [--seed N]
                  [--backend B] [--ls-weight F] [--checkpoint PATH]
-                 [--json] [--batched]
+                 [--json]
     kgag explain [--scale S] [--dataset D] [--epochs N] --group G [--item V]
     kgag import  --name NAME --users N --items M --interactions FILE
                  --kg FILE --groups FILE [--epochs N] [--json]
@@ -96,10 +96,6 @@ kgnn-ls (label-smoothness regularised training; strength --ls-weight,
 default 0.1), or interaction (member-interaction mixing). Checkpoints
 carry the backend tag, so --checkpoint restores refuse a mismatched
 --backend.
---batched evaluates through the receptive-field-cached batch scorer
-(bit-identical metrics, faster). KGAG_RF_CACHE=0 disables the
-receptive-field cache of --batched and serve (the router's draw memo
-under --shards); scores are bit-identical either way.
 serve loads --checkpoint if the file exists (training and writing it
 otherwise), binds --addr (default 127.0.0.1:0, port printed on stdout)
 and scores requests until stdin reaches EOF or reads \"quit\". Every
@@ -118,7 +114,7 @@ KGAG_SERVE_BATCH_WINDOW_US, KGAG_SERVE_MAX_BATCH, KGAG_SERVE_QUEUE,
 KGAG_SERVE_WORKERS (batching, per resident model); KGAG_QUOTA_RATE /
 KGAG_QUOTA_BURST (per-tenant token-bucket admission; burst unset = off,
 burst 0 = shed everything); KGAG_SHADOW_SAMPLE (mirror every Nth
-request, 0 = off); KGAG_CLIENT_TIMEOUT_MS (client-side read timeout).
+request, 0 = off).
 `serve --shards A,B,..` makes tenant 0's model the scatter-gather
 router instead: shard peers (started with `kgag shard --index I
 --count N` on the same dataset/config/checkpoint) hold the
@@ -142,7 +138,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
-        if key == "json" || key == "batched" {
+        if key == "json" {
             out.insert(key.to_owned(), "true".into());
             continue;
         }
@@ -231,19 +227,11 @@ fn train_and_report(ds: &GroupDataset, opts: &Flags) -> Result<Kgag, String> {
     let ecfg = EvalConfig::default();
     let val = eval_cases(ds, &split.group, EvalBucket::Validation);
     let test = eval_cases(ds, &split.group, EvalBucket::Test);
-    // --batched routes evaluation through the receptive-field-cached
-    // batch scorer; the metrics are bit-identical either way (the
-    // oracle test + CI stage enforce it), only the wall clock differs
-    let batched = opts.contains_key("batched");
-    let (val_summary, test_summary) = if batched {
-        let scorer = model.batch_scorer_with(rf_cache());
-        (
-            model.evaluate_batched_with(&scorer, &val, &ecfg),
-            model.evaluate_batched_with(&scorer, &test, &ecfg),
-        )
-    } else {
-        (model.evaluate(&val, &ecfg), model.evaluate(&test, &ecfg))
-    };
+    // the cached batch scorer gives the per-case path's metrics bit for
+    // bit (golden_check asserts it), in one fused pass per split
+    let scorer = model.batch_scorer();
+    let val_summary = model.evaluate_batched_with(&scorer, &val, &ecfg);
+    let test_summary = model.evaluate_batched_with(&scorer, &test, &ecfg);
     if opts.contains_key("json") {
         let payload = Json::obj(vec![
             ("dataset", ds.name.to_json()),
@@ -320,12 +308,6 @@ fn load_or_train(ds: &GroupDataset, opts: &Flags) -> Result<(Kgag, u64), String>
     Ok((model, hash))
 }
 
-/// The receptive-field cache setting (`KGAG_RF_CACHE=0` turns it off):
-/// the one place the process reads it, passed down to every scorer.
-fn rf_cache() -> bool {
-    std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true)
-}
-
 /// Spawn the stdin watcher: closing stdin (or typing "quit") triggers
 /// the shutdown token — works under pipes, terminals and process
 /// supervisors alike.
@@ -357,7 +339,6 @@ fn shutdown_on_stdin(token: &kgag_serve::ShutdownToken) {
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
     use kgag_serve::{serve_tcp, RegistryConfig, RegistryServer, ShardConfig, ShardPool};
     use std::sync::Arc;
-    let cache = rf_cache();
     let cfg = config(opts)?;
     let ds = dataset(opts)?;
     let (model, hash) = load_or_train(&ds, opts)?;
@@ -379,19 +360,19 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
                 shard_cfg.timeout,
                 shard_cfg.queue,
             );
-            let router = pool.into_scorer(&model, cache).map_err(|e| format!("--shards: {e}"))?;
+            let router = pool.into_scorer(&model).map_err(|e| format!("--shards: {e}"))?;
             // the router keeps clones of the small weights only; the
             // embedding tables live on the peers
             drop(model);
             kgag::RegistryModel::new(Arc::new(router), None, hash)
         }
         None => {
-            let live = Arc::new(kgag::DynamicScorer::shared(Arc::new(model), cache));
+            let live = Arc::new(kgag::DynamicScorer::shared(Arc::new(model)));
             match live.cache_bytes() {
                 Some(b) => {
                     eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0)
                 }
-                None => eprintln!("receptive-field cache disabled"),
+                None => eprintln!("no receptive-field cache (no KG propagation)"),
             }
             eprintln!("lifecycle enabled: {} groups live", live.num_groups());
             kgag::RegistryModel::new(live.clone(), Some(live), hash)
@@ -403,7 +384,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         let split = split_dataset(&ds, 0x5eed);
         let mut m = Kgag::new(&ds, &split, cfg.clone());
         m.load_checkpoint(bytes).map_err(|e| e.to_string())?;
-        kgag::RegistryModel::try_new(m, hash, cache).map_err(|e| e.to_string())
+        kgag::RegistryModel::try_new(m, hash).map_err(|e| e.to_string())
     });
     let rcfg = RegistryConfig::from_env();
     let server = RegistryServer::bootstrap(rcfg.clone(), factory, entry)
@@ -448,12 +429,10 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     );
     if let Some(groups) = groups {
         eprintln!(
-            "lifecycle: {} created, {} joins, {} leaves, {} cache entries evicted ({groups} \
-             groups final)",
+            "lifecycle: {} created, {} joins, {} leaves ({groups} groups final)",
             kgag_obs::counter("lifecycle.groups_created").get(),
             kgag_obs::counter("lifecycle.joins").get(),
             kgag_obs::counter("lifecycle.leaves").get(),
-            kgag_obs::counter("lifecycle.cache_evicted").get(),
         );
     }
     eprintln!(

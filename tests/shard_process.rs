@@ -103,7 +103,7 @@ fn sigkilled_shard_process_fails_requests_typed_through_the_front_door() {
     let mut shards: Vec<ShardProc> = (0..2).map(|i| ShardProc::spawn(i, 2, &checkpoint)).collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
     let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
-    let router = pool.into_scorer(&model, true).expect("model card matches");
+    let router = pool.into_scorer(&model).expect("model card matches");
     let entry = RegistryModel::new(std::sync::Arc::new(router), None, 0);
     let no_loads = Box::new(|_: &[u8], _| Err("this server loads nothing".to_owned()));
     let server = RegistryServer::bootstrap(RegistryConfig::default(), no_loads, entry).unwrap();
