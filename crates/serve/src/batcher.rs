@@ -19,13 +19,16 @@
 //!   [`ServeConfig::queue_capacity`]; overflow is an immediate
 //!   [`ServeError::Rejected`], so a slow model sheds load instead of
 //!   accumulating it.
+//! * **No waiting for company that cannot come.** A batch window closes
+//!   as soon as no registered submitter could still add a request to it;
+//!   [`ServeConfig::batch_window`] is only its cap.
 
 use crate::config::ServeConfig;
 use crate::{ServeError, ServeResult};
 use kgag::ScoreCases;
 use kgag_tensor::pool;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -80,6 +83,57 @@ impl Metrics {
     }
 }
 
+/// The count of submitters that could still add a request to an open
+/// batch window: those registered, minus those blocked on a reply. A
+/// window closes the moment it reaches 0, since nobody is left to send
+/// the request it waits for.
+///
+/// Submitters are registered explicitly, never inferred from timing: an
+/// open TCP connection of a [`crate::RegistryServer`] (one count shared
+/// by every entry's batcher), or a [`ServeHandle`] that
+/// [`serve_in_process`] hands out and each clone of it. The count is
+/// signed: threads sharing one handle by reference block it once each,
+/// and a count below 0 only means, like 0, that nobody is ready.
+#[derive(Default)]
+pub(crate) struct Submitters {
+    ready: AtomicIsize,
+}
+
+impl Submitters {
+    /// A submitter opened, or its reply arrived.
+    pub(crate) fn add_ready(&self) {
+        self.ready.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// A submitter closed, or blocked on a reply. `true` when nobody is
+    /// left ready: the caller must then wake any window this count
+    /// keeps open, unless it is about to push (which wakes a worker).
+    pub(crate) fn sub_ready(&self) -> bool {
+        self.ready.fetch_sub(1, Ordering::SeqCst) <= 1
+    }
+
+    fn none_ready(&self) -> bool {
+        self.ready.load(Ordering::SeqCst) <= 0
+    }
+
+    /// Count the calling submitter out until the guard drops. Taken
+    /// before a submit's push, it needs no wake of its own: the push
+    /// notifies a worker, which then finds the count already lowered.
+    pub(crate) fn block(&self) -> Blocked<'_> {
+        self.sub_ready();
+        Blocked(self)
+    }
+}
+
+/// A submitter blocked on a reply; counted back in on drop.
+pub(crate) struct Blocked<'a>(&'a Submitters);
+
+impl Drop for Blocked<'_> {
+    fn drop(&mut self) {
+        self.0.add_ready();
+    }
+}
+
 struct Shared {
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -88,31 +142,78 @@ struct Shared {
     /// Live requests: accepted but not yet responded to. Lets tests and
     /// the drain guard observe "everything answered" directly.
     in_flight: AtomicUsize,
+    /// Who could still join an open window.
+    submitters: Arc<Submitters>,
 }
 
 impl Shared {
-    fn new(config: &ServeConfig) -> Arc<Shared> {
+    fn new(config: &ServeConfig, submitters: Arc<Submitters>) -> Arc<Shared> {
         Arc::new(Shared {
             state: Mutex::new(QueueState { queue: VecDeque::new(), open: true }),
             cv: Condvar::new(),
             cfg: config.clone(),
             metrics: Metrics::new(),
             in_flight: AtomicUsize::new(0),
+            submitters,
         })
+    }
+
+    /// Wake every worker so it re-checks its window. Taking the queue
+    /// lock first orders this after any worker's check-then-wait, so a
+    /// count that reached 0 before this call cannot be missed.
+    fn wake(&self) {
+        drop(self.state.lock());
+        self.cv.notify_all();
+    }
+
+    fn shutdown(&self) {
+        self.state.lock().unwrap().open = false;
+        self.cv.notify_all();
     }
 }
 
 /// A cloneable client handle to a running batcher. All methods are
 /// callable from any thread.
-#[derive(Clone)]
 pub struct ServeHandle {
     shared: Arc<Shared>,
+    /// Is this handle a registered submitter? The handles
+    /// [`serve_in_process`] gives out and their clones are; those a
+    /// [`BatcherGuard`] gives out are not, since their callers count
+    /// themselves (the registry server counts its connections).
+    submitter: bool,
+}
+
+impl ServeHandle {
+    fn new(shared: &Arc<Shared>, submitter: bool) -> ServeHandle {
+        if submitter {
+            shared.submitters.add_ready();
+        }
+        ServeHandle { shared: Arc::clone(shared), submitter }
+    }
+}
+
+impl Clone for ServeHandle {
+    /// A clone of a submitter handle is a submitter of its own.
+    fn clone(&self) -> ServeHandle {
+        ServeHandle::new(&self.shared, self.submitter)
+    }
+}
+
+impl Drop for ServeHandle {
+    fn drop(&mut self) {
+        if self.submitter && self.shared.submitters.sub_ready() {
+            self.shared.wake();
+        }
+    }
 }
 
 /// An accepted request's pending response. [`wait`](Self::wait) blocks
 /// until the batcher resolves it.
 pub struct PendingResponse {
     rx: mpsc::Receiver<ServeResult>,
+    /// The batcher, when a submitter handle sent the request: `wait`
+    /// counts that submitter blocked.
+    submitter: Option<Arc<Shared>>,
 }
 
 impl PendingResponse {
@@ -120,6 +221,15 @@ impl PendingResponse {
     /// [`ServeError::Canceled`] only if the server died abnormally
     /// before answering.
     pub fn wait(self) -> ServeResult {
+        // the request is already queued, so no push wakes the window
+        // this may close: wake it here
+        let _blocked = self.submitter.as_deref().map(|shared| {
+            let blocked = shared.submitters.block();
+            if shared.submitters.none_ready() {
+                shared.wake();
+            }
+            blocked
+        });
         self.rx.recv().unwrap_or(Err(ServeError::Canceled))
     }
 }
@@ -145,13 +255,18 @@ impl ServeHandle {
                 shared.metrics.rejected.add(1);
                 return Err(ServeError::Rejected);
             }
+            // Count the request in before the push: once the lock drops
+            // a worker may drain and answer it at once, and `respond`'s
+            // decrements must follow these increments, or `in_flight`
+            // wraps below 0 and the depth gauge dips negative.
+            shared.in_flight.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.queue_depth.add(1.0);
             st.queue.push_back(Pending { group, items, deadline, enqueued: Instant::now(), tx });
         }
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
         shared.metrics.accepted.add(1);
-        shared.metrics.queue_depth.add(1.0);
         shared.cv.notify_one();
-        Ok(PendingResponse { rx })
+        let submitter = self.submitter.then(|| Arc::clone(shared));
+        Ok(PendingResponse { rx, submitter })
     }
 
     /// Submit and block for the scores — the synchronous convenience
@@ -168,10 +283,7 @@ impl ServeHandle {
     /// Stop accepting new requests and wake every worker. Idempotent.
     /// Already-accepted requests are still drained and answered.
     pub fn shutdown(&self) {
-        let mut st = self.shared.state.lock().unwrap();
-        st.open = false;
-        drop(st);
-        self.shared.cv.notify_all();
+        self.shared.shutdown();
     }
 
     /// Is the batcher still accepting submissions?
@@ -194,7 +306,9 @@ impl ServeHandle {
 ///
 /// Spawns [`ServeConfig::workers`] worker threads borrowing `scorer`,
 /// hands `f` a [`ServeHandle`] (clone it into as many client threads as
-/// needed), and on exit — *including* a panic inside `f` — triggers
+/// needed; the handle and each clone are the batcher's submitters: a
+/// batch window closes once every one of them is dropped or waiting on
+/// a reply), and on exit — *including* a panic inside `f` — triggers
 /// shutdown, drains every accepted request, and joins the workers
 /// before returning. The caller's pool thread-count override is
 /// captured here and re-applied inside each worker, since the pool's
@@ -207,8 +321,8 @@ pub fn serve_in_process<S, R>(
 where
     S: ScoreCases + ?Sized,
 {
-    let shared = Shared::new(config);
-    let handle = ServeHandle { shared: Arc::clone(&shared) };
+    let shared = Shared::new(config, Arc::default());
+    let handle = ServeHandle::new(&shared, true);
     let threads = pool::num_threads();
     std::thread::scope(|s| {
         for _ in 0..shared.cfg.workers.max(1) {
@@ -218,13 +332,14 @@ where
         // Shutdown must fire even if `f` unwinds: thread::scope joins
         // workers before propagating the panic, and workers only exit
         // once the queue is closed — without this guard a panic in `f`
-        // would deadlock the join.
-        let _drain = DrainGuard(handle.clone());
+        // would deadlock the join. It holds no handle: a submitter
+        // would keep every window open to its cap.
+        let _drain = DrainGuard(Arc::clone(&shared));
         f(handle)
     })
 }
 
-struct DrainGuard(ServeHandle);
+struct DrainGuard(Arc<Shared>);
 
 impl Drop for DrainGuard {
     fn drop(&mut self) {
@@ -238,11 +353,11 @@ impl Drop for DrainGuard {
 /// are created by `LOAD` requests and retired at runtime rather than
 /// scoped to a stack frame.
 ///
-/// Same delivery contract as [`serve_in_process`]: dropping the
-/// guard (or calling [`shutdown`](Self::shutdown)) stops admissions,
-/// drains every accepted request, and joins the workers. The scorer is
-/// freed when the last `Arc` drops — after the workers exit.
-pub struct BatcherGuard {
+/// Same delivery contract as [`serve_in_process`]: dropping the guard
+/// stops admissions, drains every accepted request, and joins the
+/// workers. The scorer is freed when the last `Arc` drops — after the
+/// workers exit.
+pub(crate) struct BatcherGuard {
     handle: ServeHandle,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -253,9 +368,10 @@ impl BatcherGuard {
         self.handle.clone()
     }
 
-    /// Stop accepting, drain, and join — the explicit form of `Drop`.
-    pub fn shutdown(self) {
-        drop(self);
+    /// Make every worker re-check its window (its submitter count may
+    /// have reached 0 without a push).
+    pub(crate) fn wake(&self) {
+        self.handle.shared.wake();
     }
 }
 
@@ -276,13 +392,19 @@ impl Drop for BatcherGuard {
 /// owned scorer and return the [`BatcherGuard`] that drains and joins
 /// them on drop. The caller's pool thread-count override is captured
 /// here and re-applied inside each worker, exactly as
-/// [`serve_in_process`] does for scoped workers.
-pub fn spawn_batcher<S>(scorer: Arc<S>, config: &ServeConfig) -> BatcherGuard
+/// [`serve_in_process`] does for scoped workers. Its batch windows also
+/// close once `submitters` has nobody ready (the registry server passes
+/// the count of its connections).
+pub(crate) fn spawn_batcher<S>(
+    scorer: Arc<S>,
+    config: &ServeConfig,
+    submitters: Arc<Submitters>,
+) -> BatcherGuard
 where
     S: ScoreCases + Send + 'static,
 {
-    let shared = Shared::new(config);
-    let handle = ServeHandle { shared: Arc::clone(&shared) };
+    let shared = Shared::new(config, submitters);
+    let handle = ServeHandle::new(&shared, false);
     let threads = pool::num_threads();
     let workers = (0..shared.cfg.workers.max(1))
         .map(|_| {
@@ -309,13 +431,20 @@ fn worker_loop<S: ScoreCases + ?Sized>(scorer: &S, shared: &Shared) {
             return; // closed and fully drained
         }
         // Adaptive window: the first request of a batch waits up to
-        // `batch_window` for company, but a full chunk or a shutdown
-        // flushes immediately.
-        if st.open && st.queue.len() < cfg.max_batch && !cfg.batch_window.is_zero() {
+        // `batch_window` for company, but a full chunk, a shutdown, or
+        // no submitter left that could send another request closes it
+        // at once. A submitter that takes the count to 0 then either
+        // pushes (on the registry server, only to the entry it scores
+        // on) or wakes the workers under this lock, so the check below
+        // cannot miss it.
+        let closed = |st: &QueueState| {
+            st.queue.len() >= cfg.max_batch || !st.open || shared.submitters.none_ready()
+        };
+        if !closed(&st) && !cfg.batch_window.is_zero() {
             let window_end = Instant::now() + cfg.batch_window;
             loop {
                 let now = Instant::now();
-                if now >= window_end || st.queue.len() >= cfg.max_batch || !st.open {
+                if now >= window_end || closed(&st) {
                     break;
                 }
                 let (guard, _) = shared.cv.wait_timeout(st, window_end - now).unwrap();

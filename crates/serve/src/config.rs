@@ -7,9 +7,11 @@ use std::time::Duration;
 /// round trips.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// How long a worker holds the *first* request of a batch open for
-    /// more arrivals before scoring. Zero scores immediately (no
-    /// fusion beyond what is already queued).
+    /// The longest a worker holds the *first* request of a batch open
+    /// for more arrivals before scoring: an upper bound, since the
+    /// window closes as soon as no registered submitter could still
+    /// send a request. Zero scores immediately (no fusion beyond what
+    /// is already queued).
     pub batch_window: Duration,
     /// Hard cap on requests fused into one `score_batch` call.
     pub max_batch: usize,

@@ -8,9 +8,10 @@
 //!
 //! The core is an **adaptive micro-batcher** ([`batcher`]): requests
 //! from any number of client threads land in one bounded queue; worker
-//! threads drain it in chunks, waiting up to a configurable latency
-//! budget ([`ServeConfig::batch_window`]) for more requests to fuse
-//! before calling
+//! threads drain it in chunks, waiting for more requests to fuse only
+//! while a registered submitter (an open connection, an in-process
+//! handle) could still send one, and never longer than the cap
+//! [`ServeConfig::batch_window`], before calling
 //! [`try_score_cases`](kgag::ScoreCases::try_score_cases) once per
 //! chunk. A case the scorer rejects (unknown group or item, failed
 //! shard) fails alone, mapped to its [`ServeError`] by the one
@@ -26,8 +27,8 @@
 //!
 //! * [`serve_in_process`] — spawn workers over a borrowed scorer, hand
 //!   the caller a cloneable [`ServeHandle`], drain gracefully on exit.
-//!   This is the API the CI bit-identity gate builds on; the registry
-//!   gives each resident entry an owned twin ([`spawn_batcher`]).
+//!   The served bit-identity tests build on it; the registry gives each
+//!   resident entry an owned twin.
 //! * [`wire`] — a tiny length-prefixed binary protocol (little-endian,
 //!   `u32` frame length) for request/response over a byte stream.
 //! * [`serve_tcp`] / [`ServeClient`] — a loopback-first TCP server over
@@ -61,7 +62,7 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use batcher::{serve_in_process, spawn_batcher, BatcherGuard, PendingResponse, ServeHandle};
+pub use batcher::{serve_in_process, PendingResponse, ServeHandle};
 pub use config::ServeConfig;
 pub use registry::{Governor, ModelFactory, RegistryConfig, RegistryServer};
 pub use server::{

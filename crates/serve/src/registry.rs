@@ -40,17 +40,22 @@
 //! quarantines the candidate registry-wide. The mirrored scoring rides
 //! the serving thread, so the *active* response a client sees is never
 //! delayed by more than its own shadow sample.
+//!
+//! Batch windows: every open connection is a submitter, counted in one
+//! [`Submitters`] shared by every entry's batcher. A connection is
+//! blocked from just before each submit until its reply, so a window
+//! closes as soon as every connection is blocked or gone.
 
-use crate::batcher::{spawn_batcher, BatcherGuard, ServeHandle};
+use crate::batcher::{spawn_batcher, BatcherGuard, ServeHandle, Submitters};
 use crate::config::{parse_or, ServeConfig};
 use crate::server::{answer_message, wire_deadline, Dispatch};
-use crate::wire::{Message, RegistryOp, Reply, Response, TenantRequest};
+use crate::wire::{Message, RegistryOp, Reply, Response};
 use crate::{LifecycleResult, ServeError, ServeResult};
 use kgag::{checkpoint_hash, ModelRegistry, RegistryModel, ScoreCases};
 use kgag_data::{LifecycleError, LifecycleOp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Builds a [`RegistryModel`] from raw checkpoint bytes and their
@@ -232,6 +237,8 @@ pub struct RegistryServer {
     cfg: RegistryConfig,
     shadow_tick: AtomicU64,
     metrics: Metrics,
+    /// Open connections not blocked on a reply.
+    submitters: Arc<Submitters>,
 }
 
 impl RegistryServer {
@@ -249,6 +256,7 @@ impl RegistryServer {
             cfg,
             shadow_tick: AtomicU64::new(0),
             metrics: Metrics::new(),
+            submitters: Arc::default(),
         }
     }
 
@@ -288,19 +296,19 @@ impl RegistryServer {
         entry: RegistryModel,
         plan: kgag_testkit::FaultPlan,
     ) -> Result<u64, ServeError> {
-        self.install_with(entry, |model, cfg| {
-            spawn_batcher(Arc::new(crate::FaultScorer::new(model, plan)), cfg)
+        self.install_with(entry, |model, cfg, submitters| {
+            spawn_batcher(Arc::new(crate::FaultScorer::new(model, plan)), cfg, submitters)
         })
     }
 
     fn install_with(
         &self,
         entry: RegistryModel,
-        spawn: impl FnOnce(Arc<RegistryModel>, &ServeConfig) -> BatcherGuard,
+        spawn: impl FnOnce(Arc<RegistryModel>, &ServeConfig, Arc<Submitters>) -> BatcherGuard,
     ) -> Result<u64, ServeError> {
         let hash = self.registry.load(entry).map_err(ServeError::Registry)?;
         let model = self.registry.entry(hash).expect("entry resident immediately after load");
-        let guard = spawn(model, &self.cfg.serve);
+        let guard = spawn(model, &self.cfg.serve, Arc::clone(&self.submitters));
         self.batchers.lock().unwrap().insert(hash, guard);
         self.metrics.loads.add(1);
         Ok(hash)
@@ -329,32 +337,52 @@ impl RegistryServer {
     /// names a group of tenant 0's live group table, so an entry with a
     /// lifecycle answers an unknown one in lifecycle terms — the group
     /// may simply not have been created yet.
-    fn score_tenant(&self, req: &TenantRequest, untenanted: bool) -> ServeResult {
-        if !self.governor.admit(req.tenant) {
-            self.metrics.tenant(req.tenant, |m| m.quota_rejected.add(1));
+    fn score_tenant(
+        &self,
+        tenant: u32,
+        group: u32,
+        items: Vec<u32>,
+        deadline_us: u64,
+        untenanted: bool,
+    ) -> ServeResult {
+        if !self.governor.admit(tenant) {
+            self.metrics.tenant(tenant, |m| m.quota_rejected.add(1));
             return Err(ServeError::Quota);
         }
-        let admission = self.registry.resolve(req.tenant).map_err(ServeError::Registry)?;
-        self.metrics.tenant(req.tenant, |m| m.accepted.add(1));
+        let admission = self.registry.resolve(tenant).map_err(ServeError::Registry)?;
+        self.metrics.tenant(tenant, |m| m.accepted.add(1));
         let live = admission.active.lifecycle();
-        if untenanted && live.is_some_and(|l| req.group >= l.group_count()) {
+        if untenanted && live.is_some_and(|l| group >= l.group_count()) {
             return Err(ServeError::Lifecycle(LifecycleError::UnknownGroup));
         }
         let handle = match self.handle_of(admission.active.hash()) {
             Some(h) => h,
             None => return Err(ServeError::Rejected), // entry retired mid-resolve
         };
-        let deadline = wire_deadline(req.deadline_us);
-        let result = match handle.submit(req.group, req.items.clone(), deadline) {
-            Ok(pending) => pending.wait(),
-            Err(e) => Err(e),
-        };
-        match admission.shadow {
+        // only a staged shadow needs the items after the active submit
+        let mirror = admission.shadow.map(|shadow| (shadow, items.clone()));
+        let result = self.submit_blocked(&handle, group, items, wire_deadline(deadline_us));
+        match mirror {
             // a request the active model rejects as malformed is not mirrored
-            Some(shadow) if result != Err(ServeError::Invalid) => self.maybe_shadow(req, &shadow),
+            Some((shadow, items)) if result != Err(ServeError::Invalid) => {
+                self.maybe_shadow(tenant, group, items, &shadow)
+            }
             _ => {}
         }
         result
+    }
+
+    /// Submit and wait with the calling connection counted as blocked
+    /// from before the push until the reply.
+    fn submit_blocked(
+        &self,
+        handle: &ServeHandle,
+        group: u32,
+        items: Vec<u32>,
+        deadline: Option<Instant>,
+    ) -> ServeResult {
+        let _blocked = self.submitters.block();
+        handle.submit(group, items, deadline)?.wait()
     }
 
     /// Mirror every `shadow_sample`-th request onto the staged
@@ -362,7 +390,7 @@ impl RegistryServer {
     /// served-through-the-batcher (arbitrary fusion with whatever else
     /// is queued) against the candidate's own offline scoring of
     /// just this case — chunking invariance asserted on live traffic.
-    fn maybe_shadow(&self, req: &TenantRequest, shadow: &Arc<RegistryModel>) {
+    fn maybe_shadow(&self, tenant: u32, group: u32, items: Vec<u32>, shadow: &Arc<RegistryModel>) {
         let n = self.cfg.shadow_sample;
         if n == 0 || self.shadow_tick.fetch_add(1, Ordering::Relaxed) % n != 0 {
             return;
@@ -371,18 +399,17 @@ impl RegistryServer {
             Some(h) => h,
             None => return,
         };
-        let served = match handle.submit(req.group, req.items.clone(), None) {
-            Ok(pending) => pending.wait(),
-            Err(_) => return, // shed shadow work is no verdict at all
+        // Shed or failed shadow work is no verdict at all. A candidate
+        // that cannot represent this request (smaller catalog) fails it
+        // on both paths: a capability gap, not a scoring divergence —
+        // skip rather than poison the verdict.
+        let Ok(served) = self.submit_blocked(&handle, group, items.clone(), None) else {
+            return;
         };
-        // A candidate that cannot represent this request (smaller
-        // catalog) fails it on both paths: a capability gap, not a
-        // scoring divergence — skip rather than poison the verdict.
-        let offline = shadow.try_score_cases(&[(req.group, req.items.clone())]).pop();
-        let clean = match (served, offline) {
-            (Ok(scores), Some(Ok(offline))) => {
-                scores.len() == offline.len()
-                    && scores.iter().zip(&offline).all(|(a, b)| a.to_bits() == b.to_bits())
+        let clean = match shadow.try_score_cases(&[(group, items)]).pop() {
+            Some(Ok(offline)) => {
+                served.len() == offline.len()
+                    && served.iter().zip(&offline).all(|(a, b)| a.to_bits() == b.to_bits())
             }
             _ => return,
         };
@@ -391,7 +418,7 @@ impl RegistryServer {
         } else {
             self.metrics.shadow_mismatch.add(1);
         }
-        self.registry.record_shadow(req.tenant, shadow.hash(), clean);
+        self.registry.record_shadow(tenant, shadow.hash(), clean);
     }
 
     /// Apply one create/join/leave to tenant 0's active entry. An entry
@@ -450,22 +477,33 @@ impl RegistryServer {
 impl Dispatch for RegistryServer {
     fn answer(&self, payload: &[u8]) -> Vec<u8> {
         answer_message(payload, |msg| match msg {
-            Message::Score(req) => {
-                let req = TenantRequest {
-                    id: req.id,
-                    tenant: 0,
-                    group: req.group,
-                    deadline_us: req.deadline_us,
-                    items: req.items,
-                };
-                Response::from_result(req.id, self.score_tenant(&req, true))
-            }
-            Message::Tenant(req) => Response::from_result(req.id, self.score_tenant(&req, false)),
+            Message::Score(req) => Response::from_result(
+                req.id,
+                self.score_tenant(0, req.group, req.items, req.deadline_us, true),
+            ),
+            Message::Tenant(req) => Response::from_result(
+                req.id,
+                self.score_tenant(req.tenant, req.group, req.items, req.deadline_us, false),
+            ),
             Message::Lifecycle(req) => {
                 Response { id: req.id, reply: self.mutate(&req.op).map(Reply::Ack) }
             }
             Message::Registry(req) => Response::from_registry(req.id, self.apply(&req.op)),
         })
+    }
+
+    fn connection_opened(&self) {
+        self.submitters.add_ready();
+    }
+
+    fn connection_closed(&self) {
+        if self.submitters.sub_ready() {
+            // also runs while a connection thread unwinds: a poisoned
+            // map is still a valid map
+            for guard in self.batchers.lock().unwrap_or_else(PoisonError::into_inner).values() {
+                guard.wake();
+            }
+        }
     }
 }
 

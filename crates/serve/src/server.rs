@@ -86,6 +86,24 @@ pub fn serve_tcp(
 /// answers one request with exactly one response frame.
 pub(crate) trait Dispatch: Sync {
     fn answer(&self, payload: &[u8]) -> Vec<u8>;
+
+    /// A connection was accepted; it answers on its own thread from now
+    /// until [`connection_closed`](Self::connection_closed).
+    fn connection_opened(&self) {}
+
+    /// A connection's thread is done, returned or unwound: it will
+    /// send nothing more.
+    fn connection_closed(&self) {}
+}
+
+/// An open connection; tells its dispatch it closed on drop, so a
+/// connection thread that unwinds still counts itself out.
+struct OpenConnection<'a, D: Dispatch + ?Sized>(&'a D);
+
+impl<D: Dispatch + ?Sized> Drop for OpenConnection<'_, D> {
+    fn drop(&mut self) {
+        self.0.connection_closed();
+    }
 }
 
 /// Accept-loop body shared by both TCP servers (registry and shard): take connections until the token triggers, one scoped OS
@@ -101,7 +119,12 @@ pub(crate) fn serve_connections<D: Dispatch + ?Sized>(
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let token = token.clone();
-                    s.spawn(move || handle_connection(stream, dispatch, token));
+                    dispatch.connection_opened();
+                    let open = OpenConnection(dispatch);
+                    s.spawn(move || {
+                        let _open = open;
+                        handle_connection(stream, dispatch, token);
+                    });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
                 Err(e) => {
@@ -116,8 +139,9 @@ pub(crate) fn serve_connections<D: Dispatch + ?Sized>(
     });
 }
 
-/// Per-connection loop: accumulate bytes, peel complete frames, answer
-/// each in order. Partial frames survive read timeouts — the buffer is
+/// Per-connection loop: accumulate bytes, answer each complete frame in
+/// order straight from the buffer, then compact the buffer once before
+/// the next read. Partial frames survive read timeouts — the buffer is
 /// only advanced on whole frames, so a client dribbling bytes across
 /// timeout boundaries is handled correctly.
 fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, token: ShutdownToken) {
@@ -127,12 +151,14 @@ fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, toke
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 4096];
     loop {
+        let mut start = 0;
         loop {
-            match wire::take_frame(&mut buf) {
+            match wire::peek_frame(&buf[start..]) {
                 Ok(Some(payload)) => {
-                    if wire::write_frame(&mut stream, &dispatch.answer(&payload)).is_err() {
+                    if wire::write_frame(&mut stream, &dispatch.answer(payload)).is_err() {
                         return;
                     }
+                    start += 4 + payload.len();
                 }
                 Ok(None) => break,
                 // an invalid length prefix poisons the stream: there is
@@ -140,6 +166,7 @@ fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, toke
                 Err(_) => return,
             }
         }
+        buf.drain(..start);
         if token.is_triggered() {
             return;
         }

@@ -747,20 +747,12 @@ mod tests {
     fn shard_frames_reassemble_byte_at_a_time() {
         let reply = ok_reply(&encode_draws(1, 0, &[5, 6]));
         let frame = into_frame(&reply).unwrap();
-        let mut buf = Vec::new();
-        let mut seen = None;
-        for (i, &b) in frame.iter().enumerate() {
-            buf.push(b);
-            match wire::take_frame(&mut buf).unwrap() {
-                Some(payload) => {
-                    assert_eq!(i, frame.len() - 1, "frame must only complete on the last byte");
-                    seen = Some(payload);
-                }
-                None => assert!(i < frame.len() - 1),
-            }
+        for end in 1..frame.len() {
+            assert!(wire::peek_frame(&frame[..end]).unwrap().is_none(), "{end} bytes complete it");
         }
-        assert_eq!(seen.unwrap(), reply);
-        assert!(buf.is_empty(), "no residue after a whole frame");
+        let payload = wire::peek_frame(&frame).unwrap().expect("the last byte completes it");
+        assert_eq!(payload, reply);
+        assert_eq!(frame.len(), 4 + payload.len(), "no residue after a whole frame");
     }
 
     #[test]
@@ -768,7 +760,7 @@ mod tests {
         assert!(into_frame(&vec![0u8; MAX_FRAME + 1]).is_none());
         let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0; 8]);
-        assert!(wire::take_frame(&mut buf).is_err(), "oversize length prefix poisons the stream");
+        assert!(wire::peek_frame(&buf).is_err(), "oversize length prefix poisons the stream");
     }
 
     #[test]

@@ -632,10 +632,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
     Ok(Response { id, reply })
 }
 
-/// If `buf` starts with a complete frame, split off and return its
-/// payload. `Ok(None)` means more bytes are needed; `Err` means the
-/// length prefix itself is invalid and the stream is unrecoverable.
-pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, String> {
+/// If `buf` starts with a complete frame, borrow its payload; the frame
+/// spans the payload's length plus the 4-byte prefix. `Ok(None)` means
+/// more bytes are needed; `Err` means the length prefix itself is
+/// invalid and the stream is unrecoverable.
+pub fn peek_frame(buf: &[u8]) -> Result<Option<&[u8]>, String> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -643,12 +644,7 @@ pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, String> {
     if len > MAX_FRAME {
         return Err(format!("frame of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"));
     }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let payload = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
-    Ok(Some(payload))
+    Ok(buf.get(4..4 + len))
 }
 
 /// Blocking-read one full frame's payload from `r` (client side: the
@@ -735,10 +731,10 @@ mod tests {
     fn request_roundtrips() {
         let req = Request { id: 42, group: 7, deadline_us: 1500, items: vec![0, 1, 99, u32::MAX] };
         let frame = encode_request(&req).unwrap();
-        let mut buf = frame.clone();
-        let payload = take_frame(&mut buf).unwrap().expect("complete frame");
-        assert!(buf.is_empty());
-        assert_eq!(decode_request(&payload).unwrap(), Message::Score(req));
+        let buf = frame.clone();
+        let payload = peek_frame(&buf).unwrap().expect("complete frame");
+        assert_eq!(buf.len(), 4 + payload.len());
+        assert_eq!(decode_request(payload).unwrap(), Message::Score(req));
     }
 
     #[test]
@@ -750,9 +746,9 @@ mod tests {
             LifecycleOp::Leave { group: 0, user: 0 },
         ] {
             let req = LifecycleRequest { id: 0xfeed_beef, op };
-            let mut buf = encode_lifecycle(&req).unwrap();
-            let payload = take_frame(&mut buf).unwrap().expect("complete frame");
-            assert_eq!(decode_request(&payload).unwrap(), Message::Lifecycle(req));
+            let buf = encode_lifecycle(&req).unwrap();
+            let payload = peek_frame(&buf).unwrap().expect("complete frame");
+            assert_eq!(decode_request(payload).unwrap(), Message::Lifecycle(req));
         }
     }
 
@@ -763,9 +759,9 @@ mod tests {
             vec![0.5f32, -0.0, f32::from_bits(1), f32::from_bits(0x7fc0_dead), f32::INFINITY];
         let resp = Response { id: 9, reply: Ok(Reply::Scores(scores.clone())) };
         let frame = encode_response(&resp).unwrap();
-        let mut buf = frame;
-        let payload = take_frame(&mut buf).unwrap().unwrap();
-        let back = decode_response(&payload).unwrap();
+        let buf = frame;
+        let payload = peek_frame(&buf).unwrap().unwrap();
+        let back = decode_response(payload).unwrap();
         assert_eq!(back.id, 9);
         let Ok(Reply::Scores(got)) = back.reply else { panic!("expected scores") };
         let a: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
@@ -816,38 +812,33 @@ mod tests {
     }
 
     #[test]
-    fn take_frame_handles_partial_and_split_frames() {
+    fn peek_frame_handles_partial_and_split_frames() {
         let req = Request { id: 1, group: 0, deadline_us: 0, items: vec![5, 6] };
         let frame = encode_request(&req).unwrap();
-        let mut buf = Vec::new();
         // feed the frame one byte at a time: no prefix of it decodes
-        for (i, &b) in frame.iter().enumerate() {
-            buf.push(b);
-            let got = take_frame(&mut buf).unwrap();
-            if i + 1 < frame.len() {
-                assert!(got.is_none(), "byte {i}: incomplete frame must not decode");
+        for end in 1..=frame.len() {
+            let got = peek_frame(&frame[..end]).unwrap();
+            if end < frame.len() {
+                assert!(got.is_none(), "{end} bytes: incomplete frame must not decode");
             } else {
-                assert_eq!(decode_request(&got.unwrap()).unwrap(), Message::Score(req.clone()));
+                assert_eq!(decode_request(got.unwrap()).unwrap(), Message::Score(req.clone()));
             }
         }
         // two frames back-to-back come out in order
         let r2 = LifecycleRequest { id: 2, op: LifecycleOp::Join { group: 1, user: 9 } };
-        let mut buf = [encode_request(&req).unwrap(), encode_lifecycle(&r2).unwrap()].concat();
-        assert_eq!(
-            decode_request(&take_frame(&mut buf).unwrap().unwrap()).unwrap(),
-            Message::Score(req)
-        );
-        assert_eq!(
-            decode_request(&take_frame(&mut buf).unwrap().unwrap()).unwrap(),
-            Message::Lifecycle(r2)
-        );
-        assert!(buf.is_empty());
+        let buf = [encode_request(&req).unwrap(), encode_lifecycle(&r2).unwrap()].concat();
+        let first = peek_frame(&buf).unwrap().unwrap();
+        assert_eq!(decode_request(first).unwrap(), Message::Score(req));
+        let rest = &buf[4 + first.len()..];
+        let second = peek_frame(rest).unwrap().unwrap();
+        assert_eq!(decode_request(second).unwrap(), Message::Lifecycle(r2));
+        assert_eq!(rest.len(), 4 + second.len());
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
-        let mut buf = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
-        assert!(take_frame(&mut buf).is_err());
+        let buf = ((MAX_FRAME + 1) as u32).to_le_bytes();
+        assert!(peek_frame(&buf).is_err());
     }
 
     #[test]
@@ -910,7 +901,7 @@ mod tests {
     /// fits encodes (and the receiver accepts it); one more item is a
     /// typed [`FrameTooLarge`], not a wrapped/oversize frame. Pre-fix,
     /// the oversize request encoded "successfully" and the peer's
-    /// `take_frame` then poisoned the whole stream.
+    /// frame reader then poisoned the whole stream.
     #[test]
     fn encode_request_rejects_oversize_at_the_boundary() {
         let header = 1 + 8 + 4 + 8 + 4;
@@ -918,9 +909,9 @@ mod tests {
         let req = Request { id: 1, group: 0, deadline_us: 0, items: vec![7u32; max_items] };
         let frame = encode_request(&req).expect("max-size request must encode");
         assert!(frame.len() - 4 <= MAX_FRAME);
-        let mut buf = frame;
-        let payload = take_frame(&mut buf).unwrap().expect("complete frame");
-        let Message::Score(back) = decode_request(&payload).unwrap() else {
+        let buf = frame;
+        let payload = peek_frame(&buf).unwrap().expect("complete frame");
+        let Message::Score(back) = decode_request(payload).unwrap() else {
             panic!("expected score request")
         };
         assert_eq!(back.items.len(), max_items);
@@ -937,9 +928,9 @@ mod tests {
         let max_scores = (MAX_FRAME - header) / 4;
         let ok = Response { id: 2, reply: Ok(Reply::Scores(vec![0.5; max_scores])) };
         let frame = encode_response(&ok).expect("max-size response must encode");
-        let mut buf = frame;
-        let payload = take_frame(&mut buf).unwrap().expect("complete frame");
-        assert!(decode_response(&payload).is_ok());
+        let buf = frame;
+        let payload = peek_frame(&buf).unwrap().expect("complete frame");
+        assert!(decode_response(payload).is_ok());
 
         let big = Response { id: 2, reply: Ok(Reply::Scores(vec![0.5; max_scores + 1])) };
         assert_eq!(
@@ -989,19 +980,19 @@ mod tests {
             deadline_us: 1500,
             items: vec![0, 1, 99, u32::MAX],
         };
-        let mut buf = encode_tenant_request(&req).unwrap();
-        let payload = take_frame(&mut buf).unwrap().expect("complete frame");
-        assert!(buf.is_empty());
-        assert_eq!(decode_request(&payload).unwrap(), Message::Tenant(req));
+        let buf = encode_tenant_request(&req).unwrap();
+        let payload = peek_frame(&buf).unwrap().expect("complete frame");
+        assert_eq!(buf.len(), 4 + payload.len());
+        assert_eq!(decode_request(payload).unwrap(), Message::Tenant(req));
     }
 
     #[test]
     fn registry_requests_roundtrip() {
         for op in registry_ops() {
             let req = RegistryRequest { id: 0x5eed, op };
-            let mut buf = encode_registry(&req).unwrap();
-            let payload = take_frame(&mut buf).unwrap().expect("complete frame");
-            assert_eq!(decode_request(&payload).unwrap(), Message::Registry(req));
+            let buf = encode_registry(&req).unwrap();
+            let payload = peek_frame(&buf).unwrap().expect("complete frame");
+            assert_eq!(decode_request(payload).unwrap(), Message::Registry(req));
         }
     }
 
