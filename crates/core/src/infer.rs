@@ -361,17 +361,28 @@ impl<'a> Engine<'a> {
             let mut pi = Vec::with_capacity(b * l);
             let mut h1 = vec![0.0f32; d];
             let mut h2 = vec![0.0f32; d];
+            let mut prefix = vec![0.0f32; d];
             let mut act = vec![0.0f32; d];
+            let slab = d * d;
             for g in 0..b {
                 let member = |m: usize| &member_rep[(g * l + m) * d..(g * l + m + 1) * d];
+                // peer slot q holds the q-th other member in ascending
+                // order — W₂'s d×d block q multiplies it. Slots 0..j hold
+                // members 0..j for every member after j, so `prefix`
+                // carries their running sum and member j adds only slots
+                // j..l-1 (members j+1..l); each element still sees the
+                // same additions in the same order
+                prefix.fill(0.0);
                 for j in 0..l {
                     h1.fill(0.0);
-                    h2.fill(0.0);
                     kernels::accumulate_row(member(j), w1, d, &mut h1);
-                    // peer slot q holds the q-th other member in
-                    // ascending order — W₂'s d×d block q multiplies it
-                    let peers = (0..l - 1).map(|q| member(if q < j { q } else { q + 1 }));
-                    kernels::accumulate_blocks(peers, w2, d, &mut h2);
+                    h2.copy_from_slice(&prefix);
+                    let peers = (j + 1..l).map(member);
+                    kernels::accumulate_blocks(peers, &w2[j * slab..], d, &mut h2);
+                    if j + 1 < l {
+                        let w = &w2[j * slab..(j + 1) * slab];
+                        kernels::accumulate_row(member(j), w, d, &mut prefix);
+                    }
                     for (c, a) in act.iter_mut().enumerate() {
                         *a = (h1[c] + h2[c] + bias[c]).max(0.0);
                     }

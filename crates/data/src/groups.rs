@@ -6,6 +6,8 @@
 //! under a pairwise-PCC constraint for *similar* groups. A group's
 //! positive set is every item all members rated ≥ 4 (the paper's
 //! unanimity rule), which by construction contains at least the seed.
+//! The greedy PCC growth memoises each member pair's verdict, so a pair
+//! is correlated once however often the growth revisits it.
 
 use crate::interactions::RatingTable;
 use crate::similarity::pearson;
@@ -122,8 +124,8 @@ pub fn random_groups(
 }
 
 /// Form `count` similar groups of `size` members (MovieLens-20M-Simi
-/// protocol): seeded like [`random_groups`], but every pair of members
-/// must have Pearson correlation ≥ `pcc_threshold` (paper value: 0.27).
+/// protocol): the member sets of [`similar_member_sets`], each with its
+/// quorum positives.
 pub fn similar_groups(
     ratings: &RatingTable,
     size: usize,
@@ -134,45 +136,13 @@ pub fn similar_groups(
 ) -> Vec<FormedGroup> {
     assert!(size >= 2, "groups need at least two members");
     assert!((1..=size).contains(&min_raters), "quorum must be within the group size");
-    let mut rng = SplitMix64::new(seed);
-    let raters = raters_by_item(ratings);
-    let candidate_items: Vec<u32> =
-        raters.iter().enumerate().filter(|(_, r)| r.len() >= size).map(|(v, _)| v as u32).collect();
-    let mut out = Vec::with_capacity(count);
-    let mut seen = HashSet::new();
-    let mut attempts = 0usize;
-    while out.len() < count && attempts < count * 200 && !candidate_items.is_empty() {
-        attempts += 1;
-        let v = candidate_items[rng.next_below(candidate_items.len())];
-        let pool = &raters[v as usize];
-        // greedy growth from a random seed member
-        let mut members = vec![pool[rng.next_below(pool.len())]];
-        let mut order: Vec<u32> = pool.clone();
-        rng.shuffle(&mut order);
-        for c in order {
-            if members.len() == size {
-                break;
-            }
-            if members.contains(&c) {
-                continue;
-            }
-            let compatible =
-                members.iter().all(|&m| pearson(ratings, m, c).is_some_and(|p| p >= pcc_threshold));
-            if compatible {
-                members.push(c);
-            }
-        }
-        if members.len() < size {
-            continue;
-        }
-        members.sort_unstable();
-        if !seen.insert(members.clone()) {
-            continue;
-        }
-        let positives = quorum_positives(ratings, &members, POSITIVE_THRESHOLD, min_raters);
-        out.push(FormedGroup { members, positives });
-    }
-    out
+    similar_member_sets(ratings, size, count, pcc_threshold, seed)
+        .into_iter()
+        .map(|members| {
+            let positives = quorum_positives(ratings, &members, POSITIVE_THRESHOLD, min_raters);
+            FormedGroup { members, positives }
+        })
+        .collect()
 }
 
 /// Parameters of the simulated group decision process.
@@ -233,6 +203,10 @@ pub fn simulate_group_choices(
 ) -> Vec<FormedGroup> {
     let mut rng = SplitMix64::new(seed);
     let mut planned: Vec<(usize, Vec<u32>)> = Vec::with_capacity(member_sets.len());
+    // scratch buffers, reused across groups and candidates
+    let mut pool: Vec<u32> = Vec::with_capacity(config.candidates_per_group);
+    let mut scored: Vec<(u32, f32)> = Vec::with_capacity(config.candidates_per_group);
+    let (mut affs, mut weights) = (Vec::new(), Vec::new());
     for (gi, members) in member_sets.iter().enumerate() {
         assert!(!members.is_empty(), "group {gi} has no members");
         let (lo, hi) = config.choices_per_group;
@@ -242,7 +216,7 @@ pub fn simulate_group_choices(
         // uniform (niche discoveries) — keeps popularity informative but
         // not sufficient
         let n_items = world.items.len();
-        let mut pool: Vec<u32> = Vec::with_capacity(config.candidates_per_group);
+        pool.clear();
         let mut tries = 0usize;
         while pool.len() < config.candidates_per_group && tries < config.candidates_per_group * 10 {
             tries += 1;
@@ -255,29 +229,29 @@ pub fn simulate_group_choices(
                 pool.push(v);
             }
         }
-        // score candidates: veto + influence-weighted affinity
-        let mut scored: Vec<(u32, f32)> = Vec::with_capacity(pool.len());
+        // score candidates: veto + influence-weighted affinity (the
+        // veto stops at the first objector: affinities draw no RNG)
+        scored.clear();
         'cand: for &v in &pool {
-            let affs: Vec<f32> = members.iter().map(|&m| world.affinity(m, v)).collect();
-            for &a in &affs {
+            affs.clear();
+            for &m in members {
+                let a = world.affinity(m, v);
                 if crate::world::World::affinity_to_rating(a) < config.veto_floor {
                     continue 'cand; // somebody hates it: vetoed
                 }
+                affs.push(a);
             }
             // w_i ∝ exp(c·influence + s·affinity): influential members and
             // members who care about this candidate speak louder
-            let logits: Vec<f32> = members
-                .iter()
-                .zip(&affs)
-                .map(|(&m, &a)| {
-                    config.influence_sharpness * world.users[m as usize].influence
-                        + config.persistence_weight * a
-                })
-                .collect();
-            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-            let z: f32 = exps.iter().sum();
-            let score: f32 = exps.iter().zip(&affs).map(|(&e, &a)| (e / z) * a).sum::<f32>()
+            weights.clear();
+            weights.extend(members.iter().zip(&affs).map(|(&m, &a)| {
+                config.influence_sharpness * world.users[m as usize].influence
+                    + config.persistence_weight * a
+            }));
+            let max = weights.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            weights.iter_mut().for_each(|l| *l = (*l - max).exp());
+            let z: f32 = weights.iter().sum();
+            let score: f32 = weights.iter().zip(&affs).map(|(&e, &a)| (e / z) * a).sum::<f32>()
                 + rng.next_normal() * config.decision_noise;
             scored.push((v, score));
         }
@@ -333,7 +307,13 @@ pub fn random_member_sets(num_users: u32, size: usize, count: usize, seed: u64) 
 
 /// PCC-constrained member sets (the MovieLens-20M-Simi protocol):
 /// seeded from co-raters of an item so overlaps exist, grown greedily
-/// under the pairwise threshold.
+/// under the pairwise threshold: every pair of members must have Pearson
+/// correlation ≥ `pcc_threshold` (paper value: 0.27). Groups with
+/// duplicate member sets are discarded.
+///
+/// The growth revisits the same pairs many times (at `Small` scale
+/// ~13 tests per distinct pair), so each unordered pair's verdict is
+/// memoised in a `PairMemo` local to the call.
 pub fn similar_member_sets(
     ratings: &RatingTable,
     size: usize,
@@ -346,6 +326,8 @@ pub fn similar_member_sets(
     let raters = raters_by_item(ratings);
     let candidate_items: Vec<u32> =
         raters.iter().enumerate().filter(|(_, r)| r.len() >= size).map(|(v, _)| v as u32).collect();
+    let mut memo = PairMemo::new(ratings.num_users());
+    let mut order = Vec::new();
     let mut out = Vec::with_capacity(count);
     let mut seen = HashSet::new();
     let mut attempts = 0usize;
@@ -353,17 +335,20 @@ pub fn similar_member_sets(
         attempts += 1;
         let v = candidate_items[rng.next_below(candidate_items.len())];
         let pool = &raters[v as usize];
+        // greedy growth from a random seed member
         let mut members = vec![pool[rng.next_below(pool.len())]];
-        let mut order: Vec<u32> = pool.clone();
+        order.clear();
+        order.extend_from_slice(pool);
         rng.shuffle(&mut order);
-        for c in order {
+        for &c in &order {
             if members.len() == size {
                 break;
             }
             if members.contains(&c) {
                 continue;
             }
-            if members.iter().all(|&m| pearson(ratings, m, c).is_some_and(|p| p >= pcc_threshold)) {
+            let similar = |m: u32| pearson(ratings, m, c).is_some_and(|p| p >= pcc_threshold);
+            if members.iter().all(|&m| memo.passes(m, c, || similar(m))) {
                 members.push(c);
             }
         }
@@ -376,6 +361,40 @@ pub fn similar_member_sets(
         }
     }
     out
+}
+
+/// The pairwise test's verdicts over `n` users: two bits per unordered
+/// pair (bit 0 = tested, bit 1 = passed) in a triangular table of
+/// `n(n−1)/8` bytes — about 80 KB at `Small` scale, 500 KB at `Medium`.
+/// [`pearson`] is bitwise symmetric, so one test answers both orders.
+struct PairMemo {
+    words: Vec<u64>,
+}
+
+impl PairMemo {
+    fn new(num_users: u32) -> Self {
+        let n = num_users as usize;
+        let pairs = n * n.saturating_sub(1) / 2;
+        PairMemo { words: vec![0; pairs.div_ceil(32)] }
+    }
+
+    /// The verdict for `{a, b}` (`a ≠ b`): `test()` on the pair's first
+    /// visit, the memo afterwards.
+    fn passes(&mut self, a: u32, b: u32, test: impl FnOnce() -> bool) -> bool {
+        debug_assert_ne!(a, b, "a pair needs two users");
+        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+        let slot = hi * (hi - 1) / 2 + lo;
+        let (word, shift) = (slot / 32, slot % 32 * 2);
+        match self.words[word] >> shift & 0b11 {
+            0b01 => false,
+            0b11 => true,
+            _ => {
+                let pass = test();
+                self.words[word] |= (0b01 | u64::from(pass) << 1) << shift;
+                pass
+            }
+        }
+    }
 }
 
 /// Users who rated each item ≥ [`POSITIVE_THRESHOLD`], indexed by item.

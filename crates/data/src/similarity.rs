@@ -2,6 +2,8 @@
 //!
 //! The paper forms MovieLens-20M-Simi with a pairwise PCC threshold of
 //! 0.27 between all members of a group (following Baltrunas et al. [4]).
+//! Group formation tests each unordered pair at most once and memoises
+//! the verdict ([`crate::groups::similar_member_sets`]).
 
 use crate::interactions::RatingTable;
 
@@ -12,44 +14,54 @@ pub const MIN_OVERLAP: usize = 3;
 /// Pearson correlation of two users' ratings over their co-rated items.
 ///
 /// Returns `None` when fewer than [`MIN_OVERLAP`] items are co-rated or
-/// when either user has zero rating variance on the overlap.
+/// when either user has zero rating variance on the overlap. The result
+/// is bitwise symmetric in `a` and `b` (swapping them only swaps the
+/// two variances and the factors of commutative products), which is
+/// what lets group formation memoise the pairwise test per unordered
+/// pair. Nothing is allocated: the two rows are merge-joined twice.
 pub fn pearson(ratings: &RatingTable, a: u32, b: u32) -> Option<f32> {
-    let ra = ratings.user_ratings(a);
-    let rb = ratings.user_ratings(b);
-    // merge-join the two sorted rows
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
+    let (ra, rb) = (ratings.user_ratings(a), ratings.user_ratings(b));
+    // each sum folds from −0.0 in item order, as `Iterator::sum` does
+    let (mut count, mut sx, mut sy) = (0usize, -0.0f32, -0.0f32);
+    co_rated(ra, rb, |x, y| {
+        count += 1;
+        sx += x;
+        sy += y;
+    });
+    if count < MIN_OVERLAP {
+        return None;
+    }
+    let n = count as f32;
+    let (mx, my) = (sx / n, sy / n);
+    let mut cov = 0.0f32;
+    let mut vx = 0.0f32;
+    let mut vy = 0.0f32;
+    co_rated(ra, rb, |x, y| {
+        cov += (x - mx) * (y - my);
+        vx += (x - mx) * (x - mx);
+        vy += (y - my) * (y - my);
+    });
+    if vx <= 1e-12 || vy <= 1e-12 {
+        return None;
+    }
+    Some(cov / (vx.sqrt() * vy.sqrt()))
+}
+
+/// Merge-join two item-sorted rating rows: `f(x, y)` for every co-rated
+/// item, in item order.
+fn co_rated(ra: &[(u32, f32)], rb: &[(u32, f32)], mut f: impl FnMut(f32, f32)) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < ra.len() && j < rb.len() {
         match ra[i].0.cmp(&rb[j].0) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                xs.push(ra[i].1);
-                ys.push(rb[j].1);
+                f(ra[i].1, rb[j].1);
                 i += 1;
                 j += 1;
             }
         }
     }
-    if xs.len() < MIN_OVERLAP {
-        return None;
-    }
-    let n = xs.len() as f32;
-    let mx = xs.iter().sum::<f32>() / n;
-    let my = ys.iter().sum::<f32>() / n;
-    let mut cov = 0.0f32;
-    let mut vx = 0.0f32;
-    let mut vy = 0.0f32;
-    for (&x, &y) in xs.iter().zip(&ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx <= 1e-12 || vy <= 1e-12 {
-        return None;
-    }
-    Some(cov / (vx.sqrt() * vy.sqrt()))
 }
 
 /// Mean pairwise PCC inside a set of users, counting only defined pairs.

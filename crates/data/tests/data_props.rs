@@ -1,14 +1,18 @@
 //! Property-based tests of the data substrate: splits partition, the
-//! negative sampler rejects positives, quorum semantics, and PCC bounds.
+//! negative sampler rejects positives, quorum semantics, PCC bounds, and
+//! the memoised PCC group formation against its plain reference.
 
-use kgag_data::groups::{quorum_positives, unanimous_positives};
+use kgag_data::groups::{
+    quorum_positives, raters_by_item, similar_member_sets, unanimous_positives,
+};
 use kgag_data::interactions::{Interactions, RatingTable};
-use kgag_data::similarity::pearson;
+use kgag_data::similarity::{pearson, MIN_OVERLAP};
 use kgag_data::split::{split_group_interactions, NegativeSampler};
 use kgag_tensor::rng::SplitMix64;
 use kgag_testkit::check::Runner;
-use kgag_testkit::gen::{u32_in, u64_in, vec_of, IntGen, VecGen};
+use kgag_testkit::gen::{choice, u32_in, u64_in, usize_in, vec_of, IntGen, VecGen};
 use kgag_testkit::{prop_assert, prop_assert_eq};
+use std::collections::HashSet;
 
 /// Raw pairs for a random interaction matrix (shrinking operates on the
 /// plain pair list; the matrix is built inside the property body).
@@ -245,4 +249,167 @@ fn pearson_bounded_and_symmetric() {
         }
         Ok(())
     });
+}
+
+/// Raw triples for a wider rating table (12 users × 16 items, ratings
+/// 1–5 in half steps), dense enough for PCC groups of up to 5 to form.
+fn wide_ratings_gen() -> VecGen<(IntGen<u32>, IntGen<u32>, IntGen<u32>)> {
+    vec_of((u32_in(0..12), u32_in(0..16), u32_in(2..11)), 1..160)
+}
+
+fn wide_ratings(trip: &[(u32, u32, u32)]) -> RatingTable {
+    let mut t = RatingTable::new(12, 16);
+    for &(u, v, r) in trip {
+        t.set(u, v, r as f32 * 0.5);
+    }
+    t
+}
+
+/// The two-`Vec` Pearson correlation `pearson` replaced: collect the
+/// co-rated pairs, then sum them with `Iterator::sum` and a loop.
+fn pearson_two_vecs(ratings: &RatingTable, a: u32, b: u32) -> Option<f32> {
+    let ra = ratings.user_ratings(a);
+    let rb = ratings.user_ratings(b);
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ra.len() && j < rb.len() {
+        match ra[i].0.cmp(&rb[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                xs.push(ra[i].1);
+                ys.push(rb[j].1);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if xs.len() < MIN_OVERLAP {
+        return None;
+    }
+    let n = xs.len() as f32;
+    let mx = xs.iter().sum::<f32>() / n;
+    let my = ys.iter().sum::<f32>() / n;
+    let mut cov = 0.0f32;
+    let mut vx = 0.0f32;
+    let mut vy = 0.0f32;
+    for (&x, &y) in xs.iter().zip(&ys) {
+        cov += (x - mx) * (y - my);
+        vx += (x - mx) * (x - mx);
+        vy += (y - my) * (y - my);
+    }
+    if vx <= 1e-12 || vy <= 1e-12 {
+        return None;
+    }
+    Some(cov / (vx.sqrt() * vy.sqrt()))
+}
+
+/// The greedy PCC growth without a memo: every visit of a pair calls
+/// `pearson` again. Same draws, same order as `similar_member_sets`.
+fn similar_member_sets_reference(
+    ratings: &RatingTable,
+    size: usize,
+    count: usize,
+    pcc_threshold: f32,
+    seed: u64,
+) -> Vec<Vec<u32>> {
+    let mut rng = SplitMix64::new(seed);
+    let raters = raters_by_item(ratings);
+    let candidate_items: Vec<u32> =
+        raters.iter().enumerate().filter(|(_, r)| r.len() >= size).map(|(v, _)| v as u32).collect();
+    let mut out = Vec::with_capacity(count);
+    let mut seen = HashSet::new();
+    let mut attempts = 0usize;
+    while out.len() < count && attempts < count * 200 && !candidate_items.is_empty() {
+        attempts += 1;
+        let v = candidate_items[rng.next_below(candidate_items.len())];
+        let pool = &raters[v as usize];
+        let mut members = vec![pool[rng.next_below(pool.len())]];
+        let mut order: Vec<u32> = pool.clone();
+        rng.shuffle(&mut order);
+        for c in order {
+            if members.len() == size {
+                break;
+            }
+            if members.contains(&c) {
+                continue;
+            }
+            if members.iter().all(|&m| pearson(ratings, m, c).is_some_and(|p| p >= pcc_threshold)) {
+                members.push(c);
+            }
+        }
+        if members.len() < size {
+            continue;
+        }
+        members.sort_unstable();
+        if seen.insert(members.clone()) {
+            out.push(members);
+        }
+    }
+    out
+}
+
+/// The memoised group formation returns exactly the reference loop's
+/// member sets, for thresholds every pair passes (≤ −1), none passes
+/// (> 1) and in between.
+#[test]
+fn memoised_similar_member_sets_match_the_reference() {
+    let thresholds = [0.27f32, -1.0, -1.5, 0.0, 0.6, 1.0, 1.01, 2.0];
+    let gen =
+        (wide_ratings_gen(), usize_in(2..6), usize_in(1..8), choice(&thresholds), u64_in(0..1000));
+    Runner::new("memoised_similar_member_sets_match_the_reference").cases(128).run(
+        &gen,
+        |(trip, size, count, tau, seed)| {
+            let t = wide_ratings(trip);
+            let got = similar_member_sets(&t, *size, *count, *tau, *seed);
+            let want = similar_member_sets_reference(&t, *size, *count, *tau, *seed);
+            prop_assert_eq!(got, want);
+            Ok(())
+        },
+    );
+}
+
+/// The allocation-free `pearson` equals the two-`Vec` version bit for
+/// bit, in both argument orders (the memo relies on the symmetry),
+/// including overlaps below `MIN_OVERLAP` and zero variance.
+#[test]
+fn pearson_matches_the_two_vec_version_bitwise() {
+    let gen = (wide_ratings_gen(), u32_in(0..12), u32_in(0..12));
+    Runner::new("pearson_matches_the_two_vec_version_bitwise").cases(256).run(
+        &gen,
+        |(trip, a, b)| {
+            let (a, b) = (*a, *b);
+            let t = wide_ratings(trip);
+            let bits = |p: Option<f32>| p.map(f32::to_bits);
+            prop_assert_eq!(bits(pearson(&t, a, b)), bits(pearson_two_vecs(&t, a, b)));
+            prop_assert_eq!(bits(pearson(&t, a, b)), bits(pearson(&t, b, a)));
+            Ok(())
+        },
+    );
+}
+
+/// The edge cases of `pearson` named explicitly: too few co-rated items,
+/// zero variance on either side, and a defined correlation.
+#[test]
+fn pearson_edge_cases_match_the_two_vec_version() {
+    let mut t = RatingTable::new(5, 4);
+    for (u, row) in [
+        (0, [1.0, 3.0, 5.0, 2.0]), // reference profile
+        (1, [3.0, 3.0, 3.0, 3.0]), // zero variance
+        (2, [2.0, 4.0, 5.0, 1.0]), // correlated with 0
+    ] {
+        for (v, r) in row.into_iter().enumerate() {
+            t.set(u, v as u32, r);
+        }
+    }
+    t.set(3, 0, 4.0); // two co-rated items only
+    t.set(3, 1, 5.0);
+    for (a, b, defined) in
+        [(0, 1, false), (1, 0, false), (0, 3, false), (0, 2, true), (4, 0, false)]
+    {
+        let p = pearson(&t, a, b);
+        assert_eq!(p.is_some(), defined, "pair ({a}, {b}): {p:?}");
+        assert_eq!(p.map(f32::to_bits), pearson_two_vecs(&t, a, b).map(f32::to_bits));
+    }
 }

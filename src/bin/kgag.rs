@@ -97,8 +97,9 @@ default 0.1), or interaction (member-interaction mixing). Checkpoints
 carry the backend tag, so --checkpoint restores refuse a mismatched
 --backend.
 serve loads --checkpoint if the file exists (training and writing it
-otherwise), binds --addr (default 127.0.0.1:0, port printed on stdout)
-and scores requests until stdin reaches EOF or reads \"quit\". Every
+otherwise), binds --addr (default 127.0.0.1:0, port printed on stdout;
+a \"start-up:\" line on stderr splits the launch time) and scores
+requests until stdin reaches EOF or reads \"quit\". Every
 server is a multi-tenant model registry (DESIGN.md §16) with the
 checkpoint resident and bound to tenant 0. The un-tenanted wire
 opcodes address tenant 0: score, and create/join/leave, which mutate
@@ -340,9 +341,18 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     use kgag_serve::{serve_tcp, RegistryConfig, RegistryServer, ShardConfig, ShardPool};
     use std::sync::Arc;
     let cfg = config(opts)?;
+    // start-up split, reported on stderr once the listener is bound
+    let mut clock = std::time::Instant::now();
+    let mut lap = || {
+        let ms = clock.elapsed().as_secs_f64() * 1e3;
+        clock = std::time::Instant::now();
+        ms
+    };
     let ds = dataset(opts)?;
+    let dataset_ms = lap();
     let (model, hash) = load_or_train(&ds, opts)?;
-    let entry = match opts.get("shards") {
+    let checkpoint_ms = lap();
+    let (entry, entry_part) = match opts.get("shards") {
         Some(shards) => {
             let addrs: Vec<&str> =
                 shards.split(',').map(str::trim).filter(|a| !a.is_empty()).collect();
@@ -364,7 +374,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             // the router keeps clones of the small weights only; the
             // embedding tables live on the peers
             drop(model);
-            kgag::RegistryModel::new(Arc::new(router), None, hash)
+            (kgag::RegistryModel::new(Arc::new(router), None, hash), "shard router")
         }
         None => {
             let live = Arc::new(kgag::DynamicScorer::shared(Arc::new(model)));
@@ -375,9 +385,10 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
                 None => eprintln!("no receptive-field cache (no KG propagation)"),
             }
             eprintln!("lifecycle enabled: {} groups live", live.num_groups());
-            kgag::RegistryModel::new(live.clone(), Some(live), hash)
+            (kgag::RegistryModel::new(live.clone(), Some(live), hash), "receptive-field cache")
         }
     };
+    let entry_ms = lap();
     // LOAD rebuilds checkpoints over this dataset, never as a router:
     // the peers hold the bootstrap checkpoint's rows only
     let factory: kgag_serve::ModelFactory = Box::new(move |bytes, hash| {
@@ -400,6 +411,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     shutdown_on_stdin(&token);
     let serve_cfg = &rcfg.serve;
     serve_tcp(&server, &addr, &token, |bound| {
+        let bind_ms = lap();
         println!("serving on {bound}");
         eprintln!(
             "batch window {:?}, max batch {}, queue {}, workers {} — close stdin or type \
@@ -408,6 +420,10 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             serve_cfg.max_batch,
             serve_cfg.queue_capacity,
             serve_cfg.workers
+        );
+        eprintln!(
+            "start-up: dataset {dataset_ms:.1} ms, checkpoint {checkpoint_ms:.1} ms, \
+             {entry_part} {entry_ms:.1} ms, registry and bind {bind_ms:.1} ms"
         );
     })
     .map_err(|e| e.to_string())?;
