@@ -39,6 +39,11 @@
 #                baseline suite with no artifact at all. Regenerate the
 #                baseline after intentional perf changes with:
 #                  ./ci.sh --bench-baseline
+#   tanh       — only with --stage tanh: the exhaustive tanh test in
+#                release — both entry points of the in-house tanh
+#                (kgag_tensor::tanh) against f32::tanh on all 2^32
+#                inputs, bit for bit. It holds where the libm is
+#                glibc 2.36's; about a minute on 2 cores
 #
 # Usage:
 #   ./ci.sh                      # every stage except bench
@@ -46,6 +51,7 @@
 #   ./ci.sh --stage golden       # run exactly one stage
 #   ./ci.sh --stage fmt,test     # run a comma-separated subset
 #   ./ci.sh --bench              # …default stages plus the bench gate
+#   ./ci.sh --stage tanh         # the exhaustive tanh comparison
 #   ./ci.sh --bench-baseline     # …instead rewrite results/bench_baseline.json
 #   ./ci.sh --golden-baseline    # …instead rewrite results/golden_smoke.json
 set -eu
@@ -54,9 +60,9 @@ cd "$(dirname "$0")"
 
 # ----------------------------------------------------------------- manifest
 
-STAGES="fmt build test kgbench golden bench"
-# bench is opt-in: excluded from a default run, included by --bench /
-# --bench-baseline or an explicit --stage selection
+STAGES="fmt build test kgbench golden bench tanh"
+# bench and tanh are opt-in: excluded from a default run; bench is
+# included by --bench / --bench-baseline, either by --stage
 DEFAULT_STAGES="fmt build test kgbench golden"
 
 stage_desc() {
@@ -67,6 +73,7 @@ stage_desc() {
     kgbench) echo "benchmark package: builds against the API, tests + smoke" ;;
     golden) echo "golden-file gate: bit-identical smoke metrics" ;;
     bench) echo "bench regression gate (opt-in: --bench)" ;;
+    tanh) echo "in-house tanh vs f32::tanh on all 2^32 inputs (opt-in)" ;;
     esac
 }
 
@@ -122,6 +129,10 @@ run_bench() {
     else
         cargo run -q --release --offline -p kgag-bench --bin bench_check
     fi
+}
+
+run_tanh() {
+    cargo test -q --release --offline -p kgag-tensor --test tanh -- --ignored --nocapture
 }
 
 # ------------------------------------------------------------------- runner

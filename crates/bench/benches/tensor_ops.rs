@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the tensor/autodiff substrate: the hot ops of
 //! the propagation and attention blocks, forward and backward.
 
-use kgag_tensor::{init, ParamStore, Tape, Tensor};
+use kgag_tensor::{init, tanh, ParamStore, Tape, Tensor};
 use kgag_testkit::bench::{black_box, BenchSuite};
+use kgag_testkit::json::Json;
 
 fn bench_matmul(suite: &mut BenchSuite) {
     for &n in &[32usize, 128, 512] {
@@ -74,11 +75,40 @@ fn bench_losses(suite: &mut BenchSuite) {
     });
 }
 
+/// The in-house tanh, 16 lanes at a time, against the platform's
+/// `f32::tanh` on the same 4096 inputs in [-3, 3) — the range of the
+/// last propagation layer's pre-activations — with the medians also
+/// reported in ns per element.
+fn bench_tanh(suite: &mut BenchSuite) {
+    const N: usize = 4096;
+    let xs = init::uniform(N, 1, 3.0, 13).data().to_vec();
+    let mut buf = xs.clone();
+    suite.bench("tanh 16-lane 4096 elements", || {
+        buf.copy_from_slice(&xs);
+        tanh::tanh_inplace(black_box(&mut buf));
+        black_box(&buf);
+    });
+    suite.bench("tanh f32::tanh 4096 elements", || {
+        for (b, &x) in buf.iter_mut().zip(black_box(&xs)) {
+            *b = x.tanh();
+        }
+        black_box(&buf);
+    });
+    let mut per_element = Vec::new();
+    for r in &suite.results()[suite.results().len() - 2..] {
+        let ns = r.median_ns / N as f64;
+        println!("{}: {ns:.2} ns/element", r.name);
+        per_element.push((r.name.clone(), Json::Float(ns)));
+    }
+    suite.annotate("tanh_ns_per_element", Json::Obj(per_element));
+}
+
 fn main() {
     let mut suite = BenchSuite::new("tensor_ops");
     bench_matmul(&mut suite);
     bench_gather_backward(&mut suite);
     bench_grouped_ops(&mut suite);
     bench_losses(&mut suite);
+    bench_tanh(&mut suite);
     suite.finish();
 }

@@ -53,18 +53,8 @@
 use crate::config::Backend;
 use crate::model::{ModelParams, PropagationParams};
 use kgag_kg::ReceptiveField;
+pub use kgag_tensor::infer::FusedAggregation;
 use kgag_tensor::{NodeId, Tape, Tensor};
-
-/// The fused kernel plan mirroring a backend's combine rule — what the
-/// inference engine dispatches on instead of matching backend names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FusedAggregation {
-    /// Elementwise `e + e_N`, then one `[d, d]` matmul (GCN-shaped).
-    SumSelf,
-    /// Split `[2d, d]` concat matmul: self and neighbor halves applied
-    /// without materialising the concatenation (GraphSage-shaped).
-    SplitConcat,
-}
 
 /// One propagation backend: the representation-update rule plus its
 /// training and serving hooks. Impls are stateless — parameters live in

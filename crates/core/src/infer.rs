@@ -34,7 +34,12 @@
 //!    skipped;
 //! 8. the propagation softmax computes `exp(π − max)` once per (query
 //!    row, relation, relation of the group max) and runs a group whose
-//!    logits are all NaN per edge.
+//!    logits are all NaN per edge;
+//! 9. each propagation level is one fused node update — children's
+//!    weighted sum, self term, matmul, bias and activation per row, in
+//!    registers at d = 16, in the tape's per-element order — and its
+//!    tanh is `kgag_tensor::tanh`, the same port of fdlibm `tanhf` the
+//!    tape calls, 16 lanes at a time on a packed row.
 //!
 //! Every kernel computes each output row from its own instance rows
 //! only, and receptive-field draws are position-independent, so the
@@ -47,11 +52,10 @@
 //! count to `infer.exps` — once per chunk, never per op, and never
 //! touching a value.
 
-use crate::backend::FusedAggregation;
 use crate::config::KgagConfig;
 use crate::model::ModelParams;
 use kgag_kg::ReceptiveField;
-use kgag_tensor::infer::{self as kernels, Activation, Rows};
+use kgag_tensor::infer::{self as kernels, Activation, FusedAggregation, Rows};
 use kgag_tensor::tensor::{dot, sigmoid};
 use kgag_tensor::{pool, ParamStore};
 use std::collections::BTreeMap;
@@ -215,8 +219,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Propagation (§III-C): relation-attention weights per level, then
-    /// the triangular H-iteration update with the bias and activation
-    /// fused into each layer's matmul. Query row `i` serves the `i`-th
+    /// the triangular H-iteration update, one fused node-update kernel a
+    /// level (weighted sum, self term, matmul, bias and activation per
+    /// row). Query row `i` serves the `i`-th
     /// equal share of the targets (one row per target, or one item row
     /// per `L` members).
     fn propagate(&self, rf: &ReceptiveField, query: Rows<'_>, clock: &mut StageClock) -> Vec<f32> {
@@ -245,40 +250,30 @@ impl<'a> Engine<'a> {
         // iteration 0 reads every level in place; `reps[lvl]` holds
         // level `lvl` once propagation has updated it
         let mut reps: Vec<Vec<f32>> = Vec::with_capacity(layers);
-        let (mut e_n, mut sum, mut updated) = (Vec::new(), Vec::new(), Vec::new());
+        let mut updated = Vec::new();
         for h in 0..layers {
             let act = if h + 1 == layers { Activation::Tanh } else { Activation::Relu };
             let w = self.weight(self.params.prop.layer_w[h]);
             let bias = self.weight(self.params.prop.layer_b[h]);
             for lvl in 0..(layers - h) {
-                let (own, neighbours) = if h == 0 {
+                let (own, children) = if h == 0 {
                     (self.entities(&rf.entities[lvl]), self.entities(&rf.entities[lvl + 1]))
                 } else {
                     (Rows::Dense(&reps[lvl]), Rows::Dense(&reps[lvl + 1]))
                 };
-                kernels::group_weighted_sum(&level_weights[lvl], neighbours, d, k, &mut e_n);
-                let rows = own.len(d);
-                match self.plan {
-                    FusedAggregation::SumSelf => {
-                        kernels::add_into(own, &e_n, d, &mut sum);
-                        kernels::matmul_bias_act(&sum, rows, d, w, d, bias, act, &mut updated);
-                    }
-                    FusedAggregation::SplitConcat => {
-                        let (w_self, w_neigh) = w.split_at(d * d);
-                        kernels::matmul2_bias_act(
-                            own,
-                            &e_n,
-                            rows,
-                            d,
-                            w_self,
-                            w_neigh,
-                            d,
-                            bias,
-                            act,
-                            &mut updated,
-                        );
-                    }
-                }
+                let weights = &level_weights[lvl];
+                kernels::node_update(
+                    self.plan,
+                    own,
+                    children,
+                    weights,
+                    k,
+                    d,
+                    w,
+                    bias,
+                    act,
+                    &mut updated,
+                );
                 if h == 0 {
                     reps.push(std::mem::take(&mut updated));
                 } else {

@@ -202,11 +202,13 @@ pub fn simulate_group_choices(
     seed: u64,
 ) -> Vec<FormedGroup> {
     let mut rng = SplitMix64::new(seed);
-    let mut planned: Vec<(usize, Vec<u32>)> = Vec::with_capacity(member_sets.len());
+    // (group, chosen items, their members' affinities item-major)
+    let mut planned: Vec<(usize, Vec<u32>, Vec<f32>)> = Vec::with_capacity(member_sets.len());
     // scratch buffers, reused across groups and candidates
     let mut pool: Vec<u32> = Vec::with_capacity(config.candidates_per_group);
-    let mut scored: Vec<(u32, f32)> = Vec::with_capacity(config.candidates_per_group);
-    let (mut affs, mut weights) = (Vec::new(), Vec::new());
+    // (item, score, slot of its members' affinities in `kept`)
+    let mut scored: Vec<(u32, f32, usize)> = Vec::with_capacity(config.candidates_per_group);
+    let (mut affs, mut weights, mut kept) = (Vec::new(), Vec::new(), Vec::new());
     for (gi, members) in member_sets.iter().enumerate() {
         assert!(!members.is_empty(), "group {gi} has no members");
         let (lo, hi) = config.choices_per_group;
@@ -232,6 +234,7 @@ pub fn simulate_group_choices(
         // score candidates: veto + influence-weighted affinity (the
         // veto stops at the first objector: affinities draw no RNG)
         scored.clear();
+        kept.clear();
         'cand: for &v in &pool {
             affs.clear();
             for &m in members {
@@ -253,20 +256,32 @@ pub fn simulate_group_choices(
             let z: f32 = weights.iter().sum();
             let score: f32 = weights.iter().zip(&affs).map(|(&e, &a)| (e / z) * a).sum::<f32>()
                 + rng.next_normal() * config.decision_noise;
-            scored.push((v, score));
+            scored.push((v, score, scored.len()));
+            kept.extend_from_slice(&affs);
         }
         if scored.is_empty() {
             continue; // nothing survived the veto: the outing never happened
         }
         scored.sort_by(|a, b| kgag_tensor::cmp::score_cmp(b.1, a.1));
-        let chosen: Vec<u32> = scored.iter().take(n_choices).map(|&(v, _)| v).collect();
-        planned.push((gi, chosen));
+        let chosen = &scored[..n_choices.min(scored.len())];
+        let l = members.len();
+        planned.push((
+            gi,
+            chosen.iter().map(|&(v, ..)| v).collect(),
+            chosen
+                .iter()
+                .flat_map(|&(.., slot)| &kept[slot * l..(slot + 1) * l])
+                .copied()
+                .collect(),
+        ));
     }
-    // record the attendance ratings, then read off the positives
-    for (gi, chosen) in &planned {
-        for &v in chosen {
-            for &m in &member_sets[*gi] {
-                let noiseless = crate::world::World::affinity_to_rating(world.affinity(m, v));
+    // record the attendance ratings, reusing the scored affinities, then
+    // read off the positives
+    for (gi, chosen, affs) in &planned {
+        let members = &member_sets[*gi];
+        for (&v, affs) in chosen.iter().zip(affs.chunks_exact(members.len())) {
+            for (&m, &a) in members.iter().zip(affs) {
+                let noiseless = crate::world::World::affinity_to_rating(a);
                 let rating = (noiseless + rng.next_normal() * 0.3).round().clamp(1.0, 5.0);
                 // attendance does not erase a pre-existing opinion
                 if world.ratings.get(m, v).is_none() {
@@ -277,7 +292,7 @@ pub fn simulate_group_choices(
     }
     planned
         .into_iter()
-        .map(|(gi, mut chosen)| {
+        .map(|(gi, mut chosen, _)| {
             chosen.sort_unstable();
             chosen.dedup();
             FormedGroup { members: member_sets[gi].clone(), positives: chosen }

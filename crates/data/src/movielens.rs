@@ -11,9 +11,12 @@
 
 use crate::dataset::GroupDataset;
 use crate::groups::{
-    random_member_sets, similar_member_sets, simulate_group_choices, GroupDecisionConfig,
+    random_member_sets, similar_member_sets, simulate_group_choices, FormedGroup,
+    GroupDecisionConfig,
 };
+use crate::interactions::Interactions;
 use crate::world::{generate, World, WorldConfig};
+use kgag_kg::triple::{EntityId, TripleStore};
 use kgag_tensor::rng::derive_seed;
 
 /// Scale presets trading fidelity for runtime.
@@ -93,8 +96,11 @@ impl Default for MovieLensConfig {
     }
 }
 
-/// Generate the shared world plus both group datasets.
-pub fn movielens_pair(config: &MovieLensConfig) -> (World, GroupDataset, GroupDataset) {
+/// The shared world after every decision event, with each variant's
+/// formed groups: `(world, rand, simi)`. Both variants' events write
+/// attendance ratings into the one rating table, so either dataset
+/// needs both simulated.
+fn world_with_events(config: &MovieLensConfig) -> (World, Vec<FormedGroup>, Vec<FormedGroup>) {
     let mut world = generate(&config.world);
     // membership first (Simi similarity is judged on the organic,
     // pre-event ratings)
@@ -124,40 +130,58 @@ pub fn movielens_pair(config: &MovieLensConfig) -> (World, GroupDataset, GroupDa
         &config.simi_decisions,
         derive_seed(config.world.seed, "ml-simi-events"),
     );
+    (world, rand_formed, simi_formed)
+}
+
+/// One variant's dataset over the world's KG and implicit feedback.
+fn assemble(
+    config: &MovieLensConfig,
+    simi: bool,
+    kg: TripleStore,
+    item_entity: Vec<EntityId>,
+    implicit: Interactions,
+    formed: Vec<FormedGroup>,
+) -> GroupDataset {
+    let (name, group_size) = if simi {
+        ("MovieLens-20M-Simi", config.simi_group_size)
+    } else {
+        ("MovieLens-20M-Rand", config.rand_group_size)
+    };
+    let (users, items) = (config.world.num_users, config.world.num_items);
+    GroupDataset::from_parts(name, users, items, kg, item_entity, implicit, formed, group_size)
+}
+
+/// Generate the shared world plus both group datasets.
+pub fn movielens_pair(config: &MovieLensConfig) -> (World, GroupDataset, GroupDataset) {
+    let (world, rand_formed, simi_formed) = world_with_events(config);
     let implicit = world.ratings.to_implicit(crate::groups::POSITIVE_THRESHOLD);
-    let rand = GroupDataset::from_parts(
-        "MovieLens-20M-Rand",
-        config.world.num_users,
-        config.world.num_items,
-        world.kg.clone(),
-        world.item_entity.clone(),
-        implicit.clone(),
-        rand_formed,
-        config.rand_group_size,
-    );
-    let simi = GroupDataset::from_parts(
-        "MovieLens-20M-Simi",
-        config.world.num_users,
-        config.world.num_items,
-        world.kg.clone(),
-        world.item_entity.clone(),
-        implicit,
-        simi_formed,
-        config.simi_group_size,
-    );
+    let (kg, item_entity) = (&world.kg, &world.item_entity);
+    let rand =
+        assemble(config, false, kg.clone(), item_entity.clone(), implicit.clone(), rand_formed);
+    let simi = assemble(config, true, kg.clone(), item_entity.clone(), implicit, simi_formed);
     (world, rand, simi)
+}
+
+/// One variant alone, bit-identical to its half of [`movielens_pair`]:
+/// both variants' events are still simulated, but only the requested
+/// dataset is built, over the world's own KG.
+fn movielens_one(config: &MovieLensConfig, simi: bool) -> GroupDataset {
+    let (world, rand_formed, simi_formed) = world_with_events(config);
+    let implicit = world.ratings.to_implicit(crate::groups::POSITIVE_THRESHOLD);
+    let formed = if simi { simi_formed } else { rand_formed };
+    assemble(config, simi, world.kg, world.item_entity, implicit, formed)
 }
 
 /// Generate only the Rand variant (same world and events as
 /// [`movielens_pair`]).
 pub fn movielens_rand(config: &MovieLensConfig) -> GroupDataset {
-    movielens_pair(config).1
+    movielens_one(config, false)
 }
 
 /// Generate only the Simi variant (same world and events as
 /// [`movielens_pair`]).
 pub fn movielens_simi(config: &MovieLensConfig) -> GroupDataset {
-    movielens_pair(config).2
+    movielens_one(config, true)
 }
 
 #[cfg(test)]
@@ -199,10 +223,21 @@ mod tests {
     #[test]
     fn individual_builders_match_pair() {
         let cfg = MovieLensConfig::at_scale(Scale::Tiny);
-        let (_, rand_a, _) = movielens_pair(&cfg);
+        let (_, rand_a, simi_a) = movielens_pair(&cfg);
         let rand_b = movielens_rand(&cfg);
         assert_eq!(rand_a.num_groups(), rand_b.num_groups());
         assert_eq!(rand_a.group_pos.len(), rand_b.group_pos.len());
+        // every field but the KG's hash-ordered name maps
+        let same = |a: &GroupDataset, b: &GroupDataset| {
+            assert_eq!((&a.name, a.num_users, a.num_items), (&b.name, b.num_users, b.num_items));
+            assert_eq!(a.kg.triples(), b.kg.triples());
+            assert_eq!(a.item_entity, b.item_entity);
+            assert_eq!(format!("{:?}", a.user_pos), format!("{:?}", b.user_pos));
+            assert_eq!((&a.groups, a.group_size), (&b.groups, b.group_size));
+            assert_eq!(format!("{:?}", a.group_pos), format!("{:?}", b.group_pos));
+        };
+        same(&rand_a, &rand_b);
+        same(&simi_a, &movielens_simi(&cfg));
     }
 
     #[test]

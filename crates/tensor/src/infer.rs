@@ -19,6 +19,12 @@
 //!   keeps in four SSE registers, with a matmul block's 16 terms
 //!   unrolled. Other widths keep a 16-wide slice of the row (4-wide
 //!   where 16 does not divide it) in a local array across the k loop.
+//! * **One kernel a node update.** [`node_update`] runs a propagation
+//!   node's weighted sum of children, self term, matmul, bias and
+//!   activation per row, with no intermediate buffer.
+//! * **One tanh.** The activation's tanh is [`crate::tanh`], the port
+//!   of fdlibm `tanhf` the tape calls too — 16 lanes at a time in the
+//!   packed epilogue.
 //!
 //! Two properties every kernel guarantees (the property suite in
 //! `tests/infer_props.rs` enforces both):
@@ -36,6 +42,7 @@
 //!   so chunking a batch across the pool is value-neutral (DESIGN.md
 //!   §11).
 
+use crate::tanh::{tanh, tanh16};
 use crate::tensor::{dot, softmax_inplace};
 use crate::ParamStore;
 
@@ -310,15 +317,17 @@ fn axpy_block(acc: &mut Packed, a: &Packed, w: &[f32]) {
 }
 
 /// The matmul epilogue at the packed width: `out_row[c] = act(acc[c] +
-/// bias[c])`.
+/// bias[c])`, tanh 16 lanes at a time.
 #[inline(always)]
 fn finish_packed(acc: &Packed, bias: &[f32], act: Activation, out_row: &mut [f32]) {
-    let lanes = out_row.iter_mut().zip(acc).zip(packed(bias, 0));
+    let bias = packed(bias, 0);
+    let mut row: Packed = std::array::from_fn(|c| acc[c] + bias[c]);
     match act {
-        Activation::None => lanes.for_each(|((o, &a), &b)| *o = a + b),
-        Activation::Relu => lanes.for_each(|((o, &a), &b)| *o = (a + b).max(0.0)),
-        Activation::Tanh => lanes.for_each(|((o, &a), &b)| *o = (a + b).tanh()),
+        Activation::None => {}
+        Activation::Relu => row.iter_mut().for_each(|x| *x = x.max(0.0)),
+        Activation::Tanh => tanh16(&mut row),
     }
+    out_row.copy_from_slice(&row);
 }
 
 /// The one accumulating kernel body:
@@ -436,14 +445,21 @@ fn weighted_sum_packed<'r>(
     for (g, (ws, out_row)) in
         weights.chunks_exact(group).zip(out.chunks_exact_mut(PACKED)).enumerate()
     {
-        let mut acc = [0.0; PACKED];
-        for (k, &x) in ws.iter().enumerate() {
-            if x != 0.0 {
-                axpy(&mut acc, x, row(g * group + k));
-            }
-        }
-        out_row.copy_from_slice(&acc);
+        out_row.copy_from_slice(&weighted_row(ws, g * group, &row));
     }
+}
+
+/// `Σ_k ws[k] · row(first + k)` at the packed width, from zero in k
+/// order, zero weights skipped.
+#[inline(always)]
+fn weighted_row<'r>(ws: &[f32], first: usize, row: impl Fn(usize) -> &'r Packed) -> Packed {
+    let mut acc = [0.0; PACKED];
+    for (k, &x) in ws.iter().enumerate() {
+        if x != 0.0 {
+            axpy(&mut acc, x, row(first + k));
+        }
+    }
+    acc
 }
 
 /// Per-block mean of `[n·group, dim]` values, in the tape's
@@ -480,44 +496,7 @@ fn activate(x: f32, act: Activation) -> f32 {
     match act {
         Activation::None => x,
         Activation::Relu => x.max(0.0),
-        Activation::Tanh => x.tanh(),
-    }
-}
-
-/// Fused `out = act(a · w + bias)` for dense row-major `a
-/// [rows, d_in]`, `w [d_in, d_out]`, `bias [d_out]`. Same i-k-j order
-/// (and zero-skip) per element as the tape matmul, with the bias-add and
-/// activation applied to the register tile before it is stored instead
-/// of in two extra tensor passes. Each output row reads only its own
-/// `a` row.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_bias_act(
-    a: &[f32],
-    rows: usize,
-    d_in: usize,
-    w: &[f32],
-    d_out: usize,
-    bias: &[f32],
-    act: Activation,
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(a.len(), rows * d_in, "lhs length must be rows x d_in");
-    assert_eq!(w.len(), d_in * d_out, "weight length must be d_in x d_out");
-    assert_eq!(bias.len(), d_out, "bias length must be d_out");
-    assert!(d_out > 0, "d_out must be positive");
-    out.clear();
-    out.resize(rows * d_out, 0.0);
-    if d_in == PACKED && d_out == PACKED {
-        for (i, out_row) in out.chunks_exact_mut(PACKED).enumerate() {
-            let mut acc = [0.0; PACKED];
-            axpy_block(&mut acc, packed(a, i), w);
-            finish_packed(&acc, bias, act, out_row);
-        }
-        return;
-    }
-    for (i, out_row) in out.chunks_exact_mut(d_out).enumerate() {
-        let terms = matmul_terms(&a[i * d_in..(i + 1) * d_in], w, d_out);
-        accumulate(terms, out_row, |c, x| activate(x + bias[c], act));
+        Activation::Tanh => tanh(x),
     }
 }
 
@@ -567,6 +546,134 @@ pub fn matmul2_bias_act(
     }
 }
 
+/// How a propagation node's own row joins the weighted sum of its
+/// children before the layer matmul — the fused plan of a backend's
+/// combine rule, which the inference engine dispatches on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FusedAggregation {
+    /// Elementwise `e + e_N`, then one `[d, d]` matmul (GCN-shaped).
+    SumSelf,
+    /// Split `[2d, d]` concat matmul: self and neighbor halves applied
+    /// without materialising the concatenation (GraphSage-shaped).
+    SplitConcat,
+}
+
+/// One propagation level's node update, fused. Node row `i` becomes
+/// `act(combine(own.row(i), e_N) · w + bias)` with
+/// `e_N = Σ_k weights[i·group + k] · children.row(i·group + k)`, where
+/// `combine` is `own + e_N` against a `[dim, dim]` `w` under
+/// [`FusedAggregation::SumSelf`] and `CONCAT(own, e_N)` against a
+/// `[2·dim, dim]` `w` under [`FusedAggregation::SplitConcat`]. This is
+/// the tape's `group_weighted_sum` → `add` or `concat_cols` → `matmul`
+/// → `add_row` → activation: every element keeps each op's terms,
+/// start values, order and zero-skips, with no FMA; only the
+/// intermediate rows are gone. At the packed width a node's whole
+/// update stays in registers; other widths keep `e_N` and the combined
+/// row in row-sized scratch.
+#[allow(clippy::too_many_arguments)]
+pub fn node_update(
+    plan: FusedAggregation,
+    own: Rows<'_>,
+    children: Rows<'_>,
+    weights: &[f32],
+    group: usize,
+    dim: usize,
+    w: &[f32],
+    bias: &[f32],
+    act: Activation,
+    out: &mut Vec<f32>,
+) {
+    assert!(group > 0 && dim > 0, "group and dim must be positive");
+    let rows = own.len(dim);
+    assert_eq!(weights.len(), rows * group, "one weight per child");
+    assert_eq!(children.len(dim), weights.len(), "children rows must match weights");
+    let w_rows = match plan {
+        FusedAggregation::SumSelf => dim,
+        FusedAggregation::SplitConcat => 2 * dim,
+    };
+    assert_eq!(w.len(), w_rows * dim, "weight length must be {w_rows} x dim");
+    assert_eq!(bias.len(), dim, "bias length must be dim");
+    out.clear();
+    out.resize(rows * dim, 0.0);
+    if dim == PACKED {
+        // resolve the row storage once, not per term
+        let args = (plan, weights, group, w, bias, act);
+        match (own, children) {
+            (Rows::Dense(o), Rows::Dense(c)) => {
+                node_update_packed(|r| packed(o, r), |r| packed(c, r), args, out)
+            }
+            (Rows::ById { table: ot, ids: oi }, Rows::ById { table: ct, ids: ci }) => {
+                let own = |r: usize| packed(ot, oi[r] as usize);
+                node_update_packed(own, |r| packed(ct, ci[r] as usize), args, out)
+            }
+            _ => node_update_packed(
+                |r| packed(own.row(r, PACKED), 0),
+                |r| packed(children.row(r, PACKED), 0),
+                args,
+                out,
+            ),
+        }
+        return;
+    }
+    let (mut e_n, mut sum) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+    let finish = |c: usize, x: f32| activate(x + bias[c], act);
+    for (i, out_row) in out.chunks_exact_mut(dim).enumerate() {
+        e_n.fill(0.0);
+        let terms = (i * group..(i + 1) * group).map(|r| (weights[r], children.row(r, dim)));
+        accumulate(terms, &mut e_n, |_, x| x);
+        match plan {
+            FusedAggregation::SumSelf => {
+                for ((s, &o), &e) in sum.iter_mut().zip(own.row(i, dim)).zip(&e_n) {
+                    *s = o + e;
+                }
+                accumulate(matmul_terms(&sum, w, dim), out_row, finish);
+            }
+            FusedAggregation::SplitConcat => {
+                let (w_self, w_neigh) = w.split_at(dim * dim);
+                let terms = matmul_terms(own.row(i, dim), w_self, dim)
+                    .chain(matmul_terms(&e_n, w_neigh, dim));
+                accumulate(terms, out_row, finish);
+            }
+        }
+    }
+}
+
+/// [`node_update`] at the packed width, own row `i` read by `own(i)`
+/// and child row `r` by `child(r)`.
+#[inline(always)]
+fn node_update_packed<'o, 'c>(
+    own: impl Fn(usize) -> &'o Packed,
+    child: impl Fn(usize) -> &'c Packed,
+    (plan, weights, group, w, bias, act): (
+        FusedAggregation,
+        &[f32],
+        usize,
+        &[f32],
+        &[f32],
+        Activation,
+    ),
+    out: &mut [f32],
+) {
+    for (i, (ws, out_row)) in
+        weights.chunks_exact(group).zip(out.chunks_exact_mut(PACKED)).enumerate()
+    {
+        let e_n = weighted_row(ws, i * group, &child);
+        let mut acc = [0.0; PACKED];
+        match plan {
+            FusedAggregation::SumSelf => {
+                let own = own(i);
+                let sum: Packed = std::array::from_fn(|c| own[c] + e_n[c]);
+                axpy_block(&mut acc, &sum, w);
+            }
+            FusedAggregation::SplitConcat => {
+                axpy_block(&mut acc, own(i), w);
+                axpy_block(&mut acc, &e_n, &w[PACKED * PACKED..]);
+            }
+        }
+        finish_packed(&acc, bias, act, out_row);
+    }
+}
+
 /// `out_row += a_row · w` — one row of the tape matmul, zero-skip
 /// included (dropping it could turn a +0.0 sum into -0.0).
 #[inline]
@@ -602,17 +709,6 @@ where
     }
     for (block, w) in blocks.zip(w.chunks_exact(d_in * d_out)) {
         accumulate(matmul_terms(block, w, d_out), out_row, |_, x| x);
-    }
-}
-
-/// Elementwise `out = a + b` over equal-shaped operands; `a` may be read
-/// in place by id.
-pub fn add_into(a: Rows<'_>, b: &[f32], dim: usize, out: &mut Vec<f32>) {
-    assert_eq!(a.len(dim) * dim, b.len(), "operand lengths must match");
-    out.clear();
-    out.reserve(b.len());
-    for (i, b_row) in b.chunks_exact(dim).enumerate() {
-        out.extend(a.row(i, dim).iter().zip(b_row).map(|(&x, &y)| x + y));
     }
 }
 
@@ -655,7 +751,7 @@ pub fn row_dot_rep_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tensor;
+    use crate::{Tape, Tensor};
 
     #[test]
     fn relation_logits_share_query_rows_and_count_distinct_dots() {
@@ -680,16 +776,17 @@ mod tests {
         let mut fused = Vec::new();
         let (a_rows, act) = (Rows::Dense(&a), Activation::None);
         matmul2_bias_act(a_rows, &b, rows, d, &w_a, &w_b, d, &bias, act, &mut fused);
-        // reference: concat then one matmul
-        let mut cat = Vec::new();
-        for i in 0..rows {
-            cat.extend_from_slice(&a[i * d..(i + 1) * d]);
-            cat.extend_from_slice(&b[i * d..(i + 1) * d]);
-        }
-        let mut w = w_a.clone();
-        w.extend_from_slice(&w_b);
-        let mut reference = Vec::new();
-        matmul_bias_act(&cat, rows, 2 * d, &w, d, &bias, act, &mut reference);
+        // reference: the tape's concat, matmul and bias row
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let ta = tape.constant(Tensor::from_vec(rows, d, a.clone()));
+        let tb = tape.constant(Tensor::from_vec(rows, d, b.clone()));
+        let cat = tape.concat_cols(ta, tb);
+        let w = tape.constant(Tensor::from_vec(2 * d, d, [w_a, w_b].concat()));
+        let pre = tape.matmul(cat, w);
+        let bias = tape.constant(Tensor::from_vec(1, d, bias.to_vec()));
+        let out = tape.add_row(pre, bias);
+        let reference = tape.value(out).data();
         assert_eq!(fused, reference);
     }
 

@@ -62,6 +62,7 @@ pub mod params;
 pub mod pool;
 pub mod rng;
 pub mod shape;
+pub mod tanh;
 pub mod tape;
 pub mod tensor;
 

@@ -262,9 +262,11 @@ impl<'p> Tape<'p> {
         self.push(Op::Relu { a }, value)
     }
 
-    /// Elementwise tanh.
+    /// Elementwise tanh — the in-house [`crate::tanh`], which the
+    /// inference kernels share.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let value = self.nodes[a.index()].value.map(f32::tanh);
+        let mut value = self.nodes[a.index()].value.clone();
+        crate::tanh::tanh_inplace(value.data_mut());
         self.push(Op::Tanh { a }, value)
     }
 

@@ -13,9 +13,9 @@
 //! NaN, and to nothing else.
 
 use kgag_tensor::infer::{
-    accumulate_blocks, accumulate_row, add_into, gather_rows, group_mean, group_weighted_sum,
-    matmul2_bias_act, matmul_bias_act, relation_logits, relation_softmax, residual_inplace,
-    row_dot_rep_scaled, softmax_groups_inplace, Activation, Rows,
+    accumulate_blocks, accumulate_row, gather_rows, group_mean, group_weighted_sum,
+    matmul2_bias_act, node_update, relation_logits, relation_softmax, residual_inplace,
+    row_dot_rep_scaled, softmax_groups_inplace, Activation, FusedAggregation, Rows,
 };
 use kgag_tensor::rng::SplitMix64;
 use kgag_tensor::tensor::softmax_inplace;
@@ -237,48 +237,44 @@ fn tape_matmul_bias_act(
     bits(tape.value(out).data())
 }
 
-/// One `matmul_bias_act` case against the tape at every activation.
+/// One `matmul2_bias_act` case against the tape's concat matmul at
+/// every activation.
 fn check_matmul(rng: &mut SplitMix64, rows: usize, d_in: usize, d_out: usize) -> bool {
     let a = rand_vec(rng, rows * d_in, -2.0, 2.0);
-    let w = rand_vec(rng, d_in * d_out, -1.0, 1.0);
+    let b = rand_vec(rng, rows * d_in, -2.0, 2.0);
+    let w = rand_vec(rng, 2 * d_in * d_out, -1.0, 1.0);
+    let (w_a, w_b) = w.split_at(d_in * d_out);
     let bias = rand_vec(rng, d_out, -0.5, 0.5);
     let store = ParamStore::new();
     ACTIVATIONS.into_iter().all(|act| {
         let mut tape = Tape::new(&store);
+        let ta = tape.constant(Tensor::from_vec(rows, d_in, a.clone()));
+        let tb = tape.constant(Tensor::from_vec(rows, d_in, b.clone()));
+        let cat = tape.concat_cols(ta, tb);
+        let cat = tape.value(cat).clone();
         let want = tape_matmul_bias_act(
             &mut tape,
-            Tensor::from_vec(rows, d_in, a.clone()),
-            Tensor::from_vec(d_in, d_out, w.clone()),
+            cat,
+            Tensor::from_vec(2 * d_in, d_out, w.clone()),
             Tensor::from_vec(1, d_out, bias.clone()),
             act,
         );
         let mut got = Vec::new();
-        matmul_bias_act(&a, rows, d_in, &w, d_out, &bias, act, &mut got);
+        let (d, o) = (d_in, d_out);
+        matmul2_bias_act(Rows::Dense(&a), &b, rows, d, w_a, w_b, o, &bias, act, &mut got);
         bits(&got) == want
     })
 }
 
-#[test]
-fn matmul_bias_act_equals_tape() {
-    let gen = (usize_in(1..12), usize_in(1..20), usize_in(1..71), u64_in(0..u64::MAX));
-    Runner::new("infer-matmul-bias-act-vs-tape").cases(96).run(
-        &gen,
-        |&(rows, d_in, d_out, seed)| {
-            prop_assert_eq!(check_matmul(&mut SplitMix64::new(seed), rows, d_in, d_out), true);
-            Ok(())
-        },
-    );
-}
-
 /// Every output width 1..=70 — multiples of 16 (the wide tile), of 4
 /// (whole narrow tiles) and the rest (a one-wide tail) — through
-/// `matmul_bias_act` and `accumulate_row`.
+/// `matmul2_bias_act` and `accumulate_row`.
 #[test]
 fn tiled_kernels_equal_tape_at_every_width() {
     let mut rng = SplitMix64::new(0x7113);
     for d_out in 1..=70 {
         let d_in = 1 + d_out % 17;
-        assert!(check_matmul(&mut rng, 3, d_in, d_out), "matmul_bias_act at width {d_out}");
+        assert!(check_matmul(&mut rng, 3, d_in, d_out), "matmul2_bias_act at width {d_out}");
         // two accumulations onto one row are the matmul of the
         // concatenated row — the peer-influence tower's peer blocks
         let a = rand_vec(&mut rng, 2 * d_in, -2.0, 2.0);
@@ -335,6 +331,62 @@ fn matmul2_equals_tape_concat_matmul() {
     );
 }
 
+/// The fused node update equals the tape's `group_weighted_sum` →
+/// `add` (`SumSelf`) or `concat_cols` (`SplitConcat`) → `matmul` →
+/// `add_row` → activation for both plans and every activation, at the
+/// packed width 16 and at widths that take the 4-wide tile, its tail
+/// and the 16-wide tile, with own and child rows each dense or by id,
+/// and with ±0, subnormals, NaN and ±∞ among the weights and values.
+#[test]
+fn node_update_equals_tape_sum_combine_matmul_bias_act() {
+    const WIDTHS: [usize; 4] = [16, 7, 20, 32];
+    let gen = (usize_in(1..6), usize_in(1..9), usize_in(0..WIDTHS.len()), u64_in(0..u64::MAX));
+    Runner::new("infer-node-update-vs-tape").cases(128).run(&gen, |&(rows, group, wi, seed)| {
+        let dim = WIDTHS[wi];
+        let mut rng = SplitMix64::new(seed);
+        let own = Operand::draw(&mut rng, rows, dim, -2.0, 2.0);
+        let children = Operand::draw(&mut rng, rows * group, dim, -2.0, 2.0);
+        let weights = rand_vec(&mut rng, rows * group, -1.5, 1.5);
+        let w = rand_vec(&mut rng, 2 * dim * dim, -1.0, 1.0);
+        let bias = rand_vec(&mut rng, dim, -0.5, 0.5);
+        let store = ParamStore::new();
+        for plan in [FusedAggregation::SumSelf, FusedAggregation::SplitConcat] {
+            let w = match plan {
+                FusedAggregation::SumSelf => &w[..dim * dim],
+                FusedAggregation::SplitConcat => &w[..],
+            };
+            for act in ACTIVATIONS {
+                let mut tape = Tape::new(&store);
+                let tw = tape.constant(Tensor::from_vec(rows * group, 1, weights.clone()));
+                let tc = tape.constant(Tensor::from_vec(rows * group, dim, children.dense.clone()));
+                let e_n = tape.group_weighted_sum(tw, tc, group);
+                let to = tape.constant(Tensor::from_vec(rows, dim, own.dense.clone()));
+                let combined = match plan {
+                    FusedAggregation::SumSelf => tape.add(to, e_n),
+                    FusedAggregation::SplitConcat => tape.concat_cols(to, e_n),
+                };
+                let combined = tape.value(combined).clone();
+                let want = tape_matmul_bias_act(
+                    &mut tape,
+                    combined,
+                    Tensor::from_vec(w.len() / dim, dim, w.to_vec()),
+                    Tensor::from_vec(1, dim, bias.clone()),
+                    act,
+                );
+                for own_rows in own.forms() {
+                    for child_rows in children.forms() {
+                        let mut got = Vec::new();
+                        let (o, c) = (own_rows, child_rows);
+                        node_update(plan, o, c, &weights, group, dim, w, &bias, act, &mut got);
+                        prop_assert_eq!(bits(&got), want.clone());
+                    }
+                }
+            }
+        }
+        Ok(())
+    });
+}
+
 /// `accumulate_row` alone is one row of the tape matmul — including the
 /// `[d, 1]` projection of the peer-influence tower.
 #[test]
@@ -356,50 +408,42 @@ fn accumulate_row_equals_tape_matmul_row() {
     });
 }
 
-/// The self term and the residual's `e⁰` read by id equal the tape's
-/// gathered rows; the repeated-row dot equals `repeat_rows` → `row_dot`.
+/// The residual's `e⁰` read by id equals the tape's gathered rows; the
+/// repeated-row dot equals `repeat_rows` → `row_dot`.
 #[test]
-fn add_residual_and_row_dot_equal_tape() {
+fn residual_and_row_dot_equal_tape() {
     let gen = (usize_in(1..16), usize_in(1..5), usize_in(1..24), u64_in(0..u64::MAX));
-    Runner::new("infer-add-residual-row-dot-vs-tape").cases(96).run(
-        &gen,
-        |&(n, rep, dim, seed)| {
-            let mut rng = SplitMix64::new(seed);
-            let a = Operand::draw(&mut rng, n * rep, dim, -2.0, 2.0);
-            let b = rand_vec(&mut rng, n * rep * dim, -2.0, 2.0);
-            let q = rand_vec(&mut rng, n * dim, -2.0, 2.0);
-            let gamma = 0.25 + rng.next_f32();
-            let scale = 1.0 / (dim as f32).sqrt();
-            let store = ParamStore::new();
-            let mut tape = Tape::new(&store);
-            let ta = tape.constant(Tensor::from_vec(n * rep, dim, a.dense.clone()));
-            let tb = tape.constant(Tensor::from_vec(n * rep, dim, b.clone()));
-            let tq = tape.constant(Tensor::from_vec(n, dim, q.clone()));
+    Runner::new("infer-residual-row-dot-vs-tape").cases(96).run(&gen, |&(n, rep, dim, seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let a = Operand::draw(&mut rng, n * rep, dim, -2.0, 2.0);
+        let b = rand_vec(&mut rng, n * rep * dim, -2.0, 2.0);
+        let q = rand_vec(&mut rng, n * dim, -2.0, 2.0);
+        let gamma = 0.25 + rng.next_f32();
+        let scale = 1.0 / (dim as f32).sqrt();
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let ta = tape.constant(Tensor::from_vec(n * rep, dim, a.dense.clone()));
+        let tb = tape.constant(Tensor::from_vec(n * rep, dim, b.clone()));
+        let tq = tape.constant(Tensor::from_vec(n, dim, q.clone()));
 
-            // self term: add(e, e_N)
-            let sum = tape.add(ta, tb);
-            // residual: e0 + scale(acc, γ)
-            let scaled = tape.scale(tb, gamma);
-            let res = tape.add(ta, scaled);
-            for form in a.forms() {
-                let mut got = Vec::new();
-                add_into(form, &b, dim, &mut got);
-                prop_assert_eq!(bits(&got), bits(tape.value(sum).data()));
-                let mut acc = b.clone();
-                residual_inplace(form, gamma, dim, &mut acc);
-                prop_assert_eq!(bits(&acc), bits(tape.value(res).data()));
-            }
+        // residual: e0 + scale(acc, γ)
+        let scaled = tape.scale(tb, gamma);
+        let res = tape.add(ta, scaled);
+        for form in a.forms() {
+            let mut acc = b.clone();
+            residual_inplace(form, gamma, dim, &mut acc);
+            prop_assert_eq!(bits(&acc), bits(tape.value(res).data()));
+        }
 
-            // self persistence: scale(row_dot(a, repeat_rows(q)), 1/√d)
-            let q_rep = tape.repeat_rows(tq, rep);
-            let raw = tape.row_dot(ta, q_rep);
-            let sp = tape.scale(raw, scale);
-            let mut got = Vec::new();
-            row_dot_rep_scaled(&a.dense, &q, dim, rep, scale, &mut got);
-            prop_assert_eq!(bits(&got), bits(tape.value(sp).data()));
-            Ok(())
-        },
-    );
+        // self persistence: scale(row_dot(a, repeat_rows(q)), 1/√d)
+        let q_rep = tape.repeat_rows(tq, rep);
+        let raw = tape.row_dot(ta, q_rep);
+        let sp = tape.scale(raw, scale);
+        let mut got = Vec::new();
+        row_dot_rep_scaled(&a.dense, &q, dim, rep, scale, &mut got);
+        prop_assert_eq!(bits(&got), bits(tape.value(sp).data()));
+        Ok(())
+    });
 }
 
 /// Logits of `n_rel` relations under one query row, with every value
@@ -516,8 +560,8 @@ impl Operand {
     }
 }
 
-/// The packed `d = 16` kernels — the matmul with every activation, the
-/// split concat matmul, the weighted sum with rows dense and by id, and
+/// The packed `d = 16` kernels — the split concat matmul with every
+/// activation, the weighted sum with rows dense and by id, and
 /// the peer-influence tower's `W₁` row and `W₂` block chain — equal the
 /// tape with zero terms, subnormals and ±∞ in every operand.
 #[test]
@@ -534,17 +578,6 @@ fn packed_kernels_equal_tape_at_d16() {
         let bias = spiky_vec(&mut rng, D, -0.5, 0.5);
         for act in ACTIVATIONS {
             let mut tape = Tape::new(&store);
-            let want = tape_matmul_bias_act(
-                &mut tape,
-                Tensor::from_vec(rows, D, a.dense.clone()),
-                Tensor::from_vec(D, D, w_a.to_vec()),
-                Tensor::from_vec(1, D, bias.clone()),
-                act,
-            );
-            let mut got = Vec::new();
-            matmul_bias_act(&a.dense, rows, D, w_a, D, &bias, act, &mut got);
-            prop_assert_eq!(bits(&got), want);
-
             let ta = tape.constant(Tensor::from_vec(rows, D, a.dense.clone()));
             let tb = tape.constant(Tensor::from_vec(rows, D, b.clone()));
             let cat = tape.concat_cols(ta, tb);

@@ -27,7 +27,7 @@
 
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag::{Kgag, KgagConfig};
-use kgag_data::movielens::{movielens_pair, MovieLensConfig, Scale};
+use kgag_data::movielens::{movielens_rand, movielens_simi, MovieLensConfig, Scale};
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::{DatasetStats, GroupDataset};
@@ -163,8 +163,8 @@ fn scale(opts: &Flags) -> Result<Scale, String> {
 fn dataset(opts: &Flags) -> Result<GroupDataset, String> {
     let s = scale(opts)?;
     match opts.get("dataset").map(String::as_str).unwrap_or("rand") {
-        "rand" => Ok(movielens_pair(&MovieLensConfig::at_scale(s)).1),
-        "simi" => Ok(movielens_pair(&MovieLensConfig::at_scale(s)).2),
+        "rand" => Ok(movielens_rand(&MovieLensConfig::at_scale(s))),
+        "simi" => Ok(movielens_simi(&MovieLensConfig::at_scale(s))),
         "yelp" => Ok(yelp(&YelpConfig::at_scale(s))),
         other => Err(format!("unknown dataset {other:?}")),
     }
