@@ -13,7 +13,8 @@
 # kgag-bench ci_summary binary) whether the run passes or fails.
 #
 # Stages (./ci.sh --list prints this table):
-#   fmt        — cargo fmt --check
+#   fmt        — cargo fmt --check, for the workspace and for kgbench
+#                (its own workspace, which the root check never sees)
 #   build      — release build with RUSTFLAGS="-D warnings"
 #   test       — full suite at KGAG_THREADS=1 and KGAG_THREADS=4; the
 #                determinism suite additionally compares both thread
@@ -67,7 +68,7 @@ DEFAULT_STAGES="fmt build test kgbench golden"
 
 stage_desc() {
     case "$1" in
-    fmt) echo "cargo fmt --check" ;;
+    fmt) echo "cargo fmt --check (workspace and kgbench)" ;;
     build) echo "release build, deny warnings" ;;
     test) echo "full test suite at KGAG_THREADS=1 and 4" ;;
     kgbench) echo "benchmark package: builds against the API, tests + smoke" ;;
@@ -79,6 +80,7 @@ stage_desc() {
 
 run_fmt() {
     cargo fmt --check
+    cargo fmt --check --manifest-path kgbench/Cargo.toml
 }
 
 run_build() {

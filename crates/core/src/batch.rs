@@ -118,11 +118,6 @@ impl Kgag {
 }
 
 impl<M: Borrow<Kgag> + Sync> Scorer<InProcess<M>> {
-    /// The scored model.
-    pub fn model(&self) -> &Kgag {
-        self.source.model.borrow()
-    }
-
     /// Whether the receptive-field cache is active.
     pub fn cached(&self) -> bool {
         self.source.caches.is_some()

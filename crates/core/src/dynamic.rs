@@ -1,9 +1,10 @@
 //! Live group lifecycle over a trained checkpoint.
 //!
 //! A [`BatchScorer`](crate::BatchScorer) scores the groups the model
-//! was trained on. A [`DynamicScorer`] is the same scorer behind a lock
-//! plus lifecycle `apply`, so a serving process can **create**, **join**
-//! and **leave** groups in the scorer's
+//! was trained on. A [`DynamicScorer`] is the same scorer plus
+//! lifecycle `apply`, over any [`ChunkSource`] — in process or the
+//! sharded router — so a serving process can **create**, **join** and
+//! **leave** groups in the scorer's
 //! [`GroupStore`](kgag_data::GroupStore) between requests
 //! and score the result immediately — including groups that never
 //! existed at training time (cold start).
@@ -33,49 +34,55 @@
 //! bit-identical to the static engine.
 
 use crate::batch::InProcess;
-use crate::scorer::{ScoreCases, ScoreError, Scorer};
+use crate::scorer::{ChunkSource, ScoreCases, ScoreError, Scorer};
 use crate::trainer::Kgag;
 use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
-use std::borrow::Borrow;
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-/// An in-process [`Scorer`] over a *live* group table: scores exactly
-/// like a [`BatchScorer`](crate::BatchScorer) (same engine, same caches,
-/// same bits) and additionally applies [`LifecycleOp`]s between batches.
-/// `M` is how the scorer holds its model: borrowed (`&Kgag`, from
-/// [`Kgag::dynamic_scorer`]) or shared (`Arc<Kgag>`, from
-/// [`DynamicScorer::shared`] — what a registry entry owns).
+/// The one [`Scorer`] over any [`ChunkSource`], plus lifecycle `apply`:
+/// it scores exactly like the scorer it wraps (same engine, same caches,
+/// same bits) and applies [`LifecycleOp`]s to its group table between
+/// batches. The in-process kind comes from [`Kgag::dynamic_scorer`]
+/// (borrowed model) or [`DynamicScorer::shared`] (owned, what a registry
+/// entry holds); the sharded router is one over its draw memo.
 ///
-/// One lock covers the scorer's group store. Scoring takes
-/// the read side, mutations the write side, so any number of batch
-/// threads score concurrently and a score request sees either the whole
-/// mutation or none of it.
-pub struct DynamicScorer<M> {
-    scorer: RwLock<Scorer<InProcess<M>>>,
+/// The lock sits on the group table inside the scorer: a batch resolves
+/// its members under the read side and scores with the guard dropped,
+/// a mutation takes the write side. A score sees all of a mutation or
+/// none of it, and a mutation never waits on an in-flight chunk.
+pub struct DynamicScorer<S>(Scorer<S>);
+
+impl<S> From<Scorer<S>> for DynamicScorer<S> {
+    fn from(scorer: Scorer<S>) -> Self {
+        DynamicScorer(scorer)
+    }
 }
 
-impl<M> From<Scorer<InProcess<M>>> for DynamicScorer<M> {
-    fn from(scorer: Scorer<InProcess<M>>) -> Self {
-        DynamicScorer { scorer: RwLock::new(scorer) }
+impl<S> Deref for DynamicScorer<S> {
+    type Target = Scorer<S>;
+
+    fn deref(&self) -> &Scorer<S> {
+        &self.0
     }
 }
 
 impl Kgag {
     /// A [`DynamicScorer`] seeded with the model's bound groups, with
     /// the receptive-field cache on.
-    pub fn dynamic_scorer(&self) -> DynamicScorer<&Kgag> {
+    pub fn dynamic_scorer(&self) -> DynamicScorer<InProcess<&Kgag>> {
         self.dynamic_scorer_with(true)
     }
 
     /// A [`DynamicScorer`] over the bound groups with the
     /// receptive-field cache explicitly on or off (off samples fields
     /// live — the reference the equivalence tests compare against).
-    pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<&Kgag> {
+    pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<InProcess<&Kgag>> {
         self.batch_scorer_with(cache).into()
     }
 }
 
-impl DynamicScorer<Arc<Kgag>> {
+impl DynamicScorer<InProcess<Arc<Kgag>>> {
     /// A [`DynamicScorer`] that shares ownership of `model`, so it lives
     /// as long as whoever holds it rather than a borrow — the in-process
     /// entry kind of the model registry. The receptive-field cache is on.
@@ -85,46 +92,22 @@ impl DynamicScorer<Arc<Kgag>> {
     }
 }
 
-impl<M: Borrow<Kgag> + Send + Sync> DynamicScorer<M> {
-    fn read(&self) -> RwLockReadGuard<'_, Scorer<InProcess<M>>> {
-        self.scorer.read().expect("scorer lock poisoned by a panicked mutation")
+impl<S> DynamicScorer<S> {
+    /// Apply one lifecycle op atomically to the group table. A failed op
+    /// leaves it untouched.
+    pub fn apply(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
+        let mut groups = self.0.groups.write().expect("group table lock poisoned");
+        let ack = groups.apply(op)?.ack;
+        op_counter(op).add(1);
+        Ok(ack)
     }
+}
 
-    /// Approximate resident size of the receptive-field tables in bytes
-    /// (`None` when uncached).
-    pub fn cache_bytes(&self) -> Option<usize> {
-        self.read().cache_bytes()
-    }
-
-    /// Live group count (static + created).
-    pub fn num_groups(&self) -> u32 {
-        self.read().groups.num_groups()
-    }
-
-    /// Monotone mutation counter of the live store.
-    pub fn version(&self) -> u64 {
-        self.read().groups.version()
-    }
-
-    /// Current members of a live group, sorted canonical order for
-    /// mutated groups (copied out — the lock is not held by the caller).
-    pub fn members_of(&self, group: u32) -> Result<Vec<u32>, LifecycleError> {
-        Ok(self.read().groups.members(group)?.to_vec())
-    }
-
+impl<S: ChunkSource> DynamicScorer<S> {
     /// Scores for one `(group, candidate list)` case against the live
     /// membership.
     pub fn score_case(&self, group: u32, items: &[u32]) -> Result<Vec<f32>, ScoreError> {
         self.try_score_cases(&[(group, items.to_vec())]).pop().unwrap_or(Ok(Vec::new()))
-    }
-
-    /// Apply one lifecycle op atomically to the group table. A failed op
-    /// leaves it untouched.
-    pub fn apply(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
-        let mut scorer = self.scorer.write().expect("scorer lock poisoned by a panicked mutation");
-        let ack = scorer.groups.apply(op)?.ack;
-        op_counter(op).add(1);
-        Ok(ack)
     }
 }
 
@@ -143,20 +126,18 @@ fn op_counter(op: &LifecycleOp) -> &'static kgag_obs::Counter {
     }
 }
 
-impl<M: Borrow<Kgag> + Send + Sync> ScoreCases for DynamicScorer<M> {
-    /// Scores against the live membership, the whole batch under one
-    /// read-lock — one consistent membership snapshot.
+impl<S: ChunkSource> ScoreCases for DynamicScorer<S> {
     fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
-        self.read().try_score_cases(cases)
+        self.0.try_score_cases(cases)
     }
 }
 
-impl<M: Borrow<Kgag> + Send + Sync> GroupLifecycle for DynamicScorer<M> {
+impl<S> GroupLifecycle for DynamicScorer<S> {
     fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
         self.apply(op)
     }
 
     fn group_count(&self) -> u32 {
-        self.num_groups()
+        self.groups().num_groups()
     }
 }

@@ -35,7 +35,7 @@
 use crate::dynamic::DynamicScorer;
 use crate::scorer::{ScoreCases, ScoreError};
 use crate::trainer::Kgag;
-use kgag_data::GroupLifecycle;
+use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
 use kgag_tensor::infer::{scan_finite, ConvertError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -98,20 +98,22 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// One registry entry: a scorer keyed by its checkpoint hash, plus the
-/// group lifecycle that mutates the scorer's group table when it has
-/// one.
+/// What a registry entry serves: one scorer that reads the group table
+/// its lifecycle writes.
+trait LiveScorer: ScoreCases + GroupLifecycle + Send + Sync {}
+
+impl<T: ScoreCases + GroupLifecycle + Send + Sync> LiveScorer for T {}
+
+/// One registry entry: a live scorer keyed by its checkpoint hash.
 ///
 /// An entry owns (shares) everything it scores with, so entries can be
 /// loaded and retired at runtime without a borrow tying them to the
-/// process lifetime. Any [`ScoreCases`] can be an entry
-/// ([`RegistryModel::new`]): a checkpoint's in-process
-/// [`DynamicScorer`] with its own live [`GroupStore`](kgag_data::GroupStore)
-/// ([`RegistryModel::try_new`]), a sharded router with no lifecycle, or
-/// a test stub.
+/// process lifetime. Any scorer that owns its group table can be an
+/// entry ([`RegistryModel::new`]): a checkpoint's in-process
+/// [`DynamicScorer`] ([`RegistryModel::try_new`]), the sharded router,
+/// or a test stub.
 pub struct RegistryModel {
-    scorer: Arc<dyn ScoreCases + Send>,
-    lifecycle: Option<Arc<dyn GroupLifecycle + Send + Sync>>,
+    scorer: Arc<dyn LiveScorer>,
     hash: u64,
 }
 
@@ -119,28 +121,23 @@ impl std::fmt::Debug for RegistryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryModel")
             .field("hash", &format_args!("{:016x}", self.hash))
-            .field("lifecycle", &self.lifecycle.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl RegistryModel {
-    /// An entry over any scorer. Pass the scorer's own group table as
-    /// `lifecycle` (a [`DynamicScorer`] is both) so scores always read
-    /// the membership mutations write; `None` answers lifecycle ops
-    /// with a refusal upstream.
-    pub fn new(
-        scorer: Arc<dyn ScoreCases + Send>,
-        lifecycle: Option<Arc<dyn GroupLifecycle + Send + Sync>>,
+    /// An entry over any scorer that is also the lifecycle of the group
+    /// table it scores against (a [`DynamicScorer`] is both).
+    pub fn new<T: ScoreCases + GroupLifecycle + Send + Sync + 'static>(
+        scorer: Arc<T>,
         hash: u64,
     ) -> Self {
-        RegistryModel { scorer, lifecycle, hash }
+        RegistryModel { scorer, hash }
     }
 
-    /// The in-process entry: `model` behind a [`DynamicScorer`], which is
-    /// also the entry's group lifecycle. `hash` is the checkpoint's
-    /// [`checkpoint_hash`] (callers that trained the model in-process
-    /// hash `model.save_checkpoint()`).
+    /// The in-process entry: `model` behind a [`DynamicScorer`]. `hash`
+    /// is the checkpoint's [`checkpoint_hash`] (callers that trained the
+    /// model in-process hash `model.save_checkpoint()`).
     ///
     /// Checkpoints reach the registry from outside the process (wire
     /// LOAD), so the parameters are scanned first: a NaN or ±∞ anywhere
@@ -148,19 +145,12 @@ impl RegistryModel {
     /// model.
     pub fn try_new(model: Kgag, hash: u64) -> Result<Self, ConvertError> {
         scan_finite(model.store())?;
-        let live = Arc::new(DynamicScorer::shared(Arc::new(model)));
-        Ok(RegistryModel::new(live.clone(), Some(live), hash))
+        Ok(RegistryModel::new(Arc::new(DynamicScorer::shared(Arc::new(model))), hash))
     }
 
     /// The checkpoint content hash this entry is keyed by.
     pub fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// The entry's group lifecycle, when its scorer has a live group
-    /// table.
-    pub fn lifecycle(&self) -> Option<&(dyn GroupLifecycle + Send + Sync)> {
-        self.lifecycle.as_deref()
     }
 }
 
@@ -170,6 +160,16 @@ impl ScoreCases for RegistryModel {
     /// exactly the serving tests' chunking-invariance discipline.
     fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
         self.scorer.try_score_cases(cases)
+    }
+}
+
+impl GroupLifecycle for RegistryModel {
+    fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
+        self.scorer.apply_op(op)
+    }
+
+    fn group_count(&self) -> u32 {
+        self.scorer.group_count()
     }
 }
 
@@ -357,15 +357,19 @@ impl ModelRegistry {
     }
 
     /// Swap the tenant back to its previous version (the inverse swap:
-    /// a second rollback returns to where the first started). Any
-    /// staged shadow survives — rolling back the active arm does not
-    /// un-prove a candidate. Returns the new active hash.
+    /// a second rollback returns to where the first started). A staged
+    /// shadow survives — rolling back the active arm does not un-prove a
+    /// candidate — unless it is the version restored as active, which
+    /// would then shadow itself. Returns the new active hash.
     pub fn rollback(&self, tenant: u32) -> Result<u64, RegistryError> {
         let mut inner = self.inner.write().unwrap();
         let state = inner.tenants.get_mut(&tenant).ok_or(RegistryError::UnknownTenant)?;
         let previous = state.previous.ok_or(RegistryError::NoPrevious)?;
         state.previous = Some(state.active);
         state.active = previous;
+        if state.shadow.is_some_and(|s| s.hash == previous) {
+            state.shadow = None;
+        }
         Ok(previous)
     }
 
@@ -611,6 +615,26 @@ mod tests {
         assert_eq!(reg.rollback(0), Ok(1));
         assert_eq!(reg.active_of(0), Ok(1));
         // rollback is its own inverse
+        assert_eq!(reg.rollback(0), Ok(2));
+        assert_eq!(reg.active_of(0), Ok(2));
+    }
+
+    #[test]
+    fn rollback_dissolves_a_shadow_of_the_restored_version() {
+        let reg = ModelRegistry::new();
+        reg.load(entry(1)).unwrap();
+        reg.load(entry(2)).unwrap();
+        reg.bind(0, 1).unwrap();
+        reg.stage_shadow(0, 2, 1).unwrap();
+        prove(&reg, 0, 2, 1);
+        assert_eq!(reg.promote(0), Ok(2));
+        // the old version staged as a candidate against the new one
+        reg.stage_shadow(0, 1, 1).unwrap();
+        assert_eq!(reg.rollback(0), Ok(1));
+        // active 1 must not shadow itself
+        assert_eq!(reg.shadow_status(0), None);
+        assert!(reg.resolve(0).unwrap().shadow.is_none());
+        // and version 2 stays reachable by rollback
         assert_eq!(reg.rollback(0), Ok(2));
         assert_eq!(reg.active_of(0), Ok(2));
     }

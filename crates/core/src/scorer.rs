@@ -6,7 +6,8 @@
 //! 1. **Validate** every case: an unknown group or item is a typed
 //!    [`ScoreError`] on that case alone, never a panic.
 //! 2. **Resolve** the members of each valid case to entity ids through
-//!    the scorer's own [`GroupStore`].
+//!    the scorer's own live [`GroupStore`], the whole batch under one
+//!    read guard that drops before any chunk is assembled.
 //! 3. **Score** the valid cases through the shared bucket → chunk →
 //!    reassemble loop ([`crate::infer::score_buckets`]) and the
 //!    inference engine.
@@ -40,6 +41,7 @@ use kgag_tensor::{ParamStore, Tensor};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// Why one case could not be scored. Every scoring front end reports
 /// failures per case with this one type; the rest of the batch is
@@ -206,7 +208,8 @@ pub struct Scorer<S> {
     config: KgagConfig,
     /// The trained nominal group size the PI tower is shaped for.
     group_size: usize,
-    pub(crate) groups: GroupStore,
+    /// The live group table: only a [`crate::DynamicScorer`] writes it.
+    pub(crate) groups: RwLock<GroupStore>,
     /// Entity id of user 0; users occupy a contiguous entity range.
     user_base: u32,
     /// item index → global entity id (the paper's mapping `f`).
@@ -244,7 +247,7 @@ impl<S> Scorer<S> {
         Scorer {
             config: model.config().clone(),
             group_size: model.group_size(),
-            groups: model.group_store(),
+            groups: RwLock::new(model.group_store()),
             user_base: ckg.num_base_entities(),
             item_entity: ckg.item_entities().iter().map(|e| e.0).collect(),
             plan: FieldPlan {
@@ -284,14 +287,27 @@ impl<S> Scorer<S> {
         self.plan.k
     }
 
-    /// Check one case and resolve its members to entity ids — the
-    /// bounds check and member lookup of every scoring front end.
-    fn resolve(&self, group: u32, items: &[u32]) -> Result<Vec<u32>, ScoreError> {
-        let members = self.groups.members(group).map_err(|_| ScoreError::UnknownGroup(group))?;
-        if let Some(&v) = items.iter().find(|&&v| v as usize >= self.item_entity.len()) {
-            return Err(ScoreError::UnknownItem(v));
-        }
-        Ok(members.iter().map(|&u| self.user_base + u).collect())
+    /// The live group table, read-locked. Copy out what you need: a
+    /// mutation waits for every guard to drop.
+    pub fn groups(&self) -> RwLockReadGuard<'_, GroupStore> {
+        self.groups.read().expect("group table lock poisoned")
+    }
+
+    /// Check every case and resolve its members to entity ids — the
+    /// bounds check and member lookup of every scoring front end. One
+    /// read guard covers the batch, so it sees all of a mutation or none
+    /// of it, and it drops before scoring, so a mutation never waits on
+    /// chunk assembly or a shard round trip.
+    fn resolve(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<u32>, ScoreError>> {
+        let groups = self.groups();
+        let resolve = |&(group, ref items): &(u32, Vec<u32>)| {
+            let members = groups.members(group).map_err(|_| ScoreError::UnknownGroup(group))?;
+            if let Some(&v) = items.iter().find(|&&v| v as usize >= self.item_entity.len()) {
+                return Err(ScoreError::UnknownItem(v));
+            }
+            Ok(members.iter().map(|&u| self.user_base + u).collect())
+        };
+        cases.iter().map(resolve).collect()
     }
 }
 
@@ -332,8 +348,7 @@ impl<S: ChunkSource> Scorer<S> {
 
 impl<S: ChunkSource> ScoreCases for Scorer<S> {
     fn try_score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Result<Vec<f32>, ScoreError>> {
-        let members: Vec<Result<Vec<u32>, ScoreError>> =
-            cases.iter().map(|(g, items)| self.resolve(*g, items)).collect();
+        let members = self.resolve(cases);
         let mut out: Vec<Result<Vec<f32>, ScoreError>> =
             members.iter().map(|m| m.as_ref().map(|_| Vec::new()).map_err(|e| *e)).collect();
         let mut valid = Vec::with_capacity(cases.len());

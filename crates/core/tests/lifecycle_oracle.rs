@@ -12,15 +12,21 @@
 //! scorer is checked against two independently-computed answers.
 //!
 //! CI runs the suite at `KGAG_THREADS=1` and `4`; the headline property
-//! sweeps the cache on and off, and the explicit matrix test below
-//! additionally sweeps threads × cache inside one process.
+//! sweeps the in-process scorer with the cache on and off and the
+//! router over a 2-shard [`LocalFetch`] with the draw memo off and on,
+//! and the explicit matrix test below additionally sweeps threads ×
+//! cache inside one process. A gated fetch proves a mutation never
+//! waits on a chunk in flight.
 //!
 //! Cold-start scoring gets its own unit tests: a never-trained group's
 //! attention-aggregated score is recomputed by hand from raw embedding
 //! rows, and every malformed input yields a typed error, never a panic.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig, ScoreCases, ScoreError};
+use kgag::{
+    ChunkSource, DrawMemo, DynamicScorer, Kgag, KgagConfig, LocalFetch, ScoreCases, ScoreError,
+    Scorer, ShardError, ShardFetch,
+};
 use kgag_data::movielens::Scale;
 use kgag_data::split::{split_dataset, DatasetSplit};
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -29,6 +35,8 @@ use kgag_tensor::pool::with_threads;
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, vec_of};
 use kgag_testkit::prop_assert_eq;
+use std::sync::{mpsc, Mutex};
+use std::time::Duration;
 
 fn smoke_model() -> (GroupDataset, DatasetSplit, Kgag, Vec<u8>) {
     let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
@@ -88,18 +96,55 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// Drive one op sequence through the live scorer, then check its scores
-/// for *every* live group against both references. Returns the typed
-/// failure on divergence.
+/// Which live scorer a case drives.
+#[derive(Clone, Copy, Debug)]
+enum Leg {
+    /// In process, receptive-field cache on or off.
+    InProcess { cache: bool },
+    /// The router over a 2-shard [`LocalFetch`], draw memo on or off.
+    Router { memo: bool },
+}
+
+fn local_fetch(model: &Kgag) -> LocalFetch {
+    LocalFetch::new((0..2).map(|i| model.shard_state(i, 2)).collect())
+}
+
+/// Drive one op sequence through the `leg`'s live scorer, then check
+/// its scores for *every* live group against both references.
 fn run_case(
     ds: &GroupDataset,
     split: &DatasetSplit,
     model: &Kgag,
     ckpt: &[u8],
     ops: &[(u32, u32, u32)],
-    cache: bool,
+    leg: Leg,
 ) -> Result<(), String> {
-    let live = model.dynamic_scorer_with(cache);
+    match leg {
+        Leg::InProcess { cache } => {
+            check_live(ds, split, model, ckpt, ops, cache, &model.dynamic_scorer_with(cache))
+        }
+        Leg::Router { memo: false } => {
+            let live = DynamicScorer::from(Scorer::new(model, local_fetch(model)));
+            check_live(ds, split, model, ckpt, ops, true, &live)
+        }
+        Leg::Router { memo: true } => {
+            let live = DynamicScorer::from(Scorer::new(model, DrawMemo::new(local_fetch(model))));
+            check_live(ds, split, model, ckpt, ops, true, &live)
+        }
+    }
+}
+
+/// The oracle over one live scorer; the rebuild scores with the cache
+/// `cache`. Returns the typed failure on divergence.
+fn check_live<S: ChunkSource>(
+    ds: &GroupDataset,
+    split: &DatasetSplit,
+    model: &Kgag,
+    ckpt: &[u8],
+    ops: &[(u32, u32, u32)],
+    cache: bool,
+    live: &DynamicScorer<S>,
+) -> Result<(), String> {
     let mut mirror = model.group_store();
     for &(kind, a, b) in ops {
         let op = interpret(&mirror, ds.num_users, kind, a, b);
@@ -107,7 +152,7 @@ fn run_case(
         let got = live.apply(&op);
         prop_assert_eq!(got, want, "live ack diverged from mirror for {:?}", op);
     }
-    prop_assert_eq!(live.version(), mirror.version(), "mutation counters diverged");
+    prop_assert_eq!(live.groups().version(), mirror.version(), "mutation counters diverged");
 
     let items: Vec<u32> = (0..ds.num_items.min(8)).collect();
     let cases: Vec<(u32, Vec<u32>)> =
@@ -155,17 +200,23 @@ fn run_case(
 
 /// The headline property: ≥64 random interleavings of create/join/leave
 /// (valid and rejected), scored after the fact, must match both the
-/// per-case path and the full rebuild bit for bit — with the
-/// receptive-field cache on and off, each at the full case count. Runs
-/// under whatever `KGAG_THREADS` the environment sets; the CI test stage
-/// runs it at 1 and 4.
+/// per-case path and the full rebuild bit for bit — in process with the
+/// receptive-field cache on and off, and through the router with the
+/// draw memo off and on, each leg over the same op sequences at the
+/// full case count. Runs under whatever `KGAG_THREADS` the environment
+/// sets; the CI test stage runs it at 1 and 4.
 #[test]
 fn mutate_then_score_equals_rebuild_from_final_membership() {
     let (ds, split, model, ckpt) = smoke_model();
     let gen = vec_of((u32_in(0..6), u32_in(0..10_000), u32_in(0..10_000)), 1..9);
-    for cache in [true, false] {
+    for leg in [
+        Leg::InProcess { cache: true },
+        Leg::InProcess { cache: false },
+        Leg::Router { memo: false },
+        Leg::Router { memo: true },
+    ] {
         Runner::new("lifecycle-oracle")
-            .run(&gen, |ops| run_case(&ds, &split, &model, &ckpt, ops, cache));
+            .run(&gen, |ops| run_case(&ds, &split, &model, &ckpt, ops, leg));
     }
 }
 
@@ -179,12 +230,84 @@ fn lifecycle_oracle_is_thread_and_cache_invariant() {
     for threads in [1usize, 4] {
         for cache in [false, true] {
             with_threads(threads, || {
-                Runner::new("lifecycle-matrix")
-                    .cases(6)
-                    .run(&gen, |ops| run_case(&ds, &split, &model, &ckpt, ops, cache))
+                Runner::new("lifecycle-matrix").cases(6).run(&gen, |ops| {
+                    run_case(&ds, &split, &model, &ckpt, ops, Leg::InProcess { cache })
+                })
             });
         }
     }
+}
+
+/// A [`LocalFetch`] whose first `fetch_draws` parks until released:
+/// it holds one chunk of one score in flight for as long as a test
+/// needs.
+struct GatedFetch {
+    inner: LocalFetch,
+    parked: Mutex<Option<mpsc::Sender<()>>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl ShardFetch for GatedFetch {
+    fn fetch_draws(
+        &self,
+        salt: u64,
+        level: usize,
+        entities: &[u32],
+    ) -> Result<(Vec<u32>, Vec<u32>), ShardError> {
+        let parked = self.parked.lock().unwrap().take();
+        if let Some(parked) = parked {
+            parked.send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        self.inner.fetch_draws(salt, level, entities)
+    }
+
+    fn fetch_entity_rows(&self, ids: &[u32]) -> Result<Vec<f32>, ShardError> {
+        self.inner.fetch_entity_rows(ids)
+    }
+
+    fn fetch_relation_rows(&self, ids: &[u32]) -> Result<Vec<f32>, ShardError> {
+        self.inner.fetch_relation_rows(ids)
+    }
+}
+
+/// A mutation never waits on an in-flight chunk: while a score sits
+/// parked inside the router's draw fetch, a join on the very group it
+/// scores returns. The parked score then finishes with the membership
+/// it resolved, and the next score sees the join.
+#[test]
+fn a_mutation_never_waits_on_an_in_flight_chunk() {
+    let (ds, _split, model, _ckpt) = smoke_model();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let fetch = GatedFetch {
+        inner: local_fetch(&model),
+        parked: Mutex::new(Some(parked_tx)),
+        release: Mutex::new(release_rx),
+    };
+    let live = DynamicScorer::from(Scorer::new(&model, fetch));
+    let before = ds.members(0).to_vec();
+    let joiner = (0..ds.num_users).find(|u| !before.contains(u)).expect("a non-member");
+    let items: Vec<u32> = (0..ds.num_items.min(8)).collect();
+    let live = &live;
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| live.score_case(0, &items));
+        parked_rx.recv_timeout(Duration::from_secs(60)).expect("the score reaches the fetch");
+        let (done_tx, done_rx) = mpsc::channel();
+        s.spawn(move || done_tx.send(live.apply(&LifecycleOp::Join { group: 0, user: joiner })));
+        let ack = done_rx.recv_timeout(Duration::from_secs(10));
+        // release the gate before asserting, so a failure cannot hang
+        release_tx.send(()).unwrap();
+        let ack = ack.expect("the join waited on the parked chunk").expect("valid join");
+        assert_eq!(ack.members as usize, before.len() + 1);
+        let got = parked.join().unwrap().expect("the parked score finishes");
+        let want = model.score_members(&before, &items).expect("roster reference");
+        assert_eq!(bits(&got), bits(&want), "the parked score must keep the roster it resolved");
+    });
+    let after = live.groups().members(0).expect("group 0 lives").to_vec();
+    let got = live.score_case(0, &items).expect("group 0 scores");
+    let want = model.score_members(&after, &items).expect("roster reference");
+    assert_eq!(bits(&got), bits(&want), "the next score sees the join");
 }
 
 /// A group created at the nominal size scores through the *full*
@@ -303,7 +426,7 @@ fn cold_start_rejects_bad_inputs_with_typed_errors() {
         live.try_score_cases(&[(0, vec![ds.num_items])]),
         vec![Err(ScoreError::UnknownItem(ds.num_items))]
     );
-    assert_eq!(live.members_of(ds.num_groups()), Err(LifecycleError::UnknownGroup));
+    assert_eq!(live.groups().members(ds.num_groups()), Err(LifecycleError::UnknownGroup));
     // the typed errors format without panicking
     for e in [
         ScoreError::EmptyGroup,

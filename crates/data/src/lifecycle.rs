@@ -89,9 +89,9 @@ pub struct Applied {
     pub ack: LifecycleAck,
 }
 
-/// The capability a scorer exposes when it supports live group
-/// mutations — what the dynamic serve path dispatches lifecycle opcodes
-/// through, and the group bound it checks score requests against.
+/// The live group table of a serving scorer — what the serve path
+/// dispatches lifecycle opcodes through, and the group bound it checks
+/// score requests against.
 pub trait GroupLifecycle {
     /// Apply one mutation; the store is unchanged on `Err`.
     fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError>;

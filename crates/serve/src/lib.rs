@@ -41,9 +41,7 @@
 //! lifecycle** opcodes (DESIGN.md §13) mutate tenant 0's active entry:
 //! create/join/leave are applied synchronously on the connection thread
 //! — never through the batcher — so a client's next score request
-//! always observes its own mutation. An entry without a group lifecycle
-//! (the sharded router) answers them [`ServeError::Unsupported`] on a
-//! still-usable connection.
+//! always observes its own mutation.
 //!
 //! Delivery contract: every request accepted by [`ServeHandle::submit`]
 //! receives **exactly one** response — a score vector, or a terminal
@@ -87,9 +85,9 @@ pub enum ServeError {
     /// The wire-level request could not be decoded, or a score request
     /// named a group or item the scorer does not know.
     Invalid,
-    /// A lifecycle opcode reached a model with no group lifecycle: tenant
-    /// 0's active entry is the sharded router, whose group table is
-    /// fixed.
+    /// Reserved: nothing returns it, since every registry entry owns its
+    /// group table. The variant and its status byte 6 stay reserved for
+    /// refusing an opcode on version skew (the planned STATS opcode).
     Unsupported,
     /// A well-formed lifecycle mutation the backend rejected (unknown
     /// group, duplicate member, …); the serving state is unchanged.
@@ -120,9 +118,7 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineMissed => f.write_str("deadline missed before scoring"),
             ServeError::Canceled => f.write_str("server terminated before responding"),
             ServeError::Invalid => f.write_str("malformed request"),
-            ServeError::Unsupported => {
-                f.write_str("lifecycle op refused: the model has no group lifecycle")
-            }
+            ServeError::Unsupported => f.write_str("opcode not supported by this server"),
             ServeError::Lifecycle(e) => write!(f, "lifecycle rejected: {e}"),
             ServeError::Shard(kind) => {
                 let what = match kind {

@@ -11,7 +11,7 @@
 //! * [`RegistryServer`] — routes each decoded message: scores through
 //!   admission → the tenant's active entry's batcher, where the
 //!   un-tenanted score opcode addresses tenant 0; create/join/leave to
-//!   tenant 0's active entry's group lifecycle; registry transitions
+//!   tenant 0's active entry's group table; registry transitions
 //!   (LOAD/BIND/SHADOW/PROMOTE/ROLLBACK/RETIRE) through the state
 //!   machine. Mutations and transitions run synchronously on the
 //!   connection thread.
@@ -52,7 +52,7 @@ use crate::server::{answer_message, wire_deadline, Dispatch};
 use crate::wire::{Message, RegistryOp, Reply, Response};
 use crate::{LifecycleResult, ServeError, ServeResult};
 use kgag::{checkpoint_hash, ModelRegistry, RegistryModel, ScoreCases};
-use kgag_data::{LifecycleError, LifecycleOp};
+use kgag_data::{GroupLifecycle, LifecycleError, LifecycleOp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -334,9 +334,9 @@ impl RegistryServer {
     /// Admit, pin, score. The active entry and its batcher handle are
     /// both resolved before scoring starts, so concurrent transitions
     /// cannot tear this request. An `untenanted` request (opcode 0)
-    /// names a group of tenant 0's live group table, so an entry with a
-    /// lifecycle answers an unknown one in lifecycle terms — the group
-    /// may simply not have been created yet.
+    /// names a group of tenant 0's live group table, so an unknown one
+    /// is answered in lifecycle terms — the group may simply not have
+    /// been created yet.
     fn score_tenant(
         &self,
         tenant: u32,
@@ -351,8 +351,7 @@ impl RegistryServer {
         }
         let admission = self.registry.resolve(tenant).map_err(ServeError::Registry)?;
         self.metrics.tenant(tenant, |m| m.accepted.add(1));
-        let live = admission.active.lifecycle();
-        if untenanted && live.is_some_and(|l| group >= l.group_count()) {
+        if untenanted && group >= admission.active.group_count() {
             return Err(ServeError::Lifecycle(LifecycleError::UnknownGroup));
         }
         let handle = match self.handle_of(admission.active.hash()) {
@@ -421,13 +420,10 @@ impl RegistryServer {
         self.registry.record_shadow(tenant, shadow.hash(), clean);
     }
 
-    /// Apply one create/join/leave to tenant 0's active entry. An entry
-    /// without a group lifecycle (the sharded router) refuses it
-    /// [`ServeError::Unsupported`].
+    /// Apply one create/join/leave to tenant 0's active entry.
     fn mutate(&self, op: &LifecycleOp) -> LifecycleResult {
         let admission = self.registry.resolve(0).map_err(ServeError::Registry)?;
-        let lifecycle = admission.active.lifecycle().ok_or(ServeError::Unsupported)?;
-        lifecycle.apply_op(op).map_err(ServeError::Lifecycle)
+        admission.active.apply_op(op).map_err(ServeError::Lifecycle)
     }
 
     fn handle_of(&self, hash: u64) -> Option<ServeHandle> {

@@ -3,10 +3,10 @@
 //! A sharded deployment splits the embedding tables and the knowledge
 //! graph's adjacency rows across `N` shard processes (contiguous row
 //! ranges, [`kgag_kg::Partition`]); a router process holds only the
-//! small dense parameters ([`ShardedScorer`]) and assembles each
-//! request's receptive field by querying shards for keyed neighbour
-//! draws and raw embedding rows, then runs the *same* inference engine a
-//! single-node server would. Because draws are keyed on
+//! small dense parameters and the live group table ([`ShardedScorer`])
+//! and assembles each request's receptive field by querying shards for
+//! keyed neighbour draws and raw embedding rows, then runs the *same*
+//! inference engine a single-node server would. Because draws are keyed on
 //! `(seed, salt, entity, level)` and entity-local, and because score
 //! fusion happens entirely on the router in the engine's (= the
 //! tape's) reduction order, sharded scores are **bit-identical** to
@@ -49,7 +49,7 @@
 use crate::config::parse_or;
 use crate::server::{serve_connections, Dispatch, ShutdownToken};
 use crate::wire::{self, Cursor, MAX_FRAME};
-use kgag::{DrawMemo, Kgag, Scorer, ShardError, ShardErrorKind, ShardFetch};
+use kgag::{DrawMemo, DynamicScorer, Kgag, Scorer, ShardError, ShardErrorKind, ShardFetch};
 use kgag_kg::{Partition, ShardState};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -628,12 +628,14 @@ impl ShardPool {
 // The sharded scorer
 // ---------------------------------------------------------------------------
 
-/// The router: the one [`kgag::Scorer`] over a [`ShardPool`], with the
-/// draw memo in front of the pool. Serve it as a registry entry with no
-/// group lifecycle ([`kgag::RegistryModel::new`]); it fails *per case* — unknown ids become [`crate::ServeError::Invalid`],
-/// shard failures [`crate::ServeError::Shard`] on exactly the requests that
-/// needed the failing peer.
-pub type ShardedScorer = Scorer<DrawMemo<ShardPool>>;
+/// The router: the one live scorer over a [`ShardPool`], with the draw
+/// memo in front of the pool. It owns its group table, so served as a
+/// registry entry ([`kgag::RegistryModel::new`]) it answers
+/// create/join/leave like any other; the peers hold only tables. It
+/// fails *per case* — unknown ids become [`crate::ServeError::Invalid`],
+/// shard failures [`crate::ServeError::Shard`] on exactly the requests
+/// that needed the failing peer.
+pub type ShardedScorer = DynamicScorer<DrawMemo<ShardPool>>;
 
 impl ShardPool {
     /// The router for `model` over this pool, memoizing draws. Refuses a
@@ -656,7 +658,7 @@ impl ShardPool {
                 "shard pool and router disagree on the model card",
             ));
         }
-        Ok(scorer)
+        Ok(scorer.into())
     }
 }
 

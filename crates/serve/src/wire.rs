@@ -31,9 +31,8 @@
 //! parameters never cross this socket (they would blow [`MAX_FRAME`];
 //! real registries reference artifact storage the same way). Every
 //! server answers all eleven opcodes: the un-tenanted opcodes 0–3
-//! address tenant 0, and a lifecycle opcode that reaches a model with
-//! no group lifecycle (the sharded router) is
-//! [`ServeError::Unsupported`].
+//! address tenant 0. Status byte 6 ([`ServeError::Unsupported`]) is
+//! reserved: no exchange answers it.
 //!
 //! `deadline_us == 0` means no deadline; otherwise it is a budget in
 //! microseconds relative to server receipt. Status bytes 1–4, 6, 8 and

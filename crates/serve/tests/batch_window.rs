@@ -5,13 +5,16 @@
 //! two. The cases with an idle connection live in `window_fusion.rs`.
 //! Every scorer here is a stub whose scores are fully determined.
 
-use kgag::{RegistryModel, ScoreCases, ScoreError};
+mod common;
+
+use common::{pairs, stub_entry};
+use kgag::{ScoreCases, ScoreError};
 use kgag_serve::{
     serve_in_process, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig,
     ShutdownToken,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 fn stub_score(group: u32, item: u32) -> f32 {
@@ -138,7 +141,7 @@ fn a_waiting_submitter_closes_the_window_on_its_pair() {
 fn spawn_stub_tcp(
     serve: ServeConfig,
 ) -> (std::net::SocketAddr, ShutdownToken, std::thread::JoinHandle<()>) {
-    let entry = RegistryModel::new(Arc::new(StubScorer::default()), None, 0);
+    let entry = stub_entry(StubScorer::default(), pairs(20));
     let cfg = RegistryConfig { serve, ..RegistryConfig::default() };
     let registry =
         RegistryServer::bootstrap(cfg, Box::new(|_, _| Err("stub loads nothing".into())), entry)

@@ -13,7 +13,7 @@ use kgag::{
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_data::{GroupDataset, LifecycleAck, LifecycleError, LifecycleOp};
+use kgag_data::{GroupDataset, GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
 use kgag_serve::{
     serve_tcp, ModelFactory, RegistryConfig, RegistryServer, ServeClient, ServeConfig, ServeError,
     ShutdownToken,
@@ -317,7 +317,7 @@ fn untenanted_opcodes_address_tenant_zero_and_its_group_table() {
     assert_eq!(ack.group, fx.ds.num_groups(), "created ids follow the bound groups");
     let reference = entry_from(&fx.ckpt_a);
     let op = LifecycleOp::Create { members: members.clone() };
-    reference.lifecycle().unwrap().apply_op(&op).unwrap();
+    reference.apply_op(&op).unwrap();
     let created = (ack.group, cases[0].1.clone());
     let want_created = bits(
         with_threads(1, || reference.try_score_cases(std::slice::from_ref(&created)))[0]
@@ -379,7 +379,7 @@ fn concurrent_lifecycle_clients_score_like_the_roster_reference() {
     let static_groups = ds.num_groups();
     let model = Arc::new(model_from(&fx.ckpt_a));
     let scorer = Arc::new(DynamicScorer::shared(model.clone()));
-    let entry = RegistryModel::new(scorer.clone(), Some(scorer.clone()), 0);
+    let entry = RegistryModel::new(scorer.clone(), 0);
     let server = Arc::new(RegistryServer::bootstrap(fast_config(), factory(), entry).unwrap());
     let items_for =
         |c: u32| -> Vec<u32> { (0..3 + c).map(|j| (c * 11 + j * 5) % ds.num_items).collect() };
@@ -439,20 +439,21 @@ fn concurrent_lifecycle_clients_score_like_the_roster_reference() {
     drop(proc);
 
     // final-state audit against the interleaved history
-    assert_eq!(scorer.num_groups(), static_groups + CLIENTS, "final group count");
-    assert_eq!(scorer.version(), 3 * CLIENTS as u64, "one version bump per applied mutation");
+    let groups = scorer.groups().clone();
+    assert_eq!(groups.num_groups(), static_groups + CLIENTS, "final group count");
+    assert_eq!(groups.version(), 3 * CLIENTS as u64, "one version bump per applied mutation");
     created.sort_by_key(|(gid, _)| *gid);
     for (gid, roster) in &created {
         let mut want = roster.clone();
         want.sort_unstable();
-        assert_eq!(scorer.members_of(*gid), Ok(want), "audited roster for group {gid}");
+        assert_eq!(groups.members(*gid), Ok(&want[..]), "audited roster for group {gid}");
     }
     let final_cases: Vec<(u32, Vec<u32>)> =
-        (0..scorer.num_groups()).map(|g| (g, items_for(g % CLIENTS))).collect();
+        (0..groups.num_groups()).map(|g| (g, items_for(g % CLIENTS))).collect();
     for (g, result) in scorer.try_score_cases(&final_cases).into_iter().enumerate() {
-        let roster = scorer.members_of(g as u32).expect("audited group");
+        let roster = groups.members(g as u32).expect("audited group");
         let got = result.expect("every audited group scores");
-        assert_eq!(bits(&got), reference(&roster, &final_cases[g].1), "audit group {g}");
+        assert_eq!(bits(&got), reference(roster, &final_cases[g].1), "audit group {g}");
     }
 }
 

@@ -9,12 +9,15 @@
 //! protocol must reproduce offline scoring bit for bit, and a bad
 //! request must fail alone in its fused batch.
 
+mod common;
+
+use common::{pairs, stub_entry};
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig, RegistryModel, ScoreCases, ScoreError};
+use kgag::{Kgag, KgagConfig, ScoreCases, ScoreError};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
+use kgag_data::{GroupStore, LifecycleAck, LifecycleError};
 use kgag_eval::protocol::evaluate_group_ranking_batched_detailed;
 use kgag_eval::{BatchGroupScorer, EvalConfig};
 use kgag_serve::{
@@ -26,7 +29,7 @@ use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, u64_in, vec_of};
 use kgag_testkit::{prop_assert, prop_assert_eq};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Deterministic per-(group, item) score — the reference every test
@@ -107,15 +110,14 @@ fn request_items(group: u32, len: u32) -> Vec<u32> {
     (0..len).map(|i| group.wrapping_mul(31).wrapping_add(i * 3)).collect()
 }
 
-/// The one TCP server with a stub as tenant 0's model: `lifecycle`
-/// (when given) answers the create/join/leave opcodes, and the server
-/// loads no checkpoints.
+/// The one TCP server with a stub as tenant 0's model over the group
+/// table `groups`; the server loads no checkpoints.
 fn stub_server(
     scorer: impl ScoreCases + Send + 'static,
-    lifecycle: Option<Arc<dyn GroupLifecycle + Send + Sync>>,
+    groups: GroupStore,
     serve: ServeConfig,
 ) -> RegistryServer {
-    let entry = RegistryModel::new(Arc::new(scorer), lifecycle, 0);
+    let entry = stub_entry(scorer, groups);
     let cfg = RegistryConfig { serve, ..RegistryConfig::default() };
     RegistryServer::bootstrap(cfg, Box::new(|_, _| Err("stub loads nothing".into())), entry)
         .expect("stub entry installs")
@@ -313,7 +315,7 @@ fn overflowing_wire_deadline_saturates_and_scores() {
         queue_capacity: 1024,
         workers: 1,
     };
-    let registry = stub_server(StubScorer::new(), None, config);
+    let registry = stub_server(StubScorer::new(), pairs(6), config);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {
@@ -353,7 +355,8 @@ fn tcp_round_trip_with_concurrent_clients() {
         queue_capacity: 1024,
         workers: 1,
     };
-    let registry = stub_server(StubScorer::new(), None, config);
+    // clients score groups t * 100 + i for t < 4, i < 25
+    let registry = stub_server(StubScorer::new(), pairs(325), config);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {
@@ -399,37 +402,9 @@ fn tcp_round_trip_with_concurrent_clients() {
             assert_eq!(resp.id, 7);
             assert_eq!(resp.into_result(), Err(ServeError::Invalid));
         }
-        // lifecycle opcodes on a static server are Unsupported, typed,
-        // and leave the connection usable
-        {
-            let mut client = ServeClient::connect(addr).unwrap();
-            assert_eq!(client.create_group(&[1, 2, 3]).unwrap(), Err(ServeError::Unsupported));
-            assert_eq!(client.join_group(0, 9).unwrap(), Err(ServeError::Unsupported));
-            assert_eq!(client.leave_group(0, 9).unwrap(), Err(ServeError::Unsupported));
-            let items = request_items(3, 4);
-            let got = client.score(3, &items).unwrap().unwrap();
-            assert_eq!(got, expected(3, &items), "connection survives rejected lifecycle ops");
-        }
         token.trigger();
         server.join().unwrap().expect("serve_tcp exits cleanly");
     });
-}
-
-/// Minimal lifecycle backend for transport tests: a locked
-/// [`GroupStore`], no caches, no model — exactly the trait surface the
-/// server dispatches through.
-struct StubLifecycle {
-    store: Mutex<GroupStore>,
-}
-
-impl GroupLifecycle for StubLifecycle {
-    fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
-        self.store.lock().unwrap().apply(op).map(|a| a.ack)
-    }
-
-    fn group_count(&self) -> u32 {
-        self.store.lock().unwrap().num_groups()
-    }
 }
 
 /// End-to-end lifecycle dispatch over TCP: acks carry the mutated
@@ -437,15 +412,14 @@ impl GroupLifecycle for StubLifecycle {
 /// requests are bounds-checked against the *live* group table.
 #[test]
 fn tcp_dynamic_lifecycle_round_trip() {
-    let lifecycle =
-        StubLifecycle { store: Mutex::new(GroupStore::new(vec![vec![0, 1], vec![2, 3]], 10)) };
+    let groups = GroupStore::new(vec![vec![0, 1], vec![2, 3]], 10);
     let config = ServeConfig {
         batch_window: Duration::from_micros(200),
         max_batch: 16,
         queue_capacity: 1024,
         workers: 1,
     };
-    let registry = stub_server(StubScorer::with_catalog(50), Some(Arc::new(lifecycle)), config);
+    let registry = stub_server(StubScorer::with_catalog(50), groups, config);
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {

@@ -10,17 +10,17 @@
 //! `LocalFetch`; this file pins down what only the network can break:
 //! handshakes, framing, the peer pool's failure semantics, and the
 //! per-case errors the batcher maps onto the wire, and what a router
-//! serves as tenant 0's model: no group lifecycle, but LOAD still
-//! builds in-process entries.
+//! serves as tenant 0's model: create/join/leave on its own group
+//! table, while LOAD still builds in-process entries.
 
 use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, ScoreCases, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_data::GroupDataset;
+use kgag_data::{GroupDataset, GroupLifecycle, LifecycleOp};
 use kgag_serve::{
-    serve_shard, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeError, ServeResult,
-    ShardConfig, ShardPool, ShutdownToken,
+    serve_shard, serve_tcp, LifecycleResult, RegistryConfig, RegistryServer, ServeClient,
+    ServeError, ServeResult, ShardConfig, ShardPool, ShutdownToken,
 };
 use kgag_tensor::pool::with_threads;
 use std::net::SocketAddr;
@@ -193,12 +193,23 @@ fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
     }
 }
 
+/// Send one lifecycle op through the front door.
+fn send(client: &mut ServeClient, op: &LifecycleOp) -> LifecycleResult {
+    match *op {
+        LifecycleOp::Create { ref members } => client.create_group(members),
+        LifecycleOp::Join { group, user } => client.join_group(group, user),
+        LifecycleOp::Leave { group, user } => client.leave_group(group, user),
+    }
+    .expect("transport")
+}
+
 /// A router is tenant 0's model on the one server: it scores opcode 0
-/// bit-identically to single-node, answers create/join/leave
-/// `Unsupported` (its group table is fixed), and a LOAD + BIND on the
-/// same server builds an in-process entry — never a second router.
+/// bit-identically to single-node, applies create/join/leave to its
+/// own group table with the acks and bits of an in-process live scorer
+/// given the same ops, and a LOAD + BIND on the same server builds an
+/// in-process entry with a table of its own — never a second router.
 #[test]
-fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
+fn router_server_mutates_its_groups_and_loads_in_process_entries() {
     let (ds, model) = fixture();
     let cases = cases(ds);
     let want: Vec<Vec<u32>> = with_threads(1, || model.batch_scorer_with(true).score_cases(&cases))
@@ -220,8 +231,7 @@ fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
 
     let (_shards, pool) = spawn_deployment(model, 2);
     let router = pool.into_scorer(model).expect("model card matches");
-    let entry =
-        RegistryModel::new(Arc::new(router), None, checkpoint_hash(&model.save_checkpoint()));
+    let entry = RegistryModel::new(Arc::new(router), checkpoint_hash(&model.save_checkpoint()));
     let factory = Box::new(move |bytes: &[u8], hash| {
         let split = split_dataset(ds, 11);
         let mut m = Kgag::new(ds, &split, KgagConfig { epochs: 3, ..Default::default() });
@@ -229,6 +239,7 @@ fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
         RegistryModel::try_new(m, hash).map_err(|e| e.to_string())
     });
     let server = RegistryServer::bootstrap(RegistryConfig::default(), factory, entry).unwrap();
+    let reference = model.dynamic_scorer();
     let token = ShutdownToken::new();
     let (addr_tx, addr_rx) = mpsc::channel();
     std::thread::scope(|s| {
@@ -241,20 +252,41 @@ fn router_server_refuses_lifecycle_and_loads_in_process_entries() {
             let got = client.score(*g, items).unwrap().expect("router scores opcode 0");
             assert_eq!(bits(&got), want[ci], "case {ci}: router diverged from single-node");
         }
-        assert_eq!(client.create_group(&[1, 2, 3]).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.join_group(0, 5).unwrap(), Err(ServeError::Unsupported));
-        assert_eq!(client.leave_group(0, 5).unwrap(), Err(ServeError::Unsupported));
+
+        // create, join and leave, valid and refused, ack for ack
+        let created = ds.num_groups();
+        for op in [
+            LifecycleOp::Create { members: vec![1, 2, 3] },
+            LifecycleOp::Join { group: created, user: 5 },
+            LifecycleOp::Join { group: created, user: 5 },
+            LifecycleOp::Leave { group: created, user: 2 },
+            LifecycleOp::Leave { group: created + 1, user: 2 },
+        ] {
+            let want = reference.apply(&op).map_err(ServeError::Lifecycle);
+            assert_eq!(send(&mut client, &op), want, "router ack for {op:?}");
+        }
+        for (g, items) in [(created, &cases[0].1), (0, &cases[1].1)] {
+            let got = client.score(g, items).unwrap().expect("live group scores");
+            let want = reference.score_case(g, items).expect("reference scores");
+            assert_eq!(bits(&got), bits(&want), "group {g}: router diverged after mutations");
+        }
+        assert_eq!(
+            client.score(created + 1, &[0]).unwrap(),
+            Err(ServeError::Lifecycle(kgag_data::LifecycleError::UnknownGroup))
+        );
 
         let hash = client.load_model(path.to_str().unwrap()).unwrap().expect("LOAD on a router");
         assert_eq!(client.bind_tenant(1, hash).unwrap(), Ok(hash));
         let entry = server.registry().entry(hash).expect("resident");
-        assert!(entry.lifecycle().is_some(), "LOAD builds an in-process entry, not a router");
+        assert_eq!(entry.group_count(), created, "the loaded entry has its own group table");
         for (ci, (g, items)) in cases.iter().enumerate() {
             let got = client.score_tenant(1, *g, items).unwrap().expect("loaded entry scores");
             assert_eq!(bits(&got), want_loaded[ci], "case {ci}: loaded entry diverged");
         }
         // lifecycle opcodes still address the router, tenant 0
-        assert_eq!(client.create_group(&[1, 2, 3]).unwrap(), Err(ServeError::Unsupported));
+        let op = LifecycleOp::Create { members: vec![4, 5, 6] };
+        assert_eq!(send(&mut client, &op), reference.apply(&op).map_err(ServeError::Lifecycle));
+        assert_eq!(entry.group_count(), created, "tenant 1's table is untouched");
         token.trigger();
         handle.join().unwrap().expect("serve_tcp exits cleanly");
     });

@@ -8,11 +8,16 @@
 //! `serve.queue_depth` gauge, which concurrent tests in a shared binary
 //! would perturb; a lock keeps the two cases here apart too.
 
-use kgag::{RegistryModel, ScoreCases, ScoreError};
-use kgag_serve::{serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig};
-use kgag_serve::{ServeError, ShutdownToken};
+mod common;
+
+use common::{pairs, stub_entry};
+use kgag::{ScoreCases, ScoreError};
+use kgag_data::LifecycleAck;
+use kgag_serve::{
+    serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig, ShutdownToken,
+};
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,7 +44,7 @@ fn spawn_echo_tcp() -> (SocketAddr, ShutdownToken, JoinHandle<()>) {
         queue_capacity: 64,
         workers: 1,
     };
-    let entry = RegistryModel::new(Arc::new(EchoScorer), None, 0);
+    let entry = stub_entry(EchoScorer, pairs(3));
     let cfg = RegistryConfig { serve, ..RegistryConfig::default() };
     let registry =
         RegistryServer::bootstrap(cfg, Box::new(|_, _| Err("loads nothing".into())), entry)
@@ -61,7 +66,7 @@ fn spawn_echo_tcp() -> (SocketAddr, ShutdownToken, JoinHandle<()>) {
 fn connect_idle(addr: SocketAddr) -> ServeClient {
     let mut b = ServeClient::connect(addr).unwrap();
     b.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert_eq!(b.join_group(0, 9).unwrap(), Err(ServeError::Unsupported));
+    assert_eq!(b.join_group(0, 9).unwrap(), Ok(LifecycleAck { group: 0, members: 3 }));
     b
 }
 

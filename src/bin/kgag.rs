@@ -121,11 +121,11 @@ router instead: shard peers (started with `kgag shard --index I
 --count N` on the same dataset/config/checkpoint) hold the
 embedding-table slices and answer draw/row queries; the router fuses
 scores bit-identically to single-node serving (DESIGN.md §15) and keeps
-no embedding table itself. Knobs: KGAG_SHARD_TIMEOUT_MS (per-reply
+no embedding table itself; it owns the group table, so create/join/leave
+work as on any server. Knobs: KGAG_SHARD_TIMEOUT_MS (per-reply
 deadline, default 2000) and KGAG_SHARD_QUEUE (per-peer queue depth,
 default 64). A dead shard fails only the requests that needed it, with
-typed errors; the router's groups are fixed, so create/join/leave
-answer Unsupported. LOAD still builds in-process models.
+typed errors. LOAD still builds in-process models.
 Formats for `import` are documented in kgag_data::import: interactions
 as `user<TAB>item`, KG as `head<TAB>rel<TAB>tail` (items = entities
 0..M), groups as `m1,m2,...<TAB>v1,v2,...`.";
@@ -329,15 +329,15 @@ fn shutdown_on_stdin(token: &kgag_serve::ShutdownToken) {
 }
 
 /// `kgag serve` — the registry server (DESIGN.md §16) booted with the
-/// trained/loaded checkpoint resident and tenant 0 bound to it. Without
-/// `--shards` the entry is the model behind a live scorer, so the
-/// lifecycle opcodes mutate its group table (DESIGN.md §13); with
-/// `--shards a,b,…` it is the scatter-gather router over shard peers
-/// running the same dataset/config/checkpoint (`kgag shard`, DESIGN.md
-/// §15), and the router process keeps no embedding table. Either way
-/// the wire's LOAD rebuilds further checkpoints in-process over the
-/// same dataset.
+/// trained/loaded checkpoint resident and tenant 0 bound to it. The
+/// entry is one live scorer whose group table the lifecycle opcodes
+/// mutate (DESIGN.md §13): the model in process, or with
+/// `--shards a,b,…` the scatter-gather router over shard peers running
+/// the same dataset/config/checkpoint (`kgag shard`, DESIGN.md §15),
+/// whose process keeps no embedding table. Either way the wire's LOAD
+/// rebuilds further checkpoints in-process over the same dataset.
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
+    use kgag_data::GroupLifecycle;
     use kgag_serve::{serve_tcp, RegistryConfig, RegistryServer, ShardConfig, ShardPool};
     use std::sync::Arc;
     let cfg = config(opts)?;
@@ -374,20 +374,20 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             // the router keeps clones of the small weights only; the
             // embedding tables live on the peers
             drop(model);
-            (kgag::RegistryModel::new(Arc::new(router), None, hash), "shard router")
+            (kgag::RegistryModel::new(Arc::new(router), hash), "shard router")
         }
         None => {
-            let live = Arc::new(kgag::DynamicScorer::shared(Arc::new(model)));
+            let live = kgag::DynamicScorer::shared(Arc::new(model));
             match live.cache_bytes() {
                 Some(b) => {
                     eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0)
                 }
                 None => eprintln!("no receptive-field cache (no KG propagation)"),
             }
-            eprintln!("lifecycle enabled: {} groups live", live.num_groups());
-            (kgag::RegistryModel::new(live.clone(), Some(live), hash), "receptive-field cache")
+            (kgag::RegistryModel::new(Arc::new(live), hash), "receptive-field cache")
         }
     };
+    eprintln!("lifecycle enabled: {} groups live", entry.group_count());
     let entry_ms = lap();
     // LOAD rebuilds checkpoints over this dataset, never as a router:
     // the peers hold the bootstrap checkpoint's rows only
@@ -427,11 +427,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         );
     })
     .map_err(|e| e.to_string())?;
-    let groups = server
-        .registry()
-        .resolve(0)
-        .ok()
-        .and_then(|a| a.active.lifecycle().map(|l| l.group_count()));
+    let groups = server.registry().resolve(0).map_err(|e| e.to_string())?.active.group_count();
     let models = server.registry().num_models();
     drop(server); // drain every entry's batcher before reporting
     eprintln!(
@@ -443,14 +439,12 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         kgag_obs::counter("serve.requests_rejected").get(),
         kgag_obs::counter("serve.deadline_missed").get(),
     );
-    if let Some(groups) = groups {
-        eprintln!(
-            "lifecycle: {} created, {} joins, {} leaves ({groups} groups final)",
-            kgag_obs::counter("lifecycle.groups_created").get(),
-            kgag_obs::counter("lifecycle.joins").get(),
-            kgag_obs::counter("lifecycle.leaves").get(),
-        );
-    }
+    eprintln!(
+        "lifecycle: {} created, {} joins, {} leaves ({groups} groups final)",
+        kgag_obs::counter("lifecycle.groups_created").get(),
+        kgag_obs::counter("lifecycle.joins").get(),
+        kgag_obs::counter("lifecycle.leaves").get(),
+    );
     eprintln!(
         "registry: {} loads, {} promotions, {} rollbacks, {} retirements, shadow {} clean / {} \
          mismatch, {models} models resident",

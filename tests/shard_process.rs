@@ -1,11 +1,13 @@
 //! Sharded serving across real OS processes (DESIGN.md §15): two
 //! `kgag shard` peers started from the built binary, a router in this
 //! process, and the TCP front door in front of it. Scores through the
-//! router are bit-identical to single-node scoring, and a peer
-//! SIGKILLed mid-stream turns every request that needed it into a typed
-//! `ServeError::Shard` — never a panic, a hang or a wrong score. The
-//! in-process twins of these checks, over more shard counts and both
-//! draw-memo modes, live in `crates/serve/tests/shard_e2e.rs`.
+//! router are bit-identical to single-node scoring, create/join/leave
+//! through the router match an in-process live scorer ack for ack and
+//! bit for bit, and a peer SIGKILLed mid-stream turns every request
+//! that needed it into a typed `ServeError::Shard` — never a panic, a
+//! hang or a wrong score. The in-process twins of these checks, over
+//! more shard counts and both draw-memo modes, live in
+//! `crates/serve/tests/shard_e2e.rs`.
 //!
 //! The peers and the router load one checkpoint over the CLI's split
 //! seed `0x5eed`, exactly as `kgag serve --shards` and its peers do.
@@ -14,6 +16,7 @@ use kgag::{Kgag, KgagConfig, RegistryModel};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
+use kgag_data::LifecycleOp;
 use kgag_serve::{
     serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeError, ShardConfig, ShardPool,
     ShutdownToken,
@@ -104,7 +107,7 @@ fn sigkilled_shard_process_fails_requests_typed_through_the_front_door() {
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
     let pool = ShardPool::connect(&addrs, &ShardConfig::default()).expect("pool connects");
     let router = pool.into_scorer(&model).expect("model card matches");
-    let entry = RegistryModel::new(std::sync::Arc::new(router), None, 0);
+    let entry = RegistryModel::new(std::sync::Arc::new(router), 0);
     let no_loads = Box::new(|_: &[u8], _| Err("this server loads nothing".to_owned()));
     let server = RegistryServer::bootstrap(RegistryConfig::default(), no_loads, entry).unwrap();
     let token = ShutdownToken::new();
@@ -121,6 +124,31 @@ fn sigkilled_shard_process_fails_requests_typed_through_the_front_door() {
             let scores = client.score(*g, items).unwrap().expect("healthy deployment scores");
             assert_bits_equal("healthy", i, &scores, &reference[i]);
         }
+
+        // the router owns the rosters, the peers only tables: a group
+        // created, joined and left through the front door answers the
+        // acks and bits of an in-process live scorer given the same ops
+        let live = model.dynamic_scorer();
+        let created = ds.num_groups();
+        for op in [
+            LifecycleOp::Create { members: vec![1, 2, 3] },
+            LifecycleOp::Join { group: created, user: 4 },
+            LifecycleOp::Join { group: created, user: 4 },
+            LifecycleOp::Leave { group: created, user: 1 },
+            LifecycleOp::Leave { group: created + 1, user: 2 },
+        ] {
+            let got = match op {
+                LifecycleOp::Create { ref members } => client.create_group(members),
+                LifecycleOp::Join { group, user } => client.join_group(group, user),
+                LifecycleOp::Leave { group, user } => client.leave_group(group, user),
+            };
+            let want = live.apply(&op).map_err(ServeError::Lifecycle);
+            assert_eq!(got.expect("transport"), want, "router ack for {op:?}");
+        }
+        let items: Vec<u32> = (0..ds.num_items.min(12)).collect();
+        let scores = client.score(created, &items).unwrap().expect("the created group scores");
+        let want = live.score_case(created, &items).expect("in-process twin scores");
+        assert_bits_equal("created", 0, &scores, &want);
 
         // SIGKILL peer 1 while the request stream is in flight, so the
         // death is discovered inside request scoring
