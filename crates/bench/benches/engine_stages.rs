@@ -7,7 +7,8 @@
 //! At the default d = 16, one timed sweep gives the single-thread ns
 //! per candidate, and one more sweep with telemetry on reads the
 //! engine's passive stage counters (`infer.stage.*_ns`,
-//! `infer.relation_dots`, `infer.exps`) and stamps them per candidate as
+//! `infer.relation_dots`, `infer.exps`, `infer.node_updates`,
+//! `infer.attention_edges`) and stamps them per candidate as
 //! annotations — the numbers behind the "Inference cost breakdown" table
 //! in EXPERIMENTS.md. The same d = 16 model is also timed at the served
 //! request shape: the same candidates as one group × 200 items per
@@ -27,6 +28,9 @@ const GROUPS: u32 = 8;
 /// Items per request at the served shape (kgbench `catalog`).
 const REQUEST_ITEMS: usize = 200;
 const STAGES: [&str; 4] = ["fields", "attention", "propagate", "aggregate"];
+/// The engine's work counters, stamped per candidate beside the stages.
+const COUNTS: [&str; 4] =
+    ["infer.relation_dots", "infer.exps", "infer.node_updates", "infer.attention_edges"];
 /// Embedding widths timed: the default 16 (the packed kernels), 8 and
 /// 12 (the 4-wide tile) and 32 and 64 (several 16-wide tiles a row).
 const DIMS: [usize; 5] = [16, 8, 12, 32, 64];
@@ -90,7 +94,7 @@ fn annotate_stages<R>(
     let counters: Vec<String> = STAGES
         .iter()
         .map(|s| format!("infer.stage.{s}_ns"))
-        .chain(["infer.relation_dots".to_owned(), "infer.exps".to_owned()])
+        .chain(COUNTS.iter().map(|&c| c.to_owned()))
         .collect();
     let read = || counters.iter().map(|c| kgag_obs::counter(c).get()).collect::<Vec<u64>>();
     let sink =

@@ -20,8 +20,9 @@
 //! path produces, at any `KGAG_THREADS`, any chunk size and with the
 //! cache on or off. This holds because (a) the cache reproduces live
 //! sampling exactly ([`RfCache`] docs), and (b) the engine is
-//! bit-identical to the tape forward and computes each output row
-//! purely from its own instance's rows, so chunking is value-neutral.
+//! bit-identical to the tape forward, each output row a pure function of
+//! its own instance's inputs — a node shared within a chunk is shared
+//! only under equal keys — so chunking is value-neutral.
 //! The oracle suite in `crates/core/tests/batched_oracle.rs` enforces
 //! it.
 
@@ -50,10 +51,9 @@ impl<M: Borrow<Kgag> + Sync> ChunkSource for InProcess<M> {
         items: &'a [u32],
     ) -> Result<ChunkRows<'a>, ShardError> {
         let model = self.model.borrow();
-        let (rf_members, rf_items) = model.eval_fields(self.caches.as_ref(), members, items);
         let p = &model.params().prop;
         Ok(ChunkRows {
-            fields: rf_members.zip(rf_items),
+            fields: model.eval_fields(self.caches.as_ref(), members, items),
             members: Cow::Borrowed(members),
             items: Cow::Borrowed(items),
             entity: Cow::Borrowed(model.store().value(p.entity_emb).data()),
@@ -128,6 +128,13 @@ impl<M: Borrow<Kgag> + Sync> Scorer<InProcess<M>> {
     /// startup as the per-checkpoint memory cost of batched inference.
     pub fn cache_bytes(&self) -> Option<usize> {
         self.source.caches.as_ref().map(|(m, i)| m.approx_bytes() + i.approx_bytes())
+    }
+
+    /// The `(member-side, item-side)` receptive-field tables the scorer
+    /// reads (`None` when uncached) — for tests that recount a chunk's
+    /// fields from [`RfCache::entry`].
+    pub fn rf_caches(&self) -> Option<(&RfCache, &RfCache)> {
+        self.source.caches.as_ref().map(|(m, i)| (m, i))
     }
 
     /// Scores for one case — aligned with `items`, bit-identical to

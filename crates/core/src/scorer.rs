@@ -36,7 +36,7 @@ use crate::model::ModelParams;
 use crate::shard::{ShardError, ShardFetch};
 use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
 use kgag_data::GroupStore;
-use kgag_kg::ReceptiveField;
+use kgag_kg::FieldDag;
 use kgag_tensor::{ParamStore, Tensor};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -96,12 +96,13 @@ pub struct FieldPlan {
 }
 
 /// Everything one uniform-`L` chunk is scored from: the member- and
-/// item-side receptive fields (`None` under the KGAG-KG ablation), the
-/// chunk's member and item entity ids, and the embedding rows those ids
-/// index. The in-process source borrows all of it; remote sources own
-/// compact copies under remapped ids.
+/// item-side receptive fields of the chunk's distinct members and items,
+/// each node once per level (`None` under the KGAG-KG ablation), those
+/// member and item entity ids, and the embedding rows the ids index. The
+/// in-process source borrows all of it; remote sources own compact
+/// copies under remapped ids.
 pub struct ChunkRows<'a> {
-    pub(crate) fields: Option<(ReceptiveField, ReceptiveField)>,
+    pub(crate) fields: Option<(FieldDag, FieldDag)>,
     pub(crate) members: Cow<'a, [u32]>,
     pub(crate) items: Cow<'a, [u32]>,
     pub(crate) entity: Cow<'a, [f32]>,
@@ -112,8 +113,8 @@ pub struct ChunkRows<'a> {
 /// rows. Implemented by the in-process source and, through the blanket
 /// impl, by every [`ShardFetch`].
 pub trait ChunkSource: Sync {
-    /// The fields and rows for one chunk of `members` (flattened,
-    /// instance-major) and `items` entity ids.
+    /// The fields and rows for one chunk's distinct `members` and
+    /// `items` entity ids.
     fn chunk<'a>(
         &'a self,
         plan: &FieldPlan,
@@ -123,10 +124,10 @@ pub trait ChunkSource: Sync {
 }
 
 impl<F: ShardFetch + ?Sized> ChunkSource for F {
-    /// Scatter: receptive fields level by level, then the union of rows
-    /// the chunk touches. Gather: remap every id into the compact row
-    /// space — the engine only ever indexes rows, so the renaming is
-    /// value-neutral.
+    /// Scatter: receptive fields level by level, one draw per distinct
+    /// parent, then the union of rows the chunk touches. Gather: remap
+    /// every id into the compact row space — the engine only ever
+    /// indexes rows, so the renaming is value-neutral.
     fn chunk<'a>(
         &'a self,
         plan: &FieldPlan,
@@ -135,8 +136,8 @@ impl<F: ShardFetch + ?Sized> ChunkSource for F {
     ) -> Result<ChunkRows<'a>, ShardError> {
         let fields = if plan.use_kg {
             Some((
-                assemble_rf(self, plan, plan.salt ^ SALT_MEMBER, members)?,
-                assemble_rf(self, plan, plan.salt ^ SALT_ITEM, items)?,
+                assemble_dag(self, plan, plan.salt ^ SALT_MEMBER, members)?,
+                assemble_dag(self, plan, plan.salt ^ SALT_ITEM, items)?,
             ))
         } else {
             None
@@ -145,9 +146,10 @@ impl<F: ShardFetch + ?Sized> ChunkSource for F {
         ents.extend_from_slice(members);
         ents.extend_from_slice(items);
         let mut rels: Vec<u32> = Vec::new();
-        for rf in fields.iter().flat_map(|(m, i)| [m, i]) {
-            ents.extend(rf.entities.iter().flatten());
-            rels.extend(rf.relations.iter().flatten());
+        for dag in fields.iter().flat_map(|(m, i)| [m, i]) {
+            // every node past the targets is some node's child
+            ents.extend(dag.children.iter().flatten());
+            rels.extend(dag.relations.iter().flatten());
         }
         ents.sort_unstable();
         ents.dedup();
@@ -159,14 +161,9 @@ impl<F: ShardFetch + ?Sized> ChunkSource for F {
             ents.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
         let rmap: HashMap<u32, u32> =
             rels.iter().enumerate().map(|(i, &r)| (r, i as u32)).collect();
-        let remap_rf = |rf: &ReceptiveField| ReceptiveField {
-            entities: rf.entities.iter().map(|level| remap(level, &emap)).collect(),
-            relations: rf.relations.iter().map(|level| remap(level, &rmap)).collect(),
-            k: rf.k,
-            depth: rf.depth,
-        };
+        let rename = |dag: &FieldDag| dag.renamed(|e| emap[&e], |r| rmap[&r]);
         Ok(ChunkRows {
-            fields: fields.as_ref().map(|(m, i)| (remap_rf(m), remap_rf(i))),
+            fields: fields.as_ref().map(|(m, i)| (rename(m), rename(i))),
             members: Cow::Owned(remap(members, &emap)),
             items: Cow::Owned(remap(items, &emap)),
             entity: Cow::Owned(entity),
@@ -179,25 +176,17 @@ fn remap(ids: &[u32], map: &HashMap<u32, u32>) -> Vec<u32> {
     ids.iter().map(|id| map[id]).collect()
 }
 
-/// Rebuild the receptive field of `targets` level-synchronously from
-/// keyed draws: level `l+1` is one `fetch_draws` over level `l`'s
-/// entities.
-fn assemble_rf<F: ShardFetch + ?Sized>(
+/// Rebuild the distinct-node field of `targets` from keyed draws: level
+/// `l + 1` is one `fetch_draws` over level `l`'s distinct nodes.
+fn assemble_dag<F: ShardFetch + ?Sized>(
     fetch: &F,
     plan: &FieldPlan,
     salt: u64,
     targets: &[u32],
-) -> Result<ReceptiveField, ShardError> {
-    let mut entities = Vec::with_capacity(plan.depth + 1);
-    let mut relations = Vec::with_capacity(plan.depth);
-    entities.push(targets.to_vec());
-    for level in 0..plan.depth {
-        let parents = entities.last().expect("level 0 pushed above");
-        let (ch, rl) = fetch.fetch_draws(salt, level, parents)?;
-        entities.push(ch);
-        relations.push(rl);
-    }
-    Ok(ReceptiveField { entities, relations, k: plan.k, depth: plan.depth })
+) -> Result<FieldDag, ShardError> {
+    FieldDag::assemble(targets, plan.depth, plan.k, |l, parents| {
+        fetch.fetch_draws(salt, l, parents)
+    })
 }
 
 /// The one scorer (module docs): a group table, the item → entity map,
@@ -264,8 +253,10 @@ impl<S> Scorer<S> {
     }
 
     /// Override the instances-per-chunk cap. Any positive value scores
-    /// bit-identically; the size only trades scheduling overhead against
-    /// per-chunk buffer size, and chunks shrink below the cap when the
+    /// bit-identically; the size trades scheduling overhead and sharing
+    /// against per-chunk buffer size — the engine propagates each
+    /// receptive-field node once per chunk, so the cap also bounds how
+    /// many instances share one. Chunks shrink below the cap when the
     /// batch is too small to give every pool worker several chunks.
     ///
     /// # Panics
@@ -319,9 +310,9 @@ impl<S: ChunkSource> Scorer<S> {
             self.batch_instances,
             cases,
             |v| self.item_entity[v as usize],
-            |members, items, l| {
+            |chunk| {
                 let mut clock = StageClock::start();
-                let rows = self.source.chunk(&self.plan, members, items)?;
+                let rows = self.source.chunk(&self.plan, &chunk.members, &chunk.items)?;
                 clock.lap(Stage::Fields);
                 let engine = Engine::new(
                     &self.config,
@@ -332,11 +323,10 @@ impl<S: ChunkSource> Scorer<S> {
                     &rows.relation,
                 );
                 let scores = engine.score_chunk(
-                    rows.fields.as_ref().map(|(m, _)| m),
-                    rows.fields.as_ref().map(|(_, i)| i),
+                    rows.fields.as_ref().map(|(m, i)| (m, i)),
+                    chunk,
                     &rows.members,
                     &rows.items,
-                    l,
                     &mut clock,
                 );
                 clock.flush();

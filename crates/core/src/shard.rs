@@ -23,9 +23,9 @@
 //!    single node instead of failing the chunk.
 //! 3. *The reduction order is the engine's.* The router remaps global
 //!    ids to a dense per-chunk id space and scores through the shared
-//!    inference engine ([`crate::infer`]). Every kernel computes each
-//!    output row purely from its own instance's rows, so the compact
-//!    renaming and any chunking are value-neutral.
+//!    inference engine ([`crate::infer`]). Each output row is a pure
+//!    function of its own instance's inputs, so the compact renaming and
+//!    any chunking are value-neutral.
 //!
 //! ## Failure semantics
 //!

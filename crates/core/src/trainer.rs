@@ -21,13 +21,14 @@ use crate::scorer::ScoreError;
 use kgag_data::split::{DatasetSplit, NegativeSampler};
 use kgag_data::GroupDataset;
 use kgag_eval::{EvalConfig, GroupEvalCase, GroupScorer, MetricSummary};
-use kgag_kg::{CollaborativeKg, NeighborSampler, ReceptiveField, RfCache};
+use kgag_kg::{CollaborativeKg, FieldDag, NeighborSampler, ReceptiveField, RfCache};
 use kgag_tensor::optim::{Adam, Optimizer};
 use kgag_tensor::pool;
 use kgag_tensor::rng::{derive_seed, SplitMix64};
 use kgag_tensor::{NodeId, ParamStore, Tape, Tensor};
 use kgag_testkit::json::{Json, ToJson};
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Per-epoch training losses.
@@ -286,25 +287,36 @@ impl Kgag {
         )
     }
 
-    /// The inference-time receptive fields of a group forward: looked
-    /// up in prebuilt [`RfCache`] tables when `caches` is given, drawn
-    /// live under the eval salt otherwise. Both resolve to the same
+    /// The inference-time distinct-node fields of a chunk's distinct
+    /// `members` and `items`: looked up in prebuilt [`RfCache`] tables
+    /// when `caches` is given, drawn live under the eval salt otherwise
+    /// — `None` under the KGAG-KG ablation. Both resolve to the same
     /// draws, so the two score bit-identically.
     pub(crate) fn eval_fields(
         &self,
         caches: Option<&(RfCache, RfCache)>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-    ) -> (Option<ReceptiveField>, Option<ReceptiveField>) {
-        match caches {
-            Some((members, items)) => (
-                Some(members.receptive_field(flat_members)),
-                Some(items.receptive_field(item_ents)),
-            ),
-            None => {
-                self.sampled_fields(&self.eval_sampler, self.eval_salt(), flat_members, item_ents)
-            }
+        members: &[u32],
+        items: &[u32],
+    ) -> Option<(FieldDag, FieldDag)> {
+        if !self.config.use_kg {
+            return None;
         }
+        Some(match caches {
+            Some((m, i)) => (m.field_dag(members), i.field_dag(items)),
+            None => {
+                let (graph, depth, k) =
+                    (self.ckg.graph(), self.config.layers, self.eval_sampler.k());
+                let live = |targets: &[u32], salt: u64| {
+                    let draws = |l: usize, parents: &[u32]| {
+                        Ok::<_, Infallible>(self.eval_sampler.draws(graph, l, parents, salt))
+                    };
+                    let Ok(dag) = FieldDag::assemble(targets, depth, k, draws);
+                    dag
+                };
+                let salt = self.eval_salt();
+                (live(members, salt ^ SALT_MEMBER), live(items, salt ^ SALT_ITEM))
+            }
+        })
     }
 
     /// Forward a batch of user–item instances, returning `[B, 1]` logits

@@ -14,6 +14,8 @@
 //!   sampling producing the layered receptive-field tree that the
 //!   information propagation block consumes (and that the paper's
 //!   O(K^{H−h}·d²) complexity analysis assumes);
+//! * [`FieldDag`] — the same field with each distinct node once per
+//!   level, the form the batched inference engine propagates over;
 //! * [`RfCache`] — per-entity memoization of those draws at a fixed
 //!   salt, turning receptive-field assembly during batched inference
 //!   into pure table lookup (bit-identical to live sampling);
@@ -23,6 +25,7 @@
 //!   analyses (user–user high-order connectivity).
 
 pub mod collab;
+pub mod field_dag;
 pub mod graph;
 pub mod partition;
 pub mod paths;
@@ -32,6 +35,7 @@ pub mod transe;
 pub mod triple;
 
 pub use collab::CollaborativeKg;
+pub use field_dag::{FieldDag, IdMap};
 pub use graph::KgGraph;
 pub use partition::{Partition, ShardState};
 pub use rf_cache::RfCache;

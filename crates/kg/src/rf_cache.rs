@@ -6,8 +6,9 @@
 //! the same no matter which batch asks for them. [`RfCache`] exploits
 //! that: it runs [`sample_one`] once for every `(entity, level)` pair up
 //! front and stores the results in flat per-level tables, after which
-//! assembling the receptive field of any target batch is pure table
-//! lookup — no RNG, no graph walks, no per-candidate resampling.
+//! assembling the receptive field of any target batch
+//! ([`RfCache::field_dag`]) is pure table lookup — no RNG, no graph
+//! walks, no per-candidate resampling.
 //!
 //! The cache is tied to one `(sampler seed, salt, depth)` triple — in
 //! serving terms, one checkpoint's evaluation salt. Build it once after
@@ -17,9 +18,11 @@
 //! the same RNG base) and enforced by the property tests below and by
 //! the cross-crate oracle suite in `crates/core/tests/batched_oracle.rs`.
 
+use crate::field_dag::FieldDag;
 use crate::graph::KgGraph;
-use crate::sampler::{sample_one, NeighborSampler, ReceptiveField};
+use crate::sampler::{sample_one, NeighborSampler};
 use kgag_tensor::pool;
+use std::convert::Infallible;
 
 /// One level's memoized draws: entity `e`'s `k` sampled children and
 /// edge relations live at `children[e*k .. (e+1)*k]` (respectively
@@ -121,29 +124,31 @@ impl RfCache {
             .sum()
     }
 
-    /// Assemble the receptive field for `targets` from the tables.
-    ///
-    /// Bit-identical to
-    /// `sampler.receptive_field(graph, targets, depth, salt)` for the
-    /// `(sampler, graph, depth, salt)` this cache was built from.
-    pub fn receptive_field(&self, targets: &[u32]) -> ReceptiveField {
+    /// The distinct-node field of `targets` from the tables — what the
+    /// in-process chunk source hands the inference engine. Bit-identical
+    /// to the field assembled from `sampler.draws(graph, l, parents,
+    /// salt)` for the `(sampler, graph, depth, salt)` this cache was
+    /// built from.
+    pub fn field_dag(&self, targets: &[u32]) -> FieldDag {
+        let draws = |l: usize, parents: &[u32]| Ok::<_, Infallible>(self.draws(l, parents));
+        let Ok(dag) = FieldDag::assemble(targets, self.depth, self.k, draws);
+        dag
+    }
+
+    /// One level of memoized draws: the `k` children and edge relations
+    /// of every parent at level `l`, parent-major — bit-identical to
+    /// `sampler.draws(graph, l, parents, salt)`.
+    pub fn draws(&self, l: usize, parents: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let k = self.k;
-        let mut entities = Vec::with_capacity(self.depth + 1);
-        let mut relations = Vec::with_capacity(self.depth);
-        entities.push(targets.to_vec());
-        for level in &self.levels {
-            let parents = entities.last().unwrap();
-            let mut next_e = Vec::with_capacity(parents.len() * k);
-            let mut next_r = Vec::with_capacity(parents.len() * k);
-            for &p in parents {
-                let p = p as usize;
-                next_e.extend_from_slice(&level.children[p * k..(p + 1) * k]);
-                next_r.extend_from_slice(&level.relations[p * k..(p + 1) * k]);
-            }
-            entities.push(next_e);
-            relations.push(next_r);
+        let level = &self.levels[l];
+        let mut children = Vec::with_capacity(parents.len() * k);
+        let mut relations = Vec::with_capacity(parents.len() * k);
+        for &p in parents {
+            let p = p as usize;
+            children.extend_from_slice(&level.children[p * k..(p + 1) * k]);
+            relations.extend_from_slice(&level.relations[p * k..(p + 1) * k]);
         }
-        ReceptiveField { entities, relations, k, depth: self.depth }
+        (children, relations)
     }
 
     /// One entity's memoized row at one level — `(children, relations)`.
@@ -188,6 +193,20 @@ mod tests {
         KgGraph::from_store(&s)
     }
 
+    /// The field of `targets` drawn live, as the cache's was built.
+    fn live_field(
+        sampler: &NeighborSampler,
+        graph: &KgGraph,
+        targets: &[u32],
+        depth: usize,
+        salt: u64,
+    ) -> FieldDag {
+        let draws =
+            |l: usize, parents: &[u32]| Ok::<_, Infallible>(sampler.draws(graph, l, parents, salt));
+        let Ok(dag) = FieldDag::assemble(targets, depth, sampler.k(), draws);
+        dag
+    }
+
     #[test]
     fn cached_field_matches_live_sampler_exactly() {
         for (graph, targets) in
@@ -196,9 +215,8 @@ mod tests {
             for salt in [0u64, 1, 0xdead_beef] {
                 let sampler = NeighborSampler::new(3, 42);
                 let cache = RfCache::build(&sampler, &graph, 2, salt);
-                let live = sampler.receptive_field(&graph, &targets, 2, salt);
-                let cached = cache.receptive_field(&targets);
-                assert_eq!(live, cached, "salt {salt}");
+                let live = live_field(&sampler, &graph, &targets, 2, salt);
+                assert_eq!(live, cache.field_dag(&targets), "salt {salt}");
             }
         }
     }
@@ -213,8 +231,8 @@ mod tests {
         for trial in 0..64 {
             let len = 1 + (trial % 9) as usize;
             let targets: Vec<u32> = (0..len).map(|_| (rng.next_u64() % n) as u32).collect();
-            let live = sampler.receptive_field(&graph, &targets, 3, 0x5a17);
-            assert_eq!(live, cache.receptive_field(&targets), "trial {trial}: {targets:?}");
+            let live = live_field(&sampler, &graph, &targets, 3, 0x5a17);
+            assert_eq!(live, cache.field_dag(&targets), "trial {trial}: {targets:?}");
         }
     }
 
@@ -242,13 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn depth_zero_cache_returns_bare_targets() {
+    fn depth_zero_cache_draws_nothing() {
         let graph = chain_graph();
         let sampler = NeighborSampler::new(2, 1);
         let cache = RfCache::build(&sampler, &graph, 0, 0);
-        let rf = cache.receptive_field(&[3, 3]);
-        assert_eq!(rf.entities.len(), 1);
-        assert!(rf.relations.is_empty());
-        assert_eq!(rf.entities[0], vec![3, 3]);
+        let dag = cache.field_dag(&[3, 2]);
+        assert_eq!((dag.depth, dag.nodes.len(), dag.children.len()), (0, 0, 0));
     }
 }

@@ -17,7 +17,10 @@ use crate::graph::KgGraph;
 use kgag_tensor::pool;
 use kgag_tensor::rng::SplitMix64;
 
-/// Layered receptive field for a batch of target entities.
+/// Layered receptive field for a batch of target entities, one tree
+/// per target — the form the training tape consumes. Batched inference
+/// assembles the same draws over a chunk's distinct targets with each
+/// node once per level instead ([`crate::FieldDag`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReceptiveField {
     /// `entities[l]` has `batch · K^l` entity ids; level 0 is the targets.
@@ -88,42 +91,11 @@ impl NeighborSampler {
         depth: usize,
         salt: u64,
     ) -> ReceptiveField {
-        let base = self.field_base(salt);
         let mut entities = Vec::with_capacity(depth + 1);
         let mut relations = Vec::with_capacity(depth);
         entities.push(targets.to_vec());
         for l in 0..depth {
-            let parents = &entities[l];
-            let k = self.k;
-            // Every parent emits exactly `k` (entity, relation) pairs into
-            // its own preallocated slot, and the per-parent RNG is seeded
-            // from (base, parent, level) only — never the batch position —
-            // so banding parents across threads is bit-identical to the
-            // sequential loop.
-            let mut next_e = vec![0u32; parents.len() * k];
-            let mut next_r = vec![0u32; parents.len() * k];
-            let band_parents = parents.len().div_ceil(pool::num_threads()).max(1);
-            pool::scope(|s| {
-                for ((e_band, r_band), p_band) in next_e
-                    .chunks_mut(band_parents * k)
-                    .zip(next_r.chunks_mut(band_parents * k))
-                    .zip(parents.chunks(band_parents))
-                {
-                    s.spawn(move || {
-                        for (pi, &p) in p_band.iter().enumerate() {
-                            sample_one(
-                                graph,
-                                base,
-                                l,
-                                p,
-                                k,
-                                &mut e_band[pi * k..(pi + 1) * k],
-                                &mut r_band[pi * k..(pi + 1) * k],
-                            );
-                        }
-                    });
-                }
-            });
+            let (next_e, next_r) = self.draws(graph, l, &entities[l], salt);
             entities.push(next_e);
             relations.push(next_r);
         }
@@ -131,6 +103,50 @@ impl NeighborSampler {
             sampler_metrics().record(&entities);
         }
         ReceptiveField { entities, relations, k: self.k, depth }
+    }
+
+    /// One level of draws: the `k` sampled children and edge relations
+    /// of every parent at level `l` under `salt`, parent-major — the
+    /// per-level step of [`NeighborSampler::receptive_field`].
+    pub fn draws(
+        &self,
+        graph: &KgGraph,
+        l: usize,
+        parents: &[u32],
+        salt: u64,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let base = self.field_base(salt);
+        let k = self.k;
+        // Every parent emits exactly `k` (entity, relation) pairs into
+        // its own preallocated slot, and the per-parent RNG is seeded
+        // from (base, parent, level) only — never the batch position —
+        // so banding parents across threads is bit-identical to the
+        // sequential loop.
+        let mut next_e = vec![0u32; parents.len() * k];
+        let mut next_r = vec![0u32; parents.len() * k];
+        let band_parents = parents.len().div_ceil(pool::num_threads()).max(1);
+        pool::scope(|s| {
+            for ((e_band, r_band), p_band) in next_e
+                .chunks_mut(band_parents * k)
+                .zip(next_r.chunks_mut(band_parents * k))
+                .zip(parents.chunks(band_parents))
+            {
+                s.spawn(move || {
+                    for (pi, &p) in p_band.iter().enumerate() {
+                        sample_one(
+                            graph,
+                            base,
+                            l,
+                            p,
+                            k,
+                            &mut e_band[pi * k..(pi + 1) * k],
+                            &mut r_band[pi * k..(pi + 1) * k],
+                        );
+                    }
+                });
+            }
+        });
+        (next_e, next_r)
     }
 }
 

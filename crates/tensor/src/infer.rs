@@ -9,11 +9,12 @@
 //!
 //! * **Rows in place.** An operand is a [`Rows`] — a dense buffer, or
 //!   rows of an embedding table picked by id and read where they lie.
-//! * **One logit per (query row, relation).** [`relation_logits`]
-//!   memoises the attention dot by relation id within each query row.
-//! * **One `exp` per (query row, relation, group max).**
-//!   [`relation_softmax`] memoises the softmax numerator by relation
-//!   and the relation of the group's max logit.
+//! * **One logit per (query row, relation).** [`LogitMemo`] memoises
+//!   the attention dot by relation id within each query row.
+//! * **One `exp` per (query row, relation, group max).** [`ExpMemo`]
+//!   memoises the softmax numerator by relation and the relation of the
+//!   group's max logit. [`relation_logits`] and [`relation_softmax`]
+//!   run both over a receptive field's levels.
 //! * **Packed rows at the served width.** At d = 16 the accumulating
 //!   kernels hold the output row in a fixed-size array the compiler
 //!   keeps in four SSE registers, with a matmul block's 16 terms
@@ -145,12 +146,8 @@ pub fn gather_rows(table: &[f32], dim: usize, ids: &[u32], out: &mut Vec<f32>) {
 /// its item) is passed once and never copied — the tape's
 /// `repeat_rows` → `gather_row_dot` → `scale`, level by level.
 ///
-/// The logit depends only on the query row and the relation, so each
-/// query row computes `dot(q, rel) · scale` once per distinct relation
-/// id it meets, in a memo stamped with that row, and copies the value to
-/// every other edge with that id: min(relations, edges) dots per query
-/// row. The memoised value is the same expression the tape evaluates
-/// per edge, so the memo is value-neutral. Returns the number of dot
+/// Each query row computes its logits through one [`LogitMemo`] row:
+/// min(relations, edges) dots per query row. Returns the number of dot
 /// products computed.
 pub fn relation_logits(
     relation: &[f32],
@@ -170,48 +167,81 @@ pub fn relation_logits(
         o.clear();
         o.resize(edges.len(), 0.0);
     }
-    let rows = relation.len() / dim;
-    let mut stamp = vec![0usize; rows];
-    let mut memo = vec![0.0f32; rows];
-    let mut dots = 0;
+    let mut memo = LogitMemo::new(relation, dim, scale);
     for qi in 0..n_query {
+        memo.next_row();
         let q = query.row(qi, dim);
         for (o, edges) in out.iter_mut().zip(levels) {
             let share = edges.len() / n_query;
             let span = qi * share..(qi + 1) * share;
             for (logit, &r) in o[span.clone()].iter_mut().zip(&edges[span]) {
-                let r = r as usize;
-                if stamp[r] != qi + 1 {
-                    stamp[r] = qi + 1;
-                    memo[r] = dot(q, &relation[r * dim..(r + 1) * dim]) * scale;
-                    dots += 1;
-                }
-                *logit = memo[r];
+                *logit = memo.logit(q, r);
             }
         }
     }
-    dots
+    memo.dots
+}
+
+/// The relation-attention logit of one query row at a time:
+/// `dot(q, relation.row(r)) · scale` depends only on the row and the
+/// relation, so each row computes it once per distinct relation id, in a
+/// memo stamped with the row, and returns the stored value for every
+/// other edge with that id. The memoised value is the same expression
+/// the tape evaluates per edge, so the memo is value-neutral.
+pub struct LogitMemo<'r> {
+    relation: &'r [f32],
+    dim: usize,
+    scale: f32,
+    stamp: Vec<usize>,
+    value: Vec<f32>,
+    row: usize,
+    /// Dot products computed so far.
+    pub dots: usize,
+}
+
+impl<'r> LogitMemo<'r> {
+    /// A memo over the `[rows, dim]` relation table, scaling by `scale`.
+    pub fn new(relation: &'r [f32], dim: usize, scale: f32) -> Self {
+        let rows = relation.len() / dim;
+        LogitMemo {
+            relation,
+            dim,
+            scale,
+            stamp: vec![0; rows],
+            value: vec![0.0; rows],
+            row: 0,
+            dots: 0,
+        }
+    }
+
+    /// Begin the next query row; the previous row's logits are dropped.
+    pub fn next_row(&mut self) {
+        self.row += 1;
+    }
+
+    /// The logit of relation `r` under the current row, whose query
+    /// vector is `q` for every call within the row.
+    #[inline]
+    pub fn logit(&mut self, q: &[f32], r: u32) -> f32 {
+        let r = r as usize;
+        if self.stamp[r] != self.row {
+            self.stamp[r] = self.row;
+            self.value[r] = dot(q, &self.relation[r * self.dim..(r + 1) * self.dim]) * self.scale;
+            self.dots += 1;
+        }
+        self.value[r]
+    }
 }
 
 /// The propagation softmax over the relation-attention logits of
 /// [`relation_logits`], in place: each level is softmaxed over
 /// consecutive `group`-sized blocks, bit for bit as
-/// [`softmax_groups_inplace`] does, with one `exp` per (query row,
-/// relation, group-max relation) instead of one per edge. Returns the
-/// number of `exp` evaluated.
+/// [`softmax_groups_inplace`] does, each query row through one
+/// [`ExpMemo`] row. Returns the number of `exp` evaluated.
 ///
 /// `levels` are the logits' relation ids, query row `i` owns the `i`-th
 /// of `n_query` equal shares of every level, and `relations` bounds the
-/// ids. A block's softmax is `exp(x − max) / Σ`, and `exp(x − max)`
-/// depends only on the bits of `x` and `max`. Within a query row `x` is
-/// a function of the relation (the logit memo's invariant), and `max` —
-/// an `f32::max` fold from −∞ — is the bits of one of the block's own
-/// logits, so it is named by that logit's relation. A memo keyed by
-/// (relation, max relation) and stamped with the query row therefore
-/// returns the very value the per-edge `exp` would. The one block whose
-/// max is no logit — every logit NaN, max −∞ — runs the plain per-edge
-/// softmax. The max fold, the sum in edge order and the divide are
-/// unchanged.
+/// ids.
 pub fn relation_softmax(
     logits: &mut [Vec<f32>],
     levels: &[Vec<u32>],
@@ -228,46 +258,104 @@ pub fn relation_softmax(
             "every query row must own whole blocks"
         );
     }
-    let mut stamp = vec![0usize; relations * relations];
-    let mut memo = vec![0.0f32; relations * relations];
-    let mut exps = 0;
+    let mut memo = ExpMemo::new(relations);
     for qi in 0..n_query {
+        memo.next_row();
         for (xs, ids) in logits.iter_mut().zip(levels) {
             let share = xs.len() / n_query;
             let span = qi * share..(qi + 1) * share;
             for (block, ids) in
-                xs[span.clone()].chunks_exact_mut(group).zip(ids[span].chunks(group))
+                xs[span.clone()].chunks_exact_mut(group).zip(ids[span].chunks_exact(group))
             {
-                let max = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let Some(top) = block.iter().position(|x| x.to_bits() == max.to_bits()) else {
-                    softmax_inplace(block);
-                    exps += group;
-                    continue;
-                };
-                let top = ids[top] as usize;
-                // with `top` in range, an out-of-range id indexes past the memo
-                assert!(top < relations, "relation id {top} out of range");
-                let mut sum = 0.0;
-                for (x, &r) in block.iter_mut().zip(ids) {
-                    let key = r as usize * relations + top;
-                    if stamp[key] != qi + 1 {
-                        stamp[key] = qi + 1;
-                        memo[key] = (*x - max).exp();
-                        exps += 1;
-                    }
-                    debug_assert_eq!(memo[key].to_bits(), (*x - max).exp().to_bits());
-                    *x = memo[key];
-                    sum += *x;
-                }
-                if sum > 0.0 {
-                    for x in block.iter_mut() {
-                        *x /= sum;
-                    }
-                }
+                memo.softmax(block, ids);
             }
         }
     }
-    exps
+    memo.exps
+}
+
+/// The propagation softmax of one query row at a time, with one `exp`
+/// per (row, relation, group-max relation) instead of one per edge.
+///
+/// A block's softmax is `exp(x − max) / Σ`, and `exp(x − max)` depends
+/// only on the bits of `x` and `max`. Within a query row `x` is a
+/// function of the relation (the [`LogitMemo`] invariant), and `max` —
+/// an `f32::max` fold from −∞ — is the bits of one of the block's own
+/// logits, so it is named by that logit's relation. A memo keyed by
+/// (relation, max relation) and stamped with the row therefore returns
+/// the very value the per-edge `exp` would. The one block whose max is
+/// no logit — every logit NaN, max −∞ — runs the plain per-edge softmax.
+/// The max fold, the sum in edge order and the divide are unchanged.
+pub struct ExpMemo {
+    relations: usize,
+    stamp: Vec<usize>,
+    value: Vec<f32>,
+    row: usize,
+    /// `exp` evaluated so far.
+    pub exps: usize,
+}
+
+/// The served propagation fan-out `K`, whose softmax blocks
+/// [`ExpMemo::softmax`] runs at a fixed size.
+const PACKED_GROUP: usize = 8;
+
+impl ExpMemo {
+    /// A memo for relation ids below `relations`.
+    pub fn new(relations: usize) -> Self {
+        let n = relations * relations;
+        ExpMemo { relations, stamp: vec![0; n], value: vec![0.0; n], row: 0, exps: 0 }
+    }
+
+    /// Begin the next query row; the previous row's values are dropped.
+    pub fn next_row(&mut self) {
+        self.row += 1;
+    }
+
+    /// One block's softmax in place under the current row, `ids` its
+    /// logits' relation ids.
+    #[inline]
+    pub fn softmax(&mut self, block: &mut [f32], ids: &[u32]) {
+        assert_eq!(block.len(), ids.len(), "one relation id per logit");
+        if block.len() == PACKED_GROUP {
+            // a fixed-size block lets the compiler unroll it
+            let block: &mut [f32; PACKED_GROUP] = block.try_into().expect("a packed block");
+            let ids: &[u32; PACKED_GROUP] = ids.try_into().expect("a packed block");
+            self.softmax_block(block, ids);
+        } else {
+            self.softmax_block(block, ids);
+        }
+    }
+
+    #[inline(always)]
+    fn softmax_block(&mut self, block: &mut [f32], ids: &[u32]) {
+        let max = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let Some(top) = block.iter().position(|x| x.to_bits() == max.to_bits()) else {
+            softmax_inplace(block);
+            self.exps += block.len();
+            return;
+        };
+        let top = ids[top] as usize;
+        // with `top` in range, an out-of-range id indexes past the memo
+        assert!(top < self.relations, "relation id {top} out of range");
+        let (stamp, value) = (&mut self.stamp[..], &mut self.value[..]);
+        let mut sum = 0.0;
+        for (x, &r) in block.iter_mut().zip(ids) {
+            let key = r as usize * self.relations + top;
+            if stamp[key] != self.row {
+                stamp[key] = self.row;
+                value[key] = (*x - max).exp();
+                self.exps += 1;
+            }
+            debug_assert_eq!(value[key].to_bits(), (*x - max).exp().to_bits());
+            *x = value[key];
+            sum += *x;
+        }
+        if sum > 0.0 {
+            for x in block.iter_mut() {
+                *x /= sum;
+            }
+        }
+    }
 }
 
 /// In-place softmax over consecutive `group`-sized blocks — the tape's

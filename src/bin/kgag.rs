@@ -351,6 +351,10 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let ds = dataset(opts)?;
     let dataset_ms = lap();
     let (model, hash) = load_or_train(&ds, opts)?;
+    // the entry is refused exactly as LOAD refuses a checkpoint, before
+    // any peer is contacted or the listener bound
+    kgag_tensor::infer::scan_finite(model.store())
+        .map_err(|e| format!("bootstrap checkpoint refused: {e}"))?;
     let checkpoint_ms = lap();
     let (entry, entry_part) = match opts.get("shards") {
         Some(shards) => {
