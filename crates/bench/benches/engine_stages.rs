@@ -10,12 +10,15 @@
 //! `infer.relation_dots`, `infer.exps`, `infer.node_updates`,
 //! `infer.attention_edges`) and stamps them per candidate as
 //! annotations — the numbers behind the "Inference cost breakdown" table
-//! in EXPERIMENTS.md. The same d = 16 model is also timed at the served
-//! request shape: the same candidates as one group × 200 items per
-//! call, as kgbench `catalog` sends them, which on one thread chunks at
-//! 50 instances where the sweep chunks at 256; its stage counters are
-//! stamped under a `served.` prefix. Timed sweeps at the other widths
-//! in [`DIMS`] show what the kernels cost off the packed d = 16 width.
+//! in EXPERIMENTS.md. The same d = 16 model is also timed at two served
+//! request shapes, each on one thread with its stage counters stamped
+//! under its own prefix: the same candidates as one group × 200 items
+//! per call, as kgbench `catalog` sends them (`served.`, chunks of 50
+//! where the sweep chunks at 64), and 64 shortlists of one group × 10
+//! items, the small end of kgbench `interactive` (`shortlist.`, one
+//! chunk a request). Timed sweeps at the other widths in [`DIMS`] show
+//! what the kernels cost off the packed d = 16 width. The artifact's
+//! `kernels` stamp names the compilation the packed kernels ran in.
 
 use kgag::{Kgag, KgagConfig};
 use kgag_data::movielens::{movielens_pair, MovieLensConfig, Scale};
@@ -27,6 +30,9 @@ use kgag_testkit::json::Json;
 const GROUPS: u32 = 8;
 /// Items per request at the served shape (kgbench `catalog`).
 const REQUEST_ITEMS: usize = 200;
+/// Requests and items per request at the shortlist shape.
+const SHORTLISTS: u32 = 64;
+const SHORTLIST_ITEMS: u32 = 10;
 const STAGES: [&str; 4] = ["fields", "attention", "propagate", "aggregate"];
 /// The engine's work counters, stamped per candidate beside the stages.
 const COUNTS: [&str; 4] =
@@ -44,6 +50,13 @@ fn main() {
         .flat_map(|g| catalog.chunks(REQUEST_ITEMS).map(move |items| vec![(g, items.to_vec())]))
         .collect();
     let candidates = (cases.len() * catalog.len()) as f64;
+    let shortlists: Vec<Vec<(u32, Vec<u32>)>> = (0..SHORTLISTS)
+        .map(|r| {
+            let items = (0..SHORTLIST_ITEMS).map(|j| (r * SHORTLIST_ITEMS + j) % ds.num_items);
+            vec![(r % ds.num_groups(), items.collect())]
+        })
+        .collect();
+    let shortlist_candidates = (SHORTLISTS * SHORTLIST_ITEMS) as f64;
 
     let mut suite = BenchSuite::new("engine_stages");
     suite.annotate("candidates", Json::Float(candidates));
@@ -78,6 +91,21 @@ fn main() {
                 Json::Float(median_ns / candidates),
             );
             annotate_stages(&mut suite, "served.", serve, candidates);
+            let shortlist = || {
+                for request in &shortlists {
+                    black_box(scorer.score_cases(request));
+                }
+            };
+            let label = format!(
+                "serve {SHORTLISTS} requests of 1 group x {SHORTLIST_ITEMS} items d{dim} t1"
+            );
+            with_threads(1, || suite.bench(&label, shortlist));
+            let median_ns = suite.results().last().expect("one result").median_ns;
+            suite.annotate(
+                &format!("shortlist.ns_per_candidate_d{dim}"),
+                Json::Float(median_ns / shortlist_candidates),
+            );
+            annotate_stages(&mut suite, "shortlist.", shortlist, shortlist_candidates);
         }
     }
     suite.finish();

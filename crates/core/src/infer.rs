@@ -928,12 +928,15 @@ where
         cases.iter().map(|(_, items)| Ok(Vec::with_capacity(items.len()))).collect();
     for (&l, instances) in &buckets {
         // any chunking is bit-identical (per-row pure kernels,
-        // position-independent draws), so the size is picked for load
-        // balance alone: several chunks per pool worker, capped at
-        // `batch_instances`
-        let per_worker = instances.len().div_ceil(pool::num_threads() * 4).max(1);
-        let chunk_size = per_worker.min(batch_instances);
-        let chunks: Vec<&[(u32, u32)]> = instances.chunks(chunk_size).collect();
+        // position-independent draws), so the size is picked for speed
+        // alone: as few balanced chunks as keep each within
+        // `batch_instances` (each chunk pays the walk's bookkeeping
+        // once), and on a pool of several workers at least four a worker
+        let n = instances.len().max(1);
+        let threads = pool::num_threads();
+        let min_chunks = if threads == 1 { 1 } else { 4 * threads };
+        let count = n.div_ceil(batch_instances).max(min_chunks.min(n));
+        let chunks: Vec<&[(u32, u32)]> = instances.chunks(n.div_ceil(count)).collect();
         let scored = pool::par_map(&chunks, |_, chunk| score_chunk(&Chunk::new(cases, chunk, l)));
         for (chunk, result) in chunks.iter().zip(scored) {
             match result {

@@ -214,9 +214,15 @@ pub struct Scorer<S> {
     pub(crate) source: S,
 }
 
+/// The default instances-per-chunk cap ([`Scorer::with_batch_instances`]):
+/// large enough that a shortlist is one chunk on one worker, small
+/// enough that a chunk's level buffers stay cache-sized and a 200-item
+/// request splits into balanced chunks of 50.
+const DEFAULT_BATCH_INSTANCES: usize = 64;
+
 impl<S> Scorer<S> {
     /// A scorer for `model`'s bound groups over `source`, with the
-    /// default chunk cap of 256 instances.
+    /// default chunk cap of 64 instances.
     pub fn new(model: &Kgag, source: S) -> Self {
         let p = model.params();
         let ckg = model.collaborative_kg();
@@ -247,17 +253,23 @@ impl<S> Scorer<S> {
             },
             store,
             params: p.clone(),
-            batch_instances: 256,
+            batch_instances: DEFAULT_BATCH_INSTANCES,
             source,
         }
     }
 
     /// Override the instances-per-chunk cap. Any positive value scores
-    /// bit-identically; the size trades scheduling overhead and sharing
-    /// against per-chunk buffer size — the engine propagates each
-    /// receptive-field node once per chunk, so the cap also bounds how
-    /// many instances share one. Chunks shrink below the cap when the
-    /// batch is too small to give every pool worker several chunks.
+    /// bit-identically; the size trades per-chunk bookkeeping and
+    /// sharing against per-chunk buffer size — the engine propagates
+    /// each receptive-field node once per chunk, so the cap also bounds
+    /// how many instances share one.
+    ///
+    /// Each roster-size bucket of `n` instances is cut into
+    /// `ceil(n / cap)` balanced chunks, so on a one-thread pool a request
+    /// of up to `cap` candidates is one chunk and 200 candidates under
+    /// the default cap are 4 chunks of 50. A pool of several workers
+    /// cuts at least four chunks a worker (at most one an instance), so
+    /// each gets several to balance the load.
     ///
     /// # Panics
     /// Panics when `n == 0`.

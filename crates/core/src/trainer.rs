@@ -632,10 +632,19 @@ impl Kgag {
     /// [`Kgag::forward_group`]); a member list matching a bound group
     /// scores bit-identically to [`Kgag::score_group_items`].
     ///
+    /// The list's order does not matter: it is scored in ascending user
+    /// order, the order `GroupStore::create` stores a roster in, so the
+    /// same members score as the group created from them. (The PI
+    /// tower's peer slots are ordered, so another order would move the
+    /// last bits.)
+    ///
     /// Unlike the panicking in-process paths, every bad input is a typed
     /// [`ScoreError`].
     pub fn score_members(&self, members: &[u32], items: &[u32]) -> Result<Vec<f32>, ScoreError> {
-        let member_ents = self.member_entities_for(members)?;
+        let mut member_ents = self.member_entities_for(members)?;
+        // a user's entity is its id past a fixed base, so this is the
+        // ascending user order
+        member_ents.sort_unstable();
         if let Some(&v) = items.iter().find(|&&v| v >= self.num_items) {
             return Err(ScoreError::UnknownItem(v));
         }

@@ -13,13 +13,17 @@
 //!   the attention dot by relation id within each query row.
 //! * **One `exp` per (query row, relation, group max).** [`ExpMemo`]
 //!   memoises the softmax numerator by relation and the relation of the
-//!   group's max logit. [`relation_logits`] and [`relation_softmax`]
-//!   run both over a receptive field's levels.
+//!   group's max logit.
 //! * **Packed rows at the served width.** At d = 16 the accumulating
 //!   kernels hold the output row in a fixed-size array the compiler
-//!   keeps in four SSE registers, with a matmul block's 16 terms
+//!   keeps in vector registers, with a matmul block's 16 terms
 //!   unrolled. Other widths keep a 16-wide slice of the row (4-wide
 //!   where 16 does not divide it) in a local array across the k loop.
+//! * **Packed bodies at the host's vector width.** Each packed body is
+//!   one source compiled twice, as is and with AVX2 enabled (never
+//!   FMA), and every call runs the compilation the host supports
+//!   ([`isa`] names it). Both issue the same roundings in the same
+//!   order, so the choice never moves a bit.
 //! * **One kernel a node update.** [`node_update`] runs a propagation
 //!   node's weighted sum of children, self term, matmul, bias and
 //!   activation per row, with no intermediate buffer.
@@ -43,7 +47,7 @@
 //!   so chunking a batch across the pool is value-neutral (DESIGN.md
 //!   §11).
 
-use crate::tanh::{tanh, tanh16};
+use crate::tanh::{tanh, tanh16_packed};
 use crate::tensor::{dot, softmax_inplace};
 use crate::ParamStore;
 
@@ -138,50 +142,6 @@ pub fn gather_rows(table: &[f32], dim: usize, ids: &[u32], out: &mut Vec<f32>) {
     }
 }
 
-/// Relation-attention logits over the edge levels of a receptive
-/// field: `out[lvl][e] = (q · relation.row(levels[lvl][e])) · scale`,
-/// where `q` is the query row that owns edge `e`. Query row `i` owns
-/// the `i`-th of `query.len(dim)` equal contiguous shares of every
-/// level, so a query repeated over several targets (each member under
-/// its item) is passed once and never copied — the tape's
-/// `repeat_rows` → `gather_row_dot` → `scale`, level by level.
-///
-/// Each query row computes its logits through one [`LogitMemo`] row:
-/// min(relations, edges) dots per query row. Returns the number of dot
-/// products computed.
-pub fn relation_logits(
-    relation: &[f32],
-    dim: usize,
-    query: Rows<'_>,
-    levels: &[Vec<u32>],
-    scale: f32,
-    out: &mut Vec<Vec<f32>>,
-) -> usize {
-    let n_query = query.len(dim);
-    out.resize_with(levels.len(), Vec::new);
-    for (o, edges) in out.iter_mut().zip(levels) {
-        assert!(
-            n_query > 0 && edges.len() % n_query == 0 || edges.is_empty(),
-            "edges must split evenly over the query rows"
-        );
-        o.clear();
-        o.resize(edges.len(), 0.0);
-    }
-    let mut memo = LogitMemo::new(relation, dim, scale);
-    for qi in 0..n_query {
-        memo.next_row();
-        let q = query.row(qi, dim);
-        for (o, edges) in out.iter_mut().zip(levels) {
-            let share = edges.len() / n_query;
-            let span = qi * share..(qi + 1) * share;
-            for (logit, &r) in o[span.clone()].iter_mut().zip(&edges[span]) {
-                *logit = memo.logit(q, r);
-            }
-        }
-    }
-    memo.dots
-}
-
 /// The relation-attention logit of one query row at a time:
 /// `dot(q, relation.row(r)) · scale` depends only on the row and the
 /// relation, so each row computes it once per distinct relation id, in a
@@ -231,47 +191,6 @@ impl<'r> LogitMemo<'r> {
         }
         self.value[r]
     }
-}
-
-/// The propagation softmax over the relation-attention logits of
-/// [`relation_logits`], in place: each level is softmaxed over
-/// consecutive `group`-sized blocks, bit for bit as
-/// [`softmax_groups_inplace`] does, each query row through one
-/// [`ExpMemo`] row. Returns the number of `exp` evaluated.
-///
-/// `levels` are the logits' relation ids, query row `i` owns the `i`-th
-/// of `n_query` equal shares of every level, and `relations` bounds the
-/// ids.
-pub fn relation_softmax(
-    logits: &mut [Vec<f32>],
-    levels: &[Vec<u32>],
-    n_query: usize,
-    relations: usize,
-    group: usize,
-) -> usize {
-    assert!(group > 0, "group must be positive");
-    assert_eq!(logits.len(), levels.len(), "one id level per logit level");
-    for (xs, ids) in logits.iter().zip(levels) {
-        assert_eq!(xs.len(), ids.len(), "one relation id per logit");
-        assert!(
-            n_query > 0 && xs.len() % (n_query * group) == 0 || xs.is_empty(),
-            "every query row must own whole blocks"
-        );
-    }
-    let mut memo = ExpMemo::new(relations);
-    for qi in 0..n_query {
-        memo.next_row();
-        for (xs, ids) in logits.iter_mut().zip(levels) {
-            let share = xs.len() / n_query;
-            let span = qi * share..(qi + 1) * share;
-            for (block, ids) in
-                xs[span.clone()].chunks_exact_mut(group).zip(ids[span].chunks_exact(group))
-            {
-                memo.softmax(block, ids);
-            }
-        }
-    }
-    memo.exps
 }
 
 /// The propagation softmax of one query row at a time, with one `exp`
@@ -368,9 +287,100 @@ pub fn softmax_groups_inplace(xs: &mut [f32], group: usize) {
     }
 }
 
+/// A compilation of the packed kernel bodies: the baseline one every
+/// host runs, or the AVX2 one. A value naming AVX2 exists only on a
+/// host that has it, which is what makes running that compilation
+/// sound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Isa {
+    avx2: bool,
+}
+
+impl Isa {
+    /// The compilation for the host's target, which every host runs.
+    pub(crate) const BASELINE: Isa = Isa { avx2: false };
+
+    /// The widest compilation this host runs. Feature detection runs
+    /// once per process; std caches its answer.
+    #[inline]
+    pub(crate) fn host() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa { avx2: true };
+        }
+        Isa::BASELINE
+    }
+
+    /// The AVX2 compilation, if this host runs it.
+    #[cfg(test)]
+    pub(crate) fn avx2() -> Option<Isa> {
+        Some(Isa::host()).filter(|isa| isa.avx2)
+    }
+
+    /// Whether this is the AVX2 compilation.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    pub(crate) fn is_avx2(self) -> bool {
+        self.avx2
+    }
+}
+
+/// The compilation the packed kernels run in on this host: `"avx2"` or
+/// `"baseline"`.
+pub fn isa() -> &'static str {
+    if Isa::host().avx2 {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// Compile one `#[inline(always)]` packed kernel body twice, behind an
+/// entry that takes the [`Isa`] to run:
+///
+/// ```text
+/// packed_twins!(fn entry[generics](args…) -> ret = body);
+/// ```
+///
+/// defines `entry(isa, args…)`, which calls `body(args…)` compiled as
+/// is, or, for the AVX2 `Isa` on x86-64, inside an `unsafe fn` with
+/// `avx2` enabled. `fma` stays off, so both compilations issue the same
+/// separate multiplies and adds in the same order: the source is one,
+/// and LLVM fuses no `fmul`/`fadd` pair without fast-math flags.
+macro_rules! packed_twins {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $entry:ident[$($g:tt)*]($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident
+    ) => {
+        $(#[$attr])*
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $entry<$($g)*>(isa: $crate::infer::Isa, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if isa.is_avx2() {
+                /// The body compiled for AVX2.
+                ///
+                /// # Safety
+                /// The host must support AVX2.
+                #[target_feature(enable = "avx2")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn avx2<$($g)*>($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                // SAFETY: an AVX2 `Isa` is only made on a host with AVX2
+                return unsafe { avx2($($arg),*) };
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = isa;
+            $body($($arg),*)
+        }
+    };
+}
+pub(crate) use packed_twins;
+
 /// The served embedding width. Kernels whose rows are this wide run
 /// packed bodies: the row is a fixed-size array the compiler keeps in
-/// four SSE registers, and a `[16, 16]` matmul block has its 16 terms
+/// vector registers, and a `[16, 16]` matmul block has its 16 terms
 /// unrolled. Each element still sees the [`accumulate`] sequence.
 const PACKED: usize = 16;
 
@@ -413,7 +423,7 @@ fn finish_packed(acc: &Packed, bias: &[f32], act: Activation, out_row: &mut [f32
     match act {
         Activation::None => {}
         Activation::Relu => row.iter_mut().for_each(|x| *x = x.max(0.0)),
-        Activation::Tanh => tanh16(&mut row),
+        Activation::Tanh => tanh16_packed(&mut row),
     }
     out_row.copy_from_slice(&row);
 }
@@ -507,10 +517,13 @@ pub fn group_weighted_sum(
     out.resize(weights.len() / group * dim, 0.0);
     if dim == PACKED {
         // resolve the row storage once, not per term
+        let isa = Isa::host();
         match values {
-            Rows::Dense(data) => weighted_sum_packed(weights, group, |r| packed(data, r), out),
+            Rows::Dense(data) => {
+                weighted_sum_packed_in(isa, weights, group, |r| packed(data, r), out)
+            }
             Rows::ById { table, ids } => {
-                weighted_sum_packed(weights, group, |r| packed(table, ids[r] as usize), out)
+                weighted_sum_packed_in(isa, weights, group, |r| packed(table, ids[r] as usize), out)
             }
         }
         return;
@@ -536,6 +549,16 @@ fn weighted_sum_packed<'r>(
         out_row.copy_from_slice(&weighted_row(ws, g * group, &row));
     }
 }
+
+packed_twins!(
+    /// [`weighted_sum_packed`] in the compilation `isa` names.
+    fn weighted_sum_packed_in['r](
+        weights: &[f32],
+        group: usize,
+        row: impl Fn(usize) -> &'r Packed,
+        out: &mut [f32],
+    ) = weighted_sum_packed
+);
 
 /// `Σ_k ws[k] · row(first + k)` at the packed width, from zero in k
 /// order, zero weights skipped.
@@ -616,12 +639,7 @@ pub fn matmul2_bias_act(
     out.clear();
     out.resize(rows * d_out, 0.0);
     if d_in == PACKED && d_out == PACKED {
-        for (i, out_row) in out.chunks_exact_mut(PACKED).enumerate() {
-            let mut acc = [0.0; PACKED];
-            axpy_block(&mut acc, packed(a.row(i, PACKED), 0), w_a);
-            axpy_block(&mut acc, packed(b, i), w_b);
-            finish_packed(&acc, bias, act, out_row);
-        }
+        matmul2_packed_in(Isa::host(), a, b, w_a, w_b, bias, act, out);
         return;
     }
     for (i, out_row) in out.chunks_exact_mut(d_out).enumerate() {
@@ -633,6 +651,38 @@ pub fn matmul2_bias_act(
         accumulate(terms, out_row, |c, x| activate(x + bias[c], act));
     }
 }
+
+/// [`matmul2_bias_act`] at the packed width.
+#[inline(always)]
+fn matmul2_packed(
+    a: Rows<'_>,
+    b: &[f32],
+    w_a: &[f32],
+    w_b: &[f32],
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    for (i, out_row) in out.chunks_exact_mut(PACKED).enumerate() {
+        let mut acc = [0.0; PACKED];
+        axpy_block(&mut acc, packed(a.row(i, PACKED), 0), w_a);
+        axpy_block(&mut acc, packed(b, i), w_b);
+        finish_packed(&acc, bias, act, out_row);
+    }
+}
+
+packed_twins!(
+    /// [`matmul2_packed`] in the compilation `isa` names.
+    fn matmul2_packed_in[](
+        a: Rows<'_>,
+        b: &[f32],
+        w_a: &[f32],
+        w_b: &[f32],
+        bias: &[f32],
+        act: Activation,
+        out: &mut [f32],
+    ) = matmul2_packed
+);
 
 /// How a propagation node's own row joins the weighted sum of its
 /// children before the layer matmul — the fused plan of a backend's
@@ -685,16 +735,17 @@ pub fn node_update(
     out.resize(rows * dim, 0.0);
     if dim == PACKED {
         // resolve the row storage once, not per term
-        let args = (plan, weights, group, w, bias, act);
+        let (isa, args) = (Isa::host(), (plan, weights, group, w, bias, act));
         match (own, children) {
             (Rows::Dense(o), Rows::Dense(c)) => {
-                node_update_packed(|r| packed(o, r), |r| packed(c, r), args, out)
+                node_update_packed_in(isa, |r| packed(o, r), |r| packed(c, r), args, out)
             }
             (Rows::ById { table: ot, ids: oi }, Rows::ById { table: ct, ids: ci }) => {
                 let own = |r: usize| packed(ot, oi[r] as usize);
-                node_update_packed(own, |r| packed(ct, ci[r] as usize), args, out)
+                node_update_packed_in(isa, own, |r| packed(ct, ci[r] as usize), args, out)
             }
-            _ => node_update_packed(
+            _ => node_update_packed_in(
+                isa,
                 |r| packed(own.row(r, PACKED), 0),
                 |r| packed(children.row(r, PACKED), 0),
                 args,
@@ -732,14 +783,7 @@ pub fn node_update(
 fn node_update_packed<'o, 'c>(
     own: impl Fn(usize) -> &'o Packed,
     child: impl Fn(usize) -> &'c Packed,
-    (plan, weights, group, w, bias, act): (
-        FusedAggregation,
-        &[f32],
-        usize,
-        &[f32],
-        &[f32],
-        Activation,
-    ),
+    (plan, weights, group, w, bias, act): NodeArgs<'_>,
     out: &mut [f32],
 ) {
     for (i, (ws, out_row)) in
@@ -761,6 +805,20 @@ fn node_update_packed<'o, 'c>(
         finish_packed(&acc, bias, act, out_row);
     }
 }
+
+/// The plan, weights, group, layer weight, bias and activation of a
+/// [`node_update`].
+type NodeArgs<'a> = (FusedAggregation, &'a [f32], usize, &'a [f32], &'a [f32], Activation);
+
+packed_twins!(
+    /// [`node_update_packed`] in the compilation `isa` names.
+    fn node_update_packed_in['o, 'c](
+        own: impl Fn(usize) -> &'o Packed,
+        child: impl Fn(usize) -> &'c Packed,
+        args: NodeArgs<'_>,
+        out: &mut [f32],
+    ) = node_update_packed
+);
 
 /// `out_row += a_row · w` — one row of the tape matmul, zero-skip
 /// included (dropping it could turn a +0.0 sum into -0.0).
@@ -788,17 +846,37 @@ where
         return; // no terms
     }
     if d_in == PACKED && d_out == PACKED {
-        let mut acc = *packed(out_row, 0);
-        for (block, w) in blocks.zip(w.chunks_exact(PACKED * PACKED)) {
-            axpy_block(&mut acc, packed(block, 0), w);
-        }
-        out_row.copy_from_slice(&acc);
+        accumulate_blocks_packed_in(Isa::host(), blocks, w, out_row);
         return;
     }
     for (block, w) in blocks.zip(w.chunks_exact(d_in * d_out)) {
         accumulate(matmul_terms(block, w, d_out), out_row, |_, x| x);
     }
 }
+
+/// [`accumulate_blocks`] at the packed width: the accumulator stays in
+/// registers across every block.
+#[inline(always)]
+fn accumulate_blocks_packed<'r>(
+    blocks: impl Iterator<Item = &'r [f32]>,
+    w: &[f32],
+    out_row: &mut [f32],
+) {
+    let mut acc = *packed(out_row, 0);
+    for (block, w) in blocks.zip(w.chunks_exact(PACKED * PACKED)) {
+        axpy_block(&mut acc, packed(block, 0), w);
+    }
+    out_row.copy_from_slice(&acc);
+}
+
+packed_twins!(
+    /// [`accumulate_blocks_packed`] in the compilation `isa` names.
+    fn accumulate_blocks_packed_in['r](
+        blocks: impl Iterator<Item = &'r [f32]>,
+        w: &[f32],
+        out_row: &mut [f32],
+    ) = accumulate_blocks_packed
+);
 
 /// Residual combine in place: `acc[i] = e0[i] + acc[i] · gamma` — the
 /// tape's `scale` then `add`; `e0` may be read in place by id.
@@ -839,18 +917,21 @@ pub fn row_dot_rep_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
     use crate::{Tape, Tensor};
 
     #[test]
-    fn relation_logits_share_query_rows_and_count_distinct_dots() {
+    fn logit_memo_shares_query_rows_and_counts_distinct_dots() {
         let relation = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let query = [2.0, 3.0, 4.0, 5.0]; // two query rows
-        let levels = vec![vec![0, 1, 2, 0], vec![2, 2, 0, 1, 1, 1, 0, 0]];
-        let mut out = Vec::new();
-        let dots = relation_logits(&relation, 2, Rows::Dense(&query), &levels, 1.0, &mut out);
-        assert_eq!(out[0], vec![2.0, 3.0, 9.0, 4.0]);
-        assert_eq!(out[1], vec![5.0, 5.0, 2.0, 3.0, 5.0, 5.0, 4.0, 4.0]);
-        assert_eq!(dots, 3 + 3, "one dot per distinct relation per query row");
+        let mut memo = LogitMemo::new(&relation, 2, 1.0);
+        let mut logits = Vec::new();
+        // each query row's edges of two levels, as one row owns them
+        for (q, ids) in [([2.0, 3.0], [0, 1, 2, 2, 0, 1]), ([4.0, 5.0], [2, 0, 1, 1, 0, 0])] {
+            memo.next_row();
+            logits.extend(ids.map(|r| memo.logit(&q, r)));
+        }
+        assert_eq!(logits, [2.0, 3.0, 5.0, 5.0, 2.0, 3.0, 9.0, 4.0, 5.0, 5.0, 4.0, 4.0]);
+        assert_eq!(memo.dots, 3 + 3, "one dot per distinct relation per query row");
     }
 
     #[test]
@@ -889,5 +970,105 @@ mod tests {
             scan_finite(&store),
             Err(ConvertError::NonFinite { param: "bad".into(), row: 2, col: 1 })
         );
+    }
+
+    /// Draws in `[-2, 2)`, one in `one_in` replaced by ±0, a subnormal,
+    /// ±∞ or a NaN with a payload.
+    fn spiky(rng: &mut SplitMix64, n: usize, one_in: usize) -> Vec<f32> {
+        const SPECIAL: [u32; 10] = [
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x0000_0001, // the smallest subnormal
+            0x807f_fff0, // a negative subnormal
+            0x7f80_0000, // +inf
+            0xff80_0000, // -inf
+            0x7fc0_1234, // quiet NaN with a payload
+            0xffc0_0042, // negative quiet NaN with a payload
+            0x7f80_0c01, // signalling NaN with a payload
+            0xff81_2345, // negative signalling NaN
+        ];
+        (0..n)
+            .map(|_| match rng.next_below(one_in) {
+                0 => f32::from_bits(SPECIAL[rng.next_below(SPECIAL.len())]),
+                _ => rng.next_f32() * 4.0 - 2.0,
+            })
+            .collect()
+    }
+
+    /// Bit patterns, with every NaN mapped to one canonical NaN. Where
+    /// both operands of an add are NaN, IEEE 754 leaves which payload
+    /// survives to the hardware operand order, and register allocation
+    /// picks that order per compilation: it is the one thing the twins
+    /// may differ in. Every other bit, signed zeros included, is equal.
+    fn to_bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// `run` in the baseline and, where the host has it, the AVX2
+    /// compilation gives the same bits. Returns the number of finite
+    /// outputs.
+    fn twins_agree(kernel: &str, run: impl Fn(Isa) -> Vec<f32>) -> usize {
+        let base = run(Isa::BASELINE);
+        if let Some(avx2) = Isa::avx2() {
+            assert_eq!(to_bits(&run(avx2)), to_bits(&base), "{kernel}: AVX2 twin differs");
+        }
+        base.iter().filter(|x| x.is_finite()).count()
+    }
+
+    #[test]
+    fn packed_twins_agree_bit_for_bit() {
+        const D: usize = PACKED;
+        if Isa::avx2().is_none() {
+            println!("the host has no AVX2; only the baseline compilation runs");
+        }
+        let mut rng = SplitMix64::new(0xa5a2);
+        let (mut finite, mut total) = (0, 0);
+        for round in 0..64 {
+            // from one special value in 3 (most rows non-finite) to one
+            // in 51 (most rows finite, through every tanh path)
+            let (rows, group, one_in) = (1 + round % 5, 1 + round % 8, 3 + round % 4 * 16);
+            let own = spiky(&mut rng, rows * D, one_in);
+            let children = spiky(&mut rng, rows * group * D, one_in);
+            let ids: Vec<u32> = (0..rows * group).map(|_| rng.next_below(rows) as u32).collect();
+            let mut weights = spiky(&mut rng, rows * group, one_in);
+            weights.iter_mut().step_by(3).for_each(|x| *x = 0.0);
+            let w = spiky(&mut rng, 2 * D * D, one_in);
+            let bias = spiky(&mut rng, D, one_in);
+            for act in [Activation::None, Activation::Relu, Activation::Tanh] {
+                total += rows * D;
+                finite += twins_agree("matmul2_packed", |isa| {
+                    let mut out = vec![0.0; rows * D];
+                    let a = Rows::ById { table: &own, ids: &ids[..rows] };
+                    let ((w_a, w_b), b) = (w.split_at(D * D), &children[..rows * D]);
+                    matmul2_packed_in(isa, a, b, w_a, w_b, &bias, act, &mut out);
+                    out
+                });
+                for plan in [FusedAggregation::SumSelf, FusedAggregation::SplitConcat] {
+                    let w = if plan == FusedAggregation::SumSelf { &w[..D * D] } else { &w };
+                    total += rows * D;
+                    finite += twins_agree("node_update_packed", |isa| {
+                        let mut out = vec![0.0; rows * D];
+                        let args = (plan, &weights[..], group, w, &bias[..], act);
+                        let own = |r: usize| packed(&own, r);
+                        let child = |r: usize| packed(&children, ids[r] as usize);
+                        node_update_packed_in(isa, own, child, args, &mut out);
+                        out
+                    });
+                }
+            }
+            twins_agree("weighted_sum_packed", |isa| {
+                let mut out = vec![0.0; rows * D];
+                weighted_sum_packed_in(isa, &weights, group, |r| packed(&children, r), &mut out);
+                out
+            });
+            twins_agree("accumulate_blocks_packed", |isa| {
+                let mut out = bias.clone();
+                let blocks = own.chunks_exact(D).take(2);
+                accumulate_blocks_packed_in(isa, blocks, &w[..own.len().min(2 * D) * D], &mut out);
+                out
+            });
+        }
+        // the sparse rounds reach finite rows, and so every tanh path
+        assert!(finite * 4 > total, "only {finite} of {total} outputs finite");
     }
 }

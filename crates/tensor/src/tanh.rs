@@ -29,6 +29,8 @@
 // is preserved.
 // ====================================================
 
+use crate::infer::{packed_twins, Isa};
+
 const HUGE: f32 = 1.0e30;
 const TINY: f32 = 1.0e-30;
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
@@ -214,9 +216,17 @@ fn tanh_lane(x: f32) -> f32 {
 }
 
 /// [`tanh`] of a packed row, in place: 16 lanes at a time where every
-/// lane is in 2⁻²⁶ ≤ |x| < 7.5, lane by lane otherwise.
+/// lane is in 2⁻²⁶ ≤ |x| < 7.5, lane by lane otherwise. Runs the
+/// compilation of [`tanh16_packed`] the host supports
+/// ([`crate::infer::isa`]); both give the same bits.
 #[inline]
 pub fn tanh16(row: &mut [f32; 16]) {
+    tanh16_in(Isa::host(), row)
+}
+
+/// The body of [`tanh16`], inlined into the packed kernel epilogues.
+#[inline(always)]
+pub(crate) fn tanh16_packed(row: &mut [f32; 16]) {
     let lanes_ok = row.iter().fold(true, |ok, x| ok & (x.abs() >= LANE_MIN) & (x.abs() < LANE_MAX));
     if lanes_ok {
         for x in row.iter_mut() {
@@ -229,12 +239,18 @@ pub fn tanh16(row: &mut [f32; 16]) {
     }
 }
 
+packed_twins!(
+    /// [`tanh16_packed`] in the compilation `isa` names.
+    fn tanh16_in[](row: &mut [f32; 16]) = tanh16_packed
+);
+
 /// [`tanh`] of every element, in place: whole 16-element chunks through
 /// [`tanh16`], the rest one at a time.
 pub fn tanh_inplace(xs: &mut [f32]) {
+    let isa = Isa::host();
     let mut chunks = xs.chunks_exact_mut(16);
     for chunk in &mut chunks {
-        tanh16(chunk.try_into().expect("a 16-element chunk"));
+        tanh16_in(isa, chunk.try_into().expect("a 16-element chunk"));
     }
     for x in chunks.into_remainder() {
         *x = tanh(*x);
@@ -278,5 +294,52 @@ mod tests {
         assert_eq!(row.map(f32::to_bits), want.map(f32::to_bits));
         assert_eq!(row[5].to_bits(), 0);
         assert_eq!(row[9], 1.0);
+    }
+
+    /// The baseline and the AVX2 compilation of [`tanh16`] give the
+    /// same bits, NaN payloads included (each lane's NaN meets no other
+    /// NaN, so its payload is the input's): on rows wholly inside the
+    /// branch-free domain and on rows with one or more lanes outside it.
+    #[test]
+    fn the_twins_agree_bit_for_bit() {
+        const OUTSIDE: [u32; 14] = [
+            0x0000_0000, // ±0
+            0x8000_0000,
+            0x0000_0001, // subnormals
+            0x807f_ffff,
+            0x1f80_0000, // 2⁻⁶⁰
+            0x327f_ffff, // just below 2⁻²⁶
+            0x40f0_0000, // 7.5
+            0xc100_0000, // −8
+            0x41b0_0001, // just above 22
+            0x7149_f2ca, // 1e30
+            0x7f80_0000, // ±∞
+            0xff80_0000,
+            0x7fc0_1234, // NaN payloads, quiet and signalling
+            0xff81_2345,
+        ];
+        let Some(avx2) = Isa::avx2() else {
+            println!("tanh16: the host has no AVX2; only the baseline compilation ran");
+            return;
+        };
+        let mut rng = crate::rng::SplitMix64::new(0x7a2b);
+        for round in 0..4096 {
+            let mut row: [f32; 16] = std::array::from_fn(|_| {
+                let x = LANE_MIN + rng.next_f32() * (LANE_MAX - LANE_MIN);
+                if rng.next_below(2) == 0 {
+                    x
+                } else {
+                    -x
+                }
+            });
+            // three rounds in four put lanes outside the domain
+            for _ in 0..round % 4 {
+                row[rng.next_below(16)] = f32::from_bits(OUTSIDE[rng.next_below(OUTSIDE.len())]);
+            }
+            let mut twin = row;
+            tanh16_in(Isa::BASELINE, &mut row);
+            tanh16_in(avx2, &mut twin);
+            assert_eq!(twin.map(f32::to_bits), row.map(f32::to_bits), "round {round}");
+        }
     }
 }

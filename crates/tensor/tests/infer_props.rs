@@ -14,8 +14,8 @@
 
 use kgag_tensor::infer::{
     accumulate_blocks, accumulate_row, gather_rows, group_mean, group_weighted_sum,
-    matmul2_bias_act, node_update, relation_logits, relation_softmax, residual_inplace,
-    row_dot_rep_scaled, softmax_groups_inplace, Activation, FusedAggregation, Rows,
+    matmul2_bias_act, node_update, residual_inplace, row_dot_rep_scaled, softmax_groups_inplace,
+    Activation, ExpMemo, FusedAggregation, LogitMemo, Rows,
 };
 use kgag_tensor::rng::SplitMix64;
 use kgag_tensor::tensor::softmax_inplace;
@@ -104,9 +104,11 @@ fn gather_rows_equals_tape_gather() {
 /// `repeat_rows` (query → targets → edges) → `gather_row_dot` → `scale`
 /// at every level, with few relations so ids repeat within and across
 /// sibling sets in no particular order, and computes exactly one dot
-/// per distinct relation per query row.
+/// per distinct relation per query row. Query row `i` owns the `i`-th of
+/// `n_query` equal shares of every level and is read once per row,
+/// dense or by id, never copied per edge.
 #[test]
-fn relation_logits_equal_tape_repeat_gather_dot_scale() {
+fn logit_memo_equals_tape_repeat_gather_dot_scale() {
     let gen = (usize_in(1..6), usize_in(1..4), usize_in(1..5), usize_in(1..4), usize_in(1..20));
     let gen = (gen, usize_in(1..8), u64_in(0..u64::MAX));
     Runner::new("infer-relation-logits-vs-tape").cases(128).run(
@@ -144,10 +146,20 @@ fn relation_logits_equal_tape_repeat_gather_dot_scale() {
                 })
                 .sum();
             for form in query.forms() {
-                let mut got = Vec::new();
-                let dots = relation_logits(&relation, dim, form, &levels, scale, &mut got);
+                let mut memo = LogitMemo::new(&relation, dim, scale);
+                let mut got: Vec<Vec<f32>> = levels.iter().map(|_| Vec::new()).collect();
+                for qi in 0..n_query {
+                    memo.next_row();
+                    let q = form.row(qi, dim);
+                    for (out, edges) in got.iter_mut().zip(&levels) {
+                        let share = edges.len() / n_query;
+                        out.extend(
+                            edges[qi * share..(qi + 1) * share].iter().map(|&r| memo.logit(q, r)),
+                        );
+                    }
+                }
                 prop_assert_eq!(got.iter().map(|l| bits(l)).collect::<Vec<_>>(), want.clone());
-                prop_assert_eq!(dots, distinct);
+                prop_assert_eq!(memo.dots, distinct);
             }
             Ok(())
         },
@@ -473,9 +485,10 @@ fn logit_row(rng: &mut SplitMix64, n_rel: usize) -> Vec<f32> {
 /// (query row, relation) as the logit memo produces them, with
 /// repeated, unsorted ids and every special value; and it evaluates one
 /// `exp` per distinct (relation, first max relation) pair in each query
-/// row, plus one per edge of every all-NaN group.
+/// row, plus one per edge of every all-NaN group. Each query row owns
+/// the same share of every level as under the logit memo.
 #[test]
-fn relation_softmax_equals_per_group_softmax() {
+fn exp_memo_equals_per_group_softmax() {
     let gen = (usize_in(1..5), usize_in(1..4), usize_in(1..9), usize_in(1..4), usize_in(1..8));
     let gen = (gen, u64_in(0..u64::MAX));
     Runner::new("infer-relation-softmax-vs-softmax").cases(192).run(
@@ -515,11 +528,23 @@ fn relation_softmax_equals_per_group_softmax() {
                 expected_exps += pairs.len();
             }
             let mut got = logits;
-            let exps = relation_softmax(&mut got, &levels, n_query, n_rel, group);
+            let mut memo = ExpMemo::new(n_rel);
+            for qi in 0..n_query {
+                memo.next_row();
+                for (xs, ids) in got.iter_mut().zip(&levels) {
+                    let share = xs.len() / n_query;
+                    let span = qi * share..(qi + 1) * share;
+                    for (block, ids) in
+                        xs[span.clone()].chunks_exact_mut(group).zip(ids[span].chunks_exact(group))
+                    {
+                        memo.softmax(block, ids);
+                    }
+                }
+            }
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(bits(g), bits(w));
             }
-            prop_assert_eq!(exps, expected_exps);
+            prop_assert_eq!(memo.exps, expected_exps);
             Ok(())
         },
     );

@@ -9,6 +9,7 @@
 //! release — and runs in the opt-in `./ci.sh --stage tanh`; it holds on
 //! a host whose libm is glibc 2.36's.
 
+use kgag_tensor::infer::isa;
 use kgag_tensor::pool;
 use kgag_tensor::tanh::{tanh, tanh16};
 
@@ -151,7 +152,10 @@ const BLOCK: u64 = 1 << 22;
 
 /// Every input whose port result differs from `f32::tanh` in any bit,
 /// NaN payloads included, through the scalar entry point and through
-/// [`tanh16`] on 16 consecutive bit patterns at a time.
+/// [`tanh16`] on 16 consecutive bit patterns at a time. `tanh16` runs
+/// the compilation the host supports: the AVX2 one on an AVX2 host, the
+/// baseline one elsewhere. The test prints which (`isa`), and the
+/// unit tests of `kgag_tensor::tanh` pin the two against each other.
 #[test]
 #[ignore = "walks all 2^32 inputs; run with ./ci.sh --stage tanh"]
 fn both_entry_points_equal_libm_on_every_input() {
@@ -177,6 +181,6 @@ fn both_entry_points_equal_libm_on_every_input() {
     let total: usize = mismatches.iter().map(|(_, bad)| bad.len()).sum();
     let first: Vec<u32> =
         mismatches.iter().flat_map(|(_, bad)| bad.iter().copied()).take(8).collect();
-    println!("tanh: {total} mismatches of 2^32 inputs");
+    println!("tanh: {total} mismatches of 2^32 inputs, tanh16 compiled for {}", isa());
     assert_eq!(total, 0, "first mismatching inputs: {first:08x?}");
 }

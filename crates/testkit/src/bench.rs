@@ -199,8 +199,10 @@ impl BenchSuite {
     }
 
     /// The suite's JSON artifact. It stamps run metadata — the pool's
-    /// thread count beside the cores the machine makes available, git
-    /// commit, iteration/warmup counts — so bench trajectories stay
+    /// thread count beside the cores the machine makes available, the
+    /// compilation the packed kernels ran in (`kernels`, see
+    /// [`kgag_tensor::infer::isa`]), git commit, iteration/warmup
+    /// counts — so bench trajectories stay
     /// comparable across machines and PRs, and a thread-scaling figure
     /// can be read against the cores it actually had.
     pub fn artifact(&self) -> Json {
@@ -209,6 +211,7 @@ impl BenchSuite {
             ("suite", self.name.to_json()),
             ("threads", kgag_tensor::pool::num_threads().to_json()),
             ("available_parallelism", cores.to_json()),
+            ("kernels", Json::Str(kgag_tensor::infer::isa().into())),
             ("git_sha", git_sha().to_json()),
             ("iters", self.config.iters.to_json()),
             ("warmup", self.config.warmup.to_json()),
@@ -282,6 +285,8 @@ mod tests {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         assert_eq!(json.get("available_parallelism").and_then(Json::as_f64), Some(cores as f64));
         assert!(json.get("threads").and_then(Json::as_f64).is_some_and(|t| t >= 1.0), "{text}");
+        let kernels = json.get("kernels").and_then(Json::as_str);
+        assert_eq!(kernels, Some(kgag_tensor::infer::isa()), "{text}");
     }
 
     #[test]

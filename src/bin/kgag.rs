@@ -392,6 +392,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         }
     };
     eprintln!("lifecycle enabled: {} groups live", entry.group_count());
+    eprintln!("engine kernels: {}", kgag_tensor::infer::isa());
     let entry_ms = lap();
     // LOAD rebuilds checkpoints over this dataset, never as a router:
     // the peers hold the bootstrap checkpoint's rows only
