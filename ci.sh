@@ -15,7 +15,9 @@
 # Stages (./ci.sh --list prints this table):
 #   fmt        — cargo fmt --check, for the workspace and for kgbench
 #                (its own workspace, which the root check never sees)
-#   build      — release build with RUSTFLAGS="-D warnings"
+#   build      — release build with RUSTFLAGS="-D warnings", plus
+#                cargo check of every target (examples, benches, tests)
+#                under the same flag
 #   test       — full suite at KGAG_THREADS=1 and KGAG_THREADS=4; the
 #                determinism suite additionally compares both thread
 #                counts bit-for-bit inside one process (DESIGN.md §9).
@@ -69,7 +71,7 @@ DEFAULT_STAGES="fmt build test kgbench golden"
 stage_desc() {
     case "$1" in
     fmt) echo "cargo fmt --check (workspace and kgbench)" ;;
-    build) echo "release build, deny warnings" ;;
+    build) echo "release build + check of all targets, deny warnings" ;;
     test) echo "full test suite at KGAG_THREADS=1 and 4" ;;
     kgbench) echo "benchmark package: builds against the API, tests + smoke" ;;
     golden) echo "golden-file gate: bit-identical smoke metrics" ;;
@@ -85,6 +87,8 @@ run_fmt() {
 
 run_build() {
     RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
+    # examples, benches and tests too, so a stale import cannot hide there
+    RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 }
 
 run_test() {

@@ -1,7 +1,9 @@
-//! Batched-inference benchmark (DESIGN.md §11): the per-case scoring
-//! path against the [`kgag::BatchScorer`] with its receptive-field
-//! cache cold (built inside the timed region) and warm (built once,
-//! reused — the steady-state serving shape), plus a chunk-size sweep.
+//! Batched-inference benchmark (DESIGN.md §11): the tape reference
+//! ([`kgag::Kgag::tape_reference_scores`], one case at a time with
+//! live-sampled fields) against the [`kgag::BatchScorer`] with its
+//! receptive-field cache cold (built inside the timed region) and warm
+//! (built once, reused — the steady-state serving shape), plus a
+//! chunk-size sweep.
 //!
 //! All variants are timed at 4 threads through `with_threads`, so the
 //! comparison isolates the engine (cache amortisation + cross-case
@@ -46,7 +48,7 @@ fn main() {
     with_threads(THREADS, || {
         suite.bench(&label, || {
             for (g, its) in &cases {
-                black_box(model.score_group_items(*g, its));
+                black_box(model.tape_reference_scores(ds.members(*g), its));
             }
         })
     });

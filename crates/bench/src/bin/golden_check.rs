@@ -18,16 +18,16 @@
 //! `str::parse::<f64>` — so a baseline survives serialisation bit for
 //! bit and *any* numeric drift (a reordered reduction, a changed salt,
 //! an off-by-one in sampling) fails the gate instead of hiding inside a
-//! tolerance. The run also cross-checks the batched scorer: its
-//! summaries must equal the per-case path's exactly before the baseline
-//! comparison even starts.
+//! tolerance. The run also cross-checks the engine: its summaries must
+//! equal the tape reference's, through the same protocol, exactly before
+//! the baseline comparison even starts.
 
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag::{Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_eval::EvalConfig;
+use kgag_eval::{evaluate_group_ranking, EvalConfig};
 use kgag_testkit::json::{Json, ToJson};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -66,18 +66,19 @@ fn golden_run() -> Json {
     let test = eval_cases(&ds, &split.group, EvalBucket::Test);
     let val_summary = model.evaluate(&val, &ecfg);
     let test_summary = model.evaluate(&test, &ecfg);
-    // the batched engine must agree with the per-case path before we
-    // even look at the baseline — a divergence here is a batching bug,
-    // not a numerics change
+    // the engine must agree with the tape reference before we even look
+    // at the baseline — a divergence here is an engine bug, not a
+    // numerics change
+    let tape = |g: u32, items: &[u32]| model.tape_reference_scores(ds.members(g), items);
     assert_eq!(
-        model.evaluate_batched(&val, &ecfg),
+        evaluate_group_ranking(&tape, model.num_items(), &val, &ecfg),
         val_summary,
-        "batched validation metrics diverged from the per-case path"
+        "engine validation metrics diverged from the tape reference"
     );
     assert_eq!(
-        model.evaluate_batched(&test, &ecfg),
+        evaluate_group_ranking(&tape, model.num_items(), &test, &ecfg),
         test_summary,
-        "batched test metrics diverged from the per-case path"
+        "engine test metrics diverged from the tape reference"
     );
     let losses = Json::Arr(
         report

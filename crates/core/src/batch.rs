@@ -1,14 +1,13 @@
 //! Single-node scoring: the one [`Scorer`] over an in-process source.
 //!
-//! The per-case path ([`Kgag::score_group_items`]) resamples the
-//! receptive field of every member and candidate on each call and walks
-//! the eval cases one at a time, so only within-op parallelism is
-//! available. [`BatchScorer`] removes both costs: it builds one
-//! [`RfCache`] pair per checkpoint (member-side and item-side tables,
-//! keyed on the model's fixed inference salt) and fuses the `(group,
-//! candidate)` instances of *all* cases into uniform chunks that the
-//! thread pool scores concurrently through the inference engine
-//! ([`crate::infer`]).
+//! Every group score after training comes from here: [`Kgag::evaluate`]
+//! (the protocol over one cached [`BatchScorer`]),
+//! [`Kgag::score_group_items`] and [`Kgag::score_members`] (one call
+//! over live fields). A [`BatchScorer`] builds one [`RfCache`] pair per
+//! checkpoint (member-side and item-side tables, keyed on the model's
+//! fixed inference salt) and fuses the `(group, candidate)` instances of
+//! *all* cases into uniform chunks that the thread pool scores
+//! concurrently through the inference engine ([`crate::infer`]).
 //!
 //! A single node is a one-shard deployment whose shard lives in the
 //! process: [`InProcess`] is the scorer's [`ChunkSource`], lending the
@@ -16,13 +15,13 @@
 //! copy, no id remap — with receptive fields from the cache pair or the
 //! live sampler.
 //!
-//! The contract is bit-identity: every score equals what the per-case
-//! path produces, at any `KGAG_THREADS`, any chunk size and with the
-//! cache on or off. This holds because (a) the cache reproduces live
-//! sampling exactly ([`RfCache`] docs), and (b) the engine is
-//! bit-identical to the tape forward, each output row a pure function of
-//! its own instance's inputs — a node shared within a chunk is shared
-//! only under equal keys — so chunking is value-neutral.
+//! The contract is bit-identity: every score equals the training tape's
+//! forward ([`Kgag::tape_reference_scores`]), at any `KGAG_THREADS`, any
+//! chunk size and with the cache on or off. This holds because (a) the
+//! cache reproduces live sampling exactly ([`RfCache`] docs), and (b)
+//! the engine is bit-identical to the tape forward, each output row a
+//! pure function of its own instance's inputs — a node shared within a
+//! chunk is shared only under equal keys — so chunking is value-neutral.
 //! The oracle suite in `crates/core/tests/batched_oracle.rs` enforces
 //! it.
 
@@ -95,25 +94,19 @@ impl Kgag {
         })
     }
 
-    /// Evaluate prepared cases through the batched protocol — same
-    /// metrics as [`Kgag::evaluate`], bit for bit, in one fused scoring
-    /// pass.
+    /// [`Kgag::evaluate`], kept under its former name for callers that
+    /// have not moved yet.
     pub fn evaluate_batched(&self, cases: &[GroupEvalCase], config: &EvalConfig) -> MetricSummary {
-        let scorer = self.batch_scorer();
-        self.evaluate_batched_with(&scorer, cases, config)
+        self.evaluate(cases, config)
     }
+}
 
-    /// [`Kgag::evaluate_batched`] over a *borrowed* scorer, so callers
-    /// that keep a [`BatchScorer`] alive across many passes — the
-    /// serving front-end, sweep loops — pay the receptive-field cache
-    /// build once instead of per evaluation.
-    pub fn evaluate_batched_with(
-        &self,
-        scorer: &BatchScorer<'_>,
-        cases: &[GroupEvalCase],
-        config: &EvalConfig,
-    ) -> MetricSummary {
-        kgag_eval::evaluate_group_ranking_batched(scorer, self.num_items(), cases, config)
+/// The protocol's view of a model: every batch is scored in one pass of
+/// a freshly built, cached [`BatchScorer`]. Callers that score many
+/// batches keep one scorer and hand it to the protocol instead.
+impl BatchGroupScorer for Kgag {
+    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+        self.batch_scorer().score_cases(cases)
     }
 }
 
@@ -137,8 +130,7 @@ impl<M: Borrow<Kgag> + Sync> Scorer<InProcess<M>> {
         self.source.caches.as_ref().map(|(m, i)| (m, i))
     }
 
-    /// Scores for one case — aligned with `items`, bit-identical to
-    /// [`Kgag::score_group_items`].
+    /// Scores for one case, aligned with `items`.
     ///
     /// # Panics
     /// Panics on an unknown group or item (use

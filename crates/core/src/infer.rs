@@ -930,12 +930,9 @@ where
         // any chunking is bit-identical (per-row pure kernels,
         // position-independent draws), so the size is picked for speed
         // alone: as few balanced chunks as keep each within
-        // `batch_instances` (each chunk pays the walk's bookkeeping
-        // once), and on a pool of several workers at least four a worker
+        // `batch_instances` (each chunk pays the walk's bookkeeping once)
         let n = instances.len().max(1);
-        let threads = pool::num_threads();
-        let min_chunks = if threads == 1 { 1 } else { 4 * threads };
-        let count = n.div_ceil(batch_instances).max(min_chunks.min(n));
+        let count = n.div_ceil(batch_instances);
         let chunks: Vec<&[(u32, u32)]> = instances.chunks(n.div_ceil(count)).collect();
         let scored = pool::par_map(&chunks, |_, chunk| score_chunk(&Chunk::new(cases, chunk, l)));
         for (chunk, result) in chunks.iter().zip(scored) {

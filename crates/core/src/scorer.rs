@@ -215,9 +215,9 @@ pub struct Scorer<S> {
 }
 
 /// The default instances-per-chunk cap ([`Scorer::with_batch_instances`]):
-/// large enough that a shortlist is one chunk on one worker, small
-/// enough that a chunk's level buffers stay cache-sized and a 200-item
-/// request splits into balanced chunks of 50.
+/// large enough that a shortlist is one chunk, small enough that a
+/// chunk's level buffers stay cache-sized and a 200-item request splits
+/// into balanced chunks of 50.
 const DEFAULT_BATCH_INSTANCES: usize = 64;
 
 impl<S> Scorer<S> {
@@ -265,11 +265,9 @@ impl<S> Scorer<S> {
     /// how many instances share one.
     ///
     /// Each roster-size bucket of `n` instances is cut into
-    /// `ceil(n / cap)` balanced chunks, so on a one-thread pool a request
+    /// `ceil(n / cap)` balanced chunks at any pool width, so a request
     /// of up to `cap` candidates is one chunk and 200 candidates under
-    /// the default cap are 4 chunks of 50. A pool of several workers
-    /// cuts at least four chunks a worker (at most one an instance), so
-    /// each gets several to balance the load.
+    /// the default cap are 4 chunks of 50.
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -316,8 +314,11 @@ impl<S> Scorer<S> {
 
 impl<S: ChunkSource> Scorer<S> {
     /// One pass of the shared scoring loop over resolved `(members, items)`
-    /// cases.
-    fn score_joint(&self, cases: &[(&[u32], &[u32])]) -> Vec<Result<Vec<f32>, ShardError>> {
+    /// cases: member entity ids and item ids.
+    pub(crate) fn score_joint(
+        &self,
+        cases: &[(&[u32], &[u32])],
+    ) -> Vec<Result<Vec<f32>, ShardError>> {
         score_buckets(
             self.batch_instances,
             cases,

@@ -7,10 +7,13 @@
 //!   `β·L_group + (1−β)·L_user + λ‖Θ‖²` (Eq. 20). Every step draws one
 //!   group batch *and* one user batch, matching the paper's "each
 //!   mini-batch contains both user–item and group–item interactions";
-//! * [`Kgag::score_group_items`] / [`Kgag::score_user_items`] —
-//!   inference (also the [`GroupScorer`] impl used by the evaluation
-//!   protocol);
-//! * [`Kgag::explain`] — the attention read-out behind RQ4.
+//! * [`Kgag::score_group_items`] / [`Kgag::score_members`] — group
+//!   inference through the engine, and [`Kgag::evaluate`], the shared
+//!   protocol over one cached [`crate::BatchScorer`];
+//! * [`Kgag::score_user_items`] (Eq. 19) and [`Kgag::explain`], the
+//!   attention read-out behind RQ4, on the training tape;
+//! * [`Kgag::tape_reference_scores`] — the tape forward the engine is
+//!   tested against.
 
 use crate::attention::{group_attention, AttentionOut};
 use crate::config::{GroupLoss, KgagConfig};
@@ -20,7 +23,7 @@ use crate::model::ModelParams;
 use crate::scorer::ScoreError;
 use kgag_data::split::{DatasetSplit, NegativeSampler};
 use kgag_data::GroupDataset;
-use kgag_eval::{EvalConfig, GroupEvalCase, GroupScorer, MetricSummary};
+use kgag_eval::{EvalConfig, GroupEvalCase, MetricSummary};
 use kgag_kg::{CollaborativeKg, FieldDag, NeighborSampler, ReceptiveField, RfCache};
 use kgag_tensor::optim::{Adam, Optimizer};
 use kgag_tensor::pool;
@@ -616,13 +619,13 @@ impl Kgag {
     // ------------------------------------------------------------------
 
     /// Prediction scores `σ(g · v)` for every item in `items` for the
-    /// given group (higher = more recommended).
+    /// given group (higher = more recommended), through the engine over
+    /// live fields: one call does not repay a cache build.
+    ///
+    /// # Panics
+    /// Panics on an unknown group or item.
     pub fn score_group_items(&self, group: u32, items: &[u32]) -> Vec<f32> {
-        if kgag_obs::enabled() {
-            kgag_obs::counter("infer.group_items_scored").add(items.len() as u64);
-        }
-        let member_ents = self.member_entities(group);
-        self.score_member_ents(&member_ents, items)
+        self.batch_scorer_with(false).score_case(group, items)
     }
 
     /// Cold-start scoring for an *ad-hoc* member list — a group that
@@ -648,12 +651,20 @@ impl Kgag {
         if let Some(&v) = items.iter().find(|&&v| v >= self.num_items) {
             return Err(ScoreError::UnknownItem(v));
         }
-        Ok(self.score_member_ents(&member_ents, items))
+        let mut scored = self.batch_scorer_with(false).score_joint(&[(&member_ents, items)]);
+        Ok(scored.pop().and_then(Result::ok).expect("the in-process source never fails"))
     }
 
-    /// Shared per-case scoring kernel: one member-entity list (any
-    /// length ≥ 1 the attention supports), live-sampled fields.
-    fn score_member_ents(&self, member_ents: &[u32], items: &[u32]) -> Vec<f32> {
+    /// The tape reference: scores `σ(g · v)` for the roster `members`
+    /// (user ids, scored in the order given) over `items`, one forward of
+    /// the training tape with live-sampled receptive fields. The engine
+    /// behind every other scoring path reproduces it bit for bit; only
+    /// the oracle tests, the benches and `golden_check` call it.
+    ///
+    /// The ids are not validated: pass known users and items
+    /// ([`Kgag::score_members`] is the checked entry point).
+    pub fn tape_reference_scores(&self, members: &[u32], items: &[u32]) -> Vec<f32> {
+        let member_ents: Vec<u32> = members.iter().map(|&u| self.ckg.user_entity(u).0).collect();
         let l = member_ents.len();
         // checkpoint-fixed salt: deterministic eval-time sampling, and
         // the same receptive field for an entity no matter which group
@@ -667,7 +678,7 @@ impl Kgag {
         let scored = pool::par_map(&chunks, |_, chunk| {
             let mut flat_members = Vec::with_capacity(chunk.len() * l);
             for _ in *chunk {
-                flat_members.extend_from_slice(member_ents);
+                flat_members.extend_from_slice(&member_ents);
             }
             let item_ents = self.item_entities(chunk);
             let mut tape = Tape::new(&self.store);
@@ -687,9 +698,9 @@ impl Kgag {
             kgag_obs::counter("infer.user_items_scored").add(items.len() as u64);
         }
         let u_ent = self.ckg.user_entity(user).0;
-        // checkpoint-fixed for the same reason as score_group_items
+        // checkpoint-fixed for the same reason as group scoring
         let salt = derive_seed(self.config.seed, "score-user");
-        // independent chunks, same argument as score_group_items
+        // independent chunks, same argument as tape_reference_scores
         let chunks: Vec<&[u32]> = items.chunks(256).collect();
         let scored = pool::par_map(&chunks, |_, chunk| {
             let users = vec![u_ent; chunk.len()];
@@ -749,7 +760,8 @@ impl Kgag {
         kgag_tensor::checkpoint::load(&mut self.store, bytes)
     }
 
-    /// Evaluate against prepared cases with the shared protocol.
+    /// Evaluate against prepared cases with the shared protocol, every
+    /// case scored in one pass of a cached [`Kgag::batch_scorer`].
     pub fn evaluate(&self, cases: &[GroupEvalCase], config: &EvalConfig) -> MetricSummary {
         kgag_eval::evaluate_group_ranking(self, self.num_items, cases, config)
     }
@@ -862,12 +874,6 @@ fn ls_level_labels(
                 .collect()
         })
         .collect()
-}
-
-impl GroupScorer for Kgag {
-    fn score(&self, group: u32, items: &[u32]) -> Vec<f32> {
-        self.score_group_items(group, items)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The batched-inference oracle (the CI gate behind DESIGN.md §11).
 //!
-//! [`kgag::BatchScorer`] promises *bit-identical* scores to the
-//! per-case [`Kgag::score_group_items`] path — with the receptive-field
+//! [`kgag::BatchScorer`] promises *bit-identical* scores to the tape
+//! reference [`Kgag::tape_reference_scores`] — with the receptive-field
 //! cache on or off, at any chunk size, and at any thread count. This
 //! suite trains the smoke model once and then drives both paths over
 //! the same cases, asserting exact equality of every score and every
@@ -15,9 +15,7 @@ use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::GroupDataset;
-use kgag_eval::protocol::{
-    evaluate_group_ranking_batched_detailed, evaluate_group_ranking_detailed,
-};
+use kgag_eval::protocol::evaluate_group_ranking_detailed;
 use kgag_eval::{EvalConfig, GroupEvalCase};
 use kgag_tensor::pool::with_threads;
 
@@ -32,7 +30,7 @@ fn smoke_model() -> (GroupDataset, Kgag, Vec<GroupEvalCase>) {
 }
 
 /// Exhaustive per-score equality: every (group, candidate) score from
-/// the batch scorer equals the per-case path bit for bit, across the
+/// the batch scorer equals the tape reference bit for bit, across the
 /// cache × chunk-size matrix.
 #[test]
 fn batch_scores_are_bit_identical_to_per_case_path() {
@@ -40,7 +38,7 @@ fn batch_scores_are_bit_identical_to_per_case_path() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let groups: Vec<u32> = (0..ds.num_groups().min(6)).collect();
     let reference: Vec<Vec<f32>> =
-        groups.iter().map(|&g| model.score_group_items(g, &items)).collect();
+        groups.iter().map(|&g| model.tape_reference_scores(ds.members(g), &items)).collect();
 
     for cache in [false, true] {
         for chunk in [1usize, 7, 256] {
@@ -67,33 +65,39 @@ fn score_case_matches_score_group_items() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let scorer = model.batch_scorer_with(true);
     for g in 0..ds.num_groups().min(4) {
-        let want = model.score_group_items(g, &items);
+        let want = model.tape_reference_scores(ds.members(g), &items);
         let got = scorer.score_case(g, &items);
-        assert_eq!(want, got, "group {g}: score_case diverged from score_group_items");
+        assert_eq!(want, got, "group {g}: score_case diverged from the tape reference");
     }
 }
 
-/// Full-protocol equality: `evaluate_batched` reproduces `evaluate`
-/// exactly — summary *and* every per-case metric — in both candidate
-/// regimes, because candidate sampling shares one RNG stream and the
-/// scores are bit-identical.
+/// Full-protocol equality: [`Kgag::evaluate`] and the one driver over a
+/// batch scorer (cache on and off) reproduce the driver over the tape
+/// reference exactly — summary *and* every per-case metric — in both
+/// candidate regimes.
 #[test]
 fn batched_protocol_metrics_equal_sequential_metrics() {
-    let (_, model, cases) = smoke_model();
+    let (ds, model, cases) = smoke_model();
+    let tape = |g: u32, items: &[u32]| model.tape_reference_scores(ds.members(g), items);
     for num_negatives in [Some(25), None] {
         let ecfg = EvalConfig { k: 5, num_negatives, seed: 0xe7a1 };
-        let (seq_summary, seq_cases) =
-            evaluate_group_ranking_detailed(&model, model.num_items(), &cases, &ecfg);
+        let (ref_summary, ref_cases) =
+            evaluate_group_ranking_detailed(&tape, model.num_items(), &cases, &ecfg);
+        assert_eq!(
+            model.evaluate(&cases, &ecfg),
+            ref_summary,
+            "Kgag::evaluate diverged from the tape reference (negatives={num_negatives:?})"
+        );
         for cache in [false, true] {
             let scorer = model.batch_scorer_with(cache).with_batch_instances(64);
             let (bat_summary, bat_cases) =
-                evaluate_group_ranking_batched_detailed(&scorer, model.num_items(), &cases, &ecfg);
+                evaluate_group_ranking_detailed(&scorer, model.num_items(), &cases, &ecfg);
             assert_eq!(
-                seq_cases, bat_cases,
+                ref_cases, bat_cases,
                 "per-case metrics diverged (cache={cache}, negatives={num_negatives:?})"
             );
             assert_eq!(
-                seq_summary, bat_summary,
+                ref_summary, bat_summary,
                 "summary diverged (cache={cache}, negatives={num_negatives:?})"
             );
         }
@@ -102,7 +106,7 @@ fn batched_protocol_metrics_equal_sequential_metrics() {
 
 /// The whole batched stack is thread-count invariant: cache build +
 /// chunked scoring at 4 threads equals the 1-thread run bit for bit,
-/// and both equal the per-case path.
+/// and both equal the tape reference.
 #[test]
 fn batched_scoring_is_bit_identical_across_thread_counts() {
     let (ds, model, _) = smoke_model();
@@ -114,8 +118,8 @@ fn batched_scoring_is_bit_identical_across_thread_counts() {
         })
     };
     let reference = run(1);
-    let per_case = with_threads(1, || model.score_group_items(0, &items));
-    assert_eq!(reference[0], per_case, "1-thread batch diverged from per-case path");
+    let per_case = with_threads(1, || model.tape_reference_scores(ds.members(0), &items));
+    assert_eq!(reference[0], per_case, "1-thread batch diverged from the tape reference");
     for threads in [2usize, 3, 4] {
         assert_eq!(run(threads), reference, "batched scores diverged at {threads} threads");
     }
@@ -123,7 +127,7 @@ fn batched_scoring_is_bit_identical_across_thread_counts() {
 
 /// The KGAG-KG ablation has no receptive fields to cache: the cache
 /// toggle degrades gracefully to plain embedding lookups that still
-/// match the per-case path exactly.
+/// match the tape reference exactly.
 #[test]
 fn ablation_without_kg_matches_per_case_path() {
     let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
@@ -134,13 +138,13 @@ fn ablation_without_kg_matches_per_case_path() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let scorer = model.batch_scorer_with(true);
     assert!(!scorer.cached(), "no KG means nothing to cache");
-    let want = model.score_group_items(0, &items);
+    let want = model.tape_reference_scores(ds.members(0), &items);
     assert_eq!(scorer.score_case(0, &items), want, "ablation scores diverged");
 }
 
 /// Explanations decompose the *served* score: the attention pass behind
 /// `explain` uses the same checkpoint-fixed salt as scoring, so its
-/// reported score equals `score_group_items` (and hence the batched
+/// reported score equals the tape reference (and hence the batched
 /// path) bit for bit.
 #[test]
 fn explanation_score_matches_served_score() {
@@ -148,7 +152,7 @@ fn explanation_score_matches_served_score() {
     let items: Vec<u32> = (0..ds.num_items.min(8)).collect();
     let scorer = model.batch_scorer_with(true);
     for g in 0..ds.num_groups().min(3) {
-        let served = model.score_group_items(g, &items);
+        let served = model.tape_reference_scores(ds.members(g), &items);
         let batched = scorer.score_case(g, &items);
         for (idx, &item) in items.iter().enumerate() {
             let explained = model.explain(g, item).score;

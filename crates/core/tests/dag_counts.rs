@@ -94,8 +94,7 @@ fn node_updates_and_attention_edges_count_each_distinct_key_once() {
 
     let scorer = model.batch_scorer().with_batch_instances(c as usize);
     let (members_cache, items_cache) = scorer.rf_caches().expect("the cache is on");
-    // one thread: four chunks a pool worker, capped at `c` — each case
-    // is exactly one chunk
+    // chunks of at most `c` instances — each case is exactly one chunk
     let (mut want_updates, mut want_edges) = (0, 0);
     for (g, items) in &cases {
         let members: Vec<u32> =

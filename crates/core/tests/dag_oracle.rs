@@ -5,7 +5,7 @@
 //! first iteration a node whose `K` edges share one relation once for
 //! every query row whose logit for it is finite (Rule 2). This property
 //! builds batches that reach every sharing path and requires the engine
-//! to equal the tape ([`Kgag::score_members`], live-sampled fields) bit
+//! to equal the tape ([`Kgag::tape_reference_scores`], live-sampled fields) bit
 //! for bit on all of them, at every chunk cap from 1 to the batch size,
 //! at one and four threads, in process (cache on and off) and over a
 //! 2-shard [`LocalFetch`] with and without the [`DrawMemo`]:
@@ -186,7 +186,7 @@ fn distinct_node_engine_equals_tape_on_every_sharing_path() {
         let cases = batch(&fx, seed);
         let want: Vec<Vec<u32>> = cases
             .iter()
-            .map(|(members, items)| bits(&model.score_members(members, items).expect("valid")))
+            .map(|(members, items)| bits(&model.tape_reference_scores(members, items)))
             .collect();
         // the batch reaches the draw-level sharing paths
         let scorer = model.batch_scorer();

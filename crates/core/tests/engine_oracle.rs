@@ -1,15 +1,17 @@
 //! Engine-vs-tape oracle (DESIGN.md §14).
 //!
-//! Every serving path scores through the one inference engine
+//! Every scoring path runs through the one inference engine
 //! (`kgag::infer`); the tape forward stays as the training path and as
-//! the reference here. The per-case scorers [`Kgag::score_group_items`]
-//! and [`Kgag::score_members`] run the tape forward with live-sampled
-//! receptive fields, so comparing them with the engine-backed
-//! [`kgag::BatchScorer`] / [`kgag::DynamicScorer`] pins the engine to
-//! the tape bit for bit — for every backend, across the cache × chunk ×
-//! thread matrix, at embedding widths that take different register
-//! tiles, under the KGAG-KG ablation, with the residual combine off, and
-//! on rosters off the trained group size.
+//! the reference here. [`Kgag::tape_reference_scores`] runs the tape
+//! forward with live-sampled receptive fields, so comparing it with the
+//! engine-backed [`kgag::BatchScorer`] / [`kgag::DynamicScorer`] pins
+//! the engine to the tape bit for bit — for every backend, across the
+//! cache × chunk × thread matrix, at embedding widths that take
+//! different register tiles, under every training config the paper
+//! binaries sweep (the KGAG-KG, -SP and -PI ablations, 1 and 3 layers,
+//! each eval sampler width, `d` = 48 and 64, each propagation weight),
+//! with the residual combine off, and on rosters off the trained group
+//! size.
 
 use kgag::{Backend, DynamicScorer, Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
@@ -55,10 +57,17 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// Tape scores for `cases`, one case at a time through the per-case
-/// path.
+/// Tape scores for `cases`, one case at a time through the tape
+/// reference.
 fn tape(model: &Kgag, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<u32>> {
-    cases.iter().map(|(g, items)| bits(&model.score_group_items(*g, items))).collect()
+    let groups = model.group_store();
+    cases
+        .iter()
+        .map(|(g, items)| {
+            let members = groups.members(*g).expect("bound group");
+            bits(&model.tape_reference_scores(members, items))
+        })
+        .collect()
 }
 
 /// Assert the engine reproduces the tape for `cases` under every cache
@@ -109,12 +118,28 @@ fn engine_equals_tape_across_dims() {
     }
 }
 
-/// The KGAG-KG ablation (zero-order rows, no propagation) and the
-/// paper-verbatim Eq. 8 without the residual combine.
+/// The KGAG-KG ablation (zero-order rows, no propagation), the
+/// paper-verbatim Eq. 8 without the residual combine, and every other
+/// config the paper binaries train: the -SP and -PI ablations (Table
+/// III), 1 and 3 layers (Figure 4; one layer takes its own branch in the
+/// engine), the eval sampler at the training `K` and at 16 (the
+/// ablation design), `d` = 48 and 64 (Figure 5) and both ends of the
+/// propagation weight.
 #[test]
 fn engine_equals_tape_without_kg_and_without_residual() {
+    let base = KgagConfig { epochs: 2, ..Default::default() };
     for (label, config) in [
         ("no-kg", KgagConfig { epochs: 2, use_kg: false, ..Default::default() }),
+        ("no-sp", base.clone().ablate_sp()),
+        ("no-pi", base.clone().ablate_pi()),
+        ("layers-1", KgagConfig { layers: 1, ..base.clone() }),
+        ("layers-3", KgagConfig { layers: 3, ..base.clone() }),
+        ("eval-k-train", KgagConfig { eval_neighbor_k: None, ..base.clone() }),
+        ("eval-k-16", KgagConfig { eval_neighbor_k: Some(16), ..base.clone() }),
+        ("d48", KgagConfig { dim: 48, ..base.clone() }),
+        ("d64", KgagConfig { dim: 64, ..base.clone() }),
+        ("weight-1", KgagConfig { propagation_weight: 1.0, ..base.clone() }),
+        ("weight-0.25", KgagConfig { propagation_weight: 0.25, ..base.clone() }),
         ("no-residual", KgagConfig { epochs: 2, residual: false, ..Default::default() }),
         (
             "graphsage-no-residual",
@@ -144,7 +169,7 @@ fn engine_equals_tape_on_off_nominal_rosters() {
         for size in [nominal - 1, nominal + 1] {
             for start in [0u32, 5] {
                 let members: Vec<u32> = (start..start + size).collect();
-                let want = bits(&model.score_members(&members, &items).expect("valid roster"));
+                let want = bits(&model.tape_reference_scores(&members, &items));
                 for cache in [false, true] {
                     let scorer =
                         DynamicScorer::from(model.batch_scorer_with(cache).with_batch_instances(7));

@@ -7,8 +7,8 @@
 //! the original split with the trained checkpoint loaded, fresh
 //! receptive-field caches — and scoring through the static engine. The
 //! property suite here drives random op sequences against exactly that
-//! oracle, plus a second reference (the per-case cold-start path
-//! [`Kgag::score_members`], which samples fields live), so the live
+//! oracle, plus a second reference (the tape reference
+//! [`Kgag::tape_reference_scores`], which samples fields live), so the live
 //! scorer is checked against two independently-computed answers.
 //!
 //! CI runs the suite at `KGAG_THREADS=1` and `4`; the headline property
@@ -167,9 +167,7 @@ fn check_live<S: ChunkSource>(
     // membership — live sampling, no caches, no batching
     for (g, got) in served.iter().enumerate() {
         let members = mirror.members(g as u32).expect("scored group exists");
-        let want = model
-            .score_members(members, &items)
-            .map_err(|e| format!("score_members rejected group {g}: {e}"))?;
+        let want = model.tape_reference_scores(members, &items);
         prop_assert_eq!(
             bits(got),
             bits(&want),
@@ -301,12 +299,12 @@ fn a_mutation_never_waits_on_an_in_flight_chunk() {
         let ack = ack.expect("the join waited on the parked chunk").expect("valid join");
         assert_eq!(ack.members as usize, before.len() + 1);
         let got = parked.join().unwrap().expect("the parked score finishes");
-        let want = model.score_members(&before, &items).expect("roster reference");
+        let want = model.tape_reference_scores(&before, &items);
         assert_eq!(bits(&got), bits(&want), "the parked score must keep the roster it resolved");
     });
     let after = live.groups().members(0).expect("group 0 lives").to_vec();
     let got = live.score_case(0, &items).expect("group 0 scores");
-    let want = model.score_members(&after, &items).expect("roster reference");
+    let want = model.tape_reference_scores(&after, &items);
     assert_eq!(bits(&got), bits(&want), "the next score sees the join");
 }
 
@@ -335,7 +333,7 @@ fn created_nominal_size_group_scores_like_a_bound_group() {
         bits(&served[1]),
         "created twin of group 0 diverged from the bound group"
     );
-    assert_eq!(bits(&served[0]), bits(&model.score_group_items(0, &items)));
+    assert_eq!(bits(&served[0]), bits(&model.tape_reference_scores(ds.members(0), &items)));
 }
 
 // ---------------------------------------------------------------------

@@ -268,7 +268,7 @@ fn single_shard_router_matches_per_case_path() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let router = Scorer::new(&model, DrawMemo::new(fetch));
     let got = router.try_score_cases(&[(0, items.clone())]);
-    let want = model.score_group_items(0, &items);
+    let want = model.tape_reference_scores(ds.members(0), &items);
     assert_eq!(bits(got[0].as_ref().expect("local fetch never fails")), bits(&want));
 }
 
@@ -311,7 +311,7 @@ fn mixed_batches_fail_only_bad_cases_through_every_source() {
                     } else if let Some(&v) = items.iter().find(|&&v| v >= num_items) {
                         Err(ScoreError::UnknownItem(v))
                     } else {
-                        Ok(bits(&model.score_group_items(*g, items)))
+                        Ok(bits(&model.tape_reference_scores(ds.members(*g), items)))
                     }
                 })
                 .collect();

@@ -17,9 +17,8 @@ pub mod significance;
 
 pub use metrics::{MetricAccumulator, MetricSummary, RankingMetrics};
 pub use protocol::{
-    evaluate_group_ranking, evaluate_group_ranking_batched,
-    evaluate_group_ranking_batched_detailed, evaluate_group_ranking_detailed, BatchGroupScorer,
-    EvalConfig, GroupEvalCase, GroupScorer, PerCaseBatch,
+    evaluate_group_ranking, evaluate_group_ranking_detailed, BatchGroupScorer, EvalConfig,
+    GroupEvalCase, GroupScorer,
 };
 pub use ranking::{top_k, top_k_excluding};
 pub use significance::{paired_bootstrap, BootstrapComparison};

@@ -36,26 +36,23 @@ where
     }
 }
 
-/// A model that can score many `(group, candidate list)` cases in one
-/// call — the batched-inference entry point. Implementations are free
-/// to fuse cases into larger tensor passes, but the contract is strict:
-/// the result must align with `cases` (outer) and each case's items
-/// (inner), and the scores must be *bit-identical* to what the
-/// per-case [`GroupScorer`] path produces for the same model.
+/// A model that scores many `(group, candidate list)` cases in one
+/// call — the one entry point of the evaluation protocol. The result
+/// aligns with `cases` (outer) and each case's items (inner). An
+/// implementation may fuse cases into larger passes (the KGAG engine
+/// does), but each score must be a function of its own `(group, item)`
+/// alone, so fusing never changes a metric. Every per-case
+/// [`GroupScorer`] — each baseline, and any `Fn(u32, &[u32]) ->
+/// Vec<f32>` closure — is one through the blanket impl, which scores
+/// the cases one at a time in order.
 pub trait BatchGroupScorer {
     /// One score vector per case, each aligned with that case's items.
     fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>>;
 }
 
-/// Adapter running any per-case [`GroupScorer`] through the batched
-/// protocol one case at a time — the oracle the batched path is tested
-/// against, and a migration shim for models without a native batch
-/// implementation.
-pub struct PerCaseBatch<'a>(pub &'a dyn GroupScorer);
-
-impl BatchGroupScorer for PerCaseBatch<'_> {
+impl<T: GroupScorer + ?Sized> BatchGroupScorer for T {
     fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
-        cases.iter().map(|(group, items)| self.0.score(*group, items)).collect()
+        cases.iter().map(|(group, items)| self.score(*group, items)).collect()
     }
 }
 
@@ -94,9 +91,10 @@ impl Default for EvalConfig {
 /// test items are skipped (callers usually pre-filter).
 ///
 /// # Panics
-/// Panics when no case is evaluable.
+/// Panics when no case is evaluable or the scorer returns misaligned
+/// results.
 pub fn evaluate_group_ranking(
-    scorer: &dyn GroupScorer,
+    scorer: &dyn BatchGroupScorer,
     num_items: u32,
     cases: &[GroupEvalCase],
     config: &EvalConfig,
@@ -107,69 +105,19 @@ pub fn evaluate_group_ranking(
 /// Like [`evaluate_group_ranking`] but also returns the per-case
 /// metrics (aligned with the evaluable cases in order), for paired
 /// significance testing — see [`crate::significance`].
+///
+/// Three phases: every candidate list is drawn from one RNG stream in
+/// case order (a skipped case draws nothing), one `score_batch` call
+/// scores them all, and each case is ranked and reduced to metrics.
 pub fn evaluate_group_ranking_detailed(
-    scorer: &dyn GroupScorer,
+    scorer: &dyn BatchGroupScorer,
     num_items: u32,
     cases: &[GroupEvalCase],
     config: &EvalConfig,
 ) -> (MetricSummary, Vec<crate::RankingMetrics>) {
     let _span = kgag_obs::span("eval.protocol");
     let telemetry = kgag_obs::enabled();
-    let mut acc = MetricAccumulator::new();
-    let mut per_case = Vec::with_capacity(cases.len());
-    let mut rng = SplitMix64::new(derive_seed(config.seed, "protocol"));
-    for case in cases {
-        if case.test_items.is_empty() {
-            if telemetry {
-                kgag_obs::counter("eval.cases_skipped").add(1);
-            }
-            continue;
-        }
-        let case_start = telemetry.then(std::time::Instant::now);
-        let candidates = case_candidates(case, num_items, config, &mut rng);
-        let scores = scorer.score(case.group, &candidates);
-        let m = case_metrics(case, &candidates, &scores, config);
-        if let Some(start) = case_start {
-            kgag_obs::counter("eval.cases").add(1);
-            kgag_obs::histogram("eval.case_ns").record(start.elapsed().as_nanos() as u64);
-        }
-        acc.add(m);
-        per_case.push(m);
-    }
-    (acc.finish(), per_case)
-}
-
-/// [`evaluate_group_ranking`] through a [`BatchGroupScorer`]: one
-/// `score_batch` call covers every evaluable case. Candidate lists are
-/// drawn from the same RNG stream in the same case order as the
-/// per-case path, and the metrics pipeline is shared, so for a scorer
-/// whose batch scores match its per-case scores the two protocols are
-/// bit-identical.
-///
-/// # Panics
-/// Panics when no case is evaluable or the scorer returns misaligned
-/// results.
-pub fn evaluate_group_ranking_batched(
-    scorer: &dyn BatchGroupScorer,
-    num_items: u32,
-    cases: &[GroupEvalCase],
-    config: &EvalConfig,
-) -> MetricSummary {
-    evaluate_group_ranking_batched_detailed(scorer, num_items, cases, config).0
-}
-
-/// [`evaluate_group_ranking_batched`] also returning the per-case
-/// metrics, aligned with the evaluable cases in order.
-pub fn evaluate_group_ranking_batched_detailed(
-    scorer: &dyn BatchGroupScorer,
-    num_items: u32,
-    cases: &[GroupEvalCase],
-    config: &EvalConfig,
-) -> (MetricSummary, Vec<crate::RankingMetrics>) {
-    let _span = kgag_obs::span("eval.protocol_batched");
-    let telemetry = kgag_obs::enabled();
-    // phase 1: assemble every candidate list, advancing the sampling RNG
-    // exactly as the sequential loop does
+    // phase 1: assemble every candidate list
     let mut rng = SplitMix64::new(derive_seed(config.seed, "protocol"));
     let mut evaluable: Vec<&GroupEvalCase> = Vec::with_capacity(cases.len());
     let mut requests: Vec<(u32, Vec<u32>)> = Vec::with_capacity(cases.len());
@@ -183,10 +131,10 @@ pub fn evaluate_group_ranking_batched_detailed(
         requests.push((case.group, case_candidates(case, num_items, config, &mut rng)));
         evaluable.push(case);
     }
-    // phase 2: one batched scoring pass over all cases
+    // phase 2: one scoring pass over all cases
     let all_scores = scorer.score_batch(&requests);
     assert_eq!(all_scores.len(), requests.len(), "batch scorer returned wrong case count");
-    // phase 3: per-case metrics through the shared pipeline
+    // phase 3: per-case metrics
     let mut acc = MetricAccumulator::new();
     let mut per_case = Vec::with_capacity(evaluable.len());
     for ((case, (_, candidates)), scores) in evaluable.iter().zip(&requests).zip(&all_scores) {
@@ -214,8 +162,7 @@ fn case_candidates(
     }
 }
 
-/// Rank one case's scored candidates and reduce to metrics — shared
-/// verbatim by the sequential and batched protocols.
+/// Rank one case's scored candidates and reduce to metrics.
 fn case_metrics(
     case: &GroupEvalCase,
     candidates: &[u32],
@@ -360,35 +307,59 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn batched_protocol_is_bit_identical_to_sequential() {
-        // a deterministic scorer with nontrivial structure: score depends
-        // on (group, item) so misrouted candidates would be caught
-        let scorer = |g: u32, items: &[u32]| -> Vec<f32> {
-            items
+    /// Records every batch it is asked to score; each score depends on
+    /// `(group, item)`, so a case scored under another group's id would
+    /// change its metrics.
+    struct Recorder {
+        batches: std::sync::Mutex<Vec<Vec<(u32, Vec<u32>)>>>,
+    }
+
+    impl BatchGroupScorer for Recorder {
+        fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+            self.batches.lock().unwrap().push(cases.to_vec());
+            cases
                 .iter()
-                .map(|&v| ((v.wrapping_mul(2654435761) ^ g) % 1000) as f32 / 1000.0)
+                .map(|(g, items)| {
+                    items
+                        .iter()
+                        .map(|&v| ((v.wrapping_mul(2654435761) ^ g) % 1000) as f32 / 1000.0)
+                        .collect()
+                })
                 .collect()
-        };
-        let cases = vec![
-            case(&[3, 4], &[3, 4]),
-            case(&[], &[]), // skipped — must not desync the RNG stream
-            GroupEvalCase { group: 7, test_items: vec![9], known_positives: vec![2, 9] },
-            GroupEvalCase { group: 2, test_items: vec![150], known_positives: vec![150] },
-        ];
+        }
+    }
+
+    fn record(
+        cases: &[GroupEvalCase],
+        cfg: &EvalConfig,
+    ) -> (Vec<Vec<(u32, Vec<u32>)>>, Vec<crate::RankingMetrics>) {
+        let scorer = Recorder { batches: std::sync::Mutex::new(Vec::new()) };
+        let (_, per_case) = evaluate_group_ranking_detailed(&scorer, 200, cases, cfg);
+        (scorer.batches.into_inner().unwrap(), per_case)
+    }
+
+    #[test]
+    fn empty_cases_draw_nothing_and_each_case_keeps_its_group() {
+        let a = GroupEvalCase { group: 7, test_items: vec![9], known_positives: vec![2, 9] };
+        let b = GroupEvalCase { group: 2, test_items: vec![150], known_positives: vec![150] };
+        let empty = GroupEvalCase { group: 4, test_items: vec![], known_positives: vec![] };
         for num_negatives in [Some(25), None] {
             let cfg = EvalConfig { k: 5, num_negatives, seed: 77 };
-            let (seq_sum, seq_cases) = evaluate_group_ranking_detailed(&scorer, 200, &cases, &cfg);
-            let (bat_sum, bat_cases) =
-                evaluate_group_ranking_batched_detailed(&PerCaseBatch(&scorer), 200, &cases, &cfg);
-            assert_eq!(seq_cases, bat_cases, "per-case metrics ({num_negatives:?})");
-            assert_eq!(seq_sum, bat_sum, "summary ({num_negatives:?})");
+            let (with_empty, with_metrics) = record(&[a.clone(), empty.clone(), b.clone()], &cfg);
+            let (without, without_metrics) = record(&[a.clone(), b.clone()], &cfg);
+            // one scoring call over the evaluable cases, in case order
+            assert_eq!(with_empty.len(), 1, "one score_batch call ({num_negatives:?})");
+            let groups: Vec<u32> = with_empty[0].iter().map(|(g, _)| *g).collect();
+            assert_eq!(groups, [7, 2], "each case is scored under its own group");
+            // a skipped case must not advance the candidate RNG
+            assert_eq!(with_empty, without, "candidate lists ({num_negatives:?})");
+            assert_eq!(with_metrics, without_metrics, "per-case metrics ({num_negatives:?})");
         }
     }
 
     #[test]
     #[should_panic(expected = "wrong case count")]
-    fn batched_protocol_rejects_misaligned_scorer() {
+    fn protocol_rejects_misaligned_scorer() {
         struct Broken;
         impl BatchGroupScorer for Broken {
             fn score_batch(&self, _cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
@@ -397,7 +368,7 @@ mod tests {
         }
         let cases = vec![case(&[1], &[1])];
         let cfg = EvalConfig { k: 5, num_negatives: Some(10), seed: 5 };
-        evaluate_group_ranking_batched(&Broken, 50, &cases, &cfg);
+        evaluate_group_ranking(&Broken, 50, &cases, &cfg);
     }
 
     #[test]

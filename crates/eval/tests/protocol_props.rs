@@ -5,8 +5,7 @@
 //! catalog size.
 
 use kgag_eval::{
-    evaluate_group_ranking, evaluate_group_ranking_batched, EvalConfig, GroupEvalCase, GroupScorer,
-    PerCaseBatch,
+    evaluate_group_ranking, evaluate_group_ranking_detailed, EvalConfig, GroupEvalCase, GroupScorer,
 };
 use kgag_tensor::rng::SplitMix64;
 use kgag_testkit::check::Runner;
@@ -115,9 +114,11 @@ fn candidates_never_mislabel_a_known_positive() {
     );
 }
 
-/// The same guarantee holds verbatim through the batched protocol, and
-/// the full-catalog regime never lets a non-test positive into the
-/// metric window (it is excluded at ranking time instead).
+/// The guarantee holds with a negative budget past catalog size, and
+/// in both regimes every case is scored under its own group. The
+/// full-catalog regime hands each case the whole catalog and never lets
+/// a non-test positive into the metric window (it is excluded at
+/// ranking time instead).
 #[test]
 fn batched_and_full_catalog_regimes_preserve_labels() {
     let gen = (u32_in(8..80), u64_in(0..5_000));
@@ -127,30 +128,59 @@ fn batched_and_full_catalog_regimes_preserve_labels() {
             let num_items = *num_items;
             let mut rng = SplitMix64::new(*seed);
             let cases = build_cases(num_items, &mut rng);
-            // sampled regime with a budget past catalog size, batched path
+            // sampled regime with a budget past catalog size
             let probe = Probe { seen: Mutex::new(Vec::new()) };
             let cfg =
                 EvalConfig { k: 5, num_negatives: Some(num_items as usize + 10), seed: *seed };
-            let _ = evaluate_group_ranking_batched(&PerCaseBatch(&probe), num_items, &cases, &cfg);
-            for (case, (_, candidates)) in cases.iter().zip(probe.seen.into_inner().unwrap()) {
-                for &v in &candidates {
+            let _ = evaluate_group_ranking(&probe, num_items, &cases, &cfg);
+            let seen = probe.seen.into_inner().unwrap();
+            prop_assert!(seen.len() == cases.len(), "sampled: every case scored once");
+            for (case, (group, candidates)) in cases.iter().zip(&seen) {
+                prop_assert!(case.group == *group, "sampled: case scored under group {group}");
+                for &v in candidates {
                     prop_assert!(
                         case.test_items.binary_search(&v).is_ok()
                             || case.known_positives.binary_search(&v).is_err(),
-                        "batched: mislabelled candidate {v}"
+                        "sampled: mislabelled candidate {v}"
                     );
                 }
             }
-            // full catalog: sequential and batched agree bit-for-bit even
-            // on adversarially dense cases
-            let scorer = |g: u32, items: &[u32]| -> Vec<f32> {
-                items.iter().map(|&v| ((v ^ g).wrapping_mul(0x9E37_79B9) % 991) as f32).collect()
-            };
+            // full catalog: each case sees the whole catalog under its own
+            // group; a scorer that puts the case's non-test positives
+            // first and its test items next must still hit every test
+            // item, even on adversarially dense cases
+            let probe = Probe { seen: Mutex::new(Vec::new()) };
             let full = EvalConfig { k: 5, num_negatives: None, seed: *seed };
-            let seq = evaluate_group_ranking(&scorer, num_items, &cases, &full);
-            let bat =
-                evaluate_group_ranking_batched(&PerCaseBatch(&scorer), num_items, &cases, &full);
-            prop_assert!(seq == bat, "full-catalog seq/batched diverged: {seq:?} vs {bat:?}");
+            let _ = evaluate_group_ranking(&probe, num_items, &cases, &full);
+            let catalog: Vec<u32> = (0..num_items).collect();
+            let seen = probe.seen.into_inner().unwrap();
+            prop_assert!(seen.len() == cases.len(), "full: every case scored once");
+            for (case, (group, candidates)) in cases.iter().zip(&seen) {
+                prop_assert!(case.group == *group, "full: case scored under group {group}");
+                prop_assert!(*candidates == catalog, "full: group {group} missed catalog items");
+            }
+            let adversary = |g: u32, items: &[u32]| -> Vec<f32> {
+                let case = &cases[g as usize];
+                items
+                    .iter()
+                    .map(|v| {
+                        match (case.test_items.contains(v), case.known_positives.contains(v)) {
+                            (true, _) => 1.0,
+                            (false, true) => 2.0,
+                            (false, false) => 0.0,
+                        }
+                    })
+                    .collect()
+            };
+            let (_, per_case) =
+                evaluate_group_ranking_detailed(&adversary, num_items, &cases, &full);
+            for (case, m) in cases.iter().zip(&per_case) {
+                prop_assert!(
+                    m.recall == 1.0,
+                    "full: group {} let a non-test positive into the top-5: {m:?}",
+                    case.group
+                );
+            }
             Ok(())
         },
     );

@@ -366,7 +366,7 @@ fn untenanted_opcodes_address_tenant_zero_and_its_group_table() {
 /// `DynamicScorer`, and 4 clients each create → join → leave a group on
 /// a disjoint roster, so each client's own mirror predicts its group
 /// exactly under any interleaving. Every score equals
-/// `Kgag::score_members` on that roster, a bound group keeps its
+/// `Kgag::tape_reference_scores` on that roster, a bound group keeps its
 /// offline bits while mutations land, and the final table is what the
 /// op history implies.
 #[test]
@@ -383,9 +383,8 @@ fn concurrent_lifecycle_clients_score_like_the_roster_reference() {
     let server = Arc::new(RegistryServer::bootstrap(fast_config(), factory(), entry).unwrap());
     let items_for =
         |c: u32| -> Vec<u32> { (0..3 + c).map(|j| (c * 11 + j * 5) % ds.num_items).collect() };
-    let reference = |roster: &[u32], items: &[u32]| {
-        bits(&model.score_members(roster, items).expect("roster reference"))
-    };
+    let reference =
+        |roster: &[u32], items: &[u32]| bits(&model.tape_reference_scores(roster, items));
 
     let proc = RegProc::spawn(&server);
     let addr = proc.addr;

@@ -18,7 +18,7 @@ use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::{GroupStore, LifecycleAck, LifecycleError};
-use kgag_eval::protocol::evaluate_group_ranking_batched_detailed;
+use kgag_eval::protocol::evaluate_group_ranking_detailed;
 use kgag_eval::{BatchGroupScorer, EvalConfig};
 use kgag_serve::{
     serve_in_process, serve_tcp, RegistryConfig, RegistryServer, ServeClient, ServeConfig,
@@ -574,7 +574,7 @@ fn served_evaluation_is_bit_identical_to_offline_on_the_real_engine() {
     }
     let reference = scorer.score_cases(&requests);
     let ecfg = EvalConfig::default();
-    let offline = evaluate_group_ranking_batched_detailed(&scorer, ds.num_items, &cases, &ecfg);
+    let offline = evaluate_group_ranking_detailed(&scorer, ds.num_items, &cases, &ecfg);
 
     let fusing = ServeConfig {
         batch_window: Duration::from_micros(300),
@@ -592,7 +592,7 @@ fn served_evaluation_is_bit_identical_to_offline_on_the_real_engine() {
         let (scores, served) = serve_in_process(&scorer, &config, |handle| {
             let seat = ServedScorer(&handle);
             let scores = seat.score_batch(&requests);
-            (scores, evaluate_group_ranking_batched_detailed(&seat, ds.num_items, &cases, &ecfg))
+            (scores, evaluate_group_ranking_detailed(&seat, ds.num_items, &cases, &ecfg))
         });
         assert_eq!(scores.len(), reference.len(), "{name}: response count");
         for (i, (got, want)) in scores.iter().zip(&reference).enumerate() {

@@ -31,7 +31,7 @@ use kgag_data::movielens::{movielens_rand, movielens_simi, MovieLensConfig, Scal
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_data::{DatasetStats, GroupDataset};
-use kgag_eval::EvalConfig;
+use kgag_eval::{evaluate_group_ranking, EvalConfig};
 use kgag_testkit::json::{Json, ToJson};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -228,11 +228,10 @@ fn train_and_report(ds: &GroupDataset, opts: &Flags) -> Result<Kgag, String> {
     let ecfg = EvalConfig::default();
     let val = eval_cases(ds, &split.group, EvalBucket::Validation);
     let test = eval_cases(ds, &split.group, EvalBucket::Test);
-    // the cached batch scorer gives the per-case path's metrics bit for
-    // bit (golden_check asserts it), in one fused pass per split
+    // one cached scorer serves both splits: the cache is built once
     let scorer = model.batch_scorer();
-    let val_summary = model.evaluate_batched_with(&scorer, &val, &ecfg);
-    let test_summary = model.evaluate_batched_with(&scorer, &test, &ecfg);
+    let val_summary = evaluate_group_ranking(&scorer, model.num_items(), &val, &ecfg);
+    let test_summary = evaluate_group_ranking(&scorer, model.num_items(), &test, &ecfg);
     if opts.contains_key("json") {
         let payload = Json::obj(vec![
             ("dataset", ds.name.to_json()),
