@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the tensor/autodiff substrate: the hot ops of
-//! the propagation and attention blocks, forward and backward.
+//! the propagation and attention blocks, forward and backward, and the
+//! inference engine's two packed `d = 16` kernels at served shapes.
 
+use kgag_tensor::infer::{node_update, peer_influence, Activation, FusedAggregation, Rows};
 use kgag_tensor::{init, tanh, ParamStore, Tape, Tensor};
 use kgag_testkit::bench::{black_box, BenchSuite};
 use kgag_testkit::json::Json;
@@ -103,6 +105,43 @@ fn bench_tanh(suite: &mut BenchSuite) {
     suite.annotate("tanh_ns_per_element", Json::Obj(per_element));
 }
 
+/// The engine's packed kernels at `d = 16`: one propagation level's
+/// node update over 4096 rows of `K = 8` children, rows read in place by
+/// id as the engine reads them, under the hidden layers' ReLU and the
+/// last layer's tanh; and the peer-influence tower over 512 groups of
+/// `L = 8` members.
+fn bench_infer(suite: &mut BenchSuite) {
+    const D: usize = 16;
+    const ROWS: usize = 4096;
+    const K: usize = 8;
+    let table = init::uniform(ROWS, D, 1.0, 14).data().to_vec();
+    let own: Vec<u32> = (0..ROWS as u32).map(|i| (i * 37) % ROWS as u32).collect();
+    let children: Vec<u32> = (0..(ROWS * K) as u32).map(|i| (i * 101) % ROWS as u32).collect();
+    let weights = init::uniform(ROWS * K, 1, 0.25, 15).data().to_vec();
+    let w = init::uniform(D, D, 0.5, 16).data().to_vec();
+    let bias = init::uniform(1, D, 0.1, 17).data().to_vec();
+    let mut out = Vec::new();
+    for (act, name) in [(Activation::Relu, "relu"), (Activation::Tanh, "tanh")] {
+        suite.bench(&format!("node_update {ROWS} rows K{K} d{D} {name}"), || {
+            let own = Rows::ById { table: &table, ids: &own };
+            let children = Rows::ById { table: &table, ids: &children };
+            let plan = FusedAggregation::SumSelf;
+            node_update(plan, own, children, &weights, K, D, &w, &bias, act, &mut out);
+            black_box(&out);
+        });
+    }
+    const GROUPS: usize = 512;
+    const L: usize = 8;
+    let members = init::uniform(GROUPS * L, D, 1.0, 18).data().to_vec();
+    let w2 = init::uniform((L - 1) * D, D, 0.5, 19).data().to_vec();
+    let v = init::uniform(D, 1, 0.5, 20).data().to_vec();
+    let scale = 1.0 / (D as f32).sqrt();
+    suite.bench(&format!("pi_tower {GROUPS} groups L{L} d{D}"), || {
+        peer_influence(&members, L, D, &w, &w2, &bias, &v, scale, &mut out);
+        black_box(&out);
+    });
+}
+
 fn main() {
     let mut suite = BenchSuite::new("tensor_ops");
     bench_matmul(&mut suite);
@@ -110,5 +149,6 @@ fn main() {
     bench_grouped_ops(&mut suite);
     bench_losses(&mut suite);
     bench_tanh(&mut suite);
+    bench_infer(&mut suite);
     suite.finish();
 }

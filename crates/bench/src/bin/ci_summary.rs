@@ -72,13 +72,19 @@ fn parse_stage_log(path: &Path) -> Result<Vec<Stage>, String> {
     Ok(stages)
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let stages = parse_stage_log(&args.stages)?;
+/// The summary of one run: its stages and totals, stamped with the git
+/// commit and, as every bench artifact is, the pool's thread count, the
+/// cores the host offered and the compilation the packed kernels ran in
+/// (`kernels`), so a CI record names what its oracles pinned.
+fn summary(stages: &[Stage]) -> Json {
     let total: f64 = stages.iter().map(|s| s.seconds).sum();
     let failed = stages.iter().filter(|s| s.status == "fail").count();
-    let payload = Json::obj(vec![
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    Json::obj(vec![
         ("git_sha", kgag_testkit::bench::git_sha().map(Json::Str).unwrap_or(Json::Null)),
+        ("threads", kgag_tensor::pool::num_threads().to_json()),
+        ("available_parallelism", cores.to_json()),
+        ("kernels", Json::Str(kgag_tensor::infer::isa().into())),
         ("passed", Json::Bool(failed == 0)),
         ("stages_run", stages.iter().filter(|s| s.status != "skip").count().to_json()),
         ("stages_failed", failed.to_json()),
@@ -98,7 +104,15 @@ fn run() -> Result<(), String> {
                     .collect(),
             ),
         ),
-    ]);
+    ])
+}
+
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
+    let stages = parse_stage_log(&args.stages)?;
+    let total: f64 = stages.iter().map(|s| s.seconds).sum();
+    let failed = stages.iter().filter(|s| s.status == "fail").count();
+    let payload = summary(&stages);
     let dir = args.out.parent().unwrap_or(Path::new("."));
     let stem = args
         .out
@@ -124,5 +138,31 @@ fn main() -> ExitCode {
             eprintln!("ci_summary: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_counts_stages_and_stamps_the_host() {
+        let dir = std::env::temp_dir().join(format!("ci_summary_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("stages.log");
+        std::fs::write(&log, "fmt pass 1.5\ntest fail 60\nbench skip 0\n").unwrap();
+        let stages = parse_stage_log(&log).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let text = summary(&stages).to_string_pretty();
+        let json = Json::parse(&text).expect("the summary is valid JSON");
+        assert_eq!(json.get("passed"), Some(&Json::Bool(false)), "{text}");
+        assert_eq!(json.get("stages_run").and_then(Json::as_f64), Some(2.0), "{text}");
+        assert_eq!(json.get("stages_failed").and_then(Json::as_f64), Some(1.0), "{text}");
+        assert_eq!(json.get("total_seconds").and_then(Json::as_f64), Some(61.5), "{text}");
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(json.get("available_parallelism").and_then(Json::as_f64), Some(cores as f64));
+        assert!(json.get("threads").and_then(Json::as_f64).is_some_and(|t| t >= 1.0), "{text}");
+        let kernels = json.get("kernels").and_then(Json::as_str);
+        assert_eq!(kernels, Some(kgag_tensor::infer::isa()), "{text}");
     }
 }

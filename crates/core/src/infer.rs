@@ -29,9 +29,9 @@
 //!    the tape's own expression ([`LogitMemo`]) and reused for every
 //!    edge that shares it;
 //! 7. at d = 16 the accumulating kernels hold the output row packed in
-//!    registers — across all L−1 `W₂` blocks in the PI tower — with
-//!    each element still summing its terms in k order, zero terms
-//!    skipped;
+//!    registers — across all L−1 `W₂` blocks in the PI tower, which is
+//!    one kernel call a chunk — with each element still summing its
+//!    terms in k order, zero terms skipped;
 //! 8. the propagation softmax computes `exp(π − max)` once per (query
 //!    row, relation, relation of the group max) ([`ExpMemo`]) and runs a
 //!    group whose logits are all NaN per edge;
@@ -313,13 +313,19 @@ impl<'a> Engine<'a> {
         for (lvl, first) in firsts.iter().enumerate() {
             own.clear();
             children.clear();
-            children.resize(first.weights.len(), 0);
-            let mut entries = children.chunks_exact_mut(k);
+            own.reserve(first.weights.len() / k);
+            children.reserve(first.weights.len());
             for &(n, count) in &first.runs {
                 let (n, count) = (n as usize, count as usize);
                 own.extend(std::iter::repeat_n(dag.nodes[lvl][n], count));
-                let block = &dag.children[lvl][n * k..(n + 1) * k];
-                entries.by_ref().take(count).for_each(|entry| entry.copy_from_slice(block));
+                // the run's `count` copies of the node's children, in
+                // doubling copies rather than one short copy an entry
+                let start = children.len();
+                children.extend_from_slice(&dag.children[lvl][n * k..(n + 1) * k]);
+                while children.len() < start + count * k {
+                    let have = children.len() - start;
+                    children.extend_from_within(start..start + have.min(count * k - have));
+                }
             }
             let mut out = Vec::new();
             kernels::node_update(
@@ -598,43 +604,18 @@ impl<'a> Engine<'a> {
         // the PI tower is shape-tied to the trained size; off-nominal
         // rosters score SP-only, exactly like the tape forward
         let pi = (self.config.use_pi && l == self.nominal_l && l >= 2).then(|| {
-            let w1 = self.weight(self.params.att_w1);
-            let w2 = self.weight(self.params.att_w2);
-            let bias = self.weight(self.params.att_b);
-            let v = self.weight(self.params.att_v);
-            let mut pi = Vec::with_capacity(b * l);
-            let mut h1 = vec![0.0f32; d];
-            let mut h2 = vec![0.0f32; d];
-            let mut prefix = vec![0.0f32; d];
-            let mut act = vec![0.0f32; d];
-            let slab = d * d;
-            for g in 0..b {
-                let member = |m: usize| &member_rep[(g * l + m) * d..(g * l + m + 1) * d];
-                // peer slot q holds the q-th other member in ascending
-                // order — W₂'s d×d block q multiplies it. Slots 0..j hold
-                // members 0..j for every member after j, so `prefix`
-                // carries their running sum and member j adds only slots
-                // j..l-1 (members j+1..l); each element still sees the
-                // same additions in the same order
-                prefix.fill(0.0);
-                for j in 0..l {
-                    h1.fill(0.0);
-                    kernels::accumulate_row(member(j), w1, d, &mut h1);
-                    h2.copy_from_slice(&prefix);
-                    let peers = (j + 1..l).map(member);
-                    kernels::accumulate_blocks(peers, &w2[j * slab..], d, &mut h2);
-                    if j + 1 < l {
-                        let w = &w2[j * slab..(j + 1) * slab];
-                        kernels::accumulate_row(member(j), w, d, &mut prefix);
-                    }
-                    for (c, a) in act.iter_mut().enumerate() {
-                        *a = (h1[c] + h2[c] + bias[c]).max(0.0);
-                    }
-                    let mut raw = [0.0f32];
-                    kernels::accumulate_row(&act, v, 1, &mut raw);
-                    pi.push(raw[0] * self.inv_sqrt_d);
-                }
-            }
+            let mut pi = Vec::new();
+            kernels::peer_influence(
+                member_rep,
+                l,
+                d,
+                self.weight(self.params.att_w1),
+                self.weight(self.params.att_w2),
+                self.weight(self.params.att_b),
+                self.weight(self.params.att_v),
+                self.inv_sqrt_d,
+                &mut pi,
+            );
             pi
         });
         let mut alpha = match (sp, pi) {

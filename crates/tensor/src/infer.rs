@@ -27,6 +27,10 @@
 //! * **One kernel a node update.** [`node_update`] runs a propagation
 //!   node's weighted sum of children, self term, matmul, bias and
 //!   activation per row, with no intermediate buffer.
+//! * **One epilogue a call.** A fused matmul matches its plan and
+//!   activation once per call and runs a body compiled for that pair.
+//! * **One pass a PI tower.** [`peer_influence`] scores every member of
+//!   a chunk's groups in one call, the `[d, 1]` projection included.
 //! * **One tanh.** The activation's tanh is [`crate::tanh`], the port
 //!   of fdlibm `tanhf` the tape calls too — 16 lanes at a time in the
 //!   packed epilogue.
@@ -47,7 +51,6 @@
 //!   so chunking a batch across the pool is value-neutral (DESIGN.md
 //!   §11).
 
-use crate::tanh::{tanh, tanh16_packed};
 use crate::tensor::{dot, softmax_inplace};
 use crate::ParamStore;
 
@@ -169,7 +172,8 @@ impl<'r> LogitMemo<'r> {
             scale,
             stamp: vec![0; rows],
             value: vec![0.0; rows],
-            row: 0,
+            // past every stamp, so the first row's lookups compute
+            row: 1,
             dots: 0,
         }
     }
@@ -222,7 +226,8 @@ impl ExpMemo {
     /// A memo for relation ids below `relations`.
     pub fn new(relations: usize) -> Self {
         let n = relations * relations;
-        ExpMemo { relations, stamp: vec![0; n], value: vec![0.0; n], row: 0, exps: 0 }
+        // `row` starts past every stamp, so the first row's lookups compute
+        ExpMemo { relations, stamp: vec![0; n], value: vec![0.0; n], row: 1, exps: 0 }
     }
 
     /// Begin the next query row; the previous row's values are dropped.
@@ -414,18 +419,13 @@ fn axpy_block(acc: &mut Packed, a: &Packed, w: &[f32]) {
     }
 }
 
-/// The matmul epilogue at the packed width: `out_row[c] = act(acc[c] +
-/// bias[c])`, tanh 16 lanes at a time.
+/// The matmul epilogue at the packed width: `act(acc[c] + bias[c])`,
+/// tanh 16 lanes at a time.
 #[inline(always)]
-fn finish_packed(acc: &Packed, bias: &[f32], act: Activation, out_row: &mut [f32]) {
-    let bias = packed(bias, 0);
+fn finish_packed<E: Epilogue>(acc: &Packed, bias: &Packed) -> Packed {
     let mut row: Packed = std::array::from_fn(|c| acc[c] + bias[c]);
-    match act {
-        Activation::None => {}
-        Activation::Relu => row.iter_mut().for_each(|x| *x = x.max(0.0)),
-        Activation::Tanh => tanh16_packed(&mut row),
-    }
-    out_row.copy_from_slice(&row);
+    E::packed(&mut row);
+    row
 }
 
 /// The one accumulating kernel body:
@@ -602,13 +602,83 @@ pub enum Activation {
     Tanh,
 }
 
-#[inline(always)]
-fn activate(x: f32, act: Activation) -> f32 {
-    match act {
-        Activation::None => x,
-        Activation::Relu => x.max(0.0),
-        Activation::Tanh => tanh(x),
+/// An [`Activation`] fixed at compile time. A fused kernel matches its
+/// `act` once per call and runs a body compiled for that epilogue, so
+/// no row loop carries the arms of the others — a ReLU loop holds no
+/// tanh and no out-of-line `expm1`.
+trait Epilogue: Copy {
+    /// One element.
+    fn lane(x: f32) -> f32;
+    /// A packed row in place.
+    fn packed(row: &mut Packed);
+}
+
+/// The [`Epilogue`] of each [`Activation`].
+mod epilogue {
+    use super::{Epilogue, Packed};
+    use crate::tanh::{tanh, tanh16_packed};
+
+    /// [`super::Activation::None`].
+    #[derive(Clone, Copy)]
+    pub(super) struct Identity;
+    /// [`super::Activation::Relu`].
+    #[derive(Clone, Copy)]
+    pub(super) struct Relu;
+    /// [`super::Activation::Tanh`], 16 lanes at a time on a packed row.
+    #[derive(Clone, Copy)]
+    pub(super) struct Tanh;
+
+    impl Epilogue for Identity {
+        #[inline(always)]
+        fn lane(x: f32) -> f32 {
+            x
+        }
+        #[inline(always)]
+        fn packed(_: &mut Packed) {}
     }
+
+    impl Epilogue for Relu {
+        #[inline(always)]
+        fn lane(x: f32) -> f32 {
+            x.max(0.0)
+        }
+        #[inline(always)]
+        fn packed(row: &mut Packed) {
+            row.iter_mut().for_each(|x| *x = x.max(0.0));
+        }
+    }
+
+    impl Epilogue for Tanh {
+        #[inline(always)]
+        fn lane(x: f32) -> f32 {
+            tanh(x)
+        }
+        #[inline(always)]
+        fn packed(row: &mut Packed) {
+            tanh16_packed(row);
+        }
+    }
+}
+
+/// `$body` with `$e` bound to the [`Epilogue`] value `$act` names — the
+/// one match on the activation a fused kernel makes per call.
+macro_rules! with_epilogue {
+    ($act:expr, |$e:ident| $body:expr) => {
+        match $act {
+            Activation::None => {
+                let $e = epilogue::Identity;
+                $body
+            }
+            Activation::Relu => {
+                let $e = epilogue::Relu;
+                $body
+            }
+            Activation::Tanh => {
+                let $e = epilogue::Tanh;
+                $body
+            }
+        }
+    };
 }
 
 /// Fused split form of a concat matmul:
@@ -637,50 +707,69 @@ pub fn matmul2_bias_act(
     assert_eq!(bias.len(), d_out, "bias length must be d_out");
     assert!(d_out > 0, "d_out must be positive");
     out.clear();
-    out.resize(rows * d_out, 0.0);
     if d_in == PACKED && d_out == PACKED {
-        matmul2_packed_in(Isa::host(), a, b, w_a, w_b, bias, act, out);
+        out.reserve(rows * PACKED);
+        with_epilogue!(act, |e| matmul2_packed_in(Isa::host(), e, a, b, w_a, w_b, bias, out));
         return;
     }
+    out.resize(rows * d_out, 0.0);
+    with_epilogue!(act, |e| matmul2_rows(e, a, b, d_in, w_a, w_b, bias, out));
+}
+
+/// [`matmul2_bias_act`] off the packed width, one [`accumulate`] a row.
+#[allow(clippy::too_many_arguments)]
+fn matmul2_rows<E: Epilogue>(
+    _: E,
+    a: Rows<'_>,
+    b: &[f32],
+    d_in: usize,
+    w_a: &[f32],
+    w_b: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let d_out = bias.len();
     for (i, out_row) in out.chunks_exact_mut(d_out).enumerate() {
         let terms = matmul_terms(a.row(i, d_in), w_a, d_out).chain(matmul_terms(
             &b[i * d_in..(i + 1) * d_in],
             w_b,
             d_out,
         ));
-        accumulate(terms, out_row, |c, x| activate(x + bias[c], act));
+        accumulate(terms, out_row, |c, x| E::lane(x + bias[c]));
     }
 }
 
-/// [`matmul2_bias_act`] at the packed width.
+/// [`matmul2_bias_act`] at the packed width, each row appended to
+/// `out`.
 #[inline(always)]
-fn matmul2_packed(
+fn matmul2_packed<E: Epilogue>(
+    _: E,
     a: Rows<'_>,
     b: &[f32],
     w_a: &[f32],
     w_b: &[f32],
     bias: &[f32],
-    act: Activation,
-    out: &mut [f32],
+    out: &mut Vec<f32>,
 ) {
-    for (i, out_row) in out.chunks_exact_mut(PACKED).enumerate() {
+    let bias = packed(bias, 0);
+    for (i, b_row) in b.chunks_exact(PACKED).enumerate() {
         let mut acc = [0.0; PACKED];
         axpy_block(&mut acc, packed(a.row(i, PACKED), 0), w_a);
-        axpy_block(&mut acc, packed(b, i), w_b);
-        finish_packed(&acc, bias, act, out_row);
+        axpy_block(&mut acc, packed(b_row, 0), w_b);
+        out.extend_from_slice(&finish_packed::<E>(&acc, bias));
     }
 }
 
 packed_twins!(
     /// [`matmul2_packed`] in the compilation `isa` names.
-    fn matmul2_packed_in[](
+    fn matmul2_packed_in[E: Epilogue](
+        epilogue: E,
         a: Rows<'_>,
         b: &[f32],
         w_a: &[f32],
         w_b: &[f32],
         bias: &[f32],
-        act: Activation,
-        out: &mut [f32],
+        out: &mut Vec<f32>,
     ) = matmul2_packed
 );
 
@@ -696,6 +785,78 @@ pub enum FusedAggregation {
     SplitConcat,
 }
 
+/// A [`FusedAggregation`] fixed at compile time, as [`Epilogue`] fixes
+/// the activation: `combine(own, e_N) · w`, accumulated onto `out_row`.
+trait Combine: Copy {
+    /// At the packed width, in registers.
+    fn packed(acc: &mut Packed, own: &Packed, e_n: &Packed, w: &[f32]);
+    /// At any width through [`accumulate`], `scratch` a row of room.
+    fn row(
+        own: &[f32],
+        e_n: &[f32],
+        w: &[f32],
+        scratch: &mut [f32],
+        out_row: &mut [f32],
+        finish: impl Fn(usize, f32) -> f32,
+    );
+}
+
+/// The [`Combine`] of each [`FusedAggregation`].
+mod combine {
+    use super::{accumulate, axpy_block, matmul_terms, Combine, Packed, PACKED};
+
+    /// [`super::FusedAggregation::SumSelf`].
+    #[derive(Clone, Copy)]
+    pub(super) struct SumSelf;
+    /// [`super::FusedAggregation::SplitConcat`].
+    #[derive(Clone, Copy)]
+    pub(super) struct SplitConcat;
+
+    impl Combine for SumSelf {
+        #[inline(always)]
+        fn packed(acc: &mut Packed, own: &Packed, e_n: &Packed, w: &[f32]) {
+            let sum: Packed = std::array::from_fn(|c| own[c] + e_n[c]);
+            axpy_block(acc, &sum, w);
+        }
+        #[inline(always)]
+        fn row(
+            own: &[f32],
+            e_n: &[f32],
+            w: &[f32],
+            sum: &mut [f32],
+            out_row: &mut [f32],
+            finish: impl Fn(usize, f32) -> f32,
+        ) {
+            for ((s, &o), &e) in sum.iter_mut().zip(own).zip(e_n) {
+                *s = o + e;
+            }
+            accumulate(matmul_terms(sum, w, out_row.len()), out_row, finish);
+        }
+    }
+
+    impl Combine for SplitConcat {
+        #[inline(always)]
+        fn packed(acc: &mut Packed, own: &Packed, e_n: &Packed, w: &[f32]) {
+            axpy_block(acc, own, w);
+            axpy_block(acc, e_n, &w[PACKED * PACKED..]);
+        }
+        #[inline(always)]
+        fn row(
+            own: &[f32],
+            e_n: &[f32],
+            w: &[f32],
+            _: &mut [f32],
+            out_row: &mut [f32],
+            finish: impl Fn(usize, f32) -> f32,
+        ) {
+            let dim = out_row.len();
+            let (w_self, w_neigh) = w.split_at(dim * dim);
+            let terms = matmul_terms(own, w_self, dim).chain(matmul_terms(e_n, w_neigh, dim));
+            accumulate(terms, out_row, finish);
+        }
+    }
+}
+
 /// One propagation level's node update, fused. Node row `i` becomes
 /// `act(combine(own.row(i), e_N) · w + bias)` with
 /// `e_N = Σ_k weights[i·group + k] · children.row(i·group + k)`, where
@@ -705,9 +866,11 @@ pub enum FusedAggregation {
 /// the tape's `group_weighted_sum` → `add` or `concat_cols` → `matmul`
 /// → `add_row` → activation: every element keeps each op's terms,
 /// start values, order and zero-skips, with no FMA; only the
-/// intermediate rows are gone. At the packed width a node's whole
-/// update stays in registers; other widths keep `e_N` and the combined
-/// row in row-sized scratch.
+/// intermediate rows are gone. The plan and the activation are matched
+/// once per call, and the rows run a body compiled for that pair. At
+/// the packed width a node's whole update stays in registers and each
+/// row is written once; other widths keep `e_N` and the combined row in
+/// row-sized scratch.
 #[allow(clippy::too_many_arguments)]
 pub fn node_update(
     plan: FusedAggregation,
@@ -732,91 +895,95 @@ pub fn node_update(
     assert_eq!(w.len(), w_rows * dim, "weight length must be {w_rows} x dim");
     assert_eq!(bias.len(), dim, "bias length must be dim");
     out.clear();
-    out.resize(rows * dim, 0.0);
-    if dim == PACKED {
-        // resolve the row storage once, not per term
-        let (isa, args) = (Isa::host(), (plan, weights, group, w, bias, act));
-        match (own, children) {
-            (Rows::Dense(o), Rows::Dense(c)) => {
-                node_update_packed_in(isa, |r| packed(o, r), |r| packed(c, r), args, out)
-            }
-            (Rows::ById { table: ot, ids: oi }, Rows::ById { table: ct, ids: ci }) => {
-                let own = |r: usize| packed(ot, oi[r] as usize);
-                node_update_packed_in(isa, own, |r| packed(ct, ci[r] as usize), args, out)
-            }
-            _ => node_update_packed_in(
-                isa,
-                |r| packed(own.row(r, PACKED), 0),
-                |r| packed(children.row(r, PACKED), 0),
-                args,
-                out,
-            ),
+    let node = Node { own, children, weights, group, w, bias };
+    match plan {
+        FusedAggregation::SumSelf => with_epilogue!(act, |e| node.update(combine::SumSelf, e, out)),
+        FusedAggregation::SplitConcat => {
+            with_epilogue!(act, |e| node.update(combine::SplitConcat, e, out))
         }
-        return;
     }
-    let (mut e_n, mut sum) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-    let finish = |c: usize, x: f32| activate(x + bias[c], act);
-    for (i, out_row) in out.chunks_exact_mut(dim).enumerate() {
-        e_n.fill(0.0);
-        let terms = (i * group..(i + 1) * group).map(|r| (weights[r], children.row(r, dim)));
-        accumulate(terms, &mut e_n, |_, x| x);
-        match plan {
-            FusedAggregation::SumSelf => {
-                for ((s, &o), &e) in sum.iter_mut().zip(own.row(i, dim)).zip(&e_n) {
-                    *s = o + e;
+}
+
+/// The operands of one [`node_update`] call, its width that of `bias`.
+#[derive(Clone, Copy)]
+struct Node<'a> {
+    own: Rows<'a>,
+    children: Rows<'a>,
+    weights: &'a [f32],
+    group: usize,
+    w: &'a [f32],
+    bias: &'a [f32],
+}
+
+impl Node<'_> {
+    /// Every row under the combine `C` and the epilogue `E`, appended
+    /// to the empty `out`.
+    fn update<C: Combine, E: Epilogue>(self, combine: C, epilogue: E, out: &mut Vec<f32>) {
+        let Node { own, children, weights, group, w, bias } = self;
+        let dim = bias.len();
+        if dim == PACKED {
+            out.reserve(weights.len() / group * PACKED);
+            // resolve the row storage once, not per term
+            let (isa, args) = (Isa::host(), (combine, epilogue, weights, group, w, bias));
+            match (own, children) {
+                (Rows::Dense(o), Rows::Dense(c)) => {
+                    node_update_packed_in(isa, |r| packed(o, r), |r| packed(c, r), args, out)
                 }
-                accumulate(matmul_terms(&sum, w, dim), out_row, finish);
+                (Rows::ById { table: ot, ids: oi }, Rows::ById { table: ct, ids: ci }) => {
+                    let own = |r: usize| packed(ot, oi[r] as usize);
+                    node_update_packed_in(isa, own, |r| packed(ct, ci[r] as usize), args, out)
+                }
+                _ => node_update_packed_in(
+                    isa,
+                    |r| packed(own.row(r, PACKED), 0),
+                    |r| packed(children.row(r, PACKED), 0),
+                    args,
+                    out,
+                ),
             }
-            FusedAggregation::SplitConcat => {
-                let (w_self, w_neigh) = w.split_at(dim * dim);
-                let terms = matmul_terms(own.row(i, dim), w_self, dim)
-                    .chain(matmul_terms(&e_n, w_neigh, dim));
-                accumulate(terms, out_row, finish);
-            }
+            return;
+        }
+        out.resize(weights.len() / group * dim, 0.0);
+        let (mut e_n, mut scratch) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+        let finish = |c: usize, x: f32| E::lane(x + bias[c]);
+        for (i, out_row) in out.chunks_exact_mut(dim).enumerate() {
+            e_n.fill(0.0);
+            let terms = (i * group..(i + 1) * group).map(|r| (weights[r], children.row(r, dim)));
+            accumulate(terms, &mut e_n, |_, x| x);
+            C::row(own.row(i, dim), &e_n, w, &mut scratch, out_row, finish);
         }
     }
 }
 
 /// [`node_update`] at the packed width, own row `i` read by `own(i)`
-/// and child row `r` by `child(r)`.
+/// and child row `r` by `child(r)`, each row appended to `out`.
 #[inline(always)]
-fn node_update_packed<'o, 'c>(
+fn node_update_packed<'o, 'c, C: Combine, E: Epilogue>(
     own: impl Fn(usize) -> &'o Packed,
     child: impl Fn(usize) -> &'c Packed,
-    (plan, weights, group, w, bias, act): NodeArgs<'_>,
-    out: &mut [f32],
+    (_, _, weights, group, w, bias): NodeArgs<'_, C, E>,
+    out: &mut Vec<f32>,
 ) {
-    for (i, (ws, out_row)) in
-        weights.chunks_exact(group).zip(out.chunks_exact_mut(PACKED)).enumerate()
-    {
+    let bias = packed(bias, 0);
+    for (i, ws) in weights.chunks_exact(group).enumerate() {
         let e_n = weighted_row(ws, i * group, &child);
         let mut acc = [0.0; PACKED];
-        match plan {
-            FusedAggregation::SumSelf => {
-                let own = own(i);
-                let sum: Packed = std::array::from_fn(|c| own[c] + e_n[c]);
-                axpy_block(&mut acc, &sum, w);
-            }
-            FusedAggregation::SplitConcat => {
-                axpy_block(&mut acc, own(i), w);
-                axpy_block(&mut acc, &e_n, &w[PACKED * PACKED..]);
-            }
-        }
-        finish_packed(&acc, bias, act, out_row);
+        C::packed(&mut acc, own(i), &e_n, w);
+        out.extend_from_slice(&finish_packed::<E>(&acc, bias));
     }
 }
 
-/// The plan, weights, group, layer weight, bias and activation of a
-/// [`node_update`].
-type NodeArgs<'a> = (FusedAggregation, &'a [f32], usize, &'a [f32], &'a [f32], Activation);
+/// The combine, epilogue, weights, group, layer weight and bias of a
+/// packed [`node_update`].
+type NodeArgs<'a, C, E> = (C, E, &'a [f32], usize, &'a [f32], &'a [f32]);
 
 packed_twins!(
     /// [`node_update_packed`] in the compilation `isa` names.
-    fn node_update_packed_in['o, 'c](
+    fn node_update_packed_in['o, 'c, C: Combine, E: Epilogue](
         own: impl Fn(usize) -> &'o Packed,
         child: impl Fn(usize) -> &'c Packed,
-        args: NodeArgs<'_>,
-        out: &mut [f32],
+        args: NodeArgs<'_, C, E>,
+        out: &mut Vec<f32>,
     ) = node_update_packed
 );
 
@@ -831,8 +998,7 @@ pub fn accumulate_row(a_row: &[f32], w: &[f32], d_out: usize, out_row: &mut [f32
 /// multiplies the `q`-th `[d_in, d_out]` slab of `w`, and every element
 /// adds its terms in the concatenated row's k order — the
 /// peer-influence tower's `W₂ · CONCAT(peers)` over per-slot blocks. All
-/// blocks are `d_in` wide. At the packed width the accumulator stays in
-/// registers across every block.
+/// blocks are `d_in` wide.
 pub fn accumulate_blocks<'r, I>(blocks: I, w: &[f32], d_out: usize, out_row: &mut [f32])
 where
     I: Iterator<Item = &'r [f32]> + Clone,
@@ -845,37 +1011,131 @@ where
     if d_in == 0 {
         return; // no terms
     }
-    if d_in == PACKED && d_out == PACKED {
-        accumulate_blocks_packed_in(Isa::host(), blocks, w, out_row);
-        return;
-    }
     for (block, w) in blocks.zip(w.chunks_exact(d_in * d_out)) {
         accumulate(matmul_terms(block, w, d_out), out_row, |_, x| x);
     }
 }
 
-/// [`accumulate_blocks`] at the packed width: the accumulator stays in
-/// registers across every block.
-#[inline(always)]
-fn accumulate_blocks_packed<'r>(
-    blocks: impl Iterator<Item = &'r [f32]>,
-    w: &[f32],
-    out_row: &mut [f32],
+/// The peer-influence tower of Eq. 10 over `[b·l, dim]` member rows,
+/// groups of `l` consecutive rows: member `j` of a group scores
+/// `(relu(m_j · W₁ + CONCAT(peers of j) · W₂ + bias) · v) · scale`, its
+/// peers the group's other members in ascending order, and the `b·l`
+/// scores are appended to the cleared `out` in row order. `w1` is
+/// `[dim, dim]`, `w2` `[(l−1)·dim, dim]`, `v` the `[dim, 1]` projection.
+///
+/// This is the tape's `peer_concat` → `matmul` twice → `add` →
+/// `add_row` → `relu` → `matmul` → `scale`, each element in its terms'
+/// k order from zero, zero terms skipped — a zero activation drops out
+/// of the projection. `W₁·m` and `W₂·peers` keep separate accumulators
+/// and are then added. Peer slots `0..j` of member `j` are members
+/// `0..j`, the same for every later member, so a running prefix carries
+/// their sum and member `j` adds only its slots `j..l−1`. At the packed
+/// width the whole tower is one pass with every row in registers.
+#[allow(clippy::too_many_arguments)]
+pub fn peer_influence(
+    members: &[f32],
+    l: usize,
+    dim: usize,
+    w1: &[f32],
+    w2: &[f32],
+    bias: &[f32],
+    v: &[f32],
+    scale: f32,
+    out: &mut Vec<f32>,
 ) {
-    let mut acc = *packed(out_row, 0);
-    for (block, w) in blocks.zip(w.chunks_exact(PACKED * PACKED)) {
-        axpy_block(&mut acc, packed(block, 0), w);
+    assert!(l >= 2 && dim > 0, "groups of at least two members, positive width");
+    assert_eq!(members.len() % (l * dim), 0, "members must be whole groups");
+    assert_eq!(w1.len(), dim * dim, "w1 length must be dim x dim");
+    assert_eq!(w2.len(), (l - 1) * dim * dim, "w2 length must be (l - 1) dim x dim");
+    assert_eq!(bias.len(), dim, "bias length must be dim");
+    assert_eq!(v.len(), dim, "v length must be dim");
+    out.clear();
+    out.reserve(members.len() / dim);
+    if dim == PACKED {
+        peer_influence_packed_in(Isa::host(), members, l, w1, w2, bias, v, scale, out);
+        return;
     }
-    out_row.copy_from_slice(&acc);
+    let slab = dim * dim;
+    let (mut h1, mut h2, mut prefix) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+    let mut act = vec![0.0; dim];
+    for group in members.chunks_exact(l * dim) {
+        let member = |m: usize| &group[m * dim..(m + 1) * dim];
+        prefix.fill(0.0);
+        for j in 0..l {
+            h1.fill(0.0);
+            accumulate_row(member(j), w1, dim, &mut h1);
+            h2.copy_from_slice(&prefix);
+            accumulate_blocks((j + 1..l).map(member), &w2[j * slab..], dim, &mut h2);
+            if j + 1 < l {
+                accumulate_row(member(j), &w2[j * slab..(j + 1) * slab], dim, &mut prefix);
+            }
+            for (c, a) in act.iter_mut().enumerate() {
+                *a = (h1[c] + h2[c] + bias[c]).max(0.0);
+            }
+            out.push(project(&act, v) * scale);
+        }
+    }
+}
+
+/// `act · v` for a `[dim, 1]` projection `v`: one term a row of `v`,
+/// in k order from zero, zero activations skipped.
+#[inline(always)]
+fn project(act: &[f32], v: &[f32]) -> f32 {
+    let mut raw = 0.0;
+    for (&a, &x) in act.iter().zip(v) {
+        if a != 0.0 {
+            raw += a * x;
+        }
+    }
+    raw
+}
+
+/// [`peer_influence`] at the packed width, in one pass.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn peer_influence_packed(
+    members: &[f32],
+    l: usize,
+    w1: &[f32],
+    w2: &[f32],
+    bias: &[f32],
+    v: &[f32],
+    scale: f32,
+    out: &mut Vec<f32>,
+) {
+    const SLAB: usize = PACKED * PACKED;
+    let (bias, v) = (packed(bias, 0), packed(v, 0));
+    for group in members.chunks_exact(l * PACKED) {
+        let mut prefix = [0.0; PACKED];
+        for j in 0..l {
+            let m = packed(group, j);
+            let mut h1 = [0.0; PACKED];
+            axpy_block(&mut h1, m, w1);
+            let mut h2 = prefix;
+            for p in j + 1..l {
+                axpy_block(&mut h2, packed(group, p), &w2[(p - 1) * SLAB..]);
+            }
+            if j + 1 < l {
+                axpy_block(&mut prefix, m, &w2[j * SLAB..]);
+            }
+            let act: Packed = std::array::from_fn(|c| (h1[c] + h2[c] + bias[c]).max(0.0));
+            out.push(project(&act, v) * scale);
+        }
+    }
 }
 
 packed_twins!(
-    /// [`accumulate_blocks_packed`] in the compilation `isa` names.
-    fn accumulate_blocks_packed_in['r](
-        blocks: impl Iterator<Item = &'r [f32]>,
-        w: &[f32],
-        out_row: &mut [f32],
-    ) = accumulate_blocks_packed
+    /// [`peer_influence_packed`] in the compilation `isa` names.
+    fn peer_influence_packed_in[](
+        members: &[f32],
+        l: usize,
+        w1: &[f32],
+        w2: &[f32],
+        bias: &[f32],
+        v: &[f32],
+        scale: f32,
+        out: &mut Vec<f32>,
+    ) = peer_influence_packed
 );
 
 /// Residual combine in place: `acc[i] = e0[i] + acc[i] · gamma` — the
@@ -932,6 +1192,19 @@ mod tests {
         }
         assert_eq!(logits, [2.0, 3.0, 5.0, 5.0, 2.0, 3.0, 9.0, 4.0, 5.0, 5.0, 4.0, 4.0]);
         assert_eq!(memo.dots, 3 + 3, "one dot per distinct relation per query row");
+    }
+
+    #[test]
+    fn memos_compute_before_the_first_next_row() {
+        let relation = [1.0, 2.0, 3.0, 4.0];
+        let mut logits = LogitMemo::new(&relation, 2, 0.5);
+        assert_eq!(logits.logit(&[1.0, 1.0], 1), 3.5, "no stale logit before next_row");
+        assert_eq!(logits.dots, 1);
+        let mut exps = ExpMemo::new(2);
+        let mut block = [0.0, 0.0];
+        exps.softmax(&mut block, &[0, 1]);
+        assert_eq!(block, [0.5, 0.5], "no stale exp before next_row");
+        assert_eq!(exps.exps, 2);
     }
 
     #[test]
@@ -1037,34 +1310,52 @@ mod tests {
             for act in [Activation::None, Activation::Relu, Activation::Tanh] {
                 total += rows * D;
                 finite += twins_agree("matmul2_packed", |isa| {
-                    let mut out = vec![0.0; rows * D];
+                    let mut out = Vec::new();
                     let a = Rows::ById { table: &own, ids: &ids[..rows] };
                     let ((w_a, w_b), b) = (w.split_at(D * D), &children[..rows * D]);
-                    matmul2_packed_in(isa, a, b, w_a, w_b, &bias, act, &mut out);
+                    with_epilogue!(act, |e| matmul2_packed_in(
+                        isa, e, a, b, w_a, w_b, &bias, &mut out
+                    ));
                     out
                 });
-                for plan in [FusedAggregation::SumSelf, FusedAggregation::SplitConcat] {
-                    let w = if plan == FusedAggregation::SumSelf { &w[..D * D] } else { &w };
-                    total += rows * D;
-                    finite += twins_agree("node_update_packed", |isa| {
-                        let mut out = vec![0.0; rows * D];
-                        let args = (plan, &weights[..], group, w, &bias[..], act);
-                        let own = |r: usize| packed(&own, r);
-                        let child = |r: usize| packed(&children, ids[r] as usize);
-                        node_update_packed_in(isa, own, child, args, &mut out);
-                        out
+                // every (plan, activation) arm of the node update
+                let own = |r: usize| packed(&own, r);
+                let child = |r: usize| packed(&children, ids[r] as usize);
+                let (weights, bias) = (&weights[..], &bias[..]);
+                total += 2 * rows * D;
+                finite += twins_agree("node_update_packed SumSelf", |isa| {
+                    let mut out = Vec::new();
+                    let w = &w[..D * D];
+                    with_epilogue!(act, |e| {
+                        let args = (combine::SumSelf, e, weights, group, w, bias);
+                        node_update_packed_in(isa, own, child, args, &mut out)
                     });
-                }
+                    out
+                });
+                finite += twins_agree("node_update_packed SplitConcat", |isa| {
+                    let mut out = Vec::new();
+                    with_epilogue!(act, |e| {
+                        let args = (combine::SplitConcat, e, weights, group, &w[..], bias);
+                        node_update_packed_in(isa, own, child, args, &mut out)
+                    });
+                    out
+                });
             }
             twins_agree("weighted_sum_packed", |isa| {
                 let mut out = vec![0.0; rows * D];
                 weighted_sum_packed_in(isa, &weights, group, |r| packed(&children, r), &mut out);
                 out
             });
-            twins_agree("accumulate_blocks_packed", |isa| {
-                let mut out = bias.clone();
-                let blocks = own.chunks_exact(D).take(2);
-                accumulate_blocks_packed_in(isa, blocks, &w[..own.len().min(2 * D) * D], &mut out);
+            // the PI tower at every group size 2..=9; the ReLU's zeros
+            // are the activations the projection skips
+            let l = 2 + round % 8;
+            let members = spiky(&mut rng, rows * l * D, one_in);
+            let w2 = spiky(&mut rng, (l - 1) * D * D, one_in);
+            let v = spiky(&mut rng, D, one_in);
+            twins_agree("peer_influence_packed", |isa| {
+                let mut out = Vec::new();
+                let (w1, scale) = (&w[..D * D], 0.25);
+                peer_influence_packed_in(isa, &members, l, w1, &w2, &bias, &v, scale, &mut out);
                 out
             });
         }

@@ -14,8 +14,8 @@
 
 use kgag_tensor::infer::{
     accumulate_blocks, accumulate_row, gather_rows, group_mean, group_weighted_sum,
-    matmul2_bias_act, node_update, residual_inplace, row_dot_rep_scaled, softmax_groups_inplace,
-    Activation, ExpMemo, FusedAggregation, LogitMemo, Rows,
+    matmul2_bias_act, node_update, peer_influence, residual_inplace, row_dot_rep_scaled,
+    softmax_groups_inplace, Activation, ExpMemo, FusedAggregation, LogitMemo, Rows,
 };
 use kgag_tensor::rng::SplitMix64;
 use kgag_tensor::tensor::softmax_inplace;
@@ -659,6 +659,49 @@ fn packed_kernels_equal_tape_at_d16() {
         }
         prop_assert_eq!(bits(&got1), bits(tape.value(h1).data()));
         prop_assert_eq!(bits(&got2), bits(tape.value(h2).data()));
+        Ok(())
+    });
+}
+
+/// The fused peer-influence tower equals the tape's forward of Eq. 10 —
+/// `peer_concat` → `matmul` by `W₁` and by `W₂` → `add` → `add_row` →
+/// `relu` → `matmul` by the `[d, 1]` projection → `scale` — at every
+/// group size 2..=9, at the packed width 16 and at widths that take the
+/// 4-wide tile, its tail and the 16-wide tile, with ±0, subnormals, NaN
+/// and ±∞ in every operand. A bias drawn below zero leaves most
+/// activations at zero, the terms the projection skips.
+#[test]
+fn peer_influence_equals_tape_forward() {
+    const WIDTHS: [usize; 4] = [16, 7, 20, 32];
+    let gen = (usize_in(1..5), usize_in(2..10), usize_in(0..WIDTHS.len()), u64_in(0..u64::MAX));
+    Runner::new("infer-peer-influence-vs-tape").cases(128).run(&gen, |&(b, l, wi, seed)| {
+        let dim = WIDTHS[wi];
+        let mut rng = SplitMix64::new(seed);
+        let members = rand_vec(&mut rng, b * l * dim, -2.0, 2.0);
+        let w1 = rand_vec(&mut rng, dim * dim, -1.0, 1.0);
+        let w2 = rand_vec(&mut rng, (l - 1) * dim * dim, -1.0, 1.0);
+        let shift = if rng.next_u64() % 2 == 0 { -4.0 } else { 0.0 };
+        let bias = rand_vec(&mut rng, dim, shift - 0.5, shift + 0.5);
+        let v = rand_vec(&mut rng, dim, -1.0, 1.0);
+        let scale = 1.0 / (dim as f32).sqrt();
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let m = tape.constant(Tensor::from_vec(b * l, dim, members.clone()));
+        let peers = tape.peer_concat(m, l);
+        let tw1 = tape.constant(Tensor::from_vec(dim, dim, w1.clone()));
+        let tw2 = tape.constant(Tensor::from_vec((l - 1) * dim, dim, w2.clone()));
+        let tb = tape.constant(Tensor::from_vec(1, dim, bias.clone()));
+        let tv = tape.constant(Tensor::from_vec(dim, 1, v.clone()));
+        let h1 = tape.matmul(m, tw1);
+        let h2 = tape.matmul(peers, tw2);
+        let sum = tape.add(h1, h2);
+        let biased = tape.add_row(sum, tb);
+        let act = tape.relu(biased);
+        let raw = tape.matmul(act, tv);
+        let want = tape.scale(raw, scale);
+        let mut got = Vec::new();
+        peer_influence(&members, l, dim, &w1, &w2, &bias, &v, scale, &mut got);
+        prop_assert_eq!(bits(&got), bits(tape.value(want).data()));
         Ok(())
     });
 }
