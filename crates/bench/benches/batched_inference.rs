@@ -8,10 +8,10 @@
 //! All variants are timed at 4 threads through `with_threads`, so the
 //! comparison isolates the engine (cache amortisation + cross-case
 //! fusion) from pool width. The JSON artifact carries `speedup_cold`
-//! and `speedup_warm` annotations (per-case median / batched median) —
-//! `speedup_warm` is the acceptance-gate number and the bit-identity of
-//! the two paths is enforced by `crates/core/tests/batched_oracle.rs`,
-//! so this file measures time and nothing else.
+//! and `speedup_warm` annotations (per-case median / batched median);
+//! the bit-identity of the two paths is enforced by
+//! `crates/core/tests/batched_oracle.rs`, so this file measures time
+//! and nothing else.
 
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag::{Kgag, KgagConfig};

@@ -34,7 +34,9 @@
 //!    terms in k order, zero terms skipped;
 //! 8. the propagation softmax computes `exp(π − max)` once per (query
 //!    row, relation, relation of the group max) ([`ExpMemo`]) and runs a
-//!    group whose logits are all NaN per edge;
+//!    group whose logits are all NaN per edge; where a row's logits are
+//!    pairwise distinct numbers, a block's max is its highest-ranked
+//!    relation's logit, the one value its `f32::max` fold can give;
 //! 9. each propagation level is one fused node update — children's
 //!    weighted sum, self term, matmul, bias and activation per row, in
 //!    registers at d = 16, in the tape's per-element order — and its
@@ -51,10 +53,18 @@
 //!     logit keeps the node under its own key.
 //!
 //! Each output row is a pure function of its own instance's inputs; a
-//! node is shared only between instances whose keys are equal, the
-//! memo lives for one chunk, and receptive-field draws are
-//! position-independent, so the chunking, thread count and cache
-//! setting are value-neutral (DESIGN.md §11).
+//! node is shared only between instances whose keys are equal, and
+//! receptive-field draws are position-independent, so the chunking,
+//! thread count and cache setting are value-neutral (DESIGN.md §11).
+//!
+//! Every buffer a chunk writes besides its scores lives in its thread's
+//! [`Workspace`] and is reused by the thread's next chunk, so a chunk of
+//! a shape the thread has scored before allocates only its scores. The
+//! buffers carry no values between chunks: each is cleared or
+//! overwritten before it is read, the walk restamps its nodes per chunk,
+//! the logit memo numbers a fresh relation set per class and the `exp`
+//! memo starts every query row empty — a remote chunk's remapped
+//! relation ids never meet another chunk's logits.
 //!
 //! With telemetry on, each chunk adds its wall time per stage to the
 //! `infer.stage.{fields,attention,propagate,aggregate}_ns` counters, its
@@ -69,7 +79,9 @@ use kgag_kg::{FieldDag, IdMap};
 use kgag_tensor::infer::{self as kernels, Activation, ExpMemo, FusedAggregation, LogitMemo, Rows};
 use kgag_tensor::tensor::{dot, sigmoid, softmax_inplace};
 use kgag_tensor::{pool, ParamStore};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 use std::time::Instant;
 
 /// A stage of one chunk's scoring, as the stage clock splits it.
@@ -203,7 +215,8 @@ impl<'a> Engine<'a> {
     /// ablation) — the engine twin of `forward_group_prepared` plus the
     /// sigmoid read-out. `members` and `items` are the entity rows of
     /// the chunk's distinct members and items as the source numbers
-    /// them.
+    /// them. Every buffer but the returned scores is this thread's
+    /// [`Workspace`].
     pub(crate) fn score_chunk(
         &self,
         fields: Option<(&FieldDag, &FieldDag)>,
@@ -212,56 +225,70 @@ impl<'a> Engine<'a> {
         items: &[u32],
         clock: &mut StageClock,
     ) -> Vec<f32> {
+        WORKSPACE.with(|ws| match ws.try_borrow_mut() {
+            Ok(mut ws) => self.score_chunk_in(&mut ws, fields, chunk, members, items, clock),
+            // only a chunk scored inside another on this thread lands here
+            Err(_) => {
+                self.score_chunk_in(&mut Workspace::default(), fields, chunk, members, items, clock)
+            }
+        })
+    }
+
+    fn score_chunk_in(
+        &self,
+        ws: &mut Workspace,
+        fields: Option<(&FieldDag, &FieldDag)>,
+        chunk: &Chunk,
+        members: &[u32],
+        items: &[u32],
+        clock: &mut StageClock,
+    ) -> Vec<f32> {
         let (d, l) = (self.config.dim, chunk.l);
         let roster = |c: u32| &chunk.rosters[c as usize * l..(c as usize + 1) * l];
-        let item_rep = match fields {
+        let Workspace { ids, slots, q_case, item_rep, member_rep, mix, prop } = ws;
+        match fields {
             Some((_, dag)) => {
                 // §III-C queries: the items of a case propagate under the
                 // mean zero-order embedding of its members — one row a
                 // case, bitwise the row every instance of it would get
-                let roster_ids: Vec<u32> =
-                    chunk.rosters.iter().map(|&m| members[m as usize]).collect();
-                let mut q_case = Vec::new();
-                kernels::group_mean(self.entities(&roster_ids), d, l, &mut q_case);
+                ids.clear();
+                ids.extend(chunk.rosters.iter().map(|&m| members[m as usize]));
+                kernels::group_mean(self.entities(ids), d, l, q_case);
                 clock.lap(Stage::Propagate);
-                let slots: Vec<(u32, u32)> = chunk.instances.iter().map(|&(c, v)| (v, c)).collect();
-                self.propagate(dag, Rows::Dense(&q_case), &slots, clock)
+                slots.clear();
+                slots.extend(chunk.instances.iter().map(|&(c, v)| (v, c)));
+                self.propagate(prop, dag, Rows::Dense(q_case), slots, clock, item_rep);
             }
             None => {
-                let ids: Vec<u32> =
-                    chunk.instances.iter().map(|&(_, v)| items[v as usize]).collect();
-                self.gathered(&ids)
+                ids.clear();
+                ids.extend(chunk.instances.iter().map(|&(_, v)| items[v as usize]));
+                kernels::gather_rows(self.entity, d, ids, item_rep);
             }
-        };
+        }
         // each member under its instance's item
-        let slots: Vec<(u32, u32)> = chunk
-            .instances
-            .iter()
-            .flat_map(|&(c, v)| roster(c).iter().map(move |&m| (m, v)))
-            .collect();
-        let member_rep = match fields {
-            Some((dag, _)) => self.propagate(dag, self.entities(items), &slots, clock),
-            None => {
-                let ids: Vec<u32> = slots.iter().map(|&(m, _)| members[m as usize]).collect();
-                self.gathered(&ids)
+        slots.clear();
+        slots.extend(
+            chunk.instances.iter().flat_map(|&(c, v)| roster(c).iter().map(move |&m| (m, v))),
+        );
+        match fields {
+            Some((dag, _)) => {
+                self.propagate(prop, dag, self.entities(items), slots, clock, member_rep)
             }
-        };
-        let member_rep = self.member_interaction(member_rep, l);
-        let scores = self.aggregate_and_score(&member_rep, &item_rep, l, chunk.instances.len());
+            None => {
+                ids.clear();
+                ids.extend(slots.iter().map(|&(m, _)| members[m as usize]));
+                kernels::gather_rows(self.entity, d, ids, member_rep);
+            }
+        }
+        self.member_interaction(member_rep, mix, l);
+        let scores = self.aggregate_and_score(member_rep, item_rep, mix, l, chunk.instances.len());
         clock.lap(Stage::Aggregate);
         scores
     }
 
-    /// Entity rows by id, copied into a dense buffer.
-    fn gathered(&self, ids: &[u32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        kernels::gather_rows(self.entity, self.config.dim, ids, &mut out);
-        out
-    }
-
     /// Propagation (§III-C) over a distinct-node field: slot `t` is
-    /// root node `slots[t].0` under query row `slots[t].1`, and the
-    /// result holds one representation row per slot.
+    /// root node `slots[t].0` under query row `slots[t].1`, and `out`
+    /// receives one representation row per slot.
     ///
     /// A node's state at iteration `h` is a pure function of its key
     /// (level, node, query row), so the walk computes each distinct key
@@ -273,169 +300,168 @@ impl<'a> Engine<'a> {
     /// the children of every key from the compacted level buffers by id.
     fn propagate(
         &self,
+        ws: &mut Propagation,
         dag: &FieldDag,
         query: Rows<'_>,
         slots: &[(u32, u32)],
         clock: &mut StageClock,
-    ) -> Vec<f32> {
+        out: &mut Vec<f32>,
+    ) {
         let d = self.config.dim;
         let layers = self.params.prop.layer_w.len();
         let k = dag.k;
         assert_eq!(dag.depth, layers, "receptive field depth {} != layers {layers}", dag.depth);
+        let Propagation { walk, query_ids, firsts, attention, state, updated, own, children } = ws;
         // Rule 1: every level's distinct (node, query row) keys, with
         // the query rows renumbered in the walk's class order
-        let walk = Walk::new(dag, slots, query.len(d));
-        let (table, ids) = match query {
-            Rows::Dense(table) => (table, walk.order.clone()),
+        walk.build(dag, slots, query.len(d));
+        let query = match query {
+            Rows::Dense(table) => Rows::ById { table, ids: &walk.order },
             Rows::ById { table, ids } => {
-                (table, walk.order.iter().map(|&q| ids[q as usize]).collect())
+                query_ids.clear();
+                query_ids.extend(walk.order.iter().map(|&q| ids[q as usize]));
+                Rows::ById { table, ids: query_ids }
             }
         };
-        let query = Rows::ById { table, ids: &ids };
         clock.lap(Stage::Propagate);
         // Rule 2 at h = 0 and the attention of every query-bound block
-        let mut logits = LogitMemo::new(self.relation, d, self.inv_sqrt_d);
-        let mut exps = ExpMemo::new(self.relation.len() / d);
-        let firsts: Vec<FirstIteration> = (0..layers)
-            .map(|lvl| self.first_iteration(dag, &walk, lvl, query, &mut logits, &mut exps))
-            .collect();
-        clock.dots += logits.dots as u64;
-        clock.exps += exps.exps as u64;
-        for first in &firsts {
+        attention.logits.dots = 0;
+        attention.exps.exps = 0;
+        firsts.resize_with(layers, FirstIteration::default);
+        for (lvl, first) in firsts.iter_mut().enumerate() {
+            self.first_iteration(dag, walk, lvl, query, attention, first);
             clock.attention_edges += first.weights.len() as u64;
         }
+        clock.dots += attention.logits.dots as u64;
+        clock.exps += attention.exps.exps as u64;
         clock.lap(Stage::Attention);
         // h = 0 over each level's entries, rows read in place from the
         // entity table
         let act = |h: usize| if h + 1 == layers { Activation::Tanh } else { Activation::Relu };
-        let mut state: Vec<Vec<f32>> = Vec::with_capacity(layers);
-        let (mut own, mut children) = (Vec::new(), Vec::new());
-        for (lvl, first) in firsts.iter().enumerate() {
+        state.resize_with(layers, Vec::new);
+        for (first, state) in firsts.iter().zip(state.iter_mut()) {
             own.clear();
             children.clear();
-            own.reserve(first.weights.len() / k);
-            children.reserve(first.weights.len());
             for &(n, count) in &first.runs {
                 let (n, count) = (n as usize, count as usize);
-                own.extend(std::iter::repeat_n(dag.nodes[lvl][n], count));
+                own.extend(std::iter::repeat_n(dag.nodes[first.level][n], count));
                 // the run's `count` copies of the node's children, in
                 // doubling copies rather than one short copy an entry
                 let start = children.len();
-                children.extend_from_slice(&dag.children[lvl][n * k..(n + 1) * k]);
+                children.extend_from_slice(&dag.children[first.level][n * k..(n + 1) * k]);
                 while children.len() < start + count * k {
                     let have = children.len() - start;
                     children.extend_from_within(start..start + have.min(count * k - have));
                 }
             }
-            let mut out = Vec::new();
             kernels::node_update(
                 self.plan,
-                self.entities(&own),
-                self.entities(&children),
+                self.entities(own),
+                self.entities(children),
                 &first.weights,
                 k,
                 d,
                 self.weight(self.params.prop.layer_w[0]),
                 self.weight(self.params.prop.layer_b[0]),
                 act(0),
-                &mut out,
+                state,
             );
             clock.node_updates += own.len() as u64;
-            state.push(out);
         }
         // h ≥ 1 over the keys of every level but the deepest, each key
         // weighted as its h = 0 entry was; level `lvl + 1` still holds
         // iteration h − 1 while level `lvl` updates
-        let key_weights: Vec<Vec<f32>> = firsts
-            .iter()
-            .take(layers - 1)
-            .map(|first| {
-                let entries: Vec<&[f32]> = first.weights.chunks_exact(k).collect();
-                let mut weights = vec![0.0; first.slot.len() * k];
-                for (key, &e) in weights.chunks_exact_mut(k).zip(&first.slot) {
-                    key.copy_from_slice(entries[e as usize]);
-                }
-                weights
-            })
-            .collect();
-        let mut updated = Vec::new();
+        for first in &mut firsts[..layers - 1] {
+            first.key_weights.clear();
+            for &e in &first.slot {
+                let e = e as usize * k;
+                first.key_weights.extend_from_slice(&first.weights[e..e + k]);
+            }
+        }
         for h in 1..layers {
             let w = self.weight(self.params.prop.layer_w[h]);
             let bias = self.weight(self.params.prop.layer_b[h]);
             for lvl in 0..(layers - h) {
                 // at h = 1 a key's row is its h = 0 entry
-                let (own, children) = if h == 1 {
+                let own = if h == 1 {
                     let below = &firsts[lvl + 1].slot;
-                    (
-                        Rows::ById { table: &state[lvl], ids: &firsts[lvl].slot },
-                        walk.child_keys(lvl, k, |key| below[key as usize]),
-                    )
+                    walk.child_keys(lvl, k, |key| below[key as usize], children);
+                    Rows::ById { table: &state[lvl], ids: &firsts[lvl].slot }
                 } else {
-                    (Rows::Dense(&state[lvl]), walk.child_keys(lvl, k, |key| key))
+                    walk.child_keys(lvl, k, |key| key, children);
+                    Rows::Dense(&state[lvl])
                 };
                 kernels::node_update(
                     self.plan,
                     own,
-                    Rows::ById { table: &state[lvl + 1], ids: &children },
-                    &key_weights[lvl],
+                    Rows::ById { table: &state[lvl + 1], ids: children },
+                    &firsts[lvl].key_weights,
                     k,
                     d,
                     w,
                     bias,
                     act(h),
-                    &mut updated,
+                    updated,
                 );
                 clock.node_updates += walk.keys[lvl] as u64;
-                std::mem::swap(&mut state[lvl], &mut updated);
+                std::mem::swap(&mut state[lvl], updated);
             }
         }
         // one row per slot — its root key's row, or the key's h = 0
         // entry when level 0 has run only h = 0 — then the residual
-        let rows: Vec<u32> = if layers == 1 {
-            walk.slot_keys.iter().map(|&key| firsts[0].slot[key as usize]).collect()
+        own.clear();
+        if layers == 1 {
+            own.extend(walk.slot_keys.iter().map(|&key| firsts[0].slot[key as usize]));
         } else {
-            walk.slot_keys.clone()
-        };
-        let mut out = Vec::new();
-        kernels::gather_rows(&state[0], d, &rows, &mut out);
+            own.extend_from_slice(&walk.slot_keys);
+        }
+        kernels::gather_rows(&state[0], d, own, out);
         if self.residual_weight > 0.0 {
-            let e0: Vec<u32> = slots.iter().map(|&(n, _)| dag.nodes[0][n as usize]).collect();
-            kernels::residual_inplace(self.entities(&e0), self.residual_weight, d, &mut out);
+            own.clear();
+            own.extend(slots.iter().map(|&(n, _)| dag.nodes[0][n as usize]));
+            kernels::residual_inplace(self.entities(own), self.residual_weight, d, out);
         }
         clock.lap(Stage::Propagate);
-        out
     }
 
-    /// Rule 2 and the attention at level `lvl`: each key's h = 0 entry
-    /// — a query-bound key its own, a query-free node one shared by
-    /// every row — and each entry's node and weights. Only query-bound
-    /// blocks run the softmax; a query-free entry weighs its children
-    /// `1/K` each.
+    /// Rule 2 and the attention at level `lvl` into `first`: each key's
+    /// h = 0 entry — a query-bound key its own, a query-free node one
+    /// shared by every row — and each entry's node and weights. Only
+    /// query-bound blocks run the softmax; a query-free entry weighs its
+    /// children `1/K` each.
     ///
-    /// Every row of a class has the same keys, so when each relation
-    /// that some node of the class uses alone has a finite logit in
-    /// every row, the class's entries follow its keys' layout with the
-    /// query-free nodes left out. Otherwise the class is classified key
-    /// by key.
+    /// Every row of a class has the same keys and visits the same bound
+    /// blocks, so the class's relation set — its lone relations, then
+    /// its bound blocks' — and each block edge's index in it are laid out
+    /// once, and each row computes its logits of the set into a dense
+    /// array the blocks index. When each relation that some node of the
+    /// class uses alone has a finite logit in every row, the class's
+    /// entries follow its keys' layout with the query-free nodes left
+    /// out. Otherwise the class is classified key by key.
     fn first_iteration(
         &self,
         dag: &FieldDag,
         walk: &Walk,
         lvl: usize,
         query: Rows<'_>,
-        logits: &mut LogitMemo<'_>,
-        exps: &mut ExpMemo,
-    ) -> FirstIteration {
-        let k = dag.k;
+        at: &mut Attention,
+        first: &mut FirstIteration,
+    ) {
+        let (d, k) = (self.config.dim, dag.k);
         let blocks = &dag.relations[lvl];
-        let block = |n: u32| &blocks[n as usize * k..(n as usize + 1) * k];
+        let Attention { single, free_entry, free, lone, bound, edges, block, logits, exps } = at;
         // each node's relation when all its K edges share one
-        let single: Vec<u32> = blocks
-            .chunks_exact(k)
-            .map(|b| if b.iter().all(|&r| r == b[0]) { b[0] } else { NONE })
-            .collect();
-        let mut free_entry = vec![NONE; dag.nodes[lvl].len()];
-        let mut free = Vec::new();
+        single.clear();
+        single.extend(blocks.chunks_exact(k).map(|b| {
+            if b.iter().all(|&r| r == b[0]) {
+                b[0]
+            } else {
+                NONE
+            }
+        }));
+        free_entry.clear();
+        free_entry.resize(dag.nodes[lvl].len(), NONE);
+        free.clear();
         let mut free_of = |n: u32| {
             let entry = &mut free_entry[n as usize];
             if *entry == NONE {
@@ -444,25 +470,30 @@ impl<'a> Engine<'a> {
             }
             FREE | *entry
         };
-        let keys = walk.keys[lvl];
-        let mut first = FirstIteration {
-            slot: vec![0; keys],
-            runs: Vec::new(),
-            weights: Vec::with_capacity(keys * k),
-            bound: 0,
-        };
-        for class in &walk.classes {
-            let nodes = &class.nodes[lvl];
+        first.level = lvl;
+        first.slot.clear();
+        first.slot.resize(walk.keys[lvl], 0);
+        first.runs.clear();
+        first.weights.clear();
+        first.bound = 0;
+        for (c, class) in walk.classes.iter().enumerate() {
+            let nodes = walk.nodes(lvl, c);
             let rows = class.rows as usize;
-            let lone: Vec<u32> = {
-                let mut lone: Vec<u32> = nodes.iter().map(|&n| single[n as usize]).collect();
-                lone.sort_unstable();
-                lone.dedup();
-                lone.retain(|&r| r != NONE);
-                lone
-            };
-            let bound: Vec<u32> =
-                nodes.iter().copied().filter(|&n| single[n as usize] == NONE).collect();
+            lone.clear();
+            lone.extend(nodes.iter().map(|&n| single[n as usize]).filter(|&r| r != NONE));
+            lone.sort_unstable();
+            lone.dedup();
+            bound.clear();
+            bound.extend(nodes.iter().copied().filter(|&n| single[n as usize] == NONE));
+            logits.start_set();
+            for &r in lone.iter() {
+                logits.intern(r);
+            }
+            edges.clear();
+            for &n in bound.iter() {
+                let n = n as usize;
+                edges.extend(blocks[n * k..(n + 1) * k].iter().map(|&r| logits.intern(r)));
+            }
             // optimistically, every row frees every lone-relation node:
             // the bound entries node by node, row by row
             let (base, runs) = (first.bound, first.runs.len());
@@ -471,20 +502,21 @@ impl<'a> Engine<'a> {
             first.weights.resize(first.bound * k, 0.0);
             let mut freed = true;
             for i in 0..rows {
-                let q = self.row_start(query, class.first as usize + i, logits, exps);
-                if !lone.iter().all(|&r| logits.logit(q, r).is_finite()) {
+                let q = query.row(class.first as usize + i, d);
+                if !logits.row(q, self.relation, self.inv_sqrt_d, lone.len()) {
                     freed = false;
                     break;
                 }
-                for (b, &n) in bound.iter().enumerate() {
-                    let e = (base + b * rows + i) * k;
-                    attend(logits, exps, q, block(n), &mut first.weights[e..e + k]);
+                if !edges.is_empty() {
+                    exps.next_row(logits.len());
+                    let out = &mut first.weights[(base + i) * k..];
+                    exps.softmax_blocks(logits.logits(), edges, k, out, rows * k);
                 }
             }
             if freed {
                 let mut b = 0;
                 for (p, &n) in nodes.iter().enumerate() {
-                    let keys = class.key(lvl, p as u32, 0) as usize..;
+                    let keys = walk.key(lvl, c, p, 0) as usize..;
                     if single[n as usize] == NONE {
                         let entry = (base + b * rows) as u32;
                         first.slot[keys][..rows].iter_mut().zip(entry..).for_each(|(s, e)| *s = e);
@@ -500,19 +532,32 @@ impl<'a> Engine<'a> {
             first.bound = base;
             first.weights.truncate(base * k);
             for i in 0..rows {
-                let q = self.row_start(query, class.first as usize + i, logits, exps);
+                let q = query.row(class.first as usize + i, d);
+                logits.row(q, self.relation, self.inv_sqrt_d, 0);
+                exps.next_row(logits.len());
+                let mut bound_blocks = edges.chunks_exact(k);
                 for (p, &n) in nodes.iter().enumerate() {
-                    let key = class.key(lvl, p as u32, i as u32) as usize;
+                    let key = walk.key(lvl, c, p, i) as usize;
                     let r = single[n as usize];
-                    first.slot[key] = if r != NONE && logits.logit(q, r).is_finite() {
-                        free_of(n)
-                    } else {
-                        let e = first.weights.len();
-                        first.weights.resize(e + k, 0.0);
-                        attend(logits, exps, q, block(n), &mut first.weights[e..]);
-                        first.runs.push((n, 1));
-                        first.bound += 1;
-                        first.bound as u32 - 1
+                    let j = (r != NONE).then(|| logits.intern(r));
+                    first.slot[key] = match j {
+                        Some(j) if logits.logits()[j as usize].is_finite() => free_of(n),
+                        _ => {
+                            let ids = match j {
+                                Some(j) => {
+                                    block.clear();
+                                    block.resize(k, j);
+                                    &block[..]
+                                }
+                                None => bound_blocks.next().expect("a block per bound node"),
+                            };
+                            let e = first.weights.len();
+                            first.weights.resize(e + k, 0.0);
+                            exps.softmax(logits.logits(), ids, &mut first.weights[e..]);
+                            first.runs.push((n, 1));
+                            first.bound += 1;
+                            first.bound as u32 - 1
+                        }
                     };
                 }
             }
@@ -525,53 +570,41 @@ impl<'a> Engine<'a> {
         first.runs.extend(free.iter().map(|&n| (n, 1)));
         // K equal finite logits: exp(0) each over a sum of K, as a block
         // of zeros gives
-        let mut uniform = vec![0.0f32; k];
-        softmax_inplace(&mut uniform);
-        for _ in &free {
-            first.weights.extend_from_slice(&uniform);
+        if !free.is_empty() {
+            let start = first.weights.len();
+            first.weights.resize(start + k, 0.0);
+            softmax_inplace(&mut first.weights[start..]);
+            for _ in 1..free.len() {
+                first.weights.extend_from_within(start..start + k);
+            }
         }
-        first
-    }
-
-    /// Start the memos on query row `row` and return its vector.
-    fn row_start<'q>(
-        &self,
-        query: Rows<'q>,
-        row: usize,
-        logits: &mut LogitMemo<'_>,
-        exps: &mut ExpMemo,
-    ) -> &'q [f32] {
-        logits.next_row();
-        exps.next_row();
-        query.row(row, self.config.dim)
     }
 
     /// The member–member mixing pass, applied when the model registered
     /// interaction parameters: `m' = m + tanh([m ‖ peer_mean] W_ip +
     /// b_ip)` with `peer_mean = mean·l/(l−1) + m·(−1/(l−1))`, op for op
     /// as `InteractionPatternBackend::member_interaction` emits it.
-    fn member_interaction(&self, member_rep: Vec<f32>, l: usize) -> Vec<f32> {
+    fn member_interaction(&self, member_rep: &mut Vec<f32>, mix: &mut Mixing, l: usize) {
         let Some(ip) = &self.params.interaction else {
-            return member_rep;
+            return;
         };
         if l < 2 {
-            return member_rep;
+            return;
         }
         let d = self.config.dim;
-        let mut mean = Vec::new();
-        kernels::group_mean(Rows::Dense(&member_rep), d, l, &mut mean);
+        let Mixing { mean, peer_mean, mixed, .. } = mix;
+        kernels::group_mean(Rows::Dense(member_rep), d, l, mean);
         let up = l as f32 / (l as f32 - 1.0);
         let down = -1.0 / (l as f32 - 1.0);
-        let mut peer_mean = Vec::with_capacity(member_rep.len());
+        peer_mean.clear();
         for (i, m) in member_rep.chunks_exact(d).enumerate() {
             let mu = &mean[(i / l) * d..(i / l + 1) * d];
             peer_mean.extend(mu.iter().zip(m).map(|(&mu, &x)| mu * up + x * down));
         }
         let (w_m, w_peer) = self.weight(ip.w).split_at(d * d);
-        let mut mixed = Vec::new();
         kernels::matmul2_bias_act(
-            Rows::Dense(&member_rep),
-            &peer_mean,
+            Rows::Dense(member_rep),
+            peer_mean,
             member_rep.len() / d,
             d,
             w_m,
@@ -579,12 +612,12 @@ impl<'a> Engine<'a> {
             d,
             self.weight(ip.b),
             Activation::Tanh,
-            &mut mixed,
+            mixed,
         );
-        for (o, &m) in mixed.iter_mut().zip(&member_rep) {
+        for (o, &m) in mixed.iter_mut().zip(member_rep.iter()) {
             *o = m + *o;
         }
-        mixed
+        std::mem::swap(member_rep, mixed);
     }
 
     /// Preference aggregation (§III-D) and the sigmoid read-out.
@@ -592,19 +625,20 @@ impl<'a> Engine<'a> {
         &self,
         member_rep: &[f32],
         item_rep: &[f32],
+        mix: &mut Mixing,
         l: usize,
         b: usize,
     ) -> Vec<f32> {
         let d = self.config.dim;
-        let sp = self.config.use_sp.then(|| {
-            let mut sp = Vec::new();
-            kernels::row_dot_rep_scaled(member_rep, item_rep, d, l, self.inv_sqrt_d, &mut sp);
-            sp
-        });
+        let Mixing { sp, pi, group_rep, .. } = mix;
+        let use_sp = self.config.use_sp;
+        if use_sp {
+            kernels::row_dot_rep_scaled(member_rep, item_rep, d, l, self.inv_sqrt_d, sp);
+        }
         // the PI tower is shape-tied to the trained size; off-nominal
         // rosters score SP-only, exactly like the tape forward
-        let pi = (self.config.use_pi && l == self.nominal_l && l >= 2).then(|| {
-            let mut pi = Vec::new();
+        let use_pi = self.config.use_pi && l == self.nominal_l && l >= 2;
+        if use_pi {
             kernels::peer_influence(
                 member_rep,
                 l,
@@ -614,30 +648,108 @@ impl<'a> Engine<'a> {
                 self.weight(self.params.att_b),
                 self.weight(self.params.att_v),
                 self.inv_sqrt_d,
-                &mut pi,
+                pi,
             );
-            pi
-        });
-        let mut alpha = match (sp, pi) {
-            (Some(mut s), Some(p)) => {
-                for (a, b) in s.iter_mut().zip(&p) {
+        }
+        let alpha = match (use_sp, use_pi) {
+            (true, true) => {
+                for (a, b) in sp.iter_mut().zip(pi.iter()) {
                     *a += b;
                 }
-                s
+                sp
             }
-            (Some(s), None) => s,
-            (None, Some(p)) => p,
-            (None, None) => vec![0.0; b * l], // uniform fallback
+            (true, false) => sp,
+            (false, true) => pi,
+            (false, false) => {
+                // uniform fallback
+                sp.clear();
+                sp.resize(b * l, 0.0);
+                sp
+            }
         };
-        kernels::softmax_groups_inplace(&mut alpha, l);
-        let mut group_rep = Vec::new();
-        kernels::group_weighted_sum(&alpha, Rows::Dense(member_rep), d, l, &mut group_rep);
+        kernels::softmax_groups_inplace(alpha, l);
+        kernels::group_weighted_sum(alpha, Rows::Dense(member_rep), d, l, group_rep);
         group_rep
             .chunks_exact(d)
             .zip(item_rep.chunks_exact(d))
             .map(|(g, i)| sigmoid(dot(g, i)))
             .collect()
     }
+}
+
+thread_local! {
+    /// This thread's engine buffers, reused by every chunk it scores.
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Every buffer one chunk's scoring writes besides the scores it
+/// returns, kept per thread and reused chunk after chunk, so a chunk of a
+/// shape the thread has scored before allocates nothing else. Buffers
+/// only: each is cleared or overwritten before it is read, the walk
+/// restamps its nodes per chunk and the memos start every row empty, so
+/// no value of one chunk reaches the next — a router chunk's remapped
+/// relation table never meets a logit of another.
+#[derive(Default)]
+struct Workspace {
+    /// An id list: the rosters' member rows, or the gathered rows of the
+    /// KGAG-KG ablation.
+    ids: Vec<u32>,
+    /// One side's `(root node, query row)` slots.
+    slots: Vec<(u32, u32)>,
+    /// The item side's queries, one row a case.
+    q_case: Vec<f32>,
+    item_rep: Vec<f32>,
+    member_rep: Vec<f32>,
+    mix: Mixing,
+    prop: Propagation,
+}
+
+/// The member mixing and aggregation buffers.
+#[derive(Default)]
+struct Mixing {
+    mean: Vec<f32>,
+    peer_mean: Vec<f32>,
+    mixed: Vec<f32>,
+    sp: Vec<f32>,
+    pi: Vec<f32>,
+    group_rep: Vec<f32>,
+}
+
+/// One side's propagation buffers, used by each side in turn.
+#[derive(Default)]
+struct Propagation {
+    walk: Walk,
+    /// The query rows' table ids in the walk's class order.
+    query_ids: Vec<u32>,
+    /// Each level's iteration 0.
+    firsts: Vec<FirstIteration>,
+    attention: Attention,
+    /// Each level's current state rows, and the next iteration's.
+    state: Vec<Vec<f32>>,
+    updated: Vec<f32>,
+    /// Own and child row ids of one level's update.
+    own: Vec<u32>,
+    children: Vec<u32>,
+}
+
+/// [`Engine::first_iteration`]'s buffers.
+#[derive(Default)]
+struct Attention {
+    /// Each node's lone relation, or `NONE`.
+    single: Vec<u32>,
+    /// Each query-free node's entry among the query-free ones, or `NONE`.
+    free_entry: Vec<u32>,
+    /// The query-free nodes in entry order.
+    free: Vec<u32>,
+    /// A class's lone relations and query-bound nodes.
+    lone: Vec<u32>,
+    bound: Vec<u32>,
+    /// The class's bound blocks' edges as indices into its relation set.
+    edges: Vec<u32>,
+    /// One lone-relation block as indices, where its logit is not finite.
+    block: Vec<u32>,
+    logits: LogitMemo,
+    exps: ExpMemo,
 }
 
 /// No node, entry or relation.
@@ -653,52 +765,74 @@ const FREE: u32 = 1 << 31;
 /// are therefore laid out class by class, node by node, row by row, and
 /// numbered by arithmetic instead of by lookup; a node's keys sit side
 /// by side, so its rows are read while they are hot.
+#[derive(Default)]
 struct Walk {
     /// The query rows in class order; a key's row is a position here.
     order: Vec<u32>,
     classes: Vec<Class>,
+    /// Per level: every class's node indices, class after class.
+    nodes: Vec<Vec<u32>>,
+    /// Per level: where each class's nodes start in `nodes`, and the end.
+    spans: Vec<Vec<u32>>,
+    /// Per level: each class's first key.
+    bases: Vec<Vec<u32>>,
+    /// Per level but the deepest: `K` positions among its class's
+    /// next-level nodes for each node of `nodes`.
+    children: Vec<Vec<u32>>,
     /// Each slot's root key.
     slot_keys: Vec<u32>,
     /// Every level's key count.
     keys: Vec<usize>,
+    /// [`Walk::build`]'s scratch: the slots counting-sorted by query
+    /// row, each row's sorted root set and its class, the classes by
+    /// root-set hash, and each level's node stamps.
+    start: Vec<usize>,
+    fill: Vec<usize>,
+    by_query: Vec<u32>,
+    roots: Vec<u32>,
+    root_len: Vec<usize>,
+    row_class: Vec<u32>,
+    class_of: IdMap<u64, u32>,
+    same_hash: Vec<u32>,
+    seen: Vec<Vec<(u32, u32)>>,
 }
 
-/// The rows of one class and the distinct nodes each of them reaches.
+/// The rows of one class: positions `first..first + rows` of the order.
+#[derive(Clone, Copy)]
 struct Class {
-    /// The class's rows: positions `first..first + rows` of the order.
     first: u32,
     rows: u32,
-    /// Per level: the node indices every row of the class reaches.
-    nodes: Vec<Vec<u32>>,
-    /// Per level but the deepest: `K` positions in the next level's
-    /// `nodes` for each node.
-    children: Vec<Vec<u32>>,
-    /// Per level: the class's first key.
-    base: Vec<u32>,
+    /// A row of the class, whose root set is the class's.
+    row: u32,
 }
 
 impl Walk {
-    fn new(dag: &FieldDag, slots: &[(u32, u32)], n_query: usize) -> Walk {
+    fn build(&mut self, dag: &FieldDag, slots: &[(u32, u32)], n_query: usize) {
         let (depth, k) = (dag.depth, dag.k);
         // the slots counting-sorted by query row
-        let mut start = vec![0usize; n_query + 1];
+        let start = &mut self.start;
+        start.clear();
+        start.resize(n_query + 1, 0);
         for &(_, q) in slots {
             start[q as usize + 1] += 1;
         }
         for q in 0..n_query {
             start[q + 1] += start[q];
         }
-        let mut by_query = vec![0u32; slots.len()];
-        let mut fill = start.clone();
+        self.by_query.clear();
+        self.by_query.resize(slots.len(), 0);
+        self.fill.clear();
+        self.fill.extend_from_slice(start);
         for (t, &(_, q)) in slots.iter().enumerate() {
-            by_query[fill[q as usize]] = t as u32;
-            fill[q as usize] += 1;
+            self.by_query[self.fill[q as usize]] = t as u32;
+            self.fill[q as usize] += 1;
         }
         // each row's root set, sorted and deduplicated in place
-        let mut roots: Vec<u32> = by_query.iter().map(|&t| slots[t as usize].0).collect();
-        let mut root_len = vec![0usize; n_query];
+        self.roots.clear();
+        self.roots.extend(self.by_query.iter().map(|&t| slots[t as usize].0));
+        self.root_len.clear();
         for q in 0..n_query {
-            let set = &mut roots[start[q]..start[q + 1]];
+            let set = &mut self.roots[start[q]..start[q + 1]];
             set.sort_unstable();
             let mut len = 0;
             for i in 0..set.len() {
@@ -707,122 +841,152 @@ impl Walk {
                     len += 1;
                 }
             }
-            root_len[q] = len;
+            self.root_len.push(len);
         }
         // classes of rows with equal root sets, in first-seen order; a
         // row usually shares its predecessor's
-        let mut class_index: IdMap<&[u32], u32> = IdMap::default();
-        let mut members: Vec<Vec<u32>> = Vec::new();
-        let mut last: Option<(&[u32], u32)> = None;
+        let set = |q: usize| &self.roots[start[q]..start[q] + self.root_len[q]];
+        self.classes.clear();
+        self.class_of.clear();
+        self.same_hash.clear();
+        self.row_class.clear();
         for q in 0..n_query {
-            let set = &roots[start[q]..start[q] + root_len[q]];
-            let c = match last {
-                Some((prev, c)) if prev == set => c,
-                _ => *class_index.entry(set).or_insert_with(|| {
-                    members.push(Vec::new());
-                    members.len() as u32 - 1
-                }),
-            };
-            members[c as usize].push(q as u32);
-            last = Some((set, c));
-        }
-        let order: Vec<u32> = members.iter().flatten().copied().collect();
-        // every class's nodes level by level, keys numbered as laid out
-        let mut seen: Vec<Vec<(u32, u32)>> =
-            dag.nodes.iter().map(|level| vec![(0, 0); level.len()]).collect();
-        let mut keys = vec![0usize; depth];
-        let mut slot_keys = vec![0u32; slots.len()];
-        let mut classes = Vec::with_capacity(members.len());
-        let mut first = 0;
-        for (c, rows) in members.iter().enumerate() {
-            let stamp = c as u32 + 1;
-            let q0 = rows[0] as usize;
-            let mut class = Class {
-                first,
-                rows: rows.len() as u32,
-                nodes: vec![roots[start[q0]..start[q0] + root_len[q0]].to_vec()],
-                children: Vec::with_capacity(depth.saturating_sub(1)),
-                base: Vec::with_capacity(depth),
-            };
-            first += class.rows;
-            for lvl in 0..depth {
-                class.base.push(keys[lvl] as u32);
-                keys[lvl] += rows.len() * class.nodes[lvl].len();
-                if lvl + 1 == depth {
-                    break;
+            let c = match q.checked_sub(1) {
+                Some(prev) if set(prev) == set(q) => self.row_class[prev],
+                _ => {
+                    let hash = self.class_of.hasher().hash_one(set(q));
+                    let mut c = self.class_of.get(&hash).copied().unwrap_or(NONE);
+                    while c != NONE && set(self.classes[c as usize].row as usize) != set(q) {
+                        c = self.same_hash[c as usize];
+                    }
+                    if c == NONE {
+                        c = self.classes.len() as u32;
+                        self.classes.push(Class { first: 0, rows: 0, row: q as u32 });
+                        self.same_hash.push(self.class_of.insert(hash, c).unwrap_or(NONE));
+                    }
+                    c
                 }
-                let (mut next, mut positions) = (Vec::new(), Vec::new());
-                positions.reserve(class.nodes[lvl].len() * k);
-                for &n in &class.nodes[lvl] {
+            };
+            self.classes[c as usize].rows += 1;
+            self.row_class.push(c);
+        }
+        let mut first = 0;
+        for class in &mut self.classes {
+            class.first = first;
+            first += class.rows;
+        }
+        self.order.clear();
+        self.order.resize(n_query, 0);
+        self.fill.clear();
+        self.fill.extend(self.classes.iter().map(|class| class.first as usize));
+        for (q, &c) in self.row_class.iter().enumerate() {
+            self.order[self.fill[c as usize]] = q as u32;
+            self.fill[c as usize] += 1;
+        }
+        // every class's nodes level by level, keys numbered as laid out
+        for list in [&mut self.nodes, &mut self.spans, &mut self.bases, &mut self.children] {
+            list.resize_with(depth, Vec::new);
+            list.iter_mut().for_each(Vec::clear);
+        }
+        self.seen.resize_with(depth, Vec::new);
+        for (seen, level) in self.seen.iter_mut().zip(&dag.nodes) {
+            seen.clear();
+            seen.resize(level.len(), (0, 0));
+        }
+        self.keys.clear();
+        self.keys.resize(depth, 0);
+        self.slot_keys.clear();
+        self.slot_keys.resize(slots.len(), 0);
+        for (c, class) in self.classes.iter().enumerate() {
+            let stamp = c as u32 + 1;
+            let rows = class.rows as usize;
+            let q0 = class.row as usize;
+            self.spans[0].push(self.nodes[0].len() as u32);
+            self.nodes[0].extend_from_slice(&self.roots[start[q0]..start[q0] + self.root_len[q0]]);
+            for lvl in 0..depth {
+                let span = self.spans[lvl][c] as usize;
+                self.bases[lvl].push(self.keys[lvl] as u32);
+                self.keys[lvl] += rows * (self.nodes[lvl].len() - span);
+                if lvl + 1 == depth {
+                    continue;
+                }
+                let (upper, lower) = self.nodes.split_at_mut(lvl + 1);
+                let next = &mut lower[0];
+                let first_next = next.len();
+                self.spans[lvl + 1].push(first_next as u32);
+                for &n in &upper[lvl][span..] {
                     for &child in &dag.child_nodes[lvl][n as usize * k..(n as usize + 1) * k] {
-                        let entry = &mut seen[lvl + 1][child as usize];
+                        let entry = &mut self.seen[lvl + 1][child as usize];
                         if entry.0 != stamp {
-                            *entry = (stamp, next.len() as u32);
+                            *entry = (stamp, (next.len() - first_next) as u32);
                             next.push(child);
                         }
-                        positions.push(entry.1);
+                        self.children[lvl].push(entry.1);
                     }
                 }
-                class.nodes.push(next);
-                class.children.push(positions);
             }
             // each slot's root key: its row's rank in the class and its
             // node's position among the class's roots
-            for (p, &n) in class.nodes[0].iter().enumerate() {
-                seen[0][n as usize] = (stamp, p as u32);
+            let span = self.spans[0][c] as usize;
+            for (p, &n) in self.nodes[0][span..].iter().enumerate() {
+                self.seen[0][n as usize] = (stamp, p as u32);
             }
-            for (i, &q) in rows.iter().enumerate() {
-                for &t in &by_query[start[q as usize]..start[q as usize + 1]] {
-                    let p = seen[0][slots[t as usize].0 as usize].1;
-                    slot_keys[t as usize] = class.key(0, p, i as u32);
+            let base = self.bases[0][c];
+            for (i, &q) in self.order[class.first as usize..][..rows].iter().enumerate() {
+                for &t in &self.by_query[start[q as usize]..start[q as usize + 1]] {
+                    let p = self.seen[0][slots[t as usize].0 as usize].1;
+                    self.slot_keys[t as usize] = base + p * class.rows + i as u32;
                 }
             }
-            classes.push(class);
         }
-        Walk { order, classes, slot_keys, keys }
+        for (spans, nodes) in self.spans.iter_mut().zip(&self.nodes) {
+            spans.push(nodes.len() as u32);
+        }
     }
 
-    /// `K` next-level keys per key of level `lvl`, each through `row`.
-    fn child_keys(&self, lvl: usize, k: usize, row: impl Fn(u32) -> u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.keys[lvl] * k);
-        for class in &self.classes {
-            for positions in class.children[lvl].chunks_exact(k) {
+    /// Class `c`'s nodes at level `lvl`.
+    fn nodes(&self, lvl: usize, c: usize) -> &[u32] {
+        &self.nodes[lvl][self.spans[lvl][c] as usize..self.spans[lvl][c + 1] as usize]
+    }
+
+    /// The key of class `c`'s node position `p` of level `lvl` under the
+    /// class's `i`-th row: a class's keys run node by node, row by row.
+    fn key(&self, lvl: usize, c: usize, p: usize, i: usize) -> u32 {
+        self.bases[lvl][c] + (p * self.classes[c].rows as usize + i) as u32
+    }
+
+    /// `K` next-level keys per key of level `lvl`, each through `row`,
+    /// into `out`.
+    fn child_keys(&self, lvl: usize, k: usize, row: impl Fn(u32) -> u32, out: &mut Vec<u32>) {
+        out.clear();
+        out.reserve(self.keys[lvl] * k);
+        for (c, class) in self.classes.iter().enumerate() {
+            let span = self.spans[lvl][c] as usize * k..self.spans[lvl][c + 1] as usize * k;
+            let base = self.bases[lvl + 1][c];
+            for positions in self.children[lvl][span].chunks_exact(k) {
                 for i in 0..class.rows {
-                    out.extend(positions.iter().map(|&p| row(class.key(lvl + 1, p, i))));
+                    out.extend(positions.iter().map(|&p| row(base + p * class.rows + i)));
                 }
             }
         }
-        out
     }
-}
-
-impl Class {
-    /// The key of node position `p` of level `lvl` under the class's
-    /// `i`-th row: a class's keys run node by node, row by row.
-    fn key(&self, lvl: usize, p: u32, i: u32) -> u32 {
-        self.base[lvl] + p * self.rows + i
-    }
-}
-
-/// One query-bound block's weights into `out`: its logits under query
-/// vector `q`, softmaxed in place.
-fn attend(logits: &mut LogitMemo<'_>, exps: &mut ExpMemo, q: &[f32], ids: &[u32], out: &mut [f32]) {
-    for (x, &r) in out.iter_mut().zip(ids) {
-        *x = logits.logit(q, r);
-    }
-    exps.softmax(out, ids);
 }
 
 /// Iteration 0 of one level: every key's entry in the level's compacted
 /// buffer — the query-bound keys first, in key order, then one entry
 /// per query-free node.
+#[derive(Default)]
 struct FirstIteration {
+    /// The level.
+    level: usize,
     /// Each key's entry.
     slot: Vec<u32>,
     /// The entries' nodes in order, as `(node, entries)` runs.
     runs: Vec<(u32, u32)>,
     /// Each entry's `K` attention weights.
     weights: Vec<f32>,
+    /// Each key's `K` weights, its entry's, for the iterations past 0.
+    key_weights: Vec<f32>,
     /// The number of query-bound entries.
     bound: usize,
 }
@@ -846,7 +1010,7 @@ pub(crate) struct Chunk {
 impl Chunk {
     /// The chunk of `instances` — `(case, item entity)` pairs, each
     /// case's contiguous — over `cases` of `l` members each.
-    fn new(cases: &[(&[u32], &[u32])], instances: &[(u32, u32)], l: usize) -> Self {
+    pub(crate) fn new(cases: &[(&[u32], &[u32])], instances: &[(u32, u32)], l: usize) -> Self {
         let mut chunk = Chunk {
             l,
             members: Vec::new(),

@@ -31,7 +31,7 @@
 //! bit-identically (`crates/core/tests/shard_oracle.rs`).
 
 use crate::config::KgagConfig;
-use crate::infer::{score_buckets, Engine, Stage, StageClock};
+use crate::infer::{score_buckets, Chunk, Engine, Stage, StageClock};
 use crate::model::ModelParams;
 use crate::shard::{ShardError, ShardFetch};
 use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
@@ -327,25 +327,26 @@ impl<S: ChunkSource> Scorer<S> {
                 let mut clock = StageClock::start();
                 let rows = self.source.chunk(&self.plan, &chunk.members, &chunk.items)?;
                 clock.lap(Stage::Fields);
-                let engine = Engine::new(
-                    &self.config,
-                    self.group_size,
-                    &self.store,
-                    &self.params,
-                    &rows.entity,
-                    &rows.relation,
-                );
-                let scores = engine.score_chunk(
-                    rows.fields.as_ref().map(|(m, i)| (m, i)),
-                    chunk,
-                    &rows.members,
-                    &rows.items,
-                    &mut clock,
-                );
+                let scores = self.score_rows(chunk, &rows, &mut clock);
                 clock.flush();
                 Ok(scores)
             },
         )
+    }
+
+    /// The engine's scores of `chunk` over the fields and rows its source
+    /// gave.
+    fn score_rows(&self, chunk: &Chunk, rows: &ChunkRows<'_>, clock: &mut StageClock) -> Vec<f32> {
+        let engine = Engine::new(
+            &self.config,
+            self.group_size,
+            &self.store,
+            &self.params,
+            &rows.entity,
+            &rows.relation,
+        );
+        let fields = rows.fields.as_ref().map(|(m, i)| (m, i));
+        engine.score_chunk(fields, chunk, &rows.members, &rows.items, clock)
     }
 }
 
@@ -380,5 +381,112 @@ impl<S: ChunkSource> ScoreCases for Scorer<S> {
             out[ci] = result.map_err(ScoreError::Shard);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Kgag, KgagConfig};
+    use kgag_data::movielens::{movielens_rand, MovieLensConfig, Scale};
+    use kgag_data::split::split_dataset;
+    use kgag_tensor::pool::with_threads;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// This thread's allocation count while a test counts.
+        static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// The system allocator, counting each thread's allocations and
+    /// reallocations while that thread counts.
+    struct Counting;
+
+    fn count() {
+        // a thread past its locals' teardown counts nothing
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+    }
+
+    // SAFETY: every call is forwarded to `System` unchanged; counting
+    // touches only a const-initialised thread local, which allocates
+    // nothing
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller's contract is `System`'s
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller's contract is `System`'s
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: the caller's contract is `System`'s
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: the caller's contract is `System`'s
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    /// The allocations `f` makes on this thread.
+    fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        ALLOCATIONS.with(|n| n.set(Some(0)));
+        let r = f();
+        (r, ALLOCATIONS.with(|n| n.replace(None)).expect("counting"))
+    }
+
+    /// The engine's buffers are this thread's workspace (DESIGN.md §14):
+    /// once a chunk of a shape has sized them, the next chunk of that
+    /// shape allocates nothing but the scores it returns — on the
+    /// in-process scorer, at one thread, both sides propagating.
+    #[test]
+    fn a_second_chunk_of_a_shape_allocates_only_its_scores() {
+        let ds = movielens_rand(&MovieLensConfig::at_scale(Scale::Tiny));
+        let split = split_dataset(&ds, 7);
+        let mut model = Kgag::new(&ds, &split, KgagConfig { epochs: 1, ..Default::default() });
+        with_threads(1, || model.fit(&split));
+        let scorer = model.batch_scorer();
+        let members: Vec<u32> = {
+            let groups = scorer.groups();
+            let members = groups.members(0).expect("group 0");
+            members.iter().map(|&u| scorer.user_base + u).collect()
+        };
+        let l = members.len();
+        // two requests of one group and 50 items each, the served chunk
+        let requests: Vec<Vec<u32>> = [0, 50]
+            .iter()
+            .map(|&from| (from..from + 50).map(|v| scorer.item_entity[v]).collect())
+            .collect();
+        with_threads(1, || {
+            for items in &requests {
+                let cases = [(&members[..], &items[..])];
+                let instances: Vec<(u32, u32)> = items.iter().map(|&v| (0, v)).collect();
+                let chunk = Chunk::new(&cases, &instances, l);
+                let rows = scorer
+                    .source
+                    .chunk(&scorer.plan, &chunk.members, &chunk.items)
+                    .expect("in process");
+                assert!(rows.fields.is_some(), "both sides propagate");
+                let score = || scorer.score_rows(&chunk, &rows, &mut StageClock::start());
+                let (first, _) = allocations(score);
+                let (second, n) = allocations(score);
+                assert_eq!(
+                    second.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    first.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+                );
+                assert_eq!(n, 1, "the scores are the one allocation");
+            }
+        });
     }
 }

@@ -9,11 +9,12 @@
 //!
 //! * **Rows in place.** An operand is a [`Rows`] — a dense buffer, or
 //!   rows of an embedding table picked by id and read where they lie.
-//! * **One logit per (query row, relation).** [`LogitMemo`] memoises
-//!   the attention dot by relation id within each query row.
+//! * **One logit per (query row, relation).** [`LogitMemo`] computes
+//!   each query row's attention dot once per relation of a set laid out
+//!   for many rows, into a dense array the edges index.
 //! * **One `exp` per (query row, relation, group max).** [`ExpMemo`]
 //!   memoises the softmax numerator by relation and the relation of the
-//!   group's max logit.
+//!   group's max logit, within each query row.
 //! * **Packed rows at the served width.** At d = 16 the accumulating
 //!   kernels hold the output row in a fixed-size array the compiler
 //!   keeps in vector registers, with a matmul block's 16 terms
@@ -145,55 +146,84 @@ pub fn gather_rows(table: &[f32], dim: usize, ids: &[u32], out: &mut Vec<f32>) {
     }
 }
 
-/// The relation-attention logit of one query row at a time:
+/// The relation-attention logits of one query row at a time, over a
+/// set of relations laid out once for many rows.
+///
 /// `dot(q, relation.row(r)) · scale` depends only on the row and the
-/// relation, so each row computes it once per distinct relation id, in a
-/// memo stamped with the row, and returns the stored value for every
-/// other edge with that id. The memoised value is the same expression
-/// the tape evaluates per edge, so the memo is value-neutral.
-pub struct LogitMemo<'r> {
-    relation: &'r [f32],
-    dim: usize,
-    scale: f32,
-    stamp: Vec<usize>,
-    value: Vec<f32>,
-    row: usize,
+/// relation, so a row computes it once per relation of the set, in the
+/// set's order, into a dense array, and every edge reads its logit there
+/// by the relation's index in the set — no per-edge lookup. The value is
+/// the same expression the tape evaluates per edge, so the form is
+/// value-neutral. [`LogitMemo::intern`] numbers the set, and
+/// [`LogitMemo::start_set`] begins the next one.
+#[derive(Debug, Default)]
+pub struct LogitMemo {
+    /// The set's relation ids, by index.
+    relations: Vec<u32>,
+    /// Per relation id: the set stamp it was numbered under, and its
+    /// index there.
+    index: Vec<(u64, u32)>,
+    /// The current set's stamp, past every stamp in `index`.
+    set: u64,
+    /// The current row's logit of each relation of the set, by index.
+    logits: Vec<f32>,
     /// Dot products computed so far.
     pub dots: usize,
 }
 
-impl<'r> LogitMemo<'r> {
-    /// A memo over the `[rows, dim]` relation table, scaling by `scale`.
-    pub fn new(relation: &'r [f32], dim: usize, scale: f32) -> Self {
-        let rows = relation.len() / dim;
-        LogitMemo {
-            relation,
-            dim,
-            scale,
-            stamp: vec![0; rows],
-            value: vec![0.0; rows],
-            // past every stamp, so the first row's lookups compute
-            row: 1,
-            dots: 0,
-        }
+impl LogitMemo {
+    /// Begin a new, empty relation set; no earlier index stays valid.
+    pub fn start_set(&mut self) {
+        self.relations.clear();
+        self.set += 1;
     }
 
-    /// Begin the next query row; the previous row's logits are dropped.
-    pub fn next_row(&mut self) {
-        self.row += 1;
-    }
-
-    /// The logit of relation `r` under the current row, whose query
-    /// vector is `q` for every call within the row.
+    /// The index of relation `r` in the current set, appended if new.
     #[inline]
-    pub fn logit(&mut self, q: &[f32], r: u32) -> f32 {
-        let r = r as usize;
-        if self.stamp[r] != self.row {
-            self.stamp[r] = self.row;
-            self.value[r] = dot(q, &self.relation[r * self.dim..(r + 1) * self.dim]) * self.scale;
-            self.dots += 1;
+    pub fn intern(&mut self, r: u32) -> u32 {
+        let slot = r as usize;
+        if slot >= self.index.len() {
+            self.index.resize(slot + 1, (0, 0));
         }
-        self.value[r]
+        let entry = &mut self.index[slot];
+        if entry.0 != self.set {
+            *entry = (self.set, self.relations.len() as u32);
+            self.relations.push(r);
+        }
+        entry.1
+    }
+
+    /// The number of relations in the current set.
+    pub fn len(&self) -> usize {
+        self.relations.len()
+    }
+
+    /// Whether the current set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.relations.is_empty()
+    }
+
+    /// Compute the logits of query vector `q` against the `[rows, dim]`
+    /// relation table for every relation of the set, in set order. The
+    /// first `finite` of them must be finite: at the first that is not
+    /// the row stops, having computed it, and returns `false`.
+    pub fn row(&mut self, q: &[f32], relation: &[f32], scale: f32, finite: usize) -> bool {
+        let dim = q.len();
+        self.logits.resize(self.relations.len(), 0.0);
+        for (j, (x, &r)) in self.logits.iter_mut().zip(&self.relations).enumerate() {
+            let r = r as usize;
+            *x = dot(q, &relation[r * dim..(r + 1) * dim]) * scale;
+            self.dots += 1;
+            if j < finite && !x.is_finite() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The current row's logits, by index in the set.
+    pub fn logits(&self) -> &[f32] {
+        &self.logits
     }
 }
 
@@ -204,80 +234,241 @@ impl<'r> LogitMemo<'r> {
 /// only on the bits of `x` and `max`. Within a query row `x` is a
 /// function of the relation (the [`LogitMemo`] invariant), and `max` —
 /// an `f32::max` fold from −∞ — is the bits of one of the block's own
-/// logits, so it is named by that logit's relation. A memo keyed by
-/// (relation, max relation) and stamped with the row therefore returns
-/// the very value the per-edge `exp` would. The one block whose max is
-/// no logit — every logit NaN, max −∞ — runs the plain per-edge softmax.
-/// The max fold, the sum in edge order and the divide are unchanged.
+/// logits, so it is named by that logit's relation. A table keyed by
+/// (relation, max relation) and cleared with each row therefore returns
+/// the very value the per-edge `exp` would. Relations are named by their
+/// index in the row's [`LogitMemo`] set, and a block asks once which of
+/// its relations lack a value under its max, not once per edge. The one
+/// block whose max is no logit — every logit NaN, max −∞ — runs the
+/// plain per-edge softmax. The max fold, the sum in edge order and the
+/// divide are unchanged.
+///
+/// At the served fan-out a row whose logits are pairwise distinct
+/// numbers is ranked first: then every order of a block's `f32::max`
+/// fold gives its highest-ranked relation's logit, and that relation
+/// holds the block's first edge with the max's bits, so one OR of
+/// per-relation bits a edge names both the block's max relation and the
+/// `exp`s it needs. A row with NaN or tied logits folds block by block.
+#[derive(Debug, Default)]
 pub struct ExpMemo {
-    relations: usize,
-    stamp: Vec<usize>,
+    /// The row's relation count.
+    n: usize,
+    /// 64-relation words per `have` row.
+    words: usize,
+    /// `exp(logit[j] − logit[top])` at `top · n + j`, where `have` says so.
     value: Vec<f32>,
-    row: usize,
+    /// Per `top`: which `value`s the current row holds, 64 a word.
+    have: Vec<u64>,
+    /// The row's relations from the largest logit down, when the row is
+    /// ranked.
+    by_rank: Vec<u32>,
+    /// Per relation of a ranked row: bit `j` and bit `32 + rank`.
+    rank_bits: Vec<u64>,
     /// `exp` evaluated so far.
     pub exps: usize,
 }
 
-/// The served propagation fan-out `K`, whose softmax blocks
-/// [`ExpMemo::softmax`] runs at a fixed size.
+/// The served propagation fan-out `K`, whose blocks a ranked row runs at
+/// a fixed size.
 const PACKED_GROUP: usize = 8;
 
 impl ExpMemo {
-    /// A memo for relation ids below `relations`.
-    pub fn new(relations: usize) -> Self {
-        let n = relations * relations;
-        // `row` starts past every stamp, so the first row's lookups compute
-        ExpMemo { relations, stamp: vec![0; n], value: vec![0.0; n], row: 1, exps: 0 }
-    }
-
-    /// Begin the next query row; the previous row's values are dropped.
-    pub fn next_row(&mut self) {
-        self.row += 1;
-    }
-
-    /// One block's softmax in place under the current row, `ids` its
-    /// logits' relation ids.
-    #[inline]
-    pub fn softmax(&mut self, block: &mut [f32], ids: &[u32]) {
-        assert_eq!(block.len(), ids.len(), "one relation id per logit");
-        if block.len() == PACKED_GROUP {
-            // a fixed-size block lets the compiler unroll it
-            let block: &mut [f32; PACKED_GROUP] = block.try_into().expect("a packed block");
-            let ids: &[u32; PACKED_GROUP] = ids.try_into().expect("a packed block");
-            self.softmax_block(block, ids);
-        } else {
-            self.softmax_block(block, ids);
+    /// Begin the next query row over `n` relations; the previous row's
+    /// values are dropped.
+    pub fn next_row(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(64);
+        self.have.clear();
+        self.have.resize(n * self.words, 0);
+        if self.value.len() < n * n {
+            self.value.resize(n * n, 0.0);
         }
     }
 
+    /// One block's softmax into `out` under the current row: edge `e`
+    /// has logit `logits[ids[e]]`, `ids` indices below the row's `n`.
+    pub fn softmax(&mut self, logits: &[f32], ids: &[u32], out: &mut [f32]) {
+        assert_eq!(out.len(), ids.len(), "one relation per edge");
+        self.softmax_blocks(logits, ids, ids.len(), out, ids.len());
+    }
+
+    /// [`ExpMemo::softmax`] of each of the current row's `k`-edge blocks
+    /// in turn: block `b`'s edges are `ids[b·k..(b + 1)·k]`, and its
+    /// weights go to `out[b·stride..b·stride + k]`, `stride ≥ k`.
+    pub fn softmax_blocks(
+        &mut self,
+        logits: &[f32],
+        ids: &[u32],
+        k: usize,
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        assert!(0 < k && k <= stride, "blocks of at least one edge, side by side or apart");
+        assert_eq!(ids.len() % k, 0, "whole blocks");
+        let blocks = ids.len() / k;
+        if blocks == 0 {
+            return;
+        }
+        assert!((blocks - 1) * stride + k <= out.len(), "room for every block");
+        let n = self.n;
+        assert_eq!(logits.len(), n, "one logit per relation of the row");
+        let top_index = ids.iter().fold(0, |m, &j| m.max(j)) as usize;
+        assert!(top_index < n, "relation indices below the row's {n}");
+        let ranked = k == PACKED_GROUP && self.rank(logits);
+        let mut row = RowExps {
+            logits,
+            n,
+            words: self.words,
+            value: &mut self.value[..n * n],
+            have: &mut self.have[..],
+            by_rank: &self.by_rank,
+            rank_bits: &self.rank_bits,
+            exps: 0,
+        };
+        let blocks = ids.chunks_exact(k).zip(out.chunks_mut(stride));
+        if ranked {
+            assert_eq!((row.by_rank.len(), row.rank_bits.len()), (n, n), "a rank a relation");
+            for (ids, out) in blocks {
+                let out = (&mut out[..k]).try_into().expect("a packed block");
+                row.ranked(ids.try_into().expect("a packed block"), out);
+            }
+        } else {
+            for (ids, out) in blocks {
+                row.folded(ids, &mut out[..k]);
+            }
+        }
+        self.exps += row.exps;
+    }
+
+    /// Rank the row's relations by logit when that decides every block's
+    /// max: at most 32 relations, no NaN and no two equal logits (`+0`
+    /// and `−0` included). Then a block's `f32::max` fold has one
+    /// possible result whatever the order — the logit of its
+    /// highest-ranked relation — and that relation holds the first edge
+    /// with the max's bits.
+    fn rank(&mut self, logits: &[f32]) -> bool {
+        let n = logits.len();
+        if n > 32 || logits.iter().any(|x| x.is_nan()) {
+            return false;
+        }
+        self.by_rank.clear();
+        self.by_rank.extend(0..n as u32);
+        self.by_rank.sort_unstable_by(|&a, &b| logits[b as usize].total_cmp(&logits[a as usize]));
+        if self.by_rank.windows(2).any(|w| logits[w[0] as usize] == logits[w[1] as usize]) {
+            return false;
+        }
+        self.rank_bits.clear();
+        self.rank_bits.resize(n, 0);
+        for (rank, &j) in self.by_rank.iter().enumerate() {
+            self.rank_bits[j as usize] = 1 << j | 1 << (32 + rank);
+        }
+        true
+    }
+}
+
+/// One query row's view of an [`ExpMemo`], every length fixed: `n`
+/// logits, `n · n` values, `n · words` held-words, and — as
+/// [`ExpMemo::softmax_blocks`] checks before making one — every edge's
+/// relation index below `n`.
+struct RowExps<'a> {
+    logits: &'a [f32],
+    n: usize,
+    words: usize,
+    value: &'a mut [f32],
+    have: &'a mut [u64],
+    /// When the row is ranked, as [`ExpMemo::softmax_blocks`] checks
+    /// before its ranked blocks: `n` of each.
+    by_rank: &'a [u32],
+    rank_bits: &'a [u64],
+    exps: usize,
+}
+
+impl RowExps<'_> {
+    /// One block of a ranked row: its relations' bits name the block's
+    /// top relation and the values it needs in one OR each edge, with no
+    /// max fold or scan.
     #[inline(always)]
-    fn softmax_block(&mut self, block: &mut [f32], ids: &[u32]) {
-        let max = block.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let Some(top) = block.iter().position(|x| x.to_bits() == max.to_bits()) else {
-            softmax_inplace(block);
-            self.exps += block.len();
+    fn ranked(&mut self, ids: &[u32; PACKED_GROUP], out: &mut [f32; PACKED_GROUP]) {
+        // SAFETY: `j < n = rank_bits.len()`, as the view's maker checked
+        let bits =
+            ids.iter().fold(0, |m, &j| m | unsafe { *self.rank_bits.get_unchecked(j as usize) });
+        let top = self.by_rank[(bits >> 32).trailing_zeros() as usize] as usize;
+        // SAFETY: `top < n = have.len()`: a ranked row has one word a
+        // relation
+        let missing = bits & 0xffff_ffff & !unsafe { *self.have.get_unchecked(top) };
+        if missing != 0 {
+            self.fill(top, 0, missing);
+        }
+        let sum = self.values(ids, top, out);
+        divide(out, sum);
+    }
+
+    /// One block by the `f32::max` fold from −∞ in edge order and the
+    /// first edge holding the max's bits; a block whose logits are all
+    /// NaN runs the plain per-edge softmax.
+    fn folded(&mut self, ids: &[u32], out: &mut [f32]) {
+        for (x, &j) in out.iter_mut().zip(ids) {
+            *x = self.logits[j as usize];
+        }
+        let max = out.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let Some(e) = out.iter().position(|x| x.to_bits() == max.to_bits()) else {
+            softmax_inplace(out);
+            self.exps += out.len();
             return;
         };
-        let top = ids[top] as usize;
-        // with `top` in range, an out-of-range id indexes past the memo
-        assert!(top < self.relations, "relation id {top} out of range");
-        let (stamp, value) = (&mut self.stamp[..], &mut self.value[..]);
-        let mut sum = 0.0;
-        for (x, &r) in block.iter_mut().zip(ids) {
-            let key = r as usize * self.relations + top;
-            if stamp[key] != self.row {
-                stamp[key] = self.row;
-                value[key] = (*x - max).exp();
-                self.exps += 1;
+        let top = ids[e] as usize;
+        for &j in ids {
+            let (word, bit) = (j as usize / 64, 1u64 << (j % 64));
+            if self.have[top * self.words + word] & bit == 0 {
+                self.fill(top, word, bit);
             }
-            debug_assert_eq!(value[key].to_bits(), (*x - max).exp().to_bits());
-            *x = value[key];
+        }
+        let sum = self.values(ids, top, out);
+        divide(out, sum);
+    }
+
+    /// The block's numerators under max relation `top` into `out`, and
+    /// their sum in edge order.
+    #[inline(always)]
+    fn values(&self, ids: &[u32], top: usize, out: &mut [f32]) -> f32 {
+        debug_assert_eq!((self.logits.len(), self.value.len()), (self.n, self.n * self.n));
+        debug_assert!(top < self.n && ids.iter().all(|&j| (j as usize) < self.n));
+        let mut sum = 0.0;
+        for (x, &j) in out.iter_mut().zip(ids) {
+            // SAFETY: `top < n` and `j < n`, so `top · n + j < n · n =
+            // value.len()`
+            let v = unsafe { *self.value.get_unchecked(top * self.n + j as usize) };
+            debug_assert_eq!(
+                v.to_bits(),
+                (self.logits[j as usize] - self.logits[top]).exp().to_bits()
+            );
+            *x = v;
             sum += *x;
         }
-        if sum > 0.0 {
-            for x in block.iter_mut() {
-                *x /= sum;
-            }
+        sum
+    }
+
+    /// `exp(logits[j] − logits[top])` for each relation `j` of `bits` in
+    /// word `word`, now held.
+    #[inline(never)]
+    fn fill(&mut self, top: usize, word: usize, bits: u64) {
+        self.have[top * self.words + word] |= bits;
+        let mut rest = bits;
+        while rest != 0 {
+            let j = word * 64 + rest.trailing_zeros() as usize;
+            self.value[top * self.n + j] = (self.logits[j] - self.logits[top]).exp();
+            self.exps += 1;
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// The softmax's divide, skipped when the sum is not positive.
+#[inline(always)]
+fn divide(out: &mut [f32], sum: f32) {
+    if sum > 0.0 {
+        for x in out.iter_mut() {
+            *x /= sum;
         }
     }
 }
@@ -1183,28 +1374,50 @@ mod tests {
     #[test]
     fn logit_memo_shares_query_rows_and_counts_distinct_dots() {
         let relation = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let mut memo = LogitMemo::new(&relation, 2, 1.0);
+        let mut memo = LogitMemo::default();
         let mut logits = Vec::new();
         // each query row's edges of two levels, as one row owns them
         for (q, ids) in [([2.0, 3.0], [0, 1, 2, 2, 0, 1]), ([4.0, 5.0], [2, 0, 1, 1, 0, 0])] {
-            memo.next_row();
-            logits.extend(ids.map(|r| memo.logit(&q, r)));
+            memo.start_set();
+            let index = ids.map(|r| memo.intern(r));
+            assert!(memo.row(&q, &relation, 1.0, 0));
+            logits.extend(index.map(|j| memo.logits()[j as usize]));
         }
         assert_eq!(logits, [2.0, 3.0, 5.0, 5.0, 2.0, 3.0, 9.0, 4.0, 5.0, 5.0, 4.0, 4.0]);
         assert_eq!(memo.dots, 3 + 3, "one dot per distinct relation per query row");
     }
 
     #[test]
-    fn memos_compute_before_the_first_next_row() {
+    fn a_row_stops_at_its_first_non_finite_checked_logit() {
+        let relation = [1.0, 0.0, f32::INFINITY, 0.0, 0.0, 1.0];
+        let mut memo = LogitMemo::default();
+        memo.start_set();
+        assert_eq!([2, 1, 0].map(|r| memo.intern(r)), [0, 1, 2]);
+        assert!(!memo.row(&[1.0, 1.0], &relation, 1.0, 2), "relation 1's logit is +inf");
+        assert_eq!(memo.dots, 2, "the row stops at the first non-finite checked logit");
+        assert!(memo.row(&[1.0, 1.0], &relation, 1.0, 0), "nothing checked");
+        assert_eq!(memo.dots, 5);
+    }
+
+    #[test]
+    fn memos_drop_the_previous_set_and_row() {
         let relation = [1.0, 2.0, 3.0, 4.0];
-        let mut logits = LogitMemo::new(&relation, 2, 0.5);
-        assert_eq!(logits.logit(&[1.0, 1.0], 1), 3.5, "no stale logit before next_row");
-        assert_eq!(logits.dots, 1);
-        let mut exps = ExpMemo::new(2);
-        let mut block = [0.0, 0.0];
-        exps.softmax(&mut block, &[0, 1]);
-        assert_eq!(block, [0.5, 0.5], "no stale exp before next_row");
-        assert_eq!(exps.exps, 2);
+        let mut logits = LogitMemo::default();
+        logits.start_set();
+        assert_eq!(logits.intern(1), 0);
+        logits.start_set();
+        assert_eq!([0, 1].map(|r| logits.intern(r)), [0, 1], "a new set numbers afresh");
+        assert!(logits.row(&[1.0, 1.0], &relation, 0.5, 2));
+        assert_eq!(logits.logits(), [1.5, 3.5]);
+        let mut exps = ExpMemo::default();
+        let mut block = [0.0; 2];
+        exps.next_row(2);
+        exps.softmax(&[0.0, 0.0], &[0, 1], &mut block);
+        assert_eq!(block, [0.5, 0.5]);
+        exps.next_row(2);
+        exps.softmax(&[0.0, f32::NEG_INFINITY], &[0, 1], &mut block);
+        assert_eq!(block, [1.0, 0.0], "no exp of the previous row survives");
+        assert_eq!(exps.exps, 4);
     }
 
     #[test]

@@ -159,16 +159,24 @@ pub fn tanh(x: f32) -> f32 {
 /// [`tanh`] of one lane in 2⁻²⁶ ≤ |x| < 7.5, with no branch: every
 /// path of `expm1f(±2|x|)` the domain reaches is evaluated and the one
 /// its reduction `k` takes is selected.
+///
+/// # Safety
+/// `x` must lie in the domain, `LANE_MIN ≤ |x| < LANE_MAX`: the
+/// reduction truncates `INVLN2·y ± 0.5` without a range check.
 #[inline(always)]
-fn tanh_lane(x: f32) -> f32 {
+unsafe fn tanh_lane(x: f32) -> f32 {
+    debug_assert!((LANE_MIN..LANE_MAX).contains(&x.abs()), "tanh_lane({x:e})");
     let a = x.abs();
     let big = a >= 1.0;
     // the expm1f argument, and its magnitude 2|x| (both exact)
     let y = if big { 2.0 * a } else { -2.0 * a };
     let ay = 2.0 * a;
     // the reduction: no k for |y| ≤ 0.5·ln 2, k = −1 up to 1.5·ln 2
-    // (y ≥ 2 whenever y is positive), the truncated quotient above
-    let rounded = (INVLN2 * y + if big { 0.5 } else { -0.5 }) as i32;
+    // (y ≥ 2 whenever y is positive), the truncated quotient above.
+    // SAFETY: |y| < 15 in the domain, so |INVLN2·y ± 0.5| < 23 is finite
+    // and fits an i32; unchecked, the truncation is one packed
+    // `cvttps2dq` instead of a saturating scalar conversion a lane
+    let rounded: i32 = unsafe { (INVLN2 * y + if big { 0.5 } else { -0.5 }).to_int_unchecked() };
     let k = if ay <= HALF_LN2 {
         0
     } else if ay < THREE_HALVES_LN2 {
@@ -230,7 +238,8 @@ pub(crate) fn tanh16_packed(row: &mut [f32; 16]) {
     let lanes_ok = row.iter().fold(true, |ok, x| ok & (x.abs() >= LANE_MIN) & (x.abs() < LANE_MAX));
     if lanes_ok {
         for x in row.iter_mut() {
-            *x = tanh_lane(*x);
+            // SAFETY: every lane is in the domain
+            *x = unsafe { tanh_lane(*x) };
         }
     } else {
         for x in row.iter_mut() {
@@ -275,12 +284,57 @@ mod tests {
 
     #[test]
     fn the_lane_form_equals_the_scalar_form_on_its_domain() {
+        let check = |x: f32| {
+            if (LANE_MIN..LANE_MAX).contains(&x) {
+                for v in [x, -x] {
+                    // SAFETY: |v| is in the domain
+                    let lane = unsafe { tanh_lane(v) };
+                    assert_eq!(lane.to_bits(), tanh(v).to_bits(), "x = {v:e}");
+                }
+            }
+        };
         let mut x = LANE_MIN;
         while x < LANE_MAX {
-            for v in [x, -x] {
-                assert_eq!(tanh_lane(v).to_bits(), tanh(v).to_bits(), "x = {v:e}");
-            }
+            check(x);
             x = f32::from_bits(x.to_bits() + 997);
+        }
+        // the reduction `k` of |x|, as the lane form truncates it
+        let k_of = |x: f32| {
+            let big = x >= 1.0;
+            let y = if big { 2.0 * x } else { -2.0 * x };
+            (INVLN2 * y + if big { 0.5 } else { -0.5 }) as i32
+        };
+        // the least x in (lo, hi] at which `reached` starts to hold
+        let first = |lo: f32, hi: f32, reached: &dyn Fn(f32) -> bool| {
+            let (mut lo, mut hi) = (lo.to_bits(), hi.to_bits());
+            assert!(!reached(f32::from_bits(lo)) && reached(f32::from_bits(hi)));
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if reached(f32::from_bits(mid)) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            f32::from_bits(hi)
+        };
+        // every edge of the reduction exactly and one ulp either side:
+        // the domain's ends, 2|x| at 0.5·ln 2 (k = 0 → −1) and 1.5·ln 2
+        // (→ −2), the −2 → −3 step below 1, |x| = 1 (the quotient
+        // switch, where k = 3 starts) and each step to k = 4…22
+        let mut edges = vec![LANE_MIN, LANE_MAX, HALF_LN2 / 2.0, THREE_HALVES_LN2 / 2.0, 1.0];
+        let below_one = f32::from_bits(1.0f32.to_bits() - 1);
+        edges.push(first(THREE_HALVES_LN2 / 2.0, below_one, &|x| k_of(x) <= -3));
+        assert_eq!((k_of(below_one), k_of(1.0)), (-3, 3));
+        for k in 4..=22 {
+            edges.push(first(1.0, LANE_MAX, &|x| k_of(x) >= k));
+        }
+        assert_eq!(k_of(f32::from_bits(LANE_MAX.to_bits() - 1)), 22, "k ≤ 22 on the domain");
+        for edge in edges {
+            let b = edge.to_bits();
+            for b in [b - 1, b, b + 1] {
+                check(f32::from_bits(b));
+            }
         }
     }
 

@@ -100,7 +100,7 @@ fn gather_rows_equals_tape_gather() {
     });
 }
 
-/// The per-relation logit memo equals the tape's per-edge
+/// The per-row relation logits equal the tape's per-edge
 /// `repeat_rows` (query → targets → edges) → `gather_row_dot` → `scale`
 /// at every level, with few relations so ids repeat within and across
 /// sibling sets in no particular order, and computes exactly one dot
@@ -146,16 +146,22 @@ fn logit_memo_equals_tape_repeat_gather_dot_scale() {
                 })
                 .sum();
             for form in query.forms() {
-                let mut memo = LogitMemo::new(&relation, dim, scale);
+                let mut memo = LogitMemo::default();
                 let mut got: Vec<Vec<f32>> = levels.iter().map(|_| Vec::new()).collect();
                 for qi in 0..n_query {
-                    memo.next_row();
-                    let q = form.row(qi, dim);
-                    for (out, edges) in got.iter_mut().zip(&levels) {
-                        let share = edges.len() / n_query;
-                        out.extend(
-                            edges[qi * share..(qi + 1) * share].iter().map(|&r| memo.logit(q, r)),
-                        );
+                    // the row's set: its edges' relations in first-seen order
+                    memo.start_set();
+                    let index: Vec<Vec<u32>> = levels
+                        .iter()
+                        .map(|edges| {
+                            let share = edges.len() / n_query;
+                            let row = &edges[qi * share..(qi + 1) * share];
+                            row.iter().map(|&r| memo.intern(r)).collect()
+                        })
+                        .collect();
+                    prop_assert_eq!(memo.row(form.row(qi, dim), &relation, scale, 0), true);
+                    for (out, index) in got.iter_mut().zip(&index) {
+                        out.extend(index.iter().map(|&j| memo.logits()[j as usize]));
                     }
                 }
                 prop_assert_eq!(got.iter().map(|l| bits(l)).collect::<Vec<_>>(), want.clone());
@@ -486,14 +492,17 @@ fn logit_row(rng: &mut SplitMix64, n_rel: usize) -> Vec<f32> {
 /// repeated, unsorted ids and every special value; and it evaluates one
 /// `exp` per distinct (relation, first max relation) pair in each query
 /// row, plus one per edge of every all-NaN group. Each query row owns
-/// the same share of every level as under the logit memo.
+/// the same share of every level as under the logit memo. Relation
+/// counts run 1–7 and 64–71, where a row's table of held values takes a
+/// second 64-relation word.
 #[test]
 fn exp_memo_equals_per_group_softmax() {
-    let gen = (usize_in(1..5), usize_in(1..4), usize_in(1..9), usize_in(1..4), usize_in(1..8));
+    let gen = (usize_in(1..5), usize_in(1..4), usize_in(1..9), usize_in(1..4), usize_in(1..16));
     let gen = (gen, u64_in(0..u64::MAX));
     Runner::new("infer-relation-softmax-vs-softmax").cases(192).run(
         &gen,
         |&((n_query, rep, group, depth, n_rel), seed)| {
+            let n_rel = if n_rel < 8 { n_rel } else { 56 + n_rel };
             let mut rng = SplitMix64::new(seed);
             let table: Vec<Vec<f32>> = (0..n_query).map(|_| logit_row(&mut rng, n_rel)).collect();
             let levels: Vec<Vec<u32>> = (1..=depth)
@@ -528,16 +537,16 @@ fn exp_memo_equals_per_group_softmax() {
                 expected_exps += pairs.len();
             }
             let mut got = logits;
-            let mut memo = ExpMemo::new(n_rel);
-            for qi in 0..n_query {
-                memo.next_row();
+            let mut memo = ExpMemo::default();
+            for (qi, row) in table.iter().enumerate() {
+                memo.next_row(n_rel);
                 for (xs, ids) in got.iter_mut().zip(&levels) {
                     let share = xs.len() / n_query;
                     let span = qi * share..(qi + 1) * share;
                     for (block, ids) in
                         xs[span.clone()].chunks_exact_mut(group).zip(ids[span].chunks_exact(group))
                     {
-                        memo.softmax(block, ids);
+                        memo.softmax(row, ids, block);
                     }
                 }
             }
