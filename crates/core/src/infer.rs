@@ -225,13 +225,8 @@ impl<'a> Engine<'a> {
         items: &[u32],
         clock: &mut StageClock,
     ) -> Vec<f32> {
-        WORKSPACE.with(|ws| match ws.try_borrow_mut() {
-            Ok(mut ws) => self.score_chunk_in(&mut ws, fields, chunk, members, items, clock),
-            // only a chunk scored inside another on this thread lands here
-            Err(_) => {
-                self.score_chunk_in(&mut Workspace::default(), fields, chunk, members, items, clock)
-            }
-        })
+        WORKSPACE
+            .with_borrow_mut(|ws| self.score_chunk_in(ws, fields, chunk, members, items, clock))
     }
 
     fn score_chunk_in(
@@ -339,16 +334,16 @@ impl<'a> Engine<'a> {
         // entity table
         let act = |h: usize| if h + 1 == layers { Activation::Tanh } else { Activation::Relu };
         state.resize_with(layers, Vec::new);
-        for (first, state) in firsts.iter().zip(state.iter_mut()) {
+        for (lvl, (first, state)) in firsts.iter().zip(state.iter_mut()).enumerate() {
             own.clear();
             children.clear();
             for &(n, count) in &first.runs {
                 let (n, count) = (n as usize, count as usize);
-                own.extend(std::iter::repeat_n(dag.nodes[first.level][n], count));
+                own.extend(std::iter::repeat_n(dag.nodes[lvl][n], count));
                 // the run's `count` copies of the node's children, in
                 // doubling copies rather than one short copy an entry
                 let start = children.len();
-                children.extend_from_slice(&dag.children[first.level][n * k..(n + 1) * k]);
+                children.extend_from_slice(&dag.children[lvl][n * k..(n + 1) * k]);
                 while children.len() < start + count * k {
                     let have = children.len() - start;
                     children.extend_from_within(start..start + have.min(count * k - have));
@@ -470,7 +465,6 @@ impl<'a> Engine<'a> {
             }
             FREE | *entry
         };
-        first.level = lvl;
         first.slot.clear();
         first.slot.resize(walk.keys[lvl], 0);
         first.runs.clear();
@@ -977,8 +971,6 @@ impl Walk {
 /// per query-free node.
 #[derive(Default)]
 struct FirstIteration {
-    /// The level.
-    level: usize,
     /// Each key's entry.
     slot: Vec<u32>,
     /// The entries' nodes in order, as `(node, entries)` runs.

@@ -172,9 +172,11 @@ pub struct LogitMemo {
 }
 
 impl LogitMemo {
-    /// Begin a new, empty relation set; no earlier index stays valid.
+    /// Begin a new, empty relation set; no earlier index or logit stays
+    /// valid, and the set has no logits until its first row.
     pub fn start_set(&mut self) {
         self.relations.clear();
+        self.logits.clear();
         self.set += 1;
     }
 
@@ -244,7 +246,7 @@ impl LogitMemo {
 /// divide are unchanged.
 ///
 /// At the served fan-out a row whose logits are pairwise distinct
-/// numbers is ranked first: then every order of a block's `f32::max`
+/// numbers is ranked, once: then every order of a block's `f32::max`
 /// fold gives its highest-ranked relation's logit, and that relation
 /// holds the block's first edge with the max's bits, so one OR of
 /// per-relation bits a edge names both the block's max relation and the
@@ -264,6 +266,9 @@ pub struct ExpMemo {
     by_rank: Vec<u32>,
     /// Per relation of a ranked row: bit `j` and bit `32 + rank`.
     rank_bits: Vec<u64>,
+    /// Whether the current row is ranked, once a block of the served
+    /// fan-out has asked.
+    ranked: Option<bool>,
     /// `exp` evaluated so far.
     pub exps: usize,
 }
@@ -280,6 +285,7 @@ impl ExpMemo {
         self.words = n.div_ceil(64);
         self.have.clear();
         self.have.resize(n * self.words, 0);
+        self.ranked = None;
         if self.value.len() < n * n {
             self.value.resize(n * n, 0.0);
         }
@@ -314,7 +320,10 @@ impl ExpMemo {
         assert_eq!(logits.len(), n, "one logit per relation of the row");
         let top_index = ids.iter().fold(0, |m, &j| m.max(j)) as usize;
         assert!(top_index < n, "relation indices below the row's {n}");
-        let ranked = k == PACKED_GROUP && self.rank(logits);
+        if k == PACKED_GROUP && self.ranked.is_none() {
+            self.ranked = Some(self.rank(logits));
+        }
+        let ranked = k == PACKED_GROUP && self.ranked == Some(true);
         let mut row = RowExps {
             logits,
             n,
@@ -1409,6 +1418,9 @@ mod tests {
         assert_eq!([0, 1].map(|r| logits.intern(r)), [0, 1], "a new set numbers afresh");
         assert!(logits.row(&[1.0, 1.0], &relation, 0.5, 2));
         assert_eq!(logits.logits(), [1.5, 3.5]);
+        logits.start_set();
+        logits.intern(0);
+        assert!(logits.logits().is_empty(), "a new set reads no logit before its first row");
         let mut exps = ExpMemo::default();
         let mut block = [0.0; 2];
         exps.next_row(2);
@@ -1418,6 +1430,19 @@ mod tests {
         exps.softmax(&[0.0, f32::NEG_INFINITY], &[0, 1], &mut block);
         assert_eq!(block, [1.0, 0.0], "no exp of the previous row survives");
         assert_eq!(exps.exps, 4);
+        // each row is ranked afresh: the second ranks its relations the
+        // other way round
+        let ids: Vec<u32> = (0..8).collect();
+        let up: Vec<f32> = (0..8).map(|j| j as f32).collect();
+        for row in [up.clone(), up.iter().rev().copied().collect()] {
+            let mut block = [0.0; 8];
+            exps.next_row(8);
+            exps.softmax(&row, &ids, &mut block);
+            let mut want = row.clone();
+            softmax_inplace(&mut want);
+            let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(block.map(f32::to_bits)[..], want, "no rank survives its row");
+        }
     }
 
     #[test]
