@@ -17,17 +17,16 @@
 //! AVG surrogate).
 
 use crate::aggregators::IndividualScorer;
+use crate::train::{self, flat_members, TapeForward};
 use crate::BaselineConfig;
-use kgag::config::Aggregator;
-use kgag::loss::{margin_group_loss, user_log_loss};
 use kgag::model::PropagationParams;
 use kgag::propagation::propagate;
-use kgag_data::split::{DatasetSplit, NegativeSampler};
+use kgag::{Backend, TrainReport};
+use kgag_data::split::{DatasetSplit, TrainBatch};
 use kgag_data::GroupDataset;
 use kgag_kg::{KgGraph, NeighborSampler};
-use kgag_tensor::optim::{Adam, Optimizer};
-use kgag_tensor::rng::{derive_seed, SplitMix64};
-use kgag_tensor::{init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use kgag_tensor::rng::derive_seed;
+use kgag_tensor::{init, NodeId, ParamId, ParamStore, Tape};
 
 /// KGCN hyper-parameters: the shared baseline set plus the propagation
 /// depth/breadth.
@@ -40,7 +39,7 @@ pub struct KgcnConfig {
     /// Neighbors sampled per node K.
     pub neighbor_k: usize,
     /// Representation-update aggregator.
-    pub aggregator: Aggregator,
+    pub aggregator: Backend,
 }
 
 impl Default for KgcnConfig {
@@ -49,7 +48,7 @@ impl Default for KgcnConfig {
             base: BaselineConfig::default(),
             layers: 2,
             neighbor_k: 4,
-            aggregator: Aggregator::Gcn,
+            aggregator: Backend::Gcn,
         }
     }
 }
@@ -65,7 +64,6 @@ pub struct Kgcn {
     item_entity: Vec<u32>,
     groups: Vec<Vec<u32>>,
     group_size: usize,
-    num_items: u32,
 }
 
 impl Kgcn {
@@ -106,7 +104,6 @@ impl Kgcn {
             item_entity: ds.item_entity.iter().map(|e| e.0).collect(),
             groups: ds.groups.clone(),
             group_size: ds.group_size,
-            num_items: ds.num_items,
         }
     }
 
@@ -117,81 +114,44 @@ impl Kgcn {
         propagate(tape, &self.prop, self.config.aggregator, &rf, query)
     }
 
-    /// Train on the combined objective; returns `(group, user)` losses
-    /// per epoch.
-    pub fn fit(&mut self, split: &DatasetSplit) -> Vec<(f32, f32)> {
-        let cfg = self.config.clone();
-        let mut adam = Adam::with_decay(cfg.base.learning_rate, cfg.base.lambda);
-        let mut rng = SplitMix64::new(derive_seed(cfg.base.seed, "kgcn-fit"));
-        let group_known: Vec<(u32, u32)> =
-            split.group.train.iter().chain(&split.group.val).copied().collect();
-        let group_neg = NegativeSampler::new(group_known, self.num_items);
-        let user_neg = NegativeSampler::from_interactions(&split.user_train);
-        let mut group_pairs = split.group.train.clone();
-        let mut user_pairs = split.user_train.pairs();
-        assert!(!group_pairs.is_empty() && !user_pairs.is_empty(), "empty training data");
-        let mut cursor = 0usize;
-        let mut losses = Vec::with_capacity(cfg.base.epochs);
+    /// Train on the combined objective on KGAG's batches; returns the
+    /// per-epoch losses.
+    pub fn fit(&mut self, split: &DatasetSplit) -> TrainReport {
+        train::fit("kgcn-fit", self.config.base.clone(), self, split)
+    }
 
-        for epoch in 0..cfg.base.epochs {
-            rng.shuffle(&mut group_pairs);
-            rng.shuffle(&mut user_pairs);
-            let (mut g_sum, mut u_sum, mut n) = (0.0f64, 0.0f64, 0usize);
-            for (bi, chunk) in group_pairs.chunks(cfg.base.batch_size).enumerate() {
-                let salt = derive_seed(cfg.base.seed, "kgcn-step")
-                    ^ (epoch as u64).wrapping_mul(1_000_003)
-                    ^ (bi as u64).wrapping_mul(89);
-                let l = self.group_size;
-                let mut members = Vec::with_capacity(chunk.len() * l);
-                let mut pos = Vec::with_capacity(chunk.len());
-                let mut neg = Vec::with_capacity(chunk.len());
-                for &(g, v) in chunk {
-                    members.extend_from_slice(&self.groups[g as usize]);
-                    pos.push(v);
-                    neg.push(group_neg.sample(g, &mut rng));
-                }
-                let half = cfg.base.user_batch_size / 2;
-                let mut uu = Vec::with_capacity(2 * half);
-                let mut uv = Vec::with_capacity(2 * half);
-                let mut ut = Vec::with_capacity(2 * half);
-                for _ in 0..half {
-                    let (u, v) = user_pairs[cursor % user_pairs.len()];
-                    cursor += 1;
-                    uu.push(u);
-                    uv.push(v);
-                    ut.push(1.0);
-                    uu.push(u);
-                    uv.push(user_neg.sample(u, &mut rng));
-                    ut.push(0.0);
-                }
-                let (grads, gl, ul) = {
-                    let mut tape = Tape::new(&self.store);
-                    // group tower: query = mean member embedding
-                    let m = tape.gather(self.user_emb, &members);
-                    let g_rep = tape.group_mean(m, l);
-                    let p_rep = self.item_rep(&mut tape, &pos, g_rep, salt ^ 0x11);
-                    let n_rep = self.item_rep(&mut tape, &neg, g_rep, salt ^ 0x22);
-                    let s_pos = tape.row_dot(g_rep, p_rep);
-                    let s_neg = tape.row_dot(g_rep, n_rep);
-                    let lg = margin_group_loss(&mut tape, s_pos, s_neg, cfg.base.margin);
-                    // user tower: KGCN proper
-                    let ue = tape.gather(self.user_emb, &uu);
-                    let v_rep = self.item_rep(&mut tape, &uv, ue, salt ^ 0x33);
-                    let logits = tape.row_dot(ue, v_rep);
-                    let lu = user_log_loss(&mut tape, logits, Tensor::col_vector(&ut));
-                    let lgw = tape.scale(lg, cfg.base.beta);
-                    let luw = tape.scale(lu, 1.0 - cfg.base.beta);
-                    let total = tape.add(lgw, luw);
-                    (tape.backward(total), tape.value(lg).item(), tape.value(lu).item())
-                };
-                adam.step(&mut self.store, &grads);
-                g_sum += gl as f64;
-                u_sum += ul as f64;
-                n += 1;
-            }
-            losses.push(((g_sum / n.max(1) as f64) as f32, (u_sum / n.max(1) as f64) as f32));
-        }
-        losses
+    /// The salt of a batch's receptive-field draws.
+    fn step_salt(&self, batch: &TrainBatch) -> u64 {
+        derive_seed(self.config.base.seed, "kgcn-step")
+            ^ (batch.epoch as u64).wrapping_mul(1_000_003)
+            ^ (batch.index as u64).wrapping_mul(89)
+    }
+}
+
+impl TapeForward for Kgcn {
+    fn params(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    /// Query = the mean member embedding.
+    fn group_scores(&self, tape: &mut Tape<'_>, batch: &TrainBatch) -> (NodeId, NodeId) {
+        let salt = self.step_salt(batch);
+        let m = tape.gather(self.user_emb, &flat_members(&self.groups, batch));
+        let g_rep = tape.group_mean(m, self.group_size);
+        let p_rep = self.item_rep(tape, &batch.positives, g_rep, salt ^ 0x11);
+        let n_rep = self.item_rep(tape, &batch.negatives, g_rep, salt ^ 0x22);
+        (tape.row_dot(g_rep, p_rep), tape.row_dot(g_rep, n_rep))
+    }
+
+    /// KGCN proper.
+    fn user_logits(&self, tape: &mut Tape<'_>, batch: &TrainBatch) -> NodeId {
+        let ue = tape.gather(self.user_emb, &batch.users);
+        let v_rep = self.item_rep(tape, &batch.items, ue, self.step_salt(batch) ^ 0x33);
+        tape.row_dot(ue, v_rep)
     }
 }
 
@@ -228,9 +188,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let losses = model.fit(&split);
+        let losses = model.fit(&split).epochs;
         assert_eq!(losses.len(), 4);
-        assert!(losses.iter().all(|(g, u)| g.is_finite() && u.is_finite()));
+        assert!(losses.iter().all(|e| e.group.is_finite() && e.user.is_finite()));
         let scores = model.score_user(1, &[0, 1, 2]);
         assert_eq!(scores.len(), 3);
         assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
@@ -247,9 +207,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let losses = model.fit(&split);
+        let losses = model.fit(&split).epochs;
         assert!(
-            losses.last().unwrap().0 < losses.first().unwrap().0,
+            losses.last().unwrap().group < losses.first().unwrap().group,
             "group loss should fall: {losses:?}"
         );
     }

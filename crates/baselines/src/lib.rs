@@ -18,7 +18,10 @@
 //!
 //! Following §IV-D, every *trained* baseline optimises the same combined
 //! objective as KGAG (Eq. 20): the margin-based group ranking loss plus
-//! the user log loss, weighted by β.
+//! the user log loss, weighted by β. MF, KGCN and MoSAN also draw their
+//! data from KGAG's own sampler, [`kgag_data::split::TrainBatches`]: the
+//! same shuffles, batches and negatives in the same RNG order, on a
+//! seed stream of their own. Each keeps only its tape forward.
 
 pub mod aggregators;
 pub mod kgcn;
@@ -26,10 +29,11 @@ pub mod mf;
 pub mod mosan;
 pub mod popularity;
 pub mod pseudo_user;
+mod train;
 
 pub use aggregators::{AggregatedGroupScorer, IndividualScorer, ScoreAggregator};
 pub use kgcn::{Kgcn, KgcnConfig};
-pub use mf::{MatrixFactorization, MfConfig};
+pub use mf::MatrixFactorization;
 pub use mosan::{Mosan, MosanConfig};
 pub use popularity::Popularity;
 pub use pseudo_user::PseudoUserGroups;

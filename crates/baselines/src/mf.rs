@@ -9,31 +9,27 @@
 //! (CF+AVG / CF+LM / CF+MP).
 
 use crate::aggregators::IndividualScorer;
+use crate::train::{self, flat_members, TapeForward};
 use crate::BaselineConfig;
-use kgag::loss::{margin_group_loss, user_log_loss};
-use kgag_data::split::{DatasetSplit, NegativeSampler};
+use kgag::TrainReport;
+use kgag_data::split::{DatasetSplit, TrainBatch};
 use kgag_data::GroupDataset;
-use kgag_tensor::optim::{Adam, Optimizer};
-use kgag_tensor::rng::{derive_seed, SplitMix64};
-use kgag_tensor::{init, ParamId, ParamStore, Tape, Tensor};
-
-/// Configuration alias — MF uses the shared baseline hyper-parameters.
-pub type MfConfig = BaselineConfig;
+use kgag_tensor::rng::derive_seed;
+use kgag_tensor::{init, NodeId, ParamId, ParamStore, Tape};
 
 /// A trained (or trainable) MF model bound to one dataset.
 pub struct MatrixFactorization {
-    config: MfConfig,
+    config: BaselineConfig,
     store: ParamStore,
     user_emb: ParamId,
     item_emb: ParamId,
     groups: Vec<Vec<u32>>,
     group_size: usize,
-    num_items: u32,
 }
 
 impl MatrixFactorization {
     /// Build an untrained model over `ds`.
-    pub fn new(ds: &GroupDataset, config: MfConfig) -> Self {
+    pub fn new(ds: &GroupDataset, config: BaselineConfig) -> Self {
         let mut store = ParamStore::new();
         let user_emb = store.register(
             "user_emb",
@@ -50,7 +46,6 @@ impl MatrixFactorization {
             item_emb,
             groups: ds.groups.clone(),
             group_size: ds.group_size,
-            num_items: ds.num_items,
         }
     }
 
@@ -59,78 +54,34 @@ impl MatrixFactorization {
         &self.store
     }
 
-    /// Train with the combined loss `β·L_group + (1−β)·L_user + λ‖Θ‖²`.
-    /// Returns the per-epoch `(group, user)` losses.
-    pub fn fit(&mut self, split: &DatasetSplit) -> Vec<(f32, f32)> {
-        let cfg = self.config.clone();
-        let mut adam = Adam::with_decay(cfg.learning_rate, cfg.lambda);
-        let mut rng = SplitMix64::new(derive_seed(cfg.seed, "mf-fit"));
-        let group_known: Vec<(u32, u32)> =
-            split.group.train.iter().chain(&split.group.val).copied().collect();
-        let group_neg = NegativeSampler::new(group_known, self.num_items);
-        let user_neg = NegativeSampler::from_interactions(&split.user_train);
-        let mut group_pairs = split.group.train.clone();
-        let mut user_pairs = split.user_train.pairs();
-        assert!(!group_pairs.is_empty() && !user_pairs.is_empty(), "empty training data");
-        let mut cursor = 0usize;
-        let mut losses = Vec::with_capacity(cfg.epochs);
+    /// Train with the combined loss `β·L_group + (1−β)·L_user + λ‖Θ‖²`
+    /// on KGAG's batches.
+    pub fn fit(&mut self, split: &DatasetSplit) -> TrainReport {
+        train::fit("mf-fit", self.config.clone(), self, split)
+    }
+}
 
-        for _epoch in 0..cfg.epochs {
-            rng.shuffle(&mut group_pairs);
-            rng.shuffle(&mut user_pairs);
-            let mut g_sum = 0.0f64;
-            let mut u_sum = 0.0f64;
-            let mut n = 0usize;
-            for chunk in group_pairs.chunks(cfg.batch_size) {
-                let l = self.group_size;
-                let mut members = Vec::with_capacity(chunk.len() * l);
-                let mut pos = Vec::with_capacity(chunk.len());
-                let mut neg = Vec::with_capacity(chunk.len());
-                for &(g, v) in chunk {
-                    members.extend_from_slice(&self.groups[g as usize]);
-                    pos.push(v);
-                    neg.push(group_neg.sample(g, &mut rng));
-                }
-                let half = cfg.user_batch_size / 2;
-                let mut uu = Vec::with_capacity(2 * half);
-                let mut uv = Vec::with_capacity(2 * half);
-                let mut ut = Vec::with_capacity(2 * half);
-                for _ in 0..half {
-                    let (u, v) = user_pairs[cursor % user_pairs.len()];
-                    cursor += 1;
-                    uu.push(u);
-                    uv.push(v);
-                    ut.push(1.0);
-                    uu.push(u);
-                    uv.push(user_neg.sample(u, &mut rng));
-                    ut.push(0.0);
-                }
-                let (grads, gl, ul) = {
-                    let mut tape = Tape::new(&self.store);
-                    let m = tape.gather(self.user_emb, &members);
-                    let g_rep = tape.group_mean(m, l);
-                    let p = tape.gather(self.item_emb, &pos);
-                    let nn = tape.gather(self.item_emb, &neg);
-                    let s_pos = tape.row_dot(g_rep, p);
-                    let s_neg = tape.row_dot(g_rep, nn);
-                    let lg = margin_group_loss(&mut tape, s_pos, s_neg, cfg.margin);
-                    let ue = tape.gather(self.user_emb, &uu);
-                    let ve = tape.gather(self.item_emb, &uv);
-                    let logits = tape.row_dot(ue, ve);
-                    let lu = user_log_loss(&mut tape, logits, Tensor::col_vector(&ut));
-                    let lgw = tape.scale(lg, cfg.beta);
-                    let luw = tape.scale(lu, 1.0 - cfg.beta);
-                    let total = tape.add(lgw, luw);
-                    (tape.backward(total), tape.value(lg).item(), tape.value(lu).item())
-                };
-                adam.step(&mut self.store, &grads);
-                g_sum += gl as f64;
-                u_sum += ul as f64;
-                n += 1;
-            }
-            losses.push(((g_sum / n.max(1) as f64) as f32, (u_sum / n.max(1) as f64) as f32));
-        }
-        losses
+impl TapeForward for MatrixFactorization {
+    fn params(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn group_scores(&self, tape: &mut Tape<'_>, batch: &TrainBatch) -> (NodeId, NodeId) {
+        let m = tape.gather(self.user_emb, &flat_members(&self.groups, batch));
+        let g_rep = tape.group_mean(m, self.group_size);
+        let p = tape.gather(self.item_emb, &batch.positives);
+        let n = tape.gather(self.item_emb, &batch.negatives);
+        (tape.row_dot(g_rep, p), tape.row_dot(g_rep, n))
+    }
+
+    fn user_logits(&self, tape: &mut Tape<'_>, batch: &TrainBatch) -> NodeId {
+        let ue = tape.gather(self.user_emb, &batch.users);
+        let ve = tape.gather(self.item_emb, &batch.items);
+        tape.row_dot(ue, ve)
     }
 }
 
@@ -162,18 +113,19 @@ mod tests {
         let (ds, split) = fixture();
         let mut mf = MatrixFactorization::new(
             &ds,
-            MfConfig { epochs: 15, learning_rate: 0.05, ..Default::default() },
+            BaselineConfig { epochs: 15, learning_rate: 0.05, ..Default::default() },
         );
-        let losses = mf.fit(&split);
-        let first = losses.first().unwrap().1;
-        let last = losses.last().unwrap().1;
+        let losses = mf.fit(&split).epochs;
+        let first = losses.first().unwrap().user;
+        let last = losses.last().unwrap().user;
         assert!(last < first, "user loss should fall: {first} -> {last}");
     }
 
     #[test]
     fn scores_are_probabilities() {
         let (ds, split) = fixture();
-        let mut mf = MatrixFactorization::new(&ds, MfConfig { epochs: 2, ..Default::default() });
+        let mut mf =
+            MatrixFactorization::new(&ds, BaselineConfig { epochs: 2, ..Default::default() });
         mf.fit(&split);
         let scores = mf.score_user(0, &[0, 1, 2, 3]);
         assert_eq!(scores.len(), 4);
@@ -185,7 +137,7 @@ mod tests {
         let (ds, split) = fixture();
         let mut mf = MatrixFactorization::new(
             &ds,
-            MfConfig { epochs: 40, learning_rate: 0.05, ..Default::default() },
+            BaselineConfig { epochs: 40, learning_rate: 0.05, ..Default::default() },
         );
         mf.fit(&split);
         // average score of observed positives vs. random items

@@ -13,15 +13,15 @@
 //! combined Eq. 20 objective.
 
 use crate::aggregators::IndividualScorer;
+use crate::train::{self, flat_members, TapeForward};
 use crate::BaselineConfig;
-use kgag::loss::{margin_group_loss, user_log_loss};
-use kgag_data::split::{DatasetSplit, NegativeSampler};
+use kgag::TrainReport;
+use kgag_data::split::{DatasetSplit, TrainBatch};
 use kgag_data::GroupDataset;
 use kgag_eval::GroupScorer;
 use kgag_kg::transe::{self, TransEConfig};
-use kgag_tensor::optim::{Adam, Optimizer};
-use kgag_tensor::rng::{derive_seed, SplitMix64};
-use kgag_tensor::{init, ParamId, ParamStore, Tape, Tensor};
+use kgag_tensor::rng::derive_seed;
+use kgag_tensor::{init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// MoSAN hyper-parameters.
 #[derive(Clone, Debug)]
@@ -53,7 +53,6 @@ pub struct Mosan {
     att_v: ParamId,
     groups: Vec<Vec<u32>>,
     group_size: usize,
-    num_items: u32,
 }
 
 impl Mosan {
@@ -121,7 +120,6 @@ impl Mosan {
             att_v,
             groups: ds.groups.clone(),
             group_size: ds.group_size,
-            num_items: ds.num_items,
         }
     }
 
@@ -150,7 +148,7 @@ impl Mosan {
     /// Group representations for a batch of instances (`flat_members` is
     /// `B·L` user ids) — a `[B, d]` node. The sub-attention is
     /// item-independent by design.
-    fn group_rep(&self, tape: &mut Tape<'_>, flat_members: &[u32]) -> kgag_tensor::NodeId {
+    fn group_rep(&self, tape: &mut Tape<'_>, flat_members: &[u32]) -> NodeId {
         let l = self.group_size;
         assert!(l >= 2, "MoSAN needs at least two members");
         let (left, right) = self.pair_indices(flat_members);
@@ -171,74 +169,33 @@ impl Mosan {
         tape.group_mean(ctx, l) // [B, d]
     }
 
-    /// Train on the combined objective; returns `(group, user)` losses.
-    pub fn fit(&mut self, split: &DatasetSplit) -> Vec<(f32, f32)> {
-        let cfg = self.config.base.clone();
-        let mut adam = Adam::with_decay(cfg.learning_rate, cfg.lambda);
-        let mut rng = SplitMix64::new(derive_seed(cfg.seed, "mosan-fit"));
-        let group_known: Vec<(u32, u32)> =
-            split.group.train.iter().chain(&split.group.val).copied().collect();
-        let group_neg = NegativeSampler::new(group_known, self.num_items);
-        let user_neg = NegativeSampler::from_interactions(&split.user_train);
-        let mut group_pairs = split.group.train.clone();
-        let mut user_pairs = split.user_train.pairs();
-        assert!(!group_pairs.is_empty() && !user_pairs.is_empty(), "empty training data");
-        let mut cursor = 0usize;
-        let mut losses = Vec::with_capacity(cfg.epochs);
+    /// Train on the combined objective on KGAG's batches; returns the
+    /// per-epoch losses.
+    pub fn fit(&mut self, split: &DatasetSplit) -> TrainReport {
+        train::fit("mosan-fit", self.config.base.clone(), self, split)
+    }
+}
 
-        for _ in 0..cfg.epochs {
-            rng.shuffle(&mut group_pairs);
-            rng.shuffle(&mut user_pairs);
-            let (mut g_sum, mut u_sum, mut n) = (0.0f64, 0.0f64, 0usize);
-            for chunk in group_pairs.chunks(cfg.batch_size) {
-                let l = self.group_size;
-                let mut members = Vec::with_capacity(chunk.len() * l);
-                let mut pos = Vec::with_capacity(chunk.len());
-                let mut neg = Vec::with_capacity(chunk.len());
-                for &(g, v) in chunk {
-                    members.extend_from_slice(&self.groups[g as usize]);
-                    pos.push(v);
-                    neg.push(group_neg.sample(g, &mut rng));
-                }
-                let half = cfg.user_batch_size / 2;
-                let mut uu = Vec::with_capacity(2 * half);
-                let mut uv = Vec::with_capacity(2 * half);
-                let mut ut = Vec::with_capacity(2 * half);
-                for _ in 0..half {
-                    let (u, v) = user_pairs[cursor % user_pairs.len()];
-                    cursor += 1;
-                    uu.push(u);
-                    uv.push(v);
-                    ut.push(1.0);
-                    uu.push(u);
-                    uv.push(user_neg.sample(u, &mut rng));
-                    ut.push(0.0);
-                }
-                let (grads, gl, ul) = {
-                    let mut tape = Tape::new(&self.store);
-                    let g_rep = self.group_rep(&mut tape, &members);
-                    let p = tape.gather(self.item_emb, &pos);
-                    let nn = tape.gather(self.item_emb, &neg);
-                    let s_pos = tape.row_dot(g_rep, p);
-                    let s_neg = tape.row_dot(g_rep, nn);
-                    let lg = margin_group_loss(&mut tape, s_pos, s_neg, cfg.margin);
-                    let ue = tape.gather(self.user_emb, &uu);
-                    let ve = tape.gather(self.item_emb, &uv);
-                    let logits = tape.row_dot(ue, ve);
-                    let lu = user_log_loss(&mut tape, logits, Tensor::col_vector(&ut));
-                    let lgw = tape.scale(lg, cfg.beta);
-                    let luw = tape.scale(lu, 1.0 - cfg.beta);
-                    let total = tape.add(lgw, luw);
-                    (tape.backward(total), tape.value(lg).item(), tape.value(lu).item())
-                };
-                adam.step(&mut self.store, &grads);
-                g_sum += gl as f64;
-                u_sum += ul as f64;
-                n += 1;
-            }
-            losses.push(((g_sum / n.max(1) as f64) as f32, (u_sum / n.max(1) as f64) as f32));
-        }
-        losses
+impl TapeForward for Mosan {
+    fn params(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn group_scores(&self, tape: &mut Tape<'_>, batch: &TrainBatch) -> (NodeId, NodeId) {
+        let g_rep = self.group_rep(tape, &flat_members(&self.groups, batch));
+        let p = tape.gather(self.item_emb, &batch.positives);
+        let n = tape.gather(self.item_emb, &batch.negatives);
+        (tape.row_dot(g_rep, p), tape.row_dot(g_rep, n))
+    }
+
+    fn user_logits(&self, tape: &mut Tape<'_>, batch: &TrainBatch) -> NodeId {
+        let ue = tape.gather(self.user_emb, &batch.users);
+        let ve = tape.gather(self.item_emb, &batch.items);
+        tape.row_dot(ue, ve)
     }
 }
 
@@ -283,8 +240,8 @@ mod tests {
         let ds = movielens_rand(&MovieLensConfig::at_scale(Scale::Tiny));
         let split = split_dataset(&ds, 9);
         let mut model = Mosan::new(&ds, &split, quick_cfg(4, false));
-        let losses = model.fit(&split);
-        assert!(losses.last().unwrap().0 < losses.first().unwrap().0, "{losses:?}");
+        let losses = model.fit(&split).epochs;
+        assert!(losses.last().unwrap().group < losses.first().unwrap().group, "{losses:?}");
         let scores = model.score(0, &[0, 1, 2, 3]);
         assert_eq!(scores.len(), 4);
         assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));

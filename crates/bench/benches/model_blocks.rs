@@ -5,7 +5,7 @@
 use kgag::attention::group_attention;
 use kgag::model::ModelParams;
 use kgag::{Kgag, KgagConfig};
-use kgag_baselines::{MatrixFactorization, MfConfig};
+use kgag_baselines::{BaselineConfig, MatrixFactorization};
 use kgag_data::movielens::{movielens_rand, MovieLensConfig, Scale};
 use kgag_data::split::{split_dataset, DatasetSplit};
 use kgag_data::GroupDataset;
@@ -44,7 +44,8 @@ fn bench_training_epoch(suite: &mut BenchSuite) {
         black_box(model.fit(&split));
     });
     suite.bench_iters("MF 1 epoch (tiny)", 5, || {
-        let mut model = MatrixFactorization::new(&ds, MfConfig { epochs: 1, ..Default::default() });
+        let mut model =
+            MatrixFactorization::new(&ds, BaselineConfig { epochs: 1, ..Default::default() });
         black_box(model.fit(&split));
     });
 }

@@ -4,7 +4,7 @@
 //! GCN and GraphSage aggregators (Table IV's cost side) and the
 //! receptive-field sampler.
 
-use kgag::config::Aggregator;
+use kgag::config::Backend;
 use kgag::model::PropagationParams;
 use kgag::propagation::propagate;
 use kgag::KgagConfig;
@@ -17,7 +17,7 @@ use kgag_testkit::bench::{black_box, BenchSuite};
 fn fixture(
     dim: usize,
     layers: usize,
-    aggregator: Aggregator,
+    aggregator: Backend,
 ) -> (CollaborativeKg, ParamStore, PropagationParams) {
     let ds = movielens_rand(&MovieLensConfig::at_scale(Scale::Tiny));
     let split = split_dataset(&ds, 1);
@@ -34,7 +34,7 @@ fn fixture(
 }
 
 fn bench_sampler(suite: &mut BenchSuite) {
-    let (ckg, _, _) = fixture(16, 2, Aggregator::Gcn);
+    let (ckg, _, _) = fixture(16, 2, Backend::Gcn);
     let targets: Vec<u32> = (0..256u32).map(|i| i % ckg.num_entities() as u32).collect();
     for &k in &[4usize, 8] {
         let sampler = NeighborSampler::new(k, 5);
@@ -47,7 +47,7 @@ fn bench_sampler(suite: &mut BenchSuite) {
 fn bench_depth_sweep(suite: &mut BenchSuite) {
     // the O(K^H) blow-up of the paper's complexity analysis
     for &h in &[1usize, 2, 3] {
-        let (ckg, store, params) = fixture(16, h, Aggregator::Gcn);
+        let (ckg, store, params) = fixture(16, h, Backend::Gcn);
         let sampler = NeighborSampler::new(4, 5);
         let targets: Vec<u32> = (0..128u32).collect();
         let rf = sampler.receptive_field(ckg.graph(), &targets, h, 0);
@@ -55,7 +55,7 @@ fn bench_depth_sweep(suite: &mut BenchSuite) {
         suite.bench_iters(&format!("propagate H={h} fwd+bwd b128 d16 K4"), 10, || {
             let mut tape = Tape::new(&store);
             let q = tape.constant(query.clone());
-            let out = propagate(&mut tape, &params, Aggregator::Gcn, &rf, q);
+            let out = propagate(&mut tape, &params, Backend::Gcn, &rf, q);
             let sq = tape.mul(out, out);
             let loss = tape.mean_all(sq);
             black_box(tape.backward(loss));
@@ -64,7 +64,7 @@ fn bench_depth_sweep(suite: &mut BenchSuite) {
 }
 
 fn bench_aggregators(suite: &mut BenchSuite) {
-    for (name, agg) in [("GCN", Aggregator::Gcn), ("GraphSage", Aggregator::GraphSage)] {
+    for (name, agg) in [("GCN", Backend::Gcn), ("GraphSage", Backend::GraphSage)] {
         let (ckg, store, params) = fixture(16, 2, agg);
         let sampler = NeighborSampler::new(4, 5);
         let targets: Vec<u32> = (0..128u32).collect();

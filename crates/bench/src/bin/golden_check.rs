@@ -1,6 +1,7 @@
 //! CI golden-file regression gate: train the fixed-seed smoke model and
 //! compare its losses and metrics *bit-identically* against the
-//! committed `results/golden_smoke.json`.
+//! committed `results/golden_smoke.json` — and, in its `baselines`
+//! section, those of MF, KGCN and MoSAN trained on the same split.
 //!
 //! ```text
 //! golden_check [--baseline PATH] [--write-baseline]
@@ -23,11 +24,16 @@
 //! the baseline comparison even starts.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, TrainReport};
+use kgag_baselines::{
+    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, Mosan,
+    MosanConfig, ScoreAggregator,
+};
 use kgag_data::movielens::Scale;
-use kgag_data::split::split_dataset;
+use kgag_data::split::{split_dataset, DatasetSplit};
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_eval::{evaluate_group_ranking, EvalConfig};
+use kgag_data::GroupDataset;
+use kgag_eval::{evaluate_group_ranking, BatchGroupScorer, EvalConfig, GroupEvalCase};
 use kgag_testkit::json::{Json, ToJson};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -80,24 +86,41 @@ fn golden_run() -> Json {
         test_summary,
         "engine test metrics diverged from the tape reference"
     );
-    let losses = Json::Arr(
-        report
-            .epochs
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("group", Json::Float(e.group as f64)),
-                    ("user", Json::Float(e.user as f64)),
-                ])
-            })
-            .collect(),
-    );
     Json::obj(vec![
         ("dataset", ds.name.to_json()),
         ("split_seed", Json::Float(SPLIT_SEED as f64)),
-        ("epochs", losses),
+        ("epochs", report.epochs.to_json()),
         ("validation", val_summary.to_json()),
         ("test", test_summary.to_json()),
+        ("baselines", baselines_run(&ds, &split, &test, &ecfg)),
+    ])
+}
+
+/// The trained baselines on the same split, 2 epochs each: their
+/// per-epoch losses and test metrics (CF+AVG and KGCN+AVG through the
+/// average aggregator, MoSAN directly).
+fn baselines_run(
+    ds: &GroupDataset,
+    split: &DatasetSplit,
+    test: &[GroupEvalCase],
+    ecfg: &EvalConfig,
+) -> Json {
+    let base = BaselineConfig { epochs: 2, ..Default::default() };
+    let entry = |report: TrainReport, scorer: &dyn BatchGroupScorer| {
+        let summary = evaluate_group_ranking(scorer, ds.num_items, test, ecfg);
+        Json::obj(vec![("epochs", report.epochs.to_json()), ("test", summary.to_json())])
+    };
+    let mut mf = MatrixFactorization::new(ds, base.clone());
+    let mf_report = mf.fit(split);
+    let mut kgcn = Kgcn::new(ds, KgcnConfig { base: base.clone(), ..Default::default() });
+    let kgcn_report = kgcn.fit(split);
+    let mut mosan = Mosan::new(ds, split, MosanConfig { base, ..Default::default() });
+    let mosan_report = mosan.fit(split);
+    let avg = ScoreAggregator::Average;
+    Json::obj(vec![
+        ("mf", entry(mf_report, &AggregatedGroupScorer::new(&mf, &ds.groups, avg))),
+        ("kgcn", entry(kgcn_report, &AggregatedGroupScorer::new(&kgcn, &ds.groups, avg))),
+        ("mosan", entry(mosan_report, &mosan)),
     ])
 }
 
@@ -159,7 +182,7 @@ fn run() -> Result<bool, String> {
     diff("$", &baseline, &payload, &mut divergences);
     if divergences.is_empty() {
         println!(
-            "golden_check: run matches {} exactly (losses, validation, test)",
+            "golden_check: run matches {} exactly (losses, validation, test, baselines)",
             args.baseline.display()
         );
         return Ok(true);

@@ -6,7 +6,7 @@
 //! EXPERIMENTS.md makes any "A beats B" claim.
 
 use kgag::Kgag;
-use kgag_baselines::{AggregatedGroupScorer, MatrixFactorization, MfConfig, ScoreAggregator};
+use kgag_baselines::{AggregatedGroupScorer, BaselineConfig, MatrixFactorization, ScoreAggregator};
 use kgag_bench::{
     dataset_trio, epochs_from_env, eval_config, kgag_config_for, prepare, scale_from_env,
     write_json,
@@ -28,7 +28,7 @@ fn main() {
         let (s_kgag, per_kgag) =
             evaluate_group_ranking_detailed(&kgag_model, ds.num_items, &prep.test_cases, &ecfg);
 
-        let mut mf_cfg = MfConfig::default();
+        let mut mf_cfg = BaselineConfig::default();
         if let Some(e) = epochs_from_env() {
             mf_cfg.epochs = e;
         }

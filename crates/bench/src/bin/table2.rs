@@ -10,7 +10,7 @@
 //! aggregator on the MovieLens-style sets.
 
 use kgag_baselines::{
-    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, MfConfig, Mosan,
+    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, Mosan,
     MosanConfig, Popularity, PseudoUserGroups, ScoreAggregator,
 };
 use kgag_bench::{
@@ -50,7 +50,7 @@ fn main() {
 
         // --- CF (matrix factorization) + static aggregators ----------
         let t = Instant::now();
-        let mut mf_cfg = MfConfig::default();
+        let mut mf_cfg = BaselineConfig::default();
         if let Some(e) = epochs_from_env() {
             mf_cfg.epochs = e;
         }

@@ -24,10 +24,6 @@ pub enum Backend {
     InteractionPattern,
 }
 
-/// Pre-refactor name of [`Backend`], kept so existing call sites
-/// (baselines, benches, tests) read unchanged.
-pub type Aggregator = Backend;
-
 impl Backend {
     /// The stable lowercase tag of this backend — the spelling used by
     /// checkpoint tags, the CLI `--backend` flag and JSON reports.

@@ -49,8 +49,10 @@
 //!     distinct key is computed once per chunk (Rule 1), and at `h = 0`
 //!     a node whose `K` edges share one relation is computed once for
 //!     every query row whose logit for it is finite: `K` equal finite
-//!     logits weigh each child exactly `1/K` (Rule 2). A non-finite
-//!     logit keeps the node under its own key.
+//!     logits weigh each child exactly `1/K` (Rule 2). When some row's
+//!     lone-relation logit is not finite, its class binds those nodes
+//!     under their own keys too, each as a block of `K` copies of its
+//!     relation.
 //!
 //! Each output row is a pure function of its own instance's inputs; a
 //! node is shared only between instances whose keys are equal, and
@@ -432,7 +434,10 @@ impl<'a> Engine<'a> {
     /// array the blocks index. When each relation that some node of the
     /// class uses alone has a finite logit in every row, the class's
     /// entries follow its keys' layout with the query-free nodes left
-    /// out. Otherwise the class is classified key by key.
+    /// out. Otherwise the class binds its lone-relation nodes too, each
+    /// as a block of `K` copies of its relation's index, and reruns the
+    /// rows: a finite logit's block weighs each child exactly `1/K`, as
+    /// the shared entry would.
     fn first_iteration(
         &self,
         dag: &FieldDag,
@@ -444,7 +449,7 @@ impl<'a> Engine<'a> {
     ) {
         let (d, k) = (self.config.dim, dag.k);
         let blocks = &dag.relations[lvl];
-        let Attention { single, free_entry, free, lone, bound, edges, block, logits, exps } = at;
+        let Attention { single, free_entry, free, lone, bound, edges, logits, exps } = at;
         // each node's relation when all its K edges share one
         single.clear();
         single.extend(blocks.chunks_exact(k).map(|b| {
@@ -477,82 +482,57 @@ impl<'a> Engine<'a> {
             lone.extend(nodes.iter().map(|&n| single[n as usize]).filter(|&r| r != NONE));
             lone.sort_unstable();
             lone.dedup();
-            bound.clear();
-            bound.extend(nodes.iter().copied().filter(|&n| single[n as usize] == NONE));
             logits.start_set();
             for &r in lone.iter() {
                 logits.intern(r);
             }
-            edges.clear();
-            for &n in bound.iter() {
-                let n = n as usize;
-                edges.extend(blocks[n * k..(n + 1) * k].iter().map(|&r| logits.intern(r)));
-            }
             // optimistically, every row frees every lone-relation node:
-            // the bound entries node by node, row by row
+            // the bound entries node by node, row by row. When some row's
+            // lone-relation logit is not finite, the class binds those
+            // nodes too, each as a block of `K` copies of its relation,
+            // and runs the rows again
             let (base, runs) = (first.bound, first.runs.len());
-            first.runs.extend(bound.iter().map(|&n| (n, rows as u32)));
-            first.bound += bound.len() * rows;
-            first.weights.resize(first.bound * k, 0.0);
-            let mut freed = true;
-            for i in 0..rows {
-                let q = query.row(class.first as usize + i, d);
-                if !logits.row(q, self.relation, self.inv_sqrt_d, lone.len()) {
-                    freed = false;
-                    break;
-                }
-                if !edges.is_empty() {
-                    exps.next_row(logits.len());
-                    let out = &mut first.weights[(base + i) * k..];
-                    exps.softmax_blocks(logits.logits(), edges, k, out, rows * k);
-                }
-            }
-            if freed {
-                let mut b = 0;
-                for (p, &n) in nodes.iter().enumerate() {
-                    let keys = walk.key(lvl, c, p, 0) as usize..;
-                    if single[n as usize] == NONE {
-                        let entry = (base + b * rows) as u32;
-                        first.slot[keys][..rows].iter_mut().zip(entry..).for_each(|(s, e)| *s = e);
-                        b += 1;
-                    } else {
-                        first.slot[keys][..rows].fill(free_of(n));
+            let mut finite = lone.len();
+            loop {
+                bound.clear();
+                bound.extend(nodes.iter().filter(|&&n| finite == 0 || single[n as usize] == NONE));
+                edges.clear();
+                for &n in bound.iter() {
+                    let n = n as usize;
+                    match single[n] {
+                        NONE => edges
+                            .extend(blocks[n * k..(n + 1) * k].iter().map(|&r| logits.intern(r))),
+                        r => edges.extend(std::iter::repeat_n(logits.intern(r), k)),
                     }
                 }
-                continue;
+                first.runs.truncate(runs);
+                first.runs.extend(bound.iter().map(|&n| (n, rows as u32)));
+                first.bound = base + bound.len() * rows;
+                first.weights.resize(first.bound * k, 0.0);
+                let complete = (0..rows).all(|i| {
+                    let q = query.row(class.first as usize + i, d);
+                    let finite_row = logits.row(q, self.relation, self.inv_sqrt_d, finite);
+                    if finite_row && !edges.is_empty() {
+                        exps.next_row(logits.len());
+                        let out = &mut first.weights[(base + i) * k..];
+                        exps.softmax_blocks(logits.logits(), edges, k, out, rows * k);
+                    }
+                    finite_row
+                });
+                if complete {
+                    break;
+                }
+                finite = 0;
             }
-            // some row's logit is not finite: key by key, row by row
-            first.runs.truncate(runs);
-            first.bound = base;
-            first.weights.truncate(base * k);
-            for i in 0..rows {
-                let q = query.row(class.first as usize + i, d);
-                logits.row(q, self.relation, self.inv_sqrt_d, 0);
-                exps.next_row(logits.len());
-                let mut bound_blocks = edges.chunks_exact(k);
-                for (p, &n) in nodes.iter().enumerate() {
-                    let key = walk.key(lvl, c, p, i) as usize;
-                    let r = single[n as usize];
-                    let j = (r != NONE).then(|| logits.intern(r));
-                    first.slot[key] = match j {
-                        Some(j) if logits.logits()[j as usize].is_finite() => free_of(n),
-                        _ => {
-                            let ids = match j {
-                                Some(j) => {
-                                    block.clear();
-                                    block.resize(k, j);
-                                    &block[..]
-                                }
-                                None => bound_blocks.next().expect("a block per bound node"),
-                            };
-                            let e = first.weights.len();
-                            first.weights.resize(e + k, 0.0);
-                            exps.softmax(logits.logits(), ids, &mut first.weights[e..]);
-                            first.runs.push((n, 1));
-                            first.bound += 1;
-                            first.bound as u32 - 1
-                        }
-                    };
+            let mut b = 0;
+            for (p, &n) in nodes.iter().enumerate() {
+                let keys = walk.key(lvl, c, p, 0) as usize..;
+                if finite == 0 || single[n as usize] == NONE {
+                    let entry = (base + b * rows) as u32;
+                    first.slot[keys][..rows].iter_mut().zip(entry..).for_each(|(s, e)| *s = e);
+                    b += 1;
+                } else {
+                    first.slot[keys][..rows].fill(free_of(n));
                 }
             }
         }
@@ -740,8 +720,6 @@ struct Attention {
     bound: Vec<u32>,
     /// The class's bound blocks' edges as indices into its relation set.
     edges: Vec<u32>,
-    /// One lone-relation block as indices, where its logit is not finite.
-    block: Vec<u32>,
     logits: LogitMemo,
     exps: ExpMemo,
 }

@@ -56,7 +56,7 @@ pub mod trainer;
 
 pub use backend::{FusedAggregation, PropagationBackend};
 pub use batch::{BatchScorer, InProcess};
-pub use config::{Aggregator, Backend, GroupLoss, KgagConfig};
+pub use config::{Backend, GroupLoss, KgagConfig};
 pub use dynamic::DynamicScorer;
 pub use explain::GroupExplanation;
 pub use registry::{

@@ -33,6 +33,14 @@ pub fn user_log_loss(tape: &mut Tape<'_>, logits: NodeId, targets: Tensor) -> No
     tape.mean_all(per_example)
 }
 
+/// The combined objective's data terms (Eq. 20):
+/// `β·L_group + (1−β)·L_user`; the optimizer adds `λ‖Θ‖²`.
+pub fn combined_loss(tape: &mut Tape<'_>, group: NodeId, user: NodeId, beta: f32) -> NodeId {
+    let group = tape.scale(group, beta);
+    let user = tape.scale(user, 1.0 - beta);
+    tape.add(group, user)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,16 +18,16 @@
 use crate::attention::{group_attention, AttentionOut};
 use crate::config::{GroupLoss, KgagConfig};
 use crate::explain::GroupExplanation;
-use crate::loss::{bpr_group_loss, margin_group_loss, user_log_loss};
+use crate::loss::{bpr_group_loss, combined_loss, margin_group_loss, user_log_loss};
 use crate::model::ModelParams;
 use crate::scorer::ScoreError;
-use kgag_data::split::{DatasetSplit, NegativeSampler};
+use kgag_data::split::{DatasetSplit, TrainBatches};
 use kgag_data::GroupDataset;
 use kgag_eval::{EvalConfig, GroupEvalCase, MetricSummary};
 use kgag_kg::{CollaborativeKg, FieldDag, NeighborSampler, ReceptiveField, RfCache};
 use kgag_tensor::optim::{Adam, Optimizer};
 use kgag_tensor::pool;
-use kgag_tensor::rng::{derive_seed, SplitMix64};
+use kgag_tensor::rng::derive_seed;
 use kgag_tensor::{NodeId, ParamStore, Tape, Tensor};
 use kgag_testkit::json::{Json, ToJson};
 use std::collections::HashSet;
@@ -41,6 +41,20 @@ pub struct EpochLoss {
     pub group: f32,
     /// Mean user log loss.
     pub user: f32,
+}
+
+impl EpochLoss {
+    /// The mean of an epoch's per-batch `(group, user)` losses, summed
+    /// in `f64` in batch order.
+    pub fn mean(batches: &[(f32, f32)]) -> Self {
+        let (mut group, mut user) = (0.0f64, 0.0f64);
+        for &(g, u) in batches {
+            group += g as f64;
+            user += u as f64;
+        }
+        let n = batches.len().max(1) as f64;
+        EpochLoss { group: (group / n) as f32, user: (user / n) as f32 }
+    }
 }
 
 impl ToJson for EpochLoss {
@@ -66,49 +80,6 @@ impl TrainReport {
     /// Final combined loss `β·group + (1−β)·user`, if any epoch ran.
     pub fn final_loss(&self, beta: f32) -> Option<f32> {
         self.epochs.last().map(|e| beta * e.group + (1.0 - beta) * e.user)
-    }
-}
-
-/// Cycles through training pairs, reshuffled and restarted at every
-/// epoch boundary.
-///
-/// An earlier version kept a single cursor running *across* epochs while
-/// reshuffling the underlying list each epoch. Whenever an epoch drew a
-/// non-multiple of `len` pairs, the next epoch resumed mid-list over a
-/// freshly shuffled order, so within one pass some pairs were visited
-/// twice and others not at all — a sampling bias toward an RNG-dependent
-/// subset of the user interactions. Resetting the cursor together with
-/// the shuffle restores the guarantee that every full pass visits each
-/// pair exactly once (wrap-around only happens when a single epoch needs
-/// more draws than the list holds).
-struct PairCycler {
-    pairs: Vec<(u32, u32)>,
-    cursor: usize,
-}
-
-impl PairCycler {
-    /// # Panics
-    /// Panics when `pairs` is empty.
-    fn new(pairs: Vec<(u32, u32)>) -> Self {
-        assert!(!pairs.is_empty(), "no training pairs to cycle");
-        PairCycler { pairs, cursor: 0 }
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Reshuffle and restart from the top of the list.
-    fn start_epoch(&mut self, rng: &mut SplitMix64) {
-        rng.shuffle(&mut self.pairs);
-        self.cursor = 0;
-    }
-
-    fn next(&mut self) -> (u32, u32) {
-        let pair = self.pairs[self.cursor % self.pairs.len()];
-        self.cursor += 1;
-        pair
     }
 }
 
@@ -431,14 +402,12 @@ impl Kgag {
         let telemetry = kgag_obs::enabled();
         let cfg = self.config.clone();
         let mut adam = Adam::with_decay(cfg.learning_rate, cfg.lambda);
-        let mut rng = SplitMix64::new(derive_seed(cfg.seed, "fit"));
-
-        // negatives are rejected against train∪val positives (test stays
-        // unseen in every sense)
-        let group_known: Vec<(u32, u32)> =
-            split.group.train.iter().chain(&split.group.val).copied().collect();
-        let group_neg = NegativeSampler::new(group_known, self.num_items);
-        let user_neg = NegativeSampler::from_interactions(&split.user_train);
+        let mut batches = TrainBatches::new(
+            split,
+            derive_seed(cfg.seed, "fit"),
+            cfg.batch_size,
+            cfg.user_batch_size,
+        );
 
         // KGNN-LS: known-positive set for the label-propagation masks,
         // in CKG entity ids. Only consulted via `contains`, so the
@@ -455,55 +424,24 @@ impl Kgag {
         } else {
             HashSet::new()
         };
-
-        let mut group_pairs = split.group.train.clone();
-        let user_pairs = split.user_train.pairs();
-        assert!(!group_pairs.is_empty(), "no group training data");
-        assert!(!user_pairs.is_empty(), "no user training data");
-        let mut user_cycle = PairCycler::new(user_pairs);
         let mut report = TrainReport::default();
 
         for epoch in 0..cfg.epochs {
             let epoch_span = kgag_obs::span("trainer.epoch");
-            rng.shuffle(&mut group_pairs);
-            user_cycle.start_epoch(&mut rng);
-            let mut g_sum = 0.0f64;
-            let mut u_sum = 0.0f64;
-            let mut batches = 0usize;
+            let mut losses = Vec::new();
             let mut grad_update_ns = 0u64;
-            for (bi, chunk) in group_pairs.chunks(cfg.batch_size).enumerate() {
+            for batch in batches.epoch() {
                 let batch_start = telemetry.then(Instant::now);
                 let salt = derive_seed(cfg.seed, "step")
-                    ^ (epoch as u64).wrapping_mul(1_000_003)
-                    ^ (bi as u64).wrapping_mul(97);
-
-                // ---- group instances -------------------------------
-                let mut flat_members = Vec::with_capacity(chunk.len() * self.group_size);
-                let mut pos_items = Vec::with_capacity(chunk.len());
-                let mut neg_items = Vec::with_capacity(chunk.len());
-                for &(g, v_pos) in chunk {
-                    flat_members.extend(self.member_entities(g));
-                    pos_items.push(v_pos);
-                    neg_items.push(group_neg.sample(g, &mut rng));
-                }
-                let pos_ents = self.item_entities(&pos_items);
-                let neg_ents = self.item_entities(&neg_items);
-
-                // ---- user instances --------------------------------
-                let half = cfg.user_batch_size / 2;
-                let mut u_users = Vec::with_capacity(2 * half);
-                let mut u_items = Vec::with_capacity(2 * half);
-                let mut u_targets = Vec::with_capacity(2 * half);
-                for _ in 0..half {
-                    let (u, v) = user_cycle.next();
-                    u_users.push(self.ckg.user_entity(u).0);
-                    u_items.push(self.ckg.item_entity(v).0);
-                    u_targets.push(1.0);
-                    let vn = user_neg.sample(u, &mut rng);
-                    u_users.push(self.ckg.user_entity(u).0);
-                    u_items.push(self.ckg.item_entity(vn).0);
-                    u_targets.push(0.0);
-                }
+                    ^ (batch.epoch as u64).wrapping_mul(1_000_003)
+                    ^ (batch.index as u64).wrapping_mul(97);
+                let flat_members: Vec<u32> =
+                    batch.groups.iter().flat_map(|&g| self.member_entities(g)).collect();
+                let pos_ents = self.item_entities(&batch.positives);
+                let neg_ents = self.item_entities(&batch.negatives);
+                let u_users: Vec<u32> =
+                    batch.users.iter().map(|&u| self.ckg.user_entity(u).0).collect();
+                let u_items = self.item_entities(&batch.items);
 
                 // ---- combined loss ---------------------------------
                 let (mut grads, g_loss, u_loss) = {
@@ -534,10 +472,8 @@ impl Kgag {
                         GroupLoss::Bpr => bpr_group_loss(&mut tape, fwd_pos.score, fwd_neg.score),
                     };
                     let logits = self.forward_user(&mut tape, &u_users, &u_items, salt, true);
-                    let lu = user_log_loss(&mut tape, logits, Tensor::col_vector(&u_targets));
-                    let lg_w = tape.scale(lg, cfg.beta);
-                    let lu_w = tape.scale(lu, 1.0 - cfg.beta);
-                    let mut total = tape.add(lg_w, lu_w);
+                    let lu = user_log_loss(&mut tape, logits, Tensor::col_vector(&batch.labels));
+                    let mut total = combined_loss(&mut tape, lg, lu, cfg.beta);
                     if ls_enabled {
                         // label propagation over the user instances'
                         // target-item fields, on a dedicated salt stream
@@ -555,7 +491,7 @@ impl Kgag {
                             &rf,
                             q_users,
                             &labels,
-                            &u_targets,
+                            &batch.labels,
                         );
                         let ls_w = tape.scale(ls, cfg.ls_weight);
                         total = tape.add(total, ls_w);
@@ -587,14 +523,9 @@ impl Kgag {
                     kgag_obs::histogram("trainer.batch_ns")
                         .record(start.elapsed().as_nanos() as u64);
                 }
-                g_sum += g_loss as f64;
-                u_sum += u_loss as f64;
-                batches += 1;
+                losses.push((g_loss, u_loss));
             }
-            let epoch_loss = EpochLoss {
-                group: (g_sum / batches.max(1) as f64) as f32,
-                user: (u_sum / batches.max(1) as f64) as f32,
-            };
+            let epoch_loss = EpochLoss::mean(&losses);
             drop(epoch_span);
             if telemetry {
                 kgag_obs::gauge("trainer.group_loss").set(epoch_loss.group as f64);
@@ -604,7 +535,7 @@ impl Kgag {
                         .u64("epoch", epoch as u64)
                         .f64("group_loss", epoch_loss.group as f64)
                         .f64("user_loss", epoch_loss.user as f64)
-                        .u64("batches", batches as u64)
+                        .u64("batches", losses.len() as u64)
                         .u64("grad_update_ns", grad_update_ns),
                 );
             }
@@ -874,52 +805,4 @@ fn ls_level_labels(
                 .collect()
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression for the cross-epoch cursor bug: with the cursor
-    /// persisting across per-epoch reshuffles, a pass over `len` draws
-    /// could visit some pairs twice and miss others. Every full pass must
-    /// be a permutation of the pair list, no matter where the previous
-    /// epoch left off.
-    #[test]
-    fn pair_cycler_visits_every_pair_once_per_pass() {
-        let pairs: Vec<(u32, u32)> = (0..7).map(|i| (i, i + 100)).collect();
-        let mut want = pairs.clone();
-        want.sort_unstable();
-        let mut cycle = PairCycler::new(pairs);
-        let mut rng = SplitMix64::new(42);
-        for epoch in 0..5 {
-            cycle.start_epoch(&mut rng);
-            let mut seen: Vec<(u32, u32)> = (0..cycle.len()).map(|_| cycle.next()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, want, "epoch {epoch}: full pass must be a permutation");
-            // leave the cursor mid-list, like an epoch whose draw count
-            // is not a multiple of the pair count
-            for _ in 0..3 {
-                cycle.next();
-            }
-        }
-    }
-
-    #[test]
-    fn pair_cycler_wraps_within_one_epoch() {
-        let mut cycle = PairCycler::new(vec![(1, 2), (3, 4)]);
-        let mut rng = SplitMix64::new(7);
-        cycle.start_epoch(&mut rng);
-        let draws: Vec<(u32, u32)> = (0..6).map(|_| cycle.next()).collect();
-        // wrap-around repeats the same shuffled order, so each pair shows
-        // up exactly three times in six draws
-        assert_eq!(draws.iter().filter(|&&p| p == (1, 2)).count(), 3);
-        assert_eq!(draws.iter().filter(|&&p| p == (3, 4)).count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "no training pairs")]
-    fn pair_cycler_rejects_empty_input() {
-        PairCycler::new(Vec::new());
-    }
 }

@@ -3,7 +3,7 @@
 //! inequalities, and propagation is shape-stable across random graphs.
 
 use kgag::attention::group_attention;
-use kgag::config::{Aggregator, KgagConfig};
+use kgag::config::{Backend, KgagConfig};
 use kgag::loss::{bpr_group_loss, margin_group_loss};
 use kgag::model::{ModelParams, PropagationParams};
 use kgag::propagation::propagate;
@@ -149,7 +149,7 @@ fn propagation_is_shape_stable() {
         |(seed, edges, layers, k, sage)| {
             let (seed, layers, k, sage) = (*seed, *layers, *k, *sage);
             let ckg = random_ckg(8, 3, 6, edges);
-            let aggregator = if sage { Aggregator::GraphSage } else { Aggregator::Gcn };
+            let aggregator = if sage { Backend::GraphSage } else { Backend::Gcn };
             let config = KgagConfig {
                 dim: 4,
                 layers,

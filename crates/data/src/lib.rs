@@ -40,7 +40,7 @@ pub use interactions::{Interactions, RatingTable};
 pub use lifecycle::{
     Applied, GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp,
 };
-pub use split::{DatasetSplit, GroupSplit, UserSplit};
+pub use split::{DatasetSplit, GroupSplit};
 pub use stats::DatasetStats;
 
 /// Dense user index.

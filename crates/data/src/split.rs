@@ -201,9 +201,6 @@ pub struct NegativeSampler {
     num_items: u32,
 }
 
-/// Alias kept for discoverability from the user side.
-pub type UserSplit = Interactions;
-
 impl NegativeSampler {
     /// Build from all known positive `(row, item)` pairs (train *and*
     /// held-out, so negatives are true negatives).
@@ -267,6 +264,132 @@ impl NegativeSampler {
     /// True when `(row, item)` is a known positive.
     pub fn is_positive(&self, row: u32, item: u32) -> bool {
         self.known.contains(&(row, item))
+    }
+}
+
+/// The training data of every trained model (§IV-D), in one RNG order:
+/// each epoch shuffles the group pairs, then reshuffles and restarts the
+/// user pairs; each batch samples a negative per group pair (rejected
+/// against train ∪ val), then draws `user_batch_size / 2` user pairs,
+/// each followed by a negative rejected against `user_train`.
+pub struct TrainBatches {
+    rng: SplitMix64,
+    group_neg: NegativeSampler,
+    user_neg: NegativeSampler,
+    group_pairs: Vec<(u32, u32)>,
+    user_pairs: PairCycler,
+    batch_size: usize,
+    user_draws: usize,
+    epoch: usize,
+}
+
+/// One training step's instances, as [`TrainBatches`] draws them.
+#[derive(Clone, Debug, Default)]
+pub struct TrainBatch {
+    /// The epoch, from 0.
+    pub epoch: usize,
+    /// The batch's index in its epoch.
+    pub index: usize,
+    /// Each group instance's group.
+    pub groups: Vec<u32>,
+    /// Each group instance's positive item.
+    pub positives: Vec<u32>,
+    /// Each group instance's sampled negative item.
+    pub negatives: Vec<u32>,
+    /// Each user instance's user: a drawn pair `(u, v⁺)`, then `(u, v⁻)`.
+    pub users: Vec<u32>,
+    /// Each user instance's item.
+    pub items: Vec<u32>,
+    /// Each user instance's label: 1 for `v⁺`, 0 for `v⁻`.
+    pub labels: Vec<f32>,
+}
+
+impl TrainBatches {
+    /// The batches of `split` on the RNG stream `seed`.
+    ///
+    /// # Panics
+    /// Panics when the split has no group or no user training pairs.
+    pub fn new(split: &DatasetSplit, seed: u64, batch_size: usize, user_batch_size: usize) -> Self {
+        assert!(!split.group.train.is_empty(), "no group training data");
+        let group_known = split.group.train.iter().chain(&split.group.val).copied();
+        TrainBatches {
+            rng: SplitMix64::new(seed),
+            group_neg: NegativeSampler::new(group_known, split.user_train.num_items()),
+            user_neg: NegativeSampler::from_interactions(&split.user_train),
+            group_pairs: split.group.train.clone(),
+            user_pairs: PairCycler::new(split.user_train.pairs()),
+            batch_size,
+            user_draws: user_batch_size / 2,
+            epoch: 0,
+        }
+    }
+
+    /// Start the next epoch and return its batches in order.
+    pub fn epoch(&mut self) -> impl Iterator<Item = TrainBatch> + '_ {
+        let (epoch, batch_size, user_draws) = (self.epoch, self.batch_size, self.user_draws);
+        self.epoch += 1;
+        self.rng.shuffle(&mut self.group_pairs);
+        self.user_pairs.start_epoch(&mut self.rng);
+        let TrainBatches { rng, group_neg, user_neg, group_pairs, user_pairs, .. } = self;
+        group_pairs.chunks(batch_size).enumerate().map(move |(index, chunk)| {
+            let mut batch = TrainBatch { epoch, index, ..TrainBatch::default() };
+            for &(g, v) in chunk {
+                batch.groups.push(g);
+                batch.positives.push(v);
+                batch.negatives.push(group_neg.sample(g, rng));
+            }
+            for _ in 0..user_draws {
+                let (u, v) = user_pairs.next();
+                let negative = user_neg.sample(u, rng);
+                batch.users.extend([u, u]);
+                batch.items.extend([v, negative]);
+                batch.labels.extend([1.0, 0.0]);
+            }
+            batch
+        })
+    }
+}
+
+/// Cycles through training pairs, reshuffled and restarted at every
+/// epoch boundary.
+///
+/// An earlier version kept a single cursor running *across* epochs while
+/// reshuffling the underlying list each epoch. Whenever an epoch drew a
+/// non-multiple of `len` pairs, the next epoch resumed mid-list over a
+/// freshly shuffled order, so within one pass some pairs were visited
+/// twice and others not at all — a sampling bias toward an RNG-dependent
+/// subset of the user interactions. Resetting the cursor together with
+/// the shuffle restores the guarantee that every full pass visits each
+/// pair exactly once (wrap-around only happens when a single epoch needs
+/// more draws than the list holds).
+struct PairCycler {
+    pairs: Vec<(u32, u32)>,
+    cursor: usize,
+}
+
+impl PairCycler {
+    /// # Panics
+    /// Panics when `pairs` is empty.
+    fn new(pairs: Vec<(u32, u32)>) -> Self {
+        assert!(!pairs.is_empty(), "no training pairs to cycle");
+        PairCycler { pairs, cursor: 0 }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Reshuffle and restart from the top of the list.
+    fn start_epoch(&mut self, rng: &mut SplitMix64) {
+        rng.shuffle(&mut self.pairs);
+        self.cursor = 0;
+    }
+
+    fn next(&mut self) -> (u32, u32) {
+        let pair = self.pairs[self.cursor % self.pairs.len()];
+        self.cursor += 1;
+        pair
     }
 }
 
@@ -430,5 +553,83 @@ mod tests {
         assert!((frac(split.train.len()) - 0.6).abs() < 0.02, "train {}", frac(split.train.len()));
         assert!((frac(split.val.len()) - 0.2).abs() < 0.02, "val {}", frac(split.val.len()));
         assert!((frac(split.test.len()) - 0.2).abs() < 0.02, "test {}", frac(split.test.len()));
+    }
+
+    /// Every epoch's batches cover the group training pairs once, in
+    /// batch order, each with a true negative; each user instance pair
+    /// is a training positive labelled 1, then a true negative of the
+    /// same user labelled 0.
+    #[test]
+    fn train_batches_cover_each_epoch_with_true_negatives() {
+        let split = DatasetSplit {
+            group: split_group_interactions(&toy_pos(), (0.6, 0.2), 1),
+            user_train: toy_pos(),
+        };
+        let group_known: HashSet<(u32, u32)> =
+            split.group.train.iter().chain(&split.group.val).copied().collect();
+        let mut want = split.group.train.clone();
+        want.sort_unstable();
+        let mut batches = TrainBatches::new(&split, 7, 4, 6);
+        for epoch in 0..3 {
+            let mut seen = Vec::new();
+            for (index, b) in batches.epoch().enumerate() {
+                assert_eq!((b.epoch, b.index), (epoch, index));
+                for ((&g, &v), &n) in b.groups.iter().zip(&b.positives).zip(&b.negatives) {
+                    assert!(!group_known.contains(&(g, n)), "group {g}: negative {n}");
+                    seen.push((g, v));
+                }
+                assert_eq!(b.labels, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
+                for (u, v) in b.users.chunks(2).zip(b.items.chunks(2)) {
+                    assert_eq!(u[0], u[1]);
+                    assert!(split.user_train.contains(u[0], v[0]));
+                    assert!(!split.user_train.contains(u[0], v[1]));
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, want, "epoch {epoch}: every group pair once");
+        }
+    }
+
+    /// Regression for the cross-epoch cursor bug: with the cursor
+    /// persisting across per-epoch reshuffles, a pass over `len` draws
+    /// could visit some pairs twice and miss others. Every full pass must
+    /// be a permutation of the pair list, no matter where the previous
+    /// epoch left off.
+    #[test]
+    fn pair_cycler_visits_every_pair_once_per_pass() {
+        let pairs: Vec<(u32, u32)> = (0..7).map(|i| (i, i + 100)).collect();
+        let mut want = pairs.clone();
+        want.sort_unstable();
+        let mut cycle = PairCycler::new(pairs);
+        let mut rng = SplitMix64::new(42);
+        for epoch in 0..5 {
+            cycle.start_epoch(&mut rng);
+            let mut seen: Vec<(u32, u32)> = (0..cycle.len()).map(|_| cycle.next()).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, want, "epoch {epoch}: full pass must be a permutation");
+            // leave the cursor mid-list, like an epoch whose draw count
+            // is not a multiple of the pair count
+            for _ in 0..3 {
+                cycle.next();
+            }
+        }
+    }
+
+    #[test]
+    fn pair_cycler_wraps_within_one_epoch() {
+        let mut cycle = PairCycler::new(vec![(1, 2), (3, 4)]);
+        let mut rng = SplitMix64::new(7);
+        cycle.start_epoch(&mut rng);
+        let draws: Vec<(u32, u32)> = (0..6).map(|_| cycle.next()).collect();
+        // wrap-around repeats the same shuffled order, so each pair shows
+        // up exactly three times in six draws
+        assert_eq!(draws.iter().filter(|&&p| p == (1, 2)).count(), 3);
+        assert_eq!(draws.iter().filter(|&&p| p == (3, 4)).count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no training pairs")]
+    fn pair_cycler_rejects_empty_input() {
+        PairCycler::new(Vec::new());
     }
 }

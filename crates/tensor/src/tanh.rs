@@ -293,10 +293,13 @@ mod tests {
                 }
             }
         };
+        // every 31st input (7.8M of them): a reduction `k` off by one
+        // changes the last bit at only about one input in a thousand of
+        // those it moves, so a sparse sweep can step over every one
         let mut x = LANE_MIN;
         while x < LANE_MAX {
             check(x);
-            x = f32::from_bits(x.to_bits() + 997);
+            x = f32::from_bits(x.to_bits() + 31);
         }
         // the reduction `k` of |x|, as the lane form truncates it
         let k_of = |x: f32| {

@@ -20,8 +20,8 @@
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag::{Backend, Kgag, KgagConfig};
 use kgag_baselines::{
-    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, MfConfig,
-    Popularity, ScoreAggregator,
+    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, Popularity,
+    ScoreAggregator,
 };
 use kgag_data::movielens::{movielens_pair, MovieLensConfig, Scale};
 use kgag_data::split::split_dataset;
@@ -38,7 +38,8 @@ fn main() {
         let split = split_dataset(ds, 11);
         let cases = eval_cases(ds, &split.group, EvalBucket::Test);
 
-        let mut mf = MatrixFactorization::new(ds, MfConfig { epochs: 12, ..Default::default() });
+        let mut mf =
+            MatrixFactorization::new(ds, BaselineConfig { epochs: 12, ..Default::default() });
         mf.fit(&split);
         let mut kgcn = Kgcn::new(
             ds,

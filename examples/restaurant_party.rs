@@ -13,7 +13,7 @@
 
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag::{Kgag, KgagConfig};
-use kgag_baselines::{AggregatedGroupScorer, MatrixFactorization, MfConfig, ScoreAggregator};
+use kgag_baselines::{AggregatedGroupScorer, BaselineConfig, MatrixFactorization, ScoreAggregator};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -34,7 +34,7 @@ fn main() {
     let ecfg = EvalConfig::default();
 
     // static aggregation baselines over a matrix-factorization scorer
-    let mut mf = MatrixFactorization::new(&ds, MfConfig { epochs: 15, ..Default::default() });
+    let mut mf = MatrixFactorization::new(&ds, BaselineConfig { epochs: 15, ..Default::default() });
     mf.fit(&split);
     for agg in ScoreAggregator::all() {
         let scorer = AggregatedGroupScorer::new(&mf, &ds.groups, agg);

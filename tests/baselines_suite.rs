@@ -3,7 +3,7 @@
 
 use kgag::harness::{eval_cases, EvalBucket};
 use kgag_baselines::{
-    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, MfConfig, Mosan,
+    AggregatedGroupScorer, BaselineConfig, Kgcn, KgcnConfig, MatrixFactorization, Mosan,
     MosanConfig, Popularity, ScoreAggregator,
 };
 use kgag_data::movielens::{movielens_pair, MovieLensConfig, Scale};
@@ -28,7 +28,7 @@ fn all_baselines_beat_random_guessing_with_enough_epochs() {
 
     let mut mf = MatrixFactorization::new(
         &ds,
-        MfConfig { epochs: 25, learning_rate: 0.03, ..Default::default() },
+        BaselineConfig { epochs: 25, learning_rate: 0.03, ..Default::default() },
     );
     mf.fit(&split);
     let s = evaluate_group_ranking(
@@ -71,7 +71,7 @@ fn all_baselines_beat_random_guessing_with_enough_epochs() {
 #[test]
 fn aggregators_order_min_avg_max_pointwise() {
     let (ds, split, _) = fixture();
-    let mut mf = MatrixFactorization::new(&ds, MfConfig { epochs: 3, ..Default::default() });
+    let mut mf = MatrixFactorization::new(&ds, BaselineConfig { epochs: 3, ..Default::default() });
     mf.fit(&split);
     let items: Vec<u32> = (0..ds.num_items).step_by(13).collect();
     let lm = AggregatedGroupScorer::new(&mf, &ds.groups, ScoreAggregator::LeastMisery);

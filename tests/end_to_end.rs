@@ -94,7 +94,7 @@ fn every_ablation_trains_and_evaluates() {
         ("-SP", base.clone().ablate_sp()),
         ("-PI", base.clone().ablate_pi()),
         ("BPR", base.clone().with_bpr()),
-        ("GraphSage", KgagConfig { backend: kgag::Aggregator::GraphSage, ..base.clone() }),
+        ("GraphSage", KgagConfig { backend: kgag::Backend::GraphSage, ..base.clone() }),
         ("H1", KgagConfig { layers: 1, ..base.clone() }),
         ("no-residual", KgagConfig { residual: false, ..base }),
     ] {
